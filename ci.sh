@@ -21,9 +21,10 @@ go test -race -run 'TestSingleflightHammer|TestConcurrentHammer|TestMidFlightInv
 
 # Live-update hammer, explicitly under the race detector: readers racing
 # update batches must only ever observe committed states (DESIGN.md §10's
-# epoch protocol), and crash recovery must replay every acknowledged batch
-# even with fsync fault injection.
-go test -race -run 'TestUpdateQueryInterleave|TestCrashRecovery|TestApplyMutationsEpoch' \
+# epoch protocol), crash recovery must replay every acknowledged batch even
+# with fsync fault injection, and the incrementally maintained augmentation
+# must equal a from-scratch recompute after every batch.
+go test -race -run 'TestUpdateQueryInterleave|TestCrashRecovery|TestApplyMutationsEpoch|TestIncrementalAugmentEqualsRebuild' \
     -count=2 -timeout 5m ./internal/server/ ./internal/mvindex/
 
 # Replication hammer, explicitly under the race detector: the log-shipping
@@ -38,6 +39,13 @@ go test -race -run 'TestReplayCorruptMidSegment|FuzzReplayCorrupt|TestFollowerGa
 # kernel or scheduler regressions that only manifest under the bench harness
 # (it asserts sequential/parallel result identity on every run).
 go test -run=NONE -bench=BenchmarkParallelCompile -benchtime=1x -timeout 5m .
+
+# Update-cost gate, on counts not clocks: the same 3-mutation batch must
+# compile and augment the same blocks, and allocate about as often, at DBLP
+# domains 1000, 2000 and 4000 (work is O(dirty), not O(index)); plus one
+# iteration of the batch under the bench harness.
+go test -v -run TestUpdateWorkIsODirty -timeout 5m ./internal/mvindex/
+go test -run=NONE -bench=BenchmarkApplyMutations -benchtime=1x -timeout 5m ./internal/mvindex/
 
 # Bench regression gate: re-measure the sequential compile and query legs at
 # the committed baseline's largest domain and fail on a >25% slowdown vs

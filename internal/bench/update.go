@@ -22,12 +22,12 @@ const updateRounds = 8
 // UpdateMaintenance measures the live-update write path: small mutation
 // batches (an insert, a reweight, a delete — touching at most three
 // separator blocks) applied to a DBLP-scale index with the incremental
-// maintenance path (ApplyMutations: re-translate, recompile only dirty
-// blocks, splice) versus the from-scratch baseline a non-incremental system
-// pays per batch (full re-translate + full OBDD compile + index build). The
-// final incremental index is verified against the from-scratch rebuild on
-// the mutated students' queries to 1e-12 (the speedup column is meaningless
-// if the two indexes drift).
+// maintenance path (ApplyMutations: patch the translation, recompile and
+// re-augment only dirty blocks, copy the rest) versus the from-scratch
+// baseline a non-incremental system pays per batch (full re-translate + full
+// OBDD compile + index build). The final incremental index is verified
+// against the from-scratch rebuild on the mutated students' queries to 1e-12
+// (the speedup column is meaningless if the two indexes drift).
 func UpdateMaintenance(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	t := &Table{
@@ -210,6 +210,11 @@ type updateReport struct {
 	Rounds    int               `json:"rounds"`
 	BatchSize int               `json:"batch_size"`
 	Rows      []updateReportRow `json:"rows"`
+	// P50Growth is the incremental p50 at the largest domain over the p50 at
+	// the smallest, next to how much the domain itself grew: how far the
+	// fixed-size batch is from costing the same at every scale.
+	P50Growth    float64 `json:"incr_p50_growth"`
+	DomainGrowth float64 `json:"domain_growth"`
 }
 
 type updateReportRow struct {
@@ -237,6 +242,10 @@ func WriteUpdateJSON(w io.Writer, t *Table) error {
 			Speedup:   t.Series["speedup"][i],
 			Same:      t.Series["same"][i] == 1,
 		})
+	}
+	if n := len(rep.Rows); n > 1 {
+		rep.P50Growth = rep.Rows[n-1].IncrP50Ms / rep.Rows[0].IncrP50Ms
+		rep.DomainGrowth = float64(rep.Rows[n-1].Domain) / float64(rep.Rows[0].Domain)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

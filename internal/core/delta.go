@@ -37,7 +37,8 @@ var ErrDeltaFallback = errors.New("core: mutation batch may change the translati
 
 // ApplyDelta applies one validated mutation batch to the translation's
 // source and translated databases in place and returns the tuples whose
-// presence changed (base and NV). The caller must hold exclusive access and
+// presence changed (base and NV), each with the variable of the translated
+// database it created or freed. The caller must hold exclusive access and
 // have validated the batch; after a non-fallback error the databases may be
 // partially mutated and the translation must be rebuilt from its source.
 func (t *Translation) ApplyDelta(batch []Mutation) ([]obdd.ChangedTuple, error) {
@@ -114,16 +115,17 @@ func (t *Translation) ApplyDelta(batch []Mutation) ([]obdd.ChangedTuple, error) 
 	}
 	var changed []obdd.ChangedTuple
 	for _, mu := range batch {
+		var v int // variable the mutation created or freed
 		var err error
 		switch mu.Op {
 		case MutInsert:
 			if t.DB.Relation(mu.Rel).Deterministic {
 				err = t.DB.InsertDet(mu.Rel, mu.Vals...)
 			} else {
-				_, err = t.DB.Insert(mu.Rel, mu.Weight, mu.Vals...)
+				v, err = t.DB.Insert(mu.Rel, mu.Weight, mu.Vals...)
 			}
 		case MutDelete:
-			_, err = t.DB.DeleteTuple(mu.Rel, mu.Vals)
+			v, err = t.DB.DeleteTuple(mu.Rel, mu.Vals)
 		case MutReweight:
 			_, err = t.DB.UpdateWeight(mu.Rel, mu.Vals, mu.Weight)
 			if err == nil {
@@ -133,7 +135,7 @@ func (t *Translation) ApplyDelta(batch []Mutation) ([]obdd.ChangedTuple, error) 
 		if err != nil {
 			return nil, fmt.Errorf("core: delta apply: translated clone: %w", err)
 		}
-		changed = append(changed, obdd.ChangedTuple{Rel: mu.Rel, Vals: mu.Vals})
+		changed = append(changed, obdd.ChangedTuple{Rel: mu.Rel, Vals: mu.Vals, Var: v})
 	}
 
 	// New-side affected heads, then repair the NV relation per head.
@@ -174,15 +176,17 @@ func (t *Translation) ApplyDelta(batch []Mutation) ([]obdd.ChangedTuple, error) 
 				if w != 0 {
 					w0 = (1 - w) / w
 				}
-				if _, err := t.DB.Insert(nvName, w0, h...); err != nil {
+				nv, err := t.DB.Insert(nvName, w0, h...)
+				if err != nil {
 					return nil, fmt.Errorf("core: delta apply: view %s: %w", v.Name, err)
 				}
-				changed = append(changed, obdd.ChangedTuple{Rel: nvName, Vals: h})
+				changed = append(changed, obdd.ChangedTuple{Rel: nvName, Vals: h, Var: nv})
 			case !needNV && was:
-				if _, err := t.DB.DeleteTuple(nvName, h); err != nil {
+				nv, err := t.DB.DeleteTuple(nvName, h)
+				if err != nil {
 					return nil, fmt.Errorf("core: delta apply: view %s: %w", v.Name, err)
 				}
-				changed = append(changed, obdd.ChangedTuple{Rel: nvName, Vals: h})
+				changed = append(changed, obdd.ChangedTuple{Rel: nvName, Vals: h, Var: nv})
 			}
 		}
 	}

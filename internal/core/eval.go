@@ -95,6 +95,27 @@ type obddState struct {
 	// forever because the node store is append-only and the Translation is
 	// immutable after compilation. Bounded by maxRootMemo.
 	roots map[qcache.Key]obdd.NodeID
+
+	// negPending marks a state installed by AttachNegOBDD whose fW and pW
+	// have not been derived from notW yet (see resolve).
+	negPending atomic.Bool
+	notW       obdd.NodeID
+}
+
+// resolve derives fW = ¬notW and pW on the first use after AttachNegOBDD.
+// Negation allocates nodes on the shared manager, so it runs under st.mu
+// like every other write to it.
+func (st *obddState) resolve(db *engine.Database) {
+	if !st.negPending.Load() {
+		return
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.negPending.Load() {
+		st.fW = st.m.Not(st.notW)
+		st.pW = st.m.Prob(st.fW, db.Probs())
+		st.negPending.Store(false)
+	}
 }
 
 // maxRootMemo caps the shared-manager root memo; past it, synthesis still
@@ -114,6 +135,7 @@ func (t *Translation) ensureOBDD() (*obddState, error) {
 // a later call with a looser budget can still succeed.
 func (t *Translation) ensureOBDDBounded(bo bounds) (*obddState, error) {
 	if t.obdd != nil {
+		t.obdd.resolve(t.DB)
 		return t.obdd, nil
 	}
 	m, fW, stats, err := t.CompileW(obdd.CompileOptions{Parallelism: t.Parallelism, Ctx: bo.ctx, Budget: bo.b})
@@ -591,6 +613,17 @@ func TopK(answers []Answer, k int) []Answer {
 func (t *Translation) AttachOBDD(m *obdd.Manager, fW obdd.NodeID) {
 	st := &obddState{m: m, fW: fW, roots: map[qcache.Key]obdd.NodeID{}}
 	st.pW = m.Prob(fW, t.DB.Probs())
+	t.obdd = st
+}
+
+// AttachNegOBDD is AttachOBDD for a caller that holds the OBDD of ¬W — the
+// MV-index — rather than of W: it costs O(1), and W's root and P0(W) are
+// derived from notW on the first evaluation that needs them (one pass over
+// the OBDD, which allocates W's nodes on m). The index re-attaches after
+// every maintenance step, so weight changes never leave a stale P0(W).
+func (t *Translation) AttachNegOBDD(m *obdd.Manager, notW obdd.NodeID) {
+	st := &obddState{m: m, notW: notW, roots: map[qcache.Key]obdd.NodeID{}}
+	st.negPending.Store(true)
 	t.obdd = st
 }
 

@@ -135,6 +135,12 @@ func (db *Database) VarRef(v int) (VarRef, error) {
 	return db.vars[v-1], nil
 }
 
+// Alive reports whether v is the variable of an existing tuple (in range and
+// not tombstoned by DeleteTuple).
+func (db *Database) Alive(v int) bool {
+	return v >= 1 && v <= len(db.vars) && !db.vars[v-1].Dead()
+}
+
 // VarTuple returns the tuple behind variable v.
 func (db *Database) VarTuple(v int) (rel string, t Tuple, err error) {
 	ref, err := db.VarRef(v)

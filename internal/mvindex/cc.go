@@ -7,16 +7,35 @@ import (
 )
 
 // ccLayout is the cache-conscious representation of Section 4.3: the ¬W
-// OBDD nodes stored in a flat struct-of-arrays vector sorted by DFS
-// traversal order, so the online intersection walks memory mostly
-// sequentially instead of chasing node pointers. probUnder is block-local
-// (see the package comment) and block records each node's chain block.
+// OBDD nodes stored in a flat struct-of-arrays vector, so the online
+// intersection walks memory mostly sequentially instead of chasing node
+// pointers. The vector is the concatenation of one segment per chain block —
+// block k owns [off[k], off[k+1]) — each sorted by DFS preorder from the
+// block's root (which therefore sits at off[k]).
+//
+// A segment is position-independent: child links are indices relative to the
+// segment's start (or one of the exits below), and nothing in it names its
+// block's number or its offset. Blocks a mutation batch leaves untouched are
+// thus carried into the next layout by plain copies, with only the manager
+// node ids and levels renamed (see Index.carry); the per-block augmentation
+// (flattenBlock, weighBlock) is the one primitive that fills a segment.
 type ccLayout struct {
-	level     []int32   // per cc node
-	lo, hi    []int32   // cc index, or ccFalse / ccTrue
-	prob      []float64 // tuple probability at the node's level
-	probUnder []float64 // block-local
-	block     []int32   // chain block of the node
+	off []int32 // per block, plus the total: segment boundaries
+
+	id     []obdd.NodeID // the manager node behind each cc node
+	level  []int32
+	lo, hi []int32   // segment-relative index, or ccFalse / ccExit
+	prob   []float64 // tuple probability at the node's level
+
+	// Block-local augmentation (see the package comment): probUnder counts
+	// the next chain root as True, reach restarts at 1 on the block's root.
+	probUnder []float64
+	reach     []float64
+
+	// byLevel lists, per segment, its segment-relative indices sorted by
+	// level (preorder among equals): the sweep order of the augmentation and
+	// the IntraBddIndex — a variable's nodes are one run of its block's list.
+	byLevel []int32
 
 	// idOf maps a manager node id to its cc index, dense over the node
 	// store; -1 marks nodes not reachable from the index root (and the two
@@ -24,118 +43,110 @@ type ccLayout struct {
 	idOf []int32
 }
 
-// Terminal encodings in the flattened arrays; ccNone marks "no stop node".
+// Exits of a flattened segment. ccExit is the block's accepting exit: the
+// root of the next chain block or, after the last block, the True terminal —
+// one code for both, so a segment reads the same wherever its block sits in
+// the chain (True edges only ever occur in the last block, see appendChain).
 const (
 	ccFalse int32 = -1
-	ccTrue  int32 = -2
-	ccNone  int32 = -3
+	ccExit  int32 = -2
 )
 
-// buildCC flattens the ¬W OBDD in DFS preorder.
-func (ix *Index) buildCC() {
-	cc := &ccLayout{idOf: make([]int32, ix.m.NumNodes())}
+// newCCLayout returns an empty layout over a manager of numNodes nodes, with
+// room for the given number of blocks and cc nodes.
+func newCCLayout(numNodes, blocks, nodes int) *ccLayout {
+	cc := &ccLayout{
+		off:       make([]int32, 1, blocks+1),
+		id:        make([]obdd.NodeID, 0, nodes),
+		level:     make([]int32, 0, nodes),
+		lo:        make([]int32, 0, nodes),
+		hi:        make([]int32, 0, nodes),
+		prob:      make([]float64, 0, nodes),
+		probUnder: make([]float64, 0, nodes),
+		reach:     make([]float64, 0, nodes),
+		byLevel:   make([]int32, 0, nodes),
+		idOf:      make([]int32, numNodes),
+	}
 	for i := range cc.idOf {
 		cc.idOf[i] = -1
 	}
-	var dfs func(u obdd.NodeID) int32
-	dfs = func(u obdd.NodeID) int32 {
-		switch u {
-		case obdd.False:
-			return ccFalse
-		case obdd.True:
-			return ccTrue
-		}
-		if id := cc.idOf[u]; id >= 0 {
-			return id
-		}
-		id := int32(len(cc.level))
-		cc.idOf[u] = id
-		lvl := ix.m.NodeLevel(u)
-		cc.level = append(cc.level, lvl)
-		cc.lo = append(cc.lo, 0)
-		cc.hi = append(cc.hi, 0)
-		cc.prob = append(cc.prob, ix.probs[ix.m.VarAtLevel(int(lvl))])
-		cc.probUnder = append(cc.probUnder, ix.probUnder[u])
-		cc.block = append(cc.block, int32(ix.blockForLevel(lvl)))
-		lo := dfs(ix.m.Lo(u))
-		hi := dfs(ix.m.Hi(u))
-		cc.lo[id] = lo
-		cc.hi[id] = hi
-		return id
-	}
-	if !ix.m.IsTerminal(ix.root) {
-		dfs(ix.root)
-	}
-	ix.cc = cc
+	return cc
 }
 
-// intersect is CC-MVIntersect: the same recursion as MVIntersect, but the
-// ¬W side walks the flattened vector and memoization uses an open-addressed
-// table keyed by (query node, cc index) packed into one int64 — no pointer
-// chasing, no map-bucket overhead. qm is the manager holding the query OBDD
-// (the shared manager or a per-call scratch over the same order).
+// ccWalk is one CC-MVIntersect traversal: the same recursion as MVIntersect,
+// but the ¬W side walks the flattened vector and memoization uses an
+// open-addressed table keyed by (query node, cc index) packed into one int64
+// — no pointer chasing, no map-bucket overhead. qm is the manager holding the
+// query OBDD (the shared manager or a per-call scratch over the same order);
+// stop is the first block past the query's span.
+type ccWalk struct {
+	ix          *Index
+	cc          *ccLayout
+	qm          *obdd.Manager
+	stop        int
+	memo, qprob *pairMemo
+	g           *guard
+}
+
+// intersect is CC-MVIntersect over the query's block span.
 func (cc *ccLayout) intersect(ix *Index, qm *obdd.Manager, fQ obdd.NodeID, s span, memo, qprob *pairMemo, g *guard) float64 {
-	entry := cc.idOf[ix.chainRoots[s.first]]
-	stop := ccNone
-	if s.stop != obdd.False {
-		if id := cc.idOf[s.stop]; id >= 0 {
-			stop = id
-		}
-	}
-	return cc.rec(ix, qm, fQ, entry, stop, memo, qprob, g)
+	w := ccWalk{ix: ix, cc: cc, qm: qm, stop: s.last + 1, memo: memo, qprob: qprob, g: g}
+	return w.rec(fQ, s.first, cc.off[s.first])
 }
 
-// rec mirrors Index.intersect in conditioned units (see that method): each
-// w-side edge leaving a block divides by the block's probability.
-func (cc *ccLayout) rec(ix *Index, qm *obdd.Manager, q obdd.NodeID, w, stop int32, memo, qprob *pairMemo, g *guard) float64 {
-	if q == obdd.False || w == ccFalse {
+// rec mirrors Index.intersect in conditioned units (see that method) for the
+// cc node w of block k: each w-side edge leaving a block divides by the
+// block's probability.
+func (t *ccWalk) rec(q obdd.NodeID, k int, w int32) float64 {
+	if q == obdd.False {
 		return 0
 	}
-	if w == ccTrue || w == stop {
-		return ix.qProb(qm, q, qprob)
-	}
+	cc := t.cc
 	if q == obdd.True {
-		return cc.probUnder[w] / ix.blockProb[cc.block[w]]
+		return cc.probUnder[w] / t.ix.blockProb[k]
 	}
 	// Non-terminal q >= 2 and w >= 0, so the packed key is never zero (the
 	// empty-slot sentinel).
 	key := int64(q)<<32 | int64(uint32(w))
-	if r, ok := memo.get(key); ok {
+	if r, ok := t.memo.get(key); ok {
 		return r
 	}
-	g.visit()
+	t.g.visit()
+	qm := t.qm
 	lq, lw := qm.NodeLevel(q), cc.level[w]
 	var r float64
 	switch {
 	case lq < lw:
-		p := ix.probs[qm.VarAtLevel(int(lq))]
-		r = (1-p)*cc.rec(ix, qm, qm.Lo(q), w, stop, memo, qprob, g) + p*cc.rec(ix, qm, qm.Hi(q), w, stop, memo, qprob, g)
+		p := t.ix.probs[qm.VarAtLevel(int(lq))]
+		r = (1-p)*t.rec(qm.Lo(q), k, w) + p*t.rec(qm.Hi(q), k, w)
 	case lw < lq:
 		p := cc.prob[w]
-		r = (1-p)*cc.wchild(ix, qm, q, cc.lo[w], w, stop, memo, qprob, g) + p*cc.wchild(ix, qm, q, cc.hi[w], w, stop, memo, qprob, g)
+		r = (1-p)*t.wchild(q, k, cc.lo[w]) + p*t.wchild(q, k, cc.hi[w])
 	default:
 		p := cc.prob[w]
-		r = (1-p)*cc.wchild(ix, qm, qm.Lo(q), cc.lo[w], w, stop, memo, qprob, g) + p*cc.wchild(ix, qm, qm.Hi(q), cc.hi[w], w, stop, memo, qprob, g)
+		r = (1-p)*t.wchild(qm.Lo(q), k, cc.lo[w]) + p*t.wchild(qm.Hi(q), k, cc.hi[w])
 	}
-	memo.put(key, r)
+	t.memo.put(key, r)
 	return r
 }
 
-// wchild evaluates a w-side child edge, dividing by the parent block's
-// probability when the edge leaves the block.
-func (cc *ccLayout) wchild(ix *Index, qm *obdd.Manager, q obdd.NodeID, c, parent, stop int32, memo, qprob *pairMemo, g *guard) float64 {
+// wchild evaluates the w-side child edge c (segment-relative, or an exit) of
+// a node in block k, dividing by the block's probability when the edge leaves
+// the block accepting; past the span's last block the rest of the chain
+// cancels and only the bare query probability remains.
+func (t *ccWalk) wchild(q obdd.NodeID, k int, c int32) float64 {
 	if q == obdd.False || c == ccFalse {
 		return 0
 	}
-	b := ix.blockProb[cc.block[parent]]
-	if c == ccTrue || c == stop {
-		return ix.qProb(qm, q, qprob) / b
+	if c >= 0 {
+		return t.rec(q, k, t.cc.off[k]+c)
 	}
-	val := cc.rec(ix, qm, q, c, stop, memo, qprob, g)
-	if cc.block[c] > cc.block[parent] {
-		val /= b
+	// c == ccExit; the span ends with the chain at the latest.
+	b := t.ix.blockProb[k]
+	if k+1 == t.stop {
+		return t.ix.qProb(t.qm, q, t.qprob) / b
 	}
-	return val
+	return t.rec(q, k+1, t.cc.off[k+1]) / b
 }
 
 // pairMemo is a linear-probing hash table from packed (q,w) keys to

@@ -126,23 +126,31 @@ func (ix *Index) AllTupleMarginals() ([]float64, error) {
 		return nil, fmt.Errorf("mvindex: P0(¬W) = 0 — inconsistent MarkoViews")
 	}
 	out := make([]float64, len(ix.probs))
+	cc := ix.cc
 	for v := 1; v < len(ix.probs); v++ {
 		p := ix.probs[v]
-		nodes := ix.varNodes[v]
-		if len(nodes) == 0 {
+		k, run := ix.levelRun(v)
+		if len(run) == 0 {
 			out[v] = p // not constrained by any view
 			continue
 		}
-		k := ix.varBlock[v]
 		bk := ix.blockProb[k]
 		if bk == 0 {
 			return nil, fmt.Errorf("mvindex: block %d has probability 0 — inconsistent MarkoViews", k)
 		}
+		a, b := cc.off[k], cc.off[k+1]
+		under, reach, hi := cc.probUnder[a:b], cc.reach[a:b], cc.hi[a:b]
 		through := 0.0 // accepting block mass through v's nodes with v = 1
 		touched := 0.0 // total block mass through v's nodes
-		for _, u := range nodes {
-			through += ix.reach[u] * p * ix.childLocal(ix.m.Hi(u), k)
-			touched += ix.reach[u] * ix.probUnder[u]
+		for _, i := range run {
+			switch c := hi[i]; c {
+			case ccFalse:
+			case ccExit:
+				through += reach[i] * p
+			default:
+				through += reach[i] * p * under[c]
+			}
+			touched += reach[i] * under[i]
 		}
 		out[v] = (through + p*(bk-touched)) / bk
 	}

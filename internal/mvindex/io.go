@@ -14,9 +14,10 @@ import (
 
 // indexSnapshot is the serialized MV-index: the translated database, the
 // translation metadata, the OBDD manager, and the ¬W root. The augmentation
-// (probUnder, reachability, chain blocks, indices, CC layout) is recomputed
-// on load — it is linear in the index size and depends on the tuple
-// weights, which keeps saved indexes valid under Reweight-style workflows.
+// (chain blocks and their flattened, weighed segments) is recomputed on load
+// — one pass of the per-block primitive over every block; it depends on the
+// tuple weights, which keeps saved indexes valid under Reweight-style
+// workflows.
 //
 // Version 2 adds the live-update state: the source MVDB (base database plus
 // WeightTable-backed view definitions) and the translate options, so a
@@ -133,12 +134,10 @@ func ReadSeq(r io.Reader) (*Index, uint64, error) {
 	if root < 0 || int(root) >= m.NumNodes() {
 		return nil, 0, fmt.Errorf("mvindex: snapshot root %d out of range", root)
 	}
-	// ¬W's root is stored; W = ¬¬W.
-	tr.AttachOBDD(m, m.Not(root))
-	ix, err := Build(tr)
-	if err != nil {
-		return nil, 0, err
-	}
+	// ¬W's root is stored; the translation derives W = ¬¬W if it is ever
+	// asked to evaluate through the OBDD itself.
+	tr.AttachNegOBDD(m, root)
+	ix := newIndex(tr, m, root)
 	if s.Reordered {
 		// The learned order was restored with the manager; mark the index so
 		// no sifting search re-runs and delta recompiles keep inheriting it.

@@ -11,19 +11,27 @@ import (
 )
 
 // Incremental maintenance. A mutation batch against the source MVDB is
-// turned into a new index without recompiling untouched parts:
+// turned into a new index with work proportional to what the batch touches:
 //
 //   - A batch of pure reweights leaves the set of possible tuples — and
-//     therefore every OBDD — untouched; only the weight-dependent
-//     augmentation is recomputed (linear in the index size).
+//     therefore every OBDD — untouched; the reweighted variables'
+//     probabilities are patched and only the chain blocks holding them are
+//     re-weighed.
 //   - A structural batch (inserts/deletes) repairs the Definition 5
 //     translation in place (core.ApplyDelta: only view heads reachable from
-//     the changed tuples are re-evaluated) and recompiles W incrementally:
-//     the block record of the previous compilation localizes the change to
-//     the separator-value blocks the changed tuples can affect, and every
-//     clean block is imported (renamed) from the old manager instead of
-//     recompiled. Batches that could change W's shape fall back to a full
+//     the changed tuples are re-evaluated) and recompiles ¬W incrementally
+//     (obdd.CompileDelta): the variable order is patched rather than
+//     re-sorted, only the separator-value blocks the changed tuples can
+//     affect are compiled, and every clean block is copied from the old
+//     manager in one pass. The augmentation follows suit (Index.carry):
+//     clean blocks keep their segments, dirty ones go through the per-block
+//     primitive. Batches that could change W's shape fall back to a full
 //     re-translation of a mutated clone.
+//
+// What stays linear in the index is that one copy into the fresh manager
+// (readers and snapshots of the previous state stay frozen) plus flat copies
+// of the carried segments; nothing is sorted, hashed into maps or traversed
+// recursively outside the dirty blocks.
 //
 // ApplyMutations mutates the index and requires exclusive access, like
 // Reweight and Compact: no concurrent readers.
@@ -34,9 +42,17 @@ type MaintStats struct {
 	WeightOnly bool // reweight-only fast path (no recompilation at all)
 	Full       bool // structural path fell back to a full recompile
 	Blocks     int  // non-empty separator blocks in the new chain
-	Reused     int  // blocks imported unchanged from the old manager
+	Reused     int  // clean blocks carried over from the old manager
 	Recompiled int  // blocks compiled from scratch
-	Duration   time.Duration
+
+	// The work the batch cost the index, in the units it scales with: chain
+	// blocks (and their nodes) put through the per-block augmentation, and
+	// nodes copied from the old manager's chain.
+	AugmentedBlocks int
+	AugmentedNodes  int
+	SplicedNodes    int
+
+	Duration time.Duration
 }
 
 // Source returns the live MVDB the index maintains. It is replaced on every
@@ -66,106 +82,139 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 
 	if core.WeightOnly(batch) {
 		// Reweights change no tuple's existence: the view materializations,
-		// the NV relations and the OBDD of W are all untouched. Apply the
-		// weights to the source and to the translated clone, then recompute
-		// the augmentation.
+		// the NV relations and the OBDD of ¬W are all untouched. Apply the
+		// weights to the source and to the translated clone, then re-weigh
+		// the blocks that hold the touched variables.
 		if err := src.Apply(batch); err != nil {
 			return st, err
 		}
+		touched := make([]int, 0, len(batch))
 		for _, mu := range batch {
-			if _, err := ix.tr.DB.UpdateWeight(mu.Rel, mu.Vals, mu.Weight); err != nil {
+			v, err := ix.tr.DB.UpdateWeight(mu.Rel, mu.Vals, mu.Weight)
+			if err != nil {
 				return st, fmt.Errorf("mvindex: reweighting translated clone: %w", err)
 			}
+			touched = append(touched, v)
 		}
-		ix.Reweight()
+		ix.patchProbs(touched)
+		ix.reweigh(touched, nil, &st)
+		ix.weightsChanged()
 		st.WeightOnly = true
 		st.Duration = time.Since(t0)
 		return st, nil
 	}
 
-	// Structural path. With a block record available, the delta translator
-	// patches the source and translated databases in place — work
-	// proportional to the batch's blast radius — and the identity variable
-	// map plus its changed-tuple list drive the incremental recompile. Its
-	// read-only preflight falls back (ErrDeltaFallback, nothing mutated) to
-	// the conventional route when the batch could change W's shape: mutate a
-	// clone, run the full Definition 5 translation, diff the two translated
-	// databases, and swap atomically.
-	copts := obdd.CompileOptions{Parallelism: ix.tr.Parallelism}
-	if ix.rec != nil {
-		changed, derr := ix.tr.ApplyDelta(batch)
-		if derr == nil {
-			newTr := ix.tr
-			// A sifted index feeds its learned order back into the recompile:
-			// surviving variables keep the learned relative order and new ones
-			// slot in next to their Π-neighbors, so clean-block imports still
-			// order-check and dirty blocks inherit the good order instead of
-			// regressing to static Π.
-			if ix.reorder != nil {
-				copts.Order = obdd.MergeOrder(ix.m.Order(), nil, obdd.TupleOrder(newTr.DB, newTr.WPerm()))
-			}
-			var ds obdd.DeltaStats
-			m, fW, rec, ds, _, err := obdd.CompileDelta(newTr.DB, newTr.W, newTr.WPerm(), copts,
-				ix.m, ix.rec, identityVarMap(newTr.DB), changed)
-			st.Full, st.Blocks, st.Reused, st.Recompiled = ds.Full, ds.Blocks, ds.Reused, ds.Recompiled
-			if err != nil {
-				return st, err
-			}
-			ix.commit(newTr, m, fW, rec)
-			ix.noteInheritedOrder(st)
-			st.Duration = time.Since(t0)
-			return st, nil
+	// Structural path. The delta translator patches the source and translated
+	// databases in place — work proportional to the batch's blast radius —
+	// and the identity variable map plus its changed-tuple list drive the
+	// incremental recompile. Its read-only preflight falls back
+	// (ErrDeltaFallback, nothing mutated) to the conventional route when the
+	// batch could change W's shape: mutate a clone, run the full Definition 5
+	// translation and diff the two translated databases. Either way the
+	// recompile inherits the current manager's order — static Π or learned —
+	// and reuses whatever blocks the record still vouches for (none on the
+	// first structural batch, or after Compact dropped the record).
+	newTr := ix.tr
+	varMap := identityVarMap(ix.tr.DB)
+	changed, err := ix.tr.ApplyDelta(batch)
+	inPlace := err == nil
+	if errors.Is(err, core.ErrDeltaFallback) {
+		work := &core.MVDB{DB: src.DB.Clone(), Views: src.Views}
+		if err := work.Apply(batch); err != nil {
+			return st, err
 		}
-		if !errors.Is(derr, core.ErrDeltaFallback) {
-			// Post-preflight failures leave the databases partially mutated;
-			// surface them — the index needs a rebuild from clean data.
-			return st, derr
+		if newTr, err = work.Translate(ix.tr.Opts()); err != nil {
+			return st, err
 		}
-	}
-
-	work := &core.MVDB{DB: src.DB.Clone(), Views: src.Views}
-	if err := work.Apply(batch); err != nil {
+		newTr.Parallelism = ix.tr.Parallelism
+		// Variable ids are renumbered by re-translation, so the old order
+		// maps through tuple identity.
+		varMap = varMapByKey(ix.tr.DB, newTr.DB)
+		changed = changedTuples(ix.tr.DB, newTr.DB)
+	} else if err != nil {
+		// Post-preflight failures leave the databases partially mutated;
+		// surface them — the index needs a rebuild from clean data.
 		return st, err
 	}
-	newTr, err := work.Translate(ix.tr.Opts())
+	d, err := obdd.CompileDelta(newTr.DB, newTr.W, newTr.WPerm(),
+		obdd.CompileOptions{Parallelism: ix.tr.Parallelism}, ix.m, ix.rec, varMap, changed)
 	if err != nil {
 		return st, err
 	}
-	newTr.Parallelism = ix.tr.Parallelism
+	st.Full, st.Blocks, st.Reused, st.Recompiled, st.SplicedNodes =
+		d.Stats.Full, d.Stats.Blocks, d.Stats.Reused, d.Stats.Recompiled, d.Stats.Spliced
 
-	oldDB := ix.tr.DB
-	pi := newTr.WPerm()
-	// Same learned-order inheritance as the in-place path; variable ids are
-	// renumbered by re-translation, so the learned order maps through tuple
-	// identity first.
-	if ix.reorder != nil {
-		copts.Order = obdd.MergeOrder(ix.m.Order(), varMapByKey(oldDB, newTr.DB), obdd.TupleOrder(newTr.DB, pi))
+	// Weights: every variable the batch created, freed or reweighted.
+	var touched []int
+	for _, mu := range batch {
+		if r := newTr.DB.Relation(mu.Rel); mu.Op == core.MutReweight && r != nil {
+			if i := r.Lookup(mu.Vals); i >= 0 { // still there: not deleted later in the batch
+				touched = append(touched, r.Tuples[i].Var)
+			}
+		}
 	}
-	var (
-		m   *obdd.Manager
-		fW  obdd.NodeID
-		rec *obdd.BlockRecord
-	)
-	if ix.rec == nil {
-		// First structural batch (or the record was invalidated by Compact):
-		// compile in full but record the block structure so the next batch
-		// is incremental.
-		m, fW, rec, _, err = obdd.CompileRecorded(newTr.DB, newTr.W, pi, copts)
-		st.Full = true
+	oldRec := ix.rec
+	ix.tr, ix.rec = newTr, d.Rec
+	if inPlace {
+		for _, ct := range changed {
+			if ct.Var != 0 {
+				touched = append(touched, ct.Var)
+			}
+		}
+		ix.patchProbs(touched)
 	} else {
-		var ds obdd.DeltaStats
-		m, fW, rec, ds, _, err = obdd.CompileDelta(newTr.DB, newTr.W, pi, copts,
-			ix.m, ix.rec, varMapByKey(oldDB, newTr.DB), changedTuples(oldDB, newTr.DB))
-		st.Full, st.Blocks, st.Reused, st.Recompiled = ds.Full, ds.Blocks, ds.Reused, ds.Recompiled
-	}
-	if err != nil {
-		return st, err
+		ix.probs = newTr.DB.Probs()
 	}
 
-	ix.commit(newTr, m, fW, rec)
+	// Augmentation: carried across for the blocks the splice copied.
+	var fresh []bool
+	if !d.Stats.Full {
+		fresh = ix.carry(d, oldRec, &st)
+	}
+	if fresh == nil {
+		ix.m, ix.root = d.M, d.Root
+		st.AugmentedNodes = ix.augmentAll()
+		st.AugmentedBlocks = len(ix.chainRoots)
+	} else {
+		ix.reweigh(touched, fresh, &st)
+	}
+	ix.weightsChanged()
 	ix.noteInheritedOrder(st)
 	st.Duration = time.Since(t0)
 	return st, nil
+}
+
+// patchProbs refreshes the probabilities of the given variables of the
+// translated database (0 for variables a delete freed), growing the vector
+// for variables an insert created.
+func (ix *Index) patchProbs(vars []int) {
+	db := ix.tr.DB
+	if n := db.NumVars() + 1; len(ix.probs) < n {
+		ix.probs = append(ix.probs, make([]float64, n-len(ix.probs))...)
+	}
+	for _, v := range vars {
+		ix.probs[v] = db.Prob(v)
+	}
+}
+
+// reweigh re-weighs the chain blocks holding the given variables, once each,
+// skipping blocks the batch already augmented from scratch (fresh, indexed by
+// block; nil when there are none).
+func (ix *Index) reweigh(vars []int, fresh []bool, st *MaintStats) {
+	if fresh == nil {
+		fresh = make([]bool, len(ix.chainRoots))
+	}
+	for _, v := range vars {
+		l := ix.m.Level(v)
+		if l < 0 || len(fresh) == 0 {
+			continue // freed, or no block to hold it
+		}
+		if k := ix.blockForLevel(int32(l)); !fresh[k] {
+			fresh[k] = true
+			st.AugmentedBlocks++
+			st.AugmentedNodes += ix.weighBlock(k)
+		}
+	}
 }
 
 // noteInheritedOrder updates the reordering provenance after a structural
@@ -181,34 +230,11 @@ func (ix *Index) noteInheritedOrder(st MaintStats) {
 	}
 }
 
-// commit installs a maintained translation and its recompiled OBDD:
-// everything here is in-memory pointer swaps and the linear augmentation
-// rebuild; the cache epoch bump makes every answer computed against the old
-// state stale.
-func (ix *Index) commit(newTr *core.Translation, m *obdd.Manager, fW obdd.NodeID, rec *obdd.BlockRecord) {
-	newTr.AttachOBDD(m, fW)
-	ix.tr = newTr
-	ix.m = m
-	ix.root = m.Not(fW)
-	ix.probs = newTr.DB.Probs()
-	ix.rec = rec
-	ix.rebuild()
-	if ix.cache != nil {
-		ix.cache.answers.Invalidate()
-		ix.cache.lineage.Invalidate()
-	}
-}
-
 // identityVarMap maps every variable still alive in the delta-translated
 // database to itself. Valid only when the new database is a mutated clone of
 // the old one, which never renumbers variables.
 func identityVarMap(newDB *engine.Database) func(int) (int, bool) {
-	return func(v int) (int, bool) {
-		if _, err := newDB.VarRef(v); err != nil {
-			return 0, false
-		}
-		return v, true
-	}
+	return func(v int) (int, bool) { return v, newDB.Alive(v) }
 }
 
 // varMapByKey maps old translated-database variable ids to new ones by tuple

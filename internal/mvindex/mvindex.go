@@ -4,8 +4,10 @@
 // paths) — plus the indices that let online query evaluation start at the
 // first block the query touches:
 //
-//   - InterBddIndex: tuple variable → chain block containing it;
-//   - IntraBddIndex: tuple variable → OBDD nodes labeled with it.
+//   - InterBddIndex: tuple variable → chain block containing it (the block
+//     directory, searched by the variable's level);
+//   - IntraBddIndex: tuple variable → OBDD nodes labeled with it (one run of
+//     its block's level-sorted node list).
 //
 // Two intersection algorithms compute P(Q) = P0(ΦQ ∧ ¬W)/P0(¬W):
 // MVIntersect, a top-down memoized pairwise traversal, and CC-MVIntersect,
@@ -32,7 +34,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,27 +62,24 @@ type Index struct {
 	root  obdd.NodeID // OBDD of ¬W
 	probs []float64
 
-	// Block-local augmentation (see the package comment), indexed densely by
-	// NodeID (probUnder[False]=0, probUnder[True]=1; entries of unreachable
-	// nodes are unused).
-	probUnder []float64 // local: next chain root counts as True
-	reach     []float64 // local: restarts at 1 at each chain root
-	size      int       // internal nodes reachable from root
-
 	// Chain blocks: convergence points every accepting path passes, in
-	// level order. chainRoots[0] is the root.
+	// level order. chainRoots[0] is the root. This directory is the
+	// InterBddIndex: a variable's block is the last one whose root level does
+	// not exceed the variable's level. blockProb[k] = b_k is the block-local
+	// probUnder at chainRoots[k].
 	chainRoots  []obdd.NodeID
 	chainLevels []int32
-	blockProb   []float64 // b_k = local probUnder at chainRoots[k]
+	blockProb   []float64
 
 	// P0(¬W) = Π_k b_k in log-sign form (the float64 product may not be
 	// representable).
 	pNotWLog  float64 // Σ log|b_k|; -Inf when some b_k = 0
 	pNotWSign int
 
-	varNodes map[int][]obdd.NodeID // IntraBddIndex
-	varBlock map[int]int           // InterBddIndex: variable -> chain block
-
+	// cc holds, block by block, the flattened nodes of ¬W together with the
+	// block-local augmentation (see the package comment): the layout
+	// CC-MVIntersect walks, the only store of probUnder and reach, and —
+	// through each block's level-sorted node list — the IntraBddIndex.
 	cc *ccLayout
 
 	// cache, when non-nil, is the cross-query memoization layer (see
@@ -134,19 +132,20 @@ func Build(tr *core.Translation) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{
-		tr:    tr,
-		m:     m,
-		root:  m.Not(fW),
-		probs: tr.DB.Probs(),
-	}
-	ix.rebuild()
+	ix := newIndex(tr, m, m.Not(fW))
 	if tr.Reorder.Mode != obdd.ReorderOff {
 		if _, err := ix.Sift(tr.Reorder); err != nil {
 			return nil, err
 		}
 	}
 	return ix, nil
+}
+
+// newIndex augments the OBDD of ¬W rooted at root in m.
+func newIndex(tr *core.Translation, m *obdd.Manager, root obdd.NodeID) *Index {
+	ix := &Index{tr: tr, m: m, root: root, probs: tr.DB.Probs()}
+	ix.augmentAll()
+	return ix
 }
 
 // Sift runs a Rudell sifting pass (obdd.Reorder) over the index OBDD with
@@ -177,8 +176,8 @@ func (ix *Index) Sift(opts obdd.ReorderOptions) (obdd.ReorderStats, error) {
 	if ix.rec != nil {
 		ix.rec.Roots = append([]obdd.NodeID(nil), nroots[1:1+nRec]...)
 	}
-	ix.tr.AttachOBDD(nm, nm.Not(ix.root))
-	ix.rebuild()
+	ix.tr.AttachNegOBDD(nm, ix.root)
+	ix.augmentAll()
 	ix.noteReorder(opts.Mode, st, "sifted")
 	// Cached answers and lineage probabilities stay valid: the represented
 	// functions and weights are unchanged, and the caches never store
@@ -190,7 +189,7 @@ func (ix *Index) Sift(opts obdd.ReorderOptions) (obdd.ReorderStats, error) {
 // chain levels: [level(root_k), level(root_{k+1})), with the first window
 // extended down to level 0 and the last up to NumVars so every level is
 // covered. Keeping each variable inside its window preserves the
-// convergence points findChain relies on.
+// convergence points appendChain finds.
 func (ix *Index) blockWindows() [][2]int {
 	if len(ix.chainLevels) == 0 {
 		return nil
@@ -257,39 +256,6 @@ func (ix *Index) ReorderInfo() *ReorderInfo {
 	return &cp
 }
 
-// rebuild computes every derived structure from (m, root, probs).
-func (ix *Index) rebuild() {
-	ix.probUnder = make([]float64, ix.m.NumNodes())
-	ix.probUnder[obdd.True] = 1
-	ix.reach = make([]float64, ix.m.NumNodes())
-	ix.size = 0
-	ix.varNodes = map[int][]obdd.NodeID{}
-	ix.varBlock = map[int]int{}
-	ix.chainRoots, ix.chainLevels, ix.blockProb = nil, nil, nil
-	ix.findChain()
-	ix.augment()
-	ix.pNotWLog, ix.pNotWSign = 0, 1
-	for _, b := range ix.blockProb {
-		if b == 0 {
-			ix.pNotWLog = math.Inf(-1)
-			ix.pNotWSign = 0
-			break
-		}
-		ix.pNotWLog += math.Log(math.Abs(b))
-		if b < 0 {
-			ix.pNotWSign = -ix.pNotWSign
-		}
-	}
-	if ix.m.IsTerminal(ix.root) {
-		if ix.root == obdd.False {
-			ix.pNotWLog, ix.pNotWSign = math.Inf(-1), 0
-		} else {
-			ix.pNotWLog, ix.pNotWSign = 0, 1
-		}
-	}
-	ix.buildCC()
-}
-
 // nextRoot returns the chain root following block k, or False when k is the
 // last block (no boundary node).
 func (ix *Index) nextRoot(k int) obdd.NodeID {
@@ -297,124 +263,6 @@ func (ix *Index) nextRoot(k int) obdd.NodeID {
 		return ix.chainRoots[k+1]
 	}
 	return obdd.False // sentinel: never matches an internal node below
-}
-
-// augment computes the block-local probUnder and reachability and fills the
-// IntraBddIndex.
-func (ix *Index) augment() {
-	if ix.m.IsTerminal(ix.root) {
-		return
-	}
-	nodes := ix.m.Reachable(ix.root)
-	ix.size = len(nodes)
-	// Level order: parents before children (edges strictly increase levels).
-	sort.Slice(nodes, func(i, j int) bool {
-		return ix.m.NodeLevel(nodes[i]) < ix.m.NodeLevel(nodes[j])
-	})
-	// Local probUnder, bottom-up: the child value of the next chain root is
-	// taken as 1 (the suffix blocks factor out).
-	for i := len(nodes) - 1; i >= 0; i-- {
-		u := nodes[i]
-		k := ix.blockForLevel(ix.m.NodeLevel(u))
-		p := ix.probs[ix.m.VarAtLevel(int(ix.m.NodeLevel(u)))]
-		ix.probUnder[u] = (1-p)*ix.childLocal(ix.m.Lo(u), k) + p*ix.childLocal(ix.m.Hi(u), k)
-	}
-	ix.blockProb = make([]float64, len(ix.chainRoots))
-	for k, r := range ix.chainRoots {
-		ix.blockProb[k] = ix.probUnder[r]
-	}
-	// Local reachability, top-down: restarts at 1 on every chain root
-	// (reach is freshly zeroed by rebuild); edges that cross into the next
-	// chain root are dropped.
-	for _, r := range ix.chainRoots {
-		ix.reach[r] = 1
-	}
-	for _, u := range nodes {
-		r := ix.reach[u]
-		k := ix.blockForLevel(ix.m.NodeLevel(u))
-		next := ix.nextRoot(k)
-		p := ix.probs[ix.m.VarAtLevel(int(ix.m.NodeLevel(u)))]
-		if lo := ix.m.Lo(u); !ix.m.IsTerminal(lo) && lo != next {
-			ix.reach[lo] += r * (1 - p)
-		}
-		if hi := ix.m.Hi(u); !ix.m.IsTerminal(hi) && hi != next {
-			ix.reach[hi] += r * p
-		}
-	}
-	for _, u := range nodes {
-		v := ix.m.VarAtLevel(int(ix.m.NodeLevel(u)))
-		ix.varNodes[v] = append(ix.varNodes[v], u)
-	}
-	for v := range ix.varNodes {
-		ix.varBlock[v] = ix.blockForLevel(int32(ix.m.Level(v)))
-	}
-}
-
-// childLocal evaluates a child reference during block-local probUnder
-// computation for a node in block k: the next chain root counts as True.
-func (ix *Index) childLocal(c obdd.NodeID, k int) float64 {
-	switch c {
-	case obdd.False:
-		return 0
-	case obdd.True:
-		return 1
-	}
-	if c == ix.nextRoot(k) {
-		return 1
-	}
-	return ix.probUnder[c]
-}
-
-// findChain locates the convergence points of the OBDD with a level-ordered
-// sweep: whenever the frontier of discovered-but-unprocessed nodes has
-// exactly one element, every accepting path passes through it. These are
-// the block boundaries of the concatenated per-separator-value OBDDs.
-func (ix *Index) findChain() {
-	if ix.m.IsTerminal(ix.root) {
-		return
-	}
-	type qnode struct {
-		id    obdd.NodeID
-		level int32
-	}
-	inPending := make([]bool, ix.m.NumNodes())
-	inPending[ix.root] = true
-	pending := []qnode{{ix.root, ix.m.NodeLevel(ix.root)}}
-	pop := func() obdd.NodeID {
-		best := 0
-		for i := 1; i < len(pending); i++ {
-			if pending[i].level < pending[best].level {
-				best = i
-			}
-		}
-		u := pending[best].id
-		pending[best] = pending[len(pending)-1]
-		pending = pending[:len(pending)-1]
-		inPending[u] = false
-		return u
-	}
-	// A singleton frontier proves convergence only while no processed node
-	// had an edge to the True terminal: such an edge is an accepting path
-	// that bypasses everything below, breaking the D ∧ C decomposition that
-	// the block factorization relies on.
-	seenTrueEdge := false
-	for len(pending) > 0 {
-		if len(pending) == 1 && !seenTrueEdge {
-			u := pending[0].id
-			ix.chainRoots = append(ix.chainRoots, u)
-			ix.chainLevels = append(ix.chainLevels, ix.m.NodeLevel(u))
-		}
-		u := pop()
-		for _, c := range []obdd.NodeID{ix.m.Lo(u), ix.m.Hi(u)} {
-			if c == obdd.True {
-				seenTrueEdge = true
-			}
-			if !ix.m.IsTerminal(c) && !inPending[c] {
-				inPending[c] = true
-				pending = append(pending, qnode{c, ix.m.NodeLevel(c)})
-			}
-		}
-	}
 }
 
 // blockForLevel returns the index of the last chain root whose level is <=
@@ -449,7 +297,7 @@ func (ix *Index) LogProbNotW() (logAbs float64, sign int) {
 }
 
 // Size returns the number of internal nodes of the ¬W OBDD.
-func (ix *Index) Size() int { return ix.size }
+func (ix *Index) Size() int { return len(ix.cc.id) }
 
 // Width returns the OBDD width.
 func (ix *Index) Width() int { return ix.m.Width(ix.root) }
@@ -459,15 +307,26 @@ func (ix *Index) Blocks() int { return len(ix.chainRoots) }
 
 // NodesOf returns the IntraBddIndex entry of a variable: the nodes of the
 // ¬W OBDD labeled with it.
-func (ix *Index) NodesOf(v int) []obdd.NodeID { return ix.varNodes[v] }
+func (ix *Index) NodesOf(v int) []obdd.NodeID {
+	k, run := ix.levelRun(v)
+	if len(run) == 0 {
+		return nil
+	}
+	out := make([]obdd.NodeID, len(run))
+	for j, i := range run {
+		out[j] = ix.cc.id[ix.cc.off[k]+i]
+	}
+	return out
+}
 
 // BlockOf returns the InterBddIndex entry of a variable: the chain block
 // containing it (-1 if the variable does not occur in the index).
 func (ix *Index) BlockOf(v int) int {
-	if b, ok := ix.varBlock[v]; ok {
-		return b
+	k, run := ix.levelRun(v)
+	if len(run) == 0 {
+		return -1
 	}
-	return -1
+	return k
 }
 
 // Manager exposes the underlying OBDD manager (shared with the query side).
@@ -685,7 +544,7 @@ func (ix *Index) intersect(qm *obdd.Manager, q, w obdd.NodeID, s span, memo, qpr
 	if q == obdd.True {
 		// Remaining constraint mass of this block (conditioned), the
 		// suffix blocks cancel.
-		return ix.probUnder[w] / ix.blockProb[wBlock]
+		return ix.cc.probUnder[ix.cc.idOf[w]] / ix.blockProb[wBlock]
 	}
 	// Both q and w are internal (≥ 2), so the packed key is never zero.
 	key := int64(q)<<32 | int64(uint32(w))
@@ -862,20 +721,32 @@ func (ix *Index) queryEval(q *ucq.Query, opts IntersectOptions) ([]core.Answer, 
 	return out, nil
 }
 
-// Reweight refreshes the index after tuple weights changed in the
+// Reweight refreshes the index after tuple weights changed somewhere in the
 // translated database (e.g. a learning loop updated the MVDB weights in
 // place). The OBDD structure of ¬W only depends on which tuples exist, not
-// on their weights, so only the augmentation is recomputed, in time linear
-// in the index size. Note that changing a MarkoView's weight requires
-// updating the corresponding NV tuple weight to (1-w)/w; core.Translation
-// owns that mapping.
+// on their weights, so only the weight-dependent half of the augmentation is
+// recomputed — for every block, since the caller does not say which weights
+// moved (mutation batches that do say re-weigh only the touched blocks, see
+// ApplyMutations). Note that changing a MarkoView's weight requires updating
+// the corresponding NV tuple weight to (1-w)/w; core.Translation owns that
+// mapping.
 func (ix *Index) Reweight() {
 	ix.probs = ix.tr.DB.Probs()
-	ix.rebuild()
-	// O(1) invalidation: bump the cache epochs so every answer and lineage
-	// probability computed against the old weights becomes stale; entries
-	// are dropped lazily. Reweight already requires exclusive access, so no
-	// reader can observe the half-updated state.
+	for k := range ix.chainRoots {
+		ix.weighBlock(k)
+	}
+	ix.weightsChanged()
+}
+
+// weightsChanged finishes any step that re-weighed blocks: the block product
+// is re-summed, the translation's lazily derived P0(W) is dropped, and the
+// cache epochs are bumped — an O(1) invalidation that makes every answer and
+// lineage probability computed against the old weights stale (entries are
+// dropped lazily). Mutating steps require exclusive access, so no reader can
+// observe the half-updated state.
+func (ix *Index) weightsChanged() {
+	ix.sumBlocks()
+	ix.tr.AttachNegOBDD(ix.m, ix.root)
 	if ix.cache != nil {
 		ix.cache.answers.Invalidate()
 		ix.cache.lineage.Invalidate()
@@ -890,11 +761,11 @@ func (ix *Index) Compact() int {
 	nm, roots := ix.m.Compact(ix.root)
 	ix.m = nm
 	ix.root = roots[0]
-	ix.tr.AttachOBDD(nm, nm.Not(ix.root))
+	ix.tr.AttachNegOBDD(nm, ix.root)
 	// The block record's roots are NodeIDs of the old manager; drop it (the
 	// next structural mutation batch recompiles in full and re-records).
 	ix.rec = nil
-	ix.rebuild()
+	ix.augmentAll()
 	// Cached answers and lineage probabilities stay valid across Compact —
 	// the weights (and hence every probability) are unchanged; only NodeIDs
 	// moved, and the caches never store NodeIDs.

@@ -121,10 +121,19 @@ func TestChainStructure(t *testing.T) {
 		}
 	}
 	// Every indexed variable maps to a block whose level is <= its own.
-	for v, b := range ix.varBlock {
+	indexed := 0
+	for _, v := range ix.m.Order() {
+		b := ix.BlockOf(v)
+		if b < 0 {
+			continue
+		}
+		indexed++
 		if ix.chainLevels[b] > int32(ix.m.Level(v)) {
 			t.Errorf("var %d (level %d) mapped to later block (level %d)", v, ix.m.Level(v), ix.chainLevels[b])
 		}
+	}
+	if indexed == 0 {
+		t.Fatal("no variable is indexed")
 	}
 }
 

@@ -1,0 +1,151 @@
+package mvindex
+
+import (
+	"testing"
+
+	"mvdb/internal/core"
+	"mvdb/internal/dblp"
+	"mvdb/internal/engine"
+)
+
+// dblpLiveIndex builds the full DBLP index (V1, V2, V3) at the given author
+// domain and applies the warm-up structural batch whose full compile creates
+// the block record, so every later batch takes the delta path.
+func dblpLiveIndex(tb testing.TB, domain int) (*Index, []int64) {
+	tb.Helper()
+	d, err := dblp.Generate(dblp.Config{NumAuthors: domain, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := d.MVDB()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr, err := m.Translate(core.TranslateOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr.Parallelism = 1
+	ix, err := Build(tr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := ix.ApplyMutations([]core.Mutation{{
+		Op: core.MutInsert, Rel: "Advisor",
+		Vals:   []engine.Value{engine.Int(d.Students[0]), engine.Int(999_999)},
+		Weight: 1.2,
+	}}); err != nil {
+		tb.Fatal(err)
+	}
+	return ix, d.Students
+}
+
+// dblpBatch is batch i of the stream internal/bench's update experiment and
+// benchmark/ both use: insert a fresh advisor for student i+1, reweight the
+// tuple batch i-1 inserted, delete the one batch i-2 inserted — three
+// mutations dirtying two separator blocks.
+func dblpBatch(students []int64, i int) []core.Mutation {
+	student := func(j int) engine.Value { return engine.Int(students[j%len(students)]) }
+	adv := func(j int) engine.Value { return engine.Int(int64(1_000_000 + j)) }
+	b := []core.Mutation{{
+		Op: core.MutInsert, Rel: "Advisor",
+		Vals: []engine.Value{student(i + 1), adv(i)}, Weight: 1.5,
+	}}
+	if i >= 1 {
+		b = append(b, core.Mutation{
+			Op: core.MutReweight, Rel: "Advisor",
+			Vals: []engine.Value{student(i), adv(i - 1)}, Weight: 0.8,
+		})
+	}
+	if i >= 2 {
+		b = append(b, core.Mutation{
+			Op: core.MutDelete, Rel: "Advisor",
+			Vals: []engine.Value{student(i - 1), adv(i - 2)},
+		})
+	}
+	return b
+}
+
+// BenchmarkApplyMutations times the steady-state 3-mutation structural batch
+// on the DBLP index at domain 2000 (the write_only workload's shape).
+func BenchmarkApplyMutations(b *testing.B) {
+	ix, students := dblpLiveIndex(b, 2000)
+	for i := 0; i < 2; i++ { // reach the 3-mutation steady state
+		if _, err := ix.ApplyMutations(dblpBatch(students, i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := ix.ApplyMutations(dblpBatch(students, i+2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Full {
+			b.Fatalf("batch %d fell back to a full recompile", i)
+		}
+	}
+}
+
+// TestUpdateWorkIsODirty is the gate on update cost, in counts rather than
+// clocks: the same 3-mutation batch must cost the index the same work at
+// every domain. Per domain doubling, the blocks compiled and augmented stay
+// identical, the nodes augmented stay within a constant, and the number of
+// allocations — which the whole-index passes this replaced made per block,
+// per tuple and per separator value — grows by less than 1.3x. (Bytes cannot
+// be flat: every batch builds a fresh manager, one linear copy by contract.)
+func TestUpdateWorkIsODirty(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds DBLP indexes up to domain 4000")
+	}
+	type cost struct {
+		st     MaintStats
+		allocs float64
+	}
+	var costs []cost
+	domains := []int{1000, 2000, 4000}
+	for _, domain := range domains {
+		ix, students := dblpLiveIndex(t, domain)
+		i := 0
+		apply := func() MaintStats {
+			st, err := ix.ApplyMutations(dblpBatch(students, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			i++
+			return st
+		}
+		apply() // batches 0 and 1 are shorter than the steady-state three
+		apply()
+		var c cost
+		c.allocs = testing.AllocsPerRun(10, func() { c.st = apply() })
+		if c.st.Full || c.st.WeightOnly {
+			t.Fatalf("domain %d: steady-state batch took the wrong path: %+v", domain, c.st)
+		}
+		if c.st.Reused+c.st.Recompiled < c.st.Blocks || c.st.SplicedNodes < ix.Size()-c.st.AugmentedNodes {
+			t.Fatalf("domain %d: stats do not add up: %+v over %d nodes", domain, c.st, ix.Size())
+		}
+		if domain == domains[0] {
+			checkAugmentation(t, ix, "DBLP steady state")
+		}
+		t.Logf("domain %d: %d blocks / %d nodes; batch recompiled %d, augmented %d blocks / %d nodes, spliced %d nodes, %.0f allocs",
+			domain, ix.Blocks(), ix.Size(), c.st.Recompiled, c.st.AugmentedBlocks, c.st.AugmentedNodes, c.st.SplicedNodes, c.allocs)
+		costs = append(costs, c)
+	}
+	for k := 1; k < len(costs); k++ {
+		a, b := costs[k-1], costs[k]
+		if a.st.Recompiled != b.st.Recompiled || a.st.AugmentedBlocks != b.st.AugmentedBlocks {
+			t.Errorf("domain %d -> %d: recompiled %d -> %d, augmented blocks %d -> %d; want identical",
+				domains[k-1], domains[k], a.st.Recompiled, b.st.Recompiled, a.st.AugmentedBlocks, b.st.AugmentedBlocks)
+		}
+		if d := b.st.AugmentedNodes - a.st.AugmentedNodes; d > 32 || d < -32 {
+			t.Errorf("domain %d -> %d: augmented nodes %d -> %d; want within 32",
+				domains[k-1], domains[k], a.st.AugmentedNodes, b.st.AugmentedNodes)
+		}
+		if b.allocs > 1.3*a.allocs {
+			t.Errorf("domain %d -> %d: allocations per batch %.0f -> %.0f, more than 1.3x",
+				domains[k-1], domains[k], a.allocs, b.allocs)
+		}
+	}
+}

@@ -11,9 +11,9 @@ import "sync"
 // empty slot, unreachable because g ≥ 2 in every cached call.
 //
 // The cache starts tiny (scratch managers must stay cheap to create) and
-// doubles whenever the node store outgrows it, re-inserting the old entries,
-// up to the manager's configured maximum (SetApplyCacheMax /
-// CompileOptions.ApplyCacheSize).
+// grows whenever an Apply miss finds the node store has outgrown it,
+// re-inserting the old entries, up to the manager's configured maximum
+// (SetApplyCacheMax / CompileOptions.ApplyCacheSize).
 type applyCache struct {
 	keys []uint64
 	vals []NodeID
@@ -66,20 +66,25 @@ func (c *applyCache) put(key uint64, r NodeID) {
 	c.vals[i] = r
 }
 
-// maybeGrow doubles the cache (re-inserting surviving entries) while the
-// node store is larger than the cache and the cap allows. Called on node
-// allocation, so the cache tracks roughly one entry per live node until it
-// hits max.
+// maybeGrow enlarges the cache (re-inserting surviving entries) to the first
+// power of two covering the node store, as far as the cap allows. Called on
+// Apply misses, so the cache tracks roughly one entry per live node while
+// synthesis is running — until it hits max — and a manager that only ever
+// concatenates or copies nodes never pays for it.
 func (c *applyCache) maybeGrow(numNodes int) {
-	for numNodes > len(c.keys) && len(c.keys) < c.max {
-		old := c.keys
-		oldVals := c.vals
-		c.keys = make([]uint64, len(old)*2)
-		c.vals = make([]NodeID, len(old)*2)
-		for i, k := range old {
-			if k != 0 {
-				c.put(k, oldVals[i])
-			}
+	size := len(c.keys)
+	for numNodes > size && size < c.max {
+		size *= 2
+	}
+	if size == len(c.keys) {
+		return
+	}
+	old, oldVals := c.keys, c.vals
+	c.keys = make([]uint64, size)
+	c.vals = make([]NodeID, size)
+	for i, k := range old {
+		if k != 0 {
+			c.put(k, oldVals[i])
 		}
 	}
 }
@@ -106,8 +111,9 @@ func ceilPow2(n int) int {
 // OrDisjoint/AndDisjoint, Import, Cofactor, Compact, Reachable) instead
 // borrow a dense, NodeID-indexed scratch memo from a sync.Pool. Reset is
 // O(1): each entry is valid only when its stamp equals the memo's current
-// epoch, so reuse just bumps the epoch. The arrays grow to the largest
-// manager they have served and are reused across calls and queries.
+// epoch, so reuse just bumps the epoch. The arrays grow geometrically (see
+// memoCap) to the largest manager they have served and are reused across
+// calls and queries.
 //
 // For a huge manager a dense memo costs O(NumNodes) to allocate once; when a
 // caller cannot promise the traversal touches a significant fraction of the
@@ -116,6 +122,18 @@ func ceilPow2(n int) int {
 // cold pool from allocating megabytes for a ten-node cone.
 
 const sparseMemoCutoff = 1 << 20
+
+// memoCap sizes a dense memo that must key n nodes when the current arrays
+// hold have: at least double, so a caller that borrows a memo once per step
+// of a growing manager (a chain of OrDisjoint/AndDisjoint calls, Not after a
+// compile) reallocates O(log) times — O(nodes) bytes in total — instead of
+// once per call.
+func memoCap(have, n int) int {
+	if 2*have > n {
+		return 2 * have
+	}
+	return n
+}
 
 // nodeMemo is a NodeID → NodeID memo.
 type nodeMemo struct {
@@ -132,8 +150,9 @@ func (mm *nodeMemo) reset(n int, dense bool) {
 	}
 	mm.sparse = nil
 	if cap(mm.val) < n {
-		mm.val = make([]NodeID, n)
-		mm.stamp = make([]uint32, n)
+		c := memoCap(cap(mm.val), n)
+		mm.val = make([]NodeID, c)
+		mm.stamp = make([]uint32, c)
 		mm.epoch = 1
 		return
 	}
@@ -181,8 +200,9 @@ func (mm *floatMemo) reset(n int, dense bool) {
 	}
 	mm.sparse = nil
 	if cap(mm.val) < n {
-		mm.val = make([]float64, n)
-		mm.stamp = make([]uint32, n)
+		c := memoCap(cap(mm.val), n)
+		mm.val = make([]float64, c)
+		mm.stamp = make([]uint32, c)
 		mm.epoch = 1
 		return
 	}

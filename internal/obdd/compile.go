@@ -64,8 +64,9 @@ type CompileOptions struct {
 	// Order, when non-nil, overrides the static Π order with a learned
 	// variable order (e.g. one persisted from an earlier sifting pass). It
 	// must be a permutation of exactly the database's tuple variables;
-	// Compile and CompileDelta fail otherwise. This is how delta recompiles
-	// inherit a sifted order instead of re-deriving Π.
+	// Compile fails otherwise. CompileDelta over an old manager ignores it:
+	// a delta recompile always patches the old manager's own order, learned
+	// or not.
 	Order []int
 
 	// blockHook, when set, runs before each per-separator-value block is
@@ -207,6 +208,10 @@ type compiler struct {
 
 	colCache map[string][]engine.Value // "rel\x00pos" -> distinct column values
 
+	// chainBroken is set by a recorded blockChain when some link of the
+	// chain is not a concatenation (see prepend).
+	chainBroken bool
+
 	// groundCQ scratch; each parallel worker owns a private compiler, so the
 	// buffers are never shared across goroutines.
 	valsBuf   []engine.Value
@@ -328,107 +333,134 @@ func (c *compiler) openUCQ(u ucq.UCQ) (NodeID, error) {
 	return c.BuildDNF(lin), nil
 }
 
+// sepProbe is one disjunct's probe for a separator expansion: a probabilistic
+// atom carrying the separator, whose relation column enumerates the values at
+// which the disjunct can be true. rel is nil when the disjunct has no such
+// atom (cannot happen for true separators).
+type sepProbe struct {
+	rel *engine.Relation
+	pos int
+	a   ucq.Atom
+}
+
+// sepProbes picks, for each disjunct, the first non-skipped atom carrying
+// the separator variable.
+func (c *compiler) sepProbes(u ucq.UCQ, sep ucq.Separator) []sepProbe {
+	skip := c.detSkip()
+	probes := make([]sepProbe, len(u.Disjuncts))
+	for di, d := range u.Disjuncts {
+		for _, a := range d.Atoms {
+			if skip(a) {
+				continue
+			}
+			if !atomHasVarAt(a, sep.PerDisjunct[di], sep.RelPos[a.Rel]) {
+				continue
+			}
+			probes[di] = sepProbe{rel: c.db.Relation(a.Rel), pos: sep.RelPos[a.Rel], a: a}
+			break
+		}
+	}
+	return probes
+}
+
 // sepExpand prepares the R3 expansion of a separator: the sorted active
 // domain, the per-value sub-queries (one independent block each, Prop. 1)
 // and per-block work estimates for the parallel scheduler.
 func (c *compiler) sepExpand(u ucq.UCQ, sep ucq.Separator) (domain []engine.Value, subs []ucq.UCQ, est []int) {
-	{
-		// For each disjunct, find one probabilistic atom carrying the
-		// separator (the "probe"). The separator domain of the disjunct is
-		// the set of values at the probe's separator column — narrowed by
-		// the probe's other constant-bound columns through the hash index
-		// when possible (crucial in nested projections: the inner domain is
-		// then the current block's tuples, not the whole column). Values
-		// with no matching tuple in some disjunct prune that disjunct.
-		skip := c.detSkip()
-		type probe struct {
-			rel *engine.Relation
-			pos int
-			a   ucq.Atom
-		}
-		probes := make([]probe, len(u.Disjuncts))
-		domainSet := map[engine.Value]bool{}
-		for di, d := range u.Disjuncts {
-			for _, a := range d.Atoms {
-				if skip(a) {
-					continue
-				}
-				if !atomHasVarAt(a, sep.PerDisjunct[di], sep.RelPos[a.Rel]) {
-					continue
-				}
-				probes[di] = probe{rel: c.db.Relation(a.Rel), pos: sep.RelPos[a.Rel], a: a}
-				break
+	// The separator domain of a disjunct is the set of values at its probe's
+	// separator column — narrowed by the probe's other constant-bound columns
+	// through the hash index when possible (crucial in nested projections:
+	// the inner domain is then the current block's tuples, not the whole
+	// column). Values with no matching tuple in some disjunct prune that
+	// disjunct.
+	probes := c.sepProbes(u, sep)
+	domainSet := map[engine.Value]bool{}
+	for di, d := range u.Disjuncts {
+		p := probes[di]
+		if p.rel == nil {
+			// No probe; fall back to the full column scans of every kept atom.
+			for _, v := range c.separatorDomain(ucq.UCQ{Disjuncts: []ucq.CQ{d}}, sep) {
+				domainSet[v] = true
 			}
-			p := probes[di]
-			if p.rel == nil {
-				// No probe (cannot happen for true separators); fall back to
-				// the full column scans of every kept atom.
-				for _, v := range c.separatorDomain(ucq.UCQ{Disjuncts: []ucq.CQ{d}}, sep) {
-					domainSet[v] = true
-				}
+			continue
+		}
+		// Candidate tuples: narrowed by the first constant-bound column
+		// other than the separator's, else the (cached) full column.
+		narrowed := false
+		for i, t := range p.a.Args {
+			if i == p.pos || !t.IsConst {
 				continue
 			}
-			// Candidate tuples: narrowed by the first constant-bound column
-			// other than the separator's, else the (cached) full column.
-			narrowed := false
-			for i, t := range p.a.Args {
-				if i == p.pos || !t.IsConst {
-					continue
-				}
-				for _, ti := range p.rel.MatchingIndexes(i, t.Const) {
-					domainSet[p.rel.Tuples[ti].Vals[p.pos]] = true
-				}
-				narrowed = true
-				break
+			for _, ti := range p.rel.MatchingIndexes(i, t.Const) {
+				domainSet[p.rel.Tuples[ti].Vals[p.pos]] = true
 			}
-			if !narrowed {
-				for _, v := range c.columnValues(p.rel, p.pos) {
-					domainSet[v] = true
-				}
-			}
+			narrowed = true
+			break
 		}
-		domain = make([]engine.Value, 0, len(domainSet))
-		for v := range domainSet {
-			domain = append(domain, v)
-		}
-		sort.Slice(domain, func(i, j int) bool { return domain[i].Compare(domain[j]) < 0 })
-
-		// Instantiate the per-separator-value sub-queries up front; each is
-		// an independent block of the chain (Prop. 1).
-		// est[i] estimates block i's compilation work as the number of
-		// tuples carrying separator value i (per disjunct, through the
-		// probe's hash index) — the block's sub-OBDD and recursion are both
-		// roughly linear in it. The parallel scheduler uses the estimates to
-		// hand workers balanced batches.
-		subs = make([]ucq.UCQ, len(domain))
-		est = make([]int, len(domain))
-		for i, v := range domain {
-			for di, d := range u.Disjuncts {
-				if p := probes[di]; p.rel != nil {
-					n := len(p.rel.MatchingIndexes(p.pos, v))
-					if n == 0 {
-						continue // this disjunct is false at this value
-					}
-					est[i] += n
-				} else {
-					est[i] += len(d.Atoms)
-				}
-				subs[i].Disjuncts = append(subs[i].Disjuncts,
-					d.Subst1(sep.PerDisjunct[di], v))
+		if !narrowed {
+			for _, v := range c.columnValues(p.rel, p.pos) {
+				domainSet[v] = true
 			}
 		}
 	}
+	domain = make([]engine.Value, 0, len(domainSet))
+	for v := range domainSet {
+		domain = append(domain, v)
+	}
+	sort.Slice(domain, func(i, j int) bool { return domain[i].Compare(domain[j]) < 0 })
+	subs, est = c.sepSubs(u, sep, probes, domain)
 	return domain, subs, est
+}
+
+// sepSubs instantiates the per-separator-value sub-queries for the given
+// values; each is an independent block of the chain (Prop. 1). est[i]
+// estimates block i's compilation work as the number of tuples carrying
+// value i (per disjunct, through the probe's hash index) — the block's
+// sub-OBDD and recursion are both roughly linear in it. The parallel
+// scheduler uses the estimates to hand workers balanced batches.
+func (c *compiler) sepSubs(u ucq.UCQ, sep ucq.Separator, probes []sepProbe, values []engine.Value) (subs []ucq.UCQ, est []int) {
+	subs = make([]ucq.UCQ, len(values))
+	est = make([]int, len(values))
+	for i, v := range values {
+		for di, d := range u.Disjuncts {
+			if p := probes[di]; p.rel != nil {
+				n := len(p.rel.MatchingIndexes(p.pos, v))
+				if n == 0 {
+					continue // this disjunct is false at this value
+				}
+				est[i] += n
+			} else {
+				est[i] += len(d.Atoms)
+			}
+			subs[i].Disjuncts = append(subs[i].Disjuncts,
+				d.Subst1(sep.PerDisjunct[di], v))
+		}
+	}
+	return subs, est
 }
 
 // blockChain compiles the per-separator-value blocks and ORs them into the
 // descending chain, sequentially or with the parallel worker pool. When
-// capture is non-nil it receives each non-empty block's root in the main
-// manager (capture[i] stays False for empty blocks) — the per-value handle
-// incremental maintenance records.
-func (c *compiler) blockChain(subs []ucq.UCQ, est []int, capture []NodeID) (NodeID, error) {
+// chain is non-nil it receives, for each non-empty block, the root of the
+// chain from that block on (chain[i] stays False for empty blocks) — the
+// per-value handle incremental maintenance records; c.chainBroken reports
+// whether some link was not a plain concatenation.
+func (c *compiler) blockChain(subs []ucq.UCQ, est []int, chain []NodeID) (NodeID, error) {
 	if workers := c.opts.workers(); workers > 1 && len(subs) > 1 {
-		return c.parallelBlocks(subs, est, workers, capture)
+		results, err := c.parallelBlocks(subs, est, workers)
+		if err != nil {
+			return False, err
+		}
+		// Merge: import each block into the main manager and prepend it to
+		// the chain, deepest block first (identical to the sequential loop).
+		acc := False
+		for i := len(subs) - 1; i >= 0; i-- {
+			if results[i].m == nil {
+				continue // empty sub-query, skipped by the worker
+			}
+			acc = c.prepend(c.m.Import(results[i].m, results[i].root), acc, i, chain)
+		}
+		return acc, nil
 	}
 	// Iterate in descending order so each new block is prepended to the
 	// accumulated chain: OrDisjoint(block, acc) costs O(|block|).
@@ -444,12 +476,27 @@ func (c *compiler) blockChain(subs []ucq.UCQ, est []int, capture []NodeID) (Node
 		if err != nil {
 			return False, err
 		}
-		if capture != nil {
-			capture[i] = block
-		}
-		acc = c.or2(block, acc)
+		acc = c.prepend(block, acc, i, chain)
 	}
 	return acc, nil
+}
+
+// prepend ORs block i onto the front of the accumulated chain and, when the
+// caller records the chain, notes the new chain root. The record is only
+// usable for splicing when every link is a concatenation of a non-constant
+// block in front of the rest.
+func (c *compiler) prepend(block, acc NodeID, i int, chain []NodeID) NodeID {
+	if block == False {
+		return acc
+	}
+	if chain != nil && (block == True || !c.m.CanConcat(block, acc)) {
+		c.chainBroken = true
+	}
+	acc = c.or2(block, acc)
+	if chain != nil {
+		chain[i] = acc
+	}
+	return acc
 }
 
 // blockChunks partitions block indexes into batches for the parallel
@@ -488,26 +535,26 @@ func blockChunks(subs []ucq.UCQ, est []int, workers int) [][]int {
 	return chunks
 }
 
+// blockResult is one block compiled by a parallel worker: its root in the
+// worker's scratch manager (m is nil for empty sub-queries, which workers
+// skip).
+type blockResult struct {
+	m    *Manager
+	root NodeID
+	err  error
+}
+
 // parallelBlocks compiles the per-separator-value blocks concurrently. Each
 // worker owns a scratch Manager (hash-consing tables are not shared across
 // goroutines) and a private compiler, and pulls work-balanced chunks of
 // blocks (see blockChunks) from a shared atomic counter. The owner then
-// imports every finished block into the main manager and concatenates the
-// chain in the same descending order as the sequential path, so the
-// resulting OBDD — and the compile statistics — are identical to
-// Parallelism: 1.
-func (c *compiler) parallelBlocks(subs []ucq.UCQ, est []int, workers int, capture []NodeID) (NodeID, error) {
-	type blockResult struct {
-		m    *Manager
-		root NodeID
-		err  error
-	}
+// imports the finished blocks into the main manager in the same descending
+// order as the sequential path, so the resulting OBDD — and the compile
+// statistics — are identical to Parallelism: 1.
+func (c *compiler) parallelBlocks(subs []ucq.UCQ, est []int, workers int) ([]blockResult, error) {
 	chunks := blockChunks(subs, est, workers)
 	if workers > len(chunks) {
 		workers = len(chunks)
-	}
-	if workers < 1 {
-		return False, nil // every block was empty
 	}
 	results := make([]blockResult, len(subs))
 	workerStats := make([]CompileStats, workers)
@@ -558,23 +605,10 @@ func (c *compiler) parallelBlocks(subs []ucq.UCQ, est []int, workers int, captur
 	}
 	for i := range results {
 		if results[i].err != nil {
-			return False, results[i].err
+			return nil, results[i].err
 		}
 	}
-	// Merge: import each block into the main manager and prepend it to the
-	// chain, deepest block first (identical to the sequential loop).
-	acc := False
-	for i := len(subs) - 1; i >= 0; i-- {
-		if results[i].m == nil {
-			continue // empty sub-query, skipped by the worker
-		}
-		block := c.m.Import(results[i].m, results[i].root)
-		if capture != nil {
-			capture[i] = block
-		}
-		acc = c.or2(block, acc)
-	}
-	return acc, nil
+	return results, nil
 }
 
 // blockCheck runs the per-block cancellation point (and the fault-injection
@@ -637,7 +671,10 @@ func (c *compiler) groundCQ(d ucq.CQ) (NodeID, error) {
 		if t.Var == 0 {
 			continue // deterministic tuple: always true
 		}
-		l := c.m.varLevel[t.Var]
+		l, ok := c.m.levelOf(t.Var)
+		if !ok {
+			return False, fmt.Errorf("obdd: tuple variable %d of %s is not in the manager's order", t.Var, a.Rel)
+		}
 		levels = append(levels, l)
 	}
 	c.levelsBuf = levels // keep any growth for the next ground conjunct
@@ -791,7 +828,7 @@ func (c *compiler) BuildDNF(d lineage.DNF) NodeID {
 	for _, term := range d {
 		levels := make([]int32, 0, len(term))
 		for _, v := range term {
-			l, ok := c.m.varLevel[v]
+			l, ok := c.m.levelOf(v)
 			if !ok {
 				panic(fmt.Sprintf("obdd: lineage variable %d not in order", v))
 			}

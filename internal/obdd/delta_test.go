@@ -52,9 +52,38 @@ func diffByKey(a, b *engine.Database) []ChangedTuple {
 	return out
 }
 
-// TestCompileRecordedEquivalent: the recorded compile (top-level separator
-// expansion) must produce an OBDD structurally identical to the plain
-// compiler, with the per-value roots actually covering the chain.
+// checkChainRecord verifies a spliceable record against its manager: sorted
+// values, Roots[0] the root of ¬u, and every recorded root on the chain —
+// strictly descending levels, each block's cone reaching its successor.
+func checkChainRecord(t *testing.T, d *Delta) {
+	t.Helper()
+	rec := d.Rec
+	if !rec.HasSep || len(rec.Values) != len(rec.Roots) {
+		t.Fatalf("bad record %+v", rec)
+	}
+	if len(rec.Roots) > 0 && rec.Roots[0] != d.Root {
+		t.Fatalf("Roots[0] = %d, root of ¬u = %d", rec.Roots[0], d.Root)
+	}
+	for i := 1; i < len(rec.Roots); i++ {
+		if rec.Values[i-1].Compare(rec.Values[i]) >= 0 {
+			t.Fatalf("record values not sorted at %d", i)
+		}
+		if d.M.NodeLevel(rec.Roots[i-1]) >= d.M.NodeLevel(rec.Roots[i]) {
+			t.Fatalf("chain roots not descending at %d", i)
+		}
+		reach := false
+		for _, n := range d.M.Reachable(rec.Roots[i-1]) {
+			reach = reach || n == rec.Roots[i]
+		}
+		if !reach {
+			t.Fatalf("block %d does not lead to block %d", i-1, i)
+		}
+	}
+}
+
+// TestCompileRecordedEquivalent: the full recorded compile (top-level
+// separator expansion, negated) must produce the complement of the plain
+// compiler's OBDD, with the per-value roots actually covering the chain.
 func TestCompileRecordedEquivalent(t *testing.T) {
 	q := ucq.MustParse("Q() :- R(x), S(x,y)\nQ() :- S(x,z), S(x,w), z <> w").UCQ
 	sep, ok := q.FindSeparatorSkip(ucq.SkipGround)
@@ -66,26 +95,23 @@ func TestCompileRecordedEquivalent(t *testing.T) {
 		db := randSepDB(rng, 4+rng.Int63n(10))
 		pi := SeparatorFirstPerm(db, sep)
 		for _, par := range []int{1, 4} {
-			m, f, s, err := Compile(db, q, pi, CompileOptions{Parallelism: 1})
+			m, f, _, err := Compile(db, q, pi, CompileOptions{Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			mr, fr, rec, _, err := CompileRecorded(db, q, pi, CompileOptions{Parallelism: par})
+			d, err := CompileDelta(db, q, pi, CompileOptions{Parallelism: par}, nil, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !StructEqual(m, f, mr, fr) {
+			if !StructEqual(m, m.Not(f), d.M, d.Root) {
 				t.Fatalf("seed %d par %d: recorded compile differs structurally", seed, par)
 			}
-			if !rec.HasSep || len(rec.Values) != len(rec.Roots) {
-				t.Fatalf("seed %d: bad record %+v", seed, rec)
-			}
+			checkChainRecord(t, d)
 			probs := db.Probs()
-			a, b := m.Prob(f, probs), mr.Prob(fr, probs)
+			a, b := m.Prob(m.Not(f), probs), d.M.Prob(d.Root, probs)
 			if math.Float64bits(a) != math.Float64bits(b) {
 				t.Fatalf("seed %d: prob %v vs %v", seed, a, b)
 			}
-			_ = s
 		}
 	}
 }
@@ -143,16 +169,17 @@ func TestCompileDeltaProperty(t *testing.T) {
 		n := 4 + rng.Int63n(10)
 		db := randSepDB(rng, n)
 		pi := SeparatorFirstPerm(db, sep)
-		oldM, _, rec, _, err := CompileRecorded(db, q, pi, CompileOptions{Parallelism: 1})
+		first, err := CompileDelta(db, q, pi, CompileOptions{Parallelism: 1}, nil, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		oldM, rec := first.M, first.Rec
 		for batch := 0; batch < 5; batch++ {
 			newDB := mutateSepDB(rng, db, n)
 			changed := diffByKey(db, newDB)
 			par := 1 + 3*rng.Intn(2) // 1 or 4 workers
 			newPi := SeparatorFirstPerm(newDB, sep)
-			dm, df, newRec, ds, _, err := CompileDelta(newDB, q, newPi, CompileOptions{Parallelism: par},
+			d, err := CompileDelta(newDB, q, newPi, CompileOptions{Parallelism: par},
 				oldM, rec, testVarMap(db, newDB), changed)
 			if err != nil {
 				t.Fatal(err)
@@ -161,23 +188,63 @@ func TestCompileDeltaProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !StructEqual(dm, df, fm, ff) {
+			ff = fm.Not(ff)
+			if !StructEqual(d.M, d.Root, fm, ff) {
 				t.Fatalf("seed %d batch %d: delta OBDD differs from scratch (%+v, changed %v)",
-					seed, batch, ds, changed)
+					seed, batch, d.Stats, changed)
 			}
+			checkChainRecord(t, d)
 			probs := newDB.Probs()
-			a, b := dm.Prob(df, probs), fm.Prob(ff, probs)
+			a, b := d.M.Prob(d.Root, probs), fm.Prob(ff, probs)
 			if math.Float64bits(a) != math.Float64bits(b) {
 				t.Fatalf("seed %d batch %d: prob %v vs %v", seed, batch, a, b)
 			}
-			if ds.Reused > 0 {
+			if !d.Stats.Full {
+				checkSpliceMaps(t, oldM, rec, d)
+			}
+			if d.Stats.Reused > 0 {
 				sawReuse = true
 			}
-			db, oldM, rec = newDB, dm, newRec
+			db, oldM, rec = newDB, d.M, d.Rec
 		}
 	}
 	if !sawReuse {
 		t.Fatal("no delta compile ever reused a block; incremental path untested")
+	}
+}
+
+// checkSpliceMaps verifies the carry-over maps of an incremental compile:
+// every copied block's old root maps to its new root, copied nodes keep
+// their variable, and compiled blocks have no pre-image.
+func checkSpliceMaps(t *testing.T, oldM *Manager, oldRec *BlockRecord, d *Delta) {
+	t.Helper()
+	if len(d.From) != len(d.Rec.Roots) || len(d.NodeMap) != oldM.NumNodes() || len(d.LevelMap) != oldM.NumVars() {
+		t.Fatalf("splice maps have the wrong shape")
+	}
+	copied := 0
+	for i, from := range d.From {
+		if from < 0 {
+			continue
+		}
+		if d.NodeMap[oldRec.Roots[from]] != d.Rec.Roots[i] {
+			t.Fatalf("block %d: NodeMap sends old root %d to %d, record says %d",
+				i, oldRec.Roots[from], d.NodeMap[oldRec.Roots[from]], d.Rec.Roots[i])
+		}
+		if oldRec.Values[from] != d.Rec.Values[i] {
+			t.Fatalf("block %d copied from a different value", i)
+		}
+	}
+	for x, r := range d.NodeMap {
+		if r == 0 {
+			continue
+		}
+		copied++
+		if nl := d.LevelMap[oldM.NodeLevel(NodeID(x))]; nl != d.M.NodeLevel(r) {
+			t.Fatalf("node %d: level map says %d, image sits at %d", x, nl, d.M.NodeLevel(r))
+		}
+	}
+	if copied != d.Stats.Spliced {
+		t.Fatalf("NodeMap has %d images, stats report %d spliced nodes", copied, d.Stats.Spliced)
 	}
 }
 
@@ -191,81 +258,62 @@ func TestCompileDeltaFallbacks(t *testing.T) {
 	pi := SeparatorFirstPerm(db, sep)
 
 	// No record: full recompile, still correct.
-	m, f, rec, ds, _, err := CompileDelta(db, q, pi, CompileOptions{Parallelism: 1}, nil, nil, nil, nil)
+	d, err := CompileDelta(db, q, pi, CompileOptions{Parallelism: 1}, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ds.Full || !rec.HasSep {
-		t.Fatalf("expected full fallback with a fresh record, got %+v", ds)
+	if !d.Stats.Full || !d.Rec.HasSep {
+		t.Fatalf("expected full fallback with a fresh record, got %+v", d.Stats)
 	}
 	fm, ff, _, _ := Compile(db, q, pi, CompileOptions{Parallelism: 1})
-	if !StructEqual(m, f, fm, ff) {
+	ff = fm.Not(ff)
+	if !StructEqual(d.M, d.Root, fm, ff) {
 		t.Fatal("full fallback differs from scratch")
 	}
 
 	// Changed query: full recompile.
 	q2 := ucq.MustParse("Q() :- R(x), S(x,y), y > 100").UCQ
-	_, _, _, ds2, _, err := CompileDelta(db, q2, pi, CompileOptions{Parallelism: 1}, m, rec, testVarMap(db, db), nil)
+	d2, err := CompileDelta(db, q2, pi, CompileOptions{Parallelism: 1}, d.M, d.Rec, testVarMap(db, db), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ds2.Full {
+	if !d2.Stats.Full {
 		t.Fatal("query change must force a full recompile")
 	}
 
 	// No structural change at all: every block reused.
-	m3, f3, _, ds3, _, err := CompileDelta(db, q, pi, CompileOptions{Parallelism: 1}, m, rec, testVarMap(db, db), nil)
+	d3, err := CompileDelta(db, q, pi, CompileOptions{Parallelism: 1}, d.M, d.Rec, testVarMap(db, db), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds3.Recompiled != 0 || ds3.Reused != ds3.Blocks {
-		t.Fatalf("no-op delta recompiled blocks: %+v", ds3)
+	if d3.Stats.Full || d3.Stats.Recompiled != 0 || d3.Stats.Reused != d3.Stats.Blocks {
+		t.Fatalf("no-op delta recompiled blocks: %+v", d3.Stats)
 	}
-	if !StructEqual(m3, f3, fm, ff) {
+	if !StructEqual(d3.M, d3.Root, fm, ff) {
 		t.Fatal("no-op delta differs from scratch")
 	}
-}
+	// The copy leaves no garbage behind: the fresh manager holds exactly the
+	// chain.
+	if d3.M.NumNodes() != d3.M.Size(d3.Root)+2 {
+		t.Fatalf("no-op delta manager has %d nodes for a %d-node chain", d3.M.NumNodes(), d3.M.Size(d3.Root))
+	}
 
-// TestImportMapped: renaming import across managers with different orders.
-func TestImportMapped(t *testing.T) {
-	src := NewManager([]int{1, 2, 3})
-	// f = (x1 AND x3) OR x2
-	x1 := src.MkNode(0, False, True)
-	x3 := src.MkNode(2, False, True)
-	and13 := src.And(x1, x3)
-	x2 := src.MkNode(1, False, True)
-	f := src.Or(and13, x2)
-
-	// Same order, shifted ids.
-	dst := NewManager([]int{10, 20, 30})
-	shift := func(v int) (int, bool) { return v * 10, true }
-	g, err := dst.ImportMapped(src, f, shift)
+	// A ground disjunct makes the OBDD something other than a plain chain:
+	// the record must say so, and the next delta must recompile in full.
+	q4 := ucq.MustParse("Q() :- R(x), S(x,y)\nQ() :- R(1), S(2,3)").UCQ
+	d4, err := CompileDelta(db, q4, pi, CompileOptions{Parallelism: 1}, nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Check semantics by evaluating all 8 assignments.
-	for bits := 0; bits < 8; bits++ {
-		assign := func(v int) bool { return bits&(1<<(v-1)) != 0 }
-		want := (assign(1) && assign(3)) || assign(2)
-		if got := dst.Eval(g, func(v int) bool { return assign(v / 10) }); got != want {
-			t.Fatalf("bits %b: got %v want %v", bits, got, want)
-		}
+	if d4.Rec.HasSep {
+		t.Fatal("a union with a ground disjunct must not be recorded as a chain")
 	}
-
-	// Unmapped variable errors.
-	if _, err := dst.ImportMapped(src, f, func(v int) (int, bool) {
-		if v == 2 {
-			return 0, false
-		}
-		return v * 10, true
-	}); err == nil {
-		t.Fatal("unmapped variable must error")
+	d5, err := CompileDelta(db, q4, pi, CompileOptions{Parallelism: 1}, d4.M, d4.Rec, testVarMap(db, db), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Order-violating map errors (reverses 1 and 3).
-	if _, err := dst.ImportMapped(src, f, func(v int) (int, bool) {
-		return map[int]int{1: 30, 2: 20, 3: 10}[v], true
-	}); err == nil {
-		t.Fatal("non-monotone mapping must error")
+	gm, gf, _, _ := Compile(db, q4, pi, CompileOptions{Parallelism: 1})
+	if !d5.Stats.Full || !StructEqual(d5.M, d5.Root, gm, gm.Not(gf)) {
+		t.Fatalf("unrecorded chain: %+v", d5.Stats)
 	}
 }

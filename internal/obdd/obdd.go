@@ -72,8 +72,8 @@ type Manager struct {
 	unique   uniqueTable
 	cache    applyCache
 
-	levelVar []int         // level -> external variable id
-	varLevel map[int]int32 // external variable id -> level
+	levelVar []int   // level -> external variable id
+	varLevel []int32 // external variable id -> level, -1 when not in the order
 
 	lim *limits // nil when the manager is unbudgeted
 }
@@ -141,16 +141,28 @@ func (m *Manager) Budgeted() bool { return m.lim != nil }
 // external variable ids, first to last. The apply cache is capped at
 // DefaultApplyCacheSize; tune it with SetApplyCacheMax.
 func NewManager(order []int) *Manager {
+	maxVar := -1
+	for _, v := range order {
+		if v < 0 {
+			panic(fmt.Sprintf("obdd: negative variable id %d in order", v))
+		}
+		if v > maxVar {
+			maxVar = v
+		}
+	}
 	m := &Manager{
 		nodes:    []node{{level: terminalLevel}, {level: terminalLevel}},
 		maxLevel: []int32{-1, -1},
 		levelVar: append([]int(nil), order...),
-		varLevel: make(map[int]int32, len(order)),
+		varLevel: make([]int32, maxVar+1),
 	}
 	m.unique.init()
 	m.cache.init(DefaultApplyCacheSize)
+	for v := range m.varLevel {
+		m.varLevel[v] = -1
+	}
 	for i, v := range order {
-		if _, dup := m.varLevel[v]; dup {
+		if m.varLevel[v] >= 0 {
 			panic(fmt.Sprintf("obdd: variable %d appears twice in order", v))
 		}
 		m.varLevel[v] = int32(i)
@@ -158,11 +170,20 @@ func NewManager(order []int) *Manager {
 	return m
 }
 
+// levelOf returns the level of an external variable id; ok is false when the
+// variable is not in the order.
+func (m *Manager) levelOf(v int) (level int32, ok bool) {
+	if v < 0 || v >= len(m.varLevel) || m.varLevel[v] < 0 {
+		return 0, false
+	}
+	return m.varLevel[v], true
+}
+
 // SetApplyCacheMax caps the direct-mapped apply/computed cache at the given
 // number of entries (rounded up to a power of two, 12 bytes each). The cache
-// starts small and doubles as the node store grows, so the cap only binds on
-// large compilations; it never affects results, only how much Apply
-// recomputes. Shrinking below the current size drops existing entries.
+// starts small and grows with the node store while Apply runs, so the cap
+// only binds on large compilations; it never affects results, only how much
+// Apply recomputes. Shrinking below the current size drops existing entries.
 func (m *Manager) SetApplyCacheMax(entries int) {
 	if entries < applyCacheInitial {
 		entries = applyCacheInitial
@@ -304,7 +325,7 @@ func (m *Manager) NumNodes() int { return len(m.nodes) }
 
 // Level returns the level of a variable id, or -1 if unknown.
 func (m *Manager) Level(v int) int {
-	if l, ok := m.varLevel[v]; ok {
+	if l, ok := m.levelOf(v); ok {
 		return int(l)
 	}
 	return -1
@@ -354,13 +375,12 @@ func (m *Manager) addNode(level int32, lo, hi NodeID, slot uint64) NodeID {
 	}
 	m.maxLevel = append(m.maxLevel, ml)
 	m.unique.insert(m.nodes, id, slot)
-	m.cache.maybeGrow(len(m.nodes))
 	return id
 }
 
 // Var returns the node testing the given external variable.
 func (m *Manager) Var(v int) NodeID {
-	l, ok := m.varLevel[v]
+	l, ok := m.levelOf(v)
 	if !ok {
 		panic(fmt.Sprintf("obdd: variable %d not in order", v))
 	}
@@ -413,6 +433,7 @@ func (m *Manager) apply(op opKind, f, g NodeID) NodeID {
 		return r
 	}
 	m.cache.misses++
+	m.cache.maybeGrow(len(m.nodes))
 	nf, ng := m.nodes[f], m.nodes[g]
 	var level int32
 	var fl, fh, gl, gh NodeID
@@ -639,7 +660,7 @@ func (m *Manager) Compact(roots ...NodeID) (*Manager, []NodeID) {
 
 // Cofactor restricts f by fixing variable v to the given value.
 func (m *Manager) Cofactor(f NodeID, v int, value bool) NodeID {
-	l, ok := m.varLevel[v]
+	l, ok := m.levelOf(v)
 	if !ok {
 		return f
 	}
@@ -687,15 +708,8 @@ func (m *Manager) ForAll(f NodeID, v int) NodeID {
 // distribution times 2^NumVars. Exact up to float64 precision (useful for
 // up to ~2^52 models).
 func (m *Manager) CountModels(f NodeID) float64 {
-	probs := make([]float64, 0, len(m.varLevel)+1)
-	max := 0
-	for v := range m.varLevel {
-		if v > max {
-			max = v
-		}
-	}
-	probs = make([]float64, max+1)
-	for v := range m.varLevel {
+	probs := make([]float64, len(m.varLevel))
+	for _, v := range m.levelVar {
 		probs[v] = 0.5
 	}
 	return m.Prob(f, probs) * math.Pow(2, float64(m.NumVars()))

@@ -78,19 +78,18 @@ func (p Perm) Validate(db *engine.Database) error {
 // sequences (prefix-first, so a tuple whose permuted key is a prefix of
 // another's comes earlier, mirroring the recursive grouping of the paper);
 // ties across relations break by arity ("order the relation names from
-// smaller to larger arities"), then by relation name.
+// smaller to larger arities"), then by relation name. Tuple keys are unique
+// within a relation, so the order is total.
 func TupleOrder(db *engine.Database, pi Perm) []int {
 	type entry struct {
 		v   int
 		off int // start of the permuted key in the shared backing array
-		n   int // key length
-		ar  int
+		n   int // key length (= arity)
 		rel string
-		pos int
 	}
 	// All keys live in one backing array instead of one small slice per
-	// probabilistic tuple — TupleOrder runs once per compilation over every
-	// tuple, and the per-tuple allocations dominated its profile.
+	// probabilistic tuple — TupleOrder runs once per full compilation over
+	// every tuple, and the per-tuple allocations dominated its profile.
 	var keys []engine.Value
 	var entries []entry
 	for _, name := range db.Relations() {
@@ -98,14 +97,8 @@ func TupleOrder(db *engine.Database, pi Perm) []int {
 		if r.Deterministic {
 			continue
 		}
-		perm, ok := pi[name]
-		if !ok {
-			perm = make([]int, r.Arity())
-			for i := range perm {
-				perm[i] = i
-			}
-		}
-		for ti, t := range r.Tuples {
+		perm := pi.of(r)
+		for _, t := range r.Tuples {
 			if t.Var == 0 {
 				continue
 			}
@@ -113,27 +106,12 @@ func TupleOrder(db *engine.Database, pi Perm) []int {
 			for _, c := range perm {
 				keys = append(keys, t.Vals[c])
 			}
-			entries = append(entries, entry{v: t.Var, off: off, n: len(perm), ar: r.Arity(), rel: name, pos: ti})
+			entries = append(entries, entry{v: t.Var, off: off, n: len(perm), rel: name})
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		a, b := entries[i], entries[j]
-		ka, kb := keys[a.off:a.off+a.n], keys[b.off:b.off+b.n]
-		for k := 0; k < len(ka) && k < len(kb); k++ {
-			if c := ka[k].Compare(kb[k]); c != 0 {
-				return c < 0
-			}
-		}
-		if len(ka) != len(kb) {
-			return len(ka) < len(kb)
-		}
-		if a.ar != b.ar {
-			return a.ar < b.ar
-		}
-		if a.rel != b.rel {
-			return a.rel < b.rel
-		}
-		return a.pos < b.pos
+		return compareKeys(keys[a.off:a.off+a.n], a.rel, keys[b.off:b.off+b.n], b.rel) < 0
 	})
 	out := make([]int, len(entries))
 	for i, e := range entries {
@@ -142,59 +120,113 @@ func TupleOrder(db *engine.Database, pi Perm) []int {
 	return out
 }
 
-// MergeOrder grafts a learned (sifted) variable order onto a mutated
-// database's variable set. mapVar translates old variable ids into the new
-// id space (nil means identity); piOrder is the new database's static Π
-// order. Surviving variables keep their learned relative order; variables
-// new in piOrder are inserted immediately after the nearest survivor that
-// precedes them in piOrder (those before every survivor go first, in piOrder
-// order). Because Π is separator-first, a new tuple's Π-neighbors share its
-// separator value, so insertion lands it inside its own block and clean
-// blocks keep an order ImportMapped accepts. The result is always a
-// permutation of exactly piOrder's variables, so it is safe to pass as
-// CompileOptions.Order.
-func MergeOrder(learned []int, mapVar func(int) (int, bool), piOrder []int) []int {
-	newSet := make(map[int]int, len(piOrder)) // var -> position in piOrder
-	for i, v := range piOrder {
-		newSet[v] = i
+// of returns the permutation of a relation's attribute positions (identity
+// for relations the Perm does not mention).
+func (p Perm) of(r *engine.Relation) []int {
+	if perm, ok := p[r.Name]; ok {
+		return perm
 	}
-	survivors := make([]int, 0, len(learned))
-	isSurvivor := make(map[int]bool, len(learned))
-	for _, v := range learned {
-		nv, ok := v, true
-		if mapVar != nil {
-			nv, ok = mapVar(v)
+	perm := make([]int, r.Arity())
+	for i := range perm {
+		perm[i] = i
+	}
+	return perm
+}
+
+// compareKeys is Π's comparison of two permuted tuple keys: lexicographic,
+// prefix (smaller arity) first, then relation name.
+func compareKeys(ka []engine.Value, relA string, kb []engine.Value, relB string) int {
+	for k := 0; k < len(ka) && k < len(kb); k++ {
+		if c := ka[k].Compare(kb[k]); c != 0 {
+			return c
 		}
-		if !ok {
+	}
+	switch {
+	case len(ka) != len(kb):
+		return len(ka) - len(kb)
+	case relA < relB:
+		return -1
+	case relA > relB:
+		return 1
+	}
+	return 0
+}
+
+// patchOrder derives the variable order of a mutated database from the order
+// a manager was compiled under before the mutation, in O(vars + k log vars)
+// for k changed tuples instead of re-sorting every tuple: variables varMap
+// drops (deleted tuples) are removed, and every changed tuple that now exists
+// is inserted at its Π position among the survivors, found by binary search.
+//
+// When old is the static Π order the result is exactly TupleOrder(db, pi).
+// When old is a learned (sifted) order, survivors keep their learned relative
+// order — so every clean block can be copied level by level — and the binary
+// search still lands a new variable inside its own separator-value region:
+// sifting permutes variables only within block windows, so the "precedes the
+// new tuple" predicate is monotone outside the region and the search can only
+// stop at a transition inside it (or at its edges).
+func patchOrder(old []int, varMap func(int) (int, bool), db *engine.Database, pi Perm, changed []ChangedTuple) []int {
+	survivors := make([]int, 0, len(old))
+	for _, v := range old {
+		if nv, ok := varMap(v); ok {
+			survivors = append(survivors, nv)
+		}
+	}
+	type insertion struct {
+		at, v int
+		key   []engine.Value
+		rel   string
+	}
+	var ins []insertion
+	permuted := func(r *engine.Relation, vals []engine.Value) []engine.Value {
+		perm := pi.of(r)
+		key := make([]engine.Value, len(perm))
+		for i, c := range perm {
+			key[i] = vals[c]
+		}
+		return key
+	}
+next:
+	for _, ct := range changed {
+		r := db.Relation(ct.Rel)
+		if r == nil || r.Deterministic {
 			continue
 		}
-		if _, in := newSet[nv]; !in || isSurvivor[nv] {
-			continue
+		ti := r.Lookup(ct.Vals)
+		if ti < 0 || r.Tuples[ti].Var == 0 {
+			continue // deleted (or deterministic): nothing to insert
 		}
-		survivors = append(survivors, nv)
-		isSurvivor[nv] = true
-	}
-	// Attach each new variable to the survivor preceding it in piOrder.
-	var front []int
-	after := make(map[int][]int)
-	last := -1
-	haveLast := false
-	for _, v := range piOrder {
-		if isSurvivor[v] {
-			last, haveLast = v, true
-			continue
+		v := r.Tuples[ti].Var
+		for _, in := range ins {
+			if in.v == v {
+				continue next // listed twice (delete + re-insert in one batch)
+			}
 		}
-		if haveLast {
-			after[last] = append(after[last], v)
-		} else {
-			front = append(front, v)
+		key := permuted(r, ct.Vals)
+		at := sort.Search(len(survivors), func(i int) bool {
+			rel, t, err := db.VarTuple(survivors[i])
+			if err != nil {
+				return false
+			}
+			return compareKeys(permuted(db.Relation(rel), t.Vals), rel, key, ct.Rel) >= 0
+		})
+		ins = append(ins, insertion{at: at, v: v, key: key, rel: ct.Rel})
+	}
+	if len(ins) == 0 {
+		return survivors
+	}
+	sort.Slice(ins, func(i, j int) bool {
+		if ins[i].at != ins[j].at {
+			return ins[i].at < ins[j].at
 		}
+		return compareKeys(ins[i].key, ins[i].rel, ins[j].key, ins[j].rel) < 0
+	})
+	out := make([]int, 0, len(survivors)+len(ins))
+	from := 0
+	for _, in := range ins {
+		out = append(out, survivors[from:in.at]...)
+		out = append(out, in.v)
+		from = in.at
 	}
-	out := make([]int, 0, len(piOrder))
-	out = append(out, front...)
-	for _, v := range survivors {
-		out = append(out, v)
-		out = append(out, after[v]...)
-	}
-	return out
+	return append(out, survivors[from:]...)
 }

@@ -1,6 +1,8 @@
 package obdd
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -164,5 +166,78 @@ func TestWriteDotGolden(t *testing.T) {
 	}
 	if !strings.Contains(b2.String(), "root -> t;") {
 		t.Fatalf("terminal root missing root arrow:\n%s", b2.String())
+	}
+}
+
+// TestPatchOrderEqualsTupleOrder: patching the static Π order of the old
+// database with the changed tuples gives exactly the Π order of the mutated
+// one — in place (identity map, tombstoned variables) and across a clone.
+func TestPatchOrderEqualsTupleOrder(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(700 + seed))
+		n := 4 + rng.Int63n(10)
+		db := randSepDB(rng, n)
+		pi := IdentityPerm(db)
+		old := TupleOrder(db, pi)
+		for batch := 0; batch < 4; batch++ {
+			newDB := mutateSepDB(rng, db, n)
+			got := patchOrder(old, testVarMap(db, newDB), newDB, pi, diffByKey(db, newDB))
+			want := TupleOrder(newDB, pi)
+			if !reflect.DeepEqual(got, want) && (len(got) != 0 || len(want) != 0) {
+				t.Fatalf("seed %d batch %d: patched %v, sorted %v", seed, batch, got, want)
+			}
+			db, old = newDB, got
+		}
+	}
+}
+
+// TestPatchOrderLearnedOrder: under a learned (block-locally permuted) order
+// survivors keep their relative order, a tuple listed twice is inserted once,
+// and a new tuple lands inside its own separator-value region.
+func TestPatchOrderLearnedOrder(t *testing.T) {
+	db := engine.NewDatabase()
+	db.MustCreateRelation("S", false, "a", "b")
+	var vars [3][3]int
+	for a := 0; a < 3; a++ {
+		for b := 0; b < 3; b++ {
+			vars[a][b] = db.MustInsert("S", 0.5, engine.Int(int64(10*(a+1))), engine.Int(int64(b)))
+		}
+	}
+	// Each value's three variables reversed: sifted inside the block windows.
+	var learned []int
+	for a := 0; a < 3; a++ {
+		learned = append(learned, vars[a][2], vars[a][1], vars[a][0])
+	}
+	gone := []engine.Value{engine.Int(10), engine.Int(1)}
+	if _, err := db.DeleteTuple("S", gone); err != nil {
+		t.Fatal(err)
+	}
+	fresh := []engine.Value{engine.Int(20), engine.Int(7)}
+	v := db.MustInsert("S", 0.5, fresh...)
+	identity := func(x int) (int, bool) {
+		_, err := db.VarRef(x)
+		return x, err == nil
+	}
+	got := patchOrder(learned, identity, db, IdentityPerm(db), []ChangedTuple{
+		{Rel: "S", Vals: gone}, {Rel: "S", Vals: fresh}, {Rel: "S", Vals: fresh},
+	})
+	if len(got) != 9 {
+		t.Fatalf("patched order %v: want 9 variables", got)
+	}
+	at := -1
+	var rest []int
+	for i, x := range got {
+		if x == v {
+			at = i
+		} else {
+			rest = append(rest, x)
+		}
+	}
+	want := []int{vars[0][2], vars[0][0], vars[1][2], vars[1][1], vars[1][0], vars[2][2], vars[2][1], vars[2][0]}
+	if !reflect.DeepEqual(rest, want) {
+		t.Fatalf("survivors reordered: %v, want %v", rest, want)
+	}
+	if at < 2 || at > 5 {
+		t.Fatalf("new variable at position %d of %v, outside its value's region [2,5]", at, got)
 	}
 }

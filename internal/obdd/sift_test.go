@@ -360,59 +360,6 @@ func TestCompileWithReorder(t *testing.T) {
 	}
 }
 
-// TestMergeOrder covers survivor ordering, insertion next to Π-neighbors,
-// and variable mapping.
-func TestMergeOrder(t *testing.T) {
-	learned := []int{30, 10, 20}
-	pi := []int{10, 20, 30}
-	got := MergeOrder(learned, nil, pi)
-	if len(got) != 3 || got[0] != 30 || got[1] != 10 || got[2] != 20 {
-		t.Fatalf("survivors must keep learned order: %v", got)
-	}
-
-	// 15 is new and follows 10 in Π; 5 is new and precedes every survivor.
-	pi = []int{5, 10, 15, 20, 30}
-	got = MergeOrder(learned, nil, pi)
-	want := []int{5, 30, 10, 15, 20}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MergeOrder = %v, want %v", got, want)
-		}
-	}
-
-	// Mapping: learned ids are old-space; 30 died, 10 maps to 11, 20 to 21.
-	mapVar := func(v int) (int, bool) {
-		switch v {
-		case 10:
-			return 11, true
-		case 20:
-			return 21, true
-		}
-		return 0, false
-	}
-	pi = []int{11, 21, 99}
-	got = MergeOrder(learned, mapVar, pi)
-	want = []int{11, 21, 99} // wait: learned order maps to [11, 21]; 99 attaches after 21
-	_ = want
-	if len(got) != 3 || got[0] != 11 || got[1] != 21 || got[2] != 99 {
-		t.Fatalf("mapped MergeOrder = %v", got)
-	}
-
-	// Result must always be a permutation of pi.
-	perm := map[int]bool{}
-	for _, v := range got {
-		if perm[v] {
-			t.Fatalf("duplicate in merged order: %v", got)
-		}
-		perm[v] = true
-	}
-	for _, v := range pi {
-		if !perm[v] {
-			t.Fatalf("missing %d in merged order %v", v, got)
-		}
-	}
-}
-
 // TestLevelTableDelete exercises the backward-shift deletion of the sifter's
 // per-level table directly, including collision chains.
 func TestLevelTableDelete(t *testing.T) {

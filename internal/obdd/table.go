@@ -66,11 +66,26 @@ func (t *uniqueTable) lookup(nodes []node, level int32, lo, hi NodeID) (NodeID, 
 func (t *uniqueTable) insert(nodes []node, id NodeID, slot uint64) {
 	t.slots[slot] = id
 	t.n++
-	if t.n*4 < len(t.slots)*3 {
-		return
+	if t.n*4 >= len(t.slots)*3 {
+		t.rehash(nodes, len(t.slots)*2)
 	}
-	t.slots = make([]NodeID, len(t.slots)*2)
-	mask := uint64(len(t.slots) - 1)
+}
+
+// reserve grows the table so that n nodes fit under the load factor without
+// further doubling.
+func (t *uniqueTable) reserve(nodes []node, n int) {
+	size := len(t.slots)
+	for n*4 >= size*3 {
+		size *= 2
+	}
+	if size > len(t.slots) {
+		t.rehash(nodes, size)
+	}
+}
+
+func (t *uniqueTable) rehash(nodes []node, size int) {
+	t.slots = make([]NodeID, size)
+	mask := uint64(size - 1)
 	for nid := NodeID(2); int(nid) < len(nodes); nid++ {
 		n := &nodes[nid]
 		i := hashNode(n.level, n.lo, n.hi) & mask

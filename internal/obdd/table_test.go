@@ -2,6 +2,8 @@ package obdd
 
 import (
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -165,5 +167,43 @@ func TestFloatMemoSparseFallback(t *testing.T) {
 	mm.reset(64, true)
 	if mm.sparse != nil {
 		t.Fatal("dense reset kept the sparse map")
+	}
+}
+
+// TestMemoGrowthIsGeometric: a caller that borrows a dense memo once per step
+// while the manager grows — here a 2000-link OrDisjoint chain — must allocate
+// O(nodes) bytes in total. Sizing the memo at exactly the current node count
+// reallocated two manager-sized slices per link, O(links × nodes).
+func TestMemoGrowthIsGeometric(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops pooled memos at random, so every link may start from an empty one")
+	}
+	const links, width = 2000, 3
+	order := make([]int, links*width)
+	for i := range order {
+		order[i] = i + 1
+	}
+	// No collection during the measurement: a GC empties the sync.Pool and
+	// would charge the chain for fresh memos.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := NewManager(order)
+	acc := False
+	for i := links - 1; i >= 0; i-- {
+		block := True
+		for l := width - 1; l >= 0; l-- {
+			block = m.MkNode(int32(i*width+l), False, block)
+		}
+		acc = m.OrDisjoint(block, acc)
+	}
+	runtime.ReadMemStats(&after)
+	if got := m.Size(acc); got != links*width {
+		t.Fatalf("chain has %d nodes, want %d", got, links*width)
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(256 * m.NumNodes()); bytes > limit {
+		t.Fatalf("%d-link chain over %d nodes allocated %d bytes (limit %d): memo growth is not geometric",
+			links, m.NumNodes(), bytes, limit)
 	}
 }

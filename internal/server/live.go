@@ -74,6 +74,8 @@ type Live struct {
 	reweights                 atomic.Uint64
 	weightOnlyBatches         atomic.Uint64
 	blocksReused, blocksRecom atomic.Uint64
+	augBlocks, augNodes       atomic.Uint64 // per-block augmentation work
+	splicedNodes              atomic.Uint64 // nodes copied from the old chain
 
 	stop     chan struct{}
 	snapDone chan struct{}
@@ -456,16 +458,22 @@ func (l *Live) applyBatch(w http.ResponseWriter, batch []core.Mutation) {
 	}
 	l.blocksReused.Add(uint64(st.Reused))
 	l.blocksRecom.Add(uint64(st.Recompiled))
+	l.augBlocks.Add(uint64(st.AugmentedBlocks))
+	l.augNodes.Add(uint64(st.AugmentedNodes))
+	l.splicedNodes.Add(uint64(st.SplicedNodes))
 
 	s.writeJSON(w, map[string]any{
-		"seq":         seq,
-		"applied":     st.Applied,
-		"weight_only": st.WeightOnly,
-		"full":        st.Full,
-		"blocks":      st.Blocks,
-		"reused":      st.Reused,
-		"recompiled":  st.Recompiled,
-		"millis":      float64(time.Since(t0).Microseconds()) / 1000,
+		"seq":              seq,
+		"applied":          st.Applied,
+		"weight_only":      st.WeightOnly,
+		"full":             st.Full,
+		"blocks":           st.Blocks,
+		"reused":           st.Reused,
+		"recompiled":       st.Recompiled,
+		"augmented_blocks": st.AugmentedBlocks,
+		"augmented_nodes":  st.AugmentedNodes,
+		"spliced_nodes":    st.SplicedNodes,
+		"millis":           float64(time.Since(t0).Microseconds()) / 1000,
 	})
 }
 
@@ -495,6 +503,9 @@ func (l *Live) stats() map[string]any {
 			"weight_only_batches": l.weightOnlyBatches.Load(),
 			"blocks_reused":       l.blocksReused.Load(),
 			"blocks_recompiled":   l.blocksRecom.Load(),
+			"augmented_blocks":    l.augBlocks.Load(),
+			"augmented_nodes":     l.augNodes.Load(),
+			"spliced_nodes":       l.splicedNodes.Load(),
 		},
 	}
 }

@@ -203,6 +203,11 @@ func TestReweightEndpoint(t *testing.T) {
 	if wo := out["weight_only"].(bool); !wo {
 		t.Fatalf("reweight took the structural path: %v", out)
 	}
+	// One reweighted tuple re-weighs exactly its own chain block and copies
+	// nothing.
+	if out["augmented_blocks"].(float64) != 1 || out["augmented_nodes"].(float64) < 1 || out["spliced_nodes"].(float64) != 0 {
+		t.Fatalf("weight-only work counters: %v", out)
+	}
 	want := scratchProb(t, []core.Mutation{
 		{Op: core.MutReweight, Rel: "Adv", Vals: []engine.Value{engine.Int(1), engine.Int(10)}, Weight: 0.25},
 	}, boolQ)
@@ -237,6 +242,11 @@ func TestLiveStats(t *testing.T) {
 		applied["inserts"].(float64) != 1 || applied["reweights"].(float64) != 1 ||
 		applied["weight_only_batches"].(float64) != 1 {
 		t.Fatalf("applied counters %v", applied)
+	}
+	// The structural batch augmented every block (first batch: full compile),
+	// the reweight one more.
+	if applied["augmented_blocks"].(float64) < 2 || applied["augmented_nodes"].(float64) < 2 || applied["spliced_nodes"] == nil {
+		t.Fatalf("work counters %v", applied)
 	}
 	if live["snapshot_seq"].(float64) != 2 {
 		t.Fatalf("snapshot_seq %v", live["snapshot_seq"])
