@@ -69,9 +69,10 @@ func (st *advState) reweight(s int64) core.Mutation {
 
 // batch draws one batch: an insert into an existing block, an insert that
 // creates a new separator value, a delete that empties a block, reweights
-// above 1, or several of these across different blocks.
+// above 1, a delete and re-insert of one tuple under a new weight, or several
+// of these across different blocks.
 func (st *advState) batch() []core.Mutation {
-	switch st.rng.Intn(6) {
+	switch st.rng.Intn(7) {
 	case 0:
 		return []core.Mutation{st.insert(st.student())}
 	case 1:
@@ -92,6 +93,14 @@ func (st *advState) batch() []core.Mutation {
 			delete(st.adv, s)
 		}
 		return []core.Mutation{{Op: core.MutDelete, Rel: "Adv", Vals: advVals(s, a)}}
+	case 5: // same tuple back under a new weight: no presence change, a structural batch
+		s := st.student()
+		vals := advVals(s, st.adv[s][0])
+		return []core.Mutation{
+			{Op: core.MutDelete, Rel: "Adv", Vals: vals},
+			{Op: core.MutInsert, Rel: "Adv", Vals: vals, Weight: 0.2 + 3*st.rng.Float64()},
+			st.insert(st.student()),
+		}
 	}
 	// Multi-block: reweight, insert into an old block, open a new block and
 	// empty a third.

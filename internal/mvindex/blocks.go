@@ -1,6 +1,7 @@
 package mvindex
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -233,10 +234,11 @@ func (ix *Index) levelRun(v int) (k int, run []int32) {
 // for each run of consecutive clean blocks, with manager node ids and levels
 // renamed through the delta's maps — and only the recompiled separator blocks
 // are re-examined for convergence points and re-augmented (counted in st). It
-// returns which blocks, by new block number, are fresh or, when the old
-// directory does not line up with the record (which only a bug can cause),
-// nil with nothing changed — the caller then augments everything.
-func (ix *Index) carry(d *obdd.Delta, oldRec *obdd.BlockRecord, st *MaintStats) (fresh []bool) {
+// returns which blocks, by new block number, are fresh. Every recorded
+// separator-block root is a chain root of the index (the record is cut from
+// the same chain); carry fails, with the augmentation untouched, if that
+// invariant is broken.
+func (ix *Index) carry(d *obdd.Delta, oldRec *obdd.BlockRecord, st *MaintStats) (fresh []bool, err error) {
 	oldM, oldRoots, oldLevels, oldProb, oldCC := ix.m, ix.chainRoots, ix.chainLevels, ix.blockProb, ix.cc
 	// oldBlock finds the old chain block a recorded separator block starts.
 	oldBlock := func(root obdd.NodeID) int {
@@ -276,13 +278,10 @@ func (ix *Index) carry(d *obdd.Delta, oldRec *obdd.BlockRecord, st *MaintStats) 
 			k1 = oldBlock(oldRec.Roots[last+1])
 		}
 		if k0 < 0 || k1 <= k0 {
-			return nil
+			return nil, fmt.Errorf("mvindex: recorded separator blocks %d..%d do not start chain blocks (chain blocks %d, %d)", from, last, k0, k1)
 		}
 		runs = append(runs, run{at: len(roots), k0: k0, k1: k1})
 		for k := k0; k < k1; k++ {
-			if d.NodeMap[oldRoots[k]] == 0 {
-				return nil
-			}
 			roots = append(roots, d.NodeMap[oldRoots[k]])
 			levels = append(levels, d.LevelMap[oldLevels[k]])
 		}
@@ -327,5 +326,5 @@ func (ix *Index) carry(d *obdd.Delta, oldRec *obdd.BlockRecord, st *MaintStats) 
 		copy(ix.blockProb[k:], oldProb[r.k0:r.k1])
 		k += r.k1 - r.k0
 	}
-	return fresh
+	return fresh, nil
 }

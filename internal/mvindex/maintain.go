@@ -144,11 +144,15 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 	st.Full, st.Blocks, st.Reused, st.Recompiled, st.SplicedNodes =
 		d.Stats.Full, d.Stats.Blocks, d.Stats.Reused, d.Stats.Recompiled, d.Stats.Spliced
 
-	// Weights: every variable the batch created, freed or reweighted.
+	// Weights: every variable the batch created, freed or reweighted. Inserts
+	// count even when the tuple's presence did not change — a tuple deleted
+	// and re-inserted in one batch comes back under a new weight, and on the
+	// re-translation route it is not in changed and its block may be clean.
 	var touched []int
 	for _, mu := range batch {
-		if r := newTr.DB.Relation(mu.Rel); mu.Op == core.MutReweight && r != nil {
-			if i := r.Lookup(mu.Vals); i >= 0 { // still there: not deleted later in the batch
+		if r := newTr.DB.Relation(mu.Rel); mu.Op != core.MutDelete && r != nil {
+			// Still there (not deleted later in the batch) and probabilistic.
+			if i := r.Lookup(mu.Vals); i >= 0 && r.Tuples[i].Var != 0 {
 				touched = append(touched, r.Tuples[i].Var)
 			}
 		}
@@ -166,16 +170,17 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 		ix.probs = newTr.DB.Probs()
 	}
 
-	// Augmentation: carried across for the blocks the splice copied.
-	var fresh []bool
-	if !d.Stats.Full {
-		fresh = ix.carry(d, oldRec, &st)
-	}
-	if fresh == nil {
+	// Augmentation: every block after a full compile, else carried across
+	// for the blocks the splice copied.
+	if d.Stats.Full {
 		ix.m, ix.root = d.M, d.Root
 		st.AugmentedNodes = ix.augmentAll()
 		st.AugmentedBlocks = len(ix.chainRoots)
 	} else {
+		fresh, err := ix.carry(d, oldRec, &st)
+		if err != nil {
+			return st, err
+		}
 		ix.reweigh(touched, fresh, &st)
 	}
 	ix.weightsChanged()

@@ -185,44 +185,31 @@ func (ix *Index) Sift(opts obdd.ReorderOptions) (obdd.ReorderStats, error) {
 	return st, nil
 }
 
-// blockWindows derives one sifting window per chain block from the current
-// chain levels: [level(root_k), level(root_{k+1})), with the first window
-// extended down to level 0 and the last up to NumVars so every level is
-// covered. Keeping each variable inside its window preserves the
-// convergence points appendChain finds.
+// blockWindows derives one sifting window per chain block: the levels from
+// the block's root down to its deepest node. Keeping each variable inside its
+// window preserves the convergence points appendChain finds. Levels between
+// two blocks' windows hold variables with no node in the index — tuples of
+// separator values W does not constrain — and sifting leaves them where they
+// are: a window never spans two separator values, so every value's variables
+// stay contiguous in the learned order, which is what lets a later insert at
+// any value, constrained so far or not, find its place by binary search
+// (obdd.CompileDelta).
 func (ix *Index) blockWindows() [][2]int {
-	if len(ix.chainLevels) == 0 {
-		return nil
-	}
-	n := ix.m.NumVars()
-	wins := make([][2]int, 0, len(ix.chainLevels))
-	for k := range ix.chainLevels {
-		lo := int(ix.chainLevels[k])
-		if k == 0 {
-			lo = 0
-		}
-		hi := n
-		if k+1 < len(ix.chainLevels) {
-			hi = int(ix.chainLevels[k+1])
-		}
-		if hi > lo {
-			wins = append(wins, [2]int{lo, hi})
-		}
+	cc := ix.cc
+	wins := make([][2]int, len(ix.chainLevels))
+	for k, l := range ix.chainLevels {
+		a, b := cc.off[k], cc.off[k+1]
+		wins[k] = [2]int{int(l), int(cc.level[a+cc.byLevel[b-1]]) + 1}
 	}
 	return wins
 }
 
 // BlockWindows returns the per-block sifting windows (half-open level
-// ranges) Sift uses: one window per chain block, covering [0, NumVars)
-// contiguously. Callers may use them to construct alternative block-local
-// variable orders — any order that permutes levels only inside these windows
-// preserves the chain factorization and is safe as CompileOptions.Order.
-func (ix *Index) BlockWindows() [][2]int {
-	wins := ix.blockWindows()
-	out := make([][2]int, len(wins))
-	copy(out, wins)
-	return out
-}
+// ranges) Sift uses: one window per chain block, in chain order and disjoint.
+// Callers may use them to construct alternative block-local variable orders —
+// any order that permutes levels only inside these windows preserves the
+// chain factorization and is safe as CompileOptions.Order.
+func (ix *Index) BlockWindows() [][2]int { return ix.blockWindows() }
 
 // noteReorder records reordering provenance after a sift or restore.
 func (ix *Index) noteReorder(mode obdd.ReorderMode, st obdd.ReorderStats, prov string) {

@@ -2,6 +2,7 @@ package mvindex
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -42,6 +43,35 @@ func multiAdvMVDB(n int64, seed int64) *core.MVDB {
 		}
 	}
 	return m
+}
+
+// pairViewMVDB builds Adv(s,a) under a view over advisor pairs: every third
+// student has a single advisor, so W does not mention them — their tuples sit
+// in the variable order between two blocks without belonging to either. It
+// returns those students too.
+func pairViewMVDB(n int64) (*core.MVDB, []int64) {
+	db := engine.NewDatabase()
+	db.MustCreateRelation("Adv", false, "s", "a")
+	var lone []int64
+	for s := int64(1); s <= n; s++ {
+		k := int64(3)
+		if s%3 == 0 {
+			k = 1
+			lone = append(lone, s)
+		}
+		for j := int64(1); j <= k; j++ {
+			db.MustInsert("Adv", 0.3+float64(s%7)/10, engine.Int(s), engine.Int(100*j+s))
+		}
+	}
+	m := core.New(db)
+	v, err := core.ParseView("V(s) :- Adv(s,a), Adv(s,b), a <> b", core.ConstWeight(0.5))
+	if err != nil {
+		panic(err)
+	}
+	if err := m.AddView(v); err != nil {
+		panic(err)
+	}
+	return m, lone
 }
 
 func siftQueries(n int64) []ucq.Query {
@@ -290,29 +320,80 @@ func TestSiftOffNoop(t *testing.T) {
 	}
 }
 
-// TestBlockWindows: the derived windows must cover [0, NumVars) exactly,
-// one window per chain block.
+// TestBlockWindows: one window per chain block, disjoint and in chain order,
+// each holding exactly the levels its block has nodes between — and never a
+// variable of another separator value, even where tuples W does not constrain
+// sit between two blocks.
 func TestBlockWindows(t *testing.T) {
-	m := multiAdvMVDB(15, 4)
+	m, _ := pairViewMVDB(15)
 	_, ix := buildIndex(t, m)
 	ws := ix.blockWindows()
-	if len(ws) == 0 {
-		t.Fatal("no windows")
-	}
-	if ws[0][0] != 0 {
-		t.Fatalf("first window starts at %d", ws[0][0])
-	}
-	nv := ix.Manager().NumVars()
-	if ws[len(ws)-1][1] != nv {
-		t.Fatalf("last window ends at %d, want %d", ws[len(ws)-1][1], nv)
-	}
-	for i := 1; i < len(ws); i++ {
-		if ws[i][0] != ws[i-1][1] {
-			t.Fatalf("windows not contiguous: %v", ws)
-		}
-	}
-	if len(ws) != ix.Blocks() {
+	if len(ws) == 0 || len(ws) != ix.Blocks() {
 		t.Fatalf("%d windows for %d blocks", len(ws), ix.Blocks())
+	}
+	db, mgr := ix.Translation().DB, ix.Manager()
+	covered := 0
+	for k, w := range ws {
+		if k > 0 && w[0] < ws[k-1][1] {
+			t.Fatalf("windows overlap or are out of order: %v", ws)
+		}
+		_, first, err := db.VarTuple(mgr.VarAtLevel(w[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := w[0]; l < w[1]; l++ {
+			_, tup, err := db.VarTuple(mgr.VarAtLevel(l))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tup.Vals[0].Equal(first.Vals[0]) {
+				t.Fatalf("window %v spans separator values %v and %v", w, first.Vals[0], tup.Vals[0])
+			}
+			if b := ix.BlockOf(mgr.VarAtLevel(l)); b != k && b != -1 {
+				t.Fatalf("level %d of window %d %v belongs to block %d", l, k, w, b)
+			}
+		}
+		covered += w[1] - w[0]
+	}
+	if covered >= mgr.NumVars() {
+		t.Fatalf("windows cover all %d levels: the unconstrained students' tuples should lie outside", mgr.NumVars())
+	}
+}
+
+// TestSiftedInsertAtUnconstrainedValue: under a learned order, a second
+// advisor for a student W did not mention so far opens a block between two
+// carried ones — the patched order must place the student's variables
+// together, outside both neighbours, so the batch stays incremental.
+func TestSiftedInsertAtUnconstrainedValue(t *testing.T) {
+	m, lone := pairViewMVDB(12)
+	_, ix := buildIndex(t, m)
+	ins := func(s, a int64) []core.Mutation {
+		return []core.Mutation{{Op: core.MutInsert, Rel: "Adv", Vals: advVals(s, a), Weight: 0.7}}
+	}
+	// The first structural batch records the blocks; then learn an order.
+	if _, err := ix.ApplyMutations(ins(1, 999)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.Sift(obdd.ReorderOptions{Mode: obdd.ReorderConverge}); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range lone {
+		// Below and above the student's one advisor in Π.
+		a := int64(50)
+		if i%2 == 1 {
+			a = 950
+		}
+		blocks := ix.Blocks()
+		ms, err := ix.ApplyMutations(ins(s, a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		when := fmt.Sprintf("insert Adv(%d,%d) (%+v)", s, a, ms)
+		if ms.Full || ms.Reused == 0 || ix.Blocks() <= blocks {
+			t.Fatalf("%s: want an incremental batch that opens a block (had %d, have %d)", when, blocks, ix.Blocks())
+		}
+		checkAugmentation(t, ix, when)
+		checkAnswers(t, ix, when)
 	}
 }
 

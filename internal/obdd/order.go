@@ -161,9 +161,12 @@ func compareKeys(ka []engine.Value, relA string, kb []engine.Value, relB string)
 // When old is the static Π order the result is exactly TupleOrder(db, pi).
 // When old is a learned (sifted) order, survivors keep their learned relative
 // order — so every clean block can be copied level by level — and the binary
-// search still lands a new variable inside its own separator-value region:
-// sifting permutes variables only within block windows, so the "precedes the
-// new tuple" predicate is monotone outside the region and the search can only
+// search still lands a new variable inside its own separator-value region.
+// That rests on the learned order keeping every separator value's variables
+// contiguous — the caller's sifting windows must not span two values (the
+// MV-index's span one chain block's own levels, never the unconstrained
+// tuples between blocks): the "precedes the new tuple" predicate is then
+// monotone outside the region, also an empty one, and the search can only
 // stop at a transition inside it (or at its edges).
 func patchOrder(old []int, varMap func(int) (int, bool), db *engine.Database, pi Perm, changed []ChangedTuple) []int {
 	survivors := make([]int, 0, len(old))

@@ -39,6 +39,27 @@ func replPrimaryServer(t *testing.T, dir string, rcfg ReplicationConfig) (*Serve
 	return s, l, ts
 }
 
+// killServer stops a test server the way a crash would: no new connections,
+// open ones severed. Close shuts the listener and then waits for active
+// connections; a follower that re-dials between a CloseClientConnections and
+// the Close holds a stream open that nothing would ever end, so connections
+// are severed until Close returns.
+func killServer(ts *httptest.Server) {
+	done := make(chan struct{})
+	go func() {
+		ts.Close()
+		close(done)
+	}()
+	for {
+		ts.CloseClientConnections()
+		select {
+		case <-done:
+			return
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+}
+
 // replFollowerServer bootstraps a follower of primaryURL and serves it.
 func replFollowerServer(t *testing.T, cfg FollowerConfig) (*Server, *FollowerState, *httptest.Server) {
 	t.Helper()
@@ -180,8 +201,7 @@ func TestFollowerStaleness503(t *testing.T) {
 		t.Fatalf("fresh follower answer %v want %v", got, exp)
 	}
 	// Kill the primary; heartbeats stop; the bound trips.
-	pts.CloseClientConnections()
-	pts.Close()
+	killServer(pts)
 	waitReplication(t, "staleness trip", func() bool {
 		rec, _ := do(t, fs, "POST", "/query", fmt.Sprintf(`{"query": %q}`, boolQ))
 		return rec.Code == http.StatusServiceUnavailable
@@ -218,8 +238,7 @@ func TestPromoteFailover(t *testing.T) {
 	waitReplication(t, "pre-failover catch-up", func() bool { return followerApplied(fs) == 2 })
 
 	// Primary dies mid-stream.
-	pts.CloseClientConnections()
-	pts.Close()
+	killServer(pts)
 
 	rec, out := do(t, fs, "POST", "/replication/promote", "")
 	if rec.Code != http.StatusOK {
@@ -281,8 +300,7 @@ func TestPromoteBootstrapOnlySeqLine(t *testing.T) {
 	fs, _, _ := replFollowerServer(t, FollowerConfig{Dir: fdir, PrimaryURL: pts.URL})
 	waitReplication(t, "bootstrap", func() bool { return followerApplied(fs) == 1 })
 
-	pts.CloseClientConnections()
-	pts.Close()
+	killServer(pts)
 	if rec, _ := do(t, fs, "POST", "/replication/promote", ""); rec.Code != http.StatusOK {
 		t.Fatalf("promote: %d", rec.Code)
 	}
@@ -610,8 +628,7 @@ func TestPromoteStopsFollowerSnapshotter(t *testing.T) {
 	// the snapshot file.
 	time.Sleep(60 * time.Millisecond)
 
-	pts.CloseClientConnections()
-	pts.Close()
+	killServer(pts)
 	if rec, _ := do(t, fs, "POST", "/replication/promote", ""); rec.Code != http.StatusOK {
 		t.Fatalf("promote: %d", rec.Code)
 	}
