@@ -27,6 +27,14 @@ go test -race -run 'TestSingleflightHammer|TestConcurrentHammer|TestMidFlightInv
 go test -race -run 'TestUpdateQueryInterleave|TestCrashRecovery|TestApplyMutationsEpoch|TestIncrementalAugmentEqualsRebuild' \
     -count=2 -timeout 5m ./internal/server/ ./internal/mvindex/
 
+# Pipelined commit, explicitly under the race detector (DESIGN.md §10): the
+# fsync runs beside the index apply and with the log unlocked, so the ack must
+# provably wait for it, Rotate must serialise with a commit in flight, a lone
+# writer must pay no window, and a failed write or fsync must fail the log for
+# good instead of being retried.
+go test -race -run 'TestGroupCommit|TestLoneWriterPaysNoWindow|TestSlowDiskBatches|TestGatherWaitsOnlyForSeenWriters|TestRotateRacesCommit|TestFailedLogStaysFailed|TestAckWaitsForFsync|TestCrashInsideCommit|TestServerGroupCommit|TestWALErrorIs5xx' \
+    -count=2 -timeout 5m ./internal/wal/ ./internal/server/
+
 # Replication hammer, explicitly under the race detector: the log-shipping
 # stream survives dropped/duplicated/truncated/stalled frames (DESIGN.md §11),
 # failover fences the old primary, and a stale follower refuses to serve.
@@ -122,6 +130,23 @@ curl -fsS -X POST "http://$addr/update" -H 'Content-Type: application/json' \
 mutated=$(curl -fsS -X POST "http://$addr/query" -H 'Content-Type: application/json' \
     -d '{"query": "Q(a) :- Advisor(104,a)"}' | tr -d ' \n\t' | sed 's/.*"answers"://;s/,"millis.*//')
 [ "$before" != "$mutated" ] || { echo "crash smoke: update did not change the answer"; kill -9 "$mvdbd_pid"; exit 1; }
+
+# Commit-pipeline smoke, on counts not clocks: with the default flags (a 2 ms
+# -group-commit ceiling) a lone client's sequential updates must get one fsync
+# each — no shared, skipped or repeated commit — and every one of them must be
+# durable by the time it was answered. The update above was the first of 20.
+for i in $(seq 2 20); do
+    curl -fsS -X POST "http://$addr/update" -H 'Content-Type: application/json' \
+        -d "{\"mutations\": [{\"op\": \"reweight\", \"rel\": \"Advisor\", \"vals\": [104, 9999], \"weight\": $i}]}" >/dev/null
+done
+walstats=$(curl -fsS "http://$addr/stats" | tr -d ' \n\t' | sed 's/.*"wal":{//;s/}.*//')
+for want in '"fsyncs":20' '"fsync_frames":20' '"synced_seq":20' '"frames":20'; do
+    printf '%s' "$walstats" | grep -q "$want" \
+        || { echo "commit smoke: want $want in live.wal, got {$walstats}"; kill -9 "$mvdbd_pid"; exit 1; }
+done
+# The reweights moved the answer again; this is what recovery must reproduce.
+mutated=$(curl -fsS -X POST "http://$addr/query" -H 'Content-Type: application/json' \
+    -d '{"query": "Q(a) :- Advisor(104,a)"}' | tr -d ' \n\t' | sed 's/.*"answers"://;s/,"millis.*//')
 kill -9 "$mvdbd_pid"
 wait "$mvdbd_pid" 2>/dev/null || true   # SIGKILL: non-zero by design
 "$bindir/mvdbd" -addr "$addr" -authors 120 -wal-dir "$waldir" -query-timeout 10s &
@@ -138,8 +163,8 @@ done
 recovered=$(curl -fsS -X POST "http://$addr/query" -H 'Content-Type: application/json' \
     -d '{"query": "Q(a) :- Advisor(104,a)"}' | tr -d ' \n\t' | sed 's/.*"answers"://;s/,"millis.*//')
 [ "$mutated" = "$recovered" ] || { echo "crash smoke: recovery diverged: $mutated vs $recovered"; kill "$mvdbd_pid"; exit 1; }
-curl -fsS "http://$addr/stats" | tr -d ' \n\t' | grep -q '"frames":1' \
-    || { echo "crash smoke: recovered WAL does not hold the replayed frame"; kill "$mvdbd_pid"; exit 1; }
+curl -fsS "http://$addr/stats" | tr -d ' \n\t' | grep -q '"frames":20,' \
+    || { echo "crash smoke: recovered WAL does not hold the 20 replayed frames"; kill "$mvdbd_pid"; exit 1; }
 kill -TERM "$mvdbd_pid"
 wait "$mvdbd_pid"
 

@@ -81,7 +81,7 @@ func main() {
 		walDir       = flag.String("wal-dir", "", "enable the live-update write path: directory for the write-ahead log")
 		snapPath     = flag.String("snapshot", "", "index snapshot path for recovery and WAL truncation (default <wal-dir>/index.snap)")
 		snapInterval = flag.Duration("snapshot-interval", 5*time.Minute, "background snapshot period (0 = snapshot only on shutdown)")
-		groupCommit  = flag.Duration("group-commit", 2*time.Millisecond, "WAL group-commit window; concurrent updates share one fsync (0 = fsync per batch)")
+		groupCommit  = flag.Duration("group-commit", 2*time.Millisecond, "longest a WAL commit waits for concurrent writers it has seen, so they share its fsync; a lone writer never waits (0 = never wait; writers still share the fsyncs they overlap)")
 
 		replicaOf    = flag.String("replica-of", "", "run as a read replica of this primary URL (requires -wal-dir for local replica state)")
 		maxStaleness = flag.Duration("max-staleness", 10*time.Second, "replica staleness bound: reads answer 503 + Retry-After when further behind the primary (0 = serve arbitrarily stale)")

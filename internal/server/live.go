@@ -17,12 +17,14 @@ import (
 )
 
 // Live-update subsystem: the server's write path. Mutation batches are
-// validated against the current source MVDB, appended to a write-ahead log,
-// applied to the index incrementally (mvindex.ApplyMutations), and
-// acknowledged only after the WAL frame is fsynced — so an acknowledged
-// mutation survives any crash. A background snapshotter periodically
-// persists the index (with the covered WAL sequence number) and truncates
-// the log; recovery loads the latest snapshot and replays the WAL tail.
+// validated against the current source MVDB and appended to a write-ahead
+// log; then the frame's fsync and the incremental index apply
+// (mvindex.ApplyMutations) run side by side, and the batch is acknowledged
+// only after both — so an acknowledged mutation survives any crash, and a
+// write costs the longer of the two, not their sum. A background snapshotter
+// periodically persists the index (with the covered WAL sequence number) and
+// truncates the log; recovery loads the latest snapshot and replays the WAL
+// tail.
 
 // LiveConfig configures the write path.
 type LiveConfig struct {
@@ -35,7 +37,8 @@ type LiveConfig struct {
 	// SnapshotInterval is the period of the background snapshotter; 0
 	// disables it (snapshots then happen only on Close).
 	SnapshotInterval time.Duration
-	// GroupCommit is the WAL group-commit window (see wal.Options).
+	// GroupCommit is the ceiling on the WAL's wait for concurrent writers
+	// (see wal.Options); a lone writer never waits.
 	GroupCommit time.Duration
 	// MaxPendingUpdates caps update requests waiting for the writer lock,
 	// separately from the reader admission semaphore; excess requests are
@@ -60,8 +63,9 @@ type Live struct {
 	srv *Server
 
 	// updateMu serializes the write path (validate → append → apply). It is
-	// held in lock order before the server's index lock; the fsync happens
-	// after release so concurrent committers coalesce.
+	// held in lock order before the server's index lock. The fsync of a frame
+	// starts at its append and is awaited after release, so it overlaps the
+	// apply, and a slow one is shared by the writers that follow.
 	updateMu sync.Mutex
 	sem      chan struct{} // pending-writer admission
 
@@ -370,8 +374,9 @@ func (l *Live) handleReweight(w http.ResponseWriter, r *http.Request) {
 }
 
 // applyBatch runs the write path for one validated-shape batch: admission,
-// semantic validation under the writer lock, WAL append, incremental index
-// maintenance, and the durability fsync before the acknowledgment.
+// semantic validation under the writer lock, WAL append, then the durability
+// fsync beside the incremental index maintenance, and the acknowledgment
+// after both.
 func (l *Live) applyBatch(w http.ResponseWriter, batch []core.Mutation) {
 	s := l.srv
 	if s.draining.Load() {
@@ -417,6 +422,9 @@ func (l *Live) applyBatch(w http.ResponseWriter, batch []core.Mutation) {
 		s.httpError(w, http.StatusInternalServerError, "wal", "logging batch: %v", err)
 		return
 	}
+	// The frame's fsync starts here and runs beside the apply. Readers may
+	// see the batch before it is durable; its writer may not.
+	synced := l.log.StartSync()
 
 	s.mu.Lock()
 	st, err := ix.ApplyMutations(batch)
@@ -426,6 +434,7 @@ func (l *Live) applyBatch(w http.ResponseWriter, batch []core.Mutation) {
 		// It is already in the WAL; recovery would hit the same error, so
 		// this is loud.
 		l.updateMu.Unlock()
+		_ = synced() // nothing is acknowledged; only wait the commit out
 		s.logf("server: CRITICAL: logged batch failed to apply: %v", err)
 		s.httpError(w, http.StatusInternalServerError, "", "applying batch: %v", err)
 		return
@@ -434,9 +443,9 @@ func (l *Live) applyBatch(w http.ResponseWriter, batch []core.Mutation) {
 	l.updateMu.Unlock()
 
 	// Durability point: acknowledge only after the frame is on disk. The
-	// writer lock is released first so concurrent committers share the
-	// fsync (group commit).
-	if err := l.log.Sync(); err != nil {
+	// writer lock is released first, so the writers that follow append while
+	// a slow fsync is in flight and share the next one (group commit).
+	if err := synced(); err != nil {
 		s.httpError(w, http.StatusInternalServerError, "wal", "syncing batch: %v", err)
 		return
 	}
@@ -491,6 +500,12 @@ func (l *Live) stats() map[string]any {
 			"segments":   ws.Segments,
 			"generation": ws.Generation,
 			"synced_seq": ws.SyncedSeq,
+			// fsync_frames/fsyncs is the group-commit batch size; ack_wait_ns
+			// per batch is what the fsync cost a writer beyond its apply.
+			"fsyncs":       ws.Fsyncs,
+			"fsync_frames": ws.FsyncFrames,
+			"fsync_ns":     ws.FsyncNs,
+			"ack_wait_ns":  ws.AckWaitNs,
 		},
 		"snapshot_seq":          l.snapSeq.Load(),
 		"last_snapshot_age_sec": snapAge,

@@ -1,13 +1,18 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
@@ -437,5 +442,235 @@ func TestUpdateQueryInterleave(t *testing.T) {
 	wg.Wait()
 	if got, want := queryProb(t, s, boolQ), scratchProb(t, batches, boolQ); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("final prob %v want %v", got, want)
+	}
+}
+
+// commitGate is a wal BeforeSync hook that, while armed, holds every group
+// commit before its write until the test lets it go.
+type commitGate struct {
+	armed   atomic.Bool
+	entered chan struct{} // one receive per held commit
+	release chan error    // what the held commit's hook returns
+}
+
+func newCommitGate() *commitGate {
+	return &commitGate{entered: make(chan struct{}), release: make(chan error)}
+}
+
+func (g *commitGate) hook() error {
+	if !g.armed.Load() {
+		return nil
+	}
+	g.entered <- struct{}{}
+	return <-g.release
+}
+
+// post sends one write from a goroutine of its own and delivers the recorded
+// response.
+func post(s *Server, path, body string) <-chan *httptest.ResponseRecorder {
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		done <- rec
+	}()
+	return done
+}
+
+// awaitProb polls a query until it answers want: the moment an applied batch
+// becomes visible to readers.
+func awaitProb(t *testing.T, s *Server, query string, want float64) {
+	t.Helper()
+	waitReplication(t, fmt.Sprintf("query %s to answer %v", query, want),
+		func() bool { return math.Abs(queryProb(t, s, query)-want) <= 1e-12 })
+}
+
+// TestAckWaitsForFsync: the fsync runs beside the apply, so readers see a
+// batch while its commit is still held — but neither /update nor /reweight
+// answers before the fsync that covers its frame.
+func TestAckWaitsForFsync(t *testing.T) {
+	gate := newCommitGate()
+	s, l := liveServer(t, LiveConfig{
+		WALDir: filepath.Join(t.TempDir(), "wal"),
+		Hooks:  wal.Hooks{BeforeSync: gate.hook},
+	})
+	defer l.Close()
+	gate.armed.Store(true)
+
+	var applied []core.Mutation
+	for i, w := range []struct {
+		path, body string
+		mut        core.Mutation
+	}{
+		{"/update", `{"mutations": [{"op": "insert", "rel": "Adv", "vals": [1, 12], "weight": 3}]}`,
+			core.Mutation{Op: core.MutInsert, Rel: "Adv", Vals: []engine.Value{engine.Int(1), engine.Int(12)}, Weight: 3}},
+		{"/reweight", `{"rel": "Adv", "vals": [1, 10], "weight": 0.5}`,
+			core.Mutation{Op: core.MutReweight, Rel: "Adv", Vals: []engine.Value{engine.Int(1), engine.Int(10)}, Weight: 0.5}},
+	} {
+		seq := uint64(i + 1)
+		acked := post(s, w.path, w.body)
+		<-gate.entered
+		applied = append(applied, w.mut)
+		awaitProb(t, s, boolQ, scratchProb(t, applied, boolQ))
+		select {
+		case rec := <-acked:
+			t.Fatalf("%s answered %d before its fsync: %s", w.path, rec.Code, rec.Body)
+		default:
+		}
+		if got := l.log.SyncedSeq(); got >= seq {
+			t.Fatalf("%s: frame %d durable (synced %d) although its commit is held", w.path, seq, got)
+		}
+		gate.release <- nil
+		rec := <-acked
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s after the fsync: code %d body %s", w.path, rec.Code, rec.Body)
+		}
+		if got := l.log.SyncedSeq(); got < seq {
+			t.Fatalf("%s acknowledged frame %d with the log synced only to %d", w.path, seq, got)
+		}
+	}
+	_, out := do(t, s, "GET", "/stats", "")
+	w := out["live"].(map[string]any)["wal"].(map[string]any)
+	if w["fsyncs"].(float64) != 2 || w["fsync_frames"].(float64) != 2 || w["synced_seq"].(float64) != 2 {
+		t.Fatalf("wal stats %v, want 2 fsyncs of one frame", w)
+	}
+	if w["ack_wait_ns"].(float64) <= 0 || w["fsync_ns"].(float64) <= 0 {
+		t.Fatalf("wal stats %v: held commits left no ack wait or no fsync time", w)
+	}
+}
+
+// TestCrashInsideCommit: the process dies inside BeforeSync, after the apply
+// completed and readers saw the batch. The batch was never acknowledged, and
+// recovery holds it if and only if its frame reached the disk.
+func TestCrashInsideCommit(t *testing.T) {
+	gate := newCommitGate()
+	cfg := LiveConfig{WALDir: filepath.Join(t.TempDir(), "wal")}
+	held := cfg
+	held.Hooks = wal.Hooks{BeforeSync: gate.hook}
+	s, _ := liveServer(t, held)
+
+	first := core.Mutation{Op: core.MutInsert, Rel: "Adv", Vals: []engine.Value{engine.Int(1), engine.Int(12)}, Weight: 3}
+	if rec, _ := do(t, s, "POST", "/update", `{"mutations": [{"op": "insert", "rel": "Adv", "vals": [1, 12], "weight": 3}]}`); rec.Code != http.StatusOK {
+		t.Fatalf("first update: %d", rec.Code)
+	}
+	gate.armed.Store(true)
+	second := core.Mutation{Op: core.MutDelete, Rel: "Adv", Vals: []engine.Value{engine.Int(1), engine.Int(11)}}
+	acked := post(s, "/update", `{"mutations": [{"op": "delete", "rel": "Adv", "vals": [1, 11]}]}`)
+	<-gate.entered
+	awaitProb(t, s, boolQ, scratchProb(t, []core.Mutation{first, second}, boolQ))
+
+	// The crash: nothing of the old process runs again. Recover from disk.
+	var onDisk []core.Mutation
+	if err := wal.Replay(cfg.WALDir, 0, func(_ uint64, rec []byte) error {
+		batch, err := core.DecodeMutations(rec)
+		onDisk = append(onDisk, batch...)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(onDisk) < 1 || len(onDisk) > 2 {
+		t.Fatalf("WAL holds %d mutations, want the acknowledged one and at most the held one", len(onDisk))
+	}
+	s2, l2 := liveServer(t, cfg)
+	defer l2.Close()
+	if got, want := queryProb(t, s2, boolQ), scratchProb(t, onDisk, boolQ); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("recovered answer %v, rebuild over the %d mutations on disk %v", got, len(onDisk), want)
+	}
+	select {
+	case rec := <-acked:
+		t.Fatalf("the held batch was acknowledged: %d %s", rec.Code, rec.Body)
+	default:
+	}
+	// Let the abandoned handler go; it must not turn into an acknowledgment.
+	gate.release <- errors.New("process is gone")
+	if rec := <-acked; rec.Code == http.StatusOK {
+		t.Fatalf("the held batch was acknowledged after all: %s", rec.Body)
+	}
+}
+
+// TestServerGroupCommit: a lone writer gets one fsync per acknowledgment;
+// eight writers behind a slow commit share them; and no acknowledgment ever
+// carries a sequence number the log has not synced.
+func TestServerGroupCommit(t *testing.T) {
+	var slow atomic.Bool
+	s, l := liveServer(t, LiveConfig{
+		WALDir:      filepath.Join(t.TempDir(), "wal"),
+		GroupCommit: 50 * time.Millisecond,
+		Hooks: wal.Hooks{BeforeSync: func() error {
+			if slow.Load() {
+				time.Sleep(3 * time.Millisecond)
+			}
+			return nil
+		}},
+	})
+	defer l.Close()
+	write := func(student, advisor int) error {
+		rec := <-post(s, "/update", fmt.Sprintf(
+			`{"mutations": [{"op": "insert", "rel": "Adv", "vals": [%d, %d], "weight": 2}]}`, student, advisor))
+		if rec.Code != http.StatusOK {
+			return fmt.Errorf("code %d body %s", rec.Code, rec.Body)
+		}
+		var out struct{ Seq uint64 }
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			return err
+		}
+		if synced := l.log.SyncedSeq(); synced < out.Seq {
+			return fmt.Errorf("frame %d acknowledged with the log synced to %d", out.Seq, synced)
+		}
+		return nil
+	}
+
+	const lone = 10
+	t0 := time.Now()
+	for i := 0; i < lone; i++ {
+		if err := write(50, 100+i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if took := time.Since(t0); took > lone*50*time.Millisecond/2 {
+		t.Fatalf("%d lone writes took %v: the writer pays a commit window", lone, took)
+	}
+	if st := l.log.Stats(); st.Fsyncs != lone || st.FsyncFrames != lone {
+		t.Fatalf("lone writer: %+v, want %d fsyncs of one frame", st, lone)
+	}
+
+	const writers, per = 8, 5
+	slow.Store(true)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if err := write(60+w, 200+i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := l.log.Stats()
+	if st.FsyncFrames != lone+writers*per || st.SyncedSeq != lone+writers*per {
+		t.Fatalf("concurrent writers: %+v", st)
+	}
+	if shared := st.Fsyncs - lone; shared >= writers*per {
+		t.Fatalf("%d fsyncs for %d concurrent acknowledgments: no group commit", shared, writers*per)
+	}
+}
+
+// TestWALErrorIs5xx: a write the log refuses is answered 500 with reason
+// "wal" and is not applied.
+func TestWALErrorIs5xx(t *testing.T) {
+	s, l := liveServer(t, LiveConfig{WALDir: filepath.Join(t.TempDir(), "wal")})
+	if err := l.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, out := do(t, s, "POST", "/update", `{"mutations": [{"op": "insert", "rel": "Adv", "vals": [9, 9], "weight": 1}]}`)
+	if rec.Code != http.StatusInternalServerError || out["reason"] != "wal" {
+		t.Fatalf("code %d reason %v", rec.Code, out["reason"])
+	}
+	if got, want := queryProb(t, s, "Q(a) :- Adv(9,a)"), 0.0; got != want {
+		t.Fatalf("refused batch was applied: %v", got)
 	}
 }

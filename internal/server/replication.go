@@ -54,7 +54,9 @@ type FollowerConfig struct {
 	// truncate the local WAL); 0 snapshots only at bootstrap, promotion and
 	// Close.
 	SnapshotInterval time.Duration
-	// GroupCommit is the local WAL's group-commit window.
+	// GroupCommit is the local WAL's ceiling on waiting for concurrent
+	// writers (see wal.Options). The fetch loop is a lone writer and never
+	// waits; the value matters once the node is promoted.
 	GroupCommit time.Duration
 	// HeartbeatTimeout is the stream stall detector; 0 means the replica
 	// package default.

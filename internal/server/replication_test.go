@@ -558,6 +558,39 @@ func TestReplicationFaultHammer(t *testing.T) {
 	if st.Retries == 0 || st.Duplicates == 0 {
 		t.Fatalf("fault schedule never fired: %+v", st)
 	}
+
+	// The pipelined commit's window: a frame is durable, and therefore
+	// shipped, while the primary is still applying it. Hold the primary there
+	// (a reader pinning its index lock), let the follower apply the frame
+	// through the same fault schedule, and promote it before the primary has
+	// acknowledged anything. The promoted node must hold the batch and agree
+	// with a from-scratch rebuild.
+	ps.mu.RLock()
+	unpin := sync.OnceFunc(ps.mu.RUnlock)
+	defer unpin()
+	last := core.Mutation{Op: core.MutInsert, Rel: "Adv", Vals: vals(1, 999), Weight: 0.5}
+	acked := post(ps, "/update", `{"mutations": [{"op": "insert", "rel": "Adv", "vals": [1, 999], "weight": 0.5}]}`)
+	waitReplication(t, "the follower to apply a frame its primary is still applying",
+		func() bool { return followerApplied(fs) == total+1 })
+	select {
+	case rec := <-acked:
+		t.Fatalf("the primary answered %d with its apply held", rec.Code)
+	default:
+	}
+	if rec, out := do(t, fs, "POST", "/replication/promote", ""); rec.Code != http.StatusOK || out["applied_seq"].(float64) != float64(total+1) {
+		t.Fatalf("promote in the window: code %d body %s", rec.Code, rec.Body)
+	}
+	unpin()
+	<-acked // the old primary finishes its write either way; fencing is not under test here
+	applied = append(applied, last)
+	if got, exp := queryProb(t, fs, boolQ), scratchProbAnyOrder(t, applied, boolQ); math.Abs(got-exp) > 1e-12 {
+		t.Fatalf("promoted in the window: answer %v, from-scratch %v", got, exp)
+	}
+	// And it continues the line past the frame it took over mid-apply.
+	rec, out := do(t, fs, "POST", "/update", `{"mutations": [{"op": "reweight", "rel": "Adv", "vals": [1, 999], "weight": 1.5}]}`)
+	if rec.Code != http.StatusOK || out["seq"].(float64) != float64(total+2) {
+		t.Fatalf("write after promotion in the window: code %d body %s", rec.Code, rec.Body)
+	}
 }
 
 // TestFollowerApplyRetrySurvivesPersistedFrame: a transient failure between

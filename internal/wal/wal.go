@@ -20,11 +20,26 @@
 // # Durability contract
 //
 // Append buffers a frame and assigns its sequence number; the frame is
-// durable only once a subsequent Sync returns nil. Sync is a group commit:
-// one caller becomes the leader, optionally sleeps the commit window (with
-// the log unlocked, so concurrent Appends coalesce into the same fsync),
-// then flushes and fsyncs once for every frame appended so far. Callers that
-// find their frame already synced return immediately.
+// durable only once a subsequent Sync returns nil. Sync is a demand-driven
+// group commit: a caller that finds no commit in flight leads one — it takes
+// the frame buffer under the lock, then writes and fsyncs it with the lock
+// released. Frames appended meanwhile collect in the twin buffer, their Sync
+// callers park, and the first to wake leads the next commit, which covers
+// all of them with one fsync: a batch is as large as the last fsync was long,
+// and a lone writer never waits for a timer (see Options.GroupCommit for the
+// one deliberate wait). Callers that find their frame already synced return
+// immediately. StartSync runs Sync on a goroutine of its own, so a writer can
+// overlap the fsync with other work (the server: the index apply) and still
+// acknowledge strictly after it.
+//
+// # Failure
+//
+// After a write or fsync error the log cannot know what the segment holds:
+// the write may have been partial, and a retried fsync can report success for
+// data the kernel already dropped. The first such error therefore fails the
+// log for good: that call and every later Append, Sync and Rotate return it
+// wrapped in ErrFailed, and nothing more is written. Reopening cuts the torn
+// tail. Errors returned by Hooks precede any byte moving and are transient.
 package wal
 
 import (
@@ -38,6 +53,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -45,6 +61,12 @@ import (
 // Replay stops iterating and returns nil. Used by streaming readers that
 // must not run past the durable (synced) prefix of a live log.
 var ErrStopReplay = errors.New("wal: stop replay")
+
+// ErrFailed wraps the first write or fsync error of a log, which every later
+// Append, Sync and Rotate returns; see the package comment.
+var ErrFailed = errors.New("wal: log failed")
+
+var errClosed = errors.New("wal: log is closed")
 
 // CorruptError reports WAL corruption with its position: the segment file and
 // the byte offset of the frame that failed to parse or checksum. Replay and
@@ -71,18 +93,26 @@ const MaxRecordBytes = 64 << 20
 
 // Hooks inject faults for crash testing: each is called (when non-nil)
 // immediately before the corresponding irreversible step. Returning an error
-// aborts the operation with that error; tests typically panic or exit
-// instead, simulating a crash at the tear point.
+// aborts the operation with that error and changes nothing, so the operation
+// can be retried; tests typically panic or exit instead, simulating a crash at
+// the tear point.
 type Hooks struct {
-	BeforeWrite func(seq uint64) error // before a frame reaches the OS buffer
-	BeforeSync  func() error           // before the fsync of a group commit
+	BeforeWrite func(seq uint64) error // before a frame enters the log's buffer
+	// BeforeSync runs before the write and fsync of a group commit, with the
+	// log unlocked: Append proceeds while it blocks, and what is appended
+	// meanwhile joins the commit.
+	BeforeSync func() error
 }
 
 // Options configures Open.
 type Options struct {
-	// GroupCommit is the commit window: the Sync leader waits this long
-	// (unlocked) before fsyncing, so concurrent writers share one fsync.
-	// Zero fsyncs immediately.
+	// GroupCommit is the ceiling on the one deliberate wait of a commit. A
+	// leader that has seen fewer Sync callers arrive than the previous commit
+	// released knows of writers about to come back, and waits until they have
+	// or this long has passed, so that they share its fsync instead of
+	// alternating with it. A lone writer never waits: the previous commit
+	// released only itself. Zero never waits; writers that arrive while an
+	// fsync is in flight still share the next one.
 	GroupCommit time.Duration
 	// NoFsync skips the fsync in Sync (for benchmarks on throwaway data;
 	// the durability contract is void).
@@ -99,6 +129,19 @@ type Stats struct {
 	Bytes      int64  // bytes in the log, including unsynced ones
 	NextSeq    uint64 // sequence number the next Append will get
 	SyncedSeq  uint64 // highest durable sequence number
+
+	Fsyncs      uint64 // group commits (one write and one fsync each)
+	FsyncFrames uint64 // frames those commits covered; per commit, the group size
+	FsyncNs     int64  // cumulative time in their write + fsync
+	AckWaitNs   int64  // cumulative time StartSync waiters spent waiting
+}
+
+// segmentFile is what the log needs of its open segment (an *os.File); tests
+// substitute one that fails.
+type segmentFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
 }
 
 // Log is an open write-ahead log. All methods are safe for concurrent use.
@@ -106,19 +149,29 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	f        *os.File
-	buf      []byte // frames appended since the last flush
-	gen      uint64
-	nextSeq  uint64 // last assigned sequence number
-	synced   uint64 // last durable sequence number
-	frames   uint64
-	bytes    int64
-	segments int
-	syncing  bool
-	closed   bool
-	watch    chan struct{} // closed when synced advances (or the log closes)
+	mu         sync.Mutex
+	cond       *sync.Cond
+	f          segmentFile
+	buf, spare []byte // frames appended since a commit last took the buffer; its idle twin
+	bufFrames  uint64 // frames in buf
+	gen        uint64
+	nextSeq    uint64 // last assigned sequence number
+	synced     uint64 // last durable sequence number
+	frames     uint64
+	bytes      int64
+	segments   int
+	committing bool   // a commit is in flight; it holds mu only at its start and end
+	covered    uint64 // highest sequence number a commit has taken from buf
+	group      int    // Sync callers the last commit releases
+	arrived    int    // Sync callers that arrived since it took the buffer
+	barging    int    // Rotate or Close calls waiting for the commit in flight
+	failed     error  // first write or fsync error, wrapped in ErrFailed; final
+	closed     bool
+	watch      chan struct{} // closed when synced advances (or the log closes)
+
+	fsyncs, fsyncFrames uint64
+	fsyncNs             time.Duration
+	ackWaitNs           atomic.Int64
 }
 
 // fsyncDir fsyncs a directory so entry creations, renames and removals under
@@ -339,7 +392,10 @@ func (l *Log) appendLocked(seq uint64, record []byte) (uint64, error) {
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds the %d-byte cap", len(record), MaxRecordBytes)
 	}
 	if l.closed {
-		return 0, errors.New("wal: log is closed")
+		return 0, errClosed
+	}
+	if l.failed != nil {
+		return 0, l.failed
 	}
 	if h := l.opts.Hooks.BeforeWrite; h != nil {
 		if err := h(seq); err != nil {
@@ -355,6 +411,7 @@ func (l *Log) appendLocked(seq uint64, record []byte) (uint64, error) {
 	binary.LittleEndian.PutUint32(hdr[4:8], crc)
 	l.buf = append(l.buf, hdr[:]...)
 	l.buf = append(l.buf, record...)
+	l.bufFrames++
 	l.nextSeq = seq
 	l.frames++
 	l.bytes += int64(frameHeader) + int64(n)
@@ -362,56 +419,112 @@ func (l *Log) appendLocked(seq uint64, record []byte) (uint64, error) {
 }
 
 // Sync makes every record appended so far durable (group commit; see the
-// package comment). It returns once the caller's frames are synced, by this
-// call or a concurrent one.
+// package comment). It returns nil only once the caller's frames are synced,
+// by this call or a concurrent one.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	target := l.nextSeq
-	for {
-		if l.closed {
-			return errors.New("wal: log is closed")
-		}
-		if l.synced >= target {
+	for counted := false; ; l.cond.Wait() {
+		switch {
+		case l.closed:
+			return errClosed
+		case l.failed != nil:
+			return l.failed
+		case l.synced >= target:
 			return nil
 		}
-		if !l.syncing {
-			break
+		if !counted {
+			// Counted once per call, into the commit that will release it: the
+			// one in flight if that took this caller's frames, else the next.
+			counted = true
+			if l.committing && target <= l.covered {
+				l.group++
+			} else {
+				l.arrived++
+				l.cond.Broadcast() // a leader may be waiting for exactly this
+			}
 		}
-		l.cond.Wait() // a leader is committing; it may cover target
+		if !l.committing && l.barging == 0 {
+			return l.commitLocked(true)
+		}
 	}
-	l.syncing = true
-	if w := l.opts.GroupCommit; w > 0 {
-		l.mu.Unlock()
-		time.Sleep(w) // commit window: let concurrent appends pile in
-		l.mu.Lock()
-	}
-	err := l.commitLocked()
-	l.syncing = false
-	l.cond.Broadcast()
-	return err
 }
 
-// commitLocked flushes the buffer and fsyncs; called with mu held.
-func (l *Log) commitLocked() error {
-	target := l.nextSeq
-	if len(l.buf) > 0 {
-		if _, err := l.f.Write(l.buf); err != nil {
-			return fmt.Errorf("wal: writing frames: %w", err)
+// StartSync starts Sync on a goroutine of its own and returns the function
+// that waits for its result, so the caller can do other work while the fsync
+// runs and still acknowledge only after it. The goroutine ends when Sync
+// returns, waited for or not; the time spent in wait is Stats.AckWaitNs.
+func (l *Log) StartSync() (wait func() error) {
+	done := make(chan error, 1)
+	go func() { done <- l.Sync() }()
+	return func() error {
+		t0 := time.Now()
+		err := <-done
+		l.ackWaitNs.Add(int64(time.Since(t0)))
+		return err
+	}
+}
+
+// commitLocked makes every frame appended so far durable with one write and
+// one fsync. Called with mu held and no commit in flight, it returns with mu
+// held, but releases it while it waits, writes and fsyncs: Append keeps
+// running, and what it appends after the buffer is taken rides the next
+// commit. gather permits the deliberate wait of Options.GroupCommit.
+func (l *Log) commitLocked(gather bool) error {
+	if l.failed != nil || len(l.buf) == 0 {
+		return l.failed // nil: nothing appended since the last commit
+	}
+	l.committing = true
+	defer func() {
+		l.committing = false
+		l.cond.Broadcast()
+	}()
+	if w := l.opts.GroupCommit; gather && w > 0 && l.arrived < l.group {
+		expired := false
+		t := time.AfterFunc(w, func() {
+			l.mu.Lock()
+			expired = true
+			l.mu.Unlock()
+			l.cond.Broadcast()
+		})
+		for l.arrived < l.group && !expired {
+			l.cond.Wait()
 		}
-		l.buf = l.buf[:0]
+		t.Stop()
 	}
 	if h := l.opts.Hooks.BeforeSync; h != nil {
-		if err := h(); err != nil {
+		l.mu.Unlock()
+		err := h()
+		l.mu.Lock()
+		if err != nil {
 			return err
 		}
 	}
-	if !l.opts.NoFsync {
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("wal: fsync: %w", err)
+	out, frames, target, f := l.buf, l.bufFrames, l.nextSeq, l.f
+	l.buf, l.bufFrames, l.covered = l.spare[:0], 0, target
+	l.group, l.arrived = l.arrived, 0
+	l.mu.Unlock()
+	t0 := time.Now()
+	_, err := f.Write(out)
+	if err != nil {
+		err = fmt.Errorf("writing frames: %w", err)
+	} else if !l.opts.NoFsync {
+		if err = f.Sync(); err != nil {
+			err = fmt.Errorf("fsync: %w", err)
 		}
 	}
+	took := time.Since(t0)
+	l.mu.Lock()
+	l.spare = out
+	if err != nil {
+		l.failed = fmt.Errorf("%w: %w", ErrFailed, err)
+		return l.failed
+	}
 	l.synced = target
+	l.fsyncs++
+	l.fsyncFrames += frames
+	l.fsyncNs += took
 	if l.watch != nil {
 		close(l.watch) // wake WaitSynced long-pollers
 		l.watch = nil
@@ -441,7 +554,7 @@ func (l *Log) WaitSynced(ctx context.Context, after uint64) (uint64, error) {
 		}
 		if l.closed {
 			l.mu.Unlock()
-			return 0, errors.New("wal: log is closed")
+			return 0, errClosed
 		}
 		if l.watch == nil {
 			l.watch = make(chan struct{})
@@ -456,18 +569,33 @@ func (l *Log) WaitSynced(ctx context.Context, after uint64) (uint64, error) {
 	}
 }
 
+// awaitCommit waits, with mu held, until no commit is in flight. While it
+// waits no Sync caller may lead another one, or writers that keep the log
+// committing back to back would starve Rotate and Close.
+func (l *Log) awaitCommit() {
+	l.barging++
+	for l.committing {
+		l.cond.Wait()
+	}
+	l.barging--
+}
+
 // Rotate durably closes the current segment and starts a new one with the
 // next generation. Used by the snapshotter: after a snapshot covering the
-// rotated segments is persisted, RemoveBelow garbage-collects them.
+// rotated segments is persisted, RemoveBelow garbage-collects them. It waits
+// out a commit in flight, so no frame is ever written to a closed segment.
 func (l *Log) Rotate() (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.awaitCommit()
 	if l.closed {
-		return 0, errors.New("wal: log is closed")
+		return 0, errClosed
 	}
-	if err := l.commitLocked(); err != nil {
+	if err := l.commitLocked(false); err != nil {
 		return 0, err
 	}
+	// What was appended during that fsync is still in buf (mu has been held
+	// since the commit ended) and goes to the new segment.
 	if err := l.f.Close(); err != nil {
 		return 0, err
 	}
@@ -547,17 +675,23 @@ func (l *Log) Stats() Stats {
 		Bytes:      l.bytes,
 		NextSeq:    l.nextSeq + 1,
 		SyncedSeq:  l.synced,
+
+		Fsyncs:      l.fsyncs,
+		FsyncFrames: l.fsyncFrames,
+		FsyncNs:     int64(l.fsyncNs),
+		AckWaitNs:   l.ackWaitNs.Load(),
 	}
 }
 
-// Close flushes, fsyncs and closes the log.
+// Close flushes, fsyncs and closes the log, after any commit in flight.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.awaitCommit()
 	if l.closed {
 		return nil
 	}
-	err := l.commitLocked()
+	err := l.commitLocked(false)
 	l.closed = true
 	l.cond.Broadcast()
 	if l.watch != nil {

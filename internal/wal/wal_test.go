@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -167,36 +168,28 @@ func TestCorruptMiddle(t *testing.T) {
 	}
 }
 
-// TestGroupCommit: concurrent writers all get durable acknowledgments while
-// sharing fsyncs through the commit window.
-func TestGroupCommit(t *testing.T) {
-	dir := t.TempDir()
-	var syncs int
-	var smu sync.Mutex
-	l, err := Open(dir, Options{
-		GroupCommit: 2 * time.Millisecond,
-		Hooks: Hooks{BeforeSync: func() error {
-			smu.Lock()
-			syncs++
-			smu.Unlock()
-			return nil
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const writers, per = 8, 20
-	var wg sync.WaitGroup
+// concurrentWriters runs writers goroutines of per Append+Sync rounds each
+// against l. Every writer appends its first frame before any of them syncs,
+// so the test shares at least that one fsync however the goroutines are
+// scheduled.
+func concurrentWriters(t *testing.T, l *Log, writers, per int) {
+	t.Helper()
+	var wg, appended sync.WaitGroup
+	appended.Add(writers)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if _, err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
-					t.Error(err)
-					return
+				_, err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i)))
+				if i == 0 {
+					appended.Done()
+					appended.Wait()
 				}
-				if err := l.Sync(); err != nil {
+				if err == nil {
+					err = l.Sync()
+				}
+				if err != nil {
 					t.Error(err)
 					return
 				}
@@ -204,19 +197,373 @@ func TestGroupCommit(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestGroupCommit: concurrent writers all get durable acknowledgments while
+// sharing fsyncs.
+func TestGroupCommit(t *testing.T) {
+	dir := t.TempDir()
+	var hooked atomic.Uint64
+	l, err := Open(dir, Options{
+		GroupCommit: 2 * time.Millisecond,
+		Hooks:       Hooks{BeforeSync: func() error { hooked.Add(1); return nil }},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, per = 8, 20
+	concurrentWriters(t, l, writers, per)
 	st := l.Stats()
-	if st.Frames != writers*per || st.SyncedSeq != writers*per {
+	if st.Frames != writers*per || st.SyncedSeq != writers*per || st.FsyncFrames != writers*per {
 		t.Fatalf("stats %+v", st)
 	}
-	smu.Lock()
-	n := syncs
-	smu.Unlock()
-	if n >= writers*per {
-		t.Fatalf("no group commit: %d fsyncs for %d synced appends", n, writers*per)
+	if st.Fsyncs >= writers*per || st.Fsyncs != hooked.Load() {
+		t.Fatalf("no group commit: %d fsyncs (%d hook calls) for %d synced appends", st.Fsyncs, hooked.Load(), writers*per)
 	}
 	l.Close()
 	if seqs, _ := collect(t, dir, 0); len(seqs) != writers*per {
 		t.Fatalf("replayed %d frames", len(seqs))
+	}
+}
+
+// TestLoneWriterPaysNoWindow: a writer with no company commits at once,
+// whatever the GroupCommit ceiling — one fsync per Sync and no timer.
+func TestLoneWriterPaysNoWindow(t *testing.T) {
+	const rounds, ceiling = 50, 50 * time.Millisecond
+	l, err := Open(t.TempDir(), Options{GroupCommit: ceiling})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	t0 := time.Now()
+	for i := 0; i < rounds; i++ {
+		if _, err := l.Append([]byte("solo")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if took := time.Since(t0); took > rounds*ceiling/2 {
+		t.Fatalf("%d lone commits took %v: the writer is waiting for a window", rounds, took)
+	}
+	if st := l.Stats(); st.Fsyncs != rounds || st.FsyncFrames != rounds || st.SyncedSeq != rounds {
+		t.Fatalf("stats %+v, want %d fsyncs of one frame each", st, rounds)
+	}
+}
+
+// slowFile is a segment on a slow disk: every fsync takes 5 ms.
+type slowFile struct{ *os.File }
+
+func (f slowFile) Sync() error {
+	time.Sleep(5 * time.Millisecond)
+	return f.File.Sync()
+}
+
+// TestSlowDiskBatches: with no commit window at all, writers that arrive
+// while a slow fsync is in flight append without blocking behind it and share
+// the next one. They then alternate with the one that led it, seven frames
+// and one; with a ceiling to wait under, the leader waits for the seven it
+// has seen and the groups fill up.
+func TestSlowDiskBatches(t *testing.T) {
+	const writers, per = 8, 10
+	for _, c := range []struct {
+		ceiling time.Duration
+		atMost  uint64 // fsyncs; 19 and 11 when the schedule is regular
+	}{{0, writers * per / 2}, {100 * time.Millisecond, writers * per / 4}} {
+		l, err := Open(t.TempDir(), Options{GroupCommit: c.ceiling})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.f = slowFile{l.f.(*os.File)}
+		concurrentWriters(t, l, writers, per)
+		st := l.Stats()
+		if st.SyncedSeq != writers*per || st.FsyncFrames != writers*per {
+			t.Fatalf("ceiling %v: stats %+v", c.ceiling, st)
+		}
+		// An Append that waited for the commit in flight could never share
+		// the next one: there would be one fsync per frame.
+		if st.Fsyncs > c.atMost {
+			t.Fatalf("ceiling %v: %d fsyncs for %d synced appends, want at most %d", c.ceiling, st.Fsyncs, writers*per, c.atMost)
+		}
+		t.Logf("ceiling %v: %d fsyncs for %d synced appends", c.ceiling, st.Fsyncs, writers*per)
+		l.Close()
+	}
+}
+
+// TestGatherWaitsOnlyForSeenWriters drives the one deliberate wait by hand: a
+// leader waits for a writer the previous commit released with it, stops
+// waiting the moment that writer arrives, pays the ceiling once when the
+// writer has left, and nothing afterwards.
+func TestGatherWaitsOnlyForSeenWriters(t *testing.T) {
+	const ceiling = 300 * time.Millisecond
+	hold := make(chan struct{})
+	var holding atomic.Bool
+	l, err := Open(t.TempDir(), Options{GroupCommit: ceiling, Hooks: Hooks{BeforeSync: func() error {
+		if holding.Load() {
+			<-hold
+		}
+		return nil
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	writer := func(done chan<- error) {
+		_, err := l.Append([]byte("x"))
+		if err == nil {
+			err = l.Sync()
+		}
+		done <- err
+	}
+	peek := func(f func() bool) bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return f()
+	}
+	await := func(what string, f func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !peek(f); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	done := make(chan error, 2)
+
+	// Round 1: A leads and is held before it takes the buffer; B arrives. The
+	// commit releases both.
+	holding.Store(true)
+	go writer(done)
+	await("the leader to reach its hook", func() bool { return l.committing })
+	go writer(done)
+	await("the second writer to arrive", func() bool { return l.arrived == 2 })
+	holding.Store(false)
+	close(hold)
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := l.Stats(); st.Fsyncs != 1 || st.FsyncFrames != 2 {
+		t.Fatalf("round 1: stats %+v, want one fsync of two frames", st)
+	}
+
+	// Round 2: A is back first and waits for B, then goes the moment B is in.
+	t0 := time.Now()
+	go writer(done)
+	await("the leader to wait for its company", func() bool { return l.committing && l.arrived == 1 })
+	if peek(func() bool { return l.fsyncs != 1 }) {
+		t.Fatal("round 2: the leader committed without the writer it had seen")
+	}
+	go writer(done)
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if took := time.Since(t0); took >= ceiling {
+		t.Fatalf("round 2 took %v: the wait ran to its ceiling although the writer arrived", took)
+	}
+	if st := l.Stats(); st.Fsyncs != 2 || st.FsyncFrames != 4 {
+		t.Fatalf("round 2: stats %+v, want two fsyncs of two frames", st)
+	}
+
+	// Round 3: B has left. A pays the ceiling once; round 4 pays nothing.
+	t0 = time.Now()
+	writer(done)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(t0); took < ceiling {
+		t.Fatalf("round 3 took %v: the leader did not wait for the writer it had seen", took)
+	}
+	t0 = time.Now()
+	writer(done)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(t0); took >= ceiling {
+		t.Fatalf("round 4 took %v: a lone writer is still waiting", took)
+	}
+	if st := l.Stats(); st.Fsyncs != 4 || st.FsyncFrames != 6 {
+		t.Fatalf("stats %+v, want four fsyncs over six frames", st)
+	}
+}
+
+// TestRotateRacesCommit: Rotate while commits are in flight (run with -race).
+// Every acknowledged frame is replayed exactly once, in order, across the
+// segments, and no commit ever wrote to a segment Rotate had closed.
+func TestRotateRacesCommit(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Hooks: Hooks{BeforeSync: func() error {
+		time.Sleep(100 * time.Microsecond) // keep commits in flight
+		return nil
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, rotations = 4, 12
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var acked atomic.Uint64
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_, err := l.Append([]byte("frame"))
+				if err == nil {
+					err = l.Sync()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				acked.Add(1)
+			}
+		}()
+	}
+	for i := 0; i < rotations; i++ {
+		for before := acked.Load(); acked.Load() == before; { // writers are at it
+			time.Sleep(50 * time.Microsecond)
+		}
+		if gen, err := l.Rotate(); err != nil || gen != uint64(i+2) {
+			t.Fatalf("rotation %d: generation %d, %v", i, gen, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	total := acked.Load()
+	if st := l.Stats(); st.SyncedSeq != total || st.FsyncFrames != total || st.Segments != rotations+1 {
+		t.Fatalf("stats %+v after %d acknowledged frames and %d rotations", st, total, rotations)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seqs, _ := collect(t, dir, 0)
+	if uint64(len(seqs)) != total {
+		t.Fatalf("replayed %d frames, want %d", len(seqs), total)
+	}
+	for i, seq := range seqs {
+		if seq != uint64(i+1) {
+			t.Fatalf("frame %d replayed with seq %d", i, seq)
+		}
+	}
+}
+
+// faultyFile is a segment whose next write or fsync fails once armed; a
+// failing write first lets tear bytes through, like a disk that fills up
+// mid-write.
+type faultyFile struct {
+	*os.File
+	failWrite, failSync bool
+	tear                int
+	writes              [][]byte
+}
+
+var errDisk = errors.New("injected disk error")
+
+func (f *faultyFile) Write(p []byte) (int, error) {
+	f.writes = append(f.writes, append([]byte(nil), p...))
+	if f.failWrite {
+		f.failWrite = false
+		n, _ := f.File.Write(p[:f.tear])
+		return n, errDisk
+	}
+	return f.File.Write(p)
+}
+
+func (f *faultyFile) Sync() error {
+	if f.failSync {
+		f.failSync = false
+		return errDisk
+	}
+	return f.File.Sync()
+}
+
+// TestFailedLogStaysFailed: after a real write or fsync error nothing is
+// retried — no byte of the failed buffer reaches the segment twice, no later
+// Sync reports the lost frames durable — and every later call returns the
+// first error. What was acknowledged before survives a reopen.
+func TestFailedLogStaysFailed(t *testing.T) {
+	for _, failure := range []string{"write", "fsync"} {
+		t.Run(failure, func(t *testing.T) {
+			dir := t.TempDir()
+			l, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				l.Append([]byte(fmt.Sprintf("acked-%d", i)))
+			}
+			if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, segName(1))
+			before, _ := os.ReadFile(path)
+			ff := &faultyFile{File: l.f.(*os.File), failWrite: failure == "write", failSync: failure == "fsync", tear: 5}
+			l.f = ff
+			l.Append([]byte("lost-a"))
+			l.Append([]byte("lost-b"))
+			first := l.Sync()
+			if !errors.Is(first, ErrFailed) || !errors.Is(first, errDisk) {
+				t.Fatalf("failed commit returned %v, want ErrFailed wrapping the disk error", first)
+			}
+			// The disk is healthy again; the log must not be.
+			if err := l.Sync(); !errors.Is(err, ErrFailed) || err.Error() != first.Error() {
+				t.Fatalf("second Sync returned %v, want the first error again", err)
+			}
+			if _, err := l.Append([]byte("late")); !errors.Is(err, ErrFailed) {
+				t.Fatalf("Append on a failed log: %v", err)
+			}
+			if err := l.AppendSeq(99, []byte("late")); !errors.Is(err, ErrFailed) {
+				t.Fatalf("AppendSeq on a failed log: %v", err)
+			}
+			if _, err := l.Rotate(); !errors.Is(err, ErrFailed) {
+				t.Fatalf("Rotate on a failed log: %v", err)
+			}
+			if err := l.StartSync()(); !errors.Is(err, ErrFailed) {
+				t.Fatalf("StartSync on a failed log: %v", err)
+			}
+			if st := l.Stats(); st.SyncedSeq != 3 || st.Fsyncs != 1 {
+				t.Fatalf("the failed commit was counted durable: %+v", st)
+			}
+			if len(ff.writes) != 1 {
+				t.Fatalf("%d writes reached the segment after the failure, want the failed one only", len(ff.writes))
+			}
+			after, _ := os.ReadFile(path)
+			want := append([]byte(nil), before...)
+			if failure == "write" {
+				want = append(want, ff.writes[0][:ff.tear]...)
+			} else {
+				want = append(want, ff.writes[0]...)
+			}
+			if !bytes.Equal(after, want) {
+				t.Fatalf("segment holds %d bytes, want the %d acknowledged plus the failed write once (%d)", len(after), len(before), len(want))
+			}
+			if err := l.Close(); !errors.Is(err, ErrFailed) {
+				t.Fatalf("Close of a failed log: %v", err)
+			}
+			// Reopen: the acknowledged prefix replays; the torn write is cut.
+			l2, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatalf("reopen after failure: %v", err)
+			}
+			defer l2.Close()
+			seqs, _ := collect(t, dir, 0)
+			if failure == "write" && len(seqs) != 3 {
+				t.Fatalf("replayed %v after a torn write, want the 3 acknowledged frames", seqs)
+			}
+			if len(seqs) < 3 || seqs[2] != 3 {
+				t.Fatalf("acknowledged frames lost: %v", seqs)
+			}
+		})
 	}
 }
 
