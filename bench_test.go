@@ -205,9 +205,9 @@ func BenchmarkEntryShortcutAblation(b *testing.B) {
 }
 
 // BenchmarkParallelCompile compares the parallel per-block compilation of W
-// against the sequential reference (the tentpole speedup of the concurrency
-// layer). "seq" pins Parallelism: 1; "par" uses GOMAXPROCS workers — on a
-// single-core host the two coincide.
+// against the sequential reference — the one place fan-out is set. "seq"
+// pins Parallelism: 1; "par" uses GOMAXPROCS workers — on a single-core host
+// the two coincide.
 func BenchmarkParallelCompile(b *testing.B) {
 	fx := newFixture(b, 2000, "2")
 	for _, c := range []struct {
@@ -217,25 +217,6 @@ func BenchmarkParallelCompile(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, _, err := fx.tr.CompileW(obdd.CompileOptions{Parallelism: c.par}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelQuery compares the per-answer worker pool of Index.Query
-// against the sequential loop on a many-answer query (all student advisors).
-func BenchmarkParallelQuery(b *testing.B) {
-	fx := newFixture(b, 2000, "123")
-	q := ucq.MustParse("Q(s, a) :- Advisor(s, a)")
-	for _, c := range []struct {
-		name string
-		par  int
-	}{{"seq", 1}, {"par", 0}} {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := fx.ix.Query(q, mvindex.IntersectOptions{CacheConscious: true, Parallelism: c.par}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -27,15 +28,13 @@ import (
 
 func main() {
 	var (
-		exp         = flag.String("exp", "all", "experiment id: fig1,fig4,fig5,fig6,fig7,fig8,fig9,fig10,fig11,parallel,cache,update,reorder,madden,ablate-entry,methods,marginals,exactness or all")
+		exp         = flag.String("exp", "all", "experiment id: fig1,fig4,fig5,fig6,fig7,fig8,fig9,fig10,fig11,cache,update,reorder,madden,ablate-entry,methods,marginals,exactness or all")
 		domains     = flag.String("domains", "", "comma-separated aid-domain sweep (default 1000..10000)")
 		full        = flag.Int("full", 0, "full-dataset author count for fig10/fig11/madden")
 		seed        = flag.Int64("seed", 1, "generator seed")
 		samples     = flag.Int("mcsat-samples", 0, "MC-SAT samples for fig5/fig6")
 		quick       = flag.Bool("quick", false, "small sweeps for a fast smoke run")
 		format      = flag.String("format", "text", "output format: text or csv")
-		parallelism = flag.Int("parallelism", 0, "workers for parallel compile/query experiments (0 = GOMAXPROCS, 1 = sequential)")
-		parJSON     = flag.String("parallel-json", "BENCH_parallel.json", "file for the parallel experiment's JSON report (empty to skip)")
 		useCache    = flag.Bool("cache", true, "run the cached leg of the cache experiment (false = baseline-only ablation)")
 		cacheJSON   = flag.String("cache-json", "BENCH_cache.json", "file for the cache experiment's JSON report (empty to skip)")
 		updateJSON  = flag.String("update-json", "BENCH_update.json", "file for the update experiment's JSON report (empty to skip)")
@@ -82,7 +81,6 @@ func main() {
 		opts = bench.Small()
 	}
 	opts.Seed = *seed
-	opts.Parallelism = *parallelism
 	opts.Cache = *useCache
 	opts.ReorderMaxGrowth = *maxGrowth
 	opts.ReorderRounds = *maxRounds
@@ -135,74 +133,18 @@ func main() {
 			tab.Fprint(os.Stdout)
 			fmt.Printf("(%s completed in %v)\n\n", id, time.Since(t0).Round(time.Millisecond))
 		}
-		if id == "parallel" && *parJSON != "" {
-			f, err := os.Create(*parJSON)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mvbench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := bench.WriteParallelJSON(f, tab, *parallelism); err != nil {
-				fmt.Fprintf(os.Stderr, "mvbench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "mvbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "mvbench: wrote %s\n", *parJSON)
-		}
-		if id == "cache" && *cacheJSON != "" && *useCache {
-			f, err := os.Create(*cacheJSON)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mvbench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := bench.WriteCacheJSON(f, tab, opts); err != nil {
-				fmt.Fprintf(os.Stderr, "mvbench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "mvbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "mvbench: wrote %s\n", *cacheJSON)
-		}
-		if id == "update" && *updateJSON != "" {
-			f, err := os.Create(*updateJSON)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mvbench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := bench.WriteUpdateJSON(f, tab); err != nil {
-				fmt.Fprintf(os.Stderr, "mvbench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "mvbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "mvbench: wrote %s\n", *updateJSON)
-		}
-		if id == "reorder" && *reorderJSON != "" {
-			f, err := os.Create(*reorderJSON)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mvbench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := bench.WriteReorderJSON(f, tab); err != nil {
-				fmt.Fprintf(os.Stderr, "mvbench: %v\n", err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "mvbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "mvbench: wrote %s\n", *reorderJSON)
+		switch {
+		case id == "cache" && *useCache:
+			writeReport(*cacheJSON, func(w io.Writer) error { return bench.WriteCacheJSON(w, tab, opts) })
+		case id == "update":
+			writeReport(*updateJSON, func(w io.Writer) error { return bench.WriteUpdateJSON(w, tab) })
+		case id == "reorder":
+			writeReport(*reorderJSON, func(w io.Writer) error { return bench.WriteReorderJSON(w, tab) })
 		}
 	}
 
 	if *exp == "all" {
-		for _, id := range []string{"fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "parallel", "cache", "update", "reorder", "madden", "ablate-entry", "methods", "marginals", "exactness"} {
+		for _, id := range []string{"fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "cache", "update", "reorder", "madden", "ablate-entry", "methods", "marginals", "exactness"} {
 			run(id)
 		}
 		return
@@ -210,4 +152,24 @@ func main() {
 	for _, id := range strings.Split(*exp, ",") {
 		run(strings.TrimSpace(id))
 	}
+}
+
+// writeReport writes an experiment's JSON report to path; an empty path
+// skips it. A failure ends the run.
+func writeReport(path string, write func(io.Writer) error) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err == nil {
+		err = write(f)
+	}
+	if err == nil {
+		err = f.Close()
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mvbench: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "mvbench: wrote %s\n", path)
 }

@@ -35,7 +35,6 @@ type session struct {
 	tr   *core.Translation
 	ix   *mvindex.Index
 	meth string
-	par  int
 }
 
 func main() {
@@ -47,7 +46,6 @@ func main() {
 		interactive = flag.Bool("i", false, "interactive mode (read queries from stdin)")
 		saveIndex   = flag.String("save-index", "", "write the compiled MV-index to this file and continue")
 		loadIndex   = flag.String("load-index", "", "load a previously saved MV-index instead of generating data")
-		parallelism = flag.Int("parallelism", 0, "workers for OBDD compilation and per-answer query loops (0 = GOMAXPROCS, 1 = sequential)")
 
 		reorder          = flag.String("reorder", "off", "dynamic variable reordering after compile: off | once | converge")
 		reorderMaxGrowth = flag.Float64("reorder-max-growth", obdd.DefaultMaxGrowth, "sifting growth bound (times the pre-sift node count)")
@@ -76,7 +74,6 @@ func main() {
 			fatal(err)
 		}
 		tr = ix.Translation()
-		tr.Parallelism = *parallelism
 		if reorderMode != obdd.ReorderOff && !ix.Reordered() {
 			if st, serr := ix.Sift(reorderOpts); serr != nil {
 				fatal(serr)
@@ -111,7 +108,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		tr.Parallelism = *parallelism
 		tr.Reorder = reorderOpts
 		ix, err = mvindex.Build(tr)
 		if err != nil {
@@ -127,7 +123,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "ready in %v: %d tuple variables, MV-index %d nodes in %d blocks\n",
 		time.Since(t0).Round(time.Millisecond), tr.DB.NumVars(), ix.Size(), ix.Blocks())
 
-	s := &session{data: data, tr: tr, ix: ix, meth: *method, par: *parallelism}
+	s := &session{data: data, tr: tr, ix: ix, meth: *method}
 	if args := flag.Args(); len(args) > 0 {
 		for _, src := range args {
 			if err := s.runQuery(src); err != nil {
@@ -210,9 +206,9 @@ func (s *session) runQuery(src string) error {
 	var rows []core.Answer
 	switch s.meth {
 	case "index":
-		rows, err = s.ix.Query(q, mvindex.IntersectOptions{Parallelism: s.par})
+		rows, err = s.ix.Query(q, mvindex.IntersectOptions{})
 	case "index-cc":
-		rows, err = s.ix.Query(q, mvindex.IntersectOptions{CacheConscious: true, Parallelism: s.par})
+		rows, err = s.ix.Query(q, mvindex.IntersectOptions{CacheConscious: true})
 	case "obdd":
 		rows, err = s.tr.Query(q, core.MethodOBDD)
 	case "lifted":

@@ -61,7 +61,6 @@ func main() {
 		authors   = flag.Int("authors", 2000, "aid domain of the synthetic DBLP dataset")
 		seed      = flag.Int64("seed", 1, "generator seed")
 		loadIndex = flag.String("load-index", "", "serve a previously saved MV-index instead of generating data")
-		par       = flag.Int("parallelism", 0, "workers for OBDD compilation (0 = GOMAXPROCS, 1 = sequential)")
 
 		reorder          = flag.String("reorder", "off", "dynamic variable reordering after compile: off | once | converge")
 		reorderMaxGrowth = flag.Float64("reorder-max-growth", obdd.DefaultMaxGrowth, "sifting growth bound (times the pre-sift node count)")
@@ -130,7 +129,6 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
-		tr.Parallelism = *par
 		tr.Reorder = reorderOpts
 		return mvindex.Build(tr)
 	}

@@ -39,10 +39,6 @@ type Options struct {
 	MCSatBurn, MCSatSamples int
 	// Queries is the number of per-query measurements in Figures 10-11.
 	Queries int
-	// Parallelism is the worker count for the parallel compile/query
-	// experiment and the fig8 mv-par column: 0 uses GOMAXPROCS, 1 is the
-	// sequential reference.
-	Parallelism int
 	// Cache enables the cached leg of the cache experiment; false runs the
 	// baseline-only ablation.
 	Cache bool
@@ -186,6 +182,13 @@ func (t *Table) addSeries(col string, v float64) {
 }
 
 func seconds(d time.Duration) string { return fmt.Sprintf("%.6f", d.Seconds()) }
+
+func ratio(base, other time.Duration) string {
+	if other <= 0 {
+		return "inf"
+	}
+	return fmt.Sprintf("%.2fx", base.Seconds()/other.Seconds())
+}
 
 // pipeline builds dataset → MVDB → translation for a domain size and view
 // subset ("12" = V1+V2, "123" = all, "2" = V2 only).

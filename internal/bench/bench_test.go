@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -175,50 +174,6 @@ func TestMadden(t *testing.T) {
 	}
 }
 
-// TestParallelExperiment runs the parallel compile/query experiment on a
-// small sweep with 4 workers and checks the "same" column (parallel output
-// identical to sequential) plus the JSON report round-trip.
-func TestParallelExperiment(t *testing.T) {
-	opts := small()
-	opts.Domains = []int{200, 400}
-	opts.Parallelism = 4
-	tab, err := ParallelCompileQuery(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	for _, r := range tab.Rows {
-		if r[len(r)-1] != "true" {
-			t.Errorf("parallel output diverged from sequential: %v", r)
-		}
-	}
-	var buf strings.Builder
-	if err := WriteParallelJSON(&buf, tab, opts.Parallelism); err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Workers int `json:"workers"`
-		Rows    []struct {
-			Domain        int     `json:"domain"`
-			SeqCompileSec float64 `json:"seq_compile_sec"`
-		} `json:"rows"`
-	}
-	if err := json.Unmarshal([]byte(buf.String()), &rep); err != nil {
-		t.Fatalf("bad JSON report: %v", err)
-	}
-	// benchWorkers clamps the requested parallelism to GOMAXPROCS: extra
-	// workers on a saturated host measure overhead, not speedup.
-	wantWorkers := 4
-	if m := runtime.GOMAXPROCS(0); wantWorkers > m {
-		wantWorkers = m
-	}
-	if rep.Workers != wantWorkers || len(rep.Rows) != 2 || rep.Rows[0].Domain != 200 || rep.Rows[0].SeqCompileSec <= 0 {
-		t.Errorf("report = %+v", rep)
-	}
-}
-
 // TestCacheExperiment runs the cache experiment on a small sweep and checks
 // the correctness column (cached answers identical to uncached) plus the JSON
 // report round-trip. Timing columns are load-sensitive and not asserted.
@@ -360,7 +315,7 @@ func TestZipfWorkload(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	for _, id := range []string{"fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "parallel", "cache", "update", "reorder", "madden"} {
+	for _, id := range []string{"fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "cache", "update", "reorder", "madden"} {
 		if _, ok := ByID(id); !ok {
 			t.Errorf("ByID(%q) missing", id)
 		}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
@@ -204,7 +205,7 @@ func Fig8Construction(opts Options) (*Table, error) {
 		Title:   "OBDD construction: synthesis (CUDD-style) vs concatenation (MV), sequential and parallel",
 		Columns: []string{"aid1 domain", "cudd-construction(s)", "mv-construction(s)", "mv-par-construction(s)", "workers", "same obdd"},
 	}
-	workers := benchWorkers(opts.Parallelism)
+	workers := runtime.GOMAXPROCS(0)
 	for _, n := range opts.Domains {
 		_, _, tr, err := pipeline(n, opts.Seed, "2")
 		if err != nil {
@@ -465,7 +466,6 @@ func ByID(id string) (func(Options) (*Table, error), bool) {
 		"fig9":         Fig9Intersect,
 		"fig10":        Fig10StudentQueries,
 		"fig11":        Fig11AffiliationQueries,
-		"parallel":     ParallelCompileQuery,
 		"cache":        CacheServing,
 		"update":       UpdateMaintenance,
 		"reorder":      ReorderSifting,

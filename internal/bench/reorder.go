@@ -54,7 +54,6 @@ func ReorderSifting(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			tr.Parallelism = opts.Parallelism
 			queries := reorderQueries(d, opts.Queries)
 
 			// Leg 1: the tuned static order Π.
@@ -71,10 +70,7 @@ func ReorderSifting(opts Options) (*Table, error) {
 			// Leg 2: naive block-local order on the same translation.
 			naive := naiveOrder(ixPi.Manager().Order(), ixPi.BlockWindows(),
 				int64(opts.Seed))
-			m2, f2, _, err := tr.CompileW(obdd.CompileOptions{
-				Order:       naive,
-				Parallelism: opts.Parallelism,
-			})
+			m2, f2, _, err := tr.CompileW(obdd.CompileOptions{Order: naive})
 			if err != nil {
 				return nil, err
 			}

@@ -122,7 +122,6 @@ func UpdateMaintenance(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			trF.Parallelism = tr.Parallelism
 			ixF, err := buildIndex(trF)
 			if err != nil {
 				return nil, err

@@ -41,16 +41,13 @@ func TestQueryContextDeadline(t *testing.T) {
 	q := ucq.MustParse("Q(s) :- Adv(s,a)")
 	past := budget.Budget{Deadline: time.Now().Add(-time.Second)}
 	for _, meth := range []Method{MethodOBDD, MethodDPLL} {
-		for _, par := range []int{1, 4} {
-			tr, err := m.Translate(TranslateOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr.Parallelism = par
-			_, err = tr.QueryContext(context.Background(), q, meth, past)
-			if !errors.Is(err, budget.ErrCanceled) {
-				t.Errorf("%v par=%d: err = %v, want ErrCanceled", meth, par, err)
-			}
+		tr, err := m.Translate(TranslateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = tr.QueryContext(context.Background(), q, meth, past)
+		if !errors.Is(err, budget.ErrCanceled) {
+			t.Errorf("%v: err = %v, want ErrCanceled", meth, err)
 		}
 	}
 }
@@ -125,5 +122,38 @@ func TestProbBooleanContextDeadline(t *testing.T) {
 	// Unbounded evaluation on the same Translation still works.
 	if _, err := tr.ProbBoolean(q.UCQ, MethodOBDD); err != nil {
 		t.Errorf("unbounded after bounded failure: %v", err)
+	}
+}
+
+// TestAnswerRowsStopsBetweenAnswers: the loop runs on the caller, in row
+// order, and a cancellation that arrives while one answer is computed stops
+// the query before the next; nothing partial comes back.
+func TestAnswerRowsStopsBetweenAnswers(t *testing.T) {
+	rows := []ucq.AnswerRow{
+		{Head: []engine.Value{engine.Int(1)}},
+		{Head: []engine.Value{engine.Int(2)}},
+		{Head: []engine.Value{engine.Int(3)}},
+	}
+	var seen []int64
+	prob := func(r ucq.AnswerRow) (float64, error) {
+		seen = append(seen, r.Head[0].Int)
+		return float64(r.Head[0].Int) / 10, nil
+	}
+	out, err := AnswerRows(nil, time.Time{}, rows, prob)
+	if err != nil || len(out) != 3 || out[0].Prob != 0.1 || out[2].Prob != 0.3 || out[1].Head[0].Int != 2 {
+		t.Fatalf("unbounded: %v, %v", out, err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	seen = nil
+	out, err = AnswerRows(ctx, time.Time{}, rows, func(r ucq.AnswerRow) (float64, error) {
+		cancel()
+		return prob(r)
+	})
+	if !errors.Is(err, budget.ErrCanceled) || out != nil {
+		t.Errorf("canceled during the first answer: %v, %v; want nil, ErrCanceled", out, err)
+	}
+	if len(seen) != 1 || seen[0] != 1 {
+		t.Errorf("answers computed after the cancellation: %v, want [1]", seen)
 	}
 }

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mvdb/internal/budget"
 	"mvdb/internal/engine"
@@ -138,7 +138,7 @@ func (t *Translation) ensureOBDDBounded(bo bounds) (*obddState, error) {
 		t.obdd.resolve(t.DB)
 		return t.obdd, nil
 	}
-	m, fW, stats, err := t.CompileW(obdd.CompileOptions{Parallelism: t.Parallelism, Ctx: bo.ctx, Budget: bo.b})
+	m, fW, stats, err := t.CompileW(obdd.CompileOptions{Ctx: bo.ctx, Budget: bo.b})
 	if err != nil {
 		return nil, err
 	}
@@ -281,7 +281,7 @@ func (t *Translation) probFromLineage(linQ lineage.DNF, method Method, bo bounds
 			return 0, err
 		}
 		// Query OBDDs are synthesized on the shared manager (reusing its
-		// hash-consing across answers), so concurrent Query workers serialize
+		// hash-consing across answers), so concurrent callers serialize
 		// here; the other methods run lock-free. Arming the manager is a
 		// write, so it happens under the same lock; the bounds apply to this
 		// synthesis only and the manager is disarmed before unlocking.
@@ -351,17 +351,7 @@ func theorem1(pQW, pW float64) (float64, error) {
 // with its marginal probability, sorted by head tuple. Tuples whose
 // probability is numerically zero are still reported (they are possible
 // answers in some world).
-//
-// The per-answer probabilities are computed by up to Parallelism workers
-// (see the field doc); the answer order is always the same as sequential
-// evaluation. Before the workers start, W's OBDD (MethodOBDD) and the lazy
-// relation indexes are forced once, so the workers only read shared state —
-// except MethodOBDD's query synthesis, which serializes on the cached
-// manager.
 func (t *Translation) Query(q *ucq.Query, method Method) ([]Answer, error) {
-	if t.qc != nil {
-		return t.cachedQuery(q, method, bounds{})
-	}
 	return t.queryBounded(q, method, bounds{})
 }
 
@@ -372,9 +362,6 @@ func (t *Translation) Query(q *ucq.Query, method Method) ([]Answer, error) {
 // whole query with an error wrapping budget.ErrCanceled or
 // budget.ErrBudgetExceeded — no partial answer set is returned.
 func (t *Translation) QueryContext(ctx context.Context, q *ucq.Query, method Method, b budget.Budget) ([]Answer, error) {
-	if t.qc != nil {
-		return t.cachedQuery(q, method, bounds{ctx: ctx, b: b})
-	}
 	return t.queryBounded(q, method, bounds{ctx: ctx, b: b})
 }
 
@@ -403,7 +390,7 @@ func (t *Translation) queryBounded(q *ucq.Query, method Method, bo bounds) ([]An
 			return nil, err
 		}
 	}
-	answer := func(r ucq.AnswerRow) (float64, error) {
+	return AnswerRows(bo.ctx, bo.b.Deadline, rows, func(r ucq.AnswerRow) (float64, error) {
 		switch method {
 		case MethodLifted:
 			b, err := q.Bind(r.Head)
@@ -420,76 +407,29 @@ func (t *Translation) queryBounded(q *ucq.Query, method Method, bo bounds) ([]An
 		default:
 			return t.probFromLineage(r.Lineage, method, bo)
 		}
-	}
+	})
+}
+
+// AnswerRows is the one rows → answers loop, behind Translation.Query and
+// mvindex.Index.Query alike: prob runs once per row, in row order, on the
+// calling goroutine. A query has two or three answers and each costs at most
+// its span (Prop. 3), so there is nothing for a worker pool to win. ctx and
+// the deadline (both optional) are checked before every row, so a canceled
+// query stops after the current answer; any error aborts the whole query and
+// no partial answer set is returned.
+func AnswerRows(ctx context.Context, deadline time.Time, rows []ucq.AnswerRow, prob func(ucq.AnswerRow) (float64, error)) ([]Answer, error) {
 	out := make([]Answer, len(rows))
-	workers := t.workers()
-	if workers > len(rows) {
-		workers = len(rows)
-	}
-	if workers <= 1 {
-		for i, r := range rows {
-			if err := bo.check(); err != nil {
-				return nil, err
-			}
-			p, err := answer(r)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = Answer{Head: r.Head, Prob: p}
-		}
-		return out, nil
-	}
-	if method == MethodOBDD {
-		// Compile W up front so the workers never race on first-use caching.
-		if _, err := t.ensureOBDDBounded(bo); err != nil {
+	for i, r := range rows {
+		if err := budget.Check(ctx, deadline); err != nil {
 			return nil, err
 		}
-	}
-	var (
-		next int64
-		wg   sync.WaitGroup
-		errs = make([]error, workers)
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(rows) {
-					return
-				}
-				if err := bo.check(); err != nil {
-					errs[w] = err
-					return
-				}
-				p, err := answer(rows[i])
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out[i] = Answer{Head: rows[i].Head, Prob: p}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
+		p, err := prob(r)
 		if err != nil {
 			return nil, err
 		}
+		out[i] = Answer{Head: r.Head, Prob: p}
 	}
 	return out, nil
-}
-
-// workers resolves the Parallelism knob to a concrete worker count.
-func (t *Translation) workers() int {
-	switch {
-	case t.Parallelism == 0:
-		return runtime.GOMAXPROCS(0)
-	case t.Parallelism < 1:
-		return 1
-	}
-	return t.Parallelism
 }
 
 // padDisjuncts renames any of W's variables that collide with the query's

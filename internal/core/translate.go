@@ -32,18 +32,12 @@ type Translation struct {
 	DB     *engine.Database // clone of the MVDB's tables plus the NV relations
 	W      ucq.UCQ          // W = ∨ᵢ Wᵢ, Wᵢ = NVᵢ(x̄) ∧ Qᵢ(x̄)
 
-	// Parallelism bounds the worker count for OBDD compilation of W and for
-	// the per-answer loop in Query: 0 uses GOMAXPROCS, 1 forces the
-	// sequential reference path, N > 1 uses N workers. Set it before the
-	// first evaluation (it is read when W is compiled and on each Query).
-	Parallelism int
-
 	// Reorder configures dynamic OBDD variable reordering of the MV-index:
 	// when Mode is not ReorderOff, mvindex.Build runs a per-block Rudell
 	// sifting pass after compiling W and the index keeps the learned order.
 	// It does not affect the translation's own global OBDD compilation
 	// (ensureOBDD), which the index sift replaces wholesale. Carried over by
-	// Retranslate.
+	// Retranslate and RetranslateFrom.
 	Reorder obdd.ReorderOptions
 
 	NVRelations       []string // one per non-empty view, in view order
@@ -53,7 +47,6 @@ type Translation struct {
 	nvSet map[string]bool
 	opts  TranslateOptions // options Translate was called with (for re-translation)
 	obdd  *obddState
-	qc    *answerCache // optional cross-query answer cache, see EnableCache
 }
 
 // Opts returns the options the translation was built with (defaults filled
@@ -61,17 +54,23 @@ type Translation struct {
 func (t *Translation) Opts() TranslateOptions { return t.opts }
 
 // Retranslate re-runs the Definition 5 translation against the (possibly
-// mutated) source MVDB with the original options, carrying the Parallelism
-// knob over. It errors on restored translations whose Source is gone.
+// mutated) source MVDB, see RetranslateFrom. It errors on restored
+// translations whose Source is gone.
 func (t *Translation) Retranslate() (*Translation, error) {
 	if t.Source == nil {
-		return nil, fmt.Errorf("core: translation has no source MVDB (restored from a v1 snapshot?)")
+		return nil, fmt.Errorf("core: translation has no source MVDB (restored from a snapshot of a closure-weighted source, which cannot be snapshotted)")
 	}
-	nt, err := t.Source.Translate(t.opts)
+	return t.RetranslateFrom(t.Source)
+}
+
+// RetranslateFrom translates src — the source MVDB or a mutated clone of it —
+// with the original options and carries over the settings that are not
+// TranslateOptions (Reorder).
+func (t *Translation) RetranslateFrom(src *MVDB) (*Translation, error) {
+	nt, err := src.Translate(t.opts)
 	if err != nil {
 		return nil, err
 	}
-	nt.Parallelism = t.Parallelism
 	nt.Reorder = t.Reorder
 	return nt, nil
 }

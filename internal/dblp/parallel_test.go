@@ -5,12 +5,13 @@ import (
 
 	"mvdb/internal/core"
 	"mvdb/internal/mvindex"
+	"mvdb/internal/obdd"
 )
 
 // TestParallelCompileMatchesSequentialDBLP builds the MV-index for the DBLP
 // views — V1, V2, V3 individually and all together — once with the
 // sequential reference compiler and once with 8 workers, and requires
-// bitwise-identical index statistics and P0(¬W). This is the Parallelism
+// bitwise-identical index statistics and P0(¬W). This is the compile fan-out
 // property test on the paper's actual workload shapes: V1's weighted union,
 // V2's denial self-join, V3's deterministic-join view.
 func TestParallelCompileMatchesSequentialDBLP(t *testing.T) {
@@ -26,7 +27,7 @@ func TestParallelCompileMatchesSequentialDBLP(t *testing.T) {
 	}
 	for name, views := range sets {
 		t.Run(name, func(t *testing.T) {
-			build := func(par int) (*core.Translation, *mvindex.Index) {
+			build := func(par int) *mvindex.Index {
 				m, err := d.MVDB(views...)
 				if err != nil {
 					t.Fatal(err)
@@ -35,15 +36,19 @@ func TestParallelCompileMatchesSequentialDBLP(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tr.Parallelism = par
+				mW, fW, _, err := tr.CompileW(obdd.CompileOptions{Parallelism: par})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr.AttachOBDD(mW, fW)
 				ix, err := mvindex.Build(tr)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return tr, ix
+				return ix
 			}
-			_, seq := build(1)
-			_, par := build(8)
+			seq := build(1)
+			par := build(8)
 			if a, b := seq.Size(), par.Size(); a != b {
 				t.Errorf("size: sequential %d, parallel %d", a, b)
 			}
@@ -58,15 +63,14 @@ func TestParallelCompileMatchesSequentialDBLP(t *testing.T) {
 			if la != lb || sa != sb {
 				t.Errorf("LogProbNotW: (%v,%d) vs (%v,%d) — must be bitwise equal", la, sa, lb, sb)
 			}
-			// Answers must agree bitwise between the two indexes and between
-			// sequential and 8-worker answer loops.
+			// Answers must agree bitwise between the two indexes.
 			for _, s := range d.Students[:3] {
 				q := QueryAdvisorOfStudent(s)
-				want, err := seq.Query(q, mvindex.IntersectOptions{Parallelism: 1})
+				want, err := seq.Query(q, mvindex.IntersectOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := par.Query(q, mvindex.IntersectOptions{Parallelism: 8, CacheConscious: true})
+				got, err := par.Query(q, mvindex.IntersectOptions{CacheConscious: true})
 				if err != nil {
 					t.Fatal(err)
 				}

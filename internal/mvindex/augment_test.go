@@ -218,6 +218,20 @@ func checkAnswers(t *testing.T, ix *Index, when string) {
 	}
 }
 
+// addClosureDenial adds a closure-weighted denial view to m: the delta
+// translator cannot prove it stays one, so every structural batch takes the
+// clone-and-retranslate route.
+func addClosureDenial(t *testing.T, m *core.MVDB) {
+	t.Helper()
+	v, err := core.ParseView("D(s) :- Adv(s,a), Adv(s,b), a <> b", core.ConstWeight(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddView(v); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestIncrementalAugmentEqualsRebuild: over random batch sequences — inserts
 // into existing blocks, inserts that create separator values, deletes that
 // empty blocks, reweights above 1 under a view whose NV tuples carry
@@ -243,17 +257,7 @@ func TestIncrementalAugmentEqualsRebuild(t *testing.T) {
 			}
 		}},
 		{name: "after Compact", after: func(t *testing.T, ix *Index) { ix.Compact() }},
-		{name: "retranslate route", setup: func(t *testing.T, m *core.MVDB) {
-			// A closure-weighted denial view: the delta translator cannot prove
-			// it stays one, so every structural batch re-translates a clone.
-			v, err := core.ParseView("D(s) :- Adv(s,a), Adv(s,b), a <> b", core.ConstWeight(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := m.AddView(v); err != nil {
-				t.Fatal(err)
-			}
-		}},
+		{name: "retranslate route", setup: addClosureDenial},
 	}
 	for si, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {

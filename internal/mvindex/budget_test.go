@@ -59,18 +59,14 @@ func TestQueryNodeBudget(t *testing.T) {
 	}
 }
 
-// TestQueryDeadline: an expired deadline fails fast with ErrCanceled, in the
-// sequential and the worker-pool paths.
+// TestQueryDeadline: an expired deadline fails fast with ErrCanceled.
 func TestQueryDeadline(t *testing.T) {
 	m := chainMVDB(12, 7)
 	_, ix := buildIndex(t, m)
 	q := ucq.MustParse("Q(s) :- Adv(s,a)")
 	past := budget.Budget{Deadline: time.Now().Add(-time.Second)}
-	for _, par := range []int{1, 4} {
-		_, err := ix.Query(q, IntersectOptions{Parallelism: par, Budget: past})
-		if !errors.Is(err, budget.ErrCanceled) {
-			t.Errorf("par=%d: err = %v, want ErrCanceled", par, err)
-		}
+	if _, err := ix.Query(q, IntersectOptions{Budget: past}); !errors.Is(err, budget.ErrCanceled) {
+		t.Errorf("err = %v, want ErrCanceled", err)
 	}
 }
 
@@ -82,11 +78,8 @@ func TestQueryCancelContext(t *testing.T) {
 	q := ucq.MustParse("Q(s) :- Adv(s,a)")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, par := range []int{1, 4} {
-		_, err := ix.Query(q, IntersectOptions{Parallelism: par, Ctx: ctx})
-		if !errors.Is(err, budget.ErrCanceled) {
-			t.Errorf("par=%d: err = %v, want ErrCanceled", par, err)
-		}
+	if _, err := ix.Query(q, IntersectOptions{Ctx: ctx}); !errors.Is(err, budget.ErrCanceled) {
+		t.Errorf("err = %v, want ErrCanceled", err)
 	}
 }
 

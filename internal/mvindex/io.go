@@ -19,20 +19,18 @@ import (
 // tuple weights, which keeps saved indexes valid under Reweight-style
 // workflows.
 //
-// Version 2 adds the live-update state: the source MVDB (base database plus
+// The live-update state travels with it: the source MVDB (base database plus
 // WeightTable-backed view definitions) and the translate options, so a
 // restored index supports ApplyMutations, and LastSeq, the WAL sequence
 // number the snapshot covers, so recovery replays only the log tail. The
 // block record of the incremental compiler is NOT serialized — the first
 // structural batch after a restore recompiles in full and re-records.
-// Version 1 snapshots still load (query-only: no source, LastSeq 0).
 //
-// Version 3 adds the reordering provenance of a sifted index. The learned
-// variable order itself travels inside the manager snapshot (obdd.Snapshot
-// stores the order), so even v2 readers restore the right OBDD; the v3
-// fields let recovery and replica bootstrap know the order is learned —
-// they skip the sifting search and delta recompiles keep inheriting the
-// order. Version 1 and 2 snapshots still load.
+// The reordering provenance of a sifted index travels with it too. The
+// learned variable order itself is inside the manager snapshot
+// (obdd.Snapshot stores the order); the Reorder fields let recovery and
+// replica bootstrap know the order is learned — they skip the sifting search
+// and delta recompiles keep inheriting the order.
 type indexSnapshot struct {
 	Magic       string
 	DB          engine.DatabaseSnapshot
@@ -40,22 +38,29 @@ type indexSnapshot struct {
 	Manager     obdd.Snapshot
 	Root        int32
 
-	// v2 fields; zero on v1 snapshots.
+	// HasSource is false when the source's weights are Go closures.
 	HasSource bool
 	Source    core.MVDBSnapshot
 	Opts      core.TranslateOptions
 	LastSeq   uint64
 
-	// v3 fields; zero on earlier snapshots.
 	Reordered bool
 	Reorder   ReorderInfo
 }
 
-const (
-	snapshotMagicV1 = "mvindex-v1"
-	snapshotMagicV2 = "mvindex-v2"
-	snapshotMagic   = "mvindex-v3"
-)
+// snapshotMagic names the one snapshot format written and read.
+const snapshotMagic = "mvindex-v3"
+
+// SnapshotVersionError reports a snapshot whose magic is not the supported
+// one — a stream written by another version of the format, or not an index
+// snapshot at all.
+type SnapshotVersionError struct {
+	Found, Supported string
+}
+
+func (e *SnapshotVersionError) Error() string {
+	return fmt.Sprintf("mvindex: snapshot magic %q is not supported (this build reads only %q)", e.Found, e.Supported)
+}
 
 // Save serializes the index (including the translated database) as one gob
 // message, equivalent to SaveSeq with sequence number 0.
@@ -101,15 +106,15 @@ func Read(r io.Reader) (*Index, error) {
 // ReadSeq deserializes an index written by Save/SaveSeq and returns the WAL
 // sequence number the snapshot covers. The returned index is fully
 // functional: the inner translation is restored and its OBDD of W is
-// attached, so no recompilation happens; with a v2 source the index also
-// accepts ApplyMutations.
+// attached, so no recompilation happens; with a snapshotted source the index
+// also accepts ApplyMutations.
 func ReadSeq(r io.Reader) (*Index, uint64, error) {
 	var s indexSnapshot
 	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&s); err != nil {
 		return nil, 0, fmt.Errorf("mvindex: decoding index: %w", err)
 	}
-	if s.Magic != snapshotMagic && s.Magic != snapshotMagicV2 && s.Magic != snapshotMagicV1 {
-		return nil, 0, fmt.Errorf("mvindex: bad snapshot magic %q", s.Magic)
+	if s.Magic != snapshotMagic {
+		return nil, 0, &SnapshotVersionError{Found: s.Magic, Supported: snapshotMagic}
 	}
 	db, err := engine.FromSnapshot(s.DB)
 	if err != nil {

@@ -2,6 +2,8 @@ package mvindex
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -64,6 +66,46 @@ func TestIndexLoadCorrupt(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Error("truncated index accepted")
+	}
+}
+
+// TestSnapshotVersionRejected: only mvindex-v3 loads. The same stream under
+// the retired v2 magic is refused with an error naming both magics; put back
+// under v3 it round-trips.
+func TestSnapshotVersionRejected(t *testing.T) {
+	_, ix := buildIndex(t, chainMVDB(5, 1))
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap indexSnapshot
+	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	reencode := func(magic string) *bytes.Buffer {
+		snap.Magic = magic
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		return &b
+	}
+	_, err := Read(reencode("mvindex-v2"))
+	var ve *SnapshotVersionError
+	if !errors.As(err, &ve) || ve.Found != "mvindex-v2" || ve.Supported != "mvindex-v3" {
+		t.Fatalf("v2 magic: err = %v, want a SnapshotVersionError naming mvindex-v2 and mvindex-v3", err)
+	}
+	for _, magic := range []string{ve.Found, ve.Supported} {
+		if !strings.Contains(err.Error(), magic) {
+			t.Errorf("error %q does not name %s", err, magic)
+		}
+	}
+	back, err := Read(reencode("mvindex-v3"))
+	if err != nil {
+		t.Fatalf("v3 round-trip: %v", err)
+	}
+	if back.Size() != ix.Size() || back.Blocks() != ix.Blocks() {
+		t.Errorf("v3 round-trip: size/blocks %d/%d vs %d/%d", back.Size(), back.Blocks(), ix.Size(), ix.Blocks())
 	}
 }
 

@@ -74,7 +74,7 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 	st := MaintStats{Applied: len(batch)}
 	src := ix.tr.Source
 	if src == nil {
-		return st, fmt.Errorf("mvindex: index has no source MVDB (restored from a v1 snapshot?); mutations need the view definitions")
+		return st, fmt.Errorf("mvindex: index has no source MVDB (restored from a snapshot of a closure-weighted source, which cannot be snapshotted); mutations need the view definitions")
 	}
 	if err := src.ValidateBatch(batch); err != nil {
 		return st, err
@@ -123,10 +123,9 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 		if err := work.Apply(batch); err != nil {
 			return st, err
 		}
-		if newTr, err = work.Translate(ix.tr.Opts()); err != nil {
+		if newTr, err = ix.tr.RetranslateFrom(work); err != nil {
 			return st, err
 		}
-		newTr.Parallelism = ix.tr.Parallelism
 		// Variable ids are renumbered by re-translation, so the old order
 		// maps through tuple identity.
 		varMap = varMapByKey(ix.tr.DB, newTr.DB)
@@ -137,7 +136,7 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 		return st, err
 	}
 	d, err := obdd.CompileDelta(newTr.DB, newTr.W, newTr.WPerm(),
-		obdd.CompileOptions{Parallelism: ix.tr.Parallelism}, ix.m, ix.rec, varMap, changed)
+		obdd.CompileOptions{}, ix.m, ix.rec, varMap, changed)
 	if err != nil {
 		return st, err
 	}

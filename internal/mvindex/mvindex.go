@@ -33,9 +33,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mvdb/internal/budget"
@@ -332,10 +329,6 @@ type IntersectOptions struct {
 	// the query touches — an ablation that forces the traversal to start at
 	// the root block.
 	NoEntryShortcut bool
-	// Parallelism bounds the worker pool of Index.Query's per-answer loop:
-	// 0 uses runtime.GOMAXPROCS(0), 1 evaluates answers sequentially, N > 1
-	// uses N workers. Answer order is preserved for every setting.
-	Parallelism int
 	// Ctx, when non-nil, is polled during evaluation — between answers in
 	// Query and periodically inside the intersection recursions — aborting
 	// with an error wrapping budget.ErrCanceled once done.
@@ -394,17 +387,6 @@ func (g *guard) visit() {
 	if err := budget.Check(g.ctx, g.deadline); err != nil {
 		budget.Panic(err)
 	}
-}
-
-// workers resolves the Parallelism knob to an actual worker count.
-func (o IntersectOptions) workers() int {
-	if o.Parallelism == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if o.Parallelism < 1 {
-		return 1
-	}
-	return o.Parallelism
 }
 
 // span describes the blocks one query touches.
@@ -606,12 +588,10 @@ func (ix *Index) ProbBoolean(q ucq.UCQ, opts IntersectOptions) (float64, error) 
 	return ix.IntersectLineage(linQ, opts)
 }
 
-// Query evaluates a named query, one probability per answer tuple. The
-// per-answer intersections are independent (each builds its query OBDD in a
-// scratch manager), so they fan out across a bounded worker pool sized by
-// opts.Parallelism; answer order is preserved regardless of the setting.
-// With opts.Ctx or a deadline set, cancellation is also checked between
-// answers, so a canceled query stops after the current answer.
+// Query evaluates a named query, one probability per answer tuple, each by
+// its own intersection (core.AnswerRows). With opts.Ctx or a deadline set,
+// cancellation is also checked between answers, so a canceled query stops
+// after the current answer.
 //
 // With the cross-query cache enabled (EnableCache), the answer set is served
 // from the cache when a canonically identical query (same up to variable
@@ -651,61 +631,9 @@ func (ix *Index) queryEval(q *ucq.Query, opts IntersectOptions) ([]core.Answer, 
 	if err != nil {
 		return nil, err
 	}
-	bounded := opts.bounded()
-	out := make([]core.Answer, len(rows))
-	workers := opts.workers()
-	if workers > len(rows) {
-		workers = len(rows)
-	}
-	if workers <= 1 {
-		for i, r := range rows {
-			if bounded {
-				if err := budget.Check(opts.Ctx, opts.Budget.Deadline); err != nil {
-					return nil, err
-				}
-			}
-			p, err := ix.IntersectLineage(r.Lineage, opts)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = core.Answer{Head: r.Head, Prob: p}
-		}
-		return out, nil
-	}
-	var next int64
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(rows) {
-					return
-				}
-				if bounded {
-					if err := budget.Check(opts.Ctx, opts.Budget.Deadline); err != nil {
-						errs[w] = err
-						return
-					}
-				}
-				p, err := ix.IntersectLineage(rows[i].Lineage, opts)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out[i] = core.Answer{Head: rows[i].Head, Prob: p}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	return out, nil
+	return core.AnswerRows(opts.Ctx, opts.Budget.Deadline, rows, func(r ucq.AnswerRow) (float64, error) {
+		return ix.IntersectLineage(r.Lineage, opts)
+	})
 }
 
 // Reweight refreshes the index after tuple weights changed somewhere in the

@@ -1,6 +1,7 @@
 package mvindex
 
 import (
+	"runtime"
 	"testing"
 
 	"mvdb/internal/core"
@@ -8,10 +9,9 @@ import (
 	"mvdb/internal/engine"
 )
 
-// dblpLiveIndex builds the full DBLP index (V1, V2, V3) at the given author
-// domain and applies the warm-up structural batch whose full compile creates
-// the block record, so every later batch takes the delta path.
-func dblpLiveIndex(tb testing.TB, domain int) (*Index, []int64) {
+// dblpIndex builds the full DBLP index (V1, V2, V3) at the given author
+// domain.
+func dblpIndex(tb testing.TB, domain int) (*Index, []int64) {
 	tb.Helper()
 	d, err := dblp.Generate(dblp.Config{NumAuthors: domain, Seed: 1})
 	if err != nil {
@@ -25,19 +25,27 @@ func dblpLiveIndex(tb testing.TB, domain int) (*Index, []int64) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tr.Parallelism = 1
 	ix, err := Build(tr)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return ix, d.Students
+}
+
+// dblpLiveIndex is dblpIndex after the warm-up structural batch whose full
+// compile creates the block record, so every later batch takes the delta
+// path.
+func dblpLiveIndex(tb testing.TB, domain int) (*Index, []int64) {
+	tb.Helper()
+	ix, students := dblpIndex(tb, domain)
 	if _, err := ix.ApplyMutations([]core.Mutation{{
 		Op: core.MutInsert, Rel: "Advisor",
-		Vals:   []engine.Value{engine.Int(d.Students[0]), engine.Int(999_999)},
+		Vals:   []engine.Value{engine.Int(students[0]), engine.Int(999_999)},
 		Weight: 1.2,
 	}}); err != nil {
 		tb.Fatal(err)
 	}
-	return ix, d.Students
+	return ix, students
 }
 
 // dblpBatch is batch i of the stream internal/bench's update experiment and
@@ -99,6 +107,9 @@ func TestUpdateWorkIsODirty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds DBLP indexes up to domain 4000")
 	}
+	// Block compiles fan out over GOMAXPROCS; on one P they run on the
+	// caller, so the allocation counts are the sequential path's.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	type cost struct {
 		st     MaintStats
 		allocs float64

@@ -15,23 +15,26 @@ import (
 // TestParallelBuildMatchesSequential: an index built from a
 // parallel-compiled W must be indistinguishable from the sequential
 // reference — same size, width, blocks, and bitwise-equal P0(¬W) — and
-// answer queries with bitwise-equal probabilities whether the per-answer
-// loop runs sequentially or on 8 workers.
+// answer queries with the same probabilities under either intersection.
 func TestParallelBuildMatchesSequential(t *testing.T) {
-	build := func(par int) (*core.Translation, *Index) {
+	build := func(par int) *Index {
 		tr, err := chainMVDB(12, 42).Translate(core.TranslateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.Parallelism = par
+		m, fW, _, err := tr.CompileW(obdd.CompileOptions{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.AttachOBDD(m, fW)
 		ix, err := Build(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tr, ix
+		return ix
 	}
-	_, seq := build(1)
-	_, par := build(8)
+	seq := build(1)
+	par := build(8)
 	if a, b := seq.Size(), par.Size(); a != b {
 		t.Errorf("size: %d vs %d", a, b)
 	}
@@ -47,15 +50,11 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 		t.Errorf("LogProbNotW: (%v,%d) vs (%v,%d) — must be bitwise equal", la, sa, lb, sb)
 	}
 	q := ucq.MustParse("Q(s) :- Adv(s,a)")
-	want, err := seq.Query(q, IntersectOptions{Parallelism: 1})
+	want, err := seq.Query(q, IntersectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []IntersectOptions{
-		{Parallelism: 1, CacheConscious: true},
-		{Parallelism: 8},
-		{Parallelism: 8, CacheConscious: true},
-	} {
+	for _, opts := range []IntersectOptions{{}, {CacheConscious: true}} {
 		got, err := par.Query(q, opts)
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
@@ -96,7 +95,7 @@ func TestConcurrentIntersectHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows, err := ix.Query(qn, IntersectOptions{Parallelism: 1})
+	wantRows, err := ix.Query(qn, IntersectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +119,7 @@ func TestConcurrentIntersectHammer(t *testing.T) {
 				if p, err := ix.IntersectLineage(lin, IntersectOptions{CacheConscious: !cc}); err != nil || math.Abs(p-wantP) > 1e-12 {
 					errs <- errf("IntersectLineage: p=%v err=%v want %v", p, err, wantP)
 				}
-				rows, err := ix.Query(qn, IntersectOptions{Parallelism: 4, CacheConscious: cc})
+				rows, err := ix.Query(qn, IntersectOptions{CacheConscious: cc})
 				if err != nil || len(rows) != len(wantRows) {
 					errs <- errf("Query: %d rows err=%v want %d", len(rows), err, len(wantRows))
 					continue

@@ -453,3 +453,35 @@ func mustRetranslate(t *testing.T, ix *Index) *core.Translation {
 	}
 	return tr
 }
+
+// TestReorderSurvivesFallback: a batch that forces the clone-and-retranslate
+// route installs a new Translation, and that one must still carry Reorder —
+// the same as Retranslate does.
+func TestReorderSurvivesFallback(t *testing.T) {
+	m := multiAdvMVDB(8, 5)
+	addClosureDenial(t, m)
+	tr, err := m.Translate(core.TranslateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := obdd.ReorderOptions{Mode: obdd.ReorderConverge}
+	tr.Reorder = want
+	ix, err := Build(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.ApplyMutations([]core.Mutation{{
+		Op: core.MutInsert, Rel: "Adv", Vals: []engine.Value{engine.Int(3), engine.Int(999)}, Weight: 0.7,
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if ix.Translation() == tr {
+		t.Fatal("the batch did not take the re-translation route")
+	}
+	if got := ix.Translation().Reorder; got.Mode != want.Mode {
+		t.Fatalf("Reorder after a fallback batch = %+v, want %+v", got, want)
+	}
+	if got := mustRetranslate(t, ix).Reorder; got.Mode != want.Mode {
+		t.Fatalf("Reorder after Retranslate = %+v, want %+v", got, want)
+	}
+}

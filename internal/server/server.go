@@ -305,8 +305,6 @@ func (s *Server) evalError(w http.ResponseWriter, err error) {
 
 type queryRequest struct {
 	Query string `json:"query"`
-	// CacheConscious selects CC-MVIntersect (default true).
-	CacheConscious *bool `json:"cache_conscious,omitempty"`
 }
 
 type answerJSON struct {
@@ -332,7 +330,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.bounds(r)
 	defer cancel()
 	opts := mvindex.IntersectOptions{
-		CacheConscious: req.CacheConscious == nil || *req.CacheConscious,
+		CacheConscious: true,
 		Ctx:            ctx,
 		Budget:         s.cfg.Budget,
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -75,6 +76,12 @@ func TestQueryEndpoint(t *testing.T) {
 		if math.Abs(p-0.4) > 1e-9 {
 			t.Errorf("prob = %v want 0.4", p)
 		}
+	}
+	// The retired per-request algorithm switch is an unknown field now: an
+	// old client that still sends it gets the same 200 and the same answers.
+	rec, old := do(t, s, "POST", "/query", `{"query": "Q(a) :- Adv(1,a)", "cache_conscious": false}`)
+	if rec.Code != http.StatusOK || !reflect.DeepEqual(old["answers"], out["answers"]) {
+		t.Errorf("with cache_conscious: code = %d answers %v, want 200 and %v", rec.Code, old["answers"], out["answers"])
 	}
 }
 
@@ -301,11 +308,7 @@ func TestConcurrentQueryHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for rep := 0; rep < 4; rep++ {
-				body := `{"query": "Q(a) :- Adv(1,a)"}`
-				if g%2 == 0 {
-					body = `{"query": "Q(a) :- Adv(1,a)", "cache_conscious": false}`
-				}
-				req := httptest.NewRequest("POST", "/query", strings.NewReader(body))
+				req := httptest.NewRequest("POST", "/query", strings.NewReader(`{"query": "Q(a) :- Adv(1,a)"}`))
 				rec := httptest.NewRecorder()
 				s.ServeHTTP(rec, req)
 				if rec.Code != http.StatusOK {
