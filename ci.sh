@@ -3,9 +3,11 @@
 # mvdbd smoke test.
 #
 # The -race run is load-bearing: the concurrency layer (parallel block
-# compilation, concurrent MV-index reads, RWMutex HTTP serving) and the
-# cancellation/budget layer (mid-compile aborts, shared budget counters)
-# are guarded by hammer tests that only bite with the detector on.
+# compilation of full compiles — a mutation batch's few dirty blocks compile
+# on the caller — concurrent MV-index reads, the lazily materialised ¬W,
+# RWMutex HTTP serving) and the cancellation/budget layer (mid-compile
+# aborts, shared budget counters) are guarded by hammer tests that only bite
+# with the detector on.
 set -eux
 
 go build ./...
@@ -22,9 +24,10 @@ go test -race -run 'TestSingleflightHammer|TestConcurrentHammer|TestMidFlightInv
 # Live-update hammer, explicitly under the race detector: readers racing
 # update batches must only ever observe committed states (DESIGN.md §10's
 # epoch protocol), crash recovery must replay every acknowledged batch even
-# with fsync fault injection, and the incrementally maintained augmentation
-# must equal a from-scratch recompute after every batch.
-go test -race -run 'TestUpdateQueryInterleave|TestCrashRecovery|TestApplyMutationsEpoch|TestIncrementalAugmentEqualsRebuild' \
+# with fsync fault injection, the incrementally maintained segments must
+# equal a from-scratch recompile after every batch, and a batch that fails
+# after its WAL append must fail the server closed until a restart.
+go test -race -run 'TestUpdateQueryInterleave|TestCrashRecovery|TestApplyMutationsEpoch|TestIncrementalAugmentEqualsRebuild|TestApplyFailureFailsClosed' \
     -count=2 -timeout 5m ./internal/server/ ./internal/mvindex/
 
 # Pipelined commit, explicitly under the race detector (DESIGN.md §10): the
@@ -49,11 +52,12 @@ go test -race -run 'TestReplayCorruptMidSegment|FuzzReplayCorrupt|TestFollowerGa
 go test -run=NONE -bench=BenchmarkParallelCompile -benchtime=1x -timeout 5m .
 
 # Update-cost gate, on counts not clocks: the same 3-mutation batch must
-# compile and augment the same blocks, and allocate about as often, at DBLP
-# domains 1000, 2000 and 4000 (work is O(dirty), not O(index)); plus one
-# iteration of the batch under the bench harness.
+# compile and augment the same blocks, copy no clean node, allocate about as
+# often and under a third of the bytes the per-batch manager copy did, at
+# DBLP domains 1000, 2000 and 4000 (work is O(dirty), not O(index)); plus
+# one iteration of the batch under the bench harness at both ends.
 go test -v -run TestUpdateWorkIsODirty -timeout 5m ./internal/mvindex/
-go test -run=NONE -bench=BenchmarkApplyMutations -benchtime=1x -timeout 5m ./internal/mvindex/
+go test -run=NONE -bench='BenchmarkApplyMutations/domain=(1000|4000)$' -benchtime=1x -timeout 5m ./internal/mvindex/
 
 # Read-cost gate, on counts not clocks: the same 64 advisor-of-student
 # queries must visit about as many pairs, span as many blocks and allocate

@@ -170,9 +170,6 @@ func main() {
 			if err := s.marginal(strings.TrimPrefix(line, `\marginal `)); err != nil {
 				fmt.Printf("error: %v\n", err)
 			}
-		case line == `\compact`:
-			freed := s.ix.Compact()
-			fmt.Printf("compacted: %d manager nodes freed\n", freed)
 		case strings.HasPrefix(line, `\dot`):
 			if err := s.dot(strings.TrimSpace(strings.TrimPrefix(line, `\dot`))); err != nil {
 				fmt.Printf("error: %v\n", err)
@@ -185,7 +182,6 @@ func main() {
   \explain <query>   traversal statistics for one Boolean query
   \plan <query>      extensional safe plan of the query alone (if one exists)
   \marginal Rel(v,..) corrected marginal of one probabilistic tuple
-  \compact           drop dead OBDD nodes accumulated by queries
   \dot [file]        write the ¬W OBDD as Graphviz DOT (default stdout)
   \quit`)
 		default:

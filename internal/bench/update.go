@@ -23,11 +23,12 @@ const updateRounds = 8
 // batches (an insert, a reweight, a delete — touching at most three
 // separator blocks) applied to a DBLP-scale index with the incremental
 // maintenance path (ApplyMutations: patch the translation, recompile and
-// re-augment only dirty blocks, copy the rest) versus the from-scratch
-// baseline a non-incremental system pays per batch (full re-translate + full
-// OBDD compile + index build). The final incremental index is verified
-// against the from-scratch rebuild on the mutated students' queries to 1e-12
-// (the speedup column is meaningless if the two indexes drift).
+// re-augment only dirty blocks, keep the rest by pointer) versus the
+// from-scratch baseline a non-incremental system pays per batch (full
+// re-translate + full OBDD compile + index build). The final incremental
+// index is verified against the from-scratch rebuild on the mutated
+// students' queries to 1e-12 (the speedup column is meaningless if the two
+// indexes drift).
 func UpdateMaintenance(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	t := &Table{

@@ -96,15 +96,15 @@ type obddState struct {
 	// immutable after compilation. Bounded by maxRootMemo.
 	roots map[qcache.Key]obdd.NodeID
 
-	// negPending marks a state installed by AttachNegOBDD whose fW and pW
-	// have not been derived from notW yet (see resolve).
+	// negPending marks a state installed by AttachNegOBDD whose manager, fW
+	// and pW have not been derived from notW yet (see resolve).
 	negPending atomic.Bool
-	notW       obdd.NodeID
+	notW       func() (*obdd.Manager, obdd.NodeID)
 }
 
-// resolve derives fW = ¬notW and pW on the first use after AttachNegOBDD.
-// Negation allocates nodes on the shared manager, so it runs under st.mu
-// like every other write to it.
+// resolve builds the manager and fW = ¬notW, and computes pW, on the first
+// use after AttachNegOBDD, under st.mu like every other write to the
+// manager.
 func (st *obddState) resolve(db *engine.Database) {
 	if !st.negPending.Load() {
 		return
@@ -112,8 +112,9 @@ func (st *obddState) resolve(db *engine.Database) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.negPending.Load() {
-		st.fW = st.m.Not(st.notW)
-		st.pW = st.m.Prob(st.fW, db.Probs())
+		m, notW := st.notW()
+		st.m, st.fW = m, m.Not(notW)
+		st.pW = m.Prob(st.fW, db.Probs())
 		st.negPending.Store(false)
 	}
 }
@@ -556,13 +557,14 @@ func (t *Translation) AttachOBDD(m *obdd.Manager, fW obdd.NodeID) {
 	t.obdd = st
 }
 
-// AttachNegOBDD is AttachOBDD for a caller that holds the OBDD of ¬W — the
-// MV-index — rather than of W: it costs O(1), and W's root and P0(W) are
-// derived from notW on the first evaluation that needs them (one pass over
-// the OBDD, which allocates W's nodes on m). The index re-attaches after
+// AttachNegOBDD is AttachOBDD for a caller that can produce the OBDD of ¬W
+// — the MV-index — rather than holding W: it costs O(1), and notW, which
+// must return a manager of the translation's own (W's nodes and query OBDDs
+// are allocated on it), runs on the first evaluation that needs the OBDD;
+// W's root and P0(W) are derived from it then. The index re-attaches after
 // every maintenance step, so weight changes never leave a stale P0(W).
-func (t *Translation) AttachNegOBDD(m *obdd.Manager, notW obdd.NodeID) {
-	st := &obddState{m: m, notW: notW, roots: map[qcache.Key]obdd.NodeID{}}
+func (t *Translation) AttachNegOBDD(notW func() (*obdd.Manager, obdd.NodeID)) {
+	st := &obddState{notW: notW, roots: map[qcache.Key]obdd.NodeID{}}
 	st.negPending.Store(true)
 	t.obdd = st
 }

@@ -1,6 +1,7 @@
 package mvindex
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -113,13 +114,19 @@ func (st *advState) batch() []core.Mutation {
 	return out
 }
 
-// checkAugmentation compares every derived structure of the maintained index
-// with a from-scratch recompute over the same manager, root and database —
-// exactly, floats bit for bit: the incremental path may only ever produce
-// what the per-block primitive run over every block produces.
+// checkAugmentation compares the maintained chain — every segment, field by
+// field and floats bit for bit, the directory, P0(¬W) and the separator
+// tags — with a from-scratch full compile of W under the index's own order,
+// augmented by the per-block primitive: the incremental path may only ever
+// produce what a rebuild produces. The lazily materialised ¬W must be that
+// OBDD too.
 func checkAugmentation(t *testing.T, ix *Index, when string) {
 	t.Helper()
-	ref := newIndex(ix.tr, ix.m, ix.root)
+	d, err := obdd.CompileDelta(ix.tr.DB, ix.tr.W, ix.ch.ord, obdd.CompileOptions{Parallelism: 1}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, kept := newChain(d.M, d.Root, d.Rec, ix.tr.DB.Probs())
 	same := func(what string, got, want any) {
 		t.Helper()
 		if !reflect.DeepEqual(got, want) {
@@ -133,36 +140,35 @@ func checkAugmentation(t *testing.T, ix *Index, when string) {
 		}
 		return out
 	}
-	same("probs", bits(ix.probs), bits(ref.probs))
-	same("chain roots", ix.chainRoots, ref.chainRoots)
-	same("chain levels", ix.chainLevels, ref.chainLevels)
-	same("blockProb", bits(ix.blockProb), bits(ref.blockProb))
-	same("P0(¬W)", []any{math.Float64bits(ix.pNotWLog), ix.pNotWSign}, []any{math.Float64bits(ref.pNotWLog), ref.pNotWSign})
-	same("cc.off", ix.cc.off, ref.cc.off)
-	same("cc.id", ix.cc.id, ref.cc.id)
-	same("cc.level", ix.cc.level, ref.cc.level)
-	same("cc.lo", ix.cc.lo, ref.cc.lo)
-	same("cc.hi", ix.cc.hi, ref.cc.hi)
-	same("cc.byLevel", ix.cc.byLevel, ref.cc.byLevel)
-	same("cc.idOf", ix.cc.idOf, ref.cc.idOf)
-	same("cc.prob", bits(ix.cc.prob), bits(ref.cc.prob))
-	same("probUnder", bits(ix.cc.probUnder), bits(ref.cc.probUnder))
-	same("reach", bits(ix.cc.reach), bits(ref.cc.reach))
-	for _, v := range ix.m.Order() {
-		if got, want := ix.BlockOf(v), ref.BlockOf(v); got != want {
-			t.Fatalf("%s: BlockOf(%d) = %d, recompute says %d", when, v, got, want)
-		}
-		same("NodesOf", ix.NodesOf(v), ref.NodesOf(v))
-	}
-	if ix.rec != nil && ix.rec.HasSep {
-		// The separator-block roots the next delta will splice at are chain
-		// roots of the index.
-		for _, r := range ix.rec.Roots {
-			if k := ix.blockForLevel(ix.m.NodeLevel(r)); ix.chainRoots[k] != r {
-				t.Fatalf("%s: recorded block root %d is not a chain root", when, r)
-			}
+	same("probs", bits(ix.probs), bits(ix.tr.DB.Probs()))
+	same("blocks", len(ix.ch.segs), len(ref.segs))
+	same("off", ix.ch.off, ref.off)
+	same("P0(¬W)", ix.ch.pNotW, ref.pNotW)
+	for k, s := range ix.ch.segs {
+		r := ref.segs[k]
+		what := fmt.Sprintf("block %d ", k)
+		same(what+"vars", s.vars, r.vars)
+		same(what+"lo", s.lo, r.lo)
+		same(what+"hi", s.hi, r.hi)
+		same(what+"byLevel", s.byLevel, r.byLevel)
+		same(what+"prob", bits(s.prob), bits(r.prob))
+		same(what+"probUnder", bits(s.probUnder), bits(r.probUnder))
+		same(what+"reach", bits(s.reach), bits(r.reach))
+		same(what+"b_k", math.Float64bits(s.b), math.Float64bits(r.b))
+		if ix.rec != nil {
+			same(what+"separator value", s.sep, r.sep)
 		}
 	}
+	if ix.rec != nil {
+		same("record kept", kept != nil, true)
+		same("separator values", ix.ch.vals, len(d.Rec.Values))
+	}
+	n := ix.ch.negOBDD()
+	if !obdd.StructEqual(n.m, n.root, d.M, d.Root) {
+		t.Fatalf("%s: the materialised ¬W differs from a full compile", when)
+	}
+	same("size", ix.Size(), d.M.Size(d.Root))
+	same("width", ix.Width(), d.M.Width(d.Root))
 }
 
 // checkAnswers compares the maintained index with an index built from
@@ -218,6 +224,14 @@ func checkAnswers(t *testing.T, ix *Index, when string) {
 	}
 }
 
+// tableWeights turns m's constant closure weights into weight tables, which
+// snapshots carry.
+func tableWeights(t *testing.T, m *core.MVDB) {
+	for _, v := range m.Views {
+		v.Weights, v.Weight = &core.WeightTable{Default: v.Weight(nil)}, nil
+	}
+}
+
 // addClosureDenial adds a closure-weighted denial view to m: the delta
 // translator cannot prove it stays one, so every structural batch takes the
 // clone-and-retranslate route.
@@ -236,9 +250,9 @@ func addClosureDenial(t *testing.T, m *core.MVDB) {
 // into existing blocks, inserts that create separator values, deletes that
 // empty blocks, reweights above 1 under a view whose NV tuples carry
 // negative probabilities, and multi-block mixes — every structure the
-// incremental path maintains equals a from-scratch recompute on the same
-// manager exactly, and every answer equals a fresh Build to 1e-12. The same
-// holds under a learned (sifted) order, after Compact, and on the
+// incremental path maintains equals a full recompile under the same order
+// exactly, and every answer equals a fresh Build to 1e-12. The same
+// holds under a learned (sifted) order, after a snapshot restore, and on the
 // clone-and-retranslate route, whose variable ids are renumbered.
 func TestIncrementalAugmentEqualsRebuild(t *testing.T) {
 	batches := 14
@@ -248,15 +262,28 @@ func TestIncrementalAugmentEqualsRebuild(t *testing.T) {
 	scenarios := []struct {
 		name  string
 		setup func(t *testing.T, m *core.MVDB)
-		after func(t *testing.T, ix *Index)
+		after func(t *testing.T, ix *Index) *Index
 	}{
 		{name: "static order"},
-		{name: "sifted order", after: func(t *testing.T, ix *Index) {
+		{name: "sifted order", after: func(t *testing.T, ix *Index) *Index {
 			if _, err := ix.Sift(obdd.ReorderOptions{Mode: obdd.ReorderConverge}); err != nil {
 				t.Fatal(err)
 			}
+			return ix
 		}},
-		{name: "after Compact", after: func(t *testing.T, ix *Index) { ix.Compact() }},
+		// A restored index has no block record: its first batch recompiles
+		// in full, the later ones are incremental again.
+		{name: "after restore", setup: tableWeights, after: func(t *testing.T, ix *Index) *Index {
+			var buf bytes.Buffer
+			if err := ix.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			back, err := Read(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return back
+		}},
 		{name: "retranslate route", setup: addClosureDenial},
 	}
 	for si, sc := range scenarios {
@@ -275,7 +302,7 @@ func TestIncrementalAugmentEqualsRebuild(t *testing.T) {
 					t.Fatal(err)
 				}
 				if sc.after != nil {
-					sc.after(t, ix)
+					ix = sc.after(t, ix)
 				}
 				checkAugmentation(t, ix, "after setup")
 				for b := 0; b < batches; b++ {

@@ -1,33 +1,92 @@
 package mvindex
 
 import (
-	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
+	"mvdb/internal/engine"
 	"mvdb/internal/obdd"
 )
 
 // The augmentation is organized around one primitive, applied to one chain
-// block at a time: flattenBlock lays the block's nodes out as a segment of
-// the cc layout (the structure: DFS order, child links, level-sorted list),
-// and weighBlock fills in everything that depends on tuple weights (prob,
-// probUnder, reach, the block probability b_k). Build, Sift, Compact and
-// snapshot restore run both halves over every block (augmentAll); Reweight
-// runs weighBlock over every block; a mutation batch runs them over the
-// blocks it dirtied and carries every other segment across unchanged.
+// block at a time: flatten lays the block's nodes out as a segment shape (DFS
+// order, child links, level-sorted list), and weigh turns a shape into a
+// segment by computing everything that depends on tuple weights (prob,
+// probUnder, reach, the block probability b_k). Build, Sift, snapshot
+// restore and a full recompile run both halves over every block of an OBDD
+// of ¬W (newChain); Reweight runs weigh over every block; a mutation batch
+// runs them over the blocks it dirtied and points at every other segment.
+
+// chain is one published version of the index's ¬W: the variable order, the
+// directory of segments in chain (level) order — the InterBddIndex: a
+// variable's block is the last one whose root level does not exceed the
+// variable's level — and P0(¬W). A chain is never modified once published;
+// a batch publishes a successor that shares every clean segment.
+type chain struct {
+	// ord is a node-free manager over the order. Query OBDDs are built in
+	// its scratch managers, which share its order tables.
+	ord  *obdd.Manager
+	segs []*segment
+	// off[k] is the number of nodes before block k: the cc index of the
+	// block's first node, which the traversal memos key on; off[len(segs)]
+	// is the index size.
+	off   []int32
+	pNotW logProd
+	vals  int // separator values with a block, under a block record
+
+	neg *lazyNeg
+}
+
+// level returns the level of a variable of the chain.
+func (c *chain) level(v int32) int32 { return int32(c.ord.Level(int(v))) }
+
+// window returns block k's levels: its root's and its deepest node's.
+func (c *chain) window(k int) (first, last int32) {
+	s := c.segs[k]
+	return c.level(s.vars[0]), c.level(s.vars[s.byLevel[len(s.byLevel)-1]])
+}
+
+// blockForLevel returns the index of the last block whose root level is <=
+// the given level (the block containing that level), 0 when none is.
+func (c *chain) blockForLevel(level int32) int {
+	k := sort.Search(len(c.segs), func(k int) bool { return c.level(c.segs[k].vars[0]) > level })
+	return max(k-1, 0)
+}
+
+// levelRun returns the block whose levels include variable v's and, as a run
+// of the block's level-sorted list, the nodes labeled with v. The run is
+// empty when v does not occur in the index.
+func (c *chain) levelRun(v int) (k int, run []int32) {
+	l := int32(c.ord.Level(v))
+	if l < 0 || len(c.segs) == 0 {
+		return 0, nil
+	}
+	k = c.blockForLevel(l)
+	s := c.segs[k]
+	lo := sort.Search(len(s.byLevel), func(j int) bool { return c.level(s.vars[s.byLevel[j]]) >= l })
+	hi := lo
+	for hi < len(s.byLevel) && s.vars[s.byLevel[hi]] == int32(v) {
+		hi++
+	}
+	return k, s.byLevel[lo:hi]
+}
 
 // appendChain appends the convergence points of the sub-OBDD rooted at from
-// to roots/levels, with a level-ordered sweep: whenever the frontier of
+// to roots, with a level-ordered sweep: whenever the frontier of
 // discovered-but-unprocessed nodes has exactly one element, every accepting
 // path passes through it. These are the block boundaries of the concatenated
-// per-separator-value OBDDs (and any finer ones inside them). The sweep ends
-// at stop, itself a convergence point that is not appended — the root of the
-// next separator block when only one block is re-examined; pass obdd.False to
-// sweep down to the terminals.
-func appendChain(m *obdd.Manager, from, stop obdd.NodeID, roots []obdd.NodeID, levels []int32) ([]obdd.NodeID, []int32) {
+// per-separator-value OBDDs (and any finer ones inside them). The sweep runs
+// down to the terminals; an edge to the True terminal ends the search for
+// boundaries, and so does — in the chain — an edge to the next separator
+// block's root, which therefore yields the same boundaries whether a block
+// is swept inside the chain or standalone.
+func appendChain(m *obdd.Manager, from obdd.NodeID, roots []obdd.NodeID) []obdd.NodeID {
 	if m.IsTerminal(from) {
-		return roots, levels
+		return roots
 	}
 	// The frontier is as wide as the OBDD at the sweep line — narrow for the
 	// chains this index is built for — so it is scanned linearly both to pop
@@ -46,12 +105,8 @@ func appendChain(m *obdd.Manager, from, stop obdd.NodeID, roots []obdd.NodeID, l
 			}
 		}
 		u := pending[best]
-		if u == stop {
-			break
-		}
 		if len(pending) == 1 && !seenTrueEdge {
 			roots = append(roots, u)
-			levels = append(levels, m.NodeLevel(u))
 		}
 		pending[best] = pending[len(pending)-1]
 		pending = pending[:len(pending)-1]
@@ -71,36 +126,35 @@ func appendChain(m *obdd.Manager, from, stop obdd.NodeID, roots []obdd.NodeID, l
 			pending = append(pending, c)
 		}
 	}
-	return roots, levels
+	return roots
 }
 
-// augmentAll computes every derived structure from (m, root, probs): the
-// chain, and the per-block augmentation of every block. It returns the
-// number of cc nodes.
-func (ix *Index) augmentAll() int {
-	ix.chainRoots, ix.chainLevels = appendChain(ix.m, ix.root, obdd.False, nil, nil)
-	ix.blockProb = make([]float64, len(ix.chainRoots))
-	size := 0
-	if ix.cc != nil {
-		size = len(ix.cc.id) // a re-augmentation: about as many nodes as before
-	}
-	ix.cc = newCCLayout(ix.m.NumNodes(), len(ix.chainRoots), size)
-	for k := range ix.chainRoots {
-		ix.flattenBlock(k)
-		ix.weighBlock(k)
-	}
-	ix.sumBlocks()
-	return len(ix.cc.id)
+// flattener lays out the blocks of one OBDD in m as segment shapes, carved
+// from one backing store per field — sized by the caller to the nodes it
+// will lay out — so a chain's shapes cost a handful of allocations, not a
+// few per block (newChain does the same for the segments and weights). at
+// maps a node of m to its index in its block + 1 (0: not flattened); levels
+// is scratch.
+type flattener struct {
+	m                             *obdd.Manager
+	at                            []int32
+	vars, lo, hi, byLevel, levels []int32
 }
 
-// flattenBlock appends block k's segment to the cc layout — the structural
-// half of the per-block augmentation. The chain directory must be complete
-// (the DFS stops at the next block's root) and every earlier block already
-// flattened.
-func (ix *Index) flattenBlock(k int) {
-	cc, m := ix.cc, ix.m
-	base := int32(len(cc.id))
-	next := ix.nextRoot(k)
+func newFlattener(m *obdd.Manager, nodes int) *flattener {
+	f := &flattener{m: m, at: make([]int32, m.NumNodes())}
+	for _, a := range []*[]int32{&f.vars, &f.lo, &f.hi, &f.byLevel} {
+		*a = make([]int32, 0, nodes)
+	}
+	return f
+}
+
+// flatten lays out the block from root down to, and excluding, next (the
+// following block's root, or True after the last block) — the structural
+// half of the per-block augmentation.
+func (f *flattener) flatten(root, next obdd.NodeID, sep engine.Value) shape {
+	m, base := f.m, int32(len(f.vars))
+	f.levels = f.levels[:0]
 	var dfs func(u obdd.NodeID) int32
 	dfs = func(u obdd.NodeID) int32 {
 		switch u {
@@ -109,50 +163,51 @@ func (ix *Index) flattenBlock(k int) {
 		case obdd.True, next:
 			return ccExit
 		}
-		if w := cc.idOf[u]; w >= 0 {
-			return w - base
+		if w := f.at[u]; w > 0 {
+			return w - 1 // blocks share no node
 		}
-		w := int32(len(cc.id))
-		cc.idOf[u] = w
-		cc.id = append(cc.id, u)
-		cc.level = append(cc.level, m.NodeLevel(u))
-		cc.lo = append(cc.lo, 0)
-		cc.hi = append(cc.hi, 0)
+		w := int32(len(f.vars)) - base
+		f.at[u] = w + 1
+		l := m.NodeLevel(u)
+		f.levels = append(f.levels, l)
+		f.vars = append(f.vars, int32(m.VarAtLevel(int(l))))
+		f.lo = append(f.lo, 0)
+		f.hi = append(f.hi, 0)
 		lo := dfs(m.Lo(u))
 		hi := dfs(m.Hi(u))
-		cc.lo[w], cc.hi[w] = lo, hi
-		return w - base
+		f.lo[base+w], f.hi[base+w] = lo, hi
+		return w
 	}
-	dfs(ix.chainRoots[k])
-	n := int32(len(cc.id)) - base
-	for i := int32(0); i < n; i++ {
-		cc.byLevel = append(cc.byLevel, i)
+	dfs(root)
+	end := int32(len(f.vars))
+	for i := range end - base {
+		f.byLevel = append(f.byLevel, i)
 	}
+	sh := shape{sep: sep, vars: f.vars[base:end:end], lo: f.lo[base:end:end], hi: f.hi[base:end:end], byLevel: f.byLevel[base:end:end]}
 	// Level order: parents before children (edges strictly increase levels).
-	order, level := cc.byLevel[base:], cc.level[base:]
-	sort.Slice(order, func(a, b int) bool {
-		if la, lb := level[order[a]], level[order[b]]; la != lb {
-			return la < lb
+	levels := f.levels
+	slices.SortFunc(sh.byLevel, func(a, b int32) int {
+		if la, lb := levels[a], levels[b]; la != lb {
+			return int(la - lb)
 		}
-		return order[a] < order[b]
+		return int(a - b)
 	})
-	cc.prob = append(cc.prob, make([]float64, n)...)
-	cc.probUnder = append(cc.probUnder, make([]float64, n)...)
-	cc.reach = append(cc.reach, make([]float64, n)...)
-	cc.off = append(cc.off, base+n)
+	return sh
 }
 
-// weighBlock recomputes the weight-dependent half of block k's augmentation
-// in place from ix.probs: the per-node tuple probabilities, the block-local
-// probUnder and reachability, and the block probability. It returns the
-// number of nodes in the block.
-func (ix *Index) weighBlock(k int) int {
-	cc := ix.cc
-	a, b := cc.off[k], cc.off[k+1]
-	level, lo, hi := cc.level[a:b], cc.lo[a:b], cc.hi[a:b]
-	prob, under, reach, order := cc.prob[a:b], cc.probUnder[a:b], cc.reach[a:b], cc.byLevel[a:b]
-	for i, l := range level {
-		prob[i] = ix.probs[ix.m.VarAtLevel(int(l))]
+// weigh computes the weight-dependent half of a block's augmentation from
+// probs (indexed by variable): the per-node tuple probabilities, the
+// block-local probUnder and reachability, and the block probability. The
+// three arrays are carved from buf when it holds 3 values per node.
+func weigh(sh shape, probs, buf []float64) segment {
+	n := len(sh.vars)
+	if len(buf) < 3*n {
+		buf = make([]float64, 3*n)
+	}
+	s := segment{shape: sh, prob: buf[:n:n], probUnder: buf[n : 2*n : 2*n], reach: buf[2*n : 3*n : 3*n]}
+	prob, under, reach, lo, hi := s.prob, s.probUnder, s.reach, sh.lo, sh.hi
+	for i, v := range sh.vars {
+		prob[i] = probs[v]
 	}
 	// Local probUnder, bottom-up: leaving the block through the next chain
 	// root counts as 1 (the suffix blocks factor out).
@@ -165,17 +220,16 @@ func (ix *Index) weighBlock(k int) int {
 		}
 		return under[c]
 	}
-	for j := len(order) - 1; j >= 0; j-- {
-		i := order[j]
+	for j := n - 1; j >= 0; j-- {
+		i := sh.byLevel[j]
 		p := prob[i]
 		under[i] = (1-p)*child(lo[i]) + p*child(hi[i])
 	}
-	ix.blockProb[k] = under[0]
+	s.b = under[0]
 	// Local reachability, top-down: restarts at 1 on the block's root; edges
 	// that leave the block are dropped.
-	clear(reach)
 	reach[0] = 1
-	for _, i := range order {
+	for _, i := range sh.byLevel {
 		r, p := reach[i], prob[i]
 		if c := lo[i]; c >= 0 {
 			reach[c] += r * (1 - p)
@@ -184,147 +238,160 @@ func (ix *Index) weighBlock(k int) int {
 			reach[c] += r * p
 		}
 	}
-	return int(b - a)
+	return s
 }
 
-// sumBlocks folds the block probabilities into P0(¬W) = Π_k b_k, in log-sign
-// form.
-func (ix *Index) sumBlocks() {
-	ix.pNotWLog, ix.pNotWSign = 0, 1
-	if ix.root == obdd.False {
-		ix.pNotWLog, ix.pNotWSign = math.Inf(-1), 0
+// newChain augments the OBDD of ¬W rooted at root in m: it finds the chain
+// blocks, flattens and weighs every one, and keeps m as the chain's
+// materialised ¬W. With a usable block record of that OBDD (rec.Roots in m)
+// every block is tagged with its separator value, and the record is returned
+// for the index to keep (without the roots); nil when it does not line up
+// with the chain.
+func newChain(m *obdd.Manager, root obdd.NodeID, rec *obdd.BlockRecord, probs []float64) (c *chain, kept *obdd.BlockRecord) {
+	c = &chain{ord: m.NewScratch(), neg: new(lazyNeg)}
+	if root == obdd.False {
+		c.pNotW.zeros = 1 // ¬W is unsatisfiable: P0(¬W) = 0
+	}
+	roots := appendChain(m, root, nil)
+	// Tag the blocks: the record's value roots are chain roots, Roots[0] the
+	// first, unless the record does not describe this chain.
+	ok := rec != nil && rec.HasSep
+	vi := -1
+	size := m.Size(root)
+	f := newFlattener(m, size)
+	store, weights := make([]segment, len(roots)), make([]float64, 3*size)
+	c.segs, c.off = make([]*segment, len(roots)), make([]int32, len(roots)+1)
+	for k, r := range roots {
+		next := obdd.True
+		if k+1 < len(roots) {
+			next = roots[k+1]
+		}
+		var sep engine.Value
+		if ok && vi+1 < len(rec.Roots) && rec.Roots[vi+1] == r {
+			vi++
+		}
+		if ok = ok && vi >= 0; ok {
+			sep = rec.Values[vi]
+		}
+		store[k] = weigh(f.flatten(r, next, sep), probs, weights[3*c.off[k]:])
+		c.segs[k] = &store[k]
+		c.off[k+1] = c.off[k] + int32(len(store[k].vars))
+		c.pNotW.add(c.segs[k].b, 1)
+	}
+	if ok && vi == len(rec.Roots)-1 {
+		c.vals, kept = len(rec.Values), &obdd.BlockRecord{U: rec.U, HasSep: true, Sep: rec.Sep}
+	}
+	for i := range f.at {
+		f.at[i]-- // -1: not in the chain
+	}
+	c.neg.p.Store(&negW{m: m, root: root, roots: roots, at: f.at})
+	return c, kept
+}
+
+// logProd holds P0(¬W) = Π_k b_k exactly enough to be maintained by the
+// changed blocks' terms alone: Σ_k log|b_k| as a 64.64 two's-complement
+// fixed-point integer — integer sums are associative, so adding and removing
+// terms in any order gives the bits a from-scratch sum gives — plus the
+// counts of zero and of negative factors.
+type logProd struct {
+	hi          int64
+	lo          uint64
+	zeros, negs int
+}
+
+// add multiplies (sign 1) or divides (sign -1) the product by b.
+func (p *logProd) add(b float64, sign int) {
+	switch {
+	case b == 0:
+		p.zeros += sign
 		return
+	case b < 0:
+		p.negs += sign
 	}
-	for _, b := range ix.blockProb {
-		if b == 0 {
-			ix.pNotWLog, ix.pNotWSign = math.Inf(-1), 0
-			return
-		}
-		ix.pNotWLog += math.Log(math.Abs(b))
-		if b < 0 {
-			ix.pNotWSign = -ix.pNotWSign
-		}
+	// |log|b|| in 64.64 fixed point, bits below 2^-64 truncated.
+	l := math.Log(math.Abs(b))
+	ip, frac := math.Modf(math.Abs(l))
+	hi, lo := uint64(ip), uint64(math.Ldexp(frac, 64))
+	var c uint64
+	if (l < 0) == (sign < 0) {
+		p.lo, c = bits.Add64(p.lo, lo, 0)
+		p.hi += int64(hi + c)
+	} else {
+		p.lo, c = bits.Sub64(p.lo, lo, 0)
+		p.hi -= int64(hi + c)
 	}
 }
 
-// levelRun returns the chain block whose levels include variable v's and,
-// as a run of the block's level-sorted list, the nodes labeled with v —
-// segment-relative, so node i of the run is cc node cc.off[k]+i. The run is
-// empty when v does not occur in the index.
-func (ix *Index) levelRun(v int) (k int, run []int32) {
-	l := int32(ix.m.Level(v))
-	if l < 0 || len(ix.chainRoots) == 0 {
-		return 0, nil
+// value returns the product as (log|·|, sign); sign 0 means exactly zero.
+func (p logProd) value() (float64, int) {
+	if p.zeros > 0 {
+		return math.Inf(-1), 0
 	}
-	cc := ix.cc
-	k = ix.blockForLevel(l)
-	level := cc.level[cc.off[k]:cc.off[k+1]]
-	order := cc.byLevel[cc.off[k]:cc.off[k+1]]
-	lo := sort.Search(len(order), func(j int) bool { return level[order[j]] >= l })
-	hi := lo
-	for hi < len(order) && level[order[hi]] == l {
-		hi++
+	sign := 1
+	if p.negs%2 != 0 {
+		sign = -1
 	}
-	return k, order[lo:hi]
+	return float64(p.hi) + float64(p.lo)*0x1p-64, sign
 }
 
-// carry brings the augmentation across an incremental recompile (a
-// non-full obdd.Delta over the index's previous manager and block record):
-// every chain block the splice copied keeps its segment — one copy per array
-// for each run of consecutive clean blocks, with manager node ids and levels
-// renamed through the delta's maps — and only the recompiled separator blocks
-// are re-examined for convergence points and re-augmented (counted in st). It
-// returns which blocks, by new block number, are fresh. Every recorded
-// separator-block root is a chain root of the index (the record is cut from
-// the same chain); carry fails, with the augmentation untouched, if that
-// invariant is broken.
-func (ix *Index) carry(d *obdd.Delta, oldRec *obdd.BlockRecord, st *MaintStats) (fresh []bool, err error) {
-	oldM, oldRoots, oldLevels, oldProb, oldCC := ix.m, ix.chainRoots, ix.chainLevels, ix.blockProb, ix.cc
-	// oldBlock finds the old chain block a recorded separator block starts.
-	oldBlock := func(root obdd.NodeID) int {
-		k := ix.blockForLevel(oldM.NodeLevel(root))
-		if oldRoots[k] != root {
-			return -1
-		}
-		return k
-	}
+// negW is a chain's ¬W as a pointer OBDD — what the pointer MVIntersect of
+// Fig. 9, Sift and Save work on. at maps a node of m to its index in its
+// block (-1 for nodes outside the chain); roots are the blocks' roots.
+type negW struct {
+	m     *obdd.Manager
+	root  obdd.NodeID
+	roots []obdd.NodeID
+	at    []int32
+}
 
-	// The new directory: carried runs keep their old blocks' boundaries, the
-	// recompiled separator blocks are swept for theirs.
-	type run struct{ at, k0, k1 int } // new blocks [at, at+k1-k0) are old blocks [k0, k1)
-	var runs []run
-	roots := make([]obdd.NodeID, 0, len(oldRoots)+8)
-	levels := make([]int32, 0, len(oldRoots)+8)
-	rec := d.Rec
-	for i := 0; i < len(rec.Roots); {
-		from := d.From[i]
-		if from < 0 {
-			stop := obdd.False
-			if i+1 < len(rec.Roots) {
-				stop = rec.Roots[i+1]
+// lazyNeg holds a chain's negW, built on first need unless the chain was
+// flattened from one; chains that differ only in weights share it.
+type lazyNeg struct {
+	once sync.Once
+	p    atomic.Pointer[negW]
+}
+
+// negOBDD returns the chain's ¬W, materialising it from the segments on the
+// first call. Safe for concurrent callers.
+func (c *chain) negOBDD() *negW {
+	c.neg.once.Do(func() {
+		if c.neg.p.Load() == nil {
+			c.neg.p.Store(c.materialize())
+		}
+	})
+	return c.neg.p.Load()
+}
+
+// materialize rebuilds ¬W from the segments in a fresh scratch manager of
+// the order, block by block from the last, children before parents.
+func (c *chain) materialize() *negW {
+	m := c.ord.NewScratch()
+	n := &negW{m: m, root: obdd.True, roots: make([]obdd.NodeID, len(c.segs)), at: []int32{-1, -1}}
+	if c.pNotW.zeros > 0 && len(c.segs) == 0 {
+		n.root = obdd.False
+	}
+	var ids []obdd.NodeID
+	for k := len(c.segs) - 1; k >= 0; k-- {
+		s := c.segs[k]
+		ids = slices.Grow(ids[:0], len(s.vars))[:len(s.vars)]
+		child := func(x int32) obdd.NodeID {
+			switch x {
+			case ccFalse:
+				return obdd.False
+			case ccExit:
+				return n.root
 			}
-			roots, levels = appendChain(d.M, rec.Roots[i], stop, roots, levels)
-			i++
-			continue
+			return ids[x]
 		}
-		// A run of blocks copied from consecutive old separator blocks covers
-		// one contiguous range of old chain blocks.
-		last := from
-		for i++; i < len(rec.Roots) && d.From[i] == last+1; i++ {
-			last++
+		for j := len(s.byLevel) - 1; j >= 0; j-- {
+			i := s.byLevel[j]
+			id := m.MkNode(c.level(s.vars[i]), child(s.lo[i]), child(s.hi[i]))
+			for int(id) >= len(n.at) {
+				n.at = append(n.at, -1)
+			}
+			ids[i], n.at[id] = id, i
 		}
-		k0, k1 := oldBlock(oldRec.Roots[from]), len(oldRoots)
-		if int(last)+1 < len(oldRec.Roots) {
-			k1 = oldBlock(oldRec.Roots[last+1])
-		}
-		if k0 < 0 || k1 <= k0 {
-			return nil, fmt.Errorf("mvindex: recorded separator blocks %d..%d do not start chain blocks (chain blocks %d, %d)", from, last, k0, k1)
-		}
-		runs = append(runs, run{at: len(roots), k0: k0, k1: k1})
-		for k := k0; k < k1; k++ {
-			roots = append(roots, d.NodeMap[oldRoots[k]])
-			levels = append(levels, d.LevelMap[oldLevels[k]])
-		}
+		n.root, n.roots[k] = ids[0], ids[0]
 	}
-
-	ix.m, ix.root = d.M, d.Root
-	ix.chainRoots, ix.chainLevels = roots, levels
-	ix.blockProb = make([]float64, len(roots))
-	cc := newCCLayout(d.M.NumNodes(), len(roots), len(oldCC.id)+64)
-	ix.cc = cc
-	fresh = make([]bool, len(roots))
-	for k := 0; k < len(roots); {
-		if len(runs) == 0 || runs[0].at != k {
-			ix.flattenBlock(k)
-			st.AugmentedBlocks++
-			st.AugmentedNodes += ix.weighBlock(k)
-			fresh[k] = true
-			k++
-			continue
-		}
-		r := runs[0]
-		runs = runs[1:]
-		a, b := oldCC.off[r.k0], oldCC.off[r.k1]
-		shift := int32(len(cc.id)) - a
-		for _, u := range oldCC.id[a:b] {
-			nu := d.NodeMap[u]
-			cc.idOf[nu] = int32(len(cc.id))
-			cc.id = append(cc.id, nu)
-		}
-		for _, l := range oldCC.level[a:b] {
-			cc.level = append(cc.level, d.LevelMap[l])
-		}
-		cc.lo = append(cc.lo, oldCC.lo[a:b]...)
-		cc.hi = append(cc.hi, oldCC.hi[a:b]...)
-		cc.prob = append(cc.prob, oldCC.prob[a:b]...)
-		cc.probUnder = append(cc.probUnder, oldCC.probUnder[a:b]...)
-		cc.reach = append(cc.reach, oldCC.reach[a:b]...)
-		cc.byLevel = append(cc.byLevel, oldCC.byLevel[a:b]...)
-		for _, end := range oldCC.off[r.k0+1 : r.k1+1] {
-			cc.off = append(cc.off, end+shift)
-		}
-		copy(ix.blockProb[k:], oldProb[r.k0:r.k1])
-		k += r.k1 - r.k0
-	}
-	return fresh, nil
+	return n
 }

@@ -32,14 +32,15 @@ type CacheStats struct {
 	// scratch managers used by query evaluation since the cache was enabled.
 	QueryApplyHits   uint64 `json:"query_apply_hits"`
 	QueryApplyMisses uint64 `json:"query_apply_misses"`
-	// SharedApplyHits/Misses are the frozen shared manager's counters —
-	// effectively the compile-time apply behaviour of W.
+	// SharedApplyHits/Misses are the counters of Manager(), on which
+	// IntersectOBDD callers build query OBDDs (it starts empty on every
+	// structural batch).
 	SharedApplyHits   uint64 `json:"shared_apply_hits"`
 	SharedApplyMisses uint64 `json:"shared_apply_misses"`
 }
 
 // EnableCache installs the cross-query cache with the given bounds (or
-// removes it with opts.Disable). Like Reweight and Compact this is a
+// removes it with opts.Disable). Like Reweight this is a
 // mutating operation: it requires exclusive access to the index. Once
 // enabled, the cache is consulted and filled by the concurrent read path
 // (Query, ProbBoolean, IntersectLineage) unless a call opts out with
@@ -70,7 +71,7 @@ func (ix *Index) CacheEnabled() bool { return ix.cache != nil }
 // index's read contract.
 func (ix *Index) CacheStats() CacheStats {
 	st := CacheStats{}
-	st.SharedApplyHits, st.SharedApplyMisses = ix.m.ApplyCacheStats()
+	st.SharedApplyHits, st.SharedApplyMisses = ix.ch.ord.ApplyCacheStats()
 	if ix.cache == nil {
 		return st
 	}

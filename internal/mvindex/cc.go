@@ -3,128 +3,110 @@ package mvindex
 import (
 	"sync"
 
+	"mvdb/internal/engine"
 	"mvdb/internal/obdd"
 )
 
-// ccLayout is the cache-conscious representation of Section 4.3: the ¬W
-// OBDD nodes stored in a flat struct-of-arrays vector, so the online
-// intersection walks memory mostly sequentially instead of chasing node
-// pointers. The vector is the concatenation of one segment per chain block —
-// block k owns [off[k], off[k+1]) — each sorted by DFS preorder from the
-// block's root (which therefore sits at off[k]).
+// The cache-conscious representation of Section 4.3 is a directory of
+// segments, one per chain block, each holding the block's ¬W nodes as a flat
+// struct-of-arrays vector in DFS preorder from the block's root (which sits
+// at index 0), so the online intersection walks memory mostly sequentially
+// instead of chasing node pointers.
 //
-// A segment is position-independent: child links are indices relative to the
-// segment's start (or one of the exits below), and nothing in it names its
-// block's number or its offset. Blocks a mutation batch leaves untouched are
-// thus carried into the next layout by plain copies, with only the manager
-// node ids and levels renamed (see Index.carry); the per-block augmentation
-// (flattenBlock, weighBlock) is the one primitive that fills a segment.
-type ccLayout struct {
-	off []int32 // per block, plus the total: segment boundaries
+// A segment is position- and order-independent: child links are indices
+// relative to the segment (or one of the exits below), nodes name their
+// variables rather than their levels — a node's level is the order's
+// Level(var), looked up on the fly — and nothing in it names its block's
+// number. A segment is immutable once published, so a mutation batch builds
+// segments only for the blocks it dirtied and a new directory that points at
+// every clean segment of the previous one; re-weighing a block replaces its
+// segment, sharing the structural half.
 
-	id     []obdd.NodeID // the manager node behind each cc node
-	level  []int32
-	lo, hi []int32   // segment-relative index, or ccFalse / ccExit
-	prob   []float64 // tuple probability at the node's level
+// shape is the structural half of a segment.
+type shape struct {
+	sep    engine.Value // the separator value whose block this chain block is part of (under a block record)
+	vars   []int32      // the variable each node tests
+	lo, hi []int32      // segment-relative index, or ccFalse / ccExit
 
-	// Block-local augmentation (see the package comment): probUnder counts
-	// the next chain root as True, reach restarts at 1 on the block's root.
-	probUnder []float64
-	reach     []float64
-
-	// byLevel lists, per segment, its segment-relative indices sorted by
-	// level (preorder among equals): the sweep order of the augmentation and
-	// the IntraBddIndex — a variable's nodes are one run of its block's list.
+	// byLevel lists the node indices sorted by level (preorder among
+	// equals): the sweep order of the augmentation and the IntraBddIndex — a
+	// variable's nodes are one run of it.
 	byLevel []int32
-
-	// idOf maps a manager node id to its cc index, dense over the node
-	// store; -1 marks nodes not reachable from the index root (and the two
-	// terminals, which flatten to ccFalse/ccTrue instead).
-	idOf []int32
 }
 
-// Exits of a flattened segment. ccExit is the block's accepting exit: the
-// root of the next chain block or, after the last block, the True terminal —
-// one code for both, so a segment reads the same wherever its block sits in
-// the chain (True edges only ever occur in the last block, see appendChain).
+// segment is one chain block: its shape and the weight-dependent half of
+// the augmentation (package comment): probUnder counts the next chain root
+// as True, reach restarts at 1 on the block's root, b is b_k.
+type segment struct {
+	shape
+	prob      []float64 // tuple probability of each node's variable
+	probUnder []float64
+	reach     []float64
+	b         float64
+}
+
+// Exits of a segment. ccExit is the block's accepting exit: the root of the
+// next chain block or, after the last block, the True terminal — one code
+// for both, so a segment reads the same wherever its block sits in the chain
+// (True edges only ever occur in the last block, see appendChain).
 const (
 	ccFalse int32 = -1
 	ccExit  int32 = -2
 )
 
-// newCCLayout returns an empty layout over a manager of numNodes nodes, with
-// room for the given number of blocks and cc nodes.
-func newCCLayout(numNodes, blocks, nodes int) *ccLayout {
-	cc := &ccLayout{
-		off:       make([]int32, 1, blocks+1),
-		id:        make([]obdd.NodeID, 0, nodes),
-		level:     make([]int32, 0, nodes),
-		lo:        make([]int32, 0, nodes),
-		hi:        make([]int32, 0, nodes),
-		prob:      make([]float64, 0, nodes),
-		probUnder: make([]float64, 0, nodes),
-		reach:     make([]float64, 0, nodes),
-		byLevel:   make([]int32, 0, nodes),
-		idOf:      make([]int32, numNodes),
-	}
-	for i := range cc.idOf {
-		cc.idOf[i] = -1
-	}
-	return cc
-}
-
 // ccWalk is one CC-MVIntersect traversal: the same recursion as MVIntersect,
-// but the ¬W side walks the flattened vector and memoization uses an
-// open-addressed table keyed by (query node, cc index) packed into one int64
-// — no pointer chasing, no map-bucket overhead. qm is the manager holding the
-// query OBDD (the shared manager or a per-call scratch over the same order);
-// stop is the first block past the query's span.
+// but the ¬W side walks the segments and memoization uses an open-addressed
+// table keyed by (query node, cc index) packed into one int64 — no pointer
+// chasing, no map-bucket overhead. qm is the manager holding the query OBDD
+// (a scratch manager over the index's order); levels is the order's
+// variable → level table; stop is the first block past the query's span.
 type ccWalk struct {
 	ix          *Index
-	cc          *ccLayout
+	ch          *chain
 	qm          *obdd.Manager
+	levels      []int32
 	stop        int
 	memo, qprob *pairMemo
 	g           *guard
 }
 
-// intersect is CC-MVIntersect over the query's block span.
-func (cc *ccLayout) intersect(ix *Index, qm *obdd.Manager, fQ obdd.NodeID, s span, memo, qprob *pairMemo, g *guard) float64 {
-	w := ccWalk{ix: ix, cc: cc, qm: qm, stop: s.last + 1, memo: memo, qprob: qprob, g: g}
-	return w.rec(fQ, s.first, cc.off[s.first])
+// intersectCC is CC-MVIntersect over the query's block span.
+func (ix *Index) intersectCC(qm *obdd.Manager, fQ obdd.NodeID, s span, memo, qprob *pairMemo, g *guard) float64 {
+	w := ccWalk{ix: ix, ch: ix.ch, qm: qm, levels: ix.ch.ord.VarLevels(), stop: s.last + 1, memo: memo, qprob: qprob, g: g}
+	return w.rec(fQ, s.first, 0)
 }
 
-// rec mirrors Index.intersect in conditioned units (see that method) for the
-// cc node w of block k: each w-side edge leaving a block divides by the
-// block's probability.
+// rec mirrors Index.intersect in conditioned units (see that method) for
+// node w of block k: each w-side edge leaving a block divides by the block's
+// probability.
 func (t *ccWalk) rec(q obdd.NodeID, k int, w int32) float64 {
 	if q == obdd.False {
 		return 0
 	}
-	cc := t.cc
+	seg := t.ch.segs[k]
 	if q == obdd.True {
-		return cc.probUnder[w] / t.ix.blockProb[k]
+		return seg.probUnder[w] / seg.b
 	}
-	// Non-terminal q >= 2 and w >= 0, so the packed key is never zero (the
-	// empty-slot sentinel).
-	key := int64(q)<<32 | int64(uint32(w))
+	// Non-terminal q >= 2 and a cc index >= 0, so the packed key is never
+	// zero (the empty-slot sentinel).
+	key := int64(q)<<32 | int64(uint32(t.ch.off[k]+w))
 	if r, ok := t.memo.get(key); ok {
 		return r
 	}
 	t.g.visit()
 	qm := t.qm
-	lq, lw := qm.NodeLevel(q), cc.level[w]
+	lq, lw := qm.NodeLevel(q), t.levels[seg.vars[w]]
 	var r float64
 	switch {
 	case lq < lw:
 		p := t.ix.probs[qm.VarAtLevel(int(lq))]
 		r = (1-p)*t.rec(qm.Lo(q), k, w) + p*t.rec(qm.Hi(q), k, w)
 	case lw < lq:
-		p := cc.prob[w]
-		r = (1-p)*t.wchild(q, k, cc.lo[w]) + p*t.wchild(q, k, cc.hi[w])
+		p := seg.prob[w]
+		r = (1-p)*t.wchild(q, k, seg.lo[w]) + p*t.wchild(q, k, seg.hi[w])
 	default:
-		p := cc.prob[w]
-		r = (1-p)*t.wchild(qm.Lo(q), k, cc.lo[w]) + p*t.wchild(qm.Hi(q), k, cc.hi[w])
+		p := seg.prob[w]
+		r = (1-p)*t.wchild(qm.Lo(q), k, seg.lo[w]) + p*t.wchild(qm.Hi(q), k, seg.hi[w])
 	}
 	t.memo.put(key, r)
 	return r
@@ -139,14 +121,14 @@ func (t *ccWalk) wchild(q obdd.NodeID, k int, c int32) float64 {
 		return 0
 	}
 	if c >= 0 {
-		return t.rec(q, k, t.cc.off[k]+c)
+		return t.rec(q, k, c)
 	}
 	// c == ccExit; the span ends with the chain at the latest.
-	b := t.ix.blockProb[k]
+	b := t.ch.segs[k].b
 	if k+1 == t.stop {
 		return t.ix.qProb(t.qm, q, t.qprob) / b
 	}
-	return t.rec(q, k+1, t.cc.off[k+1]) / b
+	return t.rec(q, k+1, 0) / b
 }
 
 // pairMemo is a linear-probing hash table from packed (q,w) keys to

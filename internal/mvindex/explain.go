@@ -5,7 +5,6 @@ import (
 
 	"mvdb/internal/budget"
 	"mvdb/internal/lineage"
-	"mvdb/internal/obdd"
 	"mvdb/internal/ucq"
 )
 
@@ -29,7 +28,7 @@ func (e Explain) String() string {
 }
 
 // ExplainBoolean evaluates P(Q) like ProbBoolean and reports traversal
-// statistics (always with the entry shortcut, MVIntersect layout). Only the
+// statistics (always with the entry shortcut, over the segments). Only the
 // cancellation and budget fields of opts apply; the layout knobs are fixed.
 func (ix *Index) ExplainBoolean(q ucq.UCQ, opts IntersectOptions) (Explain, error) {
 	linQ, err := ucq.EvalBoolean(ix.tr.DB, q)
@@ -44,52 +43,31 @@ func (ix *Index) ExplainLineage(linQ lineage.DNF, opts IntersectOptions) (Explai
 	if err := budget.Check(opts.Ctx, opts.Budget.Deadline); err != nil {
 		return Explain{}, err
 	}
-	if ix.pNotWSign == 0 {
-		return Explain{}, fmt.Errorf("mvindex: P0(¬W) = 0 — inconsistent MarkoViews")
+	if _, sign := ix.LogProbNotW(); sign == 0 {
+		return Explain{}, errInconsistent
 	}
 	ex := Explain{
 		Blocks:      ix.Blocks(),
-		IndexLevels: ix.m.NumVars(),
+		IndexLevels: ix.ch.ord.NumVars(),
 		QueryVars:   len(linQ.Vars()),
 	}
 	if linQ.IsFalse() {
 		return ex, nil
 	}
-	qm := ix.m.NewScratch()
-	var fQ obdd.NodeID
-	if opts.bounded() {
-		qm.SetBudget(opts.Ctx, opts.Budget)
-		if err := budget.Catch(func() { fQ = obdd.BuildDNF(qm, linQ) }); err != nil {
-			return Explain{}, err
-		}
-	} else {
-		fQ = obdd.BuildDNF(qm, linQ)
+	qm, fQ, err := ix.queryOBDD(linQ, opts)
+	if err != nil {
+		return Explain{}, err
 	}
 	ex.QuerySize = qm.Size(fQ)
-	if fQ == obdd.True {
-		ex.Prob = 1
-		return ex, nil
-	}
 	if span := int(qm.MaxLevel(fQ)) - int(qm.NodeLevel(fQ)) + 1; span > 0 {
 		ex.SpanLevels = span
 	}
-	qprob := getPairMemo()
-	defer putPairMemo(qprob)
-	if ix.m.IsTerminal(ix.root) {
-		ex.Prob = ix.qProb(qm, fQ, qprob)
-		return ex, nil
-	}
-	s := ix.spanFor(qm, fQ, IntersectOptions{})
-	ex.EntryBlock, ex.LastBlock = s.first, s.last
-	memo := getPairMemo()
-	defer putPairMemo(memo)
-	g := newGuard(opts)
-	if err := budget.Catch(func() {
-		ex.Prob = ix.intersect(qm, fQ, ix.chainRoots[s.first], s, memo, qprob, g)
-	}); err != nil {
+	var s span
+	ex.Prob, s, ex.PairsVisited, err = ix.walk(qm, fQ, IntersectOptions{CacheConscious: true, Ctx: opts.Ctx, Budget: opts.Budget})
+	if err != nil {
 		return Explain{}, err
 	}
-	ex.PairsVisited = memo.n
+	ex.EntryBlock, ex.LastBlock = s.first, s.last
 	return ex, nil
 }
 
@@ -101,11 +79,11 @@ func (ix *Index) ExplainLineage(linQ lineage.DNF, opts IntersectOptions) (Explai
 // Only the cancellation and budget fields of opts apply; the traversal is
 // always cache-conscious.
 func (ix *Index) TupleMarginal(v int, opts IntersectOptions) (float64, error) {
-	if ix.m.Level(v) < 0 {
+	if ix.ch.ord.Level(v) < 0 {
 		return 0, fmt.Errorf("mvindex: variable %d not in the index order", v)
 	}
 	opts.CacheConscious = true
-	qm := ix.m.NewScratch()
+	qm := ix.ch.ord.NewScratch()
 	return ix.intersectOn(qm, qm.Var(v), opts)
 }
 
@@ -122,37 +100,34 @@ func (ix *Index) TupleMarginal(v int, opts IntersectOptions) (float64, error) {
 // independent of the views and keep their prior. The result is indexed by
 // variable id; entry 0 is unused.
 func (ix *Index) AllTupleMarginals() ([]float64, error) {
-	if ix.pNotWSign == 0 {
-		return nil, fmt.Errorf("mvindex: P0(¬W) = 0 — inconsistent MarkoViews")
+	if _, sign := ix.LogProbNotW(); sign == 0 {
+		return nil, errInconsistent
 	}
 	out := make([]float64, len(ix.probs))
-	cc := ix.cc
 	for v := 1; v < len(ix.probs); v++ {
 		p := ix.probs[v]
-		k, run := ix.levelRun(v)
+		k, run := ix.ch.levelRun(v)
 		if len(run) == 0 {
 			out[v] = p // not constrained by any view
 			continue
 		}
-		bk := ix.blockProb[k]
-		if bk == 0 {
+		s := ix.ch.segs[k]
+		if s.b == 0 {
 			return nil, fmt.Errorf("mvindex: block %d has probability 0 — inconsistent MarkoViews", k)
 		}
-		a, b := cc.off[k], cc.off[k+1]
-		under, reach, hi := cc.probUnder[a:b], cc.reach[a:b], cc.hi[a:b]
 		through := 0.0 // accepting block mass through v's nodes with v = 1
 		touched := 0.0 // total block mass through v's nodes
 		for _, i := range run {
-			switch c := hi[i]; c {
+			switch c := s.hi[i]; c {
 			case ccFalse:
 			case ccExit:
-				through += reach[i] * p
+				through += s.reach[i] * p
 			default:
-				through += reach[i] * p * under[c]
+				through += s.reach[i] * p * s.probUnder[c]
 			}
-			touched += reach[i] * under[i]
+			touched += s.reach[i] * s.probUnder[i]
 		}
-		out[v] = (through + p*(bk-touched)) / bk
+		out[v] = (through + p*(s.b-touched)) / s.b
 	}
 	return out, nil
 }

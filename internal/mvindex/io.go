@@ -13,11 +13,11 @@ import (
 )
 
 // indexSnapshot is the serialized MV-index: the translated database, the
-// translation metadata, the OBDD manager, and the ¬W root. The augmentation
-// (chain blocks and their flattened, weighed segments) is recomputed on load
-// — one pass of the per-block primitive over every block; it depends on the
-// tuple weights, which keeps saved indexes valid under Reweight-style
-// workflows.
+// translation metadata, an OBDD manager, and the ¬W root. The index holds ¬W
+// as per-block segments; Save materialises it into a manager (once per
+// version) and the segments are recomputed on load — one pass of the
+// per-block primitive over every block; they depend on the tuple weights,
+// which keeps saved indexes valid under Reweight-style workflows.
 //
 // The live-update state travels with it: the source MVDB (base database plus
 // WeightTable-backed view definitions) and the translate options, so a
@@ -72,12 +72,16 @@ func (ix *Index) Save(w io.Writer) error { return ix.SaveSeq(w, 0) }
 // mutations; closure-weighted sources degrade to a query-only snapshot.
 func (ix *Index) SaveSeq(w io.Writer, lastSeq uint64) error {
 	bw := bufio.NewWriter(w)
+	n := ix.ch.negOBDD()
+	if n.m.NumNodes() > ix.Size()+2 {
+		n = ix.ch.materialize() // ¬W alone, not the compile it came from
+	}
 	s := indexSnapshot{
 		Magic:       snapshotMagic,
 		DB:          ix.tr.DB.Snapshot(),
 		Translation: ix.tr.Snapshot(),
-		Manager:     ix.m.Snapshot(),
-		Root:        int32(ix.root),
+		Manager:     n.m.Snapshot(),
+		Root:        int32(n.root),
 		Opts:        ix.tr.Opts(),
 		LastSeq:     lastSeq,
 	}
@@ -139,10 +143,11 @@ func ReadSeq(r io.Reader) (*Index, uint64, error) {
 	if root < 0 || int(root) >= m.NumNodes() {
 		return nil, 0, fmt.Errorf("mvindex: snapshot root %d out of range", root)
 	}
+	ix := &Index{tr: tr, probs: tr.DB.Probs()}
+	ix.ch, _ = newChain(m, root, nil, ix.probs)
 	// ¬W's root is stored; the translation derives W = ¬¬W if it is ever
 	// asked to evaluate through the OBDD itself.
-	tr.AttachNegOBDD(m, root)
-	ix := newIndex(tr, m, root)
+	ix.attachNegW()
 	if s.Reordered {
 		// The learned order was restored with the manager; mark the index so
 		// no sifting search re-runs and delta recompiles keep inheriting it.

@@ -3,6 +3,8 @@ package mvindex
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"time"
 
 	"mvdb/internal/core"
@@ -11,30 +13,32 @@ import (
 )
 
 // Incremental maintenance. A mutation batch against the source MVDB is
-// turned into a new index with work proportional to what the batch touches:
+// turned into a new version of the index with work proportional to what the
+// batch touches:
 //
 //   - A batch of pure reweights leaves the set of possible tuples — and
 //     therefore every OBDD — untouched; the reweighted variables'
 //     probabilities are patched and only the chain blocks holding them are
-//     re-weighed.
+//     re-weighed, each into a new segment.
 //   - A structural batch (inserts/deletes) repairs the Definition 5
 //     translation in place (core.ApplyDelta: only view heads reachable from
-//     the changed tuples are re-evaluated) and recompiles ¬W incrementally
-//     (obdd.CompileDelta): the variable order is patched rather than
-//     re-sorted, only the separator-value blocks the changed tuples can
-//     affect are compiled, and every clean block is copied from the old
-//     manager in one pass. The augmentation follows suit (Index.carry):
-//     clean blocks keep their segments, dirty ones go through the per-block
-//     primitive. Batches that could change W's shape fall back to a full
-//     re-translation of a mutated clone.
+//     the changed tuples are re-evaluated), patches the variable order
+//     (obdd.PatchOrder) and compiles only the blocks of the separator values
+//     the changed tuples can affect, standalone, in a scratch manager
+//     (obdd.CompileDelta). Those blocks are swept, flattened and weighed
+//     into new segments, and the new directory points at every clean
+//     segment of the old one (splice). Batches that could change W's shape
+//     fall back to a full re-translation of a mutated clone; its blocks stay
+//     incremental, but the clean segments are renamed into the new
+//     variable ids.
 //
-// What stays linear in the index is that one copy into the fresh manager
-// (readers and snapshots of the previous state stay frozen) plus flat copies
-// of the carried segments; nothing is sorted, hashed into maps or traversed
-// recursively outside the dirty blocks.
+// What stays linear in the index is flat: the new directory (one pointer per
+// block) and one copy of the order's two level arrays, since an insert
+// shifts every later level. No node of a clean block is copied, hashed or
+// visited, and no OBDD manager outlives the batch.
 //
-// ApplyMutations mutates the index and requires exclusive access, like
-// Reweight and Compact: no concurrent readers.
+// ApplyMutations replaces the index's version and requires exclusive
+// access, like Reweight: no concurrent readers.
 
 // MaintStats reports how one mutation batch was applied.
 type MaintStats struct {
@@ -42,15 +46,13 @@ type MaintStats struct {
 	WeightOnly bool // reweight-only fast path (no recompilation at all)
 	Full       bool // structural path fell back to a full recompile
 	Blocks     int  // non-empty separator blocks in the new chain
-	Reused     int  // clean blocks carried over from the old manager
+	Reused     int  // clean separator blocks kept by pointer
 	Recompiled int  // blocks compiled from scratch
 
 	// The work the batch cost the index, in the units it scales with: chain
-	// blocks (and their nodes) put through the per-block augmentation, and
-	// nodes copied from the old manager's chain.
+	// blocks (and their nodes) put through the per-block augmentation.
 	AugmentedBlocks int
 	AugmentedNodes  int
-	SplicedNodes    int
 
 	Duration time.Duration
 }
@@ -59,6 +61,11 @@ type MaintStats struct {
 // structural batch, so callers must re-fetch it rather than cache it. Nil for
 // indexes restored from snapshots without source data.
 func (ix *Index) Source() *core.MVDB { return ix.tr.Source }
+
+// FailCompile is a test seam: while err is non-nil, every structural batch
+// fails with it where the compile would start — after the delta translation
+// has patched the databases, the failure a server must fail closed on.
+func (ix *Index) FailCompile(err error) { ix.compileFault = err }
 
 // ApplyMutations validates and applies one batch of base-table mutations to
 // the source MVDB and brings the index up to date incrementally. Invalid
@@ -97,7 +104,9 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 			touched = append(touched, v)
 		}
 		ix.patchProbs(touched)
-		ix.reweigh(touched, nil, &st)
+		c := ix.ch.reweighed()
+		ix.reweigh(c, touched, nil, &st)
+		ix.ch = c
 		ix.weightsChanged()
 		st.WeightOnly = true
 		st.Duration = time.Since(t0)
@@ -106,18 +115,17 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 
 	// Structural path. The delta translator patches the source and translated
 	// databases in place — work proportional to the batch's blast radius —
-	// and the identity variable map plus its changed-tuple list drive the
-	// incremental recompile. Its read-only preflight falls back
-	// (ErrDeltaFallback, nothing mutated) to the conventional route when the
-	// batch could change W's shape: mutate a clone, run the full Definition 5
-	// translation and diff the two translated databases. Either way the
-	// recompile inherits the current manager's order — static Π or learned —
-	// and reuses whatever blocks the record still vouches for (none on the
-	// first structural batch, or after Compact dropped the record).
+	// and its changed-tuple list drives the incremental recompile. Its
+	// read-only preflight falls back (ErrDeltaFallback, nothing mutated) to
+	// the conventional route when the batch could change W's shape: mutate a
+	// clone, run the full Definition 5 translation and diff the two
+	// translated databases. Either way the recompile inherits the current
+	// order — static Π or learned — and recompiles only the dirty blocks
+	// when the record allows (not on the first structural batch, nor after a
+	// snapshot restore).
 	newTr := ix.tr
-	varMap := identityVarMap(ix.tr.DB)
+	var varMap func(int) (int, bool) // nil: patched in place, ids unchanged
 	changed, err := ix.tr.ApplyDelta(batch)
-	inPlace := err == nil
 	if errors.Is(err, core.ErrDeltaFallback) {
 		work := &core.MVDB{DB: src.DB.Clone(), Views: src.Views}
 		if err := work.Apply(batch); err != nil {
@@ -135,13 +143,14 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 		// surface them — the index needs a rebuild from clean data.
 		return st, err
 	}
-	d, err := obdd.CompileDelta(newTr.DB, newTr.W, newTr.WPerm(),
-		obdd.CompileOptions{}, ix.m, ix.rec, varMap, changed)
+	if ix.compileFault != nil {
+		return st, ix.compileFault
+	}
+	ord := obdd.PatchOrder(ix.ch.ord, varMap, newTr.DB, newTr.WPerm(), changed)
+	d, err := obdd.CompileDelta(newTr.DB, newTr.W, ord, obdd.CompileOptions{}, ix.rec, changed)
 	if err != nil {
 		return st, err
 	}
-	st.Full, st.Blocks, st.Reused, st.Recompiled, st.SplicedNodes =
-		d.Stats.Full, d.Stats.Blocks, d.Stats.Reused, d.Stats.Recompiled, d.Stats.Spliced
 
 	// Weights: every variable the batch created, freed or reweighted. Inserts
 	// count even when the tuple's presence did not change — a tuple deleted
@@ -156,9 +165,8 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 			}
 		}
 	}
-	oldRec := ix.rec
-	ix.tr, ix.rec = newTr, d.Rec
-	if inPlace {
+	ix.tr = newTr
+	if varMap == nil {
 		for _, ct := range changed {
 			if ct.Var != 0 {
 				touched = append(touched, ct.Var)
@@ -169,23 +177,124 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 		ix.probs = newTr.DB.Probs()
 	}
 
-	// Augmentation: every block after a full compile, else carried across
-	// for the blocks the splice copied.
-	if d.Stats.Full {
-		ix.m, ix.root = d.M, d.Root
-		st.AugmentedNodes = ix.augmentAll()
-		st.AugmentedBlocks = len(ix.chainRoots)
-	} else {
-		fresh, err := ix.carry(d, oldRec, &st)
-		if err != nil {
-			return st, err
+	var c *chain
+	if !d.Full {
+		if c = ix.splice(d, ord, varMap, touched, &st); c == nil {
+			// A dirty block does not fit between its neighbours: recompile.
+			if d, err = obdd.CompileDelta(newTr.DB, newTr.W, ord, obdd.CompileOptions{}, nil, changed); err != nil {
+				return st, err
+			}
 		}
-		ix.reweigh(touched, fresh, &st)
 	}
+	if d.Full {
+		c, ix.rec = newChain(d.M, d.Root, d.Rec, ix.probs)
+		st.Blocks = len(d.Rec.Roots)
+		st.AugmentedBlocks, st.AugmentedNodes = len(c.segs), int(c.off[len(c.segs)])
+	}
+	ix.ch = c
+	st.Full, st.Recompiled = d.Full, d.Recompiled
 	ix.weightsChanged()
 	ix.noteInheritedOrder(st)
 	st.Duration = time.Since(t0)
 	return st, nil
+}
+
+// splice builds the successor chain of an incremental compile: the dirty
+// separator values' blocks, swept into chain blocks, flattened and weighed,
+// in place of their old segments, and every other block by pointer —
+// renamed into the new variable ids when varMap is non-nil (the
+// re-translation route). It returns nil when a dirty block does not fit
+// between its neighbours' level windows in the patched order.
+func (ix *Index) splice(d *obdd.Delta, ord *obdd.Manager, varMap func(int) (int, bool), touched []int, st *MaintStats) *chain {
+	old := ix.ch
+	c := &chain{ord: ord, pNotW: old.pNotW, vals: old.vals, neg: new(lazyNeg),
+		segs: make([]*segment, 0, len(old.segs)+len(d.Values)),
+		off:  make([]int32, 1, len(old.segs)+len(d.Values)+1)}
+	keep := func(a, b int) bool {
+		shift := c.off[len(c.off)-1] - old.off[a]
+		for _, o := range old.off[a+1 : b+1] {
+			c.off = append(c.off, o+shift)
+		}
+		if varMap == nil {
+			c.segs = append(c.segs, old.segs[a:b]...)
+			return true
+		}
+		for _, s := range old.segs[a:b] {
+			r, ok := s.renamed(varMap)
+			if !ok {
+				return false
+			}
+			c.segs = append(c.segs, r)
+		}
+		return true
+	}
+	f := newFlattener(d.M, d.M.NumNodes())
+	var fresh []int // blocks of c built from dirty values
+	at, added := 0, 0
+	for j, v := range d.Values {
+		a := at + sort.Search(len(old.segs)-at, func(i int) bool { return old.segs[at+i].sep.Compare(v) >= 0 })
+		b := a
+		for ; b < len(old.segs) && old.segs[b].sep.Equal(v); b++ {
+			c.pNotW.add(old.segs[b].b, -1)
+		}
+		if !keep(at, a) {
+			return nil
+		}
+		if a < b {
+			c.vals--
+		}
+		at = b
+		roots := appendChain(d.M, d.Blocks[j], nil)
+		if len(roots) == 0 {
+			continue // the value's block is gone
+		}
+		c.vals++
+		added++
+		for i, r := range roots {
+			next := obdd.True
+			if i+1 < len(roots) {
+				next = roots[i+1]
+			}
+			s := weigh(f.flatten(r, next, v), ix.probs, nil)
+			fresh = append(fresh, len(c.segs))
+			c.segs = append(c.segs, &s)
+			c.off = append(c.off, c.off[len(c.off)-1]+int32(len(s.vars)))
+			c.pNotW.add(s.b, 1)
+			st.AugmentedBlocks++
+			st.AugmentedNodes += len(s.vars)
+		}
+	}
+	if !keep(at, len(old.segs)) {
+		return nil
+	}
+	// Every dirty block must sit between its neighbours in the patched order,
+	// as chaining it in would require.
+	for _, k := range fresh {
+		for _, j := range [2]int{k, k + 1} { // the boundaries before and after block k
+			if j > 0 && j < len(c.segs) {
+				if _, prev := c.window(j - 1); prev >= c.level(c.segs[j].vars[0]) {
+					return nil
+				}
+			}
+		}
+	}
+	ix.reweigh(c, touched, fresh, st)
+	st.Blocks, st.Reused = c.vals, c.vals-added
+	return c
+}
+
+// renamed returns s over new variable ids, sharing everything else.
+func (s *segment) renamed(varMap func(int) (int, bool)) (*segment, bool) {
+	r := *s
+	r.vars = make([]int32, len(s.vars))
+	for i, v := range s.vars {
+		nv, ok := varMap(int(v))
+		if !ok {
+			return nil, false
+		}
+		r.vars[i] = int32(nv)
+	}
+	return &r, true
 }
 
 // patchProbs refreshes the probabilities of the given variables of the
@@ -201,23 +310,20 @@ func (ix *Index) patchProbs(vars []int) {
 	}
 }
 
-// reweigh re-weighs the chain blocks holding the given variables, once each,
-// skipping blocks the batch already augmented from scratch (fresh, indexed by
-// block; nil when there are none).
-func (ix *Index) reweigh(vars []int, fresh []bool, st *MaintStats) {
-	if fresh == nil {
-		fresh = make([]bool, len(ix.chainRoots))
-	}
+// reweigh re-weighs, once each and into new segments, the blocks of the
+// chain under construction c that hold the given variables, skipping the
+// ones listed in done (already weighed).
+func (ix *Index) reweigh(c *chain, vars []int, done []int, st *MaintStats) {
 	for _, v := range vars {
-		l := ix.m.Level(v)
-		if l < 0 || len(fresh) == 0 {
-			continue // freed, or no block to hold it
+		k, run := c.levelRun(v)
+		if len(run) == 0 || slices.Contains(done, k) {
+			continue // freed, or in no block
 		}
-		if k := ix.blockForLevel(int32(l)); !fresh[k] {
-			fresh[k] = true
-			st.AugmentedBlocks++
-			st.AugmentedNodes += ix.weighBlock(k)
-		}
+		done = append(done, k)
+		s := weigh(c.segs[k].shape, ix.probs, nil)
+		c.replace(k, &s)
+		st.AugmentedBlocks++
+		st.AugmentedNodes += len(s.vars)
 	}
 }
 
@@ -232,13 +338,6 @@ func (ix *Index) noteInheritedOrder(st MaintStats) {
 		"inherited-reused":     st.Reused,
 		"inherited-recompiled": st.Recompiled,
 	}
-}
-
-// identityVarMap maps every variable still alive in the delta-translated
-// database to itself. Valid only when the new database is a mutated clone of
-// the old one, which never renumbers variables.
-func identityVarMap(newDB *engine.Database) func(int) (int, bool) {
-	return func(v int) (int, bool) { return v, newDB.Alive(v) }
 }
 
 // varMapByKey maps old translated-database variable ids to new ones by tuple

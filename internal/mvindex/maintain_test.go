@@ -159,38 +159,6 @@ func TestApplyMutationsRejects(t *testing.T) {
 	}
 }
 
-// TestApplyMutationsCompact: Compact invalidates the block record; the next
-// structural batch recompiles in full, re-records, and subsequent batches are
-// incremental again.
-func TestApplyMutationsCompact(t *testing.T) {
-	m := chainMVDB(6, 13)
-	_, ix := buildIndex(t, m)
-	ins := func(s, a int64) []core.Mutation {
-		return []core.Mutation{{Op: core.MutInsert, Rel: "Adv", Vals: []engine.Value{engine.Int(s), engine.Int(a)}, Weight: 0.7}}
-	}
-	if st, err := ix.ApplyMutations(ins(1, 501)); err != nil || !st.Full {
-		t.Fatalf("first structural batch should be a full recorded compile: %+v, %v", st, err)
-	}
-	ix.Compact()
-	if st, err := ix.ApplyMutations(ins(2, 502)); err != nil || !st.Full {
-		t.Fatalf("post-Compact batch should fall back to full: %+v, %v", st, err)
-	}
-	st, err := ix.ApplyMutations(ins(3, 503))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Full || st.Reused == 0 {
-		t.Fatalf("expected an incremental batch with reuse, got %+v", st)
-	}
-	_, ref := buildIndex(t, ix.Source())
-	q := ucq.MustParse("Q() :- Adv(s,a)")
-	got, _ := ix.ProbBoolean(q.UCQ, IntersectOptions{})
-	want, _ := ref.ProbBoolean(q.UCQ, IntersectOptions{})
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("after compact+deltas: %v vs scratch %v", got, want)
-	}
-}
-
 // TestApplyMutationsEpoch: with the cross-query cache enabled, readers
 // running concurrently with writers (under an RWMutex, as the server holds
 // it) never observe an answer computed against a previous database state —

@@ -11,8 +11,8 @@
 //
 // Two intersection algorithms compute P(Q) = P0(ΦQ ∧ ¬W)/P0(¬W):
 // MVIntersect, a top-down memoized pairwise traversal, and CC-MVIntersect,
-// the cache-conscious variant that lays the OBDD out as a flat vector in
-// DFS order (Sect. 4.3).
+// the cache-conscious variant that walks the OBDD laid out as flat per-block
+// segments in DFS order (Sect. 4.3), the form the index stores ¬W in.
 //
 // # Numerical stability at scale
 //
@@ -31,8 +31,9 @@ package mvindex
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"math"
+	"slices"
 	"time"
 
 	"mvdb/internal/budget"
@@ -45,39 +46,22 @@ import (
 
 // Index is a compiled MV-index over a Translation.
 //
-// After Build returns, every field of the Index — including the shared OBDD
-// manager — is frozen: the read path (IntersectOBDD, IntersectLineage,
-// Query, ProbBoolean, ExplainLineage, TupleMarginal, ...) never mutates the
-// index or its manager and is safe for any number of concurrent callers.
-// Per-query OBDDs are built in scratch managers sharing the frozen manager's
-// variable order, and every traversal memo is per-call. The only mutating
-// operations are Reweight and Compact, which require exclusive access (no
-// concurrent readers).
+// The read path (IntersectOBDD, IntersectLineage, Query, ProbBoolean,
+// ExplainLineage, TupleMarginal, ...) never mutates the index and is safe for
+// any number of concurrent callers: query OBDDs are built in scratch
+// managers over the index's variable order, every traversal memo is
+// per-call, and the one lazily built structure (the pointer OBDD of ¬W) is
+// built once under a lock. The mutating operations — ApplyMutations,
+// Reweight, Sift, EnableCache — require exclusive access (no concurrent
+// readers).
 type Index struct {
 	tr    *core.Translation
-	m     *obdd.Manager
-	root  obdd.NodeID // OBDD of ¬W
 	probs []float64
 
-	// Chain blocks: convergence points every accepting path passes, in
-	// level order. chainRoots[0] is the root. This directory is the
-	// InterBddIndex: a variable's block is the last one whose root level does
-	// not exceed the variable's level. blockProb[k] = b_k is the block-local
-	// probUnder at chainRoots[k].
-	chainRoots  []obdd.NodeID
-	chainLevels []int32
-	blockProb   []float64
-
-	// P0(¬W) = Π_k b_k in log-sign form (the float64 product may not be
-	// representable).
-	pNotWLog  float64 // Σ log|b_k|; -Inf when some b_k = 0
-	pNotWSign int
-
-	// cc holds, block by block, the flattened nodes of ¬W together with the
-	// block-local augmentation (see the package comment): the layout
-	// CC-MVIntersect walks, the only store of probUnder and reach, and —
-	// through each block's level-sorted node list — the IntraBddIndex.
-	cc *ccLayout
+	// ch is the current version of ¬W: the order and the directory of
+	// per-block segments (see chain), the only store of the augmentation and
+	// — through each block's level-sorted node list — the IntraBddIndex.
+	ch *chain
 
 	// cache, when non-nil, is the cross-query memoization layer (see
 	// EnableCache): answer cache, lineage cache, and singleflight. The read
@@ -85,17 +69,21 @@ type Index struct {
 	// operation like Reweight.
 	cache *indexCache
 
-	// rec, when non-nil, is the block record of the last (recorded) compile
-	// of W, keyed to the current manager m; it lets ApplyMutations reuse
-	// clean blocks. Nil until the first structural mutation batch and after
-	// Compact (which moves NodeIDs).
+	// rec, when non-nil, says that the chain is W's recorded separator
+	// expansion — its blocks are tagged with their separator values — so
+	// ApplyMutations can recompile only the dirty values' blocks. Nil until
+	// the first structural mutation batch and after a snapshot restore.
 	rec *obdd.BlockRecord
 
 	// reorder, when non-nil, records that the index runs under a learned
 	// (sifted) variable order rather than the static Π — either found by
-	// Sift or restored from a snapshot. ApplyMutations then threads the
-	// learned order into delta recompiles via CompileOptions.Order.
+	// Sift or restored from a snapshot. ApplyMutations keeps patching that
+	// order rather than regressing to Π.
 	reorder *ReorderInfo
+
+	// compileFault, when set, fails ApplyMutations' compile (see
+	// FailCompile).
+	compileFault error
 }
 
 // ReorderInfo is the reordering provenance of an index: how its learned
@@ -129,7 +117,8 @@ func Build(tr *core.Translation) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := newIndex(tr, m, m.Not(fW))
+	ix := &Index{tr: tr, probs: tr.DB.Probs()}
+	ix.ch, _ = newChain(m, m.Not(fW), nil, ix.probs)
 	if tr.Reorder.Mode != obdd.ReorderOff {
 		if _, err := ix.Sift(tr.Reorder); err != nil {
 			return nil, err
@@ -138,75 +127,67 @@ func Build(tr *core.Translation) (*Index, error) {
 	return ix, nil
 }
 
-// newIndex augments the OBDD of ¬W rooted at root in m.
-func newIndex(tr *core.Translation, m *obdd.Manager, root obdd.NodeID) *Index {
-	ix := &Index{tr: tr, m: m, root: root, probs: tr.DB.Probs()}
-	ix.augmentAll()
-	return ix
-}
-
-// Sift runs a Rudell sifting pass (obdd.Reorder) over the index OBDD with
-// one window per chain block, so variables never cross block boundaries and
-// the chain factorization — with its block-local numerics — survives. On
-// success the index (and its translation) runs on a fresh manager under the
-// learned order; the block record, if any, is remapped so incremental
-// updates keep working. Requires exclusive access, like Reweight and
-// Compact. A no-op when opts.Mode is ReorderOff or ¬W is terminal.
+// Sift runs a Rudell sifting pass (obdd.Reorder) over ¬W with one window per
+// chain block, so variables never cross block boundaries and the chain
+// factorization — with its block-local numerics — survives. On success the
+// index runs under the learned order; a block record survives, so
+// incremental updates keep working. Requires exclusive access, like
+// ApplyMutations. A no-op when opts.Mode is ReorderOff or ¬W is terminal.
 func (ix *Index) Sift(opts obdd.ReorderOptions) (obdd.ReorderStats, error) {
 	var st obdd.ReorderStats
-	if opts.Mode == obdd.ReorderOff || ix.m.IsTerminal(ix.root) {
+	if opts.Mode == obdd.ReorderOff || len(ix.ch.segs) == 0 {
 		return st, nil
 	}
-	opts.Windows = ix.blockWindows()
-	roots := []obdd.NodeID{ix.root}
-	var nRec int
+	opts.Windows = ix.BlockWindows()
+	n := ix.ch.negOBDD()
+	roots := []obdd.NodeID{n.root}
+	var rec *obdd.BlockRecord
 	if ix.rec != nil {
-		nRec = len(ix.rec.Roots)
-		roots = append(roots, ix.rec.Roots...)
+		// The record's roots: the first block of every separator value.
+		rec = &obdd.BlockRecord{U: ix.rec.U, HasSep: true, Sep: ix.rec.Sep}
+		for k, s := range ix.ch.segs {
+			if k == 0 || !s.sep.Equal(ix.ch.segs[k-1].sep) {
+				rec.Values = append(rec.Values, s.sep)
+				roots = append(roots, n.roots[k])
+			}
+		}
 	}
-	nm, nroots, st, err := obdd.Reorder(ix.m, roots, opts)
+	nm, nroots, st, err := obdd.Reorder(n.m, roots, opts)
 	if err != nil {
 		return st, err
 	}
-	ix.m = nm
-	ix.root = nroots[0]
-	if ix.rec != nil {
-		ix.rec.Roots = append([]obdd.NodeID(nil), nroots[1:1+nRec]...)
+	if rec != nil {
+		rec.Roots = nroots[1:]
 	}
-	ix.tr.AttachNegOBDD(nm, ix.root)
-	ix.augmentAll()
+	ix.ch, ix.rec = newChain(nm, nroots[0], rec, ix.probs)
+	ix.attachNegW()
 	ix.noteReorder(opts.Mode, st, "sifted")
 	// Cached answers and lineage probabilities stay valid: the represented
 	// functions and weights are unchanged, and the caches never store
-	// NodeIDs — same reasoning as Compact.
+	// NodeIDs.
 	return st, nil
 }
 
-// blockWindows derives one sifting window per chain block: the levels from
-// the block's root down to its deepest node. Keeping each variable inside its
-// window preserves the convergence points appendChain finds. Levels between
-// two blocks' windows hold variables with no node in the index — tuples of
-// separator values W does not constrain — and sifting leaves them where they
-// are: a window never spans two separator values, so every value's variables
-// stay contiguous in the learned order, which is what lets a later insert at
-// any value, constrained so far or not, find its place by binary search
-// (obdd.CompileDelta).
-func (ix *Index) blockWindows() [][2]int {
-	cc := ix.cc
-	wins := make([][2]int, len(ix.chainLevels))
-	for k, l := range ix.chainLevels {
-		a, b := cc.off[k], cc.off[k+1]
-		wins[k] = [2]int{int(l), int(cc.level[a+cc.byLevel[b-1]]) + 1}
+// BlockWindows returns the per-block sifting windows (half-open level
+// ranges) Sift uses: one window per chain block, in chain order and
+// disjoint, from the block's root down to its deepest node. Keeping each
+// variable inside its window preserves the convergence points appendChain
+// finds, so callers may also use them to construct alternative block-local
+// variable orders, safe as CompileOptions.Order. Levels between two blocks'
+// windows hold variables with no node in the index — tuples of separator
+// values W does not constrain — and sifting leaves them where they are: a
+// window never spans two separator values, so every value's variables stay
+// contiguous in the learned order, which is what lets a later insert at any
+// value, constrained so far or not, find its place by binary search
+// (obdd.PatchOrder).
+func (ix *Index) BlockWindows() [][2]int {
+	wins := make([][2]int, len(ix.ch.segs))
+	for k := range wins {
+		first, last := ix.ch.window(k)
+		wins[k] = [2]int{int(first), int(last) + 1}
 	}
 	return wins
 }
-
-// BlockWindows returns the per-block sifting windows (half-open level
-// ranges) Sift uses: one window per chain block, in chain order and disjoint.
-// Callers may use them to construct alternative block-local variable orders —
-// any order that permutes levels only inside these windows preserves the
-// chain factorization and is safe as CompileOptions.Order.
-func (ix *Index) BlockWindows() [][2]int { return ix.blockWindows() }
 
 // noteReorder records reordering provenance after a sift or restore.
 func (ix *Index) noteReorder(mode obdd.ReorderMode, st obdd.ReorderStats, prov string) {
@@ -240,81 +221,70 @@ func (ix *Index) ReorderInfo() *ReorderInfo {
 	return &cp
 }
 
-// nextRoot returns the chain root following block k, or False when k is the
-// last block (no boundary node).
-func (ix *Index) nextRoot(k int) obdd.NodeID {
-	if k+1 < len(ix.chainRoots) {
-		return ix.chainRoots[k+1]
-	}
-	return obdd.False // sentinel: never matches an internal node below
-}
-
-// blockForLevel returns the index of the last chain root whose level is <=
-// the given level (the block containing that level).
-func (ix *Index) blockForLevel(level int32) int {
-	lo, hi := 0, len(ix.chainRoots)-1
-	best := 0
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		if ix.chainLevels[mid] <= level {
-			best = mid
-			lo = mid + 1
-		} else {
-			hi = mid - 1
-		}
-	}
-	return best
-}
-
 // ProbNotW returns P0(¬W) = 1 - P0(W) as a float64. At large scale this is
 // a product of thousands of block probabilities and may underflow to 0 (or
 // overflow) even though the index answers queries exactly; use LogProbNotW
 // for the representable form.
 func (ix *Index) ProbNotW() float64 {
-	return float64(ix.pNotWSign) * math.Exp(ix.pNotWLog)
+	l, sign := ix.LogProbNotW()
+	return float64(sign) * math.Exp(l)
 }
 
 // LogProbNotW returns P0(¬W) as (log|·|, sign); sign 0 means exactly zero
 // (the MarkoViews are inconsistent).
 func (ix *Index) LogProbNotW() (logAbs float64, sign int) {
-	return ix.pNotWLog, ix.pNotWSign
+	return ix.ch.pNotW.value()
 }
 
 // Size returns the number of internal nodes of the ¬W OBDD.
-func (ix *Index) Size() int { return len(ix.cc.id) }
+func (ix *Index) Size() int { return int(ix.ch.off[len(ix.ch.segs)]) }
 
-// Width returns the OBDD width.
-func (ix *Index) Width() int { return ix.m.Width(ix.root) }
-
-// Blocks returns the number of chain blocks.
-func (ix *Index) Blocks() int { return len(ix.chainRoots) }
-
-// NodesOf returns the IntraBddIndex entry of a variable: the nodes of the
-// ¬W OBDD labeled with it.
-func (ix *Index) NodesOf(v int) []obdd.NodeID {
-	k, run := ix.levelRun(v)
-	if len(run) == 0 {
-		return nil
+// Width returns the OBDD width: the most nodes labeled with one variable.
+// Blocks hold disjoint levels, so it is the widest run of any block's
+// level-sorted list.
+func (ix *Index) Width() int {
+	w := 0
+	for _, s := range ix.ch.segs {
+		for j, run := 0, 0; j < len(s.byLevel); j++ {
+			if j > 0 && s.vars[s.byLevel[j]] != s.vars[s.byLevel[j-1]] {
+				run = 0
+			}
+			run++
+			w = max(w, run)
+		}
 	}
-	out := make([]obdd.NodeID, len(run))
-	for j, i := range run {
-		out[j] = ix.cc.id[ix.cc.off[k]+i]
-	}
-	return out
+	return w
 }
 
+// Blocks returns the number of chain blocks.
+func (ix *Index) Blocks() int { return len(ix.ch.segs) }
+
 // BlockOf returns the InterBddIndex entry of a variable: the chain block
-// containing it (-1 if the variable does not occur in the index).
+// whose nodes include ones labeled with it (-1 if the variable does not
+// occur in the index).
 func (ix *Index) BlockOf(v int) int {
-	k, run := ix.levelRun(v)
+	k, run := ix.ch.levelRun(v)
 	if len(run) == 0 {
 		return -1
 	}
 	return k
 }
 
-// Manager exposes the underlying OBDD manager (shared with the query side).
-func (ix *Index) Manager() *obdd.Manager { return ix.m }
+// Manager returns a node-free manager over the index's variable order: query
+// OBDDs for IntersectOBDD are built on it, or — for concurrent callers — in
+// its NewScratch managers. The index itself holds no OBDD manager: ¬W lives
+// in the per-block segments.
+func (ix *Index) Manager() *obdd.Manager { return ix.ch.ord }
+
+// UniqueTableStats returns the unique-table occupancy and capacity of the
+// pointer OBDD of ¬W when the current version has one (zeros otherwise); it
+// never builds one.
+func (ix *Index) UniqueTableStats() (occupied, slots int) {
+	if n := ix.ch.neg.p.Load(); n != nil {
+		return n.m.UniqueTableStats()
+	}
+	return 0, 0
+}
 
 // Translation exposes the index's underlying translation (useful after
 // loading a saved index).
@@ -389,24 +359,17 @@ func (g *guard) visit() {
 	}
 }
 
-// span describes the blocks one query touches.
-type span struct {
-	first, last int // block range [first, last]
-	stop        obdd.NodeID
-}
+// span describes the blocks one query touches, [first, last].
+type span struct{ first, last int }
 
 // spanFor computes the block span of a query OBDD (qm is the manager the
-// query OBDD lives in; levels coincide with the index manager's).
+// query OBDD lives in, over the index's order).
 func (ix *Index) spanFor(qm *obdd.Manager, fQ obdd.NodeID, opts IntersectOptions) span {
-	s := span{first: 0, last: len(ix.chainRoots) - 1}
+	s := span{first: 0, last: len(ix.ch.segs) - 1}
 	if !opts.NoEntryShortcut {
-		s.first = ix.blockForLevel(qm.NodeLevel(fQ))
+		s.first = ix.ch.blockForLevel(qm.NodeLevel(fQ))
 	}
-	s.last = ix.blockForLevel(qm.MaxLevel(fQ))
-	if s.last < s.first {
-		s.last = s.first
-	}
-	s.stop = ix.nextRoot(s.last)
+	s.last = max(ix.ch.blockForLevel(qm.MaxLevel(fQ)), s.first)
 	return s
 }
 
@@ -429,17 +392,9 @@ func (ix *Index) IntersectLineage(linQ lineage.DNF, opts IntersectOptions) (floa
 			return p, nil
 		}
 	}
-	qm := ix.m.NewScratch()
-	var fQ obdd.NodeID
-	if opts.bounded() {
-		// Arm the private scratch manager so query-OBDD synthesis respects
-		// MaxNodes and cancellation; the shared manager stays untouched.
-		qm.SetBudget(opts.Ctx, opts.Budget)
-		if err := budget.Catch(func() { fQ = obdd.BuildDNF(qm, linQ) }); err != nil {
-			return 0, err
-		}
-	} else {
-		fQ = obdd.BuildDNF(qm, linQ)
+	qm, fQ, err := ix.queryOBDD(linQ, opts)
+	if err != nil {
+		return 0, err
 	}
 	p, err := ix.intersectOn(qm, fQ, opts)
 	if cache != nil {
@@ -453,88 +408,129 @@ func (ix *Index) IntersectLineage(linQ lineage.DNF, opts IntersectOptions) (floa
 	return p, err
 }
 
+// queryOBDD builds a query lineage's OBDD in a private scratch manager of
+// the index's order, armed with the options' budget so synthesis respects
+// MaxNodes and cancellation.
+func (ix *Index) queryOBDD(linQ lineage.DNF, opts IntersectOptions) (*obdd.Manager, obdd.NodeID, error) {
+	qm := ix.ch.ord.NewScratch()
+	if !opts.bounded() {
+		return qm, obdd.BuildDNF(qm, linQ), nil
+	}
+	qm.SetBudget(opts.Ctx, opts.Budget)
+	var fQ obdd.NodeID
+	err := budget.Catch(func() { fQ = obdd.BuildDNF(qm, linQ) })
+	return qm, fQ, err
+}
+
+// errInconsistent reports P0(¬W) = 0: no world satisfies the MarkoViews.
+var errInconsistent = errors.New("mvindex: P0(¬W) = 0 — inconsistent MarkoViews")
+
 // IntersectOBDD computes P(Q) = P0(ΦQ ∧ ¬W) / P0(¬W) for a query OBDD built
-// on the shared manager (or a scratch manager over the same order — pass it
-// through IntersectLineage in that case). Read-only: safe for concurrent
-// callers on a frozen index.
+// on Manager() (or a scratch manager of it — pass it through
+// IntersectLineage in that case). Read-only: safe for concurrent callers.
 func (ix *Index) IntersectOBDD(fQ obdd.NodeID, opts IntersectOptions) (float64, error) {
-	return ix.intersectOn(ix.m, fQ, opts)
+	return ix.intersectOn(ix.ch.ord, fQ, opts)
 }
 
 // intersectOn runs the intersection with the query OBDD living in qm.
 func (ix *Index) intersectOn(qm *obdd.Manager, fQ obdd.NodeID, opts IntersectOptions) (float64, error) {
-	if err := budget.Check(opts.Ctx, opts.Budget.Deadline); err != nil {
-		return 0, err
-	}
-	if ix.pNotWSign == 0 {
-		return 0, fmt.Errorf("mvindex: P0(¬W) = 0 — inconsistent MarkoViews")
-	}
-	if fQ == obdd.False {
-		return 0, nil
-	}
-	if fQ == obdd.True {
-		return 1, nil
-	}
-	qprob := getPairMemo()
-	defer putPairMemo(qprob)
-	if ix.m.IsTerminal(ix.root) {
-		// No constraints: P(Q) = P0(ΦQ).
-		return ix.qProb(qm, fQ, qprob), nil
-	}
-	g := newGuard(opts)
-	s := ix.spanFor(qm, fQ, opts)
-	memo := getPairMemo()
-	defer putPairMemo(memo)
-	var p float64
-	err := budget.Catch(func() {
-		if opts.CacheConscious {
-			p = ix.cc.intersect(ix, qm, fQ, s, memo, qprob, g)
-			return
-		}
-		p = ix.intersect(qm, fQ, ix.chainRoots[s.first], s, memo, qprob, g)
-	})
+	p, _, _, err := ix.walk(qm, fQ, opts)
 	return p, err
 }
 
-// intersect is MVIntersect in conditioned units: it returns
+// walk is intersectOn reporting the span it walked and the pairs it
+// visited.
+func (ix *Index) walk(qm *obdd.Manager, fQ obdd.NodeID, opts IntersectOptions) (p float64, s span, pairs int, err error) {
+	if err := budget.Check(opts.Ctx, opts.Budget.Deadline); err != nil {
+		return 0, s, 0, err
+	}
+	if _, sign := ix.LogProbNotW(); sign == 0 {
+		return 0, s, 0, errInconsistent
+	}
+	if fQ == obdd.False || fQ == obdd.True {
+		return float64(fQ), s, 0, nil // the ids of False and True are 0 and 1
+	}
+	qprob := getPairMemo()
+	defer putPairMemo(qprob)
+	if len(ix.ch.segs) == 0 {
+		// No constraints: P(Q) = P0(ΦQ).
+		return ix.qProb(qm, fQ, qprob), s, 0, nil
+	}
+	g := newGuard(opts)
+	s = ix.spanFor(qm, fQ, opts)
+	memo := getPairMemo()
+	defer putPairMemo(memo)
+	err = budget.Catch(func() {
+		if opts.CacheConscious {
+			p = ix.intersectCC(qm, fQ, s, memo, qprob, g)
+			return
+		}
+		t := ptrWalk{ix: ix, n: ix.ch.negOBDD(), qm: qm, stop: obdd.False, memo: memo, qprob: qprob, g: g}
+		if s.last+1 < len(t.n.roots) {
+			t.stop = t.n.roots[s.last+1]
+		}
+		p = t.rec(fQ, t.n.roots[s.first])
+	})
+	return p, s, memo.n, err
+}
+
+// ptrWalk is one MVIntersect traversal over the pointer OBDD of ¬W; stop is
+// the root of the first block past the query's span (False: none).
+type ptrWalk struct {
+	ix          *Index
+	n           *negW
+	qm          *obdd.Manager
+	stop        obdd.NodeID
+	memo, qprob *pairMemo
+	g           *guard
+}
+
+// block returns the chain block of a node of ¬W and its index there.
+func (t *ptrWalk) block(w obdd.NodeID) (int, int32) {
+	return t.ix.ch.blockForLevel(t.n.m.NodeLevel(w)), t.n.at[w]
+}
+
+// rec is MVIntersect in conditioned units: it returns
 // P0(ΦQ ∧ C_{block(w)..last} | paths reaching w) / Π_{j=block(w)..last} b_j,
 // so the final call at the entry chain root directly yields Theorem 1's
 // ratio — every block division happens as its boundary is crossed, and no
 // unrepresentable global product is ever formed.
-func (ix *Index) intersect(qm *obdd.Manager, q, w obdd.NodeID, s span, memo, qprob *pairMemo, g *guard) float64 {
+func (t *ptrWalk) rec(q, w obdd.NodeID) float64 {
 	if q == obdd.False || w == obdd.False {
 		return 0
 	}
-	if w == s.stop || w == obdd.True {
+	if w == t.stop || w == obdd.True {
 		// Constraints beyond the span factor out of the ratio.
-		return ix.qProb(qm, q, qprob)
+		return t.ix.qProb(t.qm, q, t.qprob)
 	}
-	wBlock := ix.blockForLevel(ix.m.NodeLevel(w))
+	wBlock, wi := t.block(w)
 	if q == obdd.True {
 		// Remaining constraint mass of this block (conditioned), the
 		// suffix blocks cancel.
-		return ix.cc.probUnder[ix.cc.idOf[w]] / ix.blockProb[wBlock]
+		seg := t.ix.ch.segs[wBlock]
+		return seg.probUnder[wi] / seg.b
 	}
 	// Both q and w are internal (≥ 2), so the packed key is never zero.
 	key := int64(q)<<32 | int64(uint32(w))
-	if r, ok := memo.get(key); ok {
+	if r, ok := t.memo.get(key); ok {
 		return r
 	}
-	g.visit()
-	lq, lw := qm.NodeLevel(q), ix.m.NodeLevel(w)
+	t.g.visit()
+	qm, m, probs := t.qm, t.n.m, t.ix.probs
+	lq, lw := qm.NodeLevel(q), m.NodeLevel(w)
 	var r float64
 	switch {
 	case lq < lw:
-		p := ix.probs[qm.VarAtLevel(int(lq))]
-		r = (1-p)*ix.intersect(qm, qm.Lo(q), w, s, memo, qprob, g) + p*ix.intersect(qm, qm.Hi(q), w, s, memo, qprob, g)
+		p := probs[qm.VarAtLevel(int(lq))]
+		r = (1-p)*t.rec(qm.Lo(q), w) + p*t.rec(qm.Hi(q), w)
 	case lw < lq:
-		p := ix.probs[ix.m.VarAtLevel(int(lw))]
-		r = (1-p)*ix.wchild(qm, q, ix.m.Lo(w), wBlock, s, memo, qprob, g) + p*ix.wchild(qm, q, ix.m.Hi(w), wBlock, s, memo, qprob, g)
+		p := probs[m.VarAtLevel(int(lw))]
+		r = (1-p)*t.wchild(q, m.Lo(w), wBlock) + p*t.wchild(q, m.Hi(w), wBlock)
 	default:
-		p := ix.probs[qm.VarAtLevel(int(lq))]
-		r = (1-p)*ix.wchild(qm, qm.Lo(q), ix.m.Lo(w), wBlock, s, memo, qprob, g) + p*ix.wchild(qm, qm.Hi(q), ix.m.Hi(w), wBlock, s, memo, qprob, g)
+		p := probs[qm.VarAtLevel(int(lq))]
+		r = (1-p)*t.wchild(qm.Lo(q), m.Lo(w), wBlock) + p*t.wchild(qm.Hi(q), m.Hi(w), wBlock)
 	}
-	memo.put(key, r)
+	t.memo.put(key, r)
 	return r
 }
 
@@ -542,19 +538,16 @@ func (ix *Index) intersect(qm *obdd.Manager, q, w obdd.NodeID, s span, memo, qpr
 // wBlock (into the next chain root or the True terminal) divides by that
 // block's probability; reaching the span's stop root contributes the bare
 // query probability.
-func (ix *Index) wchild(qm *obdd.Manager, q, c obdd.NodeID, wBlock int, s span, memo, qprob *pairMemo, g *guard) float64 {
+func (t *ptrWalk) wchild(q, c obdd.NodeID, wBlock int) float64 {
 	if q == obdd.False || c == obdd.False {
 		return 0
 	}
-	b := ix.blockProb[wBlock]
-	if c == s.stop {
-		return ix.qProb(qm, q, qprob) / b
+	b := t.ix.ch.segs[wBlock].b
+	if c == t.stop || c == obdd.True {
+		return t.ix.qProb(t.qm, q, t.qprob) / b
 	}
-	if c == obdd.True {
-		return ix.qProb(qm, q, qprob) / b
-	}
-	val := ix.intersect(qm, q, c, s, memo, qprob, g)
-	if ix.blockForLevel(ix.m.NodeLevel(c)) > wBlock {
+	val := t.rec(q, c)
+	if k, _ := t.block(c); k > wBlock {
 		val /= b
 	}
 	return val
@@ -647,42 +640,52 @@ func (ix *Index) queryEval(q *ucq.Query, opts IntersectOptions) ([]core.Answer, 
 // mapping.
 func (ix *Index) Reweight() {
 	ix.probs = ix.tr.DB.Probs()
-	for k := range ix.chainRoots {
-		ix.weighBlock(k)
+	c := ix.ch.reweighed()
+	store, weights := make([]segment, len(c.segs)), make([]float64, 3*ix.Size())
+	for k, s := range c.segs {
+		store[k] = weigh(s.shape, ix.probs, weights[3*c.off[k]:])
+		c.replace(k, &store[k])
 	}
+	ix.ch = c
 	ix.weightsChanged()
 }
 
-// weightsChanged finishes any step that re-weighed blocks: the block product
-// is re-summed, the translation's lazily derived P0(W) is dropped, and the
-// cache epochs are bumped — an O(1) invalidation that makes every answer and
-// lineage probability computed against the old weights stale (entries are
-// dropped lazily). Mutating steps require exclusive access, so no reader can
-// observe the half-updated state.
+// reweighed returns a successor of c with the same structure, whose blocks
+// the caller re-weighs with replace.
+func (c *chain) reweighed() *chain {
+	nc := *c
+	nc.segs = slices.Clone(c.segs)
+	return &nc
+}
+
+// replace puts a re-weighed segment in block k of a chain under
+// construction, fixing P0(¬W) by the block's two terms.
+func (c *chain) replace(k int, s *segment) {
+	c.pNotW.add(c.segs[k].b, -1)
+	c.pNotW.add(s.b, 1)
+	c.segs[k] = s
+}
+
+// weightsChanged finishes any step that re-weighed blocks: the
+// translation's ¬W is re-attached (its lazily derived P0(W) depends on the
+// weights), and the cache epochs are bumped — an O(1) invalidation that makes
+// every answer and lineage probability computed against the old weights
+// stale (entries are dropped lazily). Mutating steps require exclusive
+// access, so no reader can observe the half-updated state.
 func (ix *Index) weightsChanged() {
-	ix.sumBlocks()
-	ix.tr.AttachNegOBDD(ix.m, ix.root)
+	ix.attachNegW()
 	if ix.cache != nil {
 		ix.cache.answers.Invalidate()
 		ix.cache.lineage.Invalidate()
 	}
 }
 
-// Compact rebuilds the index on a fresh OBDD manager containing only the
-// nodes of ¬W, dropping dead intermediates left behind by compilation and
-// by per-query OBDD synthesis. Returns the number of manager nodes freed.
-func (ix *Index) Compact() int {
-	before := ix.m.NumNodes()
-	nm, roots := ix.m.Compact(ix.root)
-	ix.m = nm
-	ix.root = roots[0]
-	ix.tr.AttachNegOBDD(nm, ix.root)
-	// The block record's roots are NodeIDs of the old manager; drop it (the
-	// next structural mutation batch recompiles in full and re-records).
-	ix.rec = nil
-	ix.augmentAll()
-	// Cached answers and lineage probabilities stay valid across Compact —
-	// the weights (and hence every probability) are unchanged; only NodeIDs
-	// moved, and the caches never store NodeIDs.
-	return before - nm.NumNodes()
+// attachNegW hands the translation the current ¬W, materialised into a
+// manager of its own on the translation's first need.
+func (ix *Index) attachNegW() {
+	c := ix.ch
+	ix.tr.AttachNegOBDD(func() (*obdd.Manager, obdd.NodeID) {
+		n := c.materialize()
+		return n.m, n.root
+	})
 }

@@ -1,6 +1,8 @@
 package mvindex
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -114,22 +116,23 @@ func TestChainStructure(t *testing.T) {
 	if ix.Blocks() < 10 {
 		t.Errorf("expected a long chain, got %d blocks (size %d)", ix.Blocks(), ix.Size())
 	}
-	// Chain roots must be strictly increasing in level.
-	for i := 1; i < len(ix.chainLevels); i++ {
-		if ix.chainLevels[i] <= ix.chainLevels[i-1] {
-			t.Fatalf("chain levels not increasing: %v", ix.chainLevels)
+	// Block windows must be disjoint and strictly increasing in level.
+	for k := 1; k < ix.Blocks(); k++ {
+		first, _ := ix.ch.window(k)
+		if _, last := ix.ch.window(k - 1); last >= first {
+			t.Fatalf("block %d starts at level %d, inside block %d", k, first, k-1)
 		}
 	}
-	// Every indexed variable maps to a block whose level is <= its own.
+	// Every indexed variable maps to a block whose window holds its level.
 	indexed := 0
-	for _, v := range ix.m.Order() {
+	for _, v := range ix.Manager().Order() {
 		b := ix.BlockOf(v)
 		if b < 0 {
 			continue
 		}
 		indexed++
-		if ix.chainLevels[b] > int32(ix.m.Level(v)) {
-			t.Errorf("var %d (level %d) mapped to later block (level %d)", v, ix.m.Level(v), ix.chainLevels[b])
+		if first, last := ix.ch.window(b); int32(ix.Manager().Level(v)) < first || int32(ix.Manager().Level(v)) > last {
+			t.Errorf("var %d (level %d) mapped to block %d, levels %d..%d", v, ix.Manager().Level(v), b, first, last)
 		}
 	}
 	if indexed == 0 {
@@ -143,7 +146,7 @@ func TestInterIntraIndexes(t *testing.T) {
 	// Every NV variable occurs in the index and has nodes.
 	nv := tr.DB.Relation(tr.NVRelations[0])
 	for _, tup := range nv.Tuples {
-		if len(ix.NodesOf(tup.Var)) == 0 {
+		if _, run := ix.ch.levelRun(tup.Var); len(run) == 0 {
 			t.Errorf("NV var %d has no IntraBddIndex nodes", tup.Var)
 		}
 		if ix.BlockOf(tup.Var) < 0 {
@@ -383,35 +386,42 @@ func TestTupleMarginal(t *testing.T) {
 	}
 }
 
+// TestCompact: the ¬W a snapshot carries is compact. A freshly built index
+// flattened its chain from the translation's compile manager, which also
+// holds W and the compile's intermediates, yet Save writes ¬W's nodes alone,
+// and the restored index answers the same.
 func TestCompact(t *testing.T) {
 	m := chainMVDB(30, 33)
-	_, ix := buildIndex(t, m)
+	tr, ix := buildIndex(t, m)
+	if mgr, _, _ := tr.OBDD(); mgr.NumNodes() <= ix.Size()+2 {
+		t.Fatalf("the compile manager holds only ¬W (%d nodes): nothing to compact", mgr.NumNodes())
+	}
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap indexSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(snap.Manager.Nodes); got != ix.Size()+2 {
+		t.Fatalf("snapshot holds %d nodes for a %d-node ¬W", got, ix.Size())
+	}
+	back, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := ucq.MustParse("Q() :- Adv(7,a)")
 	want, err := ix.ProbBoolean(q.UCQ, IntersectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Run a few queries to grow the manager with query OBDDs.
-	for s := int64(1); s <= 20; s++ {
-		qq := ucq.MustParse("Q() :- Adv(" + engine.Int(s).String() + ",a)")
-		if _, err := ix.ProbBoolean(qq.UCQ, IntersectOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	grown := ix.Manager().NumNodes()
-	freed := ix.Compact()
-	if freed <= 0 {
-		t.Errorf("Compact freed %d nodes (manager had %d)", freed, grown)
-	}
-	got, err := ix.ProbBoolean(q.UCQ, IntersectOptions{CacheConscious: true})
+	got, err := back.ProbBoolean(q.UCQ, IntersectOptions{CacheConscious: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("probability changed after Compact: %v vs %v", got, want)
-	}
-	if ix.Size() == 0 || ix.Blocks() == 0 {
-		t.Errorf("index degenerated after Compact: size=%d blocks=%d", ix.Size(), ix.Blocks())
+		t.Errorf("probability changed through the snapshot: %v vs %v", got, want)
 	}
 }
 

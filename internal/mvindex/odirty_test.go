@@ -1,6 +1,7 @@
 package mvindex
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -75,44 +76,56 @@ func dblpBatch(students []int64, i int) []core.Mutation {
 }
 
 // BenchmarkApplyMutations times the steady-state 3-mutation structural batch
-// on the DBLP index at domain 2000 (the write_only workload's shape).
+// (the write_only workload's shape) on the DBLP index at three domains: the
+// time and bytes per batch must not grow with the index.
 func BenchmarkApplyMutations(b *testing.B) {
-	ix, students := dblpLiveIndex(b, 2000)
-	for i := 0; i < 2; i++ { // reach the 3-mutation steady state
-		if _, err := ix.ApplyMutations(dblpBatch(students, i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := ix.ApplyMutations(dblpBatch(students, i+2))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.Full {
-			b.Fatalf("batch %d fell back to a full recompile", i)
-		}
+	for _, domain := range []int{1000, 2000, 4000} {
+		b.Run(fmt.Sprintf("domain=%d", domain), func(b *testing.B) {
+			ix, students := dblpLiveIndex(b, domain)
+			for i := 0; i < 2; i++ { // reach the 3-mutation steady state
+				if _, err := ix.ApplyMutations(dblpBatch(students, i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := ix.ApplyMutations(dblpBatch(students, i+2))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if st.Full {
+					b.Fatalf("batch %d fell back to a full recompile", i)
+				}
+			}
+		})
 	}
 }
+
+// parentBatchBytes is what the steady-state batch allocated per domain
+// before the segment directory, when every batch copied every clean block
+// into a fresh manager (BenchmarkApplyMutations B/op).
+var parentBatchBytes = map[int]float64{1000: 0.91e6, 2000: 1.72e6, 4000: 3.30e6}
 
 // TestUpdateWorkIsODirty is the gate on update cost, in counts rather than
 // clocks: the same 3-mutation batch must cost the index the same work at
 // every domain. Per domain doubling, the blocks compiled and augmented stay
 // identical, the nodes augmented stay within a constant, and the number of
-// allocations — which the whole-index passes this replaced made per block,
-// per tuple and per separator value — grows by less than 1.3x. (Bytes cannot
-// be flat: every batch builds a fresh manager, one linear copy by contract.)
+// allocations grows by less than 1.3x. No node of a clean block is copied:
+// every segment of the new directory that is not one of the old directory's
+// was augmented by the batch. And the bytes a batch allocates — the
+// directory and one copy of the order are all that still grow with the
+// index — stay under a third of what the fresh-manager-per-batch design
+// allocated.
 func TestUpdateWorkIsODirty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds DBLP indexes up to domain 4000")
 	}
-	// Block compiles fan out over GOMAXPROCS; on one P they run on the
-	// caller, so the allocation counts are the sequential path's.
+	// One P, so the memory statistics see this goroutine's allocations.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	type cost struct {
-		st     MaintStats
-		allocs float64
+		st            MaintStats
+		allocs, bytes float64
 	}
 	var costs []cost
 	domains := []int{1000, 2000, 4000}
@@ -134,14 +147,46 @@ func TestUpdateWorkIsODirty(t *testing.T) {
 		if c.st.Full || c.st.WeightOnly {
 			t.Fatalf("domain %d: steady-state batch took the wrong path: %+v", domain, c.st)
 		}
-		if c.st.Reused+c.st.Recompiled < c.st.Blocks || c.st.SplicedNodes < ix.Size()-c.st.AugmentedNodes {
-			t.Fatalf("domain %d: stats do not add up: %+v over %d nodes", domain, c.st, ix.Size())
+		if c.st.Reused+c.st.Recompiled < c.st.Blocks {
+			t.Fatalf("domain %d: stats do not add up: %+v", domain, c.st)
+		}
+		old := map[*segment]bool{}
+		for _, s := range ix.ch.segs {
+			old[s] = true
+		}
+		var ms0, ms1 runtime.MemStats
+		const runs = 20
+		runtime.ReadMemStats(&ms0)
+		for r := 0; r < runs; r++ {
+			c.st = apply()
+		}
+		runtime.ReadMemStats(&ms1)
+		c.bytes = float64(ms1.TotalAlloc-ms0.TotalAlloc) / runs
+		// One more batch, against the directory just recorded.
+		for _, s := range ix.ch.segs {
+			old[s] = true
+		}
+		st := apply()
+		fresh, freshNodes := 0, 0
+		for _, s := range ix.ch.segs {
+			if !old[s] {
+				fresh++
+				freshNodes += len(s.vars)
+			}
+		}
+		if fresh != st.AugmentedBlocks || freshNodes != st.AugmentedNodes {
+			t.Fatalf("domain %d: %d new segments of %d nodes, but the batch augmented %d blocks of %d nodes: clean blocks were rebuilt",
+				domain, fresh, freshNodes, st.AugmentedBlocks, st.AugmentedNodes)
+		}
+		if c.bytes > parentBatchBytes[domain]/3 {
+			t.Errorf("domain %d: %.0f bytes per batch, above a third of the %.0f the per-batch manager copy allocated",
+				domain, c.bytes, parentBatchBytes[domain])
 		}
 		if domain == domains[0] {
 			checkAugmentation(t, ix, "DBLP steady state")
 		}
-		t.Logf("domain %d: %d blocks / %d nodes; batch recompiled %d, augmented %d blocks / %d nodes, spliced %d nodes, %.0f allocs",
-			domain, ix.Blocks(), ix.Size(), c.st.Recompiled, c.st.AugmentedBlocks, c.st.AugmentedNodes, c.st.SplicedNodes, c.allocs)
+		t.Logf("domain %d: %d blocks / %d nodes; batch recompiled %d, augmented %d blocks / %d nodes, %.0f allocs, %.0f bytes",
+			domain, ix.Blocks(), ix.Size(), c.st.Recompiled, c.st.AugmentedBlocks, c.st.AugmentedNodes, c.allocs, c.bytes)
 		costs = append(costs, c)
 	}
 	for k := 1; k < len(costs); k++ {

@@ -282,31 +282,6 @@ func TestSiftDeltaNoRegression(t *testing.T) {
 	t.Logf("sizes: static %d -> %d, sifted %d -> %d", staticSize, limit, siftedSize, ix.Size())
 }
 
-// TestSiftThenCompact: Compact after Sift must keep the learned order (it
-// rebuilds under the manager's own order) and answers.
-func TestSiftThenCompact(t *testing.T) {
-	m := multiAdvMVDB(20, 21)
-	_, ix := buildIndex(t, m)
-	if _, err := ix.Sift(obdd.ReorderOptions{Mode: obdd.ReorderOnce}); err != nil {
-		t.Fatal(err)
-	}
-	want := answersOf(t, ix)
-	order := ix.Manager().Order()
-	ix.Compact()
-	after := ix.Manager().Order()
-	for i := range order {
-		if after[i] != order[i] {
-			t.Fatalf("Compact changed the learned order at level %d", i)
-		}
-	}
-	got := answersOf(t, ix)
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("answer %d diverged after Compact: %v vs %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestSiftOffNoop: Sift with ReorderOff must not mark the index.
 func TestSiftOffNoop(t *testing.T) {
 	m := chainMVDB(6, 2)
@@ -327,7 +302,7 @@ func TestSiftOffNoop(t *testing.T) {
 func TestBlockWindows(t *testing.T) {
 	m, _ := pairViewMVDB(15)
 	_, ix := buildIndex(t, m)
-	ws := ix.blockWindows()
+	ws := ix.BlockWindows()
 	if len(ws) == 0 || len(ws) != ix.Blocks() {
 		t.Fatalf("%d windows for %d blocks", len(ws), ix.Blocks())
 	}

@@ -108,7 +108,7 @@ func ceilPow2(n int) int {
 // --- dense per-call memos ---
 //
 // The traversals that used to allocate a map[NodeID]X per call (Not, Prob,
-// OrDisjoint/AndDisjoint, Import, Cofactor, Compact, Reachable) instead
+// OrDisjoint/AndDisjoint, Import, Cofactor, Reachable) instead
 // borrow a dense, NodeID-indexed scratch memo from a sync.Pool. Reset is
 // O(1): each entry is valid only when its stamp equals the memo's current
 // epoch, so reuse just bumps the epoch. The arrays grow geometrically (see

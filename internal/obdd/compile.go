@@ -64,9 +64,8 @@ type CompileOptions struct {
 	// Order, when non-nil, overrides the static Π order with a learned
 	// variable order (e.g. one persisted from an earlier sifting pass). It
 	// must be a permutation of exactly the database's tuple variables;
-	// Compile fails otherwise. CompileDelta over an old manager ignores it:
-	// a delta recompile always patches the old manager's own order, learned
-	// or not.
+	// Compile fails otherwise. CompileDelta ignores it: it compiles under
+	// the order of the manager it is given (see PatchOrder), learned or not.
 	Order []int
 
 	// blockHook, when set, runs before each per-separator-value block is

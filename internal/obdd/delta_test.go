@@ -1,8 +1,12 @@
 package obdd
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"mvdb/internal/engine"
@@ -99,7 +103,7 @@ func TestCompileRecordedEquivalent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := CompileDelta(db, q, pi, CompileOptions{Parallelism: par}, nil, nil, nil, nil)
+			d, err := CompileDelta(db, q, NewManager(TupleOrder(db, pi)), CompileOptions{Parallelism: par}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,10 +153,53 @@ func mutateSepDB(rng *rand.Rand, db *engine.Database, n int64) *engine.Database 
 	return out
 }
 
+// valueBlocks renders every recorded separator value's block of a full
+// compile standalone — the chain from the value's root with the next value's
+// root read as True — keyed by value.
+func valueBlocks(d *Delta) map[engine.Value]string {
+	out := map[engine.Value]string{}
+	for i, r := range d.Rec.Roots {
+		next := True
+		if i+1 < len(d.Rec.Roots) {
+			next = d.Rec.Roots[i+1]
+		}
+		out[d.Rec.Values[i]] = blockSig(d.M, r, next)
+	}
+	return out
+}
+
+// blockSig renders the sub-OBDD at f, with stop read as the True terminal,
+// as a DFS listing labeled by variable id rather than level: equal for the
+// same block under any two orders that agree on its variables.
+func blockSig(m *Manager, f, stop NodeID) string {
+	ids := map[NodeID]string{}
+	var b strings.Builder
+	var rec func(NodeID) string
+	rec = func(x NodeID) string {
+		switch x {
+		case False:
+			return "F"
+		case True, stop:
+			return "T"
+		}
+		if id, ok := ids[x]; ok {
+			return id
+		}
+		id := strconv.Itoa(len(ids))
+		ids[x] = id
+		lo, hi := rec(m.Lo(x)), rec(m.Hi(x))
+		fmt.Fprintf(&b, "%s:v%d(%s,%s) ", id, m.VarAtLevel(int(m.NodeLevel(x))), lo, hi)
+		return id
+	}
+	rec(f)
+	return b.String()
+}
+
 // TestCompileDeltaProperty: over random databases and random mutation
-// batches — chained, so records flow from delta to delta — the incremental
-// compile must be structurally identical to a from-scratch compile of the
-// mutated database.
+// batches — chained, so records and orders flow from delta to delta — the
+// blocks an incremental compile leaves for the dirty values, with the clean
+// values' blocks kept from before, are exactly the per-value blocks of a
+// from-scratch compile of the mutated database under the same order.
 func TestCompileDeltaProperty(t *testing.T) {
 	q := ucq.MustParse("Q() :- R(x), S(x,y)\nQ() :- S(x,z), S(x,w), z <> w").UCQ
 	sep, ok := q.FindSeparatorSkip(ucq.SkipGround)
@@ -169,18 +216,21 @@ func TestCompileDeltaProperty(t *testing.T) {
 		n := 4 + rng.Int63n(10)
 		db := randSepDB(rng, n)
 		pi := SeparatorFirstPerm(db, sep)
-		first, err := CompileDelta(db, q, pi, CompileOptions{Parallelism: 1}, nil, nil, nil, nil)
+		first, err := CompileDelta(db, q, NewManager(TupleOrder(db, pi)), CompileOptions{Parallelism: 1}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		oldM, rec := first.M, first.Rec
+		ord, rec, blocks := first.M, first.Rec, valueBlocks(first)
 		for batch := 0; batch < 5; batch++ {
 			newDB := mutateSepDB(rng, db, n)
 			changed := diffByKey(db, newDB)
-			par := 1 + 3*rng.Intn(2) // 1 or 4 workers
 			newPi := SeparatorFirstPerm(newDB, sep)
-			d, err := CompileDelta(newDB, q, newPi, CompileOptions{Parallelism: par},
-				oldM, rec, testVarMap(db, newDB), changed)
+			ord = PatchOrder(ord, testVarMap(db, newDB), newDB, newPi, changed)
+			d, err := CompileDelta(newDB, q, ord, CompileOptions{Parallelism: 1 + 3*rng.Intn(2)}, rec, changed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := CompileDelta(newDB, q, ord, CompileOptions{Parallelism: 1}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,63 +238,33 @@ func TestCompileDeltaProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ff = fm.Not(ff)
-			if !StructEqual(d.M, d.Root, fm, ff) {
-				t.Fatalf("seed %d batch %d: delta OBDD differs from scratch (%+v, changed %v)",
-					seed, batch, d.Stats, changed)
+			if !StructEqual(ref.M, ref.Root, fm, fm.Not(ff)) {
+				t.Fatalf("seed %d batch %d: the patched order is not Π", seed, batch)
 			}
-			checkChainRecord(t, d)
-			probs := newDB.Probs()
-			a, b := d.M.Prob(d.Root, probs), fm.Prob(ff, probs)
-			if math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("seed %d batch %d: prob %v vs %v", seed, batch, a, b)
+			checkChainRecord(t, ref)
+			if d.Full {
+				blocks = valueBlocks(d)
+			} else {
+				if d.Recompiled > len(d.Values) {
+					t.Fatalf("seed %d batch %d: %d blocks recompiled for %d dirty values", seed, batch, d.Recompiled, len(d.Values))
+				}
+				for j, v := range d.Values {
+					delete(blocks, v)
+					if d.Blocks[j] != True {
+						blocks[v] = blockSig(d.M, d.Blocks[j], True)
+					}
+				}
+				sawReuse = sawReuse || len(blocks) > len(d.Values)
 			}
-			if !d.Stats.Full {
-				checkSpliceMaps(t, oldM, rec, d)
+			if want := valueBlocks(ref); !reflect.DeepEqual(blocks, want) {
+				t.Fatalf("seed %d batch %d: blocks differ from scratch (full %v, dirty %v, changed %v)\n got  %v\n want %v",
+					seed, batch, d.Full, d.Values, changed, blocks, want)
 			}
-			if d.Stats.Reused > 0 {
-				sawReuse = true
-			}
-			db, oldM, rec = newDB, d.M, d.Rec
+			db, rec = newDB, ref.Rec
 		}
 	}
 	if !sawReuse {
-		t.Fatal("no delta compile ever reused a block; incremental path untested")
-	}
-}
-
-// checkSpliceMaps verifies the carry-over maps of an incremental compile:
-// every copied block's old root maps to its new root, copied nodes keep
-// their variable, and compiled blocks have no pre-image.
-func checkSpliceMaps(t *testing.T, oldM *Manager, oldRec *BlockRecord, d *Delta) {
-	t.Helper()
-	if len(d.From) != len(d.Rec.Roots) || len(d.NodeMap) != oldM.NumNodes() || len(d.LevelMap) != oldM.NumVars() {
-		t.Fatalf("splice maps have the wrong shape")
-	}
-	copied := 0
-	for i, from := range d.From {
-		if from < 0 {
-			continue
-		}
-		if d.NodeMap[oldRec.Roots[from]] != d.Rec.Roots[i] {
-			t.Fatalf("block %d: NodeMap sends old root %d to %d, record says %d",
-				i, oldRec.Roots[from], d.NodeMap[oldRec.Roots[from]], d.Rec.Roots[i])
-		}
-		if oldRec.Values[from] != d.Rec.Values[i] {
-			t.Fatalf("block %d copied from a different value", i)
-		}
-	}
-	for x, r := range d.NodeMap {
-		if r == 0 {
-			continue
-		}
-		copied++
-		if nl := d.LevelMap[oldM.NodeLevel(NodeID(x))]; nl != d.M.NodeLevel(r) {
-			t.Fatalf("node %d: level map says %d, image sits at %d", x, nl, d.M.NodeLevel(r))
-		}
-	}
-	if copied != d.Stats.Spliced {
-		t.Fatalf("NodeMap has %d images, stats report %d spliced nodes", copied, d.Stats.Spliced)
+		t.Fatal("no delta compile ever kept a block; incremental path untested")
 	}
 }
 
@@ -256,14 +276,15 @@ func TestCompileDeltaFallbacks(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	db := randSepDB(rng, 8)
 	pi := SeparatorFirstPerm(db, sep)
+	ord := NewManager(TupleOrder(db, pi))
 
 	// No record: full recompile, still correct.
-	d, err := CompileDelta(db, q, pi, CompileOptions{Parallelism: 1}, nil, nil, nil, nil)
+	d, err := CompileDelta(db, q, ord, CompileOptions{Parallelism: 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Stats.Full || !d.Rec.HasSep {
-		t.Fatalf("expected full fallback with a fresh record, got %+v", d.Stats)
+	if !d.Full || !d.Rec.HasSep {
+		t.Fatalf("expected full fallback with a fresh record, got %+v", d)
 	}
 	fm, ff, _, _ := Compile(db, q, pi, CompileOptions{Parallelism: 1})
 	ff = fm.Not(ff)
@@ -273,47 +294,39 @@ func TestCompileDeltaFallbacks(t *testing.T) {
 
 	// Changed query: full recompile.
 	q2 := ucq.MustParse("Q() :- R(x), S(x,y), y > 100").UCQ
-	d2, err := CompileDelta(db, q2, pi, CompileOptions{Parallelism: 1}, d.M, d.Rec, testVarMap(db, db), nil)
+	d2, err := CompileDelta(db, q2, ord, CompileOptions{Parallelism: 1}, d.Rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d2.Stats.Full {
+	if !d2.Full {
 		t.Fatal("query change must force a full recompile")
 	}
 
-	// No structural change at all: every block reused.
-	d3, err := CompileDelta(db, q, pi, CompileOptions{Parallelism: 1}, d.M, d.Rec, testVarMap(db, db), nil)
+	// No structural change at all: nothing compiled, not even a node.
+	d3, err := CompileDelta(db, q, ord, CompileOptions{Parallelism: 1}, d.Rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d3.Stats.Full || d3.Stats.Recompiled != 0 || d3.Stats.Reused != d3.Stats.Blocks {
-		t.Fatalf("no-op delta recompiled blocks: %+v", d3.Stats)
-	}
-	if !StructEqual(d3.M, d3.Root, fm, ff) {
-		t.Fatal("no-op delta differs from scratch")
-	}
-	// The copy leaves no garbage behind: the fresh manager holds exactly the
-	// chain.
-	if d3.M.NumNodes() != d3.M.Size(d3.Root)+2 {
-		t.Fatalf("no-op delta manager has %d nodes for a %d-node chain", d3.M.NumNodes(), d3.M.Size(d3.Root))
+	if d3.Full || d3.Recompiled != 0 || len(d3.Values) != 0 || d3.M.NumNodes() != 2 {
+		t.Fatalf("no-op delta compiled something: %+v, %d nodes", d3, d3.M.NumNodes())
 	}
 
 	// A ground disjunct makes the OBDD something other than a plain chain:
 	// the record must say so, and the next delta must recompile in full.
 	q4 := ucq.MustParse("Q() :- R(x), S(x,y)\nQ() :- R(1), S(2,3)").UCQ
-	d4, err := CompileDelta(db, q4, pi, CompileOptions{Parallelism: 1}, nil, nil, nil, nil)
+	d4, err := CompileDelta(db, q4, ord, CompileOptions{Parallelism: 1}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d4.Rec.HasSep {
 		t.Fatal("a union with a ground disjunct must not be recorded as a chain")
 	}
-	d5, err := CompileDelta(db, q4, pi, CompileOptions{Parallelism: 1}, d4.M, d4.Rec, testVarMap(db, db), nil)
+	d5, err := CompileDelta(db, q4, ord, CompileOptions{Parallelism: 1}, d4.Rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gm, gf, _, _ := Compile(db, q4, pi, CompileOptions{Parallelism: 1})
-	if !d5.Stats.Full || !StructEqual(d5.M, d5.Root, gm, gm.Not(gf)) {
-		t.Fatalf("unrecorded chain: %+v", d5.Stats)
+	if !d5.Full || !StructEqual(d5.M, d5.Root, gm, gm.Not(gf)) {
+		t.Fatalf("unrecorded chain: %+v", d5)
 	}
 }

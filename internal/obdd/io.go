@@ -21,7 +21,7 @@ type SnapNode struct {
 
 // Snapshot captures the manager's state.
 func (m *Manager) Snapshot() Snapshot {
-	s := Snapshot{Order: append([]int(nil), m.levelVar...), Nodes: make([]SnapNode, len(m.nodes))}
+	s := Snapshot{Order: m.Order(), Nodes: make([]SnapNode, len(m.nodes))}
 	for i, n := range m.nodes {
 		s.Nodes[i] = SnapNode{Level: n.level, Lo: int32(n.lo), Hi: int32(n.hi)}
 	}

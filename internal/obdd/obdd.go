@@ -72,7 +72,7 @@ type Manager struct {
 	unique   uniqueTable
 	cache    applyCache
 
-	levelVar []int   // level -> external variable id
+	levelVar []int32 // level -> external variable id
 	varLevel []int32 // external variable id -> level, -1 when not in the order
 
 	lim *limits // nil when the manager is unbudgeted
@@ -153,7 +153,7 @@ func NewManager(order []int) *Manager {
 	m := &Manager{
 		nodes:    []node{{level: terminalLevel}, {level: terminalLevel}},
 		maxLevel: []int32{-1, -1},
-		levelVar: append([]int(nil), order...),
+		levelVar: make([]int32, len(order)),
 		varLevel: make([]int32, maxVar+1),
 	}
 	m.unique.init()
@@ -162,6 +162,7 @@ func NewManager(order []int) *Manager {
 		m.varLevel[v] = -1
 	}
 	for i, v := range order {
+		m.levelVar[i] = int32(v)
 		if m.varLevel[v] >= 0 {
 			panic(fmt.Sprintf("obdd: variable %d appears twice in order", v))
 		}
@@ -331,8 +332,12 @@ func (m *Manager) Level(v int) int {
 	return -1
 }
 
+// VarLevels returns the table from external variable id to level (-1 for
+// variables not in the order). It is shared, not copied: read-only.
+func (m *Manager) VarLevels() []int32 { return m.varLevel }
+
 // VarAtLevel returns the external variable id at the given level.
-func (m *Manager) VarAtLevel(level int) int { return m.levelVar[level] }
+func (m *Manager) VarAtLevel(level int) int { return int(m.levelVar[level]) }
 
 // NodeLevel returns the level of a node (terminalLevel for terminals).
 func (m *Manager) NodeLevel(f NodeID) int32 { return m.nodes[f].level }
@@ -565,7 +570,7 @@ func (m *Manager) prob(f NodeID, probs []float64, memo *floatMemo) float64 {
 func (m *Manager) Eval(f NodeID, assign func(v int) bool) bool {
 	for !m.IsTerminal(f) {
 		n := m.nodes[f]
-		if assign(m.levelVar[n.level]) {
+		if assign(int(m.levelVar[n.level])) {
 			f = n.hi
 		} else {
 			f = n.lo
@@ -623,39 +628,10 @@ func (m *Manager) Support(f NodeID) []int {
 	}
 	out := make([]int, 0, len(levels))
 	for l := range levels {
-		out = append(out, m.levelVar[l])
+		out = append(out, int(m.levelVar[l]))
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Compact builds a fresh manager containing only the nodes reachable from
-// the given roots and returns it with the translated roots. Compilation and
-// per-query synthesis leave dead intermediate nodes behind; long-running
-// sessions compact to bound memory. The variable order is preserved.
-func (m *Manager) Compact(roots ...NodeID) (*Manager, []NodeID) {
-	nm := NewManager(m.levelVar)
-	nm.SetApplyCacheMax(m.cache.max)
-	memo := getNodeMemo(len(m.nodes), true)
-	defer putNodeMemo(memo)
-	var rebuild func(NodeID) NodeID
-	rebuild = func(f NodeID) NodeID {
-		if f <= True {
-			return f
-		}
-		if r, ok := memo.get(f); ok {
-			return r
-		}
-		n := m.nodes[f]
-		r := nm.MkNode(n.level, rebuild(n.lo), rebuild(n.hi))
-		memo.put(f, r)
-		return r
-	}
-	out := make([]NodeID, len(roots))
-	for i, r := range roots {
-		out[i] = rebuild(r)
-	}
-	return nm, out
 }
 
 // Cofactor restricts f by fixing variable v to the given value.

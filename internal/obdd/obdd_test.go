@@ -330,32 +330,6 @@ func TestRestoreRejectsDuplicateNode(t *testing.T) {
 	}
 }
 
-func TestCompactPreservesFunctions(t *testing.T) {
-	m := NewManager(seqOrder(6))
-	f := m.Or(m.And(m.Var(1), m.Var(3)), m.Var(5))
-	g := m.And(m.Var(2), m.Var(6))
-	// Dead intermediates.
-	for i := 1; i <= 6; i++ {
-		m.Or(m.Var(i), f)
-	}
-	before := m.NumNodes()
-	nm, roots := m.Compact(f, g)
-	if nm.NumNodes() >= before {
-		t.Errorf("no nodes freed: %d -> %d", before, nm.NumNodes())
-	}
-	probs := []float64{0, .1, .2, .3, .4, .5, .6}
-	if math.Abs(nm.Prob(roots[0], probs)-m.Prob(f, probs)) > 1e-12 {
-		t.Error("f changed")
-	}
-	if math.Abs(nm.Prob(roots[1], probs)-m.Prob(g, probs)) > 1e-12 {
-		t.Error("g changed")
-	}
-	// New manager stays usable.
-	if nm.And(roots[0], roots[1]) == False && m.And(f, g) != False {
-		t.Error("apply broken after compact")
-	}
-}
-
 func TestCofactorExistsForAll(t *testing.T) {
 	m := NewManager(seqOrder(3))
 	x, y, z := m.Var(1), m.Var(2), m.Var(3)

@@ -2,6 +2,7 @@ package obdd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mvdb/internal/engine"
@@ -152,35 +153,123 @@ func compareKeys(ka []engine.Value, relA string, kb []engine.Value, relB string)
 	return 0
 }
 
-// patchOrder derives the variable order of a mutated database from the order
-// a manager was compiled under before the mutation, in O(vars + k log vars)
-// for k changed tuples instead of re-sorting every tuple: variables varMap
-// drops (deleted tuples) are removed, and every changed tuple that now exists
-// is inserted at its Π position among the survivors, found by binary search.
+// PatchOrder returns an empty manager over the variable order of a mutated
+// database, derived from the order old was compiled under without re-sorting:
+// variables of deleted tuples are removed and every changed tuple that now
+// exists is inserted at its Π position, found by binary search. Node stores
+// compiled over the result share its order tables.
+//
+// varMap translates old variable ids into the new database's and reports
+// deleted tuples' variables as unmapped; nil means the database was mutated
+// in place, which never renumbers (deletes tombstone, inserts append) and
+// names every freed variable in a changed tuple's Var. That route touches
+// only the changed variables plus one flat copy of the two level arrays.
 //
 // When old is the static Π order the result is exactly TupleOrder(db, pi).
 // When old is a learned (sifted) order, survivors keep their learned relative
-// order — so every clean block can be copied level by level — and the binary
-// search still lands a new variable inside its own separator-value region.
-// That rests on the learned order keeping every separator value's variables
-// contiguous — the caller's sifting windows must not span two values (the
-// MV-index's span one chain block's own levels, never the unconstrained
-// tuples between blocks): the "precedes the new tuple" predicate is then
-// monotone outside the region, also an empty one, and the search can only
-// stop at a transition inside it (or at its edges).
-func patchOrder(old []int, varMap func(int) (int, bool), db *engine.Database, pi Perm, changed []ChangedTuple) []int {
-	survivors := make([]int, 0, len(old))
-	for _, v := range old {
-		if nv, ok := varMap(v); ok {
-			survivors = append(survivors, nv)
+// order — so every clean block keeps its shape — and the binary search still
+// lands a new variable inside its own separator-value region. That rests on
+// the learned order keeping every separator value's variables contiguous —
+// the caller's sifting windows must not span two values (the MV-index's span
+// one chain block's own levels, never the unconstrained tuples between
+// blocks): the "precedes the new tuple" predicate is then monotone outside
+// the region, also an empty one, and the search can only stop at a
+// transition inside it (or at its edges).
+func PatchOrder(old *Manager, varMap func(int) (int, bool), db *engine.Database, pi Perm, changed []ChangedTuple) *Manager {
+	if varMap != nil {
+		// Renumbered: carry the survivors over, then insert as in place.
+		var survivors []int
+		for _, v := range old.levelVar {
+			if nv, ok := varMap(int(v)); ok {
+				survivors = append(survivors, nv)
+			}
+		}
+		old = NewManager(survivors)
+	}
+	// The search runs over the old levels, where a deleted variable still
+	// sits under its tuple's key, taken from the changed list.
+	gone := map[int]ChangedTuple{}
+	var dels []int // levels of the deleted variables, ascending
+	for _, ct := range changed {
+		if l := old.Level(ct.Var); l >= 0 && !db.Alive(ct.Var) {
+			if _, dup := gone[ct.Var]; !dup {
+				gone[ct.Var] = ct
+				dels = append(dels, l)
+			}
 		}
 	}
-	type insertion struct {
-		at, v int
-		key   []engine.Value
-		rel   string
+	sort.Ints(dels)
+	ins := insertions(db, pi, changed, len(old.levelVar), func(i int) (string, []engine.Value, bool) {
+		if ct, ok := gone[int(old.levelVar[i])]; ok {
+			return ct.Rel, ct.Vals, true
+		}
+		rel, t, err := db.VarTuple(int(old.levelVar[i]))
+		return rel, t.Vals, err == nil
+	})
+	from := len(old.levelVar) // the first level that changes
+	if len(dels) > 0 {
+		from = dels[0]
 	}
-	var ins []insertion
+	if len(ins) > 0 {
+		from = min(from, ins[0].at)
+	}
+	m := &Manager{
+		nodes:    []node{{level: terminalLevel}, {level: terminalLevel}},
+		maxLevel: []int32{-1, -1},
+		// One allocation, of which only the part past from is cleared.
+		levelVar: slices.Grow(old.levelVar[:from:from], len(ins)-len(dels)+len(old.levelVar)-from),
+		varLevel: slices.Clone(old.varLevel),
+	}
+	m.unique.init()
+	m.cache.init(old.cache.max)
+	// The order: runs of old levels between the changes, copied whole.
+	i, j := 0, 0 // next insertion, next deletion
+	for l := from; ; {
+		next := len(old.levelVar)
+		if i < len(ins) {
+			next = min(next, ins[i].at)
+		}
+		if j < len(dels) {
+			next = min(next, dels[j])
+		}
+		m.levelVar = append(m.levelVar, old.levelVar[l:next]...)
+		for ; i < len(ins) && ins[i].at == next; i++ {
+			m.levelVar = append(m.levelVar, int32(ins[i].v))
+		}
+		if l = next; j < len(dels) && dels[j] == next {
+			j, l = j+1, next+1
+		} else if next == len(old.levelVar) {
+			break
+		}
+	}
+	// The level table: the old one, grown by the new variables, with the
+	// levels from the first change on rewritten.
+	for len(m.varLevel) <= db.NumVars() {
+		m.varLevel = append(m.varLevel, -1)
+	}
+	for v := range gone {
+		m.varLevel[v] = -1
+	}
+	for l := from; l < len(m.levelVar); l++ {
+		m.varLevel[m.levelVar[l]] = int32(l)
+	}
+	return m
+}
+
+// insertion places one variable before position at of the order searched.
+type insertion struct {
+	at, v int
+	key   []engine.Value
+	rel   string
+}
+
+// insertions finds, for every changed tuple that exists in db with a
+// variable, its Π position in an order of n variables whose i-th tuple keyAt
+// reports (ok false: no tuple, never precedes), and returns them sorted by
+// position, then key. A tuple listed twice (deleted and re-inserted in one
+// batch) is placed once.
+func insertions(db *engine.Database, pi Perm, changed []ChangedTuple, n int,
+	keyAt func(i int) (rel string, vals []engine.Value, ok bool)) []insertion {
 	permuted := func(r *engine.Relation, vals []engine.Value) []engine.Value {
 		perm := pi.of(r)
 		key := make([]engine.Value, len(perm))
@@ -189,6 +278,7 @@ func patchOrder(old []int, varMap func(int) (int, bool), db *engine.Database, pi
 		}
 		return key
 	}
+	var ins []insertion
 next:
 	for _, ct := range changed {
 		r := db.Relation(ct.Rel)
@@ -202,21 +292,15 @@ next:
 		v := r.Tuples[ti].Var
 		for _, in := range ins {
 			if in.v == v {
-				continue next // listed twice (delete + re-insert in one batch)
+				continue next
 			}
 		}
 		key := permuted(r, ct.Vals)
-		at := sort.Search(len(survivors), func(i int) bool {
-			rel, t, err := db.VarTuple(survivors[i])
-			if err != nil {
-				return false
-			}
-			return compareKeys(permuted(db.Relation(rel), t.Vals), rel, key, ct.Rel) >= 0
+		at := sort.Search(n, func(i int) bool {
+			rel, vals, ok := keyAt(i)
+			return ok && compareKeys(permuted(db.Relation(rel), vals), rel, key, ct.Rel) >= 0
 		})
 		ins = append(ins, insertion{at: at, v: v, key: key, rel: ct.Rel})
-	}
-	if len(ins) == 0 {
-		return survivors
 	}
 	sort.Slice(ins, func(i, j int) bool {
 		if ins[i].at != ins[j].at {
@@ -224,12 +308,5 @@ next:
 		}
 		return compareKeys(ins[i].key, ins[i].rel, ins[j].key, ins[j].rel) < 0
 	})
-	out := make([]int, 0, len(survivors)+len(ins))
-	from := 0
-	for _, in := range ins {
-		out = append(out, survivors[from:in.at]...)
-		out = append(out, in.v)
-		from = in.at
-	}
-	return append(out, survivors[from:]...)
+	return ins
 }

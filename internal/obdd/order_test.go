@@ -169,9 +169,31 @@ func TestWriteDotGolden(t *testing.T) {
 	}
 }
 
+// diffByVar lists, with their variables, the tuples whose variable differs
+// between a database and its in-place mutation b (deleted, inserted, or
+// deleted and re-inserted) — the changed list the delta translator returns.
+func diffByVar(a, b *engine.Database) []ChangedTuple {
+	var out []ChangedTuple
+	for _, name := range a.Relations() {
+		ra, rb := a.Relation(name), b.Relation(name)
+		for _, t := range ra.Tuples {
+			if i := rb.Lookup(t.Vals); i < 0 || rb.Tuples[i].Var != t.Var {
+				out = append(out, ChangedTuple{Rel: name, Vals: t.Vals, Var: t.Var})
+			}
+		}
+		for _, t := range rb.Tuples {
+			if i := ra.Lookup(t.Vals); i < 0 || ra.Tuples[i].Var != t.Var {
+				out = append(out, ChangedTuple{Rel: name, Vals: t.Vals, Var: t.Var})
+			}
+		}
+	}
+	return out
+}
+
 // TestPatchOrderEqualsTupleOrder: patching the static Π order of the old
 // database with the changed tuples gives exactly the Π order of the mutated
-// one — in place (identity map, tombstoned variables) and across a clone.
+// one — through a variable map, and in place from the changed tuples'
+// variables alone, where the level tables must also agree with the order.
 func TestPatchOrderEqualsTupleOrder(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(700 + seed))
@@ -179,12 +201,22 @@ func TestPatchOrderEqualsTupleOrder(t *testing.T) {
 		db := randSepDB(rng, n)
 		pi := IdentityPerm(db)
 		old := TupleOrder(db, pi)
+		ord := NewManager(old)
 		for batch := 0; batch < 4; batch++ {
 			newDB := mutateSepDB(rng, db, n)
-			got := patchOrder(old, testVarMap(db, newDB), newDB, pi, diffByKey(db, newDB))
+			got := PatchOrder(NewManager(old), testVarMap(db, newDB), newDB, pi, diffByKey(db, newDB)).Order()
 			want := TupleOrder(newDB, pi)
 			if !reflect.DeepEqual(got, want) && (len(got) != 0 || len(want) != 0) {
 				t.Fatalf("seed %d batch %d: patched %v, sorted %v", seed, batch, got, want)
+			}
+			ord = PatchOrder(ord, nil, newDB, pi, diffByVar(db, newDB))
+			if o := ord.Order(); !reflect.DeepEqual(o, want) && (len(o) != 0 || len(want) != 0) {
+				t.Fatalf("seed %d batch %d: patched in place %v, sorted %v", seed, batch, o, want)
+			}
+			for v := 0; v <= newDB.NumVars(); v++ {
+				if l := ord.Level(v); (l >= 0) != newDB.Alive(v) || l >= 0 && ord.VarAtLevel(l) != v {
+					t.Fatalf("seed %d batch %d: variable %d at level %d", seed, batch, v, l)
+				}
 			}
 			db, old = newDB, got
 		}
@@ -218,9 +250,9 @@ func TestPatchOrderLearnedOrder(t *testing.T) {
 		_, err := db.VarRef(x)
 		return x, err == nil
 	}
-	got := patchOrder(learned, identity, db, IdentityPerm(db), []ChangedTuple{
+	got := PatchOrder(NewManager(learned), identity, db, IdentityPerm(db), []ChangedTuple{
 		{Rel: "S", Vals: gone}, {Rel: "S", Vals: fresh}, {Rel: "S", Vals: fresh},
-	})
+	}).Order()
 	if len(got) != 9 {
 		t.Fatalf("patched order %v: want 9 variables", got)
 	}

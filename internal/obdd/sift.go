@@ -112,7 +112,11 @@ type ReorderStats struct {
 // variable id). A manager produced by Reorder reports the learned order,
 // which callers persist and feed back through CompileOptions.Order.
 func (m *Manager) Order() []int {
-	return append([]int(nil), m.levelVar...)
+	out := make([]int, len(m.levelVar))
+	for l, v := range m.levelVar {
+		out[l] = int(v)
+	}
+	return out
 }
 
 // UniqueTableStats returns the occupancy and capacity of the manager's
@@ -260,7 +264,7 @@ func newSifter(m *Manager, roots []NodeID, opts ReorderOptions) (*sifter, []int3
 		gen:       []int32{0, 0},
 		tabs:      make([]*levelTable, nv),
 		lists:     make([][]int64, nv),
-		order:     append([]int(nil), m.levelVar...),
+		order:     m.Order(),
 		pos:       make(map[int]int32, nv),
 		maxGrowth: opts.MaxGrowth,
 		ctx:       opts.Ctx,

@@ -71,18 +71,6 @@ func (t *uniqueTable) insert(nodes []node, id NodeID, slot uint64) {
 	}
 }
 
-// reserve grows the table so that n nodes fit under the load factor without
-// further doubling.
-func (t *uniqueTable) reserve(nodes []node, n int) {
-	size := len(t.slots)
-	for n*4 >= size*3 {
-		size *= 2
-	}
-	if size > len(t.slots) {
-		t.rehash(nodes, size)
-	}
-}
-
 func (t *uniqueTable) rehash(nodes []node, size int) {
 	t.slots = make([]NodeID, size)
 	mask := uint64(size - 1)

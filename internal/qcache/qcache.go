@@ -242,9 +242,10 @@ func (c *Cache[V]) Do(ctx context.Context, k Key, fn func() (V, error)) (V, bool
 				e := el.Value.(*entry[V])
 				if e.epoch == epoch {
 					s.lru.MoveToFront(el)
+					v := e.val // a Put may overwrite the entry once we unlock
 					s.mu.Unlock()
 					c.hits.Add(1)
-					return e.val, true, nil
+					return v, true, nil
 				}
 				s.removeLocked(el, e)
 			}

@@ -79,7 +79,7 @@ type Live struct {
 	weightOnlyBatches         atomic.Uint64
 	blocksReused, blocksRecom atomic.Uint64
 	augBlocks, augNodes       atomic.Uint64 // per-block augmentation work
-	splicedNodes              atomic.Uint64 // nodes copied from the old chain
+	applyNs, applyMaxNs       atomic.Uint64 // in-process index apply time (MaintStats.Duration)
 
 	stop     chan struct{}
 	snapDone chan struct{}
@@ -208,6 +208,9 @@ func (l *Live) AppliedSeq() uint64 {
 func (l *Live) encodeReplicationSnapshot() (uint64, []byte, error) {
 	l.updateMu.Lock()
 	defer l.updateMu.Unlock()
+	if f := l.srv.failed.Load(); f != nil {
+		return 0, nil, f
+	}
 	if err := l.log.Sync(); err != nil {
 		return 0, nil, err
 	}
@@ -231,7 +234,7 @@ func (l *Live) Close() error {
 		<-l.snapDone
 	}
 	var err error
-	if l.cfg.SnapshotPath != "" {
+	if l.cfg.SnapshotPath != "" && l.srv.failed.Load() == nil {
 		err = l.Snapshot()
 	}
 	if cerr := l.log.Close(); err == nil {
@@ -268,6 +271,10 @@ func (l *Live) Snapshot() error {
 		return fmt.Errorf("server: no snapshot path configured")
 	}
 	l.updateMu.Lock()
+	if f := l.srv.failed.Load(); f != nil {
+		l.updateMu.Unlock()
+		return f
+	}
 	seq := l.appliedSeq
 	gen, err := l.log.Rotate()
 	if err != nil {
@@ -395,6 +402,10 @@ func (l *Live) applyBatch(w http.ResponseWriter, batch []core.Mutation) {
 	t0 := time.Now()
 
 	l.updateMu.Lock()
+	if s.indexFailed(w) {
+		l.updateMu.Unlock()
+		return
+	}
 	// Validate against the current source before the WAL append, so the log
 	// only ever holds batches that apply cleanly on recovery.
 	s.mu.RLock()
@@ -428,15 +439,19 @@ func (l *Live) applyBatch(w http.ResponseWriter, batch []core.Mutation) {
 
 	s.mu.Lock()
 	st, err := ix.ApplyMutations(batch)
+	if err != nil {
+		// The batch validated and is in the WAL, but failed to apply (e.g.
+		// a compile failure) — possibly after the delta translation patched
+		// the index's databases. Nothing served from here on could be
+		// trusted: fail closed, inside the index lock, so no reader sees the
+		// index again; a restart rebuilds it from snapshot + WAL.
+		s.failClosed(seq, err)
+	}
 	s.mu.Unlock()
 	if err != nil {
-		// The batch validated but failed to apply (e.g. a compile failure).
-		// It is already in the WAL; recovery would hit the same error, so
-		// this is loud.
 		l.updateMu.Unlock()
 		_ = synced() // nothing is acknowledged; only wait the commit out
-		s.logf("server: CRITICAL: logged batch failed to apply: %v", err)
-		s.httpError(w, http.StatusInternalServerError, "", "applying batch: %v", err)
+		s.indexFailed(w)
 		return
 	}
 	l.appliedSeq = seq
@@ -469,7 +484,11 @@ func (l *Live) applyBatch(w http.ResponseWriter, batch []core.Mutation) {
 	l.blocksRecom.Add(uint64(st.Recompiled))
 	l.augBlocks.Add(uint64(st.AugmentedBlocks))
 	l.augNodes.Add(uint64(st.AugmentedNodes))
-	l.splicedNodes.Add(uint64(st.SplicedNodes))
+	d := uint64(st.Duration)
+	l.applyNs.Add(d)
+	if d > l.applyMaxNs.Load() {
+		l.applyMaxNs.Store(d) // writers are serialised: no lost update
+	}
 
 	s.writeJSON(w, map[string]any{
 		"seq":              seq,
@@ -481,7 +500,6 @@ func (l *Live) applyBatch(w http.ResponseWriter, batch []core.Mutation) {
 		"recompiled":       st.Recompiled,
 		"augmented_blocks": st.AugmentedBlocks,
 		"augmented_nodes":  st.AugmentedNodes,
-		"spliced_nodes":    st.SplicedNodes,
 		"millis":           float64(time.Since(t0).Microseconds()) / 1000,
 	})
 }
@@ -520,7 +538,8 @@ func (l *Live) stats() map[string]any {
 			"blocks_recompiled":   l.blocksRecom.Load(),
 			"augmented_blocks":    l.augBlocks.Load(),
 			"augmented_nodes":     l.augNodes.Load(),
-			"spliced_nodes":       l.splicedNodes.Load(),
+			"apply_ns":            l.applyNs.Load(),
+			"apply_max_ns":        l.applyMaxNs.Load(),
 		},
 	}
 }

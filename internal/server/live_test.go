@@ -208,9 +208,8 @@ func TestReweightEndpoint(t *testing.T) {
 	if wo := out["weight_only"].(bool); !wo {
 		t.Fatalf("reweight took the structural path: %v", out)
 	}
-	// One reweighted tuple re-weighs exactly its own chain block and copies
-	// nothing.
-	if out["augmented_blocks"].(float64) != 1 || out["augmented_nodes"].(float64) < 1 || out["spliced_nodes"].(float64) != 0 {
+	// One reweighted tuple re-weighs exactly its own chain block.
+	if out["augmented_blocks"].(float64) != 1 || out["augmented_nodes"].(float64) < 1 {
 		t.Fatalf("weight-only work counters: %v", out)
 	}
 	want := scratchProb(t, []core.Mutation{
@@ -249,9 +248,12 @@ func TestLiveStats(t *testing.T) {
 		t.Fatalf("applied counters %v", applied)
 	}
 	// The structural batch augmented every block (first batch: full compile),
-	// the reweight one more.
-	if applied["augmented_blocks"].(float64) < 2 || applied["augmented_nodes"].(float64) < 2 || applied["spliced_nodes"] == nil {
+	// the reweight one more; both timed their apply.
+	if applied["augmented_blocks"].(float64) < 2 || applied["augmented_nodes"].(float64) < 2 {
 		t.Fatalf("work counters %v", applied)
+	}
+	if ns, max := applied["apply_ns"].(float64), applied["apply_max_ns"].(float64); max <= 0 || ns < max {
+		t.Fatalf("apply time counters %v", applied)
 	}
 	if live["snapshot_seq"].(float64) != 2 {
 		t.Fatalf("snapshot_seq %v", live["snapshot_seq"])
@@ -672,5 +674,63 @@ func TestWALErrorIs5xx(t *testing.T) {
 	}
 	if got, want := queryProb(t, s, "Q(a) :- Adv(9,a)"), 0.0; got != want {
 		t.Fatalf("refused batch was applied: %v", got)
+	}
+}
+
+// TestApplyFailureFailsClosed: a logged batch that fails to apply after the
+// delta translation has patched the index's databases — injected through the
+// index's compile-failure seam — puts the server in a failed state: no
+// query, explain, marginal, update or reweight answers with a number,
+// /readyz is not ready and no snapshot is cut, until a restart recovers the
+// batch from the WAL.
+func TestApplyFailureFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	cfg := LiveConfig{WALDir: filepath.Join(dir, "wal"), SnapshotPath: filepath.Join(dir, "snap")}
+	s, l := liveServer(t, cfg)
+	// A first structural batch, so the failing one takes the in-place route.
+	first := core.Mutation{Op: core.MutInsert, Rel: "Adv", Vals: []engine.Value{engine.Int(1), engine.Int(12)}, Weight: 3}
+	failing := core.Mutation{Op: core.MutInsert, Rel: "Adv", Vals: []engine.Value{engine.Int(1), engine.Int(13)}, Weight: 2}
+	if rec, _ := do(t, s, "POST", "/update", `{"mutations": [{"op": "insert", "rel": "Adv", "vals": [1, 12], "weight": 3}]}`); rec.Code != http.StatusOK {
+		t.Fatalf("first batch: code %d", rec.Code)
+	}
+	s.ix.FailCompile(errors.New("injected compile failure"))
+	probes := []struct{ method, path, body string }{
+		{"POST", "/update", `{"mutations": [{"op": "insert", "rel": "Adv", "vals": [1, 13], "weight": 2}]}`},
+		{"POST", "/query", fmt.Sprintf(`{"query": %q}`, boolQ)},
+		{"POST", "/explain", fmt.Sprintf(`{"query": %q}`, boolQ)},
+		{"GET", "/marginal?var=1", ""},
+		{"POST", "/update", `{"mutations": [{"op": "insert", "rel": "Adv", "vals": [2, 14], "weight": 1}]}`},
+		{"POST", "/reweight", `{"rel": "Adv", "vals": [1, 10], "weight": 0.5}`},
+		{"GET", "/readyz", ""},
+	}
+	for _, p := range probes {
+		rec, out := do(t, s, p.method, p.path, p.body)
+		if rec.Code != http.StatusServiceUnavailable || out["reason"] != "index" {
+			t.Fatalf("%s %s after the failure: code %d body %s", p.method, p.path, rec.Code, rec.Body)
+		}
+		if _, ok := out["answers"]; ok || out["prob"] != nil || out["marginal"] != nil {
+			t.Fatalf("%s %s served a number: %s", p.method, p.path, rec.Body)
+		}
+	}
+	if rec, out := do(t, s, "GET", "/stats", ""); rec.Code != http.StatusOK || out["failed"] == nil {
+		t.Fatalf("/stats does not report the failure: %d %s", rec.Code, rec.Body)
+	}
+	var f *IndexFailure
+	if err := l.Snapshot(); !errors.As(err, &f) || f.Seq != 2 {
+		t.Fatalf("snapshot of a failed index: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restart: recovery rebuilds and replays the WAL, the failed batch too.
+	s2, l2 := liveServer(t, cfg)
+	defer l2.Close()
+	if rec, _ := do(t, s2, "GET", "/readyz", ""); rec.Code != http.StatusOK {
+		t.Fatalf("/readyz after recovery: %d", rec.Code)
+	}
+	want := scratchProb(t, []core.Mutation{first, failing}, boolQ)
+	if got := queryProb(t, s2, boolQ); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("recovered prob %v, want %v", got, want)
 	}
 }

@@ -314,12 +314,15 @@ func (rs *replState) applyFrame(s *Server) func(uint64, []byte) error {
 		}
 		s.mu.Lock()
 		_, err = s.ix.ApplyMutations(batch)
-		s.mu.Unlock()
 		if err != nil {
 			// The primary applied this batch, so a failure here means the
-			// replica diverged (or hit a resource limit). Refusing to
-			// advance keeps the staleness gate honest: the node goes stale
-			// and stops serving rather than serving wrong answers.
+			// replica diverged (or hit a resource limit), possibly leaving
+			// the index half-patched: fail closed, like the primary, rather
+			// than let a re-shipped frame apply on top of it.
+			s.failClosed(seq, err)
+		}
+		s.mu.Unlock()
+		if err != nil {
 			return fmt.Errorf("applying frame %d: %w", seq, err)
 		}
 		rs.appliedSeq = seq

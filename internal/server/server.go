@@ -17,8 +17,8 @@
 // Requests run concurrently: the index is frozen between mutations and its
 // read path (Query, ExplainBoolean, TupleMarginal) builds query OBDDs in
 // per-call scratch managers, so handlers only take a read lock. The write
-// lock is held briefly while an update batch splices recompiled blocks into
-// the index (see live.go).
+// lock is held while an update batch publishes the index's next version
+// (see live.go).
 //
 // The server degrades gracefully under pressure (Config): evaluation
 // handlers run under a per-request timeout and resource budget — a deadline
@@ -120,6 +120,11 @@ type Server struct {
 
 	draining atomic.Bool
 
+	// failed, once set, is the fail-closed state: a logged batch failed to
+	// apply, so the index may be half-patched. Every request that could
+	// serve a number or a write answers 503 "index" until a restart.
+	failed atomic.Pointer[IndexFailure]
+
 	// slow, when non-nil, runs inside each admitted evaluation handler
 	// before the evaluation — a test-only hook to hold requests in flight
 	// for the overload and drain tests.
@@ -185,7 +190,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // 503 rather than silently stale probabilities.
 func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if !s.freshEnough(w) {
+		if s.indexFailed(w) || !s.freshEnough(w) {
 			return
 		}
 		if s.sem != nil {
@@ -204,6 +209,35 @@ func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
 		}
 		h(w, r)
 	}
+}
+
+// IndexFailure is the error of the fail-closed state: the batch that failed
+// to apply after its WAL append, and why.
+type IndexFailure struct {
+	Seq uint64
+	Err error
+}
+
+func (f *IndexFailure) Error() string {
+	return fmt.Sprintf("index failed applying batch %d (%v); restart to recover from snapshot + WAL", f.Seq, f.Err)
+}
+
+// failClosed enters the fail-closed state; the first failure is kept.
+func (s *Server) failClosed(seq uint64, err error) {
+	if s.failed.CompareAndSwap(nil, &IndexFailure{Seq: seq, Err: err}) {
+		s.logf("server: CRITICAL: batch %d failed to apply: %v; failing closed until a restart", seq, err)
+	}
+}
+
+// indexFailed writes the 503 "index" answer when the server has failed
+// closed.
+func (s *Server) indexFailed(w http.ResponseWriter) bool {
+	f := s.failed.Load()
+	if f == nil {
+		return false
+	}
+	s.httpError(w, http.StatusServiceUnavailable, "index", "%v", f)
+	return true
 }
 
 // acceptsWrites reports whether this node may ack mutations: a follower or a
@@ -456,7 +490,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	logP, sign := s.ix.LogProbNotW()
 	cs := s.ix.CacheStats()
-	occupied, slots := s.ix.Manager().UniqueTableStats()
+	occupied, slots := s.ix.UniqueTableStats()
 	out := map[string]any{
 		"index_nodes":    s.ix.Size(),
 		"index_blocks":   s.ix.Blocks(),
@@ -467,15 +501,15 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"log_p_not_w":    logP,
 		"p_not_w_sign":   sign,
 		"relations":      stats,
-		"manager_nodes":  s.ix.Manager().NumNodes(),
+		"manager_nodes":  s.ix.Size(), // the index holds no manager: ¬W is its segments
 		"pruned_indep":   tr.PrunedIndependent,
 		"has_constraint": tr.HasConstraints(),
 		"cache":          cs,
 		// Derived ratios, so dashboards don't have to divide raw counters:
-		// apply-cache hit rates (the frozen shared manager's and the
+		// apply-cache hit rates (the index's order manager's and the
 		// per-query scratch managers'), the cross-query answer cache's hit
-		// rate, and the unique table's load factor (occupied buckets /
-		// slots).
+		// rate, and the load factor (occupied buckets / slots) of the unique
+		// table of the pointer OBDD of ¬W, when this version built one.
 		"apply_cache_hit_rate":  hitRate(cs.SharedApplyHits, cs.SharedApplyMisses),
 		"query_apply_hit_rate":  hitRate(cs.QueryApplyHits, cs.QueryApplyMisses),
 		"answer_cache_hit_rate": hitRate(cs.Answers.Hits, cs.Answers.Misses),
@@ -492,6 +526,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	if s.repl != nil {
 		out["replication"] = s.repl.stats(s)
+	}
+	if f := s.failed.Load(); f != nil {
+		out["failed"] = f.Error()
 	}
 	s.writeJSON(w, out)
 }
@@ -515,6 +552,9 @@ func loadFactor(occupied, slots int) float64 {
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
 		s.httpError(w, http.StatusServiceUnavailable, "draining", "shutting down")
+		return
+	}
+	if s.indexFailed(w) {
 		return
 	}
 	w.WriteHeader(http.StatusOK)
