@@ -12,6 +12,17 @@ set -eux
 
 go build ./...
 go vet ./...
+
+# Keep rule: code stays only if a binary or example serves with it, a paper
+# figure needs it, or the tests use it as an oracle. Print the non-test line
+# count, and fail if any internal package is reachable only from tests.
+find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' | xargs cat | wc -l
+deps=$(go list -deps ./cmd/... ./examples/...)
+for pkg in $(go list ./internal/...); do
+    printf '%s\n' "$deps" | grep -qx "$pkg" \
+        || { echo "keep rule: $pkg is imported by no binary or example"; exit 1; }
+done
+
 go test -timeout 5m ./...
 go test -race -timeout 10m ./...
 
@@ -26,8 +37,9 @@ go test -race -run 'TestSingleflightHammer|TestConcurrentHammer|TestMidFlightInv
 # epoch protocol), crash recovery must replay every acknowledged batch even
 # with fsync fault injection, the incrementally maintained segments must
 # equal a from-scratch recompile after every batch, and a batch that fails
-# after its WAL append must fail the server closed until a restart.
-go test -race -run 'TestUpdateQueryInterleave|TestCrashRecovery|TestApplyMutationsEpoch|TestIncrementalAugmentEqualsRebuild|TestApplyFailureFailsClosed' \
+# after its WAL append must fail the server closed until a restart — a reader
+# admitted before the failure and parked on the index lock included.
+go test -race -run 'TestUpdateQueryInterleave|TestCrashRecovery|TestApplyMutationsEpoch|TestIncrementalAugmentEqualsRebuild|TestApplyFailureFailsClosed|TestParkedReaderFailsClosed|TestStoreMax' \
     -count=2 -timeout 5m ./internal/server/ ./internal/mvindex/
 
 # Pipelined commit, explicitly under the race detector (DESIGN.md §10): the

@@ -26,7 +26,6 @@ import (
 	"mvdb/internal/engine"
 	"mvdb/internal/mvindex"
 	"mvdb/internal/obdd"
-	"mvdb/internal/plan"
 	"mvdb/internal/ucq"
 )
 
@@ -162,10 +161,6 @@ func main() {
 			if err := s.explain(strings.TrimPrefix(line, `\explain `)); err != nil {
 				fmt.Printf("error: %v\n", err)
 			}
-		case strings.HasPrefix(line, `\plan `):
-			if err := s.plan(strings.TrimPrefix(line, `\plan `)); err != nil {
-				fmt.Printf("error: %v\n", err)
-			}
 		case strings.HasPrefix(line, `\marginal `):
 			if err := s.marginal(strings.TrimPrefix(line, `\marginal `)); err != nil {
 				fmt.Printf("error: %v\n", err)
@@ -180,7 +175,6 @@ func main() {
   \views             active MarkoViews
   \stats             index and compile statistics
   \explain <query>   traversal statistics for one Boolean query
-  \plan <query>      extensional safe plan of the query alone (if one exists)
   \marginal Rel(v,..) corrected marginal of one probabilistic tuple
   \dot [file]        write the ¬W OBDD as Graphviz DOT (default stdout)
   \quit`)
@@ -241,20 +235,6 @@ func (s *session) explain(src string) error {
 		return err
 	}
 	fmt.Println(ex)
-	return nil
-}
-
-// plan prints the extensional safe plan of the query itself (not Q ∨ W).
-func (s *session) plan(src string) error {
-	q, err := ucq.Parse(src)
-	if err != nil {
-		return err
-	}
-	qp, err := plan.ExtractQuery(s.tr.DB, q)
-	if err != nil {
-		return err
-	}
-	fmt.Println(qp)
 	return nil
 }
 

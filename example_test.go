@@ -128,29 +128,6 @@ func ExampleDefineProbTable() {
 	// Output: 7 possible Student tuples
 }
 
-// ExampleExtractPlan extracts and prints an extensional safe plan.
-func ExampleExtractPlan() {
-	db := mvdb.NewDatabase()
-	db.MustCreateRelation("R", false, "a")
-	db.MustCreateRelation("S", false, "a", "b")
-	db.MustInsert("R", 1, mvdb.Int(1))
-	db.MustInsert("S", 1, mvdb.Int(1), mvdb.Int(2))
-	q, _ := mvdb.ParseQuery("Q() :- R(x), S(x,y)")
-	p, err := mvdb.ExtractPlan(db, q.UCQ)
-	if err != nil {
-		log.Fatal(err)
-	}
-	prob, _ := p.Prob()
-	fmt.Printf("P = %.2f\n%s\n", prob, p)
-	// Output:
-	// P = 0.25
-	// independent-project z0 over R[0]
-	//   independent-join
-	//     ground R("$z0")
-	//     independent-project z1 over S[1]
-	//       ground S("$z0","$z1")
-}
-
 // ExampleTopK ranks query answers.
 func ExampleTopK() {
 	answers := []mvdb.Answer{

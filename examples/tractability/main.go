@@ -80,13 +80,6 @@ func main() {
 		fmt.Printf("%-36s %-8v %-12s %-12.8f\n",
 			oneLine(src), safe, lifted, pOBDD)
 	}
-	// Show the extracted extensional plan for one safe query.
-	qp, _ := mvdb.ParseQuery("Q() :- R(x), S(x,y)")
-	if p, err := mvdb.ExtractPlan(tr.DB, qp.UCQ); err == nil {
-		fmt.Println("\nextensional safe plan for R(x),S(x,y):")
-		fmt.Println(p)
-	}
-
 	fmt.Println("\nH0 = R(x),S(x,y),T(y) has no safe plan (#P-hard in general); the")
 	fmt.Println("OBDD method still answers it exactly — at lineage-compilation cost.")
 	fmt.Println("note: lifted evaluation needs Q ∨ W safe, not just Q — a safe Q can")

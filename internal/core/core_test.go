@@ -505,40 +505,6 @@ func TestTopK(t *testing.T) {
 	}
 }
 
-func TestMVDBMAP(t *testing.T) {
-	// Example 1 with strong positive correlation: the most likely world
-	// contains both tuples.
-	m := example1(2, 3, 8)
-	world, err := m.MAPExact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Weights: {}:1 {R}:2 {S}:3 {RS}:8*6=48 -> MAP = {R(1), S(1)}.
-	if len(world.Tuples["R"]) != 1 || len(world.Tuples["S"]) != 1 {
-		t.Errorf("MAP world = %+v", world.Tuples)
-	}
-	if math.Abs(world.Weight-48) > 1e-9 {
-		t.Errorf("MAP weight = %v want 48", world.Weight)
-	}
-	// With a denial view the most likely world keeps only the heavier tuple.
-	m2 := example1(2, 3, 0)
-	world2, err := m2.MAPExact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(world2.Tuples["R"]) != 0 || len(world2.Tuples["S"]) != 1 {
-		t.Errorf("MAP world with denial = %+v", world2.Tuples)
-	}
-	// Approximate search agrees on this tiny instance.
-	walk, err := m2.MAPWalk(mln.MAPOptions{Seed: 3, Restarts: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(walk.Weight-world2.Weight) > 1e-9 {
-		t.Errorf("MAPWalk weight = %v exact = %v", walk.Weight, world2.Weight)
-	}
-}
-
 func TestMethodDPLL(t *testing.T) {
 	// DPLL must agree with every other exact method on the Theorem 1 tests.
 	m := example1(2, 3, 4)
@@ -656,32 +622,6 @@ func TestViewWithProbabilisticNegationRejected(t *testing.T) {
 	}
 }
 
-func TestMethodPlan(t *testing.T) {
-	m := example1(2, 3, 0.5)
-	tr, err := m.Translate(TranslateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []string{"Q() :- R(x), S(x)", "Q() :- R(x)\nQ() :- S(x)"}
-	for _, src := range queries {
-		q := ucq.MustParse(src)
-		want, err := m.ProbExact(q.UCQ)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := tr.ProbBoolean(q.UCQ, MethodPlan)
-		if err != nil {
-			t.Fatalf("%q: %v", src, err)
-		}
-		if math.Abs(got-want) > 1e-9 {
-			t.Errorf("%q: plan = %v exact = %v", src, got, want)
-		}
-	}
-	if MethodPlan.String() != "safe-plan" {
-		t.Errorf("String = %q", MethodPlan.String())
-	}
-}
-
 func TestIsNVVar(t *testing.T) {
 	m := example1(1, 1, 2)
 	tr, err := m.Translate(TranslateOptions{})
@@ -780,7 +720,7 @@ func TestProbWAllMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, meth := range []Method{MethodOBDD, MethodLifted, MethodDPLL, MethodPlan} {
+	for _, meth := range []Method{MethodOBDD, MethodLifted, MethodDPLL} {
 		got, err := tr.ProbW(meth)
 		if err != nil {
 			t.Fatalf("%v: %v", meth, err)
@@ -797,7 +737,7 @@ func TestProbWAllMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, meth := range []Method{MethodBruteForce, MethodOBDD, MethodLifted, MethodDPLL, MethodPlan} {
+	for _, meth := range []Method{MethodBruteForce, MethodOBDD, MethodLifted, MethodDPLL} {
 		if p, err := tr2.ProbW(meth); err != nil || p != 0 {
 			t.Errorf("%v: P0(W) = %v, %v", meth, p, err)
 		}
@@ -892,8 +832,8 @@ func TestQueryAllMethodsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Q ∨ W is unsafe here (Adv self-join through the view), so only the
-	// lineage-based methods apply; lifted/plan agreement is covered on
-	// Example 1 where Q ∨ W is safe.
+	// lineage-based methods apply; TestQueryMethodLifted covers lifted on a
+	// view where Q ∨ W is safe.
 	for _, meth := range []Method{MethodOBDD, MethodDPLL} {
 		got, err := tr.Query(q, meth)
 		if err != nil {
@@ -988,11 +928,11 @@ func TestProbGivenTuplesWithDenial(t *testing.T) {
 	}
 }
 
-func TestQueryMethodPlan(t *testing.T) {
-	// The per-row plan applies when Q ∨ W admits a safe plan. With the view
-	// over different relations than the query, W is an independent union
-	// term and the parameterized plan exists; the answers must match brute
-	// force.
+func TestQueryMethodLifted(t *testing.T) {
+	// Query binds each answer's head and evaluates P0(Q ∨ W) and P0(W) with
+	// lifted inference. With the view over a different relation than the
+	// query, W is an independent union term; the answers must match the
+	// OBDD method.
 	db := engine.NewDatabase()
 	db.MustCreateRelation("R", false, "x")
 	db.MustCreateRelation("S", false, "x")
@@ -1010,11 +950,11 @@ func TestQueryMethodPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ucq.MustParse("Q(x) :- R(x)")
-	got, err := tr.Query(q, MethodPlan)
+	got, err := tr.Query(q, MethodLifted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tr.Query(q, MethodBruteForce)
+	want, err := tr.Query(q, MethodOBDD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1023,22 +963,7 @@ func TestQueryMethodPlan(t *testing.T) {
 	}
 	for i := range got {
 		if math.Abs(got[i].Prob-want[i].Prob) > 1e-9 {
-			t.Errorf("row %v: plan %v brute %v", got[i].Head, got[i].Prob, want[i].Prob)
+			t.Errorf("row %v: lifted %v obdd %v", got[i].Head, got[i].Prob, want[i].Prob)
 		}
-	}
-
-	// When the view shares the query's relations, the merged Q ∨ W has no
-	// safe plan; the method must report that instead of guessing.
-	m2 := New(db.Clone())
-	v2, _ := ParseView("V(x) :- R(x), S(x)", ConstWeight(0.5))
-	if err := m2.AddView(v2); err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := m2.Translate(TranslateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr2.Query(q, MethodPlan); err == nil {
-		t.Error("overlapping view: expected no-plan error")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"mvdb/internal/lift"
 	"mvdb/internal/lineage"
 	"mvdb/internal/obdd"
-	"mvdb/internal/plan"
 	"mvdb/internal/qcache"
 	"mvdb/internal/ucq"
 	"mvdb/internal/wmc"
@@ -54,9 +53,6 @@ const (
 	// combined lineage: exact, no compilation, valid for negative
 	// probabilities — the MystiQ-style baseline of Section 6.
 	MethodDPLL
-	// MethodPlan extracts extensional safe plans for W and Q ∨ W and
-	// executes them; fails with plan.ErrNoPlan when no safe plan exists.
-	MethodPlan
 )
 
 func (m Method) String() string {
@@ -69,8 +65,6 @@ func (m Method) String() string {
 		return "lifted"
 	case MethodDPLL:
 		return "dpll"
-	case MethodPlan:
-		return "safe-plan"
 	}
 	return fmt.Sprintf("method(%d)", int(m))
 }
@@ -190,12 +184,6 @@ func (t *Translation) ProbW(method Method) (float64, error) {
 			return 0, err
 		}
 		return wmc.Prob(lin, t.DB.Probs()), nil
-	case MethodPlan:
-		p, err := plan.Extract(t.DB, t.W)
-		if err != nil {
-			return 0, err
-		}
-		return p.Prob()
 	}
 	return 0, fmt.Errorf("core: unknown method %v", method)
 }
@@ -223,31 +211,20 @@ func (t *Translation) probBoolean(q ucq.UCQ, method Method, bo bounds) (float64,
 	if err := bo.check(); err != nil {
 		return 0, err
 	}
-	if method != MethodLifted && method != MethodPlan {
+	if method != MethodLifted {
 		lin, err := ucq.EvalBoolean(t.DB, q)
 		if err != nil {
 			return 0, err
 		}
 		return t.probFromLineage(lin, method, bo)
 	}
-	// Lifted / safe-plan: evaluate P0(Q ∨ W) and P0(W) as UCQs.
+	// Lifted: evaluate P0(Q ∨ W) and P0(W) as UCQs.
 	pW, err := t.ProbW(method)
 	if err != nil {
 		return 0, err
 	}
 	qw := ucq.UCQ{Disjuncts: append(append([]ucq.CQ{}, q.Disjuncts...), t.W.Disjuncts...)}
-	var pQW float64
-	switch method {
-	case MethodLifted:
-		pQW, err = lift.Prob(t.DB, qw)
-	case MethodPlan:
-		var p *plan.Plan
-		if p, err = plan.Extract(t.DB, qw); err == nil {
-			pQW, err = p.Prob()
-		}
-	default:
-		return 0, fmt.Errorf("core: unknown method %v", method)
-	}
+	pQW, err := lift.Prob(t.DB, qw)
 	if err != nil {
 		return 0, err
 	}
@@ -377,37 +354,15 @@ func (t *Translation) queryBounded(q *ucq.Query, method Method, bo bounds) ([]An
 	if err != nil {
 		return nil, err
 	}
-	// MethodPlan extracts one parameterized plan for Q ∨ W and evaluates it
-	// per answer — the safe-plan execution model.
-	var qw *plan.Template
-	var pW float64
-	if method == MethodPlan {
-		combined := ucq.UCQ{Disjuncts: append(append([]ucq.CQ{}, q.Disjuncts...), padDisjuncts(t.W, q.Head)...)}
-		qw, err = plan.ExtractTemplate(t.DB, combined, q.Head)
-		if err != nil {
-			return nil, err
-		}
-		if pW, err = t.ProbW(method); err != nil {
-			return nil, err
-		}
-	}
 	return AnswerRows(bo.ctx, bo.b.Deadline, rows, func(r ucq.AnswerRow) (float64, error) {
-		switch method {
-		case MethodLifted:
+		if method == MethodLifted {
 			b, err := q.Bind(r.Head)
 			if err != nil {
 				return 0, err
 			}
 			return t.probBoolean(b, method, bo)
-		case MethodPlan:
-			pQW, err := qw.ProbWith(r.Head)
-			if err != nil {
-				return 0, err
-			}
-			return theorem1(pQW, pW)
-		default:
-			return t.probFromLineage(r.Lineage, method, bo)
 		}
+		return t.probFromLineage(r.Lineage, method, bo)
 	})
 }
 
@@ -431,50 +386,6 @@ func AnswerRows(ctx context.Context, deadline time.Time, rows []ucq.AnswerRow, p
 		out[i] = Answer{Head: r.Head, Prob: p}
 	}
 	return out, nil
-}
-
-// padDisjuncts renames any of W's variables that collide with the query's
-// head names, so substituting the head parameters cannot capture them.
-func padDisjuncts(w ucq.UCQ, head []string) []ucq.CQ {
-	// Rename W's variables so they cannot collide with head names.
-	out := make([]ucq.CQ, 0, len(w.Disjuncts))
-	for i, d := range w.Disjuncts {
-		binding := map[string]bool{}
-		for _, h := range head {
-			binding[h] = true
-		}
-		needs := false
-		for _, v := range d.Vars() {
-			if binding[v] {
-				needs = true
-				break
-			}
-		}
-		if !needs {
-			out = append(out, d)
-			continue
-		}
-		prefix := fmt.Sprintf("w%d·", i)
-		rename := func(t ucq.Term) ucq.Term {
-			if t.IsConst || !binding[t.Var] {
-				return t
-			}
-			return ucq.V(prefix + t.Var)
-		}
-		nd := ucq.CQ{Atoms: make([]ucq.Atom, len(d.Atoms)), Preds: make([]ucq.Pred, len(d.Preds))}
-		for j, a := range d.Atoms {
-			na := ucq.Atom{Rel: a.Rel, Negated: a.Negated, Args: make([]ucq.Term, len(a.Args))}
-			for k, tm := range a.Args {
-				na.Args[k] = rename(tm)
-			}
-			nd.Atoms[j] = na
-		}
-		for j, p := range d.Preds {
-			nd.Preds[j] = ucq.Pred{Op: p.Op, L: rename(p.L), R: rename(p.R), Offset: p.Offset}
-		}
-		out = append(out, nd)
-	}
-	return out
 }
 
 // OBDD returns the manager and the OBDD root of W, compiling and caching it

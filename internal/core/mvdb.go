@@ -190,56 +190,6 @@ func (m *MVDB) ProbMCSat(q ucq.UCQ, opt mln.MCSatOptions) (float64, error) {
 	return net.MarginalMCSat(lineage.FromDNF(lin), opt)
 }
 
-// MAPWorld is the result of MAP inference: the tuples present in a most
-// likely possible world, with the world's (unnormalized) weight Φ.
-type MAPWorld struct {
-	Tuples map[string][][]engine.Value // relation -> tuples present
-	Weight float64
-}
-
-// MAPExact computes a most likely world of the MVDB by exhaustive
-// enumeration of the Definition 4 semantics (small instances only).
-func (m *MVDB) MAPExact() (*MAPWorld, error) {
-	net, err := m.GroundMLN()
-	if err != nil {
-		return nil, err
-	}
-	state, w, err := net.MAPExact()
-	if err != nil {
-		return nil, err
-	}
-	return m.stateToWorld(state, w)
-}
-
-// MAPWalk approximates the most likely world with a MaxWalkSAT-style local
-// search; usable at scales where exact enumeration is infeasible.
-func (m *MVDB) MAPWalk(opt mln.MAPOptions) (*MAPWorld, error) {
-	net, err := m.GroundMLN()
-	if err != nil {
-		return nil, err
-	}
-	state, w, err := net.MAPWalk(opt)
-	if err != nil {
-		return nil, err
-	}
-	return m.stateToWorld(state, w)
-}
-
-func (m *MVDB) stateToWorld(state []bool, w float64) (*MAPWorld, error) {
-	out := &MAPWorld{Tuples: map[string][][]engine.Value{}, Weight: w}
-	for v := 1; v <= m.DB.NumVars(); v++ {
-		if !state[v] {
-			continue
-		}
-		rel, t, err := m.DB.VarTuple(v)
-		if err != nil {
-			return nil, err
-		}
-		out.Tuples[rel] = append(out.Tuples[rel], t.Vals)
-	}
-	return out, nil
-}
-
 // DefineProbTable materializes a probabilistic table from a query over
 // deterministic tables — the middle layer of Figure 1, where each
 // probabilistic table "is defined by a query, which also associates a

@@ -8,6 +8,7 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/lineage"
+	"mvdb/internal/obdd"
 	"mvdb/internal/ucq"
 )
 
@@ -16,6 +17,7 @@ func randDB(rng *rand.Rand, negative bool) *engine.Database {
 	db.MustCreateRelation("R", false, "a")
 	db.MustCreateRelation("T", false, "a")
 	db.MustCreateRelation("S", false, "a", "b")
+	db.MustCreateRelation("D", true, "a")
 	n := 2 + rng.Int63n(2)
 	w := func() float64 {
 		if negative && rng.Intn(3) == 0 {
@@ -24,6 +26,9 @@ func randDB(rng *rand.Rand, negative bool) *engine.Database {
 		return rng.Float64() * 2
 	}
 	for i := int64(1); i <= n; i++ {
+		if i%2 == 1 {
+			db.MustInsertDet("D", engine.Int(i))
+		}
 		if rng.Intn(2) == 0 {
 			db.MustInsert("R", w(), engine.Int(i))
 		}
@@ -99,6 +104,71 @@ func TestLiftedNegativeProbabilities(t *testing.T) {
 			want := bruteForce(t, db, q.UCQ)
 			if math.Abs(got-want) > 1e-9 {
 				t.Fatalf("trial %d %q: lifted = %v brute = %v", trial, src, got, want)
+			}
+		}
+	}
+}
+
+// obddProb compiles u over db and evaluates it under db's (possibly
+// negative) probabilities: the OBDD method's kernel, independent of lift.
+func obddProb(t *testing.T, db *engine.Database, u ucq.UCQ) float64 {
+	t.Helper()
+	m, f, _, err := obdd.Compile(db, u, obdd.IdentityPerm(db), obdd.CompileOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Prob(f, db.Probs())
+}
+
+func TestLiftedAgainstOBDD(t *testing.T) {
+	// Every rule of the lifted algebra against OBDD compilation, with
+	// negative probabilities on every other trial: a join with a
+	// deterministic relation, inclusion-exclusion, ground lookups, separator
+	// projection, and H0 bound per answer on either head variable (Boolean
+	// H0 is unsafe, each binding is hierarchical).
+	shapes := []string{
+		"Q() :- R(x), D(x)",
+		"Q() :- R(x), S(x,y)\nQ() :- R(x2), T(x2)",
+		"Q() :- R(1), S(1,y)",
+		"Q() :- R(2)\nQ() :- T(2)",
+		"Q() :- R(x), S(x,y), T(x)",
+		"Q() :- R(x1), S(x1,y1)\nQ() :- T(x2), S(x2,y2)",
+		"Q() :- R(x), S(x,y), y > 15",
+		"Q() :- R(x), S(x,y)\nQ() :- R(x2), D(x2)",
+	}
+	h0 := []string{"Q(x) :- R(x), S(x,y), U(y)", "Q(y) :- R(x), S(x,y), U(y)"}
+	rng := rand.New(rand.NewSource(101))
+	for trial := 0; trial < 40; trial++ {
+		db := randDB(rng, trial%2 == 0)
+		db.MustCreateRelation("U", false, "b") // joins S's second column
+		for j := int64(10); j < 40; j += 10 {
+			db.MustInsert("U", rng.Float64()*2, engine.Int(j+1))
+		}
+		var qs []ucq.UCQ
+		for _, src := range shapes {
+			qs = append(qs, ucq.MustParse(src).UCQ)
+		}
+		for _, src := range h0 {
+			q := ucq.MustParse(src)
+			rows, err := ucq.Eval(db, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows {
+				b, err := q.Bind(r.Head)
+				if err != nil {
+					t.Fatal(err)
+				}
+				qs = append(qs, b)
+			}
+		}
+		for _, u := range qs {
+			got, err := Prob(db, u)
+			if err != nil {
+				t.Fatalf("trial %d %v: %v", trial, u, err)
+			}
+			if want := obddProb(t, db, u); math.Abs(got-want) > 1e-9 {
+				t.Fatalf("trial %d %v: lifted = %v obdd = %v", trial, u, got, want)
 			}
 		}
 	}

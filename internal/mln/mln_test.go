@@ -234,80 +234,6 @@ func TestTupleIndependentSpecialCase(t *testing.T) {
 	}
 }
 
-func TestMAPExact(t *testing.T) {
-	// x1 strongly favoured, x2 disfavoured, exclusivity constraint.
-	n, _ := New(2, []Feature{
-		{F: lineage.Var(1), Weight: 5},
-		{F: lineage.Var(2), Weight: 0.1},
-		{F: lineage.And{lineage.Var(1), lineage.Var(2)}, Weight: 0},
-	})
-	state, w, err := MAPExact2(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !state[1] || state[2] {
-		t.Errorf("MAP state = %v", state)
-	}
-	if math.Abs(w-5) > 1e-12 {
-		t.Errorf("MAP weight = %v want 5", w)
-	}
-}
-
-// MAPExact2 adapts to the (state, weight, err) signature for tests.
-func MAPExact2(n *Network) ([]bool, float64, error) { return n.MAPExact() }
-
-func TestMAPWalkMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 10; trial++ {
-		n := randomNetwork(rng, 4+rng.Intn(3))
-		_, wantW, err := n.MAPExact()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, gotW, err := n.MAPWalk(MAPOptions{Seed: int64(trial), Restarts: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// MaxWalkSAT is approximate; require it to find a world within 1% of
-		// the optimum weight on these tiny networks.
-		if gotW < wantW*0.99 {
-			t.Errorf("trial %d: MAPWalk weight %v < exact %v", trial, gotW, wantW)
-		}
-	}
-}
-
-func TestMAPWalkRespectsHardConstraints(t *testing.T) {
-	n, _ := New(3, []Feature{
-		{F: lineage.Var(1), Weight: 10},
-		{F: lineage.Var(2), Weight: 10},
-		{F: lineage.And{lineage.Var(1), lineage.Var(2)}, Weight: 0},
-		{F: lineage.Var(3), Weight: math.Inf(1)},
-	})
-	state, w, err := n.MAPWalk(MAPOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if state[1] && state[2] {
-		t.Error("hard exclusivity violated")
-	}
-	if !state[3] {
-		t.Error("must-hold constraint violated")
-	}
-	if w <= 0 {
-		t.Errorf("weight = %v", w)
-	}
-}
-
-func TestMAPExactInconsistent(t *testing.T) {
-	n, _ := New(1, []Feature{
-		{F: lineage.Var(1), Weight: math.Inf(1)},
-		{F: lineage.Var(1), Weight: 0},
-	})
-	if _, _, err := n.MAPExact(); err == nil {
-		t.Error("inconsistent constraints: expected error")
-	}
-}
-
 func BenchmarkMCSat(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n := randomNetwork(rng, 6)

@@ -630,8 +630,8 @@ func (ix *Index) queryEval(q *ucq.Query, opts IntersectOptions) ([]core.Answer, 
 }
 
 // Reweight refreshes the index after tuple weights changed somewhere in the
-// translated database (e.g. a learning loop updated the MVDB weights in
-// place). The OBDD structure of ¬W only depends on which tuples exist, not
+// translated database (e.g. a caller updated the MVDB weights in place).
+// The OBDD structure of ¬W only depends on which tuples exist, not
 // on their weights, so only the weight-dependent half of the augmentation is
 // recomputed — for every block, since the caller does not say which weights
 // moved (mutation batches that do say re-weigh only the touched blocks, see

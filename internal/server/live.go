@@ -85,6 +85,16 @@ type Live struct {
 	snapDone chan struct{}
 }
 
+// storeMax raises a to v unless it already holds at least v. Acked writers
+// reach their counters after updateMu is released, so two may race here.
+func storeMax(a *atomic.Uint64, v uint64) {
+	for cur := a.Load(); v > cur; cur = a.Load() {
+		if a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
 // OpenLive recovers the live state: the latest snapshot (when present and
 // loadable) or a freshly built index, plus a replay of the WAL tail — every
 // logged batch with a sequence number above the snapshot's. Replayed batches
@@ -486,9 +496,7 @@ func (l *Live) applyBatch(w http.ResponseWriter, batch []core.Mutation) {
 	l.augNodes.Add(uint64(st.AugmentedNodes))
 	d := uint64(st.Duration)
 	l.applyNs.Add(d)
-	if d > l.applyMaxNs.Load() {
-		l.applyMaxNs.Store(d) // writers are serialised: no lost update
-	}
+	storeMax(&l.applyMaxNs, d)
 
 	s.writeJSON(w, map[string]any{
 		"seq":              seq,

@@ -683,6 +683,84 @@ func TestWALErrorIs5xx(t *testing.T) {
 // query, explain, marginal, update or reweight answers with a number,
 // /readyz is not ready and no snapshot is cut, until a restart recovers the
 // batch from the WAL.
+// TestStoreMax races writers raising one maximum: none may be lost.
+func TestStoreMax(t *testing.T) {
+	var m atomic.Uint64
+	storeMax(&m, 5)
+	storeMax(&m, 3)
+	if got := m.Load(); got != 5 {
+		t.Fatalf("max after 5, 3 = %d", got)
+	}
+	var wg sync.WaitGroup
+	for g := uint64(0); g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := uint64(0); i < 1000; i++ {
+				storeMax(&m, i*8+g)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := m.Load(); got != 999*8+7 {
+		t.Fatalf("max = %d, want %d", got, 999*8+7)
+	}
+}
+
+// TestParkedReaderFailsClosed holds /query, /explain and /marginal requests
+// after admission, fails a batch while they wait, then lets them reach the
+// index lock: each must answer 503 "index", not a number from the
+// half-patched index.
+func TestParkedReaderFailsClosed(t *testing.T) {
+	s, l := liveServer(t, LiveConfig{WALDir: filepath.Join(t.TempDir(), "wal")})
+	defer l.Close()
+	if rec, _ := do(t, s, "POST", "/update", `{"mutations": [{"op": "insert", "rel": "Adv", "vals": [1, 12], "weight": 3}]}`); rec.Code != http.StatusOK {
+		t.Fatalf("first batch: code %d", rec.Code)
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	s.slow = func() {
+		parked <- struct{}{}
+		<-release
+	}
+	readers := []struct{ method, path, body string }{
+		{"POST", "/query", fmt.Sprintf(`{"query": %q}`, boolQ)},
+		{"POST", "/explain", fmt.Sprintf(`{"query": %q}`, boolQ)},
+		{"GET", "/marginal?var=1", ""},
+	}
+	recs := make([]*httptest.ResponseRecorder, len(readers))
+	var wg sync.WaitGroup
+	for i, r := range readers {
+		recs[i] = httptest.NewRecorder()
+		done := make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer close(done)
+			s.ServeHTTP(recs[i], httptest.NewRequest(r.method, r.path, strings.NewReader(r.body)))
+		}()
+		select {
+		case <-parked:
+		case <-done:
+			t.Fatalf("%s %s was not admitted: code %d body %s", r.method, r.path, recs[i].Code, recs[i].Body)
+		}
+	}
+	s.ix.FailCompile(errors.New("injected compile failure"))
+	if rec, out := do(t, s, "POST", "/update", `{"mutations": [{"op": "insert", "rel": "Adv", "vals": [1, 13], "weight": 2}]}`); rec.Code != http.StatusServiceUnavailable || out["reason"] != "index" {
+		t.Fatalf("failing batch: code %d body %s", rec.Code, rec.Body)
+	}
+	close(release)
+	wg.Wait()
+	for i, r := range readers {
+		var out map[string]any
+		if err := json.Unmarshal(recs[i].Body.Bytes(), &out); err != nil {
+			t.Fatalf("%s %s: bad json %q", r.method, r.path, recs[i].Body)
+		}
+		if recs[i].Code != http.StatusServiceUnavailable || out["reason"] != "index" {
+			t.Errorf("%s %s parked across the failure: code %d body %s", r.method, r.path, recs[i].Code, recs[i].Body)
+		}
+	}
+}
+
 func TestApplyFailureFailsClosed(t *testing.T) {
 	dir := t.TempDir()
 	cfg := LiveConfig{WALDir: filepath.Join(dir, "wal"), SnapshotPath: filepath.Join(dir, "snap")}

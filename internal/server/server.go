@@ -240,6 +240,21 @@ func (s *Server) indexFailed(w http.ResponseWriter) bool {
 	return true
 }
 
+// rlockIndex takes the index read lock for an evaluation and re-checks the
+// fail-closed state under it: admit checked it before the lock, and a
+// failing apply sets it while holding the write lock, so a reader that was
+// admitted and then waited on the lock must not evaluate the half-patched
+// index. On failure it has released the lock and written the 503 answer.
+func (s *Server) rlockIndex(w http.ResponseWriter) bool {
+	s.mu.RLock()
+	if s.failed.Load() != nil {
+		s.mu.RUnlock()
+		s.indexFailed(w)
+		return false
+	}
+	return true
+}
+
 // acceptsWrites reports whether this node may ack mutations: a follower or a
 // fenced (demoted) ex-primary must not.
 func (s *Server) acceptsWrites() bool {
@@ -369,7 +384,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Budget:         s.cfg.Budget,
 	}
 	t0 := time.Now()
-	s.mu.RLock()
+	if !s.rlockIndex(w) {
+		return
+	}
 	verr := s.ix.Translation().ValidateQuery(q.UCQ)
 	var rows []core.Answer
 	if verr == nil {
@@ -412,7 +429,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.bounds(r)
 	defer cancel()
 	b := ucq.UCQ{Disjuncts: q.Disjuncts}
-	s.mu.RLock()
+	if !s.rlockIndex(w) {
+		return
+	}
 	verr := s.ix.Translation().ValidateQuery(b)
 	var ex mvindex.Explain
 	if verr == nil {
@@ -449,7 +468,9 @@ func (s *Server) handleMarginal(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.bounds(r)
 	defer cancel()
-	s.mu.RLock()
+	if !s.rlockIndex(w) {
+		return
+	}
 	p, err := s.ix.TupleMarginal(v, mvindex.IntersectOptions{Ctx: ctx, Budget: s.cfg.Budget})
 	var rel string
 	var vals []any

@@ -33,25 +33,3 @@ func BenchmarkDPLLProb(b *testing.B) {
 		Prob(d, probs)
 	}
 }
-
-// BenchmarkKarpLuby measures the FPRAS at 10k samples on the same DNF.
-func BenchmarkKarpLuby(b *testing.B) {
-	d, probs := benchDNF(40, 30)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := KarpLuby(d, probs, KarpLubyOptions{Samples: 10000, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDissociationBounds measures the closed-form bounds.
-func BenchmarkDissociationBounds(b *testing.B) {
-	d, probs := benchDNF(200, 50)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := DissociationBounds(d, probs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -2,20 +2,14 @@
 // an exact Davis-Putnam-style procedure (Shannon expansion on the most
 // frequent variable, independent-component decomposition, and caching — the
 // method family the paper cites for MystiQ-style probabilistic databases
-// [3, 17]) and the Karp-Luby FPRAS for DNF probability.
+// [3, 17]).
 //
-// The exact procedure is valid verbatim for negative probabilities
-// (Section 3.3 of the paper): Shannon expansion and the independence law
-// are polynomial identities of the product measure. Karp-Luby, being a
-// sampling method, is NOT — it requires genuine probabilities in [0, 1],
-// and the package enforces that, matching the paper's observation that
-// approximation methods "no longer work out-of-the-box".
+// The procedure is valid verbatim for negative probabilities (Section 3.3 of
+// the paper): Shannon expansion and the independence law are polynomial
+// identities of the product measure.
 package wmc
 
 import (
-	"fmt"
-	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -204,97 +198,4 @@ func restrict(d dnf, x int, val bool) dnf {
 		}
 	}
 	return normalize(out)
-}
-
-// KarpLubyOptions configures the FPRAS.
-type KarpLubyOptions struct {
-	Samples int
-	Seed    int64
-}
-
-// KarpLuby estimates P(d) with the Karp-Luby-Madras unbiased estimator for
-// DNF counting. It requires genuine probabilities: any entry outside [0, 1]
-// among the DNF's variables is rejected, because importance sampling over a
-// signed "measure" is undefined — this is exactly why the MarkoView
-// translation is restricted to exact methods (Section 3.3).
-func KarpLuby(d lineage.DNF, probs []float64, opts KarpLubyOptions) (float64, error) {
-	nd := normalize(d)
-	if len(nd) == 0 {
-		return 0, nil
-	}
-	if len(nd[0]) == 0 {
-		return 1, nil
-	}
-	for _, v := range lineage.DNF(nd).Vars() {
-		if probs[v] < 0 || probs[v] > 1 {
-			return 0, fmt.Errorf("wmc: variable %d has probability %v outside [0,1]; Karp-Luby requires a true probability space", v, probs[v])
-		}
-	}
-	if opts.Samples <= 0 {
-		opts.Samples = 100000
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-
-	// P(term_i) and the union-bound normalizer T = Σ P(term_i).
-	termP := make([]float64, len(nd))
-	total := 0.0
-	for i, t := range nd {
-		p := 1.0
-		for _, v := range t {
-			p *= probs[v]
-		}
-		termP[i] = p
-		total += p
-	}
-	if total == 0 {
-		return 0, nil
-	}
-	// Cumulative distribution for picking a term ∝ its probability.
-	cum := make([]float64, len(nd))
-	acc := 0.0
-	for i, p := range termP {
-		acc += p
-		cum[i] = acc
-	}
-
-	hits := 0
-	assign := map[int]bool{}
-	for s := 0; s < opts.Samples; s++ {
-		// Pick term i ∝ P(term_i), then a world conditioned on term_i true.
-		r := rng.Float64() * total
-		i := sort.SearchFloat64s(cum, r)
-		if i == len(cum) {
-			i = len(cum) - 1
-		}
-		for k := range assign {
-			delete(assign, k)
-		}
-		for _, v := range nd[i] {
-			assign[v] = true
-		}
-		// The estimator counts the sample iff term_i is the FIRST satisfied
-		// term; other variables are sampled lazily on demand.
-		first := true
-		for j := 0; j < i && first; j++ {
-			sat := true
-			for _, v := range nd[j] {
-				val, ok := assign[v]
-				if !ok {
-					val = rng.Float64() < probs[v]
-					assign[v] = val
-				}
-				if !val {
-					sat = false
-					break
-				}
-			}
-			if sat {
-				first = false
-			}
-		}
-		if first {
-			hits++
-		}
-	}
-	return total * float64(hits) / float64(opts.Samples), nil
 }

@@ -96,54 +96,6 @@ func TestSolverStats(t *testing.T) {
 	}
 }
 
-func TestKarpLubyConverges(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 10; trial++ {
-		nv := 3 + rng.Intn(5)
-		d := randomDNF(rng, nv)
-		probs := make([]float64, nv+1)
-		for i := 1; i <= nv; i++ {
-			probs[i] = rng.Float64()
-		}
-		want := Prob(d, probs)
-		got, err := KarpLuby(d, probs, KarpLubyOptions{Samples: 200000, Seed: int64(trial)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-want) > 0.02 {
-			t.Errorf("trial %d: KL = %v exact = %v", trial, got, want)
-		}
-	}
-}
-
-func TestKarpLubyRejectsNegativeProbabilities(t *testing.T) {
-	// Section 3.3: sampling methods do not survive the translation's
-	// negative probabilities.
-	d := lineage.DNF{{1}, {2}}
-	probs := []float64{0, 0.5, -0.25}
-	if _, err := KarpLuby(d, probs, KarpLubyOptions{Samples: 100, Seed: 1}); err == nil {
-		t.Error("Karp-Luby accepted a negative probability")
-	}
-	probs = []float64{0, 0.5, 1.25}
-	if _, err := KarpLuby(d, probs, KarpLubyOptions{Samples: 100, Seed: 1}); err == nil {
-		t.Error("Karp-Luby accepted a probability above 1")
-	}
-}
-
-func TestKarpLubyTerminals(t *testing.T) {
-	probs := []float64{0, 0.5}
-	if p, err := KarpLuby(lineage.False(), probs, KarpLubyOptions{Samples: 10, Seed: 1}); err != nil || p != 0 {
-		t.Errorf("KL(false) = %v, %v", p, err)
-	}
-	if p, err := KarpLuby(lineage.True(), probs, KarpLubyOptions{Samples: 10, Seed: 1}); err != nil || p != 1 {
-		t.Errorf("KL(true) = %v, %v", p, err)
-	}
-	// All-zero probabilities.
-	if p, err := KarpLuby(lineage.DNF{{1}}, []float64{0, 0}, KarpLubyOptions{Samples: 10, Seed: 1}); err != nil || p != 0 {
-		t.Errorf("KL(zero) = %v, %v", p, err)
-	}
-}
-
 func TestProbLargeSafeChain(t *testing.T) {
 	// A long independent chain must be handled by decomposition, not 2^n
 	// enumeration: 60 disjoint conjuncts.
@@ -207,88 +159,6 @@ func TestQuickWMCNegationLaw(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDissociationBoundsSandwich(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 300; trial++ {
-		nv := 2 + rng.Intn(6)
-		d := randomDNF(rng, nv)
-		probs := make([]float64, nv+1)
-		for i := 1; i <= nv; i++ {
-			probs[i] = rng.Float64()
-		}
-		exact := Prob(d, probs)
-		lo, hi, err := DissociationBounds(d, probs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lo > exact+1e-9 || hi < exact-1e-9 {
-			t.Fatalf("trial %d: bounds [%v, %v] miss exact %v on %v", trial, lo, hi, exact, d)
-		}
-	}
-}
-
-func TestDissociationBoundsTightOnReadOnce(t *testing.T) {
-	// (x1∧x2) ∨ (x3∧x4): no shared variables, bounds collapse to the exact
-	// probability.
-	d := lineage.DNF{{1, 2}, {3, 4}}
-	probs := []float64{0, 0.3, 0.6, 0.2, 0.9}
-	exact := Prob(d, probs)
-	lo, hi, err := DissociationBounds(d, probs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lo-exact) > 1e-12 || math.Abs(hi-exact) > 1e-12 {
-		t.Errorf("read-once bounds [%v, %v] vs exact %v", lo, hi, exact)
-	}
-}
-
-func TestDissociationBoundsRejectNegative(t *testing.T) {
-	d := lineage.DNF{{1}, {1, 2}}
-	if _, _, err := DissociationBounds(d, []float64{0, -0.5, 0.5}); err == nil {
-		t.Error("negative probability accepted")
-	}
-	// Terminals.
-	if lo, hi, err := DissociationBounds(lineage.False(), nil); err != nil || lo != 0 || hi != 0 {
-		t.Errorf("false bounds = %v %v %v", lo, hi, err)
-	}
-	if lo, hi, err := DissociationBounds(lineage.True(), nil); err != nil || lo != 1 || hi != 1 {
-		t.Errorf("true bounds = %v %v %v", lo, hi, err)
-	}
-}
-
-func TestDissociationBoundsOnH0(t *testing.T) {
-	// The classic hard query's lineage: x_i shared across terms. Bounds
-	// must bracket the exact probability computed by the DPLL solver.
-	var d lineage.DNF
-	probs := []float64{0}
-	v := 0
-	next := func(p float64) int { v++; probs = append(probs, p); return v }
-	rng := rand.New(rand.NewSource(23))
-	rs := make([]int, 4)
-	ts := make([]int, 4)
-	for i := range rs {
-		rs[i] = next(rng.Float64())
-		ts[i] = next(rng.Float64())
-	}
-	for i := range rs {
-		for j := range ts {
-			s := next(rng.Float64())
-			d = append(d, []int{rs[i], s, ts[j]})
-		}
-	}
-	exact := Prob(d, probs)
-	lo, hi, err := DissociationBounds(d, probs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo > exact || hi < exact {
-		t.Errorf("H0 bounds [%v, %v] miss %v", lo, hi, exact)
-	}
-	if hi-lo <= 0 {
-		t.Errorf("H0 bounds degenerate: [%v, %v]", lo, hi)
 	}
 }
 

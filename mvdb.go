@@ -10,7 +10,7 @@
 //	P(Q) = (P0(Q ∨ W) - P0(W)) / (1 - P0(W))
 //
 // and computes the right-hand side with exact methods: brute-force
-// enumeration, lifted inference (safe plans), OBDD compilation, or the
+// enumeration, lifted inference, DPLL model counting, OBDD compilation, or the
 // MV-index — an augmented OBDD of ¬W precompiled offline so that online
 // queries run in time proportional to the slice of the index they touch.
 //
@@ -48,7 +48,6 @@ import (
 	"mvdb/internal/lineage"
 	"mvdb/internal/mln"
 	"mvdb/internal/mvindex"
-	"mvdb/internal/plan"
 	"mvdb/internal/ucq"
 )
 
@@ -107,7 +106,6 @@ const (
 	MethodOBDD       = core.MethodOBDD
 	MethodLifted     = core.MethodLifted
 	MethodDPLL       = core.MethodDPLL
-	MethodPlan       = core.MethodPlan
 )
 
 // Deterministic is the weight of a deterministic tuple (+Inf odds).
@@ -115,10 +113,6 @@ var Deterministic = engine.Deterministic
 
 // ErrUnsafe is returned by MethodLifted when the query has no safe plan.
 var ErrUnsafe = lift.ErrUnsafe
-
-// ErrNoPlan is returned by MethodPlan and ExtractPlan when no safe plan
-// exists.
-var ErrNoPlan = plan.ErrNoPlan
 
 // Int returns an integer Value.
 func Int(i int64) Value { return engine.Int(i) }
@@ -150,16 +144,6 @@ func BuildIndex(tr *Translation) (*Index, error) { return mvindex.Build(tr) }
 // IsSafe reports whether a UCQ admits a safe (PTIME lifted) plan.
 func IsSafe(u UCQ) bool { return lift.IsSafe(u) }
 
-// SafePlan is an extracted extensional plan: an operator tree of
-// independent unions, joins, projects, inclusion-exclusion and ground
-// lookups that evaluates a safe UCQ in polynomial time and pretty-prints
-// with String.
-type SafePlan = plan.Plan
-
-// ExtractPlan extracts a safe plan for a Boolean UCQ over a
-// tuple-independent database, or returns ErrNoPlan.
-func ExtractPlan(db *Database, u UCQ) (*SafePlan, error) { return plan.Extract(db, u) }
-
 // Synthetic DBLP dataset (the paper's experimental substrate).
 type (
 	// DBLPConfig parameterizes the synthetic DBLP generator.
@@ -174,12 +158,6 @@ type (
 // tables, and the MarkoViews V1, V2, V3.
 func GenerateDBLP(cfg DBLPConfig) (*DBLPDataset, error) { return dblp.Generate(cfg) }
 
-// MAPWorld is the result of MAP inference on an MVDB.
-type MAPWorld = core.MAPWorld
-
-// MAPOptions configures the approximate MAP search.
-type MAPOptions = mln.MAPOptions
-
 // MCSatOptions configures the MC-SAT sampler baseline.
 type MCSatOptions = mln.MCSatOptions
 
@@ -190,16 +168,12 @@ func TopK(answers []Answer, k int) []Answer { return core.TopK(answers, k) }
 func Conjoin(a, b UCQ) UCQ { return ucq.Conjoin(a, b) }
 
 // MLN is a ground Markov Logic Network (the Definition 4 semantics of an
-// MVDB, as returned by MVDB.GroundMLN). It supports exact enumeration,
-// Gibbs and MC-SAT marginal inference, MAP inference, world sampling and
-// generative weight learning.
+// MVDB, as returned by MVDB.GroundMLN). It supports exact enumeration and
+// Gibbs and MC-SAT marginal inference.
 type MLN = mln.Network
 
 // MLNFeature is a weighted ground formula of an MLN.
 type MLNFeature = mln.Feature
-
-// LearnOptions configures MLN.LearnWeights.
-type LearnOptions = mln.LearnOptions
 
 // LoadIndex reads a saved MV-index from a file (see Index.SaveFile).
 func LoadIndex(path string) (*Index, error) { return mvindex.LoadFile(path) }
@@ -227,15 +201,3 @@ func DefineProbTable(db *Database, q *Query, w WeightFn) (int, error) {
 // Evidence fixes the truth value of probabilistic tuples (by Boolean
 // variable id) for conditional queries via Translation.ProbGivenTuples.
 type Evidence = core.Evidence
-
-// PlanTemplate is a parameterized safe plan: extracted once, executed for
-// any concrete parameter values.
-type PlanTemplate = plan.Template
-
-// QueryPlan is a per-answer safe plan for a query with head variables.
-type QueryPlan = plan.QueryPlan
-
-// ExtractQueryPlan extracts a single plan for a non-Boolean query, treating
-// head variables as runtime parameters; many "unsafe" Boolean queries (like
-// H0) become safe per answer.
-func ExtractQueryPlan(db *Database, q *Query) (*QueryPlan, error) { return plan.ExtractQuery(db, q) }
