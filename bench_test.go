@@ -11,6 +11,7 @@ package mvdb
 
 import (
 	"testing"
+	"time"
 
 	"mvdb/internal/bench"
 	"mvdb/internal/core"
@@ -241,6 +242,39 @@ func BenchmarkTranslate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkBoot measures mvdbd's offline phase at the served domain 4000 —
+// generate the dataset, assemble the MVDB, translate it to the INDB
+// (materialising V1–V3) and build the MV-index (compile ¬W block by block) —
+// and reports each stage's share as a per-op metric.
+func BenchmarkBoot(b *testing.B) {
+	var gen, tr, build time.Duration
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		data, err := dblp.Generate(dblp.Config{NumAuthors: 4000, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := data.MVDB()
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		t, err := m.Translate(core.TranslateOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		t2 := time.Now()
+		if _, err := mvindex.Build(t); err != nil {
+			b.Fatal(err)
+		}
+		gen, tr, build = gen+t1.Sub(t0), tr+t2.Sub(t1), build+time.Since(t2)
+	}
+	n := float64(b.N)
+	b.ReportMetric(gen.Seconds()*1e3/n, "generate-ms/op")
+	b.ReportMetric(tr.Seconds()*1e3/n, "translate-ms/op")
+	b.ReportMetric(build.Seconds()*1e3/n, "compile-ms/op")
 }
 
 // BenchmarkLineageEval measures the engine's lineage computation for the

@@ -71,6 +71,10 @@ go test -run=NONE -bench=BenchmarkParallelCompile -benchtime=1x -timeout 5m .
 go test -v -run TestUpdateWorkIsODirty -timeout 5m ./internal/mvindex/
 go test -run=NONE -bench='BenchmarkApplyMutations/domain=(1000|4000)$' -benchtime=1x -timeout 5m ./internal/mvindex/
 
+# Boot smoke: one iteration of mvdbd's offline phase at the served domain
+# 4000 (generate, translate, compile ¬W), reporting each stage's time.
+go test -run=NONE -bench='BenchmarkBoot$' -benchtime=1x -timeout 5m .
+
 # Read-cost gate, on counts not clocks: the same 64 advisor-of-student
 # queries must visit about as many pairs, span as many blocks and allocate
 # about as often at DBLP domains 1000, 2000 and 4000 (an answer costs its

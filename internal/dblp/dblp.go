@@ -280,62 +280,60 @@ func Generate(cfg Config) (*Dataset, error) {
 		}
 	}
 
-	d.buildViews()
+	d.buildViews(affCount)
 	return d, nil
 }
 
-func (d *Dataset) buildViews() {
+// buildViews attaches the Fig. 1 MarkoViews with serializable WeightTables,
+// which survive snapshot/restore as the live-update write path requires. The
+// tables are filled from the generator's own bookkeeping rather than by
+// evaluating the view bodies — the translation materializes the views once,
+// and a second materialization here only to read off the heads would double
+// that cost. The heads are the same by construction (TestViewWeightTables
+// checks it against Materialize):
+//   - V1: every Advisor pair (a copubStudy pair with more than two co-pubs);
+//     its co-pubs all fall inside the student's Student years.
+//   - V3: every CoPubV3 pair, once per institute both authors have an
+//     Affiliation tuple for.
+//
+// The Default of 1 applies only to heads first materialized by live
+// mutations — weight 1 means unconstrained (the translation prunes such
+// tuples), the conservative reading for pairs with no recorded co-pub counts.
+// V2 is a pure denial view: every head, present or future, weighs 0.
+func (d *Dataset) buildViews(affCount map[[2]int64]int) {
+	v1 := &core.WeightTable{Default: 1}
+	for pair, c := range d.copubStudy {
+		if c <= 2 {
+			continue // not an Advisor tuple
+		}
+		v1.Set([]engine.Value{engine.Int(pair[0]), engine.Int(pair[1])}, float64(c)/2)
+	}
+	insts := map[int64][]int64{} // author -> institutes of its Affiliation tuples
+	for key := range affCount {
+		insts[key[0]] = append(insts[key[0]], key[1])
+	}
+	v3 := &core.WeightTable{Default: 1}
+	for pair, c := range d.copubV3 {
+		for _, inst := range insts[pair[0]] {
+			if affCount[[2]int64{pair[1], inst}] > 0 {
+				v3.Set([]engine.Value{engine.Int(pair[0]), engine.Int(pair[1]), engine.Str(instName(inst))}, float64(c)/5)
+			}
+		}
+	}
+	view := func(def string, wt *core.WeightTable) *core.MarkoView {
+		q := ucq.MustParse(def)
+		return &core.MarkoView{Name: q.Name, Head: q.Head, Def: q.UCQ, Weights: wt}
+	}
 	// V1(aid1,aid2)[count(pid)/2] :- Advisor(aid1,aid2), Student(aid1,year),
 	// Wrote(aid1,pid), Wrote(aid2,pid), Pub(pid,title,year).
-	v1q := ucq.MustParse("V1(aid1,aid2) :- Advisor(aid1,aid2), Student(aid1,year), Wrote(aid1,pid), Wrote(aid2,pid), Pub(pid,title,year)")
-	d.V1 = &core.MarkoView{
-		Name: "V1", Head: v1q.Head, Def: v1q.UCQ,
-		Weight: func(head []engine.Value) float64 {
-			c := d.copubStudy[[2]int64{head[0].Int, head[1].Int}]
-			return float64(c) / 2
-		},
-	}
+	d.V1 = view("V1(aid1,aid2) :- Advisor(aid1,aid2), Student(aid1,year), Wrote(aid1,pid), Wrote(aid2,pid), Pub(pid,title,year)", v1)
 	// V2(aid1,aid2,aid3)[0] :- Advisor(aid1,aid2), Advisor(aid1,aid3),
 	// aid2 <> aid3 — the denial view "a person has only one advisor".
-	v2q := ucq.MustParse("V2(aid1,aid2,aid3) :- Advisor(aid1,aid2), Advisor(aid1,aid3), aid2 <> aid3")
-	d.V2 = &core.MarkoView{Name: "V2", Head: v2q.Head, Def: v2q.UCQ, Weight: core.ConstWeight(0)}
+	d.V2 = view("V2(aid1,aid2,aid3) :- Advisor(aid1,aid2), Advisor(aid1,aid3), aid2 <> aid3", &core.WeightTable{Default: 0})
 	// V3(aid1,aid2,inst)[count(pid)/5] :- Affiliation(aid1,inst),
 	// Affiliation(aid2,inst), CoPubV3(aid1,aid2) — where CoPubV3 is the
 	// materialized recent-co-publication filter.
-	v3q := ucq.MustParse("V3(aid1,aid2,inst) :- Affiliation(aid1,inst), Affiliation(aid2,inst), CoPubV3(aid1,aid2)")
-	d.V3 = &core.MarkoView{
-		Name: "V3", Head: v3q.Head, Def: v3q.UCQ,
-		Weight: func(head []engine.Value) float64 {
-			c := d.copubV3[pairKey(head[0].Int, head[1].Int)]
-			return float64(c) / 5
-		},
-	}
-
-	// Freeze the closure weights into serializable WeightTables by
-	// enumerating each view's materialized heads: the per-head values are
-	// identical to the closures by construction, and the tables survive
-	// snapshot/restore, which the live-update write path requires. The
-	// Default of 1 applies only to heads first materialized by live
-	// mutations — weight 1 means unconstrained (the translation prunes such
-	// tuples), the conservative reading for pairs with no recorded co-pub
-	// counts. V2 is a pure denial view: every head, present or future,
-	// weighs 0.
-	for _, v := range []*core.MarkoView{d.V1, d.V3} {
-		tmp := core.New(d.DB)
-		if err := tmp.AddView(v); err != nil {
-			panic(err) // names are fixed above; cannot clash
-		}
-		vts, err := tmp.Materialize()
-		if err != nil {
-			panic(err) // generator weights are finite and non-negative
-		}
-		wt := &core.WeightTable{Default: 1}
-		for _, vt := range vts {
-			wt.Set(vt.Head, vt.Weight)
-		}
-		v.Weights, v.Weight = wt, nil
-	}
-	d.V2.Weights, d.V2.Weight = &core.WeightTable{Default: 0}, nil
+	d.V3 = view("V3(aid1,aid2,inst) :- Affiliation(aid1,inst), Affiliation(aid2,inst), CoPubV3(aid1,aid2)", v3)
 }
 
 func instName(i int64) string { return fmt.Sprintf("u%d.edu", i) }

@@ -1,12 +1,77 @@
 package dblp
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"mvdb/internal/core"
 	"mvdb/internal/mvindex"
 	"mvdb/internal/obdd"
 )
+
+// TestIndexBuildRacesParallelCompile compiles W with four workers on a fresh
+// translation — whose relations have no hash index yet, so the workers build
+// them lazily — while other goroutines probe every column of the same
+// relations. Under -race this checks the lock-free index reads against the
+// builds; the probes must see exactly the positions a scan finds, and the
+// OBDD must match a sequential compile's.
+func TestIndexBuildRacesParallelCompile(t *testing.T) {
+	d, err := Generate(Config{NumAuthors: 200, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	translate := func() *core.Translation {
+		m, err := d.MVDB()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := m.Translate(core.TranslateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	mSeq, fSeq, _, err := translate().CompileW(obdd.CompileOptions{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tr := translate()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, name := range tr.DB.Relations() {
+				r := tr.DB.Relation(name)
+				for col := range r.Cols {
+					for k := g; k < r.Len(); k += 97 {
+						v := r.Tuples[k].Vals[col]
+						var want []int
+						for pos, tup := range r.Tuples {
+							if tup.Vals[col].Equal(v) {
+								want = append(want, pos)
+							}
+						}
+						if got := r.MatchingIndexes(col, v); !slices.Equal(got, want) {
+							t.Errorf("%s col %d value %v: got %v want %v", name, col, v, got, want)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	mPar, fPar, _, err := tr.CompileW(obdd.CompileOptions{Parallelism: 4})
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := mSeq.Size(fSeq), mPar.Size(fPar); a != b {
+		t.Errorf("W size: sequential %d, parallel %d", a, b)
+	}
+}
 
 // TestParallelCompileMatchesSequentialDBLP builds the MV-index for the DBLP
 // views — V1, V2, V3 individually and all together — once with the

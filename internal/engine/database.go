@@ -42,13 +42,7 @@ func (db *Database) CreateRelation(name string, deterministic bool, cols ...stri
 		}
 		seen[c] = true
 	}
-	r := &Relation{
-		Name:          name,
-		Cols:          append([]string(nil), cols...),
-		Deterministic: deterministic,
-		byKey:         make(map[string]int),
-		indexes:       make(map[int]colIndex),
-	}
+	r := newRelation(name, deterministic, cols, 0)
 	db.rels[name] = r
 	db.order = append(db.order, name)
 	return r, nil
@@ -232,16 +226,15 @@ func (db *Database) Clone() *Database {
 		vars:  append([]VarRef(nil), db.vars...),
 	}
 	for name, r := range db.rels {
-		nr := &Relation{
-			Name:          r.Name,
-			Cols:          append([]string(nil), r.Cols...),
-			Deterministic: r.Deterministic,
-			Tuples:        make([]Tuple, len(r.Tuples)),
-			byKey:         make(map[string]int, len(r.byKey)),
-			indexes:       make(map[int]colIndex),
-		}
+		nr := newRelation(r.Name, r.Deterministic, r.Cols, len(r.byKey))
+		nr.Tuples = make([]Tuple, len(r.Tuples))
+		// One backing array for every tuple's values; each tuple's slice is
+		// capped at its own length so an append can never spill into the next.
+		vals := make([]Value, 0, len(r.Tuples)*len(r.Cols))
 		for i, t := range r.Tuples {
-			nr.Tuples[i] = Tuple{Vals: append([]Value(nil), t.Vals...), Var: t.Var, Weight: t.Weight}
+			o := len(vals)
+			vals = append(vals, t.Vals...)
+			nr.Tuples[i] = Tuple{Vals: vals[o:len(vals):len(vals)], Var: t.Var, Weight: t.Weight}
 		}
 		for k, v := range r.byKey {
 			nr.byKey[k] = v

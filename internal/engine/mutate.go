@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Mutations. The engine supports in-place deletion and reweighting of
@@ -13,8 +14,8 @@ import (
 // tuple that is false in every positive-probability world, i.e. absent —
 // so probability vectors built after a delete stay well-formed.
 //
-// Like inserts, mutations are not safe to run concurrently with readers;
-// callers serialize (internal/server holds its write lock across a batch).
+// Like inserts, mutations must be exclusive: no reader may run alongside one
+// (internal/server holds its write lock across a batch).
 
 // Dead reports whether the reference is a tombstone left by DeleteTuple.
 func (ref VarRef) Dead() bool { return ref.Rel == "" }
@@ -61,15 +62,16 @@ func (db *Database) DeleteTuple(rel string, vals []Value) (int, error) {
 	// re-point the swapped-in tuple's entry from last to idx. Rebuilding them
 	// wholesale would make every delete O(relation), which the live-update
 	// path cannot afford.
-	for col, ix := range r.indexes {
-		dropIndexEntry(ix, t.Vals[col], idx)
+	for col := range r.indexes {
+		ix := r.indexes[col].Load()
+		if ix == nil {
+			continue
+		}
+		ix.drop(t.Vals[col], idx)
 		if idx != last {
-			b := ix[moved.Vals[col]]
-			for i, p := range b {
-				if p == last {
-					b[i] = idx
-					break
-				}
+			b := ix.bucket(moved.Vals[col])
+			if i := slices.Index(b, last); i >= 0 {
+				b[i] = idx
 			}
 		}
 	}
@@ -80,23 +82,6 @@ func (db *Database) DeleteTuple(rel string, vals []Value) (int, error) {
 		db.vars[t.Var-1] = VarRef{Rel: "", Pos: -1}
 	}
 	return t.Var, nil
-}
-
-// dropIndexEntry removes position pos from the bucket for value v,
-// preserving the order of the remaining entries.
-func dropIndexEntry(ix colIndex, v Value, pos int) {
-	b := ix[v]
-	for i, p := range b {
-		if p == pos {
-			b = append(b[:i], b[i+1:]...)
-			break
-		}
-	}
-	if len(b) == 0 {
-		delete(ix, v)
-	} else {
-		ix[v] = b
-	}
 }
 
 // UpdateWeight sets the weight (odds) of the probabilistic tuple with

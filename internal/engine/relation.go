@@ -3,8 +3,10 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Deterministic is the weight of a deterministic tuple: infinite odds,
@@ -56,17 +58,73 @@ type Relation struct {
 	Deterministic bool
 	Tuples        []Tuple
 
-	mu      sync.RWMutex     // guards the lazy index maps below
-	byKey   map[string]int   // full tuple key -> index in Tuples
-	indexes map[int]colIndex // column -> value key -> tuple indexes
-	sorted  map[int][]int    // column -> tuple indexes ordered by value
+	mu      sync.RWMutex               // serialises index builds and writers
+	byKey   map[string]int             // full tuple key -> index in Tuples
+	indexes []atomic.Pointer[colIndex] // per column; nil until first probed
+	sorted  map[int][]int              // column -> tuple indexes ordered by value
 }
 
-// colIndex keys directly on Value — a comparable struct — instead of a
-// materialized string key: MatchingIndexes sits on the compiler's and
-// evaluator's innermost loops, and the string key was one allocation per
-// probe.
-type colIndex map[Value][]int
+// newRelation returns an empty relation with room for one hash index per
+// column.
+func newRelation(name string, deterministic bool, cols []string, tuples int) *Relation {
+	return &Relation{
+		Name:          name,
+		Cols:          append([]string(nil), cols...),
+		Deterministic: deterministic,
+		byKey:         make(map[string]int, tuples),
+		indexes:       make([]atomic.Pointer[colIndex], len(cols)),
+	}
+}
+
+// colIndex maps one column's values to the positions of the tuples holding
+// them. Integers and strings get a map each, so a probe
+// hashes an int64 or a string rather than the whole Value struct.
+// MatchingIndexes sits on the compiler's and evaluator's innermost loops.
+type colIndex struct {
+	ints map[int64][]int
+	strs map[string][]int
+}
+
+func (ix *colIndex) bucket(v Value) []int {
+	if v.IsStr {
+		return ix.strs[v.Str]
+	}
+	return ix.ints[v.Int]
+}
+
+// add appends pos to v's bucket, making the column's int or string map on
+// its first value of that kind.
+func (ix *colIndex) add(v Value, pos int) {
+	switch {
+	case v.IsStr && ix.strs == nil:
+		ix.strs = map[string][]int{v.Str: {pos}}
+	case v.IsStr:
+		ix.strs[v.Str] = append(ix.strs[v.Str], pos)
+	case ix.ints == nil:
+		ix.ints = map[int64][]int{v.Int: {pos}}
+	default:
+		ix.ints[v.Int] = append(ix.ints[v.Int], pos)
+	}
+}
+
+// drop removes pos from v's bucket, keeping the order of the rest, and
+// drops the key once its bucket is empty.
+func (ix *colIndex) drop(v Value, pos int) {
+	b := ix.bucket(v)
+	if i := slices.Index(b, pos); i >= 0 {
+		b = slices.Delete(b, i, i+1)
+	}
+	switch {
+	case v.IsStr && len(b) == 0:
+		delete(ix.strs, v.Str)
+	case v.IsStr:
+		ix.strs[v.Str] = b
+	case len(b) == 0:
+		delete(ix.ints, v.Int)
+	default:
+		ix.ints[v.Int] = b
+	}
+}
 
 // Arity returns the number of columns.
 func (r *Relation) Arity() int { return len(r.Cols) }
@@ -101,43 +159,44 @@ func (r *Relation) insert(t Tuple) (int, error) {
 	idx := len(r.Tuples)
 	r.Tuples = append(r.Tuples, t)
 	r.byKey[key] = idx
-	for col, ix := range r.indexes {
-		k := t.Vals[col]
-		ix[k] = append(ix[k], idx)
+	for col := range r.indexes {
+		if ix := r.indexes[col].Load(); ix != nil {
+			ix.add(t.Vals[col], idx)
+		}
 	}
 	// Sorted indexes are rebuilt lazily; SortedIndex detects staleness by
 	// length, so just leave them.
 	return idx, nil
 }
 
-// EnsureIndex builds (once) a hash index on the given column and returns it.
-// Safe for concurrent readers: the first caller builds the index under the
-// write lock, later callers get the cached map.
-func (r *Relation) EnsureIndex(col int) colIndex {
-	r.mu.RLock()
-	ix, ok := r.indexes[col]
-	r.mu.RUnlock()
-	if ok {
-		return ix
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if ix, ok := r.indexes[col]; ok {
-		return ix
-	}
-	ix = make(colIndex)
-	for i, t := range r.Tuples {
-		k := t.Vals[col]
-		ix[k] = append(ix[k], i)
-	}
-	r.indexes[col] = ix
-	return ix
-}
-
 // MatchingIndexes returns the indexes of tuples whose value in column col
 // equals v, using (and building if needed) the hash index.
+// The caller must not modify the returned slice.
+//
+// A built index is read with one atomic load and no lock. The first probe of
+// a column builds its index under mu and publishes it (concurrent first
+// probes wait for that one build); writers patch it in place under the
+// exclusive-writer contract.
 func (r *Relation) MatchingIndexes(col int, v Value) []int {
-	return r.EnsureIndex(col)[v]
+	ix := r.indexes[col].Load()
+	if ix == nil {
+		ix = r.buildIndex(col)
+	}
+	return ix.bucket(v)
+}
+
+func (r *Relation) buildIndex(col int) *colIndex {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if ix := r.indexes[col].Load(); ix != nil {
+		return ix
+	}
+	ix := new(colIndex)
+	for i, t := range r.Tuples {
+		ix.add(t.Vals[col], i)
+	}
+	r.indexes[col].Store(ix)
+	return ix
 }
 
 // ColIndex returns the position of the named column, or -1.
@@ -152,7 +211,7 @@ func (r *Relation) ColIndex(name string) int {
 
 // SortedIndex returns (building and caching on first use) the tuple indexes
 // of the relation ordered by the value in the given column. Safe for
-// concurrent readers, like EnsureIndex.
+// concurrent readers, like MatchingIndexes.
 func (r *Relation) SortedIndex(col int) []int {
 	r.mu.RLock()
 	ix, ok := r.sorted[col]

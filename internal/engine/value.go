@@ -8,9 +8,13 @@
 // which is negative whenever the view weight w exceeds 1, and the engine
 // propagates the resulting negative probabilities untouched.
 //
-// Databases are not safe for concurrent use: even read paths build hash and
-// sorted indexes lazily. Serialize access (internal/server does so with a
-// mutex) or give each goroutine its own Clone.
+// Concurrency: any number of goroutines may read a Database at once —
+// evaluate queries, probe MatchingIndexes and RangeScan, look up tuples —
+// including the first probe of a column, which builds its index lazily under
+// the relation's lock and publishes it for lock-free reads (parallel block
+// compilation relies on this). Writes (Insert, InsertDet, DeleteTuple,
+// UpdateWeight, SetWeight) must be exclusive: no reader or other writer may
+// run alongside one. internal/server orders the two with its index lock.
 package engine
 
 import (

@@ -2,6 +2,7 @@ package ucq
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -67,6 +68,8 @@ func newAccumulator() *accumulator {
 	return &accumulator{byHead: map[string]*answerAcc{}}
 }
 
+// add records one derivation. The term must be sorted and free of
+// duplicates, as lineage.Term makes it; it is copied only when new.
 func (acc *accumulator) add(head []engine.Value, term []int) {
 	var a *answerAcc
 	if len(head) == 0 {
@@ -89,19 +92,18 @@ func (acc *accumulator) add(head []engine.Value, term []int) {
 			acc.order = append(acc.order, k)
 		}
 	}
-	t := lineage.Term(term...)
 	// Dedup key: the sorted variable ids, comma-separated. Building it into
 	// a reused buffer keeps the non-insert case allocation-free (the compiler
 	// replays many duplicate derivations per separator value).
 	buf := acc.keyBuf[:0]
-	for _, v := range t {
+	for _, v := range term {
 		buf = strconv.AppendInt(buf, int64(v), 10)
 		buf = append(buf, ',')
 	}
 	acc.keyBuf = buf
 	if !a.seen[string(buf)] {
 		a.seen[string(buf)] = true
-		a.terms = append(a.terms, t)
+		a.terms = append(a.terms, append([]int(nil), term...))
 	}
 }
 
@@ -133,12 +135,33 @@ func lessTuple(a, b []engine.Value) bool {
 	return len(a) < len(b)
 }
 
+// The join kernel. evalCQ numbers the CQ's terms once — every distinct
+// variable and every constant occurrence gets a slot — so a binding is a
+// value and a flag per slot rather than a map keyed by variable name.
+// Constants are slots bound for the whole evaluation; variables are bound by
+// tryBind, which pushes their slots on varStack, and unbound by truncating
+// it. Atoms carry their resolved relation, so the join loop does no name
+// lookups at all.
+
+// slotAtom is an atom compiled against the CQ's slots.
+type slotAtom struct {
+	src  Atom // for error messages
+	rel  *engine.Relation
+	args []int // slot per argument
+}
+
+// slotPred is a predicate compiled against the CQ's slots.
+type slotPred struct {
+	src  Pred // operator, offset, and error messages
+	l, r int
+}
+
 // evalCQ enumerates all satisfying assignments of one conjunctive query and
 // feeds (head, derivation term) pairs into the accumulator.
 func evalCQ(db *engine.Database, cq CQ, head []string, acc *accumulator) error {
 	st := getEvalState()
 	defer putEvalState(st)
-	st.positive, st.negated = st.positive[:0], st.negated[:0]
+	nargs := 0
 	for _, a := range cq.Atoms {
 		r := db.Relation(a.Rel)
 		if r == nil {
@@ -147,24 +170,60 @@ func evalCQ(db *engine.Database, cq CQ, head []string, acc *accumulator) error {
 		if len(a.Args) != r.Arity() {
 			return fmt.Errorf("ucq: relation %s has arity %d, atom has %d arguments", a.Rel, r.Arity(), len(a.Args))
 		}
+		if a.Negated && !r.Deterministic {
+			return fmt.Errorf("ucq: negation on probabilistic relation %s is not allowed", a.Rel)
+		}
+		nargs += len(a.Args)
+	}
+	// Size the shared argument array up front: the atoms' args are windows
+	// into it and must not move.
+	if cap(st.args) < nargs {
+		st.args = make([]int, 0, nargs)
+	}
+	for _, a := range cq.Atoms {
+		off := len(st.args)
+		for _, t := range a.Args {
+			st.args = append(st.args, st.slotOf(t))
+		}
+		sa := slotAtom{src: a, rel: db.Relation(a.Rel), args: st.args[off:len(st.args):len(st.args)]}
 		if a.Negated {
-			if !r.Deterministic {
-				return fmt.Errorf("ucq: negation on probabilistic relation %s is not allowed", a.Rel)
-			}
-			st.negated = append(st.negated, a)
+			st.negated = append(st.negated, sa)
 		} else {
-			st.positive = append(st.positive, a)
+			st.positive = append(st.positive, sa)
 		}
 	}
 	if len(st.positive) == 0 {
 		return fmt.Errorf("ucq: conjunct has no positive atoms")
 	}
+	for _, p := range cq.Preds {
+		st.preds = append(st.preds, slotPred{src: p, l: st.slotOf(p.L), r: st.slotOf(p.R)})
+	}
+	for _, h := range head {
+		st.head = append(st.head, st.slotOf(V(h)))
+	}
 
-	st.db, st.preds, st.head, st.acc = db, cq.Preds, head, acc
+	st.acc = acc
 	st.done = boolScratch(st.done, len(st.positive))
-	st.predDone = boolScratch(st.predDone, len(cq.Preds))
+	st.predDone = boolScratch(st.predDone, len(st.preds))
 	st.negDone = boolScratch(st.negDone, len(st.negated))
 	return st.run(0)
+}
+
+// slotOf returns t's slot, allocating one if needed: a fresh bound slot per
+// constant occurrence, one unbound slot per distinct variable name. It runs
+// before the join, while only constant slots are bound.
+func (st *evalState) slotOf(t Term) int {
+	if !t.IsConst {
+		for s, name := range st.names {
+			if name == t.Var && !st.bound[s] {
+				return s
+			}
+		}
+	}
+	st.names = append(st.names, t.Var)
+	st.vals = append(st.vals, t.Const)
+	st.bound = append(st.bound, t.IsConst)
+	return len(st.names) - 1
 }
 
 // boolScratch resizes a reusable bool slice to n cleared entries.
@@ -173,26 +232,25 @@ func boolScratch(b []bool, n int) []bool {
 		return make([]bool, n)
 	}
 	b = b[:n]
-	for i := range b {
-		b[i] = false
-	}
+	clear(b)
 	return b
 }
 
 // evalStatePool recycles evaluator states: the OBDD compiler evaluates one
 // residual lineage per unresolvable conjunct, so states churn at high rate
 // during compilation.
-var evalStatePool = sync.Pool{
-	New: func() any { return &evalState{binding: map[string]engine.Value{}} },
-}
+var evalStatePool = sync.Pool{New: func() any { return new(evalState) }}
 
 func getEvalState() *evalState { return evalStatePool.Get().(*evalState) }
 
 func putEvalState(st *evalState) {
-	st.db, st.preds, st.head, st.acc = nil, nil, nil, nil
-	clear(st.binding) // empty after a clean unwind; cheap either way
-	st.positive = st.positive[:0]
-	st.negated = st.negated[:0]
+	st.acc = nil
+	clear(st.positive) // drop the relation pointers
+	clear(st.negated)
+	st.positive, st.negated, st.preds = st.positive[:0], st.negated[:0], st.preds[:0]
+	st.head, st.args = st.head[:0], st.args[:0]
+	clear(st.vals) // drop the strings
+	st.names, st.vals, st.bound = st.names[:0], st.vals[:0], st.bound[:0]
 	st.term = st.term[:0]
 	st.varStack = st.varStack[:0]
 	st.checkedPreds = st.checkedPreds[:0]
@@ -201,19 +259,24 @@ func putEvalState(st *evalState) {
 }
 
 type evalState struct {
-	db       *engine.Database
-	positive []Atom
-	negated  []Atom
-	preds    []Pred
-	head     []string
-	binding  map[string]engine.Value
+	positive []slotAtom
+	negated  []slotAtom
+	preds    []slotPred
+	head     []int // slot per head variable
+	args     []int // backing array of every atom's args
 	done     []bool
 	term     []int // probabilistic tuple vars on the current path
 	acc      *accumulator
 
+	// Slots: names[s] is the variable (or "" for a constant), vals[s] its
+	// value while bound[s]. Constant slots stay bound throughout.
+	names []string
+	vals  []engine.Value
+	bound []bool
+
 	predDone []bool
 	negDone  []bool
-	varStack []string // names bound on the current path, shared by all frames
+	varStack []int // slots bound on the current path, shared by all frames
 
 	// Shared undo stacks and scratch buffers: run recurses once per joined
 	// atom, and per-frame slices plus deferred closures were a measurable
@@ -222,6 +285,7 @@ type evalState struct {
 	checkedNegs  []int
 	negVals      []engine.Value
 	headVals     []engine.Value
+	sortedTerm   []int
 }
 
 // run evaluates bound predicates and negated atoms, recurses via step, and
@@ -242,39 +306,38 @@ func (st *evalState) run(processed int) error {
 
 func (st *evalState) step(processed int) error {
 	// Evaluate any predicate or negated atom whose variables are all bound.
-	for i, p := range st.preds {
+	for i := range st.preds {
 		if st.predDone[i] {
 			continue
 		}
-		l, okL := st.resolve(p.L)
-		r, okR := st.resolve(p.R)
-		if okL && okR {
-			if !p.EvalBound(l, r) {
+		p := &st.preds[i]
+		if st.bound[p.l] && st.bound[p.r] {
+			if !p.src.EvalBound(st.vals[p.l], st.vals[p.r]) {
 				return nil
 			}
 			st.predDone[i] = true
 			st.checkedPreds = append(st.checkedPreds, i)
 		}
 	}
-	for i, a := range st.negated {
+	for i := range st.negated {
 		if st.negDone[i] {
 			continue
 		}
-		if cap(st.negVals) < len(a.Args) {
-			st.negVals = make([]engine.Value, len(a.Args))
+		a := &st.negated[i]
+		if cap(st.negVals) < len(a.args) {
+			st.negVals = make([]engine.Value, len(a.args))
 		}
-		vals := st.negVals[:len(a.Args)]
+		vals := st.negVals[:len(a.args)]
 		allBound := true
-		for j, t := range a.Args {
-			v, ok := st.resolve(t)
-			if !ok {
+		for j, s := range a.args {
+			if !st.bound[s] {
 				allBound = false
 				break
 			}
-			vals[j] = v
+			vals[j] = st.vals[s]
 		}
 		if allBound {
-			if st.db.Relation(a.Rel).Lookup(vals) >= 0 {
+			if a.rel.Lookup(vals) >= 0 {
 				return nil // negated atom violated
 			}
 			st.negDone[i] = true
@@ -286,26 +349,29 @@ func (st *evalState) step(processed int) error {
 		// All atoms matched; predicates and negations must all be resolved.
 		for i := range st.preds {
 			if !st.predDone[i] {
-				return fmt.Errorf("ucq: predicate %s has unbound variables", st.preds[i])
+				return fmt.Errorf("ucq: predicate %s has unbound variables", st.preds[i].src)
 			}
 		}
 		for i := range st.negated {
 			if !st.negDone[i] {
-				return fmt.Errorf("ucq: negated atom %s has unbound variables", st.negated[i])
+				return fmt.Errorf("ucq: negated atom %s has unbound variables", st.negated[i].src)
 			}
 		}
 		if cap(st.headVals) < len(st.head) {
 			st.headVals = make([]engine.Value, len(st.head))
 		}
 		headVals := st.headVals[:len(st.head)]
-		for i, h := range st.head {
-			v, ok := st.binding[h]
-			if !ok {
-				return fmt.Errorf("ucq: head variable %s unbound", h)
+		for i, s := range st.head {
+			if !st.bound[s] {
+				return fmt.Errorf("ucq: head variable %s unbound", st.names[s])
 			}
-			headVals[i] = v
+			headVals[i] = st.vals[s]
 		}
-		st.acc.add(headVals, st.term)
+		// The term as lineage.Term builds it, in the pooled scratch buffer.
+		t := append(st.sortedTerm[:0], st.term...)
+		slices.Sort(t)
+		st.sortedTerm = slices.Compact(t)
+		st.acc.add(headVals, st.sortedTerm)
 		return nil
 	}
 
@@ -315,32 +381,47 @@ func (st *evalState) step(processed int) error {
 	// exact selectivity, not an estimate — one map lookup per atom — and it
 	// both prunes dead branches immediately (zero candidates) and avoids
 	// joining through a large intermediate (e.g. Pub by year instead of
-	// Wrote by author in the V1 materialization).
+	// Wrote by author in the V1 materialization). The winner's bucket is
+	// the candidate list the join then walks.
 	best, bestCost := -1, 0
-	for i, a := range st.positive {
+	var bestCands []int
+	bestProbed := false
+	for i := range st.positive {
 		if st.done[i] {
 			continue
 		}
-		rel := st.db.Relation(a.Rel)
-		cost := rel.Len()
-		for pos, t := range a.Args {
-			if v, ok := st.resolve(t); ok {
-				cost = len(rel.MatchingIndexes(pos, v))
+		a := &st.positive[i]
+		cost, probed := a.rel.Len(), false
+		var cands []int
+		for pos, s := range a.args {
+			if st.bound[s] {
+				cands = a.rel.MatchingIndexes(pos, st.vals[s])
+				cost, probed = len(cands), true
 				break
 			}
 		}
 		if best == -1 || cost < bestCost {
-			best, bestCost = i, cost
+			best, bestCost, bestCands, bestProbed = i, cost, cands, probed
 		}
 	}
-	a := st.positive[best]
-	rel := st.db.Relation(a.Rel)
+	a := &st.positive[best]
 	st.done[best] = true
 
+	cands, all := bestCands, false
+	if !bestProbed {
+		cands, all = st.unboundCandidates(a)
+	}
+	n := len(cands)
+	if all {
+		n = a.rel.Len()
+	}
 	var err error
-	candidates := st.candidates(rel, a)
-	for _, ti := range candidates {
-		tup := rel.Tuples[ti]
+	for k := 0; k < n; k++ {
+		ti := k
+		if !all {
+			ti = cands[k]
+		}
+		tup := &a.rel.Tuples[ti]
 		mark, ok := st.tryBind(a, tup.Vals)
 		if !ok {
 			continue
@@ -354,10 +435,7 @@ func (st *evalState) step(processed int) error {
 		if pushedVar {
 			st.term = st.term[:len(st.term)-1]
 		}
-		for _, v := range st.varStack[mark:] {
-			delete(st.binding, v)
-		}
-		st.varStack = st.varStack[:mark]
+		st.unbind(mark)
 		if err != nil {
 			break
 		}
@@ -366,47 +444,26 @@ func (st *evalState) step(processed int) error {
 	return err
 }
 
-// resolve returns the value of a term under the current binding.
-func (st *evalState) resolve(t Term) (engine.Value, bool) {
-	if t.IsConst {
-		return t.Const, true
-	}
-	v, ok := st.binding[t.Var]
-	return v, ok
-}
-
-// candidates returns indexes of tuples possibly matching the atom, using a
-// hash index on the first bound position when available, and otherwise
-// pushing constant range predicates (year > 2004, y <= yp + 5 with yp
-// bound) down to a sorted-index range scan.
-func (st *evalState) candidates(rel *engine.Relation, a Atom) []int {
-	for i, t := range a.Args {
-		if v, ok := st.resolve(t); ok {
-			return rel.MatchingIndexes(i, v)
-		}
-	}
-	for i, t := range a.Args {
-		if t.IsConst {
-			continue
-		}
-		if eq, lo, loIncl, hi, hiIncl, ok := st.boundsFor(t.Var); ok {
+// unboundCandidates returns the tuples to try for an atom none of whose
+// arguments is bound: constant range predicates (year > 2004, y <= yp + 5
+// with yp bound) are pushed down to a sorted-index range scan, and
+// otherwise all is true and the caller scans the whole relation.
+func (st *evalState) unboundCandidates(a *slotAtom) (cands []int, all bool) {
+	for i, s := range a.args {
+		if eq, lo, loIncl, hi, hiIncl, ok := st.boundsFor(s); ok {
 			if eq != nil {
-				return rel.MatchingIndexes(i, *eq)
+				return a.rel.MatchingIndexes(i, *eq), false
 			}
-			return rel.RangeScan(i, lo, loIncl, hi, hiIncl)
+			return a.rel.RangeScan(i, lo, loIncl, hi, hiIncl), false
 		}
 	}
-	all := make([]int, rel.Len())
-	for i := range all {
-		all[i] = i
-	}
-	return all
+	return nil, true
 }
 
-// boundsFor derives constant bounds on a variable from the conjunct's
-// comparison predicates whose other side is (or resolves to) an integer.
+// boundsFor derives constant bounds on the variable in slot v from the
+// conjunct's comparison predicates whose other side is bound to an integer.
 // It returns either an equality value or a half/fully bounded interval.
-func (st *evalState) boundsFor(v string) (eq *engine.Value, lo *engine.Value, loIncl bool, hi *engine.Value, hiIncl bool, ok bool) {
+func (st *evalState) boundsFor(v int) (eq *engine.Value, lo *engine.Value, loIncl bool, hi *engine.Value, hiIncl bool, ok bool) {
 	setLo := func(x int64, incl bool) {
 		nv := engine.Int(x)
 		if lo == nil || nv.Compare(*lo) > 0 || (nv.Compare(*lo) == 0 && !incl) {
@@ -421,15 +478,16 @@ func (st *evalState) boundsFor(v string) (eq *engine.Value, lo *engine.Value, lo
 		}
 		ok = true
 	}
-	for _, p := range st.preds {
-		if p.Op == OpLike || p.Op == OpNE {
+	for i := range st.preds {
+		p := &st.preds[i]
+		if p.src.Op == OpLike || p.src.Op == OpNE {
 			continue
 		}
 		// v on the left: v op (c + offset).
-		if !p.L.IsConst && p.L.Var == v {
-			if c, bound := st.resolve(p.R); bound && !c.IsStr {
-				x := c.Int + p.Offset
-				switch p.Op {
+		if p.l == v {
+			if c := st.vals[p.r]; st.bound[p.r] && !c.IsStr {
+				x := c.Int + p.src.Offset
+				switch p.src.Op {
 				case OpEQ:
 					nv := engine.Int(x)
 					return &nv, nil, false, nil, false, true
@@ -446,10 +504,10 @@ func (st *evalState) boundsFor(v string) (eq *engine.Value, lo *engine.Value, lo
 			continue
 		}
 		// v on the right: c op (v + offset)  ⇔  v op' (c - offset).
-		if !p.R.IsConst && p.R.Var == v {
-			if c, bound := st.resolve(p.L); bound && !c.IsStr {
-				x := c.Int - p.Offset
-				switch p.Op {
+		if p.r == v {
+			if c := st.vals[p.l]; st.bound[p.l] && !c.IsStr {
+				x := c.Int - p.src.Offset
+				switch p.src.Op {
 				case OpEQ:
 					nv := engine.Int(x)
 					return &nv, nil, false, nil, false, true
@@ -468,25 +526,30 @@ func (st *evalState) boundsFor(v string) (eq *engine.Value, lo *engine.Value, lo
 	return eq, lo, loIncl, hi, hiIncl, ok
 }
 
-// tryBind unifies the atom's arguments with the tuple values, extending the
-// binding and pushing newly bound variable names onto the shared varStack.
-// It returns the stack mark to pop back to after the recursive call and
-// whether the tuple matched; on a mismatch the bindings are already undone.
-func (st *evalState) tryBind(a Atom, vals []engine.Value) (int, bool) {
+// tryBind unifies the atom's arguments with the tuple values, binding the
+// unbound slots and pushing them onto the shared varStack. It returns the
+// stack mark to unbind back to after the recursive call and whether the
+// tuple matched; on a mismatch the bindings are already undone.
+func (st *evalState) tryBind(a *slotAtom, vals []engine.Value) (int, bool) {
 	mark := len(st.varStack)
-	for i, t := range a.Args {
-		if v, ok := st.resolve(t); ok {
-			if !v.Equal(vals[i]) {
-				for _, nv := range st.varStack[mark:] {
-					delete(st.binding, nv)
-				}
-				st.varStack = st.varStack[:mark]
+	for i, s := range a.args {
+		if st.bound[s] {
+			if !st.vals[s].Equal(vals[i]) {
+				st.unbind(mark)
 				return 0, false
 			}
 			continue
 		}
-		st.binding[t.Var] = vals[i]
-		st.varStack = append(st.varStack, t.Var)
+		st.vals[s], st.bound[s] = vals[i], true
+		st.varStack = append(st.varStack, s)
 	}
 	return mark, true
+}
+
+// unbind releases every slot bound since the stack mark.
+func (st *evalState) unbind(mark int) {
+	for _, s := range st.varStack[mark:] {
+		st.bound[s] = false
+	}
+	st.varStack = st.varStack[:mark]
 }
