@@ -208,9 +208,20 @@ func BenchmarkEntryShortcutAblation(b *testing.B) {
 // BenchmarkParallelCompile compares the parallel per-block compilation of W
 // against the sequential reference — the one place fan-out is set. "seq"
 // pins Parallelism: 1; "par" uses GOMAXPROCS workers — on a single-core host
-// the two coincide.
+// the two coincide. Every run first checks that both compile the same OBDD.
 func BenchmarkParallelCompile(b *testing.B) {
 	fx := newFixture(b, 2000, "2")
+	ms, fs, _, err := fx.tr.CompileW(obdd.CompileOptions{Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mp, fp, _, err := fx.tr.CompileW(obdd.CompileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !obdd.StructEqual(ms, fs, mp, fp) {
+		b.Fatal("the parallel compile of W differs from the sequential one")
+	}
 	for _, c := range []struct {
 		name string
 		par  int

@@ -38,8 +38,10 @@ go test -race -run 'TestSingleflightHammer|TestConcurrentHammer|TestMidFlightInv
 # with fsync fault injection, the incrementally maintained segments must
 # equal a from-scratch recompile after every batch, and a batch that fails
 # after its WAL append must fail the server closed until a restart — a reader
-# admitted before the failure and parked on the index lock included.
-go test -race -run 'TestUpdateQueryInterleave|TestCrashRecovery|TestApplyMutationsEpoch|TestIncrementalAugmentEqualsRebuild|TestApplyFailureFailsClosed|TestParkedReaderFailsClosed|TestStoreMax' \
+# admitted before the failure and parked on the index lock included, and a
+# follower whose shipped frame failed, which must then neither snapshot nor
+# re-apply.
+go test -race -run 'TestUpdateQueryInterleave|TestCrashRecovery|TestApplyMutationsEpoch|TestIncrementalAugmentEqualsRebuild|TestApplyFailureFailsClosed|TestFollowerApplyFailureFailsClosed|TestParkedReaderFailsClosed|TestStoreMax' \
     -count=2 -timeout 5m ./internal/server/ ./internal/mvindex/
 
 # Pipelined commit, explicitly under the race detector (DESIGN.md §10): the
@@ -60,15 +62,18 @@ go test -race -run 'TestReplayCorruptMidSegment|FuzzReplayCorrupt|TestFollowerGa
 
 # Benchmark smoke: one iteration of the parallel-compile benchmark catches
 # kernel or scheduler regressions that only manifest under the bench harness
-# (it asserts sequential/parallel result identity on every run).
+# (it asserts sequential/parallel OBDD identity on every run).
 go test -run=NONE -bench=BenchmarkParallelCompile -benchtime=1x -timeout 5m .
 
 # Update-cost gate, on counts not clocks: the same 3-mutation batch must
 # compile and augment the same blocks, copy no clean node, allocate about as
 # often and under a third of the bytes the per-batch manager copy did, at
-# DBLP domains 1000, 2000 and 4000 (work is O(dirty), not O(index)); plus
-# one iteration of the batch under the bench harness at both ends.
-go test -v -run TestUpdateWorkIsODirty -timeout 5m ./internal/mvindex/
+# DBLP domains 1000, 2000 and 4000 (work is O(dirty), not O(index)); the
+# translation must hold the source's base relations themselves, so a built
+# index keeps at most 0.8x the live heap of the cloning design at the same
+# domains, and a snapshot holds every tuple once; plus one iteration of the
+# batch under the bench harness at both ends.
+go test -v -run 'TestUpdateWorkIsODirty|TestTranslationSharesBaseRelations' -timeout 5m ./internal/mvindex/
 go test -run=NONE -bench='BenchmarkApplyMutations/domain=(1000|4000)$' -benchtime=1x -timeout 5m ./internal/mvindex/
 
 # Boot smoke: one iteration of mvdbd's offline phase at the served domain

@@ -150,9 +150,7 @@ func main() {
 				fmt.Printf("%s: %s\n", v.Name, v.Def.String())
 			}
 		case line == `\stats`:
-			st, _ := s.tr.CompileStats()
-			fmt.Printf("index: %d nodes, %d blocks, P0(W)=%.6f; compile: %d concat, %d synth, %d lineage falls\n",
-				s.ix.Size(), s.ix.Blocks(), 1-s.ix.ProbNotW(), st.ConcatSteps, st.SynthSteps, st.LineageFalls)
+			fmt.Printf("index: %d nodes, %d blocks, P0(W)=%.6f\n", s.ix.Size(), s.ix.Blocks(), 1-s.ix.ProbNotW())
 			if ri := s.ix.ReorderInfo(); ri != nil {
 				fmt.Printf("reorder: %s (%s), %d -> %d nodes, %d rounds, %d swaps, %.1fms, %d delta reuses\n",
 					ri.Mode, ri.Provenance, ri.NodesBefore, ri.NodesAfter, ri.Rounds, ri.Swaps, ri.SiftMillis, ri.DeltaReuses)

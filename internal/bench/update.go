@@ -78,10 +78,8 @@ func UpdateMaintenance(opts Options) (*Table, error) {
 			return b
 		}
 
-		// Warmup structural batch: the first one after Build compiles in
-		// full to create the block record the incremental path diffs
-		// against. Charging it to the incremental leg would misstate the
-		// steady-state latency the experiment is about.
+		// Warmup structural batch, outside the timed rounds: the rounds
+		// measure the steady state.
 		if _, err := ix.ApplyMutations([]core.Mutation{{
 			Op: core.MutInsert, Rel: "Advisor",
 			Vals:   []engine.Value{engine.Int(d.Students[0]), engine.Int(999_999)},

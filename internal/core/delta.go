@@ -13,8 +13,9 @@ import (
 // Delta translation. Re-running the full Definition 5 translation after a
 // small mutation batch re-materializes every view — by far the dominant cost
 // of incremental index maintenance (the view joins dwarf the OBDD work).
-// ApplyDelta instead patches the source and translated databases in place
-// and repairs only the NV tuples whose view heads the batch can have
+// ApplyDelta instead patches the one database in place — the source's base
+// relations, which the translation shares, plus its NV relations — and
+// repairs only the NV tuples whose view heads the batch can have
 // touched: for each changed base tuple it unifies the tuple with each view
 // atom and evaluates the residual query (constants substituted, head
 // variables pinned by equality predicates — both exploit the engine's hash
@@ -35,12 +36,13 @@ import (
 // check is a read-only preflight: on fallback nothing has been mutated.
 var ErrDeltaFallback = errors.New("core: mutation batch may change the translation structure")
 
-// ApplyDelta applies one validated mutation batch to the translation's
-// source and translated databases in place and returns the tuples whose
-// presence changed (base and NV), each with the variable of the translated
-// database it created or freed. The caller must hold exclusive access and
-// have validated the batch; after a non-fallback error the databases may be
-// partially mutated and the translation must be rebuilt from its source.
+// ApplyDelta applies one validated mutation batch in place — to the base
+// relations the translation shares with its source, then to the NV
+// relations — and returns the tuples whose presence changed (base and NV),
+// each with the variable it created or freed. The caller must hold
+// exclusive access and have validated the batch; after a non-fallback error
+// the database may be partially mutated and the translation must be rebuilt
+// from its source.
 func (t *Translation) ApplyDelta(batch []Mutation) ([]obdd.ChangedTuple, error) {
 	if t.Source == nil {
 		return nil, fmt.Errorf("core: translation has no source MVDB")
@@ -107,35 +109,17 @@ func (t *Translation) ApplyDelta(batch []Mutation) ([]obdd.ChangedTuple, error) 
 		touched[i].old = heads
 	}
 
-	// Apply the batch to the source and mirror the base mutations into the
-	// translated database (which shares the source's base relations plus the
-	// NV relations).
-	if err := t.Source.Apply(batch); err != nil {
-		return nil, fmt.Errorf("core: delta apply: source: %w", err)
-	}
+	// Apply the batch, once: the translated database holds the source's
+	// base relations themselves, so the source sees every write.
 	var changed []obdd.ChangedTuple
-	for _, mu := range batch {
-		var v int // variable the mutation created or freed
-		var err error
-		switch mu.Op {
-		case MutInsert:
-			if t.DB.Relation(mu.Rel).Deterministic {
-				err = t.DB.InsertDet(mu.Rel, mu.Vals...)
-			} else {
-				v, err = t.DB.Insert(mu.Rel, mu.Weight, mu.Vals...)
-			}
-		case MutDelete:
-			v, err = t.DB.DeleteTuple(mu.Rel, mu.Vals)
-		case MutReweight:
-			_, err = t.DB.UpdateWeight(mu.Rel, mu.Vals, mu.Weight)
-			if err == nil {
-				continue
-			}
-		}
+	for i, mu := range batch {
+		v, err := apply(t.DB, mu)
 		if err != nil {
-			return nil, fmt.Errorf("core: delta apply: translated clone: %w", err)
+			return nil, fmt.Errorf("core: delta apply: mutation %d (%s): %w", i, mu, err)
 		}
-		changed = append(changed, obdd.ChangedTuple{Rel: mu.Rel, Vals: mu.Vals, Var: v})
+		if mu.Op != MutReweight {
+			changed = append(changed, obdd.ChangedTuple{Rel: mu.Rel, Vals: mu.Vals, Var: v})
+		}
 	}
 
 	// New-side affected heads, then repair the NV relation per head.

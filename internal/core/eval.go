@@ -400,18 +400,9 @@ func (t *Translation) OBDD() (*obdd.Manager, obdd.NodeID, error) {
 }
 
 // WPerm returns the attribute permutation used to compile W: separator-first
-// when W has a (determinism-aware) separator, identity otherwise.
-func (t *Translation) WPerm() obdd.Perm {
-	pi := obdd.IdentityPerm(t.DB)
-	skip := ucq.SkipDeterministic(func(rel string) bool {
-		r := t.DB.Relation(rel)
-		return r != nil && r.Deterministic
-	}, ucq.SkipGround)
-	if sep, ok := t.W.FindSeparatorSkip(skip); ok {
-		pi = obdd.SeparatorFirstPerm(t.DB, sep)
-	}
-	return pi
-}
+// when W has a (determinism-aware) separator, identity otherwise. Callers
+// must not modify it.
+func (t *Translation) WPerm() obdd.Perm { return t.perm }
 
 // CompileW compiles W into a fresh manager with the given options — used by
 // the Figure 8 construction-time comparison; the cached OBDD path

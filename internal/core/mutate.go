@@ -52,8 +52,8 @@ func WeightOnly(batch []Mutation) bool {
 // anything, simulating the batch's sequential semantics (an insert followed
 // by a delete of the same tuple is fine). A nil error guarantees Apply will
 // succeed on the same state. Mutations may only target the base tables; the
-// NV relations of a translation exist only in the translated clone, so they
-// are unreachable here by construction.
+// NV relations of a translation exist only in the translation's handle on
+// the database, so they are unreachable here by construction.
 func (m *MVDB) ValidateBatch(batch []Mutation) error {
 	if len(batch) == 0 {
 		return fmt.Errorf("core: empty mutation batch")
@@ -124,26 +124,28 @@ func checkBaseWeight(w float64) error {
 // the engine enforces) and must hold whatever lock protects the database.
 func (m *MVDB) Apply(batch []Mutation) error {
 	for i, mu := range batch {
-		var err error
-		switch mu.Op {
-		case MutInsert:
-			if m.DB.Relation(mu.Rel).Deterministic {
-				err = m.DB.InsertDet(mu.Rel, mu.Vals...)
-			} else {
-				_, err = m.DB.Insert(mu.Rel, mu.Weight, mu.Vals...)
-			}
-		case MutDelete:
-			_, err = m.DB.DeleteTuple(mu.Rel, mu.Vals)
-		case MutReweight:
-			_, err = m.DB.UpdateWeight(mu.Rel, mu.Vals, mu.Weight)
-		default:
-			err = fmt.Errorf("unknown op %q", mu.Op)
-		}
-		if err != nil {
+		if _, err := apply(m.DB, mu); err != nil {
 			return fmt.Errorf("core: applying mutation %d (%s): %w", i, mu, err)
 		}
 	}
 	return nil
+}
+
+// apply applies one mutation to db and returns the variable it created,
+// freed or reweighted (0 for deterministic tuples).
+func apply(db *engine.Database, mu Mutation) (int, error) {
+	switch mu.Op {
+	case MutInsert:
+		if db.Relation(mu.Rel).Deterministic {
+			return 0, db.InsertDet(mu.Rel, mu.Vals...)
+		}
+		return db.Insert(mu.Rel, mu.Weight, mu.Vals...)
+	case MutDelete:
+		return db.DeleteTuple(mu.Rel, mu.Vals)
+	case MutReweight:
+		return db.UpdateWeight(mu.Rel, mu.Vals, mu.Weight)
+	}
+	return 0, fmt.Errorf("unknown op %q", mu.Op)
 }
 
 // EncodeMutations gobs a batch into the opaque record form carried by WAL
@@ -212,45 +214,23 @@ type ViewSnapshot struct {
 	Weights WeightTable
 }
 
-// MVDBSnapshot is the gob-serializable form of an MVDB: the base database
-// plus every view definition with its weight table. It is what the live
-// server persists so mutations can be re-translated after recovery.
-type MVDBSnapshot struct {
-	DB    engine.DatabaseSnapshot
-	Views []ViewSnapshot
-}
-
-// Snapshot captures the MVDB. It errors when a view carries only a closure
-// WeightFn: such views cannot be restored (convert them to WeightTables).
-func (m *MVDB) Snapshot() (MVDBSnapshot, error) {
-	s := MVDBSnapshot{DB: m.DB.Snapshot()}
+// ViewSnapshots captures the MVDB's view definitions with their weight
+// tables — what the live server persists, beside the database, so mutations
+// can be re-translated after recovery. It errors when a view carries only a
+// closure WeightFn: such views cannot be restored (convert them to
+// WeightTables).
+func (m *MVDB) ViewSnapshots() ([]ViewSnapshot, error) {
+	var out []ViewSnapshot
 	for _, v := range m.Views {
 		if v.Weights == nil {
-			return MVDBSnapshot{}, fmt.Errorf("core: view %s has closure weights; only WeightTable-backed views can be snapshotted", v.Name)
+			return nil, fmt.Errorf("core: view %s has closure weights; only WeightTable-backed views can be snapshotted", v.Name)
 		}
-		s.Views = append(s.Views, ViewSnapshot{
+		out = append(out, ViewSnapshot{
 			Name:    v.Name,
 			Head:    append([]string(nil), v.Head...),
 			Def:     v.Def,
 			Weights: *v.Weights.clone(),
 		})
 	}
-	return s, nil
-}
-
-// RestoreMVDB rebuilds an MVDB from a snapshot.
-func RestoreMVDB(s MVDBSnapshot) (*MVDB, error) {
-	db, err := engine.FromSnapshot(s.DB)
-	if err != nil {
-		return nil, err
-	}
-	m := New(db)
-	for _, vs := range s.Views {
-		wt := vs.Weights.clone()
-		v := &MarkoView{Name: vs.Name, Head: vs.Head, Def: vs.Def, Weights: wt}
-		if err := m.AddView(v); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
+	return out, nil
 }

@@ -141,15 +141,23 @@ func (m *MVDB) Materialize() ([]ViewTuple, error) {
 // GroundMLN builds the Markov Logic Network of Definition 4: one feature
 // (X_t, w(t)) per probabilistic tuple and one feature (Q_i(t̄), w_V(t)) per
 // view tuple. Deterministic tuples are present in every world and do not
-// appear as variables. Intended as exact ground truth on small instances.
+// appear as variables; nor do deleted tuples, nor the NV tuples a
+// translation adds to the variable id space the MVDB shares with it. Its
+// variables keep their database ids. Intended as exact ground truth on
+// small instances.
 func (m *MVDB) GroundMLN() (*mln.Network, error) {
 	var feats []mln.Feature
+	var vars []int
 	for v := 1; v <= m.DB.NumVars(); v++ {
+		if !m.DB.Alive(v) {
+			continue
+		}
 		w := m.DB.Weight(v)
 		if w < 0 {
 			return nil, fmt.Errorf("core: tuple variable %d has negative weight %v; MVDB weights must be non-negative", v, w)
 		}
 		feats = append(feats, mln.Feature{F: lineage.Var(v), Weight: w})
+		vars = append(vars, v)
 	}
 	tuples, err := m.Materialize()
 	if err != nil {
@@ -158,7 +166,7 @@ func (m *MVDB) GroundMLN() (*mln.Network, error) {
 	for _, t := range tuples {
 		feats = append(feats, mln.Feature{F: lineage.FromDNF(t.Lineage), Weight: t.Weight})
 	}
-	return mln.New(m.DB.NumVars(), feats)
+	return mln.New(vars, feats)
 }
 
 // ProbExact computes P(Q) directly from the Definition 4 semantics by

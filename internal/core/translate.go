@@ -29,8 +29,11 @@ type TranslateOptions struct {
 // with the Boolean UCQ W of Theorem 1.
 type Translation struct {
 	Source *MVDB
-	DB     *engine.Database // clone of the MVDB's tables plus the NV relations
-	W      ucq.UCQ          // W = ∨ᵢ Wᵢ, Wᵢ = NVᵢ(x̄) ∧ Qᵢ(x̄)
+	// DB is Theorem 1's INDB: the source MVDB's base relations — the same
+	// *engine.Relation objects, under one variable id space (see
+	// engine.Database.Share) — plus the NV relations.
+	DB *engine.Database
+	W  ucq.UCQ // W = ∨ᵢ Wᵢ, Wᵢ = NVᵢ(x̄) ∧ Qᵢ(x̄)
 
 	// Reorder configures dynamic OBDD variable reordering of the MV-index:
 	// when Mode is not ReorderOff, mvindex.Build runs a per-block Rudell
@@ -46,6 +49,7 @@ type Translation struct {
 
 	nvSet map[string]bool
 	opts  TranslateOptions // options Translate was called with (for re-translation)
+	perm  obdd.Perm        // W's compile permutation Π, see WPerm
 	obdd  *obddState
 }
 
@@ -75,22 +79,32 @@ func (t *Translation) RetranslateFrom(src *MVDB) (*Translation, error) {
 	return nt, nil
 }
 
-// SetSource reattaches a source MVDB and the translate options to a restored
-// translation, re-enabling Retranslate (and with it live mutation) after a
-// snapshot round-trip. The caller asserts that the translation was built from
-// this MVDB with these options.
-func (t *Translation) SetSource(src *MVDB, opts TranslateOptions) {
+// RestoreSource reattaches the source MVDB to a restored translation,
+// re-enabling Retranslate (and with it live mutation) after a snapshot
+// round-trip. The source is the translated database's base relations —
+// every relation but the NV ones, as a handle on the same store — under the
+// given views; the caller asserts that the translation was built from them
+// with these options.
+func (t *Translation) RestoreSource(views []ViewSnapshot, opts TranslateOptions) error {
 	if opts.NVPrefix == "" {
 		opts.NVPrefix = "NV_"
 	}
-	t.Source = src
-	t.opts = opts
+	src := New(t.DB.Share(t.NVRelations...))
+	for _, vs := range views {
+		v := &MarkoView{Name: vs.Name, Head: vs.Head, Def: vs.Def, Weights: vs.Weights.clone()}
+		if err := src.AddView(v); err != nil {
+			return err
+		}
+	}
+	t.Source, t.opts = src, opts
+	return nil
 }
 
 // Translate builds the associated INDB (Definition 5): every table of the
-// MVDB carries over unchanged, and each MarkoView Vᵢ contributes a fresh
-// relation NVᵢ holding the view's possible tuples with weight (1-w)/w —
-// negative whenever w > 1.
+// MVDB carries over unchanged — shared, not copied — and each MarkoView Vᵢ
+// contributes a fresh relation NVᵢ holding the view's possible tuples with
+// weight (1-w)/w, negative whenever w > 1. A view whose every tuple is
+// pruned contributes no relation.
 func (m *MVDB) Translate(opts TranslateOptions) (*Translation, error) {
 	if opts.NVPrefix == "" {
 		opts.NVPrefix = "NV_"
@@ -106,7 +120,7 @@ func (m *MVDB) Translate(opts TranslateOptions) (*Translation, error) {
 
 	t := &Translation{
 		Source: m,
-		DB:     m.DB.Clone(),
+		DB:     m.DB.Share(),
 		nvSet:  map[string]bool{},
 		opts:   opts,
 	}
@@ -137,31 +151,28 @@ func (m *MVDB) Translate(opts TranslateOptions) (*Translation, error) {
 			continue
 		}
 
-		cols := make([]string, len(v.Head))
-		copy(cols, v.Head)
-		if _, err := t.DB.CreateRelation(nvName, false, cols...); err != nil {
-			return nil, err
-		}
-		inserted := 0
+		var nv []ViewTuple
 		for _, vt := range vts {
 			if vt.Weight == 1 && !opts.KeepIndependent {
 				t.PrunedIndependent++
-				continue
-			}
-			var w0 float64
-			if vt.Weight == 0 {
-				w0 = math.Inf(1) // hard constraint tuple: probability 1
 			} else {
+				nv = append(nv, vt)
+			}
+		}
+		if len(nv) == 0 {
+			continue // all tuples pruned: Wᵢ can never fire
+		}
+		if _, err := t.DB.CreateRelation(nvName, false, v.Head...); err != nil {
+			return nil, err
+		}
+		for _, vt := range nv {
+			w0 := math.Inf(1) // w = 0: hard constraint tuple, probability 1
+			if vt.Weight != 0 {
 				w0 = (1 - vt.Weight) / vt.Weight
 			}
 			if _, err := t.DB.Insert(nvName, w0, vt.Head...); err != nil {
 				return nil, fmt.Errorf("core: view %s: %w", v.Name, err)
 			}
-			inserted++
-		}
-		if inserted == 0 {
-			// All tuples pruned: Wᵢ can never fire.
-			continue
 		}
 		t.NVRelations = append(t.NVRelations, nvName)
 		t.nvSet[nvName] = true
@@ -179,7 +190,23 @@ func (m *MVDB) Translate(opts TranslateOptions) (*Translation, error) {
 			t.W.Disjuncts = append(t.W.Disjuncts, wi)
 		}
 	}
+	t.plan()
 	return t, nil
+}
+
+// plan fixes W's compile permutation Π: separator-first when W has a
+// (determinism-aware) separator, identity otherwise. W and the schema never
+// change under ApplyDelta — a batch that could change them re-translates —
+// so it is derived once per translation, not once per batch.
+func (t *Translation) plan() {
+	t.perm = obdd.IdentityPerm(t.DB)
+	skip := ucq.SkipDeterministic(func(rel string) bool {
+		r := t.DB.Relation(rel)
+		return r != nil && r.Deterministic
+	}, ucq.SkipGround)
+	if sep, ok := t.W.FindSeparatorSkip(skip); ok {
+		t.perm = obdd.SeparatorFirstPerm(t.DB, sep)
+	}
 }
 
 // HasConstraints reports whether W is non-trivial (some view produced
@@ -230,7 +257,7 @@ type TranslationSnapshot struct {
 }
 
 // Snapshot captures the translation's serializable state (pair it with
-// DB.Save for the data).
+// DB.Snapshot for the data).
 func (t *Translation) Snapshot() TranslationSnapshot {
 	return TranslationSnapshot{
 		W:                 t.W,
@@ -264,6 +291,7 @@ func RestoreTranslation(db *engine.Database, s TranslationSnapshot) (*Translatio
 			}
 		}
 	}
+	t.plan()
 	return t, nil
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -14,16 +15,53 @@ type VarRef struct {
 // Database is a collection of relations plus the registry of Boolean
 // variables attached to probabilistic tuples. Variable ids start at 1; id 0
 // is reserved for "no variable" (deterministic tuples).
+//
+// Several databases can be handles on one store (see Share): they hold the
+// same *Relation objects and one variable registry, so a variable id means
+// the same tuple in all of them.
 type Database struct {
 	rels  map[string]*Relation
 	order []string
 
-	vars []VarRef // vars[i-1] describes variable i
+	vars *varTable
+}
+
+// varTable is the variable registry: slots[i-1] locates variable i.
+type varTable struct{ slots []varSlot }
+
+// varSlot locates the tuple behind one variable; rel is nil for a tombstone.
+type varSlot struct {
+	rel *Relation
+	pos int
 }
 
 // NewDatabase returns an empty database.
 func NewDatabase() *Database {
-	return &Database{rels: make(map[string]*Relation)}
+	return &Database{rels: make(map[string]*Relation), vars: &varTable{}}
+}
+
+// Share returns a second handle on db's store, copying nothing: the same
+// *Relation objects and the same variable registry, minus the dropped
+// relations. A tuple inserted into, deleted from or reweighted in a shared
+// relation through either handle is seen by both, under one variable id; a
+// relation created on one handle afterwards is private to it. A handle holds
+// the variables of its own relations only: VarRef, Alive, Probs, Snapshot
+// and Clone treat every other variable like a tombstone. The MarkoView
+// translation is such a handle on its source MVDB's database.
+func (db *Database) Share(drop ...string) *Database {
+	out := &Database{rels: make(map[string]*Relation, len(db.rels)), vars: db.vars}
+	for _, name := range db.order {
+		if !slices.Contains(drop, name) {
+			out.rels[name] = db.rels[name]
+			out.order = append(out.order, name)
+		}
+	}
+	return out
+}
+
+// owns reports whether the slot is a live variable of one of db's relations.
+func (db *Database) owns(s varSlot) bool {
+	return s.rel != nil && db.rels[s.rel.Name] == s.rel
 }
 
 // CreateRelation adds a new relation. Deterministic relations only accept
@@ -89,12 +127,12 @@ func (db *Database) Insert(rel string, weight float64, vals ...Value) (int, erro
 		_, err := r.insert(Tuple{Vals: vals, Weight: Deterministic})
 		return 0, err
 	}
-	v := len(db.vars) + 1
+	v := len(db.vars.slots) + 1
 	pos, err := r.insert(Tuple{Vals: vals, Var: v, Weight: weight})
 	if err != nil {
 		return 0, err
 	}
-	db.vars = append(db.vars, VarRef{Rel: rel, Pos: pos})
+	db.vars.slots = append(db.vars.slots, varSlot{rel: r, pos: pos})
 	return v, nil
 }
 
@@ -114,25 +152,28 @@ func (db *Database) MustInsertDet(rel string, vals ...Value) {
 	}
 }
 
-// NumVars returns the number of Boolean variables (probabilistic tuples).
-func (db *Database) NumVars() int { return len(db.vars) }
+// NumVars returns the size of the variable id space: every id handed out
+// so far, by this handle or another on the same store (see Share).
+func (db *Database) NumVars() int { return len(db.vars.slots) }
 
 // VarRef returns the location of variable v. Variables tombstoned by
-// DeleteTuple are reported as errors: their tuples no longer exist.
+// DeleteTuple are reported as errors: their tuples no longer exist; so are
+// the variables of relations this handle does not hold.
 func (db *Database) VarRef(v int) (VarRef, error) {
-	if v < 1 || v > len(db.vars) {
+	if v < 1 || v > len(db.vars.slots) {
 		return VarRef{}, fmt.Errorf("engine: variable %d out of range", v)
 	}
-	if db.vars[v-1].Dead() {
-		return VarRef{}, fmt.Errorf("engine: variable %d refers to a deleted tuple", v)
+	s := db.vars.slots[v-1]
+	if !db.owns(s) {
+		return VarRef{}, fmt.Errorf("engine: variable %d refers to a deleted tuple or to a relation outside this database", v)
 	}
-	return db.vars[v-1], nil
+	return VarRef{Rel: s.rel.Name, Pos: s.pos}, nil
 }
 
-// Alive reports whether v is the variable of an existing tuple (in range and
-// not tombstoned by DeleteTuple).
+// Alive reports whether v is the variable of an existing tuple of one of
+// db's relations (in range, not tombstoned by DeleteTuple).
 func (db *Database) Alive(v int) bool {
-	return v >= 1 && v <= len(db.vars) && !db.vars[v-1].Dead()
+	return v >= 1 && v <= len(db.vars.slots) && db.owns(db.vars.slots[v-1])
 }
 
 // VarTuple returns the tuple behind variable v.
@@ -148,33 +189,34 @@ func (db *Database) VarTuple(v int) (rel string, t Tuple, err error) {
 // weight 0: odds 0 pins the tuple false in every world, which is exactly
 // "deleted".
 func (db *Database) Weight(v int) float64 {
-	ref := db.vars[v-1]
-	if ref.Dead() {
+	s := db.vars.slots[v-1]
+	if s.rel == nil {
 		return 0
 	}
-	return db.rels[ref.Rel].Tuples[ref.Pos].Weight
+	return s.rel.Tuples[s.pos].Weight
 }
 
 // SetWeight overrides the weight of variable v; a no-op for tombstoned
 // variables.
 func (db *Database) SetWeight(v int, w float64) {
-	ref := db.vars[v-1]
-	if ref.Dead() {
-		return
+	if s := db.vars.slots[v-1]; s.rel != nil {
+		s.rel.Tuples[s.pos].Weight = w
 	}
-	db.rels[ref.Rel].Tuples[ref.Pos].Weight = w
 }
 
 // Prob returns the marginal probability of variable v: w/(1+w).
 func (db *Database) Prob(v int) float64 { return WeightToProb(db.Weight(v)) }
 
 // Probs returns a slice indexed by variable id (entry 0 unused) with the
-// marginal probability of every variable. This is the vector exact inference
-// methods consume; entries may be negative.
+// marginal probability of every variable of db's relations, 0 for the rest.
+// This is the vector exact inference methods consume; entries may be
+// negative.
 func (db *Database) Probs() []float64 {
-	ps := make([]float64, len(db.vars)+1)
-	for i := range db.vars {
-		ps[i+1] = db.Prob(i + 1)
+	ps := make([]float64, len(db.vars.slots)+1)
+	for i, s := range db.vars.slots {
+		if db.owns(s) {
+			ps[i+1] = WeightToProb(s.rel.Tuples[s.pos].Weight)
+		}
 	}
 	return ps
 }
@@ -215,15 +257,16 @@ func (db *Database) Stats() []Stats {
 	return out
 }
 
-// Clone deep-copies the database: relations, tuples and the variable
-// registry. Indexes are rebuilt lazily on the copy. The clone shares no
-// mutable state with the original, so the MarkoView translation can extend
-// it with NV relations without touching the source MVDB.
+// Clone deep-copies the database: its relations, their tuples and its
+// variables, which keep their ids (every other id of the store becomes a
+// tombstone in the copy). Indexes are rebuilt lazily on the copy. The clone
+// shares no mutable state with the original, so a mutation batch can be
+// tried on it without touching the live store.
 func (db *Database) Clone() *Database {
 	out := &Database{
 		rels:  make(map[string]*Relation, len(db.rels)),
 		order: append([]string(nil), db.order...),
-		vars:  append([]VarRef(nil), db.vars...),
+		vars:  &varTable{slots: make([]varSlot, len(db.vars.slots))},
 	}
 	for name, r := range db.rels {
 		nr := newRelation(r.Name, r.Deterministic, r.Cols, len(r.byKey))
@@ -240,6 +283,11 @@ func (db *Database) Clone() *Database {
 			nr.byKey[k] = v
 		}
 		out.rels[name] = nr
+	}
+	for i, s := range db.vars.slots {
+		if db.owns(s) {
+			out.vars.slots[i] = varSlot{rel: out.rels[s.rel.Name], pos: s.pos}
+		}
 	}
 	return out
 }

@@ -175,55 +175,6 @@ func TestVarRefRange(t *testing.T) {
 	}
 }
 
-func TestAggregate(t *testing.T) {
-	db := NewDatabase()
-	db.MustCreateRelation("Pub", true, "aid", "year")
-	rows := [][2]int64{{1, 2000}, {1, 1998}, {1, 2005}, {2, 2010}, {2, 2011}}
-	for _, r := range rows {
-		db.MustInsertDet("Pub", Int(r[0]), Int(r[1]))
-	}
-	r := db.Relation("Pub")
-
-	min, err := Aggregate(r, []int{0}, Min, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(min) != 2 || min[0].Value != 1998 || min[1].Value != 2010 {
-		t.Errorf("Min groups = %+v", min)
-	}
-	cnt, err := Aggregate(r, []int{0}, Count, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cnt[0].Value != 3 || cnt[1].Value != 2 {
-		t.Errorf("Count groups = %+v", cnt)
-	}
-	max, _ := Aggregate(r, []int{0}, Max, 1)
-	if max[0].Value != 2005 || max[1].Value != 2011 {
-		t.Errorf("Max groups = %+v", max)
-	}
-	sum, _ := Aggregate(r, []int{0}, Sum, 1)
-	if sum[0].Value != 2000+1998+2005 {
-		t.Errorf("Sum groups = %+v", sum)
-	}
-}
-
-func TestAggregateErrors(t *testing.T) {
-	db := NewDatabase()
-	db.MustCreateRelation("P", false, "a")
-	db.MustInsert("P", 1, Int(1))
-	if _, err := Aggregate(db.Relation("P"), []int{0}, Count, -1); err == nil {
-		t.Error("aggregate over probabilistic relation accepted")
-	}
-	db.MustCreateRelation("D", true, "a")
-	if _, err := Aggregate(db.Relation("D"), []int{5}, Count, -1); err == nil {
-		t.Error("bad key column accepted")
-	}
-	if _, err := Aggregate(db.Relation("D"), []int{0}, Min, 7); err == nil {
-		t.Error("bad aggregate column accepted")
-	}
-}
-
 func TestClone(t *testing.T) {
 	db := NewDatabase()
 	db.MustCreateRelation("R", false, "a")

@@ -23,10 +23,18 @@ type RelationSnapshot struct {
 	Tuples        []Tuple
 }
 
-// Snapshot captures the database's state. Indexes are not stored; they are
-// rebuilt lazily after restoring.
+// Snapshot captures the database's state: its relations and the variable
+// registry, in which the variables of relations outside this handle are
+// tombstones. Indexes are not stored; they are rebuilt lazily after
+// restoring.
 func (db *Database) Snapshot() DatabaseSnapshot {
-	s := DatabaseSnapshot{Vars: db.vars}
+	s := DatabaseSnapshot{Vars: make([]VarRef, len(db.vars.slots))}
+	for i, vs := range db.vars.slots {
+		s.Vars[i] = VarRef{Pos: -1}
+		if db.owns(vs) {
+			s.Vars[i] = VarRef{Rel: vs.rel.Name, Pos: vs.pos}
+		}
+	}
 	for _, name := range db.order {
 		r := db.rels[name]
 		s.Relations = append(s.Relations, RelationSnapshot{
@@ -50,8 +58,8 @@ func FromSnapshot(s DatabaseSnapshot) (*Database, error) {
 			rel.byKey[string(AppendTupleKey(nil, t.Vals))] = i
 		}
 	}
-	db.vars = s.Vars
-	for i, ref := range db.vars {
+	db.vars.slots = make([]varSlot, len(s.Vars))
+	for i, ref := range s.Vars {
 		if ref.Dead() {
 			continue // tombstone of a deleted tuple
 		}
@@ -62,6 +70,7 @@ func FromSnapshot(s DatabaseSnapshot) (*Database, error) {
 		if rel.Tuples[ref.Pos].Var != i+1 {
 			return nil, fmt.Errorf("engine: variable registry inconsistent at %d", i+1)
 		}
+		db.vars.slots[i] = varSlot{rel: rel, pos: ref.Pos}
 	}
 	return db, nil
 }

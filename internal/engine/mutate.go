@@ -8,7 +8,7 @@ import (
 
 // Mutations. The engine supports in-place deletion and reweighting of
 // tuples in addition to insertion. Variable ids are never reused: deleting a
-// probabilistic tuple tombstones its variable (VarRef{Rel: "", Pos: -1}) so
+// probabilistic tuple tombstones its variable (saved as VarRef{Rel: "", Pos: -1}) so
 // every id handed out earlier keeps meaning the same tuple forever. A dead
 // variable has weight 0 — in the odds semantics of Definition 2 that is a
 // tuple that is false in every positive-probability world, i.e. absent —
@@ -52,7 +52,7 @@ func (db *Database) DeleteTuple(rel string, vals []Value) (int, error) {
 		r.Tuples[idx] = moved
 		r.byKey[string(AppendTupleKey(nil, moved.Vals))] = idx
 		if moved.Var != 0 {
-			db.vars[moved.Var-1].Pos = idx
+			db.vars.slots[moved.Var-1].pos = idx
 		}
 	}
 	r.Tuples[last] = Tuple{}
@@ -79,7 +79,7 @@ func (db *Database) DeleteTuple(rel string, vals []Value) (int, error) {
 	// patched cheaply, so let the next range scan rebuild.
 	r.sorted = nil
 	if t.Var != 0 {
-		db.vars[t.Var-1] = VarRef{Rel: "", Pos: -1}
+		db.vars.slots[t.Var-1] = varSlot{}
 	}
 	return t.Var, nil
 }

@@ -199,16 +199,6 @@ func (r *Relation) buildIndex(col int) *colIndex {
 	return ix
 }
 
-// ColIndex returns the position of the named column, or -1.
-func (r *Relation) ColIndex(name string) int {
-	for i, c := range r.Cols {
-		if c == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // SortedIndex returns (building and caching on first use) the tuple indexes
 // of the relation ordered by the value in the given column. Safe for
 // concurrent readers, like MatchingIndexes.

@@ -14,7 +14,8 @@
 // the relation's lock and publishes it for lock-free reads (parallel block
 // compilation relies on this). Writes (Insert, InsertDet, DeleteTuple,
 // UpdateWeight, SetWeight) must be exclusive: no reader or other writer may
-// run alongside one. internal/server orders the two with its index lock.
+// run alongside one — through any handle on the same store (Share).
+// internal/server orders the two with its index lock.
 package engine
 
 import (

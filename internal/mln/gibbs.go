@@ -34,7 +34,7 @@ func (n *Network) MarginalGibbs(q lineage.Formula, opt GibbsOptions) (float64, e
 	hits, total := 0, 0
 	sweeps := opt.Burn + opt.Samples
 	for it := 0; it < sweeps; it++ {
-		for v := 1; v <= n.NumVars; v++ {
+		for _, v := range n.Vars {
 			// Weight ratio of the two states differing at v, over the
 			// features touching v only.
 			wTrue, wFalse := 1.0, 1.0
@@ -92,7 +92,7 @@ func featureFactor(w float64, sat bool) float64 {
 
 // varFeatureIndex maps each variable to the features touching it.
 func (n *Network) varFeatureIndex() [][]int {
-	idx := make([][]int, n.NumVars+1)
+	idx := make([][]int, n.top()+1)
 	for fi := range n.Features {
 		for _, v := range n.vars[fi] {
 			idx[v] = append(idx[v], fi)
@@ -109,14 +109,14 @@ func (n *Network) initialState(rng *rand.Rand) ([]bool, error) {
 			hard = append(hard, f)
 		}
 	}
-	state := make([]bool, n.NumVars+1)
-	for v := 1; v <= n.NumVars; v++ {
+	state := make([]bool, n.top()+1)
+	for _, v := range n.Vars {
 		state[v] = rng.Intn(2) == 0
 	}
 	if len(hard) == 0 {
 		return state, nil
 	}
-	if ok := sampleSAT(hard, state, rng, 20*(n.NumVars+len(hard))+1000); !ok {
+	if ok := sampleSAT(hard, state, rng, 20*(len(n.Vars)+len(hard))+1000); !ok {
 		return nil, fmt.Errorf("mln: could not find a state satisfying the %d hard constraints", len(hard))
 	}
 	return state, nil

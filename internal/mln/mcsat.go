@@ -28,7 +28,7 @@ var DefaultMCSat = MCSatOptions{Burn: 100, Samples: 1000, Seed: 1}
 func (n *Network) MarginalMCSat(q lineage.Formula, opt MCSatOptions) (float64, error) {
 	rng := rand.New(rand.NewSource(opt.Seed))
 	if opt.MaxFlips == 0 {
-		opt.MaxFlips = 20*(n.NumVars+len(n.Features)) + 1000
+		opt.MaxFlips = 20*(len(n.Vars)+len(n.Features)) + 1000
 	}
 	if opt.Noise == 0 {
 		opt.Noise = 0.5
@@ -65,13 +65,13 @@ func (n *Network) MarginalMCSat(q lineage.Formula, opt MCSatOptions) (float64, e
 		// the current state (SampleSAT).
 		next := make([]bool, len(state))
 		copy(next, state)
-		for v := 1; v <= n.NumVars; v++ {
+		for _, v := range n.Vars {
 			if rng.Float64() < 0.1 {
 				next[v] = rng.Intn(2) == 0
 			}
 		}
 		if sampleSATNoise(m, next, rng, opt.MaxFlips, opt.Noise) {
-			uniformize(m, next, rng)
+			uniformize(m, next, n.Vars, rng)
 			copy(state, next)
 		}
 		// If SampleSAT failed, keep the previous state (it satisfies M by
@@ -99,8 +99,8 @@ func sampleSAT(constraints []Feature, state []bool, rng *rand.Rand, maxFlips int
 // if all constraints remain satisfied. This counteracts SampleSAT's bias
 // toward solutions near its starting state, pushing the per-iteration sample
 // closer to the uniform distribution MC-SAT requires.
-func uniformize(constraints []Feature, state []bool, rng *rand.Rand) {
-	if len(state) <= 1 {
+func uniformize(constraints []Feature, state []bool, vars []int, rng *rand.Rand) {
+	if len(vars) == 0 {
 		return
 	}
 	assign := func(v int) bool { return state[v] }
@@ -110,9 +110,9 @@ func uniformize(constraints []Feature, state []bool, rng *rand.Rand) {
 			touching[v] = append(touching[v], i)
 		}
 	}
-	steps := 4 * (len(state) - 1)
+	steps := 4 * len(vars)
 	for s := 0; s < steps; s++ {
-		v := 1 + rng.Intn(len(state)-1)
+		v := vars[rng.Intn(len(vars))]
 		state[v] = !state[v]
 		ok := true
 		for _, ci := range touching[v] {

@@ -20,6 +20,7 @@ package mln
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mvdb/internal/lineage"
 )
@@ -30,9 +31,10 @@ type Feature struct {
 	Weight float64
 }
 
-// Network is a ground Markov Logic Network over variables 1..NumVars.
+// Network is a ground Markov Logic Network over the variables Vars
+// (ascending ids, not necessarily contiguous).
 type Network struct {
-	NumVars  int
+	Vars     []int
 	Features []Feature
 
 	vars [][]int // per-feature sorted support, computed lazily
@@ -41,7 +43,7 @@ type Network struct {
 // New builds a network, validating weights (negative weights are invalid in
 // an MLN; note this is about feature weights, not the translated tuple
 // probabilities, which may well be negative).
-func New(numVars int, features []Feature) (*Network, error) {
+func New(vars []int, features []Feature) (*Network, error) {
 	for i, f := range features {
 		if f.Weight < 0 || math.IsNaN(f.Weight) {
 			return nil, fmt.Errorf("mln: feature %d has invalid weight %v", i, f.Weight)
@@ -50,21 +52,26 @@ func New(numVars int, features []Feature) (*Network, error) {
 			return nil, fmt.Errorf("mln: feature %d has nil formula", i)
 		}
 	}
-	n := &Network{NumVars: numVars, Features: features}
+	n := &Network{Vars: vars, Features: features}
 	n.vars = make([][]int, len(features))
 	for i, f := range features {
 		n.vars[i] = lineage.FormulaVars(f.F)
 		for _, v := range n.vars[i] {
-			if v < 1 || v > numVars {
-				return nil, fmt.Errorf("mln: feature %d uses variable %d outside 1..%d", i, v, numVars)
+			if _, ok := slices.BinarySearch(vars, v); !ok {
+				return nil, fmt.Errorf("mln: feature %d uses variable %d outside the network", i, v)
 			}
 		}
 	}
 	return n, nil
 }
 
-// FeatureVars returns the support of feature i.
-func (n *Network) FeatureVars(i int) []int { return n.vars[i] }
+// top returns the largest variable id, the length a state vector needs.
+func (n *Network) top() int {
+	if len(n.Vars) == 0 {
+		return 0
+	}
+	return n.Vars[len(n.Vars)-1]
+}
 
 // WorldWeight computes Φ(I) for the world given by the assignment. Hard
 // constraints zero out violating worlds.
@@ -88,7 +95,7 @@ func (n *Network) WorldWeight(assign func(v int) bool) float64 {
 	return w
 }
 
-// Partition computes Z by enumerating all 2^NumVars worlds. Networks over
+// Partition computes Z by enumerating all 2^len(Vars) worlds. Networks over
 // more than 30 variables are refused with an error rather than enumerated.
 func (n *Network) Partition() (float64, error) {
 	z, _, err := n.enumerate(nil)
@@ -108,11 +115,15 @@ func (n *Network) MarginalExact(q lineage.Formula) (float64, error) {
 }
 
 func (n *Network) enumerate(q lineage.Formula) (z, phiQ float64, err error) {
-	if n.NumVars > 30 {
-		return 0, 0, fmt.Errorf("mln: exact enumeration over %d variables (max 30)", n.NumVars)
+	if len(n.Vars) > 30 {
+		return 0, 0, fmt.Errorf("mln: exact enumeration over %d variables (max 30)", len(n.Vars))
 	}
-	for mask := 0; mask < 1<<uint(n.NumVars); mask++ {
-		assign := func(v int) bool { return mask&(1<<uint(v-1)) != 0 }
+	bit := make([]uint, n.top()+1) // variable -> its bit of the world mask
+	for i, v := range n.Vars {
+		bit[v] = uint(i)
+	}
+	for mask := 0; mask < 1<<uint(len(n.Vars)); mask++ {
+		assign := func(v int) bool { return mask&(1<<bit[v]) != 0 }
 		w := n.WorldWeight(assign)
 		z += w
 		if q != nil && w != 0 && q.Eval(assign) {

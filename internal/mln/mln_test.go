@@ -11,7 +11,7 @@ import (
 func TestWorldWeightExample1(t *testing.T) {
 	// Example 1 of the paper: R(a)=x1 (w1), S(a)=x2 (w2), view (x1∧x2, w).
 	w1, w2, w := 2.0, 3.0, 0.5
-	n, err := New(2, []Feature{
+	n, err := New(upTo(2), []Feature{
 		{F: lineage.Var(1), Weight: w1},
 		{F: lineage.Var(2), Weight: w2},
 		{F: lineage.And{lineage.Var(1), lineage.Var(2)}, Weight: w},
@@ -46,7 +46,7 @@ func TestWorldWeightExample1(t *testing.T) {
 
 func TestHardConstraints(t *testing.T) {
 	// Feature (x1 ∧ x2, 0): the two tuples are exclusive.
-	n, err := New(2, []Feature{
+	n, err := New(upTo(2), []Feature{
 		{F: lineage.Var(1), Weight: 1},
 		{F: lineage.Var(2), Weight: 1},
 		{F: lineage.And{lineage.Var(1), lineage.Var(2)}, Weight: 0},
@@ -68,7 +68,7 @@ func TestHardConstraints(t *testing.T) {
 		t.Errorf("P(x1∧x2) = %v want 0", p)
 	}
 	// Must-hold constraint.
-	n2, _ := New(1, []Feature{{F: lineage.Var(1), Weight: math.Inf(1)}})
+	n2, _ := New(upTo(1), []Feature{{F: lineage.Var(1), Weight: math.Inf(1)}})
 	p, err = n2.MarginalExact(lineage.Var(1))
 	if err != nil || p != 1 {
 		t.Errorf("P = %v, %v; want 1", p, err)
@@ -76,22 +76,22 @@ func TestHardConstraints(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(1, []Feature{{F: lineage.Var(1), Weight: -1}}); err == nil {
+	if _, err := New(upTo(1), []Feature{{F: lineage.Var(1), Weight: -1}}); err == nil {
 		t.Error("negative weight accepted")
 	}
-	if _, err := New(1, []Feature{{F: nil, Weight: 1}}); err == nil {
+	if _, err := New(upTo(1), []Feature{{F: nil, Weight: 1}}); err == nil {
 		t.Error("nil formula accepted")
 	}
-	if _, err := New(1, []Feature{{F: lineage.Var(5), Weight: 1}}); err == nil {
+	if _, err := New(upTo(1), []Feature{{F: lineage.Var(5), Weight: 1}}); err == nil {
 		t.Error("out-of-range variable accepted")
 	}
-	if _, err := New(1, []Feature{{F: lineage.Var(1), Weight: math.NaN()}}); err == nil {
+	if _, err := New(upTo(1), []Feature{{F: lineage.Var(1), Weight: math.NaN()}}); err == nil {
 		t.Error("NaN weight accepted")
 	}
 }
 
 func TestInconsistentHardConstraints(t *testing.T) {
-	n, _ := New(1, []Feature{
+	n, _ := New(upTo(1), []Feature{
 		{F: lineage.Var(1), Weight: math.Inf(1)},
 		{F: lineage.Var(1), Weight: 0},
 	})
@@ -117,7 +117,7 @@ func randomNetwork(rng *rand.Rand, nv int) *Network {
 		}
 		feats[i] = Feature{F: lineage.And(lits), Weight: 0.25 + rng.Float64()*4}
 	}
-	n, err := New(nv, feats)
+	n, err := New(upTo(nv), feats)
 	if err != nil {
 		panic(err)
 	}
@@ -166,7 +166,7 @@ func TestMCSatConvergesToExact(t *testing.T) {
 
 func TestMCSatWithHardConstraints(t *testing.T) {
 	// x1 and x2 exclusive, both favoured: P(x1) should match exact.
-	n, _ := New(2, []Feature{
+	n, _ := New(upTo(2), []Feature{
 		{F: lineage.Var(1), Weight: 3},
 		{F: lineage.Var(2), Weight: 3},
 		{F: lineage.And{lineage.Var(1), lineage.Var(2)}, Weight: 0},
@@ -189,7 +189,7 @@ func TestMCSatWithHardConstraints(t *testing.T) {
 }
 
 func TestNormalizedWeights(t *testing.T) {
-	n, _ := New(1, []Feature{{F: lineage.Var(1), Weight: 0.25}})
+	n, _ := New(upTo(1), []Feature{{F: lineage.Var(1), Weight: 0.25}})
 	norm := n.normalized()
 	if len(norm) != 1 || norm[0].Weight != 4 {
 		t.Fatalf("normalized = %+v", norm)
@@ -197,7 +197,7 @@ func TestNormalizedWeights(t *testing.T) {
 	// ¬x1 with weight 4 must give the same distribution as x1 with 0.25:
 	// P(x1) = 0.25/(1+0.25) = 0.2.
 	want, _ := n.MarginalExact(lineage.Var(1))
-	n2, _ := New(1, []Feature{norm[0]})
+	n2, _ := New(upTo(1), []Feature{norm[0]})
 	got, _ := n2.MarginalExact(lineage.Var(1))
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("normalization changed the distribution: %v vs %v", got, want)
@@ -205,7 +205,7 @@ func TestNormalizedWeights(t *testing.T) {
 }
 
 func TestSampleSATUnsatisfiable(t *testing.T) {
-	n, _ := New(1, []Feature{
+	n, _ := New(upTo(1), []Feature{
 		{F: lineage.Var(1), Weight: math.Inf(1)},
 		{F: lineage.Not{F: lineage.Var(1)}, Weight: math.Inf(1)},
 	})
@@ -218,7 +218,7 @@ func TestTupleIndependentSpecialCase(t *testing.T) {
 	// Section 2.3 "Tuple-Independent Databases Revisited": an MLN with only
 	// single-tuple features is a tuple-independent database with
 	// p_i = w_i / (1 + w_i).
-	n, _ := New(2, []Feature{
+	n, _ := New(upTo(2), []Feature{
 		{F: lineage.Var(1), Weight: 3},
 		{F: lineage.Var(2), Weight: 1},
 	})
@@ -273,7 +273,7 @@ func BenchmarkExactEnumeration(b *testing.B) {
 // TestEnumerationTooLargeRefused: networks beyond the 30-variable
 // enumeration limit return an error instead of panicking.
 func TestEnumerationTooLargeRefused(t *testing.T) {
-	n, err := New(31, []Feature{{F: lineage.Var(31), Weight: 2}})
+	n, err := New(upTo(31), []Feature{{F: lineage.Var(31), Weight: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,5 +282,51 @@ func TestEnumerationTooLargeRefused(t *testing.T) {
 	}
 	if _, err := n.MarginalExact(lineage.Var(1)); err == nil {
 		t.Error("MarginalExact over 31 variables: want error, got nil")
+	}
+}
+
+// upTo returns the variable ids 1..n.
+func upTo(n int) []int {
+	vs := make([]int, n)
+	for i := range vs {
+		vs[i] = i + 1
+	}
+	return vs
+}
+
+// TestSparseVariableIDs: a network over non-contiguous ids (the base
+// variables of a database whose other ids belong to translated relations)
+// enumerates only its own variables and gives the marginals of the same
+// network over 1..n.
+func TestSparseVariableIDs(t *testing.T) {
+	dense, err := New(upTo(2), []Feature{
+		{F: lineage.Or_{lineage.Var(1), lineage.Var(2)}, Weight: 3},
+		{F: lineage.Var(2), Weight: 0.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := New([]int{4, 9}, []Feature{
+		{F: lineage.Or_{lineage.Var(4), lineage.Var(9)}, Weight: 3},
+		{F: lineage.Var(9), Weight: 0.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range [][2]lineage.Formula{{lineage.Var(1), lineage.Var(4)}, {lineage.Var(2), lineage.Var(9)}} {
+		want, err := dense.MarginalExact(q[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := sparse.MarginalExact(q[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-15 {
+			t.Errorf("query %d: sparse %v, dense %v", i, got, want)
+		}
+	}
+	if _, err := New([]int{4, 9}, []Feature{{F: lineage.Var(5), Weight: 1}}); err == nil {
+		t.Error("a feature over a variable outside the network was accepted")
 	}
 }

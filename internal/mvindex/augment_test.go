@@ -263,6 +263,10 @@ func TestIncrementalAugmentEqualsRebuild(t *testing.T) {
 		name  string
 		setup func(t *testing.T, m *core.MVDB)
 		after func(t *testing.T, ix *Index) *Index
+		// first3 makes the first batch three mutations over three blocks,
+		// which must already take the incremental path: Build records the
+		// block chain.
+		first3 bool
 	}{
 		{name: "static order"},
 		{name: "sifted order", after: func(t *testing.T, ix *Index) *Index {
@@ -285,6 +289,7 @@ func TestIncrementalAugmentEqualsRebuild(t *testing.T) {
 			return back
 		}},
 		{name: "retranslate route", setup: addClosureDenial},
+		{name: "first batch after Build", first3: true},
 	}
 	for si, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -297,9 +302,17 @@ func TestIncrementalAugmentEqualsRebuild(t *testing.T) {
 				}
 				_, ix := buildIndex(t, m)
 				st := newAdvState(rng, ix.Source().DB)
-				// The first structural batch compiles in full and records.
-				if _, err := ix.ApplyMutations([]core.Mutation{st.insert(st.student())}); err != nil {
+				first := []core.Mutation{st.insert(st.student())}
+				if sc.first3 {
+					st.newS++
+					first = append(first, st.reweight(st.student()), st.insert(st.newS))
+				}
+				ms, err := ix.ApplyMutations(first)
+				if err != nil {
 					t.Fatal(err)
+				}
+				if sc.first3 && (ms.Full || ms.Reused == 0 || ms.Recompiled >= ms.Blocks) {
+					t.Fatalf("seed %d: the first batch after Build was not incremental: %+v", seed, ms)
 				}
 				if sc.after != nil {
 					ix = sc.after(t, ix)

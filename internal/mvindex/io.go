@@ -19,8 +19,11 @@ import (
 // per-block primitive over every block; they depend on the tuple weights,
 // which keeps saved indexes valid under Reweight-style workflows.
 //
-// The live-update state travels with it: the source MVDB (base database plus
-// WeightTable-backed view definitions) and the translate options, so a
+// The database is written once: the translated database holds the source
+// MVDB's base relations themselves plus the NV relations, and a restore
+// makes the source a handle on the same store (every relation but the NV
+// ones). The rest of the live-update state travels with it: the source's
+// WeightTable-backed view definitions and the translate options, so a
 // restored index supports ApplyMutations, and LastSeq, the WAL sequence
 // number the snapshot covers, so recovery replays only the log tail. The
 // block record of the incremental compiler is NOT serialized — the first
@@ -40,7 +43,7 @@ type indexSnapshot struct {
 
 	// HasSource is false when the source's weights are Go closures.
 	HasSource bool
-	Source    core.MVDBSnapshot
+	Views     []core.ViewSnapshot
 	Opts      core.TranslateOptions
 	LastSeq   uint64
 
@@ -49,7 +52,7 @@ type indexSnapshot struct {
 }
 
 // snapshotMagic names the one snapshot format written and read.
-const snapshotMagic = "mvindex-v3"
+const snapshotMagic = "mvindex-v4"
 
 // SnapshotVersionError reports a snapshot whose magic is not the supported
 // one — a stream written by another version of the format, or not an index
@@ -86,9 +89,8 @@ func (ix *Index) SaveSeq(w io.Writer, lastSeq uint64) error {
 		LastSeq:     lastSeq,
 	}
 	if src := ix.tr.Source; src != nil {
-		if ms, err := src.Snapshot(); err == nil {
-			s.HasSource = true
-			s.Source = ms
+		if vs, err := src.ViewSnapshots(); err == nil {
+			s.HasSource, s.Views = true, vs
 		}
 	}
 	if ix.reorder != nil {
@@ -129,11 +131,9 @@ func ReadSeq(r io.Reader) (*Index, uint64, error) {
 		return nil, 0, err
 	}
 	if s.HasSource {
-		src, err := core.RestoreMVDB(s.Source)
-		if err != nil {
+		if err := tr.RestoreSource(s.Views, s.Opts); err != nil {
 			return nil, 0, fmt.Errorf("mvindex: restoring source MVDB: %w", err)
 		}
-		tr.SetSource(src, s.Opts)
 	}
 	m, err := obdd.Restore(s.Manager)
 	if err != nil {

@@ -70,9 +70,10 @@ func TestIndexLoadCorrupt(t *testing.T) {
 	}
 }
 
-// TestSnapshotVersionRejected: only mvindex-v3 loads. The same stream under
-// the retired v2 magic is refused with an error naming both magics; put back
-// under v3 it round-trips.
+// TestSnapshotVersionRejected: only mvindex-v4 loads. The same stream under
+// the retired v3 magic (whose layout held the base relations twice) is
+// refused with an error naming both magics; put back under v4 it
+// round-trips.
 func TestSnapshotVersionRejected(t *testing.T) {
 	_, ix := buildIndex(t, chainMVDB(5, 1))
 	var buf bytes.Buffer
@@ -91,22 +92,22 @@ func TestSnapshotVersionRejected(t *testing.T) {
 		}
 		return &b
 	}
-	_, err := Read(reencode("mvindex-v2"))
+	_, err := Read(reencode("mvindex-v3"))
 	var ve *SnapshotVersionError
-	if !errors.As(err, &ve) || ve.Found != "mvindex-v2" || ve.Supported != "mvindex-v3" {
-		t.Fatalf("v2 magic: err = %v, want a SnapshotVersionError naming mvindex-v2 and mvindex-v3", err)
+	if !errors.As(err, &ve) || ve.Found != "mvindex-v3" || ve.Supported != "mvindex-v4" {
+		t.Fatalf("v3 magic: err = %v, want a SnapshotVersionError naming mvindex-v3 and mvindex-v4", err)
 	}
 	for _, magic := range []string{ve.Found, ve.Supported} {
 		if !strings.Contains(err.Error(), magic) {
 			t.Errorf("error %q does not name %s", err, magic)
 		}
 	}
-	back, err := Read(reencode("mvindex-v3"))
+	back, err := Read(reencode("mvindex-v4"))
 	if err != nil {
-		t.Fatalf("v3 round-trip: %v", err)
+		t.Fatalf("v4 round-trip: %v", err)
 	}
 	if back.Size() != ix.Size() || back.Blocks() != ix.Blocks() {
-		t.Errorf("v3 round-trip: size/blocks %d/%d vs %d/%d", back.Size(), back.Blocks(), ix.Size(), ix.Blocks())
+		t.Errorf("v4 round-trip: size/blocks %d/%d vs %d/%d", back.Size(), back.Blocks(), ix.Size(), ix.Blocks())
 	}
 }
 

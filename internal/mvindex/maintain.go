@@ -64,18 +64,18 @@ func (ix *Index) Source() *core.MVDB { return ix.tr.Source }
 
 // FailCompile is a test seam: while err is non-nil, every structural batch
 // fails with it where the compile would start — after the delta translation
-// has patched the databases, the failure a server must fail closed on.
+// has patched the database, the failure a server must fail closed on.
 func (ix *Index) FailCompile(err error) { ix.compileFault = err }
 
 // ApplyMutations validates and applies one batch of base-table mutations to
 // the source MVDB and brings the index up to date incrementally. Invalid
 // batches are rejected up front with nothing changed. After validation the
-// fast path mutates the source and translated databases in place (its
-// preflight falls back cleanly to a clone-and-retranslate route when the
-// batch could change W's shape), so an internal failure beyond that point —
-// which validation makes unreachable for well-formed batches — surfaces as
-// an error after which the index must be rebuilt. Requires exclusive access
-// (no concurrent readers).
+// fast path mutates the database the source and the translation share in
+// place (its preflight falls back cleanly to a clone-and-retranslate route
+// when the batch could change W's shape), so an internal failure beyond that
+// point — which validation makes unreachable for well-formed batches —
+// surfaces as an error after which the index must be rebuilt. Requires
+// exclusive access (no concurrent readers).
 func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 	t0 := time.Now()
 	st := MaintStats{Applied: len(batch)}
@@ -90,16 +90,14 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 	if core.WeightOnly(batch) {
 		// Reweights change no tuple's existence: the view materializations,
 		// the NV relations and the OBDD of ¬W are all untouched. Apply the
-		// weights to the source and to the translated clone, then re-weigh
-		// the blocks that hold the touched variables.
-		if err := src.Apply(batch); err != nil {
-			return st, err
-		}
+		// weights — once, to the base relations the source and the
+		// translation share — then re-weigh the blocks that hold the touched
+		// variables.
 		touched := make([]int, 0, len(batch))
 		for _, mu := range batch {
 			v, err := ix.tr.DB.UpdateWeight(mu.Rel, mu.Vals, mu.Weight)
 			if err != nil {
-				return st, fmt.Errorf("mvindex: reweighting translated clone: %w", err)
+				return st, fmt.Errorf("mvindex: reweighting: %w", err)
 			}
 			touched = append(touched, v)
 		}
@@ -113,16 +111,17 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 		return st, nil
 	}
 
-	// Structural path. The delta translator patches the source and translated
-	// databases in place — work proportional to the batch's blast radius —
-	// and its changed-tuple list drives the incremental recompile. Its
+	// Structural path. The delta translator patches the database in place —
+	// work proportional to the batch's blast radius — and its changed-tuple
+	// list drives the incremental recompile. Its
 	// read-only preflight falls back (ErrDeltaFallback, nothing mutated) to
 	// the conventional route when the batch could change W's shape: mutate a
-	// clone, run the full Definition 5 translation and diff the two
-	// translated databases. Either way the recompile inherits the current
-	// order — static Π or learned — and recompiles only the dirty blocks
-	// when the record allows (not on the first structural batch, nor after a
-	// snapshot restore).
+	// clone of the base relations (the one copy on a serving path: the live
+	// index must stay intact until the new one is built), run the full
+	// Definition 5 translation and diff the two translated databases. Either
+	// way the recompile inherits the current order — static Π or learned —
+	// and recompiles only the dirty blocks when the record allows (not on the
+	// first structural batch after a snapshot restore).
 	newTr := ix.tr
 	var varMap func(int) (int, bool) // nil: patched in place, ids unchanged
 	changed, err := ix.tr.ApplyDelta(batch)
@@ -190,6 +189,12 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 		c, ix.rec = newChain(d.M, d.Root, d.Rec, ix.probs)
 		st.Blocks = len(d.Rec.Roots)
 		st.AugmentedBlocks, st.AugmentedNodes = len(c.segs), int(c.off[len(c.segs)])
+	} else if varMap != nil {
+		// The record describes the new translation's W from now on, so the
+		// next batch's compile knows it as its own.
+		rec := *ix.rec
+		rec.U = newTr.W
+		ix.rec = &rec
 	}
 	ix.ch = c
 	st.Full, st.Recompiled = d.Full, d.Recompiled

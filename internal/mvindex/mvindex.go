@@ -71,8 +71,9 @@ type Index struct {
 
 	// rec, when non-nil, says that the chain is W's recorded separator
 	// expansion — its blocks are tagged with their separator values — so
-	// ApplyMutations can recompile only the dirty values' blocks. Nil until
-	// the first structural mutation batch and after a snapshot restore.
+	// ApplyMutations can recompile only the dirty values' blocks. Nil after
+	// a snapshot restore until the first structural batch, and when W has no
+	// chain to record.
 	rec *obdd.BlockRecord
 
 	// reorder, when non-nil, records that the index runs under a learned
@@ -109,16 +110,19 @@ type ReorderInfo struct {
 	BlockProvenance map[string]int `json:"block_provenance"`
 }
 
-// Build compiles the MV-index for a translation: it reuses the translation's
-// compiled OBDD of W (separator-first order), negates it, and computes the
-// block-local augmentation.
+// Build compiles the MV-index for a translation: it compiles ¬W under the
+// static order Π with the separator expansion recorded, so the first
+// structural batch already recompiles only its dirty blocks, computes the
+// block-local augmentation, and hands the translation the ¬W it compiled.
 func Build(tr *core.Translation) (*Index, error) {
-	m, fW, err := tr.OBDD()
+	ord := obdd.NewManager(obdd.TupleOrder(tr.DB, tr.WPerm()))
+	d, err := obdd.CompileDelta(tr.DB, tr.W, ord, obdd.CompileOptions{}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	ix := &Index{tr: tr, probs: tr.DB.Probs()}
-	ix.ch, _ = newChain(m, m.Not(fW), nil, ix.probs)
+	ix.ch, ix.rec = newChain(d.M, d.Root, d.Rec, ix.probs)
+	ix.attachNegW()
 	if tr.Reorder.Mode != obdd.ReorderOff {
 		if _, err := ix.Sift(tr.Reorder); err != nil {
 			return nil, err

@@ -33,9 +33,8 @@ func dblpIndex(tb testing.TB, domain int) (*Index, []int64) {
 	return ix, d.Students
 }
 
-// dblpLiveIndex is dblpIndex after the warm-up structural batch whose full
-// compile creates the block record, so every later batch takes the delta
-// path.
+// dblpLiveIndex is dblpIndex after one warm-up structural batch (Build
+// records the block chain, so it and every later batch take the delta path).
 func dblpLiveIndex(tb testing.TB, domain int) (*Index, []int64) {
 	tb.Helper()
 	ix, students := dblpIndex(tb, domain)

@@ -96,8 +96,14 @@ func CompileDelta(db *engine.Database, u ucq.UCQ, ord *Manager, opts CompileOpti
 	d := &Delta{M: m}
 	var ferr error
 	err := budget.Catch(func() {
-		if oldRec != nil && oldRec.HasSep && reflect.DeepEqual(oldRec.U, u) {
-			if ferr = c.dirtyBlocks(u, oldRec.Sep, changed, d); ferr != nil || d.Blocks != nil {
+		// A record of u itself (the same disjunct array, as when one
+		// translation's W is recompiled batch after batch) needs no
+		// comparison; one of an equal query, say a re-translation's, is
+		// compared in full and its separator re-derived.
+		own := oldRec != nil && len(oldRec.U.Disjuncts) == len(u.Disjuncts) &&
+			(len(u.Disjuncts) == 0 || &oldRec.U.Disjuncts[0] == &u.Disjuncts[0])
+		if oldRec != nil && oldRec.HasSep && (own || reflect.DeepEqual(oldRec.U, u)) {
+			if ferr = c.dirtyBlocks(u, oldRec.Sep, own, changed, d); ferr != nil || d.Blocks != nil {
 				return
 			}
 		}
@@ -117,17 +123,22 @@ func CompileDelta(db *engine.Database, u ucq.UCQ, ord *Manager, opts CompileOpti
 
 // dirtyBlocks is the incremental body of CompileDelta: it fills d.Values and
 // d.Blocks, or leaves d.Blocks nil when the batch needs a full recompile.
-// The handful of dirty blocks compile sequentially on the caller — a fan-out
-// costs more in goroutine start-up than it could save.
-func (c *compiler) dirtyBlocks(u ucq.UCQ, recSep ucq.Separator, changed []ChangedTuple, d *Delta) error {
+// With own set the record is of u itself, whose separator is recSep; else
+// the separator is re-derived and must equal it. The handful of dirty
+// blocks compile sequentially on the caller — a fan-out costs more in
+// goroutine start-up than it could save.
+func (c *compiler) dirtyBlocks(u ucq.UCQ, recSep ucq.Separator, own bool, changed []ChangedTuple, d *Delta) error {
 	ground, open := c.splitLive(u)
 	if len(ground) > 0 || len(open) == 0 {
 		return nil // not a plain chain
 	}
 	openU := ucq.UCQ{Disjuncts: open}
-	sep, ok := openU.FindSeparatorSkip(c.detSkip())
-	if !ok || !reflect.DeepEqual(sep, recSep) {
-		return nil
+	sep := recSep
+	if !own {
+		var ok bool
+		if sep, ok = openU.FindSeparatorSkip(c.detSkip()); !ok || !reflect.DeepEqual(sep, recSep) {
+			return nil
+		}
 	}
 	dirtySet, dirtyAll := dirtyValues(openU, sep, c.detSkip(), changed)
 	if dirtyAll {

@@ -201,11 +201,6 @@ func (m *Manager) SetApplyCacheMax(entries int) {
 // two between its initial size and the configured maximum).
 func (m *Manager) ApplyCacheSize() int { return len(m.cache.keys) }
 
-// ResetApplyCache drops every computed-table entry in place (a memclr).
-// Entries never become stale — the node store is append-only — so this is
-// purely a memory/benchmark knob.
-func (m *Manager) ResetApplyCache() { m.cache.reset() }
-
 // ApplyCacheStats returns the apply/computed-table hit and miss counts of
 // this manager since creation. Reading them follows the manager's
 // concurrency contract: safe on a frozen manager or from the goroutine that

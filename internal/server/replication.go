@@ -298,6 +298,11 @@ func (rs *replState) applyFrame(s *Server) func(uint64, []byte) error {
 		}
 		rs.applyMu.Lock()
 		defer rs.applyMu.Unlock()
+		if f := s.failed.Load(); f != nil {
+			// A re-shipped frame must not apply on top of the half-patched
+			// index the failure left; only a restart recovers.
+			return f
+		}
 		// A refetched frame can already sit at the tail of the local log: a
 		// transient Sync or apply failure aborts the tail after AppendSeq took
 		// the frame, and the reconnect re-ships the same sequence number.
@@ -370,10 +375,15 @@ func (rs *replState) rebootstrap(s *Server) func(context.Context) (uint64, error
 }
 
 // localSnapshot persists the follower's index and truncates its local WAL,
-// bounding recovery replay — the follower-side mirror of Live.Snapshot.
+// bounding recovery replay — the follower-side mirror of Live.Snapshot. Like
+// it, it refuses once the server has failed closed: the index may be
+// half-patched, and the WAL is what a restart recovers from.
 func (rs *replState) localSnapshot(s *Server) error {
 	rs.applyMu.Lock()
 	defer rs.applyMu.Unlock()
+	if f := s.failed.Load(); f != nil {
+		return f
+	}
 	seq := rs.appliedSeq
 	gen, err := rs.flog.Rotate()
 	if err != nil {
@@ -417,8 +427,9 @@ func (rs *replState) snapshotLoop(s *Server, every time.Duration) {
 }
 
 // Close stops the follower machinery: the fetch loop, the snapshot loop, a
-// final local snapshot, and the local WAL. If the node was promoted, the
-// write path (Live) owns the log now — Close closes that instead.
+// final local snapshot (none once the server has failed closed), and the
+// local WAL. If the node was promoted, the write path (Live) owns the log
+// now — Close closes that instead.
 // Idempotent.
 func (f *FollowerState) Close() error {
 	if !f.closed.CompareAndSwap(false, true) {
@@ -443,8 +454,8 @@ func (f *FollowerState) Close() error {
 		return nil
 	}
 	var err error
-	if serr := rs.localSnapshot(s); serr != nil {
-		err = serr
+	if s.failed.Load() == nil {
+		err = rs.localSnapshot(s)
 	}
 	if cerr := f.log.Close(); err == nil {
 		err = cerr

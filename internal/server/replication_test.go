@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -15,6 +18,7 @@ import (
 	"mvdb/internal/engine"
 	"mvdb/internal/mvindex"
 	"mvdb/internal/replica"
+	"mvdb/internal/wal"
 )
 
 func vals(vs ...int) []engine.Value {
@@ -704,6 +708,90 @@ func TestPromoteStopsFollowerSnapshotter(t *testing.T) {
 	exp := scratchProb(t, applied, boolQ)
 	if math.Abs(got-exp) > 1e-12 {
 		t.Fatalf("recovered promoted node answer %v, from-scratch %v", got, exp)
+	}
+}
+
+// TestFollowerApplyFailureFailsClosed: a shipped frame that fails to apply on
+// the follower fails it closed like a primary — /query and /readyz answer
+// 503 "index" — and from then on neither the snapshot path (ticker or
+// drain) nor a re-shipped frame touches the half-patched index: the snapshot
+// file, the local WAL and appliedSeq stay as the failure left them, so a
+// restart from the same dir recovers the primary's numbers.
+func TestFollowerApplyFailureFailsClosed(t *testing.T) {
+	dir := t.TempDir()
+	ps, _, pts := replPrimaryServer(t, filepath.Join(dir, "primary"), ReplicationConfig{
+		HeartbeatInterval: 20 * time.Millisecond,
+	})
+	rdir := filepath.Join(dir, "replica")
+	fs, f, _ := replFollowerServer(t, FollowerConfig{Dir: rdir, PrimaryURL: pts.URL})
+	if rec, _ := do(t, ps, "POST", "/update", replSteps[0].body); rec.Code != http.StatusOK {
+		t.Fatalf("update: %d", rec.Code)
+	}
+	waitReplication(t, "catch-up", func() bool { return followerApplied(fs) == 1 })
+	snapPath := filepath.Join(rdir, "index.snap")
+	snapBefore, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fs.mu.Lock()
+	fs.ix.FailCompile(errors.New("injected compile failure"))
+	fs.mu.Unlock()
+	if rec, _ := do(t, ps, "POST", "/update", replSteps[1].body); rec.Code != http.StatusOK {
+		t.Fatalf("update: %d", rec.Code)
+	}
+	waitReplication(t, "follower fails closed", func() bool { return fs.failed.Load() != nil })
+	for _, p := range []struct{ method, path, body string }{
+		{"POST", "/query", fmt.Sprintf(`{"query": %q}`, boolQ)},
+		{"GET", "/readyz", ""},
+	} {
+		if rec, out := do(t, fs, p.method, p.path, p.body); rec.Code != http.StatusServiceUnavailable || out["reason"] != "index" {
+			t.Fatalf("%s %s on a failed follower: code %d body %s", p.method, p.path, rec.Code, rec.Body)
+		}
+	}
+
+	// The snapshot ticker's and the drain's snapshot refuse; a re-shipped
+	// frame is refused even once its apply would succeed.
+	rs := fs.repl
+	var failure *IndexFailure
+	if err := rs.localSnapshot(fs); !errors.As(err, &failure) {
+		t.Fatalf("snapshot of a failed follower: %v", err)
+	}
+	fs.mu.Lock()
+	fs.ix.FailCompile(nil)
+	fs.mu.Unlock()
+	frame, err := core.EncodeMutations(replSteps[1].muts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.applyFrame(fs)(2, frame); !errors.As(err, &failure) {
+		t.Fatalf("re-shipped frame on a failed follower: %v", err)
+	}
+	if got := followerApplied(fs); got != 1 {
+		t.Fatalf("appliedSeq %d after the failure, want 1", got)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if snapAfter, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(snapAfter, snapBefore) {
+		t.Fatalf("the snapshot file changed after the failure (%v)", err)
+	}
+	var seqs []uint64
+	if err := wal.Replay(rdir, 0, func(seq uint64, _ []byte) error {
+		seqs = append(seqs, seq)
+		return nil
+	}); err != nil || len(seqs) != 2 || seqs[1] != 2 {
+		t.Fatalf("local WAL after the failure holds frames %v (%v), want 1 and 2", seqs, err)
+	}
+
+	// Restart from the same dir: snapshot + local WAL recover the failed
+	// batch, and the follower answers what the primary answers.
+	fs2, _, _ := replFollowerServer(t, FollowerConfig{Dir: rdir, PrimaryURL: pts.URL})
+	if rec, _ := do(t, fs2, "GET", "/readyz", ""); rec.Code != http.StatusOK {
+		t.Fatalf("/readyz after the restart: %d", rec.Code)
+	}
+	if got, want := queryProb(t, fs2, boolQ), queryProb(t, ps, boolQ); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("restarted follower answer %v, primary %v", got, want)
 	}
 }
 

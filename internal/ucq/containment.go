@@ -103,14 +103,6 @@ func (c CQ) predsPreserved(d CQ, h map[string]Term) bool {
 	return true
 }
 
-// ContainsBool reports whether the Boolean query c contains the Boolean
-// query d (d ⊆ c: every database satisfying d satisfies c), decided by
-// homomorphism (sound; complete for predicate-free CQs).
-func (c CQ) ContainsBool(d CQ) bool {
-	_, ok := c.HomomorphismTo(d)
-	return ok
-}
-
 // Minimize computes a core of the Boolean CQ: it repeatedly drops an atom
 // if the full conjunct still maps homomorphically into the reduced one
 // (which makes them equivalent). Head variables of a non-Boolean query must
