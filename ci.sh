@@ -55,7 +55,12 @@ go test -race -run 'TestGroupCommit|TestLoneWriterPaysNoWindow|TestSlowDiskBatch
 # Replication hammer, explicitly under the race detector: the log-shipping
 # stream survives dropped/duplicated/truncated/stalled frames (DESIGN.md §11),
 # failover fences the old primary, and a stale follower refuses to serve.
-go test -race -run 'TestReplicationFaultHammer|TestPromoteFailover|TestFencingDemotesStalePrimary|TestFollowerStaleness503' \
+# Every role shares one durable state (DESIGN.md §10): a follower restart
+# recovers through the primary's recovery path, a rebootstrap past the
+# primary's horizon persists its snapshot before it swaps the index in (and
+# keeps the old index and cursor while it cannot), and a promotion keeps the
+# one snapshotter, whose snapshots stay labelled with the applied position.
+go test -race -run 'TestReplicationFaultHammer|TestPromoteFailover|TestFencingDemotesStalePrimary|TestFollowerStaleness503|TestRebootstrapPersistsBeforeServing|TestFollowerRebootstrapsPastHorizon|TestPromoteStopsFollowerSnapshotter|TestFollowerLocalRecovery' \
     -count=2 -timeout 5m ./internal/server/
 go test -race -run 'TestReplayCorruptMidSegment|FuzzReplayCorrupt|TestFollowerGapForcesReconnect|TestFollowerStallWatchdog' \
     -count=2 -timeout 5m ./internal/wal/ ./internal/replica/

@@ -134,11 +134,19 @@ func main() {
 	}
 
 	var (
-		ix       *mvindex.Index
-		live     *server.Live
-		follower *server.FollowerState
-		err      error
+		ix   *mvindex.Index
+		live *server.Live
+		err  error
 	)
+	lcfg := server.LiveConfig{
+		WALDir:           *walDir,
+		SnapshotPath:     *snapPath,
+		SnapshotInterval: *snapInterval,
+		GroupCommit:      *groupCommit,
+	}
+	if lcfg.SnapshotPath == "" {
+		lcfg.SnapshotPath = filepath.Join(*walDir, "index.snap")
+	}
 	t0 := time.Now()
 	switch {
 	case *replicaOf != "":
@@ -147,25 +155,13 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "starting as a replica of %s...\n", *replicaOf)
-		ix, follower, err = server.OpenFollower(server.FollowerConfig{
-			Dir:              *walDir,
-			PrimaryURL:       *replicaOf,
-			SnapshotPath:     *snapPath,
-			MaxStaleness:     *maxStaleness,
-			SnapshotInterval: *snapInterval,
-			GroupCommit:      *groupCommit,
+		ix, live, err = server.OpenFollower(server.FollowerConfig{
+			LiveConfig:   lcfg,
+			PrimaryURL:   *replicaOf,
+			MaxStaleness: *maxStaleness,
 		})
 	case *walDir != "":
-		sp := *snapPath
-		if sp == "" {
-			sp = filepath.Join(*walDir, "index.snap")
-		}
-		ix, live, err = server.OpenLive(server.LiveConfig{
-			WALDir:           *walDir,
-			SnapshotPath:     sp,
-			SnapshotInterval: *snapInterval,
-			GroupCommit:      *groupCommit,
-		}, build)
+		ix, live, err = server.OpenLive(lcfg, build)
 	default:
 		ix, err = build()
 	}
@@ -181,14 +177,11 @@ func main() {
 		Budget:       budget.Budget{MaxNodes: *maxNodes, MaxPairs: *maxPairs},
 		Cache:        qcache.Options{MaxEntries: *cacheEntries, MaxBytes: *cacheBytes, Disable: !*cache},
 	})
-	switch {
-	case follower != nil:
-		h.EnableFollower(follower)
-	case live != nil:
-		h.EnableLive(live)
-		// Any node with a WAL can ship it; this also persists the fencing
-		// term so the node survives failovers happening around it.
-		if err := h.EnableReplicationPrimary(live, server.ReplicationConfig{}); err != nil {
+	// Any node with a WAL replicates: a replica tails its primary, and every
+	// other node can ship its log — which also persists the fencing term, so
+	// the node survives failovers happening around it.
+	if live != nil {
+		if err := h.EnableReplication(live, server.ReplicationConfig{}); err != nil {
 			fmt.Fprintln(os.Stderr, "mvdbd:", err)
 			os.Exit(1)
 		}
@@ -231,18 +224,10 @@ func main() {
 		os.Exit(1)
 	}
 	if live != nil {
-		// Flush the WAL and take the final snapshot after HTTP shutdown, so
-		// no update races the close.
+		// Stop tailing (on a replica), take the final snapshot and flush the
+		// WAL after HTTP shutdown, so no update races the close.
 		if err := live.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "mvdbd: closing live state:", err)
-			os.Exit(1)
-		}
-	}
-	if follower != nil {
-		// Stop tailing, snapshot locally, close the local WAL. If the node
-		// was promoted mid-run this closes the write path instead.
-		if err := follower.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "mvdbd: closing replica state:", err)
 			os.Exit(1)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
@@ -164,10 +165,26 @@ func ReadSeq(r io.Reader) (*Index, uint64, error) {
 // SaveFile writes the index to a file.
 func (ix *Index) SaveFile(path string) error { return ix.SaveFileSeq(path, 0) }
 
+// syncDir fsyncs a directory, making a rename into it durable. A variable so
+// tests can observe the call.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // SaveFileSeq writes the index and the covered WAL sequence number to a file,
-// atomically: the snapshot lands under a temporary name, is fsynced, and is
-// renamed into place, so a crash mid-write never corrupts the previous
-// snapshot.
+// atomically and durably: the snapshot lands under a temporary name, is
+// fsynced, is renamed into place, and the directory is fsynced. A crash
+// mid-write never corrupts the previous snapshot, and once SaveFileSeq
+// returns, no crash brings the previous one back — so a caller may then drop
+// the WAL segments the new snapshot covers.
 func (ix *Index) SaveFileSeq(path string, lastSeq uint64) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -188,7 +205,10 @@ func (ix *Index) SaveFileSeq(path string, lastSeq uint64) error {
 		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
 }
 
 // LoadFile reads an index from a file.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -127,6 +128,36 @@ func TestIndexSaveLoadFile(t *testing.T) {
 	}
 	if _, err := LoadFile(path + ".missing"); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestSaveFileSyncsDir: a snapshot's rename is durable before SaveFileSeq
+// returns — the directory holding it is fsynced after the renamed file is in
+// place — so a caller truncating the covered WAL next cannot, after a power
+// loss, find the old snapshot back with its log segments gone.
+func TestSaveFileSyncsDir(t *testing.T) {
+	_, ix := buildIndex(t, chainMVDB(8, 2))
+	dir := t.TempDir()
+	path := filepath.Join(dir, "index.snap")
+	var synced []string
+	prev := syncDir
+	t.Cleanup(func() { syncDir = prev })
+	syncDir = func(d string) error {
+		if _, seq, err := LoadFileSeq(path); err != nil || seq != 7 {
+			t.Errorf("directory synced before the snapshot was renamed into place (seq %d, %v)", seq, err)
+		}
+		synced = append(synced, d)
+		return prev(d)
+	}
+	if err := ix.SaveFileSeq(path, 7); err != nil {
+		t.Fatal(err)
+	}
+	if len(synced) != 1 || synced[0] != dir {
+		t.Fatalf("directories synced: %q, want [%q]", synced, dir)
+	}
+	syncDir = func(string) error { return errors.New("injected dir fsync failure") }
+	if err := ix.SaveFileSeq(path, 8); err == nil {
+		t.Fatal("a failed directory fsync was not reported")
 	}
 }
 

@@ -16,23 +16,29 @@ import (
 	"mvdb/internal/wal"
 )
 
-// Live-update subsystem: the server's write path. Mutation batches are
-// validated against the current source MVDB and appended to a write-ahead
-// log; then the frame's fsync and the incremental index apply
-// (mvindex.ApplyMutations) run side by side, and the batch is acknowledged
-// only after both — so an acknowledged mutation survives any crash, and a
-// write costs the longer of the two, not their sum. A background snapshotter
-// periodically persists the index (with the covered WAL sequence number) and
-// truncates the log; recovery loads the latest snapshot and replays the WAL
-// tail.
+// The node's durable state, one for every replication role. Live owns the
+// local write-ahead log, the applied position, the one writer lock, the
+// snapshot path and its one snapshotter, and every index write goes through
+// Live.write under that lock: a mutation batch posted to /update (validated
+// against the current source MVDB and appended to the WAL; then the frame's
+// fsync and the incremental index apply, mvindex.ApplyMutations, run side by
+// side, and the batch is acknowledged only after both — so an acknowledged
+// mutation survives any crash, and a write costs the longer of the two, not
+// their sum), a frame shipped from the primary, and a follower's rebootstrap
+// swap (replication.go). The snapshotter periodically persists the index
+// (with the covered WAL sequence number) and truncates the log; recovery
+// loads the latest snapshot — or, without one, builds the base (a primary)
+// or fetches it (a follower) — and replays the WAL tail.
 
-// LiveConfig configures the write path.
+// LiveConfig configures the durable state.
 type LiveConfig struct {
-	// WALDir holds the write-ahead log segments. Required.
+	// WALDir holds the write-ahead log segments (and, on a replicated node,
+	// the fencing term). Required.
 	WALDir string
 	// SnapshotPath is where the periodic snapshotter (and recovery) keep the
 	// index snapshot. Empty disables snapshots — recovery then replays the
-	// whole log against a freshly built index.
+	// whole log against a freshly built index. A follower needs one and
+	// defaults it to WALDir/index.snap.
 	SnapshotPath string
 	// SnapshotInterval is the period of the background snapshotter; 0
 	// disables it (snapshots then happen only on Close).
@@ -40,36 +46,32 @@ type LiveConfig struct {
 	// GroupCommit is the ceiling on the WAL's wait for concurrent writers
 	// (see wal.Options); a lone writer never waits.
 	GroupCommit time.Duration
-	// MaxPendingUpdates caps update requests waiting for the writer lock,
-	// separately from the reader admission semaphore; excess requests are
-	// shed with 503. 0 means 16.
-	MaxPendingUpdates int
 	// Hooks inject WAL faults for crash testing.
 	Hooks wal.Hooks
 }
 
-func (c LiveConfig) maxPending() int {
-	if c.MaxPendingUpdates > 0 {
-		return c.MaxPendingUpdates
-	}
-	return 16
-}
+// maxPendingUpdates caps update requests waiting for the writer lock,
+// separately from the reader admission semaphore; excess requests are shed
+// with 503.
+const maxPendingUpdates = 16
 
-// Live owns the write path: the WAL, the writer lock, the snapshotter and
-// the mutation counters.
+// Live is a node's durable state: the WAL, the writer lock, the snapshotter
+// and the mutation counters.
 type Live struct {
-	cfg LiveConfig
-	log *wal.Log
-	srv *Server
+	cfg    LiveConfig
+	follow *FollowerConfig // the primary this node was opened to replicate; nil unless OpenFollower
+	log    *wal.Log
+	srv    *Server
 
-	// updateMu serializes the write path (validate → append → apply). It is
-	// held in lock order before the server's index lock. The fsync of a frame
-	// starts at its append and is awaited after release, so it overlaps the
-	// apply, and a slow one is shared by the writers that follow.
-	updateMu sync.Mutex
-	sem      chan struct{} // pending-writer admission
+	// writeMu serializes every index write (see write) and the snapshotter.
+	// It is held in lock order before the server's index lock. The fsync of
+	// an /update frame starts at its append and is awaited after release, so
+	// it overlaps the apply, and a slow one is shared by the writers that
+	// follow.
+	writeMu sync.Mutex
+	sem     chan struct{} // pending-writer admission
 
-	appliedSeq uint64 // WAL sequence applied to the index (under updateMu)
+	appliedSeq uint64 // WAL sequence applied to the index (under writeMu)
 	snapSeq    atomic.Uint64
 	snapTime   atomic.Int64 // unix nanos of the last snapshot; 0 = never
 
@@ -83,10 +85,11 @@ type Live struct {
 
 	stop     chan struct{}
 	snapDone chan struct{}
+	closed   atomic.Bool
 }
 
 // storeMax raises a to v unless it already holds at least v. Acked writers
-// reach their counters after updateMu is released, so two may race here.
+// reach their counters after writeMu is released, so two may race here.
 func storeMax(a *atomic.Uint64, v uint64) {
 	for cur := a.Load(); v > cur; cur = a.Load() {
 		if a.CompareAndSwap(cur, v) {
@@ -95,50 +98,50 @@ func storeMax(a *atomic.Uint64, v uint64) {
 	}
 }
 
-// OpenLive recovers the live state: the latest snapshot (when present and
-// loadable) or a freshly built index, plus a replay of the WAL tail — every
-// logged batch with a sequence number above the snapshot's. Replayed batches
-// are concatenated and applied as one ApplyMutations call (one re-translate
-// and one incremental recompile instead of one per batch; the WAL's
-// sequential semantics are preserved because batches validate and apply in
-// order). The returned Live must be attached with Server.EnableLive.
+// OpenLive recovers a standalone or primary node's durable state, building
+// the index when no snapshot exists. The returned Live must be attached with
+// Server.EnableLive or Server.EnableReplication.
 func OpenLive(cfg LiveConfig, build func() (*mvindex.Index, error)) (*mvindex.Index, *Live, error) {
 	if cfg.WALDir == "" {
 		return nil, nil, fmt.Errorf("server: LiveConfig.WALDir is required")
 	}
+	return openLive(cfg, func() (*mvindex.Index, uint64, error) {
+		ix, err := build()
+		return ix, 0, err
+	})
+}
+
+// openLive is recovery, for every role: the latest snapshot (when present)
+// or else the base — with the sequence number it covers — plus a replay of
+// the WAL tail: every logged batch with a sequence number above that.
+// Replayed batches are concatenated and applied as one ApplyMutations call
+// (one re-translate and one incremental recompile instead of one per batch;
+// the WAL's sequential semantics are preserved because batches validate and
+// apply in order).
+func openLive(cfg LiveConfig, base func() (*mvindex.Index, uint64, error)) (*mvindex.Index, *Live, error) {
 	var (
-		ix      *mvindex.Index
-		lastSeq uint64
+		ix  *mvindex.Index
+		seq uint64
+		err error
 	)
-	if cfg.SnapshotPath != "" {
-		if _, err := os.Stat(cfg.SnapshotPath); err == nil {
-			var lerr error
-			ix, lastSeq, lerr = mvindex.LoadFileSeq(cfg.SnapshotPath)
-			if lerr != nil {
-				return nil, nil, fmt.Errorf("server: loading snapshot %s: %w", cfg.SnapshotPath, lerr)
-			}
+	if _, serr := os.Stat(cfg.SnapshotPath); serr == nil {
+		if ix, seq, err = mvindex.LoadFileSeq(cfg.SnapshotPath); err != nil {
+			return nil, nil, fmt.Errorf("server: loading snapshot %s: %w", cfg.SnapshotPath, err)
 		}
-	}
-	if ix == nil {
-		var err error
-		ix, err = build()
-		if err != nil {
-			return nil, nil, err
-		}
-		lastSeq = 0
+	} else if ix, seq, err = base(); err != nil {
+		return nil, nil, err
 	}
 
 	// Replay the tail into one concatenated batch before opening the log for
 	// writing (Replay is read-only and tolerates the torn tail).
 	var pending []core.Mutation
-	var replayed uint64
-	err := wal.Replay(cfg.WALDir, lastSeq, func(seq uint64, rec []byte) error {
+	err = wal.Replay(cfg.WALDir, seq, func(s uint64, rec []byte) error {
 		batch, err := core.DecodeMutations(rec)
 		if err != nil {
-			return fmt.Errorf("frame %d: %w", seq, err)
+			return fmt.Errorf("frame %d: %w", s, err)
 		}
 		pending = append(pending, batch...)
-		replayed = seq
+		seq = s
 		return nil
 	})
 	if err != nil {
@@ -154,60 +157,70 @@ func OpenLive(cfg LiveConfig, build func() (*mvindex.Index, error)) (*mvindex.In
 	if err != nil {
 		return nil, nil, err
 	}
-	l := &Live{
-		cfg:  cfg,
-		log:  log,
-		sem:  make(chan struct{}, cfg.maxPending()),
-		stop: make(chan struct{}),
-	}
-	if replayed > lastSeq {
-		lastSeq = replayed
-	}
 	// A snapshot that covered the whole (since-truncated) log reopens the WAL
 	// with no frames; re-anchor so the next Append cannot re-issue a covered
 	// sequence number, which a later replay would filter out.
-	log.SkipTo(lastSeq)
-	l.appliedSeq = lastSeq
-	l.snapSeq.Store(lastSeq)
+	log.SkipTo(seq)
+	l := &Live{
+		cfg:        cfg,
+		log:        log,
+		sem:        make(chan struct{}, maxPendingUpdates),
+		stop:       make(chan struct{}),
+		appliedSeq: seq,
+	}
+	l.snapSeq.Store(seq)
 	return ix, l, nil
 }
 
-// EnableLive attaches the write path to the server: the (always-routed)
-// /update and /reweight endpoints start acking, the write-path stats appear,
-// and (when configured) the background snapshotter runs. Called once before
-// serving on a standalone or primary node — or at promotion time on a
-// follower, which is why the endpoints are routed up front and gate on the
-// attached write path instead of being registered here.
+// EnableLive attaches the durable state to the server: the (always-routed)
+// /update and /reweight endpoints start acking on a standalone node, the
+// write-path stats appear, and (when configured) the background snapshotter
+// runs. Call once, before serving; a replicated node attaches its Live
+// through EnableReplication, which calls this.
 func (s *Server) EnableLive(l *Live) {
 	l.srv = s
-	s.live.Store(l)
+	s.live = l
 	if l.cfg.SnapshotInterval > 0 {
 		l.snapDone = make(chan struct{})
 		go l.snapshotLoop()
 	}
 }
 
-// newLiveFromLog builds a write path around an already-open WAL — the
-// promotion path: a follower's local log (holding every frame it applied
-// under the primary's numbering) becomes the log it appends its own writes
-// to, so the sequence numbers continue the primary's line.
-func newLiveFromLog(cfg LiveConfig, log *wal.Log, appliedSeq uint64) *Live {
-	l := &Live{
-		cfg:  cfg,
-		log:  log,
-		sem:  make(chan struct{}, cfg.maxPending()),
-		stop: make(chan struct{}),
-	}
-	l.appliedSeq = appliedSeq
-	l.snapSeq.Store(appliedSeq)
-	return l
-}
-
 // AppliedSeq returns the WAL sequence number applied to the index.
 func (l *Live) AppliedSeq() uint64 {
-	l.updateMu.Lock()
-	defer l.updateMu.Unlock()
+	l.writeMu.Lock()
+	defer l.writeMu.Unlock()
 	return l.appliedSeq
+}
+
+// write is the one path of an index write, under the writer lock. It refuses
+// once the server has failed closed. Then prepare makes the write durable (or
+// starts to) and returns the sequence number it covers; an error there leaves
+// the index as it was. Then apply changes the index under the index write
+// lock. An apply error may leave the index half-patched — nothing served from
+// it could be trusted — so it fails the server closed, inside the index lock,
+// so no reader sees the index again; a restart rebuilds it from snapshot +
+// WAL. Otherwise the applied position advances.
+func (l *Live) write(prepare func() (uint64, error), apply func() error) error {
+	l.writeMu.Lock()
+	defer l.writeMu.Unlock()
+	s := l.srv
+	if f := s.failed.Load(); f != nil {
+		return f
+	}
+	seq, err := prepare()
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	if err = apply(); err != nil {
+		s.failClosed(seq, err)
+	}
+	s.mu.Unlock()
+	if err == nil {
+		l.appliedSeq = seq
+	}
+	return err
 }
 
 // encodeReplicationSnapshot cuts a bootstrap snapshot at a durable boundary:
@@ -216,8 +229,8 @@ func (l *Live) AppliedSeq() uint64 {
 // a bootstrapped follower could carry frames that vanish in a primary crash
 // — state no recovered primary would ever have.
 func (l *Live) encodeReplicationSnapshot() (uint64, []byte, error) {
-	l.updateMu.Lock()
-	defer l.updateMu.Unlock()
+	l.writeMu.Lock()
+	defer l.writeMu.Unlock()
 	if f := l.srv.failed.Load(); f != nil {
 		return 0, nil, f
 	}
@@ -236,9 +249,19 @@ func (l *Live) encodeReplicationSnapshot() (uint64, []byte, error) {
 	return seq, buf.Bytes(), nil
 }
 
-// Close stops the snapshotter, takes a final snapshot (when configured) and
-// durably closes the WAL. Call during drain, after HTTP shutdown.
+// Close ends the durable state, in every role: it stops the fetch loop (on a
+// follower) and the snapshotter, takes a final snapshot (when configured and
+// the server has not failed closed) and durably closes the WAL. Call during
+// drain, after HTTP shutdown. Idempotent.
 func (l *Live) Close() error {
+	if !l.closed.CompareAndSwap(false, true) {
+		return nil
+	}
+	// The fetch loop first, waiting out a frame or a rebootstrap it is
+	// applying; Stop is idempotent, and a promotion already called it.
+	if rs := l.srv.repl; rs != nil && rs.follower != nil {
+		rs.follower.Stop()
+	}
 	close(l.stop)
 	if l.snapDone != nil {
 		<-l.snapDone
@@ -271,31 +294,33 @@ func (l *Live) snapshotLoop() {
 
 // Snapshot persists the index with the WAL sequence number it covers and
 // truncates the covered log prefix. Writers stall for the duration (they
-// need updateMu); readers keep going until the brief index read lock of the
-// encode phase. The ordering — rotate (which fsyncs), then write the
-// snapshot, then remove old segments — guarantees no acknowledged frame is
-// lost: a crash before the rename keeps the old snapshot plus the full log;
-// after it, the new snapshot covers everything the removed segments held.
+// need writeMu); readers keep going until the brief index read lock of the
+// encode phase. Like every write it refuses once the server has failed
+// closed: the index may be half-patched, and the WAL is what a restart
+// recovers from. The ordering — rotate (which fsyncs), then write the
+// snapshot durably, then remove old segments — guarantees no acknowledged
+// frame is lost: a crash before the snapshot's rename is durable keeps the
+// old snapshot plus the full log; after it, the new snapshot covers
+// everything the removed segments held.
 func (l *Live) Snapshot() error {
 	if l.cfg.SnapshotPath == "" {
 		return fmt.Errorf("server: no snapshot path configured")
 	}
-	l.updateMu.Lock()
+	l.writeMu.Lock()
 	if f := l.srv.failed.Load(); f != nil {
-		l.updateMu.Unlock()
+		l.writeMu.Unlock()
 		return f
 	}
 	seq := l.appliedSeq
 	gen, err := l.log.Rotate()
 	if err != nil {
-		l.updateMu.Unlock()
+		l.writeMu.Unlock()
 		return err
 	}
 	l.srv.mu.RLock()
-	ix := l.srv.ix
-	err = ix.SaveFileSeq(l.cfg.SnapshotPath, seq)
+	err = l.srv.ix.SaveFileSeq(l.cfg.SnapshotPath, seq)
 	l.srv.mu.RUnlock()
-	l.updateMu.Unlock()
+	l.writeMu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -406,66 +431,61 @@ func (l *Live) applyBatch(w http.ResponseWriter, batch []core.Mutation) {
 	default:
 		w.Header().Set("Retry-After", "1")
 		s.httpError(w, http.StatusServiceUnavailable, "overload",
-			"too many pending updates (max %d); retry later", l.cfg.maxPending())
+			"too many pending updates (max %d); retry later", maxPendingUpdates)
 		return
 	}
 	t0 := time.Now()
 
-	l.updateMu.Lock()
-	if s.indexFailed(w) {
-		l.updateMu.Unlock()
-		return
-	}
-	// Validate against the current source before the WAL append, so the log
-	// only ever holds batches that apply cleanly on recovery.
-	s.mu.RLock()
-	ix := s.ix
-	src := ix.Source()
-	var verr error
-	if src == nil {
-		verr = fmt.Errorf("index has no source MVDB; updates are disabled")
-	} else {
-		verr = src.ValidateBatch(batch)
-	}
-	s.mu.RUnlock()
-	if verr != nil {
-		l.updateMu.Unlock()
-		s.httpError(w, http.StatusBadRequest, "", "invalid batch: %v", verr)
-		return
-	}
-	rec, err := core.EncodeMutations(batch)
-	var seq uint64
-	if err == nil {
-		seq, err = l.log.Append(rec)
-	}
+	var (
+		seq    uint64
+		st     mvindex.MaintStats
+		synced func() error
+		code   int // status of a refusal before the index apply; 0 = failed closed
+		reason string
+	)
+	err := l.write(func() (uint64, error) {
+		// Validate against the current source before the WAL append, so the
+		// log only ever holds batches that apply cleanly on recovery.
+		s.mu.RLock()
+		src := s.ix.Source()
+		var verr error
+		if src == nil {
+			verr = fmt.Errorf("index has no source MVDB; updates are disabled")
+		} else {
+			verr = src.ValidateBatch(batch)
+		}
+		s.mu.RUnlock()
+		if verr != nil {
+			code = http.StatusBadRequest
+			return 0, fmt.Errorf("invalid batch: %w", verr)
+		}
+		rec, err := core.EncodeMutations(batch)
+		if err == nil {
+			seq, err = l.log.Append(rec)
+		}
+		if err != nil {
+			code, reason = http.StatusInternalServerError, "wal"
+			return 0, fmt.Errorf("logging batch: %w", err)
+		}
+		// The frame's fsync starts here and runs beside the apply. Readers
+		// may see the batch before it is durable; its writer may not.
+		synced = l.log.StartSync()
+		return seq, nil
+	}, func() (err error) {
+		st, err = s.ix.ApplyMutations(batch)
+		return err
+	})
 	if err != nil {
-		l.updateMu.Unlock()
-		s.httpError(w, http.StatusInternalServerError, "wal", "logging batch: %v", err)
+		if synced != nil {
+			_ = synced() // nothing is acknowledged; only wait the commit out
+		}
+		if code == 0 {
+			s.indexFailed(w)
+		} else {
+			s.httpError(w, code, reason, "%v", err)
+		}
 		return
 	}
-	// The frame's fsync starts here and runs beside the apply. Readers may
-	// see the batch before it is durable; its writer may not.
-	synced := l.log.StartSync()
-
-	s.mu.Lock()
-	st, err := ix.ApplyMutations(batch)
-	if err != nil {
-		// The batch validated and is in the WAL, but failed to apply (e.g.
-		// a compile failure) — possibly after the delta translation patched
-		// the index's databases. Nothing served from here on could be
-		// trusted: fail closed, inside the index lock, so no reader sees the
-		// index again; a restart rebuilds it from snapshot + WAL.
-		s.failClosed(seq, err)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		l.updateMu.Unlock()
-		_ = synced() // nothing is acknowledged; only wait the commit out
-		s.indexFailed(w)
-		return
-	}
-	l.appliedSeq = seq
-	l.updateMu.Unlock()
 
 	// Durability point: acknowledge only after the frame is on disk. The
 	// writer lock is released first, so the writers that follow append while

@@ -33,8 +33,12 @@ func vals(vs ...int) []engine.Value {
 // over real HTTP (the follower's fetch loop dials it).
 func replPrimaryServer(t *testing.T, dir string, rcfg ReplicationConfig) (*Server, *Live, *httptest.Server) {
 	t.Helper()
-	s, l := liveServer(t, LiveConfig{WALDir: dir, SnapshotPath: filepath.Join(dir, "index.snap"), GroupCommit: 0})
-	if err := s.EnableReplicationPrimary(l, rcfg); err != nil {
+	ix, l, err := OpenLive(LiveConfig{WALDir: dir, SnapshotPath: filepath.Join(dir, "index.snap"), GroupCommit: 0}, buildLiveIndex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(ix)
+	if err := s.EnableReplication(l, rcfg); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
@@ -64,24 +68,34 @@ func killServer(ts *httptest.Server) {
 	}
 }
 
-// replFollowerServer bootstraps a follower of primaryURL and serves it.
-func replFollowerServer(t *testing.T, cfg FollowerConfig) (*Server, *FollowerState, *httptest.Server) {
+// replFollowerServer bootstraps a follower of cfg.PrimaryURL with its local
+// state in dir and serves it.
+func replFollowerServer(t *testing.T, dir string, cfg FollowerConfig) (*Server, *Live, *httptest.Server) {
+	return replFollowerServerWith(t, dir, cfg, ReplicationConfig{})
+}
+
+// replFollowerServerWith is replFollowerServer with the replication settings
+// the node ships its log with once promoted.
+func replFollowerServerWith(t *testing.T, dir string, cfg FollowerConfig, rcfg ReplicationConfig) (*Server, *Live, *httptest.Server) {
 	t.Helper()
+	cfg.WALDir = dir
 	if cfg.HeartbeatTimeout == 0 {
 		cfg.HeartbeatTimeout = 2 * time.Second
 	}
-	ix, f, err := OpenFollower(cfg)
+	ix, l, err := OpenFollower(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := New(ix)
-	s.EnableFollower(f)
+	if err := s.EnableReplication(l, rcfg); err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s)
 	// Stop the fetch loop before the primary's httptest cleanup: an open
-	// stream would pin its Close. FollowerState.Close is idempotent.
-	t.Cleanup(func() { f.Close() })
+	// stream would pin its Close. Live.Close is idempotent.
+	t.Cleanup(func() { l.Close() })
 	t.Cleanup(ts.Close)
-	return s, f, ts
+	return s, l, ts
 }
 
 func waitReplication(t *testing.T, what string, cond func() bool) {
@@ -96,12 +110,7 @@ func waitReplication(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-func followerApplied(s *Server) uint64 {
-	rs := s.repl
-	rs.applyMu.Lock()
-	defer rs.applyMu.Unlock()
-	return rs.appliedSeq
-}
+func followerApplied(s *Server) uint64 { return s.live.AppliedSeq() }
 
 // updateBodies is a deterministic mutation script with its core.Mutation
 // mirror, so tests can compare against a from-scratch rebuild.
@@ -130,8 +139,7 @@ func TestReplicationConverges(t *testing.T) {
 	ps, _, pts := replPrimaryServer(t, filepath.Join(dir, "primary"), ReplicationConfig{
 		HeartbeatInterval: 50 * time.Millisecond,
 	})
-	fs, _, _ := replFollowerServer(t, FollowerConfig{
-		Dir:        filepath.Join(dir, "replica"),
+	fs, _, _ := replFollowerServer(t, filepath.Join(dir, "replica"), FollowerConfig{
 		PrimaryURL: pts.URL,
 	})
 
@@ -171,8 +179,7 @@ func TestReplicationConverges(t *testing.T) {
 func TestFollowerRefusesWrites(t *testing.T) {
 	dir := t.TempDir()
 	_, _, pts := replPrimaryServer(t, filepath.Join(dir, "primary"), ReplicationConfig{})
-	fs, _, _ := replFollowerServer(t, FollowerConfig{
-		Dir:        filepath.Join(dir, "replica"),
+	fs, _, _ := replFollowerServer(t, filepath.Join(dir, "replica"), FollowerConfig{
 		PrimaryURL: pts.URL,
 	})
 	rec, out := do(t, fs, "POST", "/update", replSteps[0].body)
@@ -195,8 +202,7 @@ func TestFollowerStaleness503(t *testing.T) {
 	_, _, pts := replPrimaryServer(t, filepath.Join(dir, "primary"), ReplicationConfig{
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
-	fs, _, _ := replFollowerServer(t, FollowerConfig{
-		Dir:          filepath.Join(dir, "replica"),
+	fs, _, _ := replFollowerServer(t, filepath.Join(dir, "replica"), FollowerConfig{
 		PrimaryURL:   pts.URL,
 		MaxStaleness: 150 * time.Millisecond,
 	})
@@ -227,9 +233,17 @@ func TestPromoteFailover(t *testing.T) {
 	ps, _, pts := replPrimaryServer(t, filepath.Join(dir, "primary"), ReplicationConfig{
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
-	fs, _, fts := replFollowerServer(t, FollowerConfig{
-		Dir:        filepath.Join(dir, "replica"),
+	// The replication settings the follower is opened with are the ones its
+	// stream ships with once promoted.
+	var shipped atomic.Uint64
+	fs, _, fts := replFollowerServerWith(t, filepath.Join(dir, "replica"), FollowerConfig{
 		PrimaryURL: pts.URL,
+	}, ReplicationConfig{
+		HeartbeatInterval: 20 * time.Millisecond,
+		Hooks: replica.Hooks{ShipFrame: func(_ uint64, frame []byte) [][]byte {
+			shipped.Add(1)
+			return [][]byte{frame}
+		}},
 	})
 
 	var applied []core.Mutation
@@ -274,14 +288,15 @@ func TestPromoteFailover(t *testing.T) {
 	_ = ps
 
 	// A fresh follower of the promoted node converges to the same answers.
-	cs, _, _ := replFollowerServer(t, FollowerConfig{
-		Dir:        filepath.Join(dir, "replica2"),
+	cs, _, _ := replFollowerServer(t, filepath.Join(dir, "replica2"), FollowerConfig{
 		PrimaryURL: fts.URL,
 	})
 	waitReplication(t, "chained follower catch-up", func() bool { return followerApplied(cs) == 4 })
 	if got := queryProb(t, cs, boolQ); math.Abs(got-exp) > 1e-12 {
 		t.Fatalf("chained follower answer %v, want %v", got, exp)
 	}
+	waitReplication(t, "the promoted node's stream to run the follower's hooks",
+		func() bool { return shipped.Load() > 0 })
 }
 
 // TestPromoteBootstrapOnlySeqLine: a follower whose bootstrap snapshot
@@ -301,7 +316,7 @@ func TestPromoteBootstrapOnlySeqLine(t *testing.T) {
 		t.Fatalf("update: %d", rec.Code)
 	}
 	fdir := filepath.Join(dir, "replica")
-	fs, _, _ := replFollowerServer(t, FollowerConfig{Dir: fdir, PrimaryURL: pts.URL})
+	fs, f, _ := replFollowerServer(t, fdir, FollowerConfig{PrimaryURL: pts.URL})
 	waitReplication(t, "bootstrap", func() bool { return followerApplied(fs) == 1 })
 
 	killServer(pts)
@@ -321,7 +336,7 @@ func TestPromoteBootstrapOnlySeqLine(t *testing.T) {
 	// Crash the promoted node (close the log with no final snapshot) and
 	// recover its directory as a plain live node: snapshot at seq 1 + WAL
 	// replay must yield the acknowledged post-promote write.
-	if err := fs.repl.flog.Close(); err != nil {
+	if err := f.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 	ix, l2, err := OpenLive(LiveConfig{WALDir: fdir, SnapshotPath: filepath.Join(fdir, "index.snap")},
@@ -344,8 +359,7 @@ func TestFencingDemotesStalePrimary(t *testing.T) {
 	ps, _, pts := replPrimaryServer(t, filepath.Join(dir, "primary"), ReplicationConfig{
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
-	fs, _, _ := replFollowerServer(t, FollowerConfig{
-		Dir:        filepath.Join(dir, "replica"),
+	fs, _, _ := replFollowerServer(t, filepath.Join(dir, "replica"), FollowerConfig{
 		PrimaryURL: pts.URL,
 	})
 	if rec, _ := do(t, ps, "POST", "/update", replSteps[0].body); rec.Code != http.StatusOK {
@@ -382,7 +396,7 @@ func TestFollowerLocalRecovery(t *testing.T) {
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
 	rdir := filepath.Join(dir, "replica")
-	fs, f, _ := replFollowerServer(t, FollowerConfig{Dir: rdir, PrimaryURL: pts.URL})
+	fs, f, _ := replFollowerServer(t, rdir, FollowerConfig{PrimaryURL: pts.URL})
 
 	var applied []core.Mutation
 	for _, step := range replSteps[:2] {
@@ -400,11 +414,14 @@ func TestFollowerLocalRecovery(t *testing.T) {
 		applied = append(applied, step.muts...)
 	}
 
-	// Restart: local state has seq 2, the stream supplies 3 and 4.
-	fs2, f2, _ := replFollowerServer(t, FollowerConfig{Dir: rdir, PrimaryURL: pts.URL})
+	// Restart: local state has seq 2, the stream supplies 3 and 4 — once the
+	// recovered position has been read.
+	client, release := gatedClient()
+	fs2, f2, _ := replFollowerServer(t, rdir, FollowerConfig{PrimaryURL: pts.URL, Client: client})
 	if f2.AppliedSeq() != 2 {
 		t.Fatalf("recovered at seq %d, want 2", f2.AppliedSeq())
 	}
+	release()
 	waitReplication(t, "post-restart catch-up", func() bool { return followerApplied(fs2) == 4 })
 	got := queryProb(t, fs2, boolQ)
 	exp := scratchProb(t, applied, boolQ)
@@ -422,7 +439,7 @@ func TestFollowerRebootstrapsPastHorizon(t *testing.T) {
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
 	rdir := filepath.Join(dir, "replica")
-	fs, f, _ := replFollowerServer(t, FollowerConfig{Dir: rdir, PrimaryURL: pts.URL})
+	fs, f, _ := replFollowerServer(t, rdir, FollowerConfig{PrimaryURL: pts.URL})
 	do(t, ps, "POST", "/update", replSteps[0].body)
 	waitReplication(t, "catch-up", func() bool { return followerApplied(fs) == 1 })
 	if err := f.Close(); err != nil {
@@ -441,7 +458,7 @@ func TestFollowerRebootstrapsPastHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fs2, _, _ := replFollowerServer(t, FollowerConfig{Dir: rdir, PrimaryURL: pts.URL})
+	fs2, _, _ := replFollowerServer(t, rdir, FollowerConfig{PrimaryURL: pts.URL})
 	waitReplication(t, "rebootstrap", func() bool { return followerApplied(fs2) == 4 })
 	rs := fs2.repl
 	rs.roleMu.Lock()
@@ -456,6 +473,96 @@ func TestFollowerRebootstrapsPastHorizon(t *testing.T) {
 		t.Fatalf("rebootstrapped answer %v, from-scratch %v", got, exp)
 	}
 }
+
+// TestRebootstrapPersistsBeforeServing: a rebootstrap persists its snapshot
+// before it swaps the index in. While the persist fails (the snapshot path is
+// a directory, so the rename fails) the follower keeps its old index at its
+// old position and the fetch loop retries; once the disk recovers it
+// converges, and a restart from its dir recovers the primary's numbers.
+func TestRebootstrapPersistsBeforeServing(t *testing.T) {
+	dir := t.TempDir()
+	ps, pl, pts := replPrimaryServer(t, filepath.Join(dir, "primary"), ReplicationConfig{
+		HeartbeatInterval: 20 * time.Millisecond,
+	})
+	rdir := filepath.Join(dir, "replica")
+	fs, f, _ := replFollowerServer(t, rdir, FollowerConfig{PrimaryURL: pts.URL})
+	do(t, ps, "POST", "/update", replSteps[0].body)
+	waitReplication(t, "catch-up", func() bool { return followerApplied(fs) == 1 })
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var applied []core.Mutation
+	applied = append(applied, replSteps[0].muts...)
+	for _, step := range replSteps[1:] {
+		do(t, ps, "POST", "/update", step.body)
+		applied = append(applied, step.muts...)
+	}
+	// Snapshot + truncate: the primary's log now starts above the follower's
+	// cursor, so the restarted follower must rebootstrap.
+	if err := pl.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restart the follower, holding its requests until its snapshot path is a
+	// directory.
+	client, release := gatedClient()
+	fs2, f2, _ := replFollowerServer(t, rdir, FollowerConfig{
+		PrimaryURL: pts.URL,
+		Client:     client,
+		MinBackoff: 5 * time.Millisecond,
+		MaxBackoff: 20 * time.Millisecond,
+	})
+	snapPath := filepath.Join(rdir, "index.snap")
+	if err := os.Remove(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(snapPath, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	fol := fs2.repl.follower
+	waitReplication(t, "failed rebootstraps", func() bool {
+		st := fol.Stats()
+		return st.Bootstraps >= 2 && st.Retries >= 2
+	})
+	if got := f2.AppliedSeq(); got != 1 {
+		t.Fatalf("applied seq %d after rebootstraps that could not persist, want the old cursor 1", got)
+	}
+	if got, exp := queryProb(t, fs2, boolQ), scratchProb(t, replSteps[0].muts, boolQ); math.Abs(got-exp) > 1e-12 {
+		t.Fatalf("follower answer %v while its rebootstrap cannot persist, want the old index's %v", got, exp)
+	}
+
+	if err := os.Remove(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	waitReplication(t, "rebootstrap", func() bool { return followerApplied(fs2) == 4 })
+	if err := f2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fs3, _, _ := replFollowerServer(t, rdir, FollowerConfig{PrimaryURL: pts.URL})
+	if got, exp := queryProb(t, fs3, boolQ), scratchProb(t, applied, boolQ); math.Abs(got-exp) > 1e-12 {
+		t.Fatalf("restarted follower answer %v, from-scratch %v", got, exp)
+	}
+}
+
+// gatedClient returns an HTTP client whose requests wait until release is
+// called, so a test can act on a follower before its fetch loop does.
+func gatedClient() (client *http.Client, release func()) {
+	gate := make(chan struct{})
+	return &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		select {
+		case <-gate:
+			return http.DefaultTransport.RoundTrip(r)
+		case <-r.Context().Done():
+			return nil, r.Context().Err()
+		}
+	})}, sync.OnceFunc(func() { close(gate) })
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 // TestReplicationFaultHammer drives the stream through dropped, duplicated,
 // truncated and stalled frames while queries race the apply path, then
@@ -486,8 +593,7 @@ func TestReplicationFaultHammer(t *testing.T) {
 	})
 	// Watchdog tighter than the injected stall, so stalls actually trip it;
 	// fast reconnects so the fault storm cannot outpace convergence.
-	fs, _, _ := replFollowerServer(t, FollowerConfig{
-		Dir:              filepath.Join(dir, "replica"),
+	fs, _, _ := replFollowerServer(t, filepath.Join(dir, "replica"), FollowerConfig{
 		PrimaryURL:       pts.URL,
 		HeartbeatTimeout: 60 * time.Millisecond,
 		MinBackoff:       5 * time.Millisecond,
@@ -607,21 +713,19 @@ func TestFollowerApplyRetrySurvivesPersistedFrame(t *testing.T) {
 	_, _, pts := replPrimaryServer(t, filepath.Join(dir, "primary"), ReplicationConfig{
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
-	fs, _, _ := replFollowerServer(t, FollowerConfig{
-		Dir:        filepath.Join(dir, "replica"),
+	fs, f, _ := replFollowerServer(t, filepath.Join(dir, "replica"), FollowerConfig{
 		PrimaryURL: pts.URL,
 	})
-	rs := fs.repl
 	rec, err := core.EncodeMutations(replSteps[0].muts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The aborted first attempt: frame 1 persisted to the local WAL, but
 	// appliedSeq never advanced.
-	if err := rs.flog.AppendSeq(1, rec); err != nil {
+	if err := f.log.AppendSeq(1, rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.flog.Sync(); err != nil {
+	if err := f.log.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if got := followerApplied(fs); got != 0 {
@@ -629,7 +733,7 @@ func TestFollowerApplyRetrySurvivesPersistedFrame(t *testing.T) {
 	}
 	// The refetched frame arrives again; before the idempotent-append fix this
 	// failed with "wal: non-monotone sequence" on every retry.
-	if err := rs.applyFrame(fs)(1, rec); err != nil {
+	if err := f.applyFrame(1, rec); err != nil {
 		t.Fatalf("retrying a persisted frame: %v", err)
 	}
 	if got := followerApplied(fs); got != 1 {
@@ -642,20 +746,19 @@ func TestFollowerApplyRetrySurvivesPersistedFrame(t *testing.T) {
 	}
 }
 
-// TestPromoteStopsFollowerSnapshotter: promotion hands snapshotting to the
-// write path. The follower-side snapshot loop must stop — left running it
-// would label post-promotion snapshots with the frozen appliedSeq and race
-// the Live snapshotter on the same WAL dir.
+// TestPromoteStopsFollowerSnapshotter: promotion keeps the node's one
+// snapshotter. No second one may start — it would race the first on the same
+// WAL dir and snapshot file — and the one that runs must keep labelling
+// snapshots with the applied position as post-promotion writes move it.
 func TestPromoteStopsFollowerSnapshotter(t *testing.T) {
 	dir := t.TempDir()
 	ps, _, pts := replPrimaryServer(t, filepath.Join(dir, "primary"), ReplicationConfig{
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
 	fdir := filepath.Join(dir, "replica")
-	fs, _, _ := replFollowerServer(t, FollowerConfig{
-		Dir:              fdir,
-		PrimaryURL:       pts.URL,
-		SnapshotInterval: 20 * time.Millisecond,
+	fs, f, _ := replFollowerServer(t, fdir, FollowerConfig{
+		LiveConfig: LiveConfig{SnapshotInterval: 20 * time.Millisecond},
+		PrimaryURL: pts.URL,
 	})
 	if rec, _ := do(t, ps, "POST", "/update", replSteps[0].body); rec.Code != http.StatusOK {
 		t.Fatalf("update: %d", rec.Code)
@@ -669,12 +772,8 @@ func TestPromoteStopsFollowerSnapshotter(t *testing.T) {
 	if rec, _ := do(t, fs, "POST", "/replication/promote", ""); rec.Code != http.StatusOK {
 		t.Fatalf("promote: %d", rec.Code)
 	}
-	rs := fs.repl
-	rs.roleMu.Lock()
-	stopped := rs.snapStop == nil && rs.snapDone == nil
-	rs.roleMu.Unlock()
-	if !stopped {
-		t.Fatal("follower snapshot loop still wired after promotion")
+	if fs.live != f {
+		t.Fatal("promotion replaced the node's durable state: two snapshotters share its WAL dir")
 	}
 	// Post-promotion writes, a Live-owned snapshot, then crash-recovery: the
 	// snapshot's covered sequence must agree with its contents.
@@ -686,14 +785,13 @@ func TestPromoteStopsFollowerSnapshotter(t *testing.T) {
 		}
 		applied = append(applied, step.muts...)
 	}
-	l := fs.live.Load()
-	if err := l.Snapshot(); err != nil {
+	if err := f.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	if _, seq, err := mvindex.LoadFileSeq(filepath.Join(fdir, "index.snap")); err != nil || seq != 4 {
 		t.Fatalf("post-promotion snapshot covers seq %d, %v; want 4", seq, err)
 	}
-	if err := fs.repl.flog.Close(); err != nil {
+	if err := f.log.Close(); err != nil {
 		t.Fatal(err)
 	}
 	ix, l2, err := OpenLive(LiveConfig{WALDir: fdir, SnapshotPath: filepath.Join(fdir, "index.snap")},
@@ -723,7 +821,7 @@ func TestFollowerApplyFailureFailsClosed(t *testing.T) {
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
 	rdir := filepath.Join(dir, "replica")
-	fs, f, _ := replFollowerServer(t, FollowerConfig{Dir: rdir, PrimaryURL: pts.URL})
+	fs, f, _ := replFollowerServer(t, rdir, FollowerConfig{PrimaryURL: pts.URL})
 	if rec, _ := do(t, ps, "POST", "/update", replSteps[0].body); rec.Code != http.StatusOK {
 		t.Fatalf("update: %d", rec.Code)
 	}
@@ -752,9 +850,8 @@ func TestFollowerApplyFailureFailsClosed(t *testing.T) {
 
 	// The snapshot ticker's and the drain's snapshot refuse; a re-shipped
 	// frame is refused even once its apply would succeed.
-	rs := fs.repl
 	var failure *IndexFailure
-	if err := rs.localSnapshot(fs); !errors.As(err, &failure) {
+	if err := f.Snapshot(); !errors.As(err, &failure) {
 		t.Fatalf("snapshot of a failed follower: %v", err)
 	}
 	fs.mu.Lock()
@@ -764,7 +861,7 @@ func TestFollowerApplyFailureFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.applyFrame(fs)(2, frame); !errors.As(err, &failure) {
+	if err := f.applyFrame(2, frame); !errors.As(err, &failure) {
 		t.Fatalf("re-shipped frame on a failed follower: %v", err)
 	}
 	if got := followerApplied(fs); got != 1 {
@@ -786,7 +883,7 @@ func TestFollowerApplyFailureFailsClosed(t *testing.T) {
 
 	// Restart from the same dir: snapshot + local WAL recover the failed
 	// batch, and the follower answers what the primary answers.
-	fs2, _, _ := replFollowerServer(t, FollowerConfig{Dir: rdir, PrimaryURL: pts.URL})
+	fs2, _, _ := replFollowerServer(t, rdir, FollowerConfig{PrimaryURL: pts.URL})
 	if rec, _ := do(t, fs2, "GET", "/readyz", ""); rec.Code != http.StatusOK {
 		t.Fatalf("/readyz after the restart: %d", rec.Code)
 	}

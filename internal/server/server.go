@@ -8,11 +8,17 @@
 //	GET  /healthz                                                → liveness (always 200 while the process serves)
 //	GET  /readyz                                                 → readiness (503 while draining)
 //
-// With a live-update configuration (EnableLive) the server also accepts
-// mutations:
+// With a durable state (a Live, from OpenLive or OpenFollower) the server
+// also accepts mutations on a standalone node (EnableLive) or a primary
+// (EnableReplication):
 //
 //	POST /update     {"mutations": [{"op": "insert", ...}, ...]}  → WAL-logged batch, applied incrementally
 //	POST /reweight   {"rel": "Adv", "vals": [1, 101], "weight": 2} → single reweight through the same path
+//
+// and a replicated node serves or tails the log-shipping endpoints
+// (replication.go). A Live is the one durable state for every role — a
+// follower's applied frames, snapshots and recovery run through the same
+// code as a primary's writes, so promotion only flips the role.
 //
 // Requests run concurrently: the index is frozen between mutations and its
 // read path (Query, ExplainBoolean, TupleMarginal) builds query OBDDs in
@@ -111,7 +117,7 @@ type Server struct {
 	cfg Config
 	sem chan struct{} // admission semaphore; nil = unlimited
 
-	live  atomic.Pointer[Live] // write path; nil until EnableLive (or promotion)
+	live  *Live // durable state and write path; set before serving, nil without a WAL
 	start time.Time
 
 	role atomic.Int32  // current role (see type role)
@@ -275,13 +281,12 @@ func (s *Server) writePath(w http.ResponseWriter) (*Live, bool) {
 			"this node is a %s (term %d) and does not ack writes", role(s.role.Load()), s.term.Load())
 		return nil, false
 	}
-	l := s.live.Load()
-	if l == nil {
+	if s.live == nil {
 		s.httpError(w, http.StatusServiceUnavailable, "read-only",
 			"no write path configured (start with a WAL directory)")
 		return nil, false
 	}
-	return l, true
+	return s.live, true
 }
 
 func (s *Server) handleUpdateGate(w http.ResponseWriter, r *http.Request) {
@@ -542,8 +547,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	if ri := s.ix.ReorderInfo(); ri != nil {
 		out["reorder"] = ri
 	}
-	if l := s.live.Load(); l != nil {
-		out["live"] = l.stats()
+	if s.live != nil {
+		out["live"] = s.live.stats()
 	}
 	if s.repl != nil {
 		out["replication"] = s.repl.stats(s)
