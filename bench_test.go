@@ -10,6 +10,7 @@ package mvdb
 // benchmarks use reduced sweeps so the suite completes in minutes.
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -205,30 +206,34 @@ func BenchmarkEntryShortcutAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelCompile compares the parallel per-block compilation of W
-// against the sequential reference — the one place fan-out is set. "seq"
-// pins Parallelism: 1; "par" uses GOMAXPROCS workers — on a single-core host
-// the two coincide. Every run first checks that both compile the same OBDD.
+// BenchmarkParallelCompile compares the per-block compilation of W on
+// GOMAXPROCS workers against the sequential reference. The fan-out width is
+// GOMAXPROCS: "seq" runs at GOMAXPROCS 1, "par" at the process's setting —
+// on a single-core host the two coincide. Every run first checks that
+// GOMAXPROCS 1 and 4 compile the same OBDD.
 func BenchmarkParallelCompile(b *testing.B) {
 	fx := newFixture(b, 2000, "2")
-	ms, fs, _, err := fx.tr.CompileW(obdd.CompileOptions{Parallelism: 1})
-	if err != nil {
-		b.Fatal(err)
+	compile := func(b *testing.B, procs int) (*obdd.Manager, obdd.NodeID) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		m, f, _, err := fx.tr.CompileW(obdd.CompileOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m, f
 	}
-	mp, fp, _, err := fx.tr.CompileW(obdd.CompileOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	ms, fs := compile(b, 1)
+	mp, fp := compile(b, 4)
 	if !obdd.StructEqual(ms, fs, mp, fp) {
 		b.Fatal("the parallel compile of W differs from the sequential one")
 	}
 	for _, c := range []struct {
-		name string
-		par  int
-	}{{"seq", 1}, {"par", 0}} {
+		name  string
+		procs int
+	}{{"seq", 1}, {"par", runtime.GOMAXPROCS(0)}} {
 		b.Run(c.name, func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := fx.tr.CompileW(obdd.CompileOptions{Parallelism: c.par}); err != nil {
+				if _, _, _, err := fx.tr.CompileW(obdd.CompileOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

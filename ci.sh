@@ -2,12 +2,12 @@
 # CI gate: vet + full test suite under the race detector + an end-to-end
 # mvdbd smoke test.
 #
-# The -race run is load-bearing: the concurrency layer (parallel block
-# compilation of full compiles — a mutation batch's few dirty blocks compile
-# on the caller — concurrent MV-index reads, the lazily materialised ¬W,
-# RWMutex HTTP serving) and the cancellation/budget layer (mid-compile
-# aborts, shared budget counters) are guarded by hammer tests that only bite
-# with the detector on.
+# The -race run is load-bearing: the concurrency layer (a full compile's
+# blocks fan out over GOMAXPROCS workers, which the tests pin to 4 against a
+# GOMAXPROCS-1 reference so the pool runs on any host; concurrent MV-index
+# reads, the lazily materialised ¬W, RWMutex HTTP serving) and the
+# cancellation/budget layer (mid-compile aborts, shared budget counters) are
+# guarded by hammer tests that only bite with the detector on.
 set -eux
 
 go build ./...
@@ -66,8 +66,9 @@ go test -race -run 'TestReplayCorruptMidSegment|FuzzReplayCorrupt|TestFollowerGa
     -count=2 -timeout 5m ./internal/wal/ ./internal/replica/
 
 # Benchmark smoke: one iteration of the parallel-compile benchmark catches
-# kernel or scheduler regressions that only manifest under the bench harness
-# (it asserts sequential/parallel OBDD identity on every run).
+# kernel or block-scheduler regressions that only manifest under the bench
+# harness. Every run first compiles W at GOMAXPROCS 1 (the sequential loop)
+# and at GOMAXPROCS 4 (four workers) and fails unless the OBDDs are identical.
 go test -run=NONE -bench=BenchmarkParallelCompile -benchtime=1x -timeout 5m .
 
 # Update-cost gate, on counts not clocks: the same 3-mutation batch must

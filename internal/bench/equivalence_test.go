@@ -3,14 +3,23 @@ package bench
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"mvdb/internal/obdd"
 )
 
+// atProcs runs f with GOMAXPROCS set to n — the width of the compile's
+// block fan-out — and restores the previous setting.
+func atProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
 // TestDBLPViewEquivalence pins the kernel rewrite to the compiler's spec:
-// for each MarkoView and at paper-scale domains, the parallel compile must
-// produce an OBDD NodeID-for-NodeID identical to the sequential reference,
+// for each MarkoView and at paper-scale domains, the compile on four workers
+// must produce an OBDD NodeID-for-NodeID identical to the sequential
+// reference (GOMAXPROCS 1),
 // with bitwise-equal probability. Combined with the quick_test.go property
 // tests (dense memos vs map references) this is the old-vs-new equivalence
 // evidence for the table/cache/memo replacement: the sequential path is the
@@ -28,11 +37,14 @@ func TestDBLPViewEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ms, fs, ss, err := tr.CompileW(obdd.CompileOptions{Parallelism: 1})
+				var ms, mp *obdd.Manager
+				var fs, fp obdd.NodeID
+				var ss, sp obdd.CompileStats
+				atProcs(1, func() { ms, fs, ss, err = tr.CompileW(obdd.CompileOptions{}) })
 				if err != nil {
 					t.Fatal(err)
 				}
-				mp, fp, sp, err := tr.CompileW(obdd.CompileOptions{Parallelism: 4})
+				atProcs(4, func() { mp, fp, sp, err = tr.CompileW(obdd.CompileOptions{}) })
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package dblp
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -9,6 +10,13 @@ import (
 	"mvdb/internal/mvindex"
 	"mvdb/internal/obdd"
 )
+
+// atProcs runs f with GOMAXPROCS set to n — the width of the compile's
+// block fan-out — and restores the previous setting.
+func atProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
 
 // TestIndexBuildRacesParallelCompile compiles W with four workers on a fresh
 // translation — whose relations have no hash index yet, so the workers build
@@ -32,7 +40,9 @@ func TestIndexBuildRacesParallelCompile(t *testing.T) {
 		}
 		return tr
 	}
-	mSeq, fSeq, _, err := translate().CompileW(obdd.CompileOptions{Parallelism: 1})
+	var mSeq *obdd.Manager
+	var fSeq obdd.NodeID
+	atProcs(1, func() { mSeq, fSeq, _, err = translate().CompileW(obdd.CompileOptions{}) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +73,9 @@ func TestIndexBuildRacesParallelCompile(t *testing.T) {
 			}
 		}(g)
 	}
-	mPar, fPar, _, err := tr.CompileW(obdd.CompileOptions{Parallelism: 4})
+	var mPar *obdd.Manager
+	var fPar obdd.NodeID
+	atProcs(4, func() { mPar, fPar, _, err = tr.CompileW(obdd.CompileOptions{}) })
 	wg.Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +87,8 @@ func TestIndexBuildRacesParallelCompile(t *testing.T) {
 
 // TestParallelCompileMatchesSequentialDBLP builds the MV-index for the DBLP
 // views — V1, V2, V3 individually and all together — once with the
-// sequential reference compiler and once with 8 workers, and requires
+// sequential reference compiler (GOMAXPROCS 1) and once with 4 workers, and
+// requires
 // bitwise-identical index statistics and P0(¬W). This is the compile fan-out
 // property test on the paper's actual workload shapes: V1's weighted union,
 // V2's denial self-join, V3's deterministic-join view.
@@ -92,7 +105,7 @@ func TestParallelCompileMatchesSequentialDBLP(t *testing.T) {
 	}
 	for name, views := range sets {
 		t.Run(name, func(t *testing.T) {
-			build := func(par int) *mvindex.Index {
+			build := func(procs int) *mvindex.Index {
 				m, err := d.MVDB(views...)
 				if err != nil {
 					t.Fatal(err)
@@ -101,7 +114,9 @@ func TestParallelCompileMatchesSequentialDBLP(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				mW, fW, _, err := tr.CompileW(obdd.CompileOptions{Parallelism: par})
+				var mW *obdd.Manager
+				var fW obdd.NodeID
+				atProcs(procs, func() { mW, fW, _, err = tr.CompileW(obdd.CompileOptions{}) })
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -113,7 +128,7 @@ func TestParallelCompileMatchesSequentialDBLP(t *testing.T) {
 				return ix
 			}
 			seq := build(1)
-			par := build(8)
+			par := build(4)
 			if a, b := seq.Size(), par.Size(); a != b {
 				t.Errorf("size: sequential %d, parallel %d", a, b)
 			}

@@ -113,7 +113,7 @@ func TestLiftedNegativeProbabilities(t *testing.T) {
 // negative) probabilities: the OBDD method's kernel, independent of lift.
 func obddProb(t *testing.T, db *engine.Database, u ucq.UCQ) float64 {
 	t.Helper()
-	m, f, _, err := obdd.Compile(db, u, obdd.IdentityPerm(db), obdd.CompileOptions{Parallelism: 1})
+	m, f, _, err := obdd.Compile(db, u, obdd.IdentityPerm(db), obdd.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

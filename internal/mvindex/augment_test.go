@@ -122,7 +122,9 @@ func (st *advState) batch() []core.Mutation {
 // OBDD too.
 func checkAugmentation(t *testing.T, ix *Index, when string) {
 	t.Helper()
-	d, err := obdd.CompileDelta(ix.tr.DB, ix.tr.W, ix.ch.ord, obdd.CompileOptions{Parallelism: 1}, nil, nil)
+	var d *obdd.Delta
+	var err error
+	atProcs(1, func() { d, err = obdd.CompileDelta(ix.tr.DB, ix.tr.W, ix.ch.ord, obdd.CompileOptions{}, nil, nil) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,6 +69,20 @@ func TestIndexLoadCorrupt(t *testing.T) {
 	if _, err := Read(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Error("truncated index accepted")
 	}
+	// An OBDD order that repeats a variable: an error, not a panic, so
+	// -load-index, snapshot recovery and a follower's bootstrap fail cleanly.
+	var snap indexSnapshot
+	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.Manager.Order[1] = snap.Manager.Order[0]
+	var bad bytes.Buffer
+	if err := gob.NewEncoder(&bad).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadSeq(&bad); err == nil {
+		t.Error("index whose OBDD order repeats a variable accepted")
+	}
 }
 
 // TestSnapshotVersionRejected: only mvindex-v4 loads. The same stream under

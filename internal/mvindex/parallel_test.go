@@ -3,6 +3,7 @@ package mvindex
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -12,17 +13,26 @@ import (
 	"mvdb/internal/ucq"
 )
 
-// TestParallelBuildMatchesSequential: an index built from a
-// parallel-compiled W must be indistinguishable from the sequential
-// reference — same size, width, blocks, and bitwise-equal P0(¬W) — and
+// atProcs runs f with GOMAXPROCS set to n — the width of the compile's
+// block fan-out — and restores the previous setting.
+func atProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+// TestParallelBuildMatchesSequential: an index built from W compiled on four
+// workers must be indistinguishable from the sequential reference
+// (GOMAXPROCS 1) — same size, width, blocks, and bitwise-equal P0(¬W) — and
 // answer queries with the same probabilities under either intersection.
 func TestParallelBuildMatchesSequential(t *testing.T) {
-	build := func(par int) *Index {
+	build := func(procs int) *Index {
 		tr, err := chainMVDB(12, 42).Translate(core.TranslateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, fW, _, err := tr.CompileW(obdd.CompileOptions{Parallelism: par})
+		var m *obdd.Manager
+		var fW obdd.NodeID
+		atProcs(procs, func() { m, fW, _, err = tr.CompileW(obdd.CompileOptions{}) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +44,7 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 		return ix
 	}
 	seq := build(1)
-	par := build(8)
+	par := build(4)
 	if a, b := seq.Size(), par.Size(); a != b {
 		t.Errorf("size: %d vs %d", a, b)
 	}

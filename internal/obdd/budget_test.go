@@ -22,7 +22,9 @@ func TestCompileNodeBudget(t *testing.T) {
 	pi := SeparatorFirstPerm(db, sep)
 
 	// Unlimited compile succeeds and tells us the real node count.
-	m, _, _, err := Compile(db, q, pi, CompileOptions{Parallelism: 1})
+	var m *Manager
+	var err error
+	atProcs(1, func() { m, _, _, err = Compile(db, q, pi, CompileOptions{}) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,20 +34,23 @@ func TestCompileNodeBudget(t *testing.T) {
 	}
 
 	for _, par := range []int{1, 4} {
-		_, _, _, err := Compile(db, q, pi, CompileOptions{
-			Parallelism: par,
-			Budget:      budget.Budget{MaxNodes: full / 2},
+		var err, err2 error
+		var m2 *Manager
+		var f2 NodeID
+		atProcs(par, func() {
+			_, _, _, err = Compile(db, q, pi, CompileOptions{
+				Budget: budget.Budget{MaxNodes: full / 2},
+			})
+			// A generous budget must not interfere.
+			m2, f2, _, err2 = Compile(db, q, pi, CompileOptions{
+				Budget: budget.Budget{MaxNodes: 100 * full},
+			})
 		})
 		if !errors.Is(err, budget.ErrBudgetExceeded) {
 			t.Errorf("par=%d: MaxNodes=%d on a %d-node compile: err = %v, want ErrBudgetExceeded",
 				par, full/2, full, err)
 		}
-		// A generous budget must not interfere.
-		m2, f2, _, err := Compile(db, q, pi, CompileOptions{
-			Parallelism: par,
-			Budget:      budget.Budget{MaxNodes: 100 * full},
-		})
-		if err != nil {
+		if err := err2; err != nil {
 			t.Errorf("par=%d: generous budget failed: %v", par, err)
 		} else if m2.lim != nil {
 			t.Errorf("par=%d: manager still armed after compile", par)
@@ -62,8 +67,7 @@ func TestCompileDeadline(t *testing.T) {
 	sep, _ := q.FindSeparator()
 	pi := SeparatorFirstPerm(db, sep)
 	_, _, _, err := Compile(db, q, pi, CompileOptions{
-		Parallelism: 1,
-		Budget:      budget.Budget{Deadline: time.Now().Add(-time.Second)},
+		Budget: budget.Budget{Deadline: time.Now().Add(-time.Second)},
 	})
 	if !errors.Is(err, budget.ErrCanceled) {
 		t.Errorf("expired deadline: err = %v, want ErrCanceled", err)
@@ -71,8 +75,8 @@ func TestCompileDeadline(t *testing.T) {
 }
 
 // TestCompileFaultInjection pins the test-only block hook: failing at the
-// Nth block aborts the compile with exactly that error, sequentially and in
-// parallel.
+// Nth block aborts the compile with exactly that error, sequentially and on
+// four workers.
 func TestCompileFaultInjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	db := randSepDB(rng, 12)
@@ -81,14 +85,16 @@ func TestCompileFaultInjection(t *testing.T) {
 	pi := SeparatorFirstPerm(db, sep)
 	boom := fmt.Errorf("injected fault")
 	for _, par := range []int{1, 4} {
-		_, _, _, err := Compile(db, q, pi, CompileOptions{
-			Parallelism: par,
-			blockHook: func(block int) error {
-				if block == 2 {
-					return boom
-				}
-				return nil
-			},
+		var err error
+		atProcs(par, func() {
+			_, _, _, err = Compile(db, q, pi, CompileOptions{
+				blockHook: func(block int) error {
+					if block == 2 {
+						return boom
+					}
+					return nil
+				},
+			})
 		})
 		if !errors.Is(err, boom) {
 			t.Errorf("par=%d: err = %v, want the injected fault", par, err)
@@ -113,16 +119,18 @@ func TestCompileCancelMidCompile(t *testing.T) {
 			<-reached
 			cancel()
 		}()
-		_, _, _, err := Compile(db, q, pi, CompileOptions{
-			Parallelism: par,
-			Ctx:         ctx,
-			blockHook: func(block int) error {
-				if block == 1 {
-					once.Do(func() { close(reached) })
-					<-ctx.Done() // stall until the caller cancels
-				}
-				return nil
-			},
+		var err error
+		atProcs(par, func() {
+			_, _, _, err = Compile(db, q, pi, CompileOptions{
+				Ctx: ctx,
+				blockHook: func(block int) error {
+					if block == 1 {
+						once.Do(func() { close(reached) })
+						<-ctx.Done() // stall until the caller cancels
+					}
+					return nil
+				},
+			})
 		})
 		cancel()
 		if !errors.Is(err, budget.ErrCanceled) {
@@ -142,6 +150,7 @@ func TestParallelCancelNoLeak(t *testing.T) {
 	sep, _ := q.FindSeparator()
 	pi := SeparatorFirstPerm(db, sep)
 
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 25; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -152,8 +161,7 @@ func TestParallelCancelNoLeak(t *testing.T) {
 			cancel()
 		}()
 		_, _, _, err := Compile(db, q, pi, CompileOptions{
-			Parallelism: 4,
-			Ctx:         ctx,
+			Ctx: ctx,
 			blockHook: func(block int) error {
 				if block == 1 {
 					once.Do(func() { close(reached) })

@@ -12,8 +12,8 @@ import "sync"
 //
 // The cache starts tiny (scratch managers must stay cheap to create) and
 // grows whenever an Apply miss finds the node store has outgrown it,
-// re-inserting the old entries, up to the manager's configured maximum
-// (SetApplyCacheMax / CompileOptions.ApplyCacheSize).
+// re-inserting the old entries, up to the manager's maximum
+// (DefaultApplyCacheSize unless SetApplyCacheMax changed it).
 type applyCache struct {
 	keys []uint64
 	vals []NodeID

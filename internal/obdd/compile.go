@@ -16,31 +16,12 @@ import (
 
 // CompileOptions tunes the ConOBDD construction.
 type CompileOptions struct {
-	// DisableConcat forces every combination step through Apply synthesis
-	// while keeping the structural recursion — an ablation of the
-	// concatenation optimization alone.
-	DisableConcat bool
 	// FromLineage skips the structural recursion entirely: the query's
 	// lineage DNF is computed and synthesized term by term with Apply. This
 	// is the CUDD baseline of Figure 8 ("CUDD starts with some order Π and
 	// synthesizes the OBDD traversing Φ recursively"); the resulting OBDD
 	// is identical, construction is superlinear.
 	FromLineage bool
-	// Parallelism bounds the worker count of parallel block compilation in
-	// the separator branch: 0 uses runtime.GOMAXPROCS(0), 1 forces the
-	// strictly sequential path (the exact-equality reference), N > 1 uses N
-	// workers. The per-separator-value blocks of Section 4.2 are independent
-	// sub-OBDDs, so workers compile them in private managers and the owner
-	// merges them with Manager.Import in the same descending order the
-	// sequential path uses — the resulting OBDD is structurally identical
-	// for every setting.
-	Parallelism int
-	// ApplyCacheSize caps the manager's direct-mapped apply/computed cache
-	// at this many entries (rounded up to a power of two); 0 keeps
-	// DefaultApplyCacheSize. A larger cache makes Apply-heavy compilations
-	// (FromLineage, DisableConcat) recompute less at ~12 bytes per entry;
-	// it never changes the resulting OBDD. See DESIGN.md §8.
-	ApplyCacheSize int
 	// Ctx, when non-nil, is polled periodically during compilation (at every
 	// separator block boundary and every ~1k node allocations); a done
 	// context aborts the compile with an error wrapping budget.ErrCanceled.
@@ -51,16 +32,6 @@ type CompileOptions struct {
 	// with an error wrapping budget.ErrBudgetExceeded (nodes) or
 	// budget.ErrCanceled (deadline). MaxPairs does not apply to compilation.
 	Budget budget.Budget
-
-	// Reorder runs a Rudell sifting pass (sift.go) over the compiled OBDD
-	// when set to ReorderOnce or ReorderConverge: Compile then returns a
-	// fresh manager under the improved order instead of the static Π one.
-	// This is a global (windowless) sift — the MV-index instead sifts per
-	// separator block through mvindex so the chain factorization survives.
-	// MaxGrowth and MaxRounds tune the pass as in ReorderOptions.
-	Reorder   ReorderMode
-	MaxGrowth float64
-	MaxRounds int
 	// Order, when non-nil, overrides the static Π order with a learned
 	// variable order (e.g. one persisted from an earlier sifting pass). It
 	// must be a permutation of exactly the database's tuple variables;
@@ -79,17 +50,6 @@ type CompileOptions struct {
 // bounded reports whether compilation must arm the manager.
 func (o CompileOptions) bounded() bool {
 	return o.Ctx != nil || !o.Budget.IsZero()
-}
-
-// workers resolves the Parallelism knob to an actual worker count.
-func (o CompileOptions) workers() int {
-	if o.Parallelism == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if o.Parallelism < 1 {
-		return 1
-	}
-	return o.Parallelism
 }
 
 // CompileStats reports how the construction proceeded.
@@ -124,16 +84,6 @@ func Compile(db *engine.Database, u ucq.UCQ, pi Perm, opts CompileOptions) (*Man
 	if err != nil {
 		return nil, False, stats, err
 	}
-	if opts.Reorder != ReorderOff {
-		nm, roots, _, rerr := Reorder(m, []NodeID{f}, ReorderOptions{
-			Mode: opts.Reorder, MaxGrowth: opts.MaxGrowth, MaxRounds: opts.MaxRounds,
-			Ctx: opts.Ctx, Budget: opts.Budget,
-		})
-		if rerr != nil {
-			return nil, False, stats, rerr
-		}
-		m, f = nm, roots[0]
-	}
 	return m, f, stats, nil
 }
 
@@ -167,9 +117,6 @@ func compileOrder(db *engine.Database, pi Perm, opts CompileOptions) ([]int, err
 // and disarmed before returning, so a successful compile leaves the manager
 // free for the frozen read path.
 func CompileWith(m *Manager, db *engine.Database, u ucq.UCQ, opts CompileOptions) (NodeID, CompileStats, error) {
-	if opts.ApplyCacheSize > 0 {
-		m.SetApplyCacheMax(opts.ApplyCacheSize)
-	}
 	c := &compiler{m: m, db: db, opts: opts}
 	if opts.bounded() {
 		m.SetBudget(opts.Ctx, opts.Budget)
@@ -210,6 +157,10 @@ type compiler struct {
 	// chainBroken is set by a recorded blockChain when some link of the
 	// chain is not a concatenation (see prepend).
 	chainBroken bool
+
+	// worker marks a parallel worker's private compiler: its blocks compile
+	// sequentially, so the fan-out never nests.
+	worker bool
 
 	// groundCQ scratch; each parallel worker owns a private compiler, so the
 	// buffers are never shared across goroutines.
@@ -318,8 +269,8 @@ func (c *compiler) openUCQ(u ucq.UCQ) (NodeID, error) {
 	// needs to cover the probabilistic atoms (DBLP's W has exactly this
 	// shape: aid1 occurs in NV/Advisor/Student but not in Wrote or Pub).
 	if sep, ok := u.FindSeparatorSkip(c.detSkip()); ok {
-		_, subs, est := c.sepExpand(u, sep)
-		return c.blockChain(subs, est, nil)
+		_, subs := c.sepExpand(u, sep)
+		return c.blockChain(subs, nil)
 	}
 
 	// Fallback: the sub-query has an inversion; compile its lineage by
@@ -363,9 +314,8 @@ func (c *compiler) sepProbes(u ucq.UCQ, sep ucq.Separator) []sepProbe {
 }
 
 // sepExpand prepares the R3 expansion of a separator: the sorted active
-// domain, the per-value sub-queries (one independent block each, Prop. 1)
-// and per-block work estimates for the parallel scheduler.
-func (c *compiler) sepExpand(u ucq.UCQ, sep ucq.Separator) (domain []engine.Value, subs []ucq.UCQ, est []int) {
+// domain and the per-value sub-queries (one independent block each, Prop. 1).
+func (c *compiler) sepExpand(u ucq.UCQ, sep ucq.Separator) (domain []engine.Value, subs []ucq.UCQ) {
 	// The separator domain of a disjunct is the set of values at its probe's
 	// separator column — narrowed by the probe's other constant-bound columns
 	// through the hash index when possible (crucial in nested projections:
@@ -407,67 +357,60 @@ func (c *compiler) sepExpand(u ucq.UCQ, sep ucq.Separator) (domain []engine.Valu
 		domain = append(domain, v)
 	}
 	sort.Slice(domain, func(i, j int) bool { return domain[i].Compare(domain[j]) < 0 })
-	subs, est = c.sepSubs(u, sep, probes, domain)
-	return domain, subs, est
+	return domain, c.sepSubs(u, sep, probes, domain)
 }
 
 // sepSubs instantiates the per-separator-value sub-queries for the given
-// values; each is an independent block of the chain (Prop. 1). est[i]
-// estimates block i's compilation work as the number of tuples carrying
-// value i (per disjunct, through the probe's hash index) — the block's
-// sub-OBDD and recursion are both roughly linear in it. The parallel
-// scheduler uses the estimates to hand workers balanced batches.
-func (c *compiler) sepSubs(u ucq.UCQ, sep ucq.Separator, probes []sepProbe, values []engine.Value) (subs []ucq.UCQ, est []int) {
-	subs = make([]ucq.UCQ, len(values))
-	est = make([]int, len(values))
+// values; each is an independent block of the chain (Prop. 1). A disjunct
+// whose probe has no tuple at a value is false there and is left out.
+func (c *compiler) sepSubs(u ucq.UCQ, sep ucq.Separator, probes []sepProbe, values []engine.Value) []ucq.UCQ {
+	subs := make([]ucq.UCQ, len(values))
 	for i, v := range values {
 		for di, d := range u.Disjuncts {
-			if p := probes[di]; p.rel != nil {
-				n := len(p.rel.MatchingIndexes(p.pos, v))
-				if n == 0 {
-					continue // this disjunct is false at this value
-				}
-				est[i] += n
-			} else {
-				est[i] += len(d.Atoms)
+			if p := probes[di]; p.rel != nil && len(p.rel.MatchingIndexes(p.pos, v)) == 0 {
+				continue
 			}
 			subs[i].Disjuncts = append(subs[i].Disjuncts,
 				d.Subst1(sep.PerDisjunct[di], v))
 		}
 	}
-	return subs, est
+	return subs
 }
 
 // blockChain compiles the per-separator-value blocks and ORs them into the
-// descending chain, sequentially or with the parallel worker pool. When
-// chain is non-nil it receives, for each non-empty block, the root of the
-// chain from that block on (chain[i] stays False for empty blocks) — the
-// per-value handle incremental maintenance records; c.chainBroken reports
-// whether some link was not a plain concatenation.
-func (c *compiler) blockChain(subs []ucq.UCQ, est []int, chain []NodeID) (NodeID, error) {
-	if workers := c.opts.workers(); workers > 1 && len(subs) > 1 {
-		results, err := c.parallelBlocks(subs, est, workers)
+// descending chain. With more than one non-empty block and more than one
+// processor the blocks compile on GOMAXPROCS workers (parallelBlocks);
+// otherwise, and inside a worker, they compile in a sequential loop — the
+// reference both paths agree with. When chain is non-nil it receives, for
+// each non-empty block, the root of the chain from that block on (chain[i]
+// stays False for empty blocks) — the per-value handle incremental
+// maintenance records; c.chainBroken reports whether some link was not a
+// plain concatenation.
+func (c *compiler) blockChain(subs []ucq.UCQ, chain []NodeID) (NodeID, error) {
+	var nonEmpty []int
+	for i := range subs {
+		if len(subs[i].Disjuncts) > 0 {
+			nonEmpty = append(nonEmpty, i)
+		}
+	}
+	if workers := min(runtime.GOMAXPROCS(0), len(nonEmpty)); workers > 1 && !c.worker {
+		roots, err := c.parallelBlocks(subs, nonEmpty, workers)
 		if err != nil {
 			return False, err
 		}
 		// Merge: import each block into the main manager and prepend it to
 		// the chain, deepest block first (identical to the sequential loop).
 		acc := False
-		for i := len(subs) - 1; i >= 0; i-- {
-			if results[i].m == nil {
-				continue // empty sub-query, skipped by the worker
-			}
-			acc = c.prepend(c.m.Import(results[i].m, results[i].root), acc, i, chain)
+		for k := len(nonEmpty) - 1; k >= 0; k-- {
+			acc = c.prepend(c.m.Import(roots[k].m, roots[k].root), acc, nonEmpty[k], chain)
 		}
 		return acc, nil
 	}
 	// Iterate in descending order so each new block is prepended to the
 	// accumulated chain: OrDisjoint(block, acc) costs O(|block|).
 	acc := False
-	for i := len(subs) - 1; i >= 0; i-- {
-		if len(subs[i].Disjuncts) == 0 {
-			continue
-		}
+	for k := len(nonEmpty) - 1; k >= 0; k-- {
+		i := nonEmpty[k]
 		if err := c.blockCheck(i); err != nil {
 			return False, err
 		}
@@ -498,101 +441,55 @@ func (c *compiler) prepend(block, acc NodeID, i int, chain []NodeID) NodeID {
 	return acc
 }
 
-// blockChunks partitions block indexes into batches for the parallel
-// workers, using the per-block work estimates: blocks are ordered by
-// decreasing estimated work (longest-processing-time-first — an oversized
-// block is started immediately instead of landing on an already-busy worker
-// at the tail of the schedule) and greedily grouped into chunks of roughly
-// total/(4·workers) estimated work each, so many tiny blocks cost one
-// scheduling round-trip instead of one per block. Empty blocks are dropped.
-func blockChunks(subs []ucq.UCQ, est []int, workers int) [][]int {
-	order := make([]int, 0, len(subs))
-	total := 0
-	for i := range subs {
-		if len(subs[i].Disjuncts) == 0 {
-			continue
-		}
-		order = append(order, i)
-		total += est[i]
-	}
-	sort.SliceStable(order, func(a, b int) bool { return est[order[a]] > est[order[b]] })
-	target := total/(4*workers) + 1
-	var chunks [][]int
-	var cur []int
-	acc := 0
-	for _, i := range order {
-		cur = append(cur, i)
-		acc += est[i]
-		if acc >= target {
-			chunks = append(chunks, cur)
-			cur, acc = nil, 0
-		}
-	}
-	if len(cur) > 0 {
-		chunks = append(chunks, cur)
-	}
-	return chunks
-}
-
 // blockResult is one block compiled by a parallel worker: its root in the
-// worker's scratch manager (m is nil for empty sub-queries, which workers
-// skip).
+// worker's scratch manager.
 type blockResult struct {
 	m    *Manager
 	root NodeID
 	err  error
 }
 
-// parallelBlocks compiles the per-separator-value blocks concurrently. Each
-// worker owns a scratch Manager (hash-consing tables are not shared across
-// goroutines) and a private compiler, and pulls work-balanced chunks of
-// blocks (see blockChunks) from a shared atomic counter. The owner then
-// imports the finished blocks into the main manager in the same descending
-// order as the sequential path, so the resulting OBDD — and the compile
-// statistics — are identical to Parallelism: 1.
-func (c *compiler) parallelBlocks(subs []ucq.UCQ, est []int, workers int) ([]blockResult, error) {
-	chunks := blockChunks(subs, est, workers)
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	results := make([]blockResult, len(subs))
+// parallelBlocks compiles the non-empty blocks subs[blocks[k]] concurrently
+// and returns their results in the order of blocks. Each worker owns a
+// scratch Manager (hash-consing tables are not shared across goroutines) and
+// a private compiler, and pulls one block at a time from a shared atomic
+// counter. The owner then imports the finished blocks into the main manager
+// in the same descending order as the sequential path, so the resulting
+// OBDD — and the compile statistics — are identical to the sequential loop.
+func (c *compiler) parallelBlocks(subs []ucq.UCQ, blocks []int, workers int) ([]blockResult, error) {
+	results := make([]blockResult, len(blocks))
 	workerStats := make([]CompileStats, workers)
-	var next int64
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wopts := c.opts
-			wopts.Parallelism = 1 // no nested fan-out inside a worker
 			// The scratch manager inherits the owner's budget arming (shared
 			// allocation counter), so MaxNodes bounds the whole compile.
-			wc := &compiler{m: c.m.NewScratch(), db: c.db, opts: wopts}
-		pull:
+			wc := &compiler{m: c.m.NewScratch(), db: c.db, opts: c.opts, worker: true}
 			for {
-				ci := int(atomic.AddInt64(&next, 1)) - 1
-				if ci >= len(chunks) {
+				k := int(next.Add(1)) - 1
+				if k >= len(blocks) {
 					break
 				}
-				for _, i := range chunks[ci] {
-					// Budget violations panic out of the recursion; convert
-					// them to errors here — a panic may not escape the
-					// goroutine.
-					var root NodeID
-					var cerr error
-					err := budget.Catch(func() {
-						if cerr = wc.blockCheck(i); cerr != nil {
-							return
-						}
-						root, cerr = wc.ucq(subs[i])
-					})
-					if err == nil {
-						err = cerr
+				i := blocks[k]
+				// Budget violations panic out of the recursion; convert them
+				// to errors here — a panic may not escape the goroutine.
+				var root NodeID
+				var cerr error
+				err := budget.Catch(func() {
+					if cerr = wc.blockCheck(i); cerr != nil {
+						return
 					}
-					results[i] = blockResult{m: wc.m, root: root, err: err}
-					if err != nil {
-						break pull
-					}
+					root, cerr = wc.ucq(subs[i])
+				})
+				if err == nil {
+					err = cerr
+				}
+				results[k] = blockResult{m: wc.m, root: root, err: err}
+				if err != nil {
+					break
 				}
 			}
 			workerStats[w] = wc.stats
@@ -602,9 +499,9 @@ func (c *compiler) parallelBlocks(subs []ucq.UCQ, est []int, workers int) ([]blo
 	for _, s := range workerStats {
 		c.stats.Add(s)
 	}
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
+	for _, r := range results {
+		if r.err != nil {
+			return nil, r.err
 		}
 	}
 	return results, nil
@@ -735,11 +632,11 @@ func (c *compiler) or2(f, g NodeID) NodeID {
 	if g == False {
 		return f
 	}
-	if !c.opts.DisableConcat && c.m.CanConcat(f, g) {
+	if c.m.CanConcat(f, g) {
 		c.stats.ConcatSteps++
 		return c.m.OrDisjoint(f, g)
 	}
-	if !c.opts.DisableConcat && c.m.CanConcat(g, f) {
+	if c.m.CanConcat(g, f) {
 		c.stats.ConcatSteps++
 		return c.m.OrDisjoint(g, f)
 	}
@@ -754,11 +651,11 @@ func (c *compiler) and2(f, g NodeID) NodeID {
 	if g == True {
 		return f
 	}
-	if !c.opts.DisableConcat && c.m.CanConcat(f, g) {
+	if c.m.CanConcat(f, g) {
 		c.stats.ConcatSteps++
 		return c.m.AndDisjoint(f, g)
 	}
-	if !c.opts.DisableConcat && c.m.CanConcat(g, f) {
+	if c.m.CanConcat(g, f) {
 		c.stats.ConcatSteps++
 		return c.m.AndDisjoint(g, f)
 	}

@@ -72,7 +72,7 @@ func TestCompileFig3(t *testing.T) {
 }
 
 func TestCompileEqualsSynthesis(t *testing.T) {
-	// With and without the concat fast path the OBDD must be the same node
+	// ConOBDD and pure synthesis of the lineage must build the same node
 	// (hash-consing makes equivalence a pointer comparison).
 	db := fig3DB()
 	q := ucq.MustParse("Q() :- R(x), S(x,y)")
@@ -80,15 +80,15 @@ func TestCompileEqualsSynthesis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, stats2, err := CompileWith(m, db, q.UCQ, CompileOptions{DisableConcat: true})
+	f2, stats2, err := CompileWith(m, db, q.UCQ, CompileOptions{FromLineage: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f != f2 {
 		t.Error("concat and synthesis built different OBDDs")
 	}
-	if stats2.ConcatSteps != 0 {
-		t.Error("DisableConcat still concatenated")
+	if stats2.ConcatSteps != 0 || stats2.LineageFalls != 1 {
+		t.Errorf("FromLineage did not synthesize the lineage alone: %+v", stats2)
 	}
 }
 

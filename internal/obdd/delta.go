@@ -85,9 +85,6 @@ type Delta struct {
 func CompileDelta(db *engine.Database, u ucq.UCQ, ord *Manager, opts CompileOptions,
 	oldRec *BlockRecord, changed []ChangedTuple) (*Delta, error) {
 	m := ord.NewScratch()
-	if opts.ApplyCacheSize > 0 {
-		m.SetApplyCacheMax(opts.ApplyCacheSize)
-	}
 	if opts.bounded() {
 		m.SetBudget(opts.Ctx, opts.Budget)
 		defer m.SetBudget(nil, budget.Budget{})
@@ -149,7 +146,7 @@ func (c *compiler) dirtyBlocks(u ucq.UCQ, recSep ucq.Separator, own bool, change
 		dirty = append(dirty, v)
 	}
 	sort.Slice(dirty, func(i, j int) bool { return dirty[i].Compare(dirty[j]) < 0 })
-	subs, _ := c.sepSubs(openU, sep, c.sepProbes(openU, sep), dirty)
+	subs := c.sepSubs(openU, sep, c.sepProbes(openU, sep), dirty)
 	blocks := make([]NodeID, len(subs))
 	for i := range subs {
 		blocks[i] = True // no disjunct at this value: the block is gone
@@ -200,10 +197,9 @@ func (c *compiler) ucqRecorded(u ucq.UCQ) (NodeID, *BlockRecord, error) {
 		var ok bool
 		if sep, ok = openU.FindSeparatorSkip(c.detSkip()); ok {
 			var subs []ucq.UCQ
-			var est []int
-			domain, subs, est = c.sepExpand(openU, sep)
+			domain, subs = c.sepExpand(openU, sep)
 			chain = make([]NodeID, len(subs))
-			f, err = c.blockChain(subs, est, chain)
+			f, err = c.blockChain(subs, chain)
 		} else {
 			f, err = c.openUCQ(openU)
 		}

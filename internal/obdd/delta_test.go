@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -99,11 +100,15 @@ func TestCompileRecordedEquivalent(t *testing.T) {
 		db := randSepDB(rng, 4+rng.Int63n(10))
 		pi := SeparatorFirstPerm(db, sep)
 		for _, par := range []int{1, 4} {
-			m, f, _, err := Compile(db, q, pi, CompileOptions{Parallelism: 1})
+			var m *Manager
+			var f NodeID
+			var d *Delta
+			var err error
+			atProcs(1, func() { m, f, _, err = Compile(db, q, pi, CompileOptions{}) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := CompileDelta(db, q, NewManager(TupleOrder(db, pi)), CompileOptions{Parallelism: par}, nil, nil)
+			atProcs(par, func() { d, err = CompileDelta(db, q, NewManager(TupleOrder(db, pi)), CompileOptions{}, nil, nil) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,13 +215,15 @@ func TestCompileDeltaProperty(t *testing.T) {
 	if testing.Short() {
 		rounds = 3
 	}
+	// The references compile sequentially; each delta on one or four workers.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	sawReuse := false
 	for seed := int64(0); seed < int64(rounds); seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
 		n := 4 + rng.Int63n(10)
 		db := randSepDB(rng, n)
 		pi := SeparatorFirstPerm(db, sep)
-		first, err := CompileDelta(db, q, NewManager(TupleOrder(db, pi)), CompileOptions{Parallelism: 1}, nil, nil)
+		first, err := CompileDelta(db, q, NewManager(TupleOrder(db, pi)), CompileOptions{}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,15 +233,16 @@ func TestCompileDeltaProperty(t *testing.T) {
 			changed := diffByKey(db, newDB)
 			newPi := SeparatorFirstPerm(newDB, sep)
 			ord = PatchOrder(ord, testVarMap(db, newDB), newDB, newPi, changed)
-			d, err := CompileDelta(newDB, q, ord, CompileOptions{Parallelism: 1 + 3*rng.Intn(2)}, rec, changed)
+			var d *Delta
+			atProcs(1+3*rng.Intn(2), func() { d, err = CompileDelta(newDB, q, ord, CompileOptions{}, rec, changed) })
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := CompileDelta(newDB, q, ord, CompileOptions{Parallelism: 1}, nil, nil)
+			ref, err := CompileDelta(newDB, q, ord, CompileOptions{}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fm, ff, _, err := Compile(newDB, q, newPi, CompileOptions{Parallelism: 1})
+			fm, ff, _, err := Compile(newDB, q, newPi, CompileOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,16 +285,17 @@ func TestCompileDeltaFallbacks(t *testing.T) {
 	db := randSepDB(rng, 8)
 	pi := SeparatorFirstPerm(db, sep)
 	ord := NewManager(TupleOrder(db, pi))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 
 	// No record: full recompile, still correct.
-	d, err := CompileDelta(db, q, ord, CompileOptions{Parallelism: 1}, nil, nil)
+	d, err := CompileDelta(db, q, ord, CompileOptions{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !d.Full || !d.Rec.HasSep {
 		t.Fatalf("expected full fallback with a fresh record, got %+v", d)
 	}
-	fm, ff, _, _ := Compile(db, q, pi, CompileOptions{Parallelism: 1})
+	fm, ff, _, _ := Compile(db, q, pi, CompileOptions{})
 	ff = fm.Not(ff)
 	if !StructEqual(d.M, d.Root, fm, ff) {
 		t.Fatal("full fallback differs from scratch")
@@ -294,7 +303,7 @@ func TestCompileDeltaFallbacks(t *testing.T) {
 
 	// Changed query: full recompile.
 	q2 := ucq.MustParse("Q() :- R(x), S(x,y), y > 100").UCQ
-	d2, err := CompileDelta(db, q2, ord, CompileOptions{Parallelism: 1}, d.Rec, nil)
+	d2, err := CompileDelta(db, q2, ord, CompileOptions{}, d.Rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +312,7 @@ func TestCompileDeltaFallbacks(t *testing.T) {
 	}
 
 	// No structural change at all: nothing compiled, not even a node.
-	d3, err := CompileDelta(db, q, ord, CompileOptions{Parallelism: 1}, d.Rec, nil)
+	d3, err := CompileDelta(db, q, ord, CompileOptions{}, d.Rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,18 +323,18 @@ func TestCompileDeltaFallbacks(t *testing.T) {
 	// A ground disjunct makes the OBDD something other than a plain chain:
 	// the record must say so, and the next delta must recompile in full.
 	q4 := ucq.MustParse("Q() :- R(x), S(x,y)\nQ() :- R(1), S(2,3)").UCQ
-	d4, err := CompileDelta(db, q4, ord, CompileOptions{Parallelism: 1}, nil, nil)
+	d4, err := CompileDelta(db, q4, ord, CompileOptions{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d4.Rec.HasSep {
 		t.Fatal("a union with a ground disjunct must not be recorded as a chain")
 	}
-	d5, err := CompileDelta(db, q4, ord, CompileOptions{Parallelism: 1}, d4.Rec, nil)
+	d5, err := CompileDelta(db, q4, ord, CompileOptions{}, d4.Rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gm, gf, _, _ := Compile(db, q4, pi, CompileOptions{Parallelism: 1})
+	gm, gf, _, _ := Compile(db, q4, pi, CompileOptions{})
 	if !d5.Full || !StructEqual(d5.M, d5.Root, gm, gm.Not(gf)) {
 		t.Fatalf("unrecorded chain: %+v", d5)
 	}

@@ -1,10 +1,6 @@
 package obdd
 
-import (
-	"encoding/gob"
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Snapshot is the serializable form of a Manager. Node ids are preserved,
 // so NodeID values held by callers remain valid after a round trip.
@@ -29,12 +25,18 @@ func (m *Manager) Snapshot() Snapshot {
 }
 
 // Restore rebuilds a Manager from a snapshot, recomputing the unique table
-// and per-node span metadata. Node ids are identical to the snapshot's.
+// and per-node span metadata. Node ids are identical to the snapshot's. A
+// malformed snapshot — an order with a negative or repeated variable, a
+// child that is not strictly deeper than its node — is an error, never a
+// panic or a manager out of level order.
 func Restore(s Snapshot) (*Manager, error) {
 	if len(s.Nodes) < 2 {
 		return nil, fmt.Errorf("obdd: snapshot missing terminals")
 	}
-	m := NewManager(s.Order)
+	m, err := newManager(s.Order)
+	if err != nil {
+		return nil, err
+	}
 	for i := 2; i < len(s.Nodes); i++ {
 		n := s.Nodes[i]
 		if n.Lo < 0 || int(n.Lo) >= i || n.Hi < 0 || int(n.Hi) >= i {
@@ -47,6 +49,9 @@ func Restore(s Snapshot) (*Manager, error) {
 			return nil, fmt.Errorf("obdd: snapshot node %d is not reduced", i)
 		}
 		lo, hi := NodeID(n.Lo), NodeID(n.Hi)
+		if m.nodes[lo].level <= n.Level || m.nodes[hi].level <= n.Level {
+			return nil, fmt.Errorf("obdd: snapshot node %d at level %d has a child that is not deeper", i, n.Level)
+		}
 		if id, slot := m.unique.lookup(m.nodes, n.Level, lo, hi); id != 0 {
 			return nil, fmt.Errorf("obdd: snapshot node %d duplicates an earlier node", i)
 		} else if got := m.addNode(n.Level, lo, hi, slot); got != NodeID(i) {
@@ -54,18 +59,4 @@ func Restore(s Snapshot) (*Manager, error) {
 		}
 	}
 	return m, nil
-}
-
-// Save gob-encodes the snapshot.
-func (m *Manager) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(m.Snapshot())
-}
-
-// ReadManager decodes a manager written by Save.
-func ReadManager(r io.Reader) (*Manager, error) {
-	var s Snapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("obdd: decoding manager: %w", err)
-	}
-	return Restore(s)
 }

@@ -139,12 +139,22 @@ func (m *Manager) Budgeted() bool { return m.lim != nil }
 
 // NewManager creates a manager whose variable order is the given sequence of
 // external variable ids, first to last. The apply cache is capped at
-// DefaultApplyCacheSize; tune it with SetApplyCacheMax.
+// DefaultApplyCacheSize; tune it with SetApplyCacheMax. A negative or
+// repeated variable id panics.
 func NewManager(order []int) *Manager {
+	m, err := newManager(order)
+	if err != nil {
+		panic(err.Error())
+	}
+	return m
+}
+
+// newManager is NewManager reporting a malformed order as an error.
+func newManager(order []int) (*Manager, error) {
 	maxVar := -1
 	for _, v := range order {
 		if v < 0 {
-			panic(fmt.Sprintf("obdd: negative variable id %d in order", v))
+			return nil, fmt.Errorf("obdd: negative variable id %d in order", v)
 		}
 		if v > maxVar {
 			maxVar = v
@@ -164,11 +174,11 @@ func NewManager(order []int) *Manager {
 	for i, v := range order {
 		m.levelVar[i] = int32(v)
 		if m.varLevel[v] >= 0 {
-			panic(fmt.Sprintf("obdd: variable %d appears twice in order", v))
+			return nil, fmt.Errorf("obdd: variable %d appears twice in order", v)
 		}
 		m.varLevel[v] = int32(i)
 	}
-	return m
+	return m, nil
 }
 
 // levelOf returns the level of an external variable id; ok is false when the
@@ -660,28 +670,4 @@ func (m *Manager) Cofactor(f NodeID, v int, value bool) NodeID {
 		return r
 	}
 	return rec(f)
-}
-
-// Exists existentially quantifies variable v out of f:
-// ∃v.f = f|v=0 ∨ f|v=1.
-func (m *Manager) Exists(f NodeID, v int) NodeID {
-	return m.Or(m.Cofactor(f, v, false), m.Cofactor(f, v, true))
-}
-
-// ForAll universally quantifies variable v out of f:
-// ∀v.f = f|v=0 ∧ f|v=1.
-func (m *Manager) ForAll(f NodeID, v int) NodeID {
-	return m.And(m.Cofactor(f, v, false), m.Cofactor(f, v, true))
-}
-
-// CountModels returns the number of satisfying assignments of f over the
-// manager's full variable set, computed as P(f) under the uniform
-// distribution times 2^NumVars. Exact up to float64 precision (useful for
-// up to ~2^52 models).
-func (m *Manager) CountModels(f NodeID) float64 {
-	probs := make([]float64, len(m.varLevel))
-	for _, v := range m.levelVar {
-		probs[v] = 0.5
-	}
-	return m.Prob(f, probs) * math.Pow(2, float64(m.NumVars()))
 }

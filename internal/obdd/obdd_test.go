@@ -1,7 +1,6 @@
 package obdd
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -277,11 +276,7 @@ func TestMaxLevelTracking(t *testing.T) {
 func TestManagerSnapshotRoundTrip(t *testing.T) {
 	m := NewManager(seqOrder(6))
 	f := m.Or(m.And(m.Var(1), m.Var(2)), m.And(m.Var(4), m.Var(6)))
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadManager(&buf)
+	back, err := Restore(m.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,14 +303,16 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 		{Order: []int{1}, Nodes: []SnapNode{{}, {}, {Level: 0, Lo: 5, Hi: 1}}}, // forward child
 		{Order: []int{1}, Nodes: []SnapNode{{}, {}, {Level: 3, Lo: 0, Hi: 1}}}, // bad level
 		{Order: []int{1}, Nodes: []SnapNode{{}, {}, {Level: 0, Lo: 1, Hi: 1}}}, // unreduced
+		{Order: []int{-1}, Nodes: []SnapNode{{}, {}}},                          // negative variable
+		{Order: []int{3, 3}, Nodes: []SnapNode{{}, {}}},                        // repeated variable
+		{Order: []int{1, 2}, Nodes: []SnapNode{{}, {}, // child above its node
+			{Level: 0, Lo: 0, Hi: 1},
+			{Level: 1, Lo: 2, Hi: 1}}},
 	}
 	for i, s := range cases {
 		if _, err := Restore(s); err == nil {
 			t.Errorf("case %d: corrupt snapshot accepted", i)
 		}
-	}
-	if _, err := ReadManager(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("junk stream accepted")
 	}
 }
 
@@ -330,7 +327,7 @@ func TestRestoreRejectsDuplicateNode(t *testing.T) {
 	}
 }
 
-func TestCofactorExistsForAll(t *testing.T) {
+func TestCofactor(t *testing.T) {
 	m := NewManager(seqOrder(3))
 	x, y, z := m.Var(1), m.Var(2), m.Var(3)
 	f := m.Or(m.And(x, y), m.And(m.Not(y), z))
@@ -348,44 +345,9 @@ func TestCofactorExistsForAll(t *testing.T) {
 	if rebuilt != f {
 		t.Error("Shannon decomposition mismatch")
 	}
-	// Exists/ForAll semantics by brute force.
-	ex := m.Exists(f, 2)
-	fa := m.ForAll(f, 2)
-	for mask := 0; mask < 8; mask++ {
-		assign := func(v int) bool { return mask&(1<<uint(v-1)) != 0 }
-		want0 := m.Eval(f0, assign)
-		want1 := m.Eval(f1, assign)
-		if m.Eval(ex, assign) != (want0 || want1) {
-			t.Errorf("Exists wrong at %b", mask)
-		}
-		if m.Eval(fa, assign) != (want0 && want1) {
-			t.Errorf("ForAll wrong at %b", mask)
-		}
-	}
-	// Quantifying an absent variable is the identity.
-	if m.Cofactor(f, 99, true) != f || m.Exists(f, 99) != f {
+	// Cofactoring on an absent variable is the identity.
+	if m.Cofactor(f, 99, true) != f {
 		t.Error("unknown variable should be identity")
-	}
-	// The quantified variable is gone from the support.
-	for _, v := range m.Support(ex) {
-		if v == 2 {
-			t.Error("Exists left the variable in the support")
-		}
-	}
-}
-
-func TestCountModels(t *testing.T) {
-	m := NewManager(seqOrder(3))
-	x, y := m.Var(1), m.Var(2)
-	// x ∨ y over 3 variables: 3/4 · 8 = 6 models.
-	if got := m.CountModels(m.Or(x, y)); math.Abs(got-6) > 1e-9 {
-		t.Errorf("CountModels = %v want 6", got)
-	}
-	if got := m.CountModels(True); math.Abs(got-8) > 1e-9 {
-		t.Errorf("CountModels(true) = %v", got)
-	}
-	if got := m.CountModels(False); got != 0 {
-		t.Errorf("CountModels(false) = %v", got)
 	}
 }
 

@@ -1,7 +1,9 @@
 package obdd
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mvdb/internal/engine"
@@ -26,18 +28,47 @@ func randSepDB(rng *rand.Rand, n int64) *engine.Database {
 	return db
 }
 
-// compileBoth compiles q sequentially and with the given parallelism and
-// returns both managers/roots plus their stats.
-func compileBoth(t *testing.T, db *engine.Database, q ucq.UCQ, pi Perm, par int) (ms *Manager, fs NodeID, ss CompileStats, mp *Manager, fp NodeID, sp CompileStats) {
-	t.Helper()
-	var err error
-	ms, fs, ss, err = Compile(db, q, pi, CompileOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatalf("sequential compile: %v", err)
+// skewedSepDB builds a database for Q() :- R(x), S(x,y) whose blocks are
+// badly unbalanced: one separator value carries many S tuples, among many
+// values with none or one — the shape where a worker pulling one block at a
+// time meets the oversized block at an arbitrary point of the schedule.
+func skewedSepDB(rng *rand.Rand) *engine.Database {
+	db := engine.NewDatabase()
+	db.MustCreateRelation("R", false, "a")
+	db.MustCreateRelation("S", false, "a", "b")
+	const values, heavy = 40, 17
+	for i := int64(1); i <= values; i++ {
+		db.MustInsert("R", rng.Float64()*3, engine.Int(i))
+		n := rng.Int63n(2)
+		if i == heavy {
+			n = 200
+		}
+		for j := int64(0); j < n; j++ {
+			db.MustInsert("S", rng.Float64()*3, engine.Int(i), engine.Int(1000*i+j))
+		}
 	}
-	mp, fp, sp, err = Compile(db, q, pi, CompileOptions{Parallelism: par})
-	if err != nil {
-		t.Fatalf("parallel compile: %v", err)
+	return db
+}
+
+// atProcs runs f with GOMAXPROCS set to n — the compile's fan-out width —
+// and restores the previous setting.
+func atProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+// compileBoth compiles q at GOMAXPROCS 1 (the sequential reference) and at
+// the given GOMAXPROCS, and returns both managers/roots plus their stats.
+func compileBoth(t *testing.T, db *engine.Database, q ucq.UCQ, pi Perm, procs int) (ms *Manager, fs NodeID, ss CompileStats, mp *Manager, fp NodeID, sp CompileStats) {
+	t.Helper()
+	var errS, errP error
+	atProcs(1, func() { ms, fs, ss, errS = Compile(db, q, pi, CompileOptions{}) })
+	if errS != nil {
+		t.Fatalf("sequential compile: %v", errS)
+	}
+	atProcs(procs, func() { mp, fp, sp, errP = Compile(db, q, pi, CompileOptions{}) })
+	if errP != nil {
+		t.Fatalf("parallel compile: %v", errP)
 	}
 	return
 }
@@ -60,7 +91,7 @@ func assertSame(t *testing.T, db *engine.Database, ms *Manager, fs NodeID, ss Co
 		t.Errorf("stats: sequential %+v, parallel %+v", ss, sp)
 	}
 	probs := db.Probs()
-	if a, b := ms.Prob(fs, probs), mp.Prob(fp, probs); a != b {
+	if a, b := ms.Prob(fs, probs), mp.Prob(fp, probs); math.Float64bits(a) != math.Float64bits(b) {
 		t.Errorf("prob: sequential %v, parallel %v (must be bitwise equal)", a, b)
 	}
 }
@@ -68,7 +99,8 @@ func assertSame(t *testing.T, db *engine.Database, ms *Manager, fs NodeID, ss Co
 // TestParallelCompileStructEqual: over random separator databases and worker
 // counts, the parallel block compilation must produce an OBDD structurally
 // identical to the sequential reference — same nodes, stats, and
-// bitwise-identical probability (Parallelism: 1 is the spec).
+// bitwise-identical probability (GOMAXPROCS 1 is the spec). The skewed case
+// puts one oversized block among many tiny and empty ones.
 func TestParallelCompileStructEqual(t *testing.T) {
 	q := ucq.MustParse("Q() :- R(x), S(x,y)").UCQ
 	sep, ok := q.FindSeparator()
@@ -79,11 +111,19 @@ func TestParallelCompileStructEqual(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		db := randSepDB(rng, 3+rng.Int63n(12))
 		pi := SeparatorFirstPerm(db, sep)
-		for _, par := range []int{2, 4, 8} {
-			ms, fs, ss, mp, fp, sp := compileBoth(t, db, q, pi, par)
+		for _, procs := range []int{2, 4, 8} {
+			ms, fs, ss, mp, fp, sp := compileBoth(t, db, q, pi, procs)
 			assertSame(t, db, ms, fs, ss, mp, fp, sp)
 		}
 	}
+	t.Run("skewed", func(t *testing.T) {
+		for seed := int64(0); seed < 4; seed++ {
+			db := skewedSepDB(rand.New(rand.NewSource(seed)))
+			pi := SeparatorFirstPerm(db, sep)
+			ms, fs, ss, mp, fp, sp := compileBoth(t, db, q, pi, 4)
+			assertSame(t, db, ms, fs, ss, mp, fp, sp)
+		}
+	})
 }
 
 // TestParallelCompileUnion: a union with a shared separator — the shape of
@@ -124,19 +164,6 @@ func TestParallelCompileSelfJoin(t *testing.T) {
 	pi := SeparatorFirstPerm(db, sep)
 	ms, fs, ss, mp, fp, sp := compileBoth(t, db, q, pi, 8)
 	assertSame(t, db, ms, fs, ss, mp, fp, sp)
-}
-
-// TestParallelismKnob pins the knob semantics: 0 resolves to GOMAXPROCS,
-// negatives clamp to sequential.
-func TestParallelismKnob(t *testing.T) {
-	for _, c := range []struct{ in, min int }{{1, 1}, {-3, 1}, {6, 6}} {
-		if got := (CompileOptions{Parallelism: c.in}).workers(); got != c.min {
-			t.Errorf("workers(%d) = %d want %d", c.in, got, c.min)
-		}
-	}
-	if got := (CompileOptions{}).workers(); got < 1 {
-		t.Errorf("workers(0) = %d want >= 1 (GOMAXPROCS)", got)
-	}
 }
 
 // TestImportAcrossManagers: Import must reproduce a function node-for-node

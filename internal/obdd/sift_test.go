@@ -312,9 +312,9 @@ func TestParseReorderMode(t *testing.T) {
 	}
 }
 
-// TestCompileWithReorder: the CompileOptions knob must produce an equivalent
-// OBDD on a real compiled query, and CompileOptions.Order must round-trip a
-// learned order through a fresh compile.
+// TestCompileWithReorder: sifting a real compiled query must produce an
+// equivalent OBDD, and CompileOptions.Order must round-trip the learned order
+// through a fresh compile.
 func TestCompileWithReorder(t *testing.T) {
 	db := engine.NewDatabase()
 	db.MustCreateRelation("R", false, "a", "b")
@@ -330,10 +330,11 @@ func TestCompileWithReorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, f1, _, err := Compile(db, q, pi, CompileOptions{Reorder: ReorderConverge})
+	m1, roots, _, err := Reorder(m0, []NodeID{f0}, ReorderOptions{Mode: ReorderConverge})
 	if err != nil {
 		t.Fatal(err)
 	}
+	f1 := roots[0]
 	probs := db.Probs()
 	if got, want := m1.Prob(f1, probs), m0.Prob(f0, probs); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("reorder-compiled Prob diverged: %g vs %g", got, want)

@@ -114,9 +114,6 @@ type Options struct {
 	// released only itself. Zero never waits; writers that arrive while an
 	// fsync is in flight still share the next one.
 	GroupCommit time.Duration
-	// NoFsync skips the fsync in Sync (for benchmarks on throwaway data;
-	// the durability contract is void).
-	NoFsync bool
 	// Hooks inject crash faults; see Hooks.
 	Hooks Hooks
 }
@@ -509,10 +506,8 @@ func (l *Log) commitLocked(gather bool) error {
 	_, err := f.Write(out)
 	if err != nil {
 		err = fmt.Errorf("writing frames: %w", err)
-	} else if !l.opts.NoFsync {
-		if err = f.Sync(); err != nil {
-			err = fmt.Errorf("fsync: %w", err)
-		}
+	} else if err = f.Sync(); err != nil {
+		err = fmt.Errorf("fsync: %w", err)
 	}
 	took := time.Since(t0)
 	l.mu.Lock()
