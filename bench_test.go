@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"mvdb/internal/baseline"
 	"mvdb/internal/bench"
 	"mvdb/internal/core"
 	"mvdb/internal/dblp"
@@ -146,7 +147,7 @@ func BenchmarkOBDDConstructSynthesis(b *testing.B) {
 }
 
 func spanning(fx *fixture, k int) lineage.DNF {
-	m, fW, _ := fx.tr.OBDD()
+	m, fW, _ := baseline.New(fx.tr).OBDD()
 	support := m.Support(fW)
 	var d lineage.DNF
 	if len(support) == 0 {

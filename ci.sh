@@ -1,6 +1,6 @@
 #!/bin/sh
-# CI gate: vet + full test suite under the race detector + an end-to-end
-# mvdbd smoke test.
+# CI gate: vet + the keep rule and the serving boundary + full test suite
+# under the race detector + an end-to-end mvdbd smoke test.
 #
 # The -race run is load-bearing: the concurrency layer (a full compile's
 # blocks fan out over GOMAXPROCS workers, which the tests pin to 4 against a
@@ -22,6 +22,22 @@ for pkg in $(go list ./internal/...); do
     printf '%s\n' "$deps" | grep -qx "$pkg" \
         || { echo "keep rule: $pkg is imported by no binary or example"; exit 1; }
 done
+
+# Serving boundary: the baselines of Section 6 (package baseline and the
+# lifted, DPLL and MLN evaluators behind it) are reached only from the
+# experiment side — cmd/mvdb, mvbench, the examples — never from the server
+# binary, and core, which the server links, imports none of them nor the
+# serving cache.
+for pkg in baseline lift wmc mln; do
+    go list -deps ./cmd/mvdbd | grep -qx "mvdb/internal/$pkg" \
+        && { echo "serving boundary: cmd/mvdbd links internal/$pkg"; exit 1; }
+done
+for pkg in lift wmc mln qcache; do
+    go list -deps ./internal/core | grep -qx "mvdb/internal/$pkg" \
+        && { echo "serving boundary: internal/core imports internal/$pkg"; exit 1; }
+done
+go list -deps ./cmd/mvdb ./cmd/mvbench | grep -qx mvdb/internal/baseline \
+    || { echo "serving boundary: neither cmd/mvdb nor mvbench reaches internal/baseline"; exit 1; }
 
 go test -timeout 5m ./...
 go test -race -timeout 10m ./...

@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"mvdb/internal/baseline"
 	"mvdb/internal/core"
 	"mvdb/internal/dblp"
 	"mvdb/internal/engine"
@@ -33,6 +34,7 @@ type session struct {
 	data *dblp.Dataset
 	tr   *core.Translation
 	ix   *mvindex.Index
+	ev   *baseline.Evaluator // the obdd, lifted and dpll methods
 	meth string
 }
 
@@ -122,7 +124,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "ready in %v: %d tuple variables, MV-index %d nodes in %d blocks\n",
 		time.Since(t0).Round(time.Millisecond), tr.DB.NumVars(), ix.Size(), ix.Blocks())
 
-	s := &session{data: data, tr: tr, ix: ix, meth: *method}
+	s := &session{data: data, tr: tr, ix: ix, ev: baseline.New(tr), meth: *method}
 	if args := flag.Args(); len(args) > 0 {
 		for _, src := range args {
 			if err := s.runQuery(src); err != nil {
@@ -198,11 +200,11 @@ func (s *session) runQuery(src string) error {
 	case "index-cc":
 		rows, err = s.ix.Query(q, mvindex.IntersectOptions{CacheConscious: true})
 	case "obdd":
-		rows, err = s.tr.Query(q, core.MethodOBDD)
+		rows, err = s.ev.Query(q, baseline.OBDD)
 	case "lifted":
-		rows, err = s.tr.Query(q, core.MethodLifted)
+		rows, err = s.ev.Query(q, baseline.Lifted)
 	case "dpll":
-		rows, err = s.tr.Query(q, core.MethodDPLL)
+		rows, err = s.ev.Query(q, baseline.DPLL)
 	default:
 		return fmt.Errorf("unknown method %q", s.meth)
 	}
@@ -275,9 +277,10 @@ func (s *session) marginal(src string) error {
 	return nil
 }
 
-// dot writes the index's ¬W OBDD in Graphviz format.
+// dot writes the ¬W OBDD in Graphviz format, compiled under the index's
+// variable order (the learned one after a sift).
 func (s *session) dot(path string) error {
-	m, fW, err := s.tr.OBDD()
+	m, fW, _, err := s.tr.CompileW(obdd.CompileOptions{Order: s.ix.Manager().Order()})
 	if err != nil {
 		return err
 	}

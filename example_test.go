@@ -32,7 +32,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, err := tr.ProbBoolean(q.UCQ, mvdb.MethodOBDD)
+	p, err := mvdb.NewEvaluator(tr).ProbBoolean(q.UCQ, mvdb.MethodOBDD)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,10 +74,10 @@ func ExampleBuildIndex() {
 	// advisor 11: 0.2857
 }
 
-// ExampleTranslation_ProbBoolean shows the negative probabilities produced
+// ExampleEvaluator_ProbBoolean shows the negative probabilities produced
 // by a positively-weighted view (Section 3.3): intermediate P0 values leave
 // [0,1] but the final answer is a true probability.
-func ExampleTranslation_ProbBoolean() {
+func ExampleEvaluator_ProbBoolean() {
 	db := mvdb.NewDatabase()
 	db.MustCreateRelation("R", false, "x")
 	db.MustCreateRelation("S", false, "x")
@@ -89,9 +89,10 @@ func ExampleTranslation_ProbBoolean() {
 		log.Fatal(err)
 	}
 	tr, _ := m.Translate(mvdb.TranslateOptions{})
-	pW, _ := tr.ProbW(mvdb.MethodOBDD)
+	ev := mvdb.NewEvaluator(tr)
+	pW, _ := ev.ProbW(mvdb.MethodOBDD)
 	q, _ := mvdb.ParseQuery("Q() :- R(x), S(x)")
-	p, _ := tr.ProbBoolean(q.UCQ, mvdb.MethodOBDD)
+	p, _ := ev.ProbBoolean(q.UCQ, mvdb.MethodOBDD)
 	fmt.Printf("P0(W) = %.4f (negative!)\n", pW)
 	fmt.Printf("P(Q) = %.4f\n", p)
 	// Output:

@@ -92,7 +92,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	noViews, err := trBase.Query(q2, mvdb.MethodOBDD)
+	ixBase, err := mvdb.BuildIndex(trBase)
+	if err != nil {
+		log.Fatal(err)
+	}
+	noViews, err := ixBase.Query(q2, mvdb.IntersectOptions{CacheConscious: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -48,6 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ev := mvdb.NewEvaluator(tr)
 
 	queries := map[string]string{
 		"Adv(1,11)": "Q() :- Adv(1,11)",
@@ -59,15 +60,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		base, err := tr.ProbBoolean(q.UCQ, mvdb.MethodDPLL)
+		base, err := ev.ProbBoolean(q.UCQ, mvdb.MethodDPLL)
 		if err != nil {
 			log.Fatal(err)
 		}
-		yes, err := tr.ProbGivenTuples(q.UCQ, mvdb.Evidence{v110: true}, mvdb.MethodDPLL)
+		yes, err := ev.ProbGivenTuples(q.UCQ, mvdb.Evidence{v110: true}, mvdb.MethodDPLL)
 		if err != nil {
 			log.Fatal(err)
 		}
-		no, err := tr.ProbGivenTuples(q.UCQ, mvdb.Evidence{v110: false}, mvdb.MethodDPLL)
+		no, err := ev.ProbGivenTuples(q.UCQ, mvdb.Evidence{v110: false}, mvdb.MethodDPLL)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -42,8 +42,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		and, err1 := prob(tr, "Q() :- R(x), S(x)")
-		or, err2 := prob(tr, "Q() :- R(x)\nQ() :- S(x)")
+		ix, err := mvdb.BuildIndex(tr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		and, err1 := prob(ix, "Q() :- R(x), S(x)")
+		or, err2 := prob(ix, "Q() :- R(x)\nQ() :- S(x)")
 		if err1 != nil || err2 != nil {
 			log.Fatal(err1, err2)
 		}
@@ -60,10 +64,10 @@ func main() {
 	fmt.Println("database whose NV tuple has a NEGATIVE probability (Section 3.3).")
 }
 
-func prob(tr *mvdb.Translation, src string) (float64, error) {
+func prob(ix *mvdb.Index, src string) (float64, error) {
 	q, err := mvdb.ParseQuery(src)
 	if err != nil {
 		return 0, err
 	}
-	return tr.ProbBoolean(q.UCQ, mvdb.MethodOBDD)
+	return ix.ProbBoolean(q.UCQ, mvdb.IntersectOptions{})
 }

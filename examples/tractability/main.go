@@ -45,6 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ev := mvdb.NewEvaluator(tr)
 
 	queries := []string{
 		"Q() :- R(x)",
@@ -60,12 +61,12 @@ func main() {
 			log.Fatal(err)
 		}
 		safe := mvdb.IsSafe(q.UCQ)
-		pOBDD, err := tr.ProbBoolean(q.UCQ, mvdb.MethodOBDD)
+		pOBDD, err := ev.ProbBoolean(q.UCQ, mvdb.MethodOBDD)
 		if err != nil {
 			log.Fatal(err)
 		}
 		lifted := "—"
-		pLift, err := tr.ProbBoolean(q.UCQ, mvdb.MethodLifted)
+		pLift, err := ev.ProbBoolean(q.UCQ, mvdb.MethodLifted)
 		switch {
 		case err == nil:
 			lifted = fmt.Sprintf("%.8f", pLift)

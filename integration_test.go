@@ -32,7 +32,9 @@ func TestIntegrationDBLPPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 1. Index answers equal the cached-OBDD answers on every advisor query.
+	// 1. Index answers equal the baseline OBDD and DPLL answers on every
+	// advisor query.
+	ev := mvdb.NewEvaluator(tr)
 	queries := []string{
 		"Q(a) :- Advisor(9,a)",
 		"Q(aid) :- Student(aid,year), Advisor(aid,a), Author(a,n), n like '%Madden%'",
@@ -47,11 +49,11 @@ func TestIntegrationDBLPPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaOBDD, err := tr.Query(q, mvdb.MethodOBDD)
+		viaOBDD, err := ev.Query(q, mvdb.MethodOBDD)
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaDPLL, err := tr.Query(q, mvdb.MethodDPLL)
+		viaDPLL, err := ev.Query(q, mvdb.MethodDPLL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +139,7 @@ func TestIntegrationDBLPPipeline(t *testing.T) {
 			t.Fatal(err, rel)
 		}
 		bound, _ := qq.Bind([]mvdb.Value{tup.Vals[1]})
-		p, err := tr.ProbGivenTuples(bound, mvdb.Evidence{vars[0]: true}, mvdb.MethodDPLL)
+		p, err := ev.ProbGivenTuples(bound, mvdb.Evidence{vars[0]: true}, mvdb.MethodDPLL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +190,7 @@ func TestIntegrationExactAtMicroScale(t *testing.T) {
 		}
 		for _, r := range rows {
 			b, _ := q.Bind(r.Head)
-			want, err := m.ProbExact(b)
+			want, err := mvdb.ProbExact(m, b)
 			if err != nil {
 				t.Fatal(err)
 			}

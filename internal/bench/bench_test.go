@@ -226,8 +226,9 @@ func TestCacheExperiment(t *testing.T) {
 
 // TestReorderExperiment runs the reorder experiment on a small sweep and
 // checks the correctness column (naive and sifted answers identical to the
-// tuned Π leg), that sifting never grew the naive index, and the JSON
-// report round-trip. Timing columns are load-sensitive and not asserted.
+// tuned Π leg), that the naive leg is built under its own order (V1's index
+// is larger than under Π), that sifting never grew the naive index, and the
+// JSON report round-trip. Timing columns are load-sensitive and not asserted.
 func TestReorderExperiment(t *testing.T) {
 	opts := small()
 	opts.Domains = []int{300}
@@ -242,6 +243,9 @@ func TestReorderExperiment(t *testing.T) {
 		if r[len(r)-1] != "true" {
 			t.Errorf("answers diverged across legs: %v", r)
 		}
+	}
+	if naive, pi := tab.Series["nodes-naive"][0], tab.Series["nodes-pi"][0]; naive <= pi {
+		t.Errorf("V1: naive index %v nodes, Π index %v: the naive leg is not built under the naive order", naive, pi)
 	}
 	for i := range tab.Series["nodes-naive"] {
 		if tab.Series["nodes-sifted"][i] > tab.Series["nodes-naive"][i] {

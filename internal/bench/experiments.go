@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"mvdb/internal/baseline"
 	"mvdb/internal/core"
 	"mvdb/internal/dblp"
 	"mvdb/internal/lineage"
@@ -97,7 +98,7 @@ func fig56(opts Options, id, title string, pick func(*dblp.Dataset) *ucq.Query) 
 
 		// Alchemy stand-in: ground the MLN, then MC-SAT.
 		t0 := time.Now()
-		net, err := m.GroundMLN()
+		net, err := baseline.GroundMLN(m)
 		if err != nil {
 			return nil, err
 		}
@@ -271,8 +272,8 @@ func Fig9Intersect(opts Options) (*Table, error) {
 			return nil, err
 		}
 		lin := spanningLineage(tr, 20)
-		// Warm both paths once (builds the query OBDD into the shared
-		// manager), then time repeated intersections.
+		// Warm both paths once (the pointer path materialises the index's
+		// ¬W on first use), then time repeated intersections.
 		const reps = 20
 		ix.IntersectLineage(lin, mvindex.IntersectOptions{})
 		t0 := time.Now()
@@ -299,7 +300,7 @@ func Fig9Intersect(opts Options) (*Table, error) {
 // variables spread evenly across the index order, forcing a traversal of
 // the entire MV-index.
 func spanningLineage(tr *core.Translation, k int) lineage.DNF {
-	m, fW, err := tr.OBDD()
+	m, fW, err := baseline.New(tr).OBDD()
 	if err != nil {
 		return nil
 	}
@@ -317,13 +318,6 @@ func spanningLineage(tr *core.Translation, k int) lineage.DNF {
 		d = append(d, []int{v})
 	}
 	return d
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // perQuery runs n queries through the CC-MVIntersect index and reports each

@@ -70,12 +70,7 @@ func ReorderSifting(opts Options) (*Table, error) {
 			// Leg 2: naive block-local order on the same translation.
 			naive := naiveOrder(ixPi.Manager().Order(), ixPi.BlockWindows(),
 				int64(opts.Seed))
-			m2, f2, _, err := tr.CompileW(obdd.CompileOptions{Order: naive})
-			if err != nil {
-				return nil, err
-			}
-			tr.AttachOBDD(m2, f2)
-			ix, err := mvindex.Build(tr)
+			ix, err := mvindex.BuildOrder(tr, naive)
 			if err != nil {
 				return nil, err
 			}

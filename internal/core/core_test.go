@@ -1,10 +1,16 @@
-package core
+// These tests check the translation through Theorem 1 against the global
+// methods and the Definition 4 oracle of package baseline, which imports
+// core; so they live in the external test package.
+
+package core_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
+	"mvdb/internal/baseline"
+	. "mvdb/internal/core"
 	"mvdb/internal/engine"
 	"mvdb/internal/lineage"
 	"mvdb/internal/mln"
@@ -38,7 +44,7 @@ func TestExample1ClosedForm(t *testing.T) {
 	q := ucq.MustParse("Q() :- R(x)\nQ() :- S(x)")
 	want := (w1 + w2 + w*w1*w2) / (1 + w1 + w2 + w*w1*w2)
 
-	exact, err := m.ProbExact(q.UCQ)
+	exact, err := baseline.ProbExact(m, q.UCQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +55,8 @@ func TestExample1ClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, meth := range []Method{MethodBruteForce, MethodOBDD, MethodLifted} {
-		got, err := tr.ProbBoolean(q.UCQ, meth)
+	for _, meth := range []baseline.Method{baseline.BruteForce, baseline.OBDD, baseline.Lifted} {
+		got, err := baseline.New(tr).ProbBoolean(q.UCQ, meth)
 		if err != nil {
 			t.Fatalf("%v: %v", meth, err)
 		}
@@ -67,7 +73,7 @@ func TestExample1WeightRegimes(t *testing.T) {
 	for _, w := range []float64{0, 0.25, 1, 4} {
 		m := example1(1, 1, w)
 		want := w / (3 + w) // worlds 1,1,1,w; conjunction holds in the last
-		exact, err := m.ProbExact(q.UCQ)
+		exact, err := baseline.ProbExact(m, q.UCQ)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +84,7 @@ func TestExample1WeightRegimes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := tr.ProbBoolean(q.UCQ, MethodOBDD)
+		got, err := baseline.New(tr).ProbBoolean(q.UCQ, baseline.OBDD)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,11 +131,11 @@ func TestIndependentViewPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ucq.MustParse("Q() :- R(x), S(x)")
-	p1, err := tr.ProbBoolean(q.UCQ, MethodBruteForce)
+	p1, err := baseline.New(tr).ProbBoolean(q.UCQ, baseline.BruteForce)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := tr2.ProbBoolean(q.UCQ, MethodBruteForce)
+	p2, err := baseline.New(tr2).ProbBoolean(q.UCQ, baseline.BruteForce)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +162,7 @@ func TestDenialViewOptimization(t *testing.T) {
 	q := ucq.MustParse("Q() :- Adv(1,a)")
 
 	m := build()
-	want, err := m.ProbExact(q.UCQ)
+	want, err := baseline.ProbExact(m, q.UCQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,14 +181,14 @@ func TestDenialViewOptimization(t *testing.T) {
 		t.Errorf("general path should create NV relation")
 	}
 	for name, tr := range map[string]*Translation{"optimized": trOpt, "general": trGen} {
-		got, err := tr.ProbBoolean(q.UCQ, MethodBruteForce)
+		got, err := baseline.New(tr).ProbBoolean(q.UCQ, baseline.BruteForce)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("%s: P = %v want %v", name, got, want)
 		}
-		gotO, err := tr.ProbBoolean(q.UCQ, MethodOBDD)
+		gotO, err := baseline.New(tr).ProbBoolean(q.UCQ, baseline.OBDD)
 		if err != nil {
 			t.Fatalf("%s obdd: %v", name, err)
 		}
@@ -231,7 +237,7 @@ func TestInvalidWeights(t *testing.T) {
 	if _, err := m.Translate(TranslateOptions{}); err == nil {
 		t.Error("weight +Inf accepted")
 	}
-	if _, err := m.GroundMLN(); err == nil {
+	if _, err := baseline.GroundMLN(m); err == nil {
 		t.Error("GroundMLN accepted +Inf view weight")
 	}
 	m2 := example1(1, 1, -2)
@@ -247,7 +253,7 @@ func TestQueryOverNVRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ucq.MustParse("Q() :- NV_V(x)")
-	if _, err := tr.ProbBoolean(q.UCQ, MethodBruteForce); err == nil {
+	if _, err := baseline.New(tr).ProbBoolean(q.UCQ, baseline.BruteForce); err == nil {
 		t.Error("query over NV relation accepted")
 	}
 }
@@ -268,7 +274,7 @@ func TestQueryRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ucq.MustParse("Q(s) :- Adv(s,a)")
-	rows, err := tr.Query(q, MethodOBDD)
+	rows, err := baseline.New(tr).Query(q, baseline.OBDD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +284,7 @@ func TestQueryRows(t *testing.T) {
 	// Cross-check each row against exact MLN inference.
 	for _, r := range rows {
 		b, _ := q.Bind(r.Head)
-		want, err := m.ProbExact(b)
+		want, err := baseline.ProbExact(m, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +354,7 @@ func TestTheorem1Randomized(t *testing.T) {
 		}
 		for _, qsrc := range queries {
 			q := ucq.MustParse(qsrc)
-			want, err := m.ProbExact(q.UCQ)
+			want, err := baseline.ProbExact(m, q.UCQ)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -357,8 +363,8 @@ func TestTheorem1Randomized(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, meth := range []Method{MethodBruteForce, MethodOBDD, MethodDPLL} {
-					got, err := tr.ProbBoolean(q.UCQ, meth)
+				for _, meth := range []baseline.Method{baseline.BruteForce, baseline.OBDD, baseline.DPLL} {
+					got, err := baseline.New(tr).ProbBoolean(q.UCQ, meth)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -397,7 +403,7 @@ func TestInconsistentViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ucq.MustParse("Q() :- R(x)")
-	if _, err := tr.ProbBoolean(q.UCQ, MethodBruteForce); err == nil {
+	if _, err := baseline.New(tr).ProbBoolean(q.UCQ, baseline.BruteForce); err == nil {
 		t.Error("inconsistent views: expected error")
 	}
 }
@@ -405,11 +411,11 @@ func TestInconsistentViews(t *testing.T) {
 func TestMCSatOnMVDBConverges(t *testing.T) {
 	m := example1(2, 3, 0.5)
 	q := ucq.MustParse("Q() :- R(x), S(x)")
-	want, err := m.ProbExact(q.UCQ)
+	want, err := baseline.ProbExact(m, q.UCQ)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.ProbMCSat(q.UCQ, mlnOptsForTest())
+	got, err := baseline.ProbMCSat(m, q.UCQ, mlnOptsForTest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +438,7 @@ func TestProbConditional(t *testing.T) {
 	}
 	qS := ucq.MustParse("Q() :- S(x)")
 	qR := ucq.MustParse("Q() :- R(x)")
-	got, err := tr.ProbConditional(qS.UCQ, qR.UCQ, MethodOBDD)
+	got, err := baseline.New(tr).ProbConditional(qS.UCQ, qR.UCQ, baseline.OBDD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,13 +449,13 @@ func TestProbConditional(t *testing.T) {
 		t.Errorf("P(S|R) = %v want %v", got, want)
 	}
 	// Conditioning must be able to change the marginal (correlation).
-	pS, _ := tr.ProbBoolean(qS.UCQ, MethodOBDD)
+	pS, _ := baseline.New(tr).ProbBoolean(qS.UCQ, baseline.OBDD)
 	if math.Abs(got-pS) < 1e-6 {
 		t.Errorf("conditioning had no effect: %v vs %v", got, pS)
 	}
 	// Impossible evidence errors.
 	qNone := ucq.MustParse("Q() :- R(99)")
-	if _, err := tr.ProbConditional(qS.UCQ, qNone.UCQ, MethodBruteForce); err == nil {
+	if _, err := baseline.New(tr).ProbConditional(qS.UCQ, qNone.UCQ, baseline.BruteForce); err == nil {
 		t.Error("conditioning on impossible event accepted")
 	}
 }
@@ -463,16 +469,16 @@ func TestProbConditionalAgainstExact(t *testing.T) {
 	}
 	qS := ucq.MustParse("Q() :- S(x)")
 	qR := ucq.MustParse("Q() :- R(x)")
-	pQE, err := m.ProbExact(ucq.Conjoin(qS.UCQ, qR.UCQ))
+	pQE, err := baseline.ProbExact(m, ucq.Conjoin(qS.UCQ, qR.UCQ))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pE, err := m.ProbExact(qR.UCQ)
+	pE, err := baseline.ProbExact(m, qR.UCQ)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := pQE / pE
-	got, err := tr.ProbConditional(qS.UCQ, qR.UCQ, MethodBruteForce)
+	got, err := baseline.New(tr).ProbConditional(qS.UCQ, qR.UCQ, baseline.BruteForce)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,11 +521,11 @@ func TestMethodDPLL(t *testing.T) {
 	queries := []string{"Q() :- R(x), S(x)", "Q() :- R(x)\nQ() :- S(x)", "Q() :- R(1)"}
 	for _, src := range queries {
 		q := ucq.MustParse(src)
-		want, err := m.ProbExact(q.UCQ)
+		want, err := baseline.ProbExact(m, q.UCQ)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := tr.ProbBoolean(q.UCQ, MethodDPLL)
+		got, err := baseline.New(tr).ProbBoolean(q.UCQ, baseline.DPLL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -527,8 +533,8 @@ func TestMethodDPLL(t *testing.T) {
 			t.Errorf("%q: dpll = %v exact = %v", src, got, want)
 		}
 	}
-	if MethodDPLL.String() != "dpll" {
-		t.Errorf("String = %q", MethodDPLL.String())
+	if baseline.DPLL.String() != "dpll" {
+		t.Errorf("String = %q", baseline.DPLL.String())
 	}
 }
 
@@ -548,11 +554,11 @@ func TestMethodDPLLOnQueryRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ucq.MustParse("Q(s) :- Adv(s,a)")
-	dp, err := tr.Query(q, MethodDPLL)
+	dp, err := baseline.New(tr).Query(q, baseline.DPLL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ob, err := tr.Query(q, MethodOBDD)
+	ob, err := baseline.New(tr).Query(q, baseline.OBDD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,11 +597,11 @@ func TestViewWithDeterministicNegation(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ucq.MustParse("Q() :- R(1)")
-	want, err := m.ProbExact(q.UCQ)
+	want, err := baseline.ProbExact(m, q.UCQ)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tr.ProbBoolean(q.UCQ, MethodOBDD)
+	got, err := baseline.New(tr).ProbBoolean(q.UCQ, baseline.OBDD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,12 +722,12 @@ func TestProbWAllMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tr.ProbW(MethodBruteForce)
+	want, err := baseline.New(tr).ProbW(baseline.BruteForce)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, meth := range []Method{MethodOBDD, MethodLifted, MethodDPLL} {
-		got, err := tr.ProbW(meth)
+	for _, meth := range []baseline.Method{baseline.OBDD, baseline.Lifted, baseline.DPLL} {
+		got, err := baseline.New(tr).ProbW(meth)
 		if err != nil {
 			t.Fatalf("%v: %v", meth, err)
 		}
@@ -737,12 +743,12 @@ func TestProbWAllMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, meth := range []Method{MethodBruteForce, MethodOBDD, MethodLifted, MethodDPLL} {
-		if p, err := tr2.ProbW(meth); err != nil || p != 0 {
+	for _, meth := range []baseline.Method{baseline.BruteForce, baseline.OBDD, baseline.Lifted, baseline.DPLL} {
+		if p, err := baseline.New(tr2).ProbW(meth); err != nil || p != 0 {
 			t.Errorf("%v: P0(W) = %v, %v", meth, p, err)
 		}
 	}
-	if _, err := tr.ProbW(Method(99)); err == nil {
+	if _, err := baseline.New(tr).ProbW(baseline.Method(99)); err == nil {
 		t.Error("unknown method accepted")
 	}
 }
@@ -753,7 +759,7 @@ func TestCompileStatsExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := tr.CompileStats()
+	_, _, st, err := tr.CompileW(obdd.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -780,11 +786,11 @@ func TestSnapshotRestoreWithinCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ucq.MustParse("Q() :- R(x), S(x)")
-	want, err := tr.ProbBoolean(q.UCQ, MethodBruteForce)
+	want, err := baseline.New(tr).ProbBoolean(q.UCQ, baseline.BruteForce)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := back.ProbBoolean(q.UCQ, MethodBruteForce)
+	got, err := baseline.New(back).ProbBoolean(q.UCQ, baseline.BruteForce)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -793,21 +799,16 @@ func TestSnapshotRestoreWithinCore(t *testing.T) {
 	}
 	// The restored translation still rejects NV queries.
 	nv := ucq.MustParse("Q() :- NV_V(x)")
-	if _, err := back.ProbBoolean(nv.UCQ, MethodBruteForce); err == nil {
+	if _, err := baseline.New(back).ProbBoolean(nv.UCQ, baseline.BruteForce); err == nil {
 		t.Error("NV query accepted after restore")
 	}
-	// AttachOBDD round trip through a fresh compile.
-	mgr, fW, _, err := tr.CompileW(obdd.CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	back.AttachOBDD(mgr, fW)
-	got, err = back.ProbBoolean(q.UCQ, MethodOBDD)
+	// The restored translation compiles W like the original.
+	got, err = baseline.New(back).ProbBoolean(q.UCQ, baseline.OBDD)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("attached OBDD: %v want %v", got, want)
+		t.Errorf("restored OBDD: %v want %v", got, want)
 	}
 }
 
@@ -827,15 +828,15 @@ func TestQueryAllMethodsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ucq.MustParse("Q(s) :- Adv(s,a)")
-	ref, err := tr.Query(q, MethodBruteForce)
+	ref, err := baseline.New(tr).Query(q, baseline.BruteForce)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Q ∨ W is unsafe here (Adv self-join through the view), so only the
 	// lineage-based methods apply; TestQueryMethodLifted covers lifted on a
 	// view where Q ∨ W is safe.
-	for _, meth := range []Method{MethodOBDD, MethodDPLL} {
-		got, err := tr.Query(q, meth)
+	for _, meth := range []baseline.Method{baseline.OBDD, baseline.DPLL} {
+		got, err := baseline.New(tr).Query(q, meth)
 		if err != nil {
 			t.Fatalf("%v: %v", meth, err)
 		}
@@ -860,15 +861,15 @@ func TestProbGivenTuples(t *testing.T) {
 	}
 	qS := ucq.MustParse("Q() :- S(x)")
 	// Exact reference via the MLN: P(S | R) = P(S ∧ R)/P(R).
-	net, err := m.GroundMLN()
+	net, err := baseline.GroundMLN(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pSR, _ := net.MarginalExact(lineage.And{lineage.Var(1), lineage.Var(2)})
 	pR, _ := net.MarginalExact(lineage.Var(1))
 	want := pSR / pR
-	for _, meth := range []Method{MethodBruteForce, MethodDPLL} {
-		got, err := tr.ProbGivenTuples(qS.UCQ, Evidence{1: true}, meth)
+	for _, meth := range []baseline.Method{baseline.BruteForce, baseline.DPLL} {
+		got, err := baseline.New(tr).ProbGivenTuples(qS.UCQ, baseline.Evidence{1: true}, meth)
 		if err != nil {
 			t.Fatalf("%v: %v", meth, err)
 		}
@@ -880,7 +881,7 @@ func TestProbGivenTuples(t *testing.T) {
 	pSnR, _ := net.MarginalExact(lineage.And{lineage.Not{F: lineage.Var(1)}, lineage.Var(2)})
 	pnR, _ := net.MarginalExact(lineage.Not{F: lineage.Var(1)})
 	want = pSnR / pnR
-	got, err := tr.ProbGivenTuples(qS.UCQ, Evidence{1: false}, MethodDPLL)
+	got, err := baseline.New(tr).ProbGivenTuples(qS.UCQ, baseline.Evidence{1: false}, baseline.DPLL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -888,13 +889,13 @@ func TestProbGivenTuples(t *testing.T) {
 		t.Errorf("P(S|¬R) = %v want %v", got, want)
 	}
 	// Errors.
-	if _, err := tr.ProbGivenTuples(qS.UCQ, Evidence{99: true}, MethodDPLL); err == nil {
+	if _, err := baseline.New(tr).ProbGivenTuples(qS.UCQ, baseline.Evidence{99: true}, baseline.DPLL); err == nil {
 		t.Error("out-of-range evidence accepted")
 	}
-	if _, err := tr.ProbGivenTuples(qS.UCQ, Evidence{3: true}, MethodDPLL); err == nil {
+	if _, err := baseline.New(tr).ProbGivenTuples(qS.UCQ, baseline.Evidence{3: true}, baseline.DPLL); err == nil {
 		t.Error("NV evidence accepted")
 	}
-	if _, err := tr.ProbGivenTuples(qS.UCQ, Evidence{1: true}, MethodOBDD); err == nil {
+	if _, err := baseline.New(tr).ProbGivenTuples(qS.UCQ, baseline.Evidence{1: true}, baseline.OBDD); err == nil {
 		t.Error("unsupported method accepted")
 	}
 }
@@ -915,7 +916,7 @@ func TestProbGivenTuplesWithDenial(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ucq.MustParse("Q() :- Adv(1,11)")
-	got, err := tr.ProbGivenTuples(q.UCQ, Evidence{v1: true}, MethodDPLL)
+	got, err := baseline.New(tr).ProbGivenTuples(q.UCQ, baseline.Evidence{v1: true}, baseline.DPLL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -923,7 +924,7 @@ func TestProbGivenTuplesWithDenial(t *testing.T) {
 		t.Errorf("P(other advisor | this advisor) = %v want 0", got)
 	}
 	// Evidence contradicting the views errors... asserting both present:
-	if _, err := tr.ProbGivenTuples(q.UCQ, Evidence{1: true, 2: true}, MethodDPLL); err == nil {
+	if _, err := baseline.New(tr).ProbGivenTuples(q.UCQ, baseline.Evidence{1: true, 2: true}, baseline.DPLL); err == nil {
 		t.Error("contradictory evidence accepted")
 	}
 }
@@ -950,11 +951,11 @@ func TestQueryMethodLifted(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ucq.MustParse("Q(x) :- R(x)")
-	got, err := tr.Query(q, MethodLifted)
+	got, err := baseline.New(tr).Query(q, baseline.Lifted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tr.Query(q, MethodOBDD)
+	want, err := baseline.New(tr).Query(q, baseline.OBDD)
 	if err != nil {
 		t.Fatal(err)
 	}

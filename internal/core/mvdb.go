@@ -1,9 +1,13 @@
 // Package core implements the paper's contribution: MVDBs — probabilistic
-// databases with MarkoViews (Section 2.4) — their Markov-Logic-Network
-// semantics (Definition 4), the translation to a tuple-independent database
-// (Definition 5), and query evaluation through Theorem 1:
+// databases with MarkoViews (Section 2.4) — and their translation to a
+// tuple-independent database (Definition 5) together with the Boolean UCQ W
+// of Theorem 1:
 //
 //	P(Q) = (P0(Q ∨ W) - P0(W)) / (1 - P0(W))
+//
+// plus the mutations and the delta translation of live updates. The MV-index
+// (package mvindex) evaluates the right-hand side; the global methods and the
+// Definition 4 semantics live in package baseline.
 package core
 
 import (
@@ -12,7 +16,6 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/lineage"
-	"mvdb/internal/mln"
 	"mvdb/internal/ucq"
 )
 
@@ -136,66 +139,6 @@ func (m *MVDB) Materialize() ([]ViewTuple, error) {
 		}
 	}
 	return out, nil
-}
-
-// GroundMLN builds the Markov Logic Network of Definition 4: one feature
-// (X_t, w(t)) per probabilistic tuple and one feature (Q_i(t̄), w_V(t)) per
-// view tuple. Deterministic tuples are present in every world and do not
-// appear as variables; nor do deleted tuples, nor the NV tuples a
-// translation adds to the variable id space the MVDB shares with it. Its
-// variables keep their database ids. Intended as exact ground truth on
-// small instances.
-func (m *MVDB) GroundMLN() (*mln.Network, error) {
-	var feats []mln.Feature
-	var vars []int
-	for v := 1; v <= m.DB.NumVars(); v++ {
-		if !m.DB.Alive(v) {
-			continue
-		}
-		w := m.DB.Weight(v)
-		if w < 0 {
-			return nil, fmt.Errorf("core: tuple variable %d has negative weight %v; MVDB weights must be non-negative", v, w)
-		}
-		feats = append(feats, mln.Feature{F: lineage.Var(v), Weight: w})
-		vars = append(vars, v)
-	}
-	tuples, err := m.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	for _, t := range tuples {
-		feats = append(feats, mln.Feature{F: lineage.FromDNF(t.Lineage), Weight: t.Weight})
-	}
-	return mln.New(vars, feats)
-}
-
-// ProbExact computes P(Q) directly from the Definition 4 semantics by
-// enumerating all possible worlds. Only feasible on small instances; used as
-// the ground truth that Theorem 1 is tested against.
-func (m *MVDB) ProbExact(q ucq.UCQ) (float64, error) {
-	net, err := m.GroundMLN()
-	if err != nil {
-		return 0, err
-	}
-	lin, err := ucq.EvalBoolean(m.DB, q)
-	if err != nil {
-		return 0, err
-	}
-	return net.MarginalExact(lineage.FromDNF(lin))
-}
-
-// ProbMCSat estimates P(Q) with the MC-SAT sampler over the Definition 4
-// MLN — the Alchemy-style baseline of Section 5.1.
-func (m *MVDB) ProbMCSat(q ucq.UCQ, opt mln.MCSatOptions) (float64, error) {
-	net, err := m.GroundMLN()
-	if err != nil {
-		return 0, err
-	}
-	lin, err := ucq.EvalBoolean(m.DB, q)
-	if err != nil {
-		return 0, err
-	}
-	return net.MarginalMCSat(lineage.FromDNF(lin), opt)
 }
 
 // DefineProbTable materializes a probabilistic table from a query over

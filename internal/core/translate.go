@@ -38,9 +38,8 @@ type Translation struct {
 	// Reorder configures dynamic OBDD variable reordering of the MV-index:
 	// when Mode is not ReorderOff, mvindex.Build runs a per-block Rudell
 	// sifting pass after compiling W and the index keeps the learned order.
-	// It does not affect the translation's own global OBDD compilation
-	// (ensureOBDD), which the index sift replaces wholesale. Carried over by
-	// Retranslate and RetranslateFrom.
+	// It does not affect CompileW, which compiles under WPerm. Carried over
+	// by Retranslate and RetranslateFrom.
 	Reorder obdd.ReorderOptions
 
 	NVRelations       []string // one per non-empty view, in view order
@@ -50,7 +49,6 @@ type Translation struct {
 	nvSet map[string]bool
 	opts  TranslateOptions // options Translate was called with (for re-translation)
 	perm  obdd.Perm        // W's compile permutation Π, see WPerm
-	obdd  *obddState
 }
 
 // Opts returns the options the translation was built with (defaults filled
@@ -213,24 +211,16 @@ func (t *Translation) plan() {
 // constraints). When false, the MVDB is an ordinary INDB and P = P0.
 func (t *Translation) HasConstraints() bool { return len(t.W.Disjuncts) > 0 }
 
-// checkQuery rejects queries that mention the internal NV relations.
-func (t *Translation) checkQuery(q ucq.UCQ) error {
-	for _, rel := range q.Relations() {
-		if t.nvSet[rel] {
-			return fmt.Errorf("core: query mentions internal relation %s", rel)
-		}
-	}
-	return nil
-}
-
 // ValidateQuery performs the static input checks on a query over the public
 // schema: every mentioned relation must exist with matching arity, and the
 // internal NV relations are off limits. An error here means the query itself
 // is malformed — as opposed to a failure during evaluation — so callers
 // (e.g. the HTTP server) can classify it as bad input.
 func (t *Translation) ValidateQuery(q ucq.UCQ) error {
-	if err := t.checkQuery(q); err != nil {
-		return err
+	for _, rel := range q.Relations() {
+		if t.nvSet[rel] {
+			return fmt.Errorf("core: query mentions internal relation %s", rel)
+		}
 	}
 	for _, d := range q.Disjuncts {
 		for _, a := range d.Atoms {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mvdb/internal/baseline"
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
 	"mvdb/internal/mvindex"
@@ -131,11 +132,12 @@ func TestTranslationAndIndexPipeline(t *testing.T) {
 		t.Errorf("index size=%d blocks=%d", ix.Size(), ix.Blocks())
 	}
 
-	// Cross-check MV-index against the Translation's OBDD path on several
+	// Cross-check MV-index against the baseline OBDD method on several
 	// queries, for both intersection algorithms.
+	ev := baseline.New(tr)
 	for _, s := range d.Students[:5] {
 		q := QueryAdvisorOfStudent(s)
-		want, err := tr.Query(q, core.MethodOBDD)
+		want, err := ev.Query(q, baseline.OBDD)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +245,7 @@ func TestMicroEndToEndExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := m.ProbExact(b)
+			want, err := baseline.ProbExact(m, b)
 			if err != nil {
 				t.Fatal(err)
 			}

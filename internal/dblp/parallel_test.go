@@ -114,14 +114,8 @@ func TestParallelCompileMatchesSequentialDBLP(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var mW *obdd.Manager
-				var fW obdd.NodeID
-				atProcs(procs, func() { mW, fW, _, err = tr.CompileW(obdd.CompileOptions{}) })
-				if err != nil {
-					t.Fatal(err)
-				}
-				tr.AttachOBDD(mW, fW)
-				ix, err := mvindex.Build(tr)
+				var ix *mvindex.Index
+				atProcs(procs, func() { ix, err = mvindex.Build(tr) })
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -242,11 +242,11 @@ func weigh(sh shape, probs, buf []float64) segment {
 }
 
 // newChain augments the OBDD of ¬W rooted at root in m: it finds the chain
-// blocks, flattens and weighs every one, and keeps m as the chain's
-// materialised ¬W. With a usable block record of that OBDD (rec.Roots in m)
-// every block is tagged with its separator value, and the record is returned
-// for the index to keep (without the roots); nil when it does not line up
-// with the chain.
+// blocks and flattens and weighs every one. The chain keeps no reference to
+// m, so a compile's manager is garbage once its caller drops it. With a
+// usable block record of that OBDD (rec.Roots in m) every block is tagged
+// with its separator value, and the record is returned for the index to keep
+// (without the roots); nil when it does not line up with the chain.
 func newChain(m *obdd.Manager, root obdd.NodeID, rec *obdd.BlockRecord, probs []float64) (c *chain, kept *obdd.BlockRecord) {
 	c = &chain{ord: m.NewScratch(), neg: new(lazyNeg)}
 	if root == obdd.False {
@@ -281,10 +281,6 @@ func newChain(m *obdd.Manager, root obdd.NodeID, rec *obdd.BlockRecord, probs []
 	if ok && vi == len(rec.Roots)-1 {
 		c.vals, kept = len(rec.Values), &obdd.BlockRecord{U: rec.U, HasSep: true, Sep: rec.Sep}
 	}
-	for i := range f.at {
-		f.at[i]-- // -1: not in the chain
-	}
-	c.neg.p.Store(&negW{m: m, root: root, roots: roots, at: f.at})
 	return c, kept
 }
 
@@ -344,8 +340,8 @@ type negW struct {
 	at    []int32
 }
 
-// lazyNeg holds a chain's negW, built on first need unless the chain was
-// flattened from one; chains that differ only in weights share it.
+// lazyNeg holds a chain's negW, built from the segments on first need;
+// chains that differ only in weights share it.
 type lazyNeg struct {
 	once sync.Once
 	p    atomic.Pointer[negW]
@@ -354,11 +350,7 @@ type lazyNeg struct {
 // negOBDD returns the chain's ¬W, materialising it from the segments on the
 // first call. Safe for concurrent callers.
 func (c *chain) negOBDD() *negW {
-	c.neg.once.Do(func() {
-		if c.neg.p.Load() == nil {
-			c.neg.p.Store(c.materialize())
-		}
-	})
+	c.neg.once.Do(func() { c.neg.p.Store(c.materialize()) })
 	return c.neg.p.Load()
 }
 

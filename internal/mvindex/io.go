@@ -15,10 +15,11 @@ import (
 
 // indexSnapshot is the serialized MV-index: the translated database, the
 // translation metadata, an OBDD manager, and the ¬W root. The index holds ¬W
-// as per-block segments; Save materialises it into a manager (once per
-// version) and the segments are recomputed on load — one pass of the
-// per-block primitive over every block; they depend on the tuple weights,
-// which keeps saved indexes valid under Reweight-style workflows.
+// as per-block segments; Save writes the pointer ¬W rebuilt from them — a
+// manager of exactly ¬W's nodes, which the version keeps for the next Save —
+// and the segments are recomputed on load — one pass of the per-block
+// primitive over every block; they depend on the tuple weights, which keeps
+// saved indexes valid under Reweight-style workflows.
 //
 // The database is written once: the translated database holds the source
 // MVDB's base relations themselves plus the NV relations, and a restore
@@ -77,9 +78,6 @@ func (ix *Index) Save(w io.Writer) error { return ix.SaveSeq(w, 0) }
 func (ix *Index) SaveSeq(w io.Writer, lastSeq uint64) error {
 	bw := bufio.NewWriter(w)
 	n := ix.ch.negOBDD()
-	if n.m.NumNodes() > ix.Size()+2 {
-		n = ix.ch.materialize() // ¬W alone, not the compile it came from
-	}
 	s := indexSnapshot{
 		Magic:       snapshotMagic,
 		DB:          ix.tr.DB.Snapshot(),
@@ -112,9 +110,9 @@ func Read(r io.Reader) (*Index, error) {
 
 // ReadSeq deserializes an index written by Save/SaveSeq and returns the WAL
 // sequence number the snapshot covers. The returned index is fully
-// functional: the inner translation is restored and its OBDD of W is
-// attached, so no recompilation happens; with a snapshotted source the index
-// also accepts ApplyMutations.
+// functional: the inner translation is restored and the segments are
+// flattened from the saved ¬W, so no recompilation happens; with a
+// snapshotted source the index also accepts ApplyMutations.
 func ReadSeq(r io.Reader) (*Index, uint64, error) {
 	var s indexSnapshot
 	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&s); err != nil {
@@ -146,9 +144,6 @@ func ReadSeq(r io.Reader) (*Index, uint64, error) {
 	}
 	ix := &Index{tr: tr, probs: tr.DB.Probs()}
 	ix.ch, _ = newChain(m, root, nil, ix.probs)
-	// ¬W's root is stored; the translation derives W = ¬¬W if it is ever
-	// asked to evaluate through the OBDD itself.
-	ix.attachNegW()
 	if s.Reordered {
 		// The learned order was restored with the manager; mark the index so
 		// no sifting search re-runs and delta recompiles keep inheriting it.

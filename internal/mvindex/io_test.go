@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"mvdb/internal/baseline"
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
 	"mvdb/internal/ucq"
@@ -35,7 +36,7 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Query answers are identical through the loaded index.
 	q := ucq.MustParse("Q(s) :- Adv(s,a)")
-	want, err := tr.Query(q, core.MethodOBDD)
+	want, err := baseline.New(tr).Query(q, baseline.OBDD)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,17 +112,24 @@ type ReorderInfo struct {
 
 // Build compiles the MV-index for a translation: it compiles ¬W under the
 // static order Π with the separator expansion recorded, so the first
-// structural batch already recompiles only its dirty blocks, computes the
-// block-local augmentation, and hands the translation the ¬W it compiled.
+// structural batch already recompiles only its dirty blocks, and computes the
+// block-local augmentation. The index keeps no OBDD manager: ¬W lives in the
+// per-block segments.
 func Build(tr *core.Translation) (*Index, error) {
-	ord := obdd.NewManager(obdd.TupleOrder(tr.DB, tr.WPerm()))
+	return BuildOrder(tr, obdd.TupleOrder(tr.DB, tr.WPerm()))
+}
+
+// BuildOrder is Build under another variable order — the reorder
+// experiment's untuned starting point. The order must be a permutation of
+// the translated database's tuple variables; the caller vouches for it.
+func BuildOrder(tr *core.Translation, order []int) (*Index, error) {
+	ord := obdd.NewManager(order)
 	d, err := obdd.CompileDelta(tr.DB, tr.W, ord, obdd.CompileOptions{}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	ix := &Index{tr: tr, probs: tr.DB.Probs()}
 	ix.ch, ix.rec = newChain(d.M, d.Root, d.Rec, ix.probs)
-	ix.attachNegW()
 	if tr.Reorder.Mode != obdd.ReorderOff {
 		if _, err := ix.Sift(tr.Reorder); err != nil {
 			return nil, err
@@ -164,7 +171,6 @@ func (ix *Index) Sift(opts obdd.ReorderOptions) (obdd.ReorderStats, error) {
 		rec.Roots = nroots[1:]
 	}
 	ix.ch, ix.rec = newChain(nm, nroots[0], rec, ix.probs)
-	ix.attachNegW()
 	ix.noteReorder(opts.Mode, st, "sifted")
 	// Cached answers and lineage probabilities stay valid: the represented
 	// functions and weights are unchanged, and the caches never store
@@ -279,16 +285,6 @@ func (ix *Index) BlockOf(v int) int {
 // its NewScratch managers. The index itself holds no OBDD manager: ¬W lives
 // in the per-block segments.
 func (ix *Index) Manager() *obdd.Manager { return ix.ch.ord }
-
-// UniqueTableStats returns the unique-table occupancy and capacity of the
-// pointer OBDD of ¬W when the current version has one (zeros otherwise); it
-// never builds one.
-func (ix *Index) UniqueTableStats() (occupied, slots int) {
-	if n := ix.ch.neg.p.Load(); n != nil {
-		return n.m.UniqueTableStats()
-	}
-	return 0, 0
-}
 
 // Translation exposes the index's underlying translation (useful after
 // loading a saved index).
@@ -670,26 +666,14 @@ func (c *chain) replace(k int, s *segment) {
 	c.segs[k] = s
 }
 
-// weightsChanged finishes any step that re-weighed blocks: the
-// translation's ¬W is re-attached (its lazily derived P0(W) depends on the
-// weights), and the cache epochs are bumped — an O(1) invalidation that makes
-// every answer and lineage probability computed against the old weights
-// stale (entries are dropped lazily). Mutating steps require exclusive
-// access, so no reader can observe the half-updated state.
+// weightsChanged finishes any step that re-weighed blocks: the cache epochs
+// are bumped — an O(1) invalidation that makes every answer and lineage
+// probability computed against the old weights stale (entries are dropped
+// lazily). Mutating steps require exclusive access, so no reader can observe
+// the half-updated state.
 func (ix *Index) weightsChanged() {
-	ix.attachNegW()
 	if ix.cache != nil {
 		ix.cache.answers.Invalidate()
 		ix.cache.lineage.Invalidate()
 	}
-}
-
-// attachNegW hands the translation the current ¬W, materialised into a
-// manager of its own on the translation's first need.
-func (ix *Index) attachNegW() {
-	c := ix.ch
-	ix.tr.AttachNegOBDD(func() (*obdd.Manager, obdd.NodeID) {
-		n := c.materialize()
-		return n.m, n.root
-	})
 }

@@ -7,8 +7,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"mvdb/internal/baseline"
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
+	"mvdb/internal/obdd"
 	"mvdb/internal/ucq"
 )
 
@@ -60,7 +62,7 @@ func TestIndexAgreesWithExact(t *testing.T) {
 	}
 	for _, src := range queries {
 		q := ucq.MustParse(src)
-		want, err := m.ProbExact(q.UCQ)
+		want, err := baseline.ProbExact(m, q.UCQ)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,14 +84,14 @@ func TestIndexAgreesWithExact(t *testing.T) {
 }
 
 func TestIndexAgainstCoreOBDD(t *testing.T) {
-	// Larger instance: cross-check against the Translation's own OBDD path
+	// Larger instance: cross-check against the baseline OBDD method
 	// (no MLN enumeration).
 	m := chainMVDB(60, 11)
 	tr, ix := buildIndex(t, m)
 	for _, s := range []int64{1, 17, 33, 60} {
 		q := ucq.MustParse("Q(s) :- Adv(s,a)")
 		b, _ := q.Bind([]engine.Value{engine.Int(s)})
-		want, err := tr.ProbBoolean(b, core.MethodOBDD)
+		want, err := baseline.New(tr).ProbBoolean(b, baseline.OBDD)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +168,7 @@ func TestQueryAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := tr.Query(q, core.MethodOBDD)
+	want, err := baseline.New(tr).Query(q, baseline.OBDD)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +198,7 @@ func TestIndexWithDenialViews(t *testing.T) {
 	}
 	_, ix := buildIndex(t, m)
 	q := ucq.MustParse("Q() :- Adv(1,a)")
-	want, err := m.ProbExact(q.UCQ)
+	want, err := baseline.ProbExact(m, q.UCQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +265,7 @@ func TestIndexRandomizedAgainstExact(t *testing.T) {
 		queries := []string{"Q() :- R(x)", "Q() :- S(x,y)", "Q() :- R(1), S(1,y)"}
 		for _, src := range queries {
 			q := ucq.MustParse(src)
-			want, err := m.ProbExact(q.UCQ)
+			want, err := baseline.ProbExact(m, q.UCQ)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -367,7 +369,7 @@ func TestTupleMarginal(t *testing.T) {
 		// Cross-check against exact MLN enumeration.
 		q := ucq.MustParse(
 			"Q() :- Adv(" + tup.Vals[0].String() + "," + tup.Vals[1].String() + ")")
-		want, err := m.ProbExact(q.UCQ)
+		want, err := baseline.ProbExact(m, q.UCQ)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,16 +388,26 @@ func TestTupleMarginal(t *testing.T) {
 	}
 }
 
-// TestCompact: the ¬W a snapshot carries is compact. A freshly built index
-// flattened its chain from the translation's compile manager, which also
-// holds W and the compile's intermediates, yet Save writes ¬W's nodes alone,
-// and the restored index answers the same.
+// TestCompact: a built index keeps no OBDD manager — after Build, Sift,
+// ReadSeq and a full-recompile batch its version holds no pointer ¬W, so the
+// compile's manager, which also holds W and the compile's intermediates, is
+// garbage — yet Save writes ¬W's nodes alone, and the restored index answers
+// the same.
 func TestCompact(t *testing.T) {
 	m := chainMVDB(30, 33)
-	tr, ix := buildIndex(t, m)
-	if mgr, _, _ := tr.OBDD(); mgr.NumNodes() <= ix.Size()+2 {
-		t.Fatalf("the compile manager holds only ¬W (%d nodes): nothing to compact", mgr.NumNodes())
+	tableWeights(t, m)
+	_, ix := buildIndex(t, m)
+	noManager := func(step string, ix *Index) {
+		t.Helper()
+		if ix.ch.neg.p.Load() != nil {
+			t.Fatalf("after %s the index keeps a pointer ¬W", step)
+		}
 	}
+	noManager("Build", ix)
+	if _, err := ix.Sift(obdd.ReorderOptions{Mode: obdd.ReorderOnce}); err != nil {
+		t.Fatal(err)
+	}
+	noManager("Sift", ix)
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -407,10 +419,11 @@ func TestCompact(t *testing.T) {
 	if got := len(snap.Manager.Nodes); got != ix.Size()+2 {
 		t.Fatalf("snapshot holds %d nodes for a %d-node ¬W", got, ix.Size())
 	}
-	back, err := Read(&buf)
+	back, _, err := ReadSeq(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	noManager("ReadSeq", back)
 	q := ucq.MustParse("Q() :- Adv(7,a)")
 	want, err := ix.ProbBoolean(q.UCQ, IntersectOptions{})
 	if err != nil {
@@ -422,6 +435,26 @@ func TestCompact(t *testing.T) {
 	}
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("probability changed through the snapshot: %v vs %v", got, want)
+	}
+	// A restored index has no block record: its first structural batch
+	// recompiles in full.
+	st, err := back.ApplyMutations([]core.Mutation{
+		{Op: core.MutInsert, Rel: "Adv", Vals: []engine.Value{engine.Int(7), engine.Int(307)}, Weight: 1.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Full {
+		t.Fatalf("first structural batch after a restore: %+v, want a full recompile", st)
+	}
+	noManager("a full-recompile batch", back)
+
+	for _, domain := range []int{1000, 2000, 4000} {
+		if testing.Short() {
+			break
+		}
+		_, heap := liveHeapAfterBuild(t, domain)
+		t.Logf("domain %d: live heap after Build %.1f MB", domain, heap/1e6)
 	}
 }
 
@@ -472,7 +505,7 @@ func TestAllTupleMarginalsUnconstrainedVar(t *testing.T) {
 	}
 	// Exact cross-check.
 	q := ucq.MustParse("Q() :- Adv(1,10)")
-	want, err := m.ProbExact(q.UCQ)
+	want, err := baseline.ProbExact(m, q.UCQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +589,7 @@ func TestDeepChainMatchesShallow(t *testing.T) {
 	}
 	deep, s := build(3000)
 	shallow, _ := build(1)
-	want, err := shallow.ProbExact(ucq.MustParse("Q() :- Adv(1,100)").UCQ)
+	want, err := baseline.ProbExact(shallow, ucq.MustParse("Q() :- Adv(1,100)").UCQ)
 	if err != nil {
 		t.Fatal(err)
 	}

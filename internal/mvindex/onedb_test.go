@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"mvdb/internal/baseline"
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
 	"mvdb/internal/ucq"
@@ -126,7 +127,7 @@ func TestTranslationSharesBaseRelations(t *testing.T) {
 	}
 	for _, src := range []string{"Q() :- Adv(7,a)", "Q() :- Adv(1,a)", "Q() :- Adv(s,a)"} {
 		q := ucq.MustParse(src)
-		want, err := ix.Source().ProbExact(q.UCQ)
+		want, err := baseline.ProbExact(ix.Source(), q.UCQ)
 		if err != nil {
 			t.Fatal(err)
 		}

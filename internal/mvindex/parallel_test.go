@@ -30,14 +30,8 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var m *obdd.Manager
-		var fW obdd.NodeID
-		atProcs(procs, func() { m, fW, _, err = tr.CompileW(obdd.CompileOptions{}) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr.AttachOBDD(m, fW)
-		ix, err := Build(tr)
+		var ix *Index
+		atProcs(procs, func() { ix, err = Build(tr) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,12 +119,6 @@ func (m *Manager) Order() []int {
 	return out
 }
 
-// UniqueTableStats returns the occupancy and capacity of the manager's
-// unique table; occupied/slots is the load factor surfaced in /stats.
-func (m *Manager) UniqueTableStats() (occupied, slots int) {
-	return m.unique.stats()
-}
-
 // Reorder runs Rudell sifting over the subgraph reachable from roots and
 // returns a fresh manager under the improved variable order together with
 // the translated roots. The input manager is not modified; on error (budget

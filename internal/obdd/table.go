@@ -39,11 +39,6 @@ func (t *uniqueTable) init() {
 	t.n = 0
 }
 
-// Stats returns the occupancy and capacity of the unique table. The load
-// factor n/cap stays below 3/4 by construction; /stats reports it so
-// operators can see how much slack the probe loops have.
-func (t *uniqueTable) stats() (n, cap int) { return t.n, len(t.slots) }
-
 // lookup probes for (level, lo, hi) and returns its id, or 0 and the slot
 // index where it must be inserted.
 func (t *uniqueTable) lookup(nodes []node, level int32, lo, hi NodeID) (NodeID, uint64) {

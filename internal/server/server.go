@@ -516,7 +516,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	logP, sign := s.ix.LogProbNotW()
 	cs := s.ix.CacheStats()
-	occupied, slots := s.ix.UniqueTableStats()
 	out := map[string]any{
 		"index_nodes":    s.ix.Size(),
 		"index_blocks":   s.ix.Blocks(),
@@ -533,13 +532,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"cache":          cs,
 		// Derived ratios, so dashboards don't have to divide raw counters:
 		// apply-cache hit rates (the index's order manager's and the
-		// per-query scratch managers'), the cross-query answer cache's hit
-		// rate, and the load factor (occupied buckets / slots) of the unique
-		// table of the pointer OBDD of ¬W, when this version built one.
+		// per-query scratch managers') and the cross-query answer cache's hit
+		// rate.
 		"apply_cache_hit_rate":  hitRate(cs.SharedApplyHits, cs.SharedApplyMisses),
 		"query_apply_hit_rate":  hitRate(cs.QueryApplyHits, cs.QueryApplyMisses),
 		"answer_cache_hit_rate": hitRate(cs.Answers.Hits, cs.Answers.Misses),
-		"unique_table_load":     loadFactor(occupied, slots),
 		"uptime_sec":            time.Since(s.start).Seconds(),
 		"role":                  role(s.role.Load()).String(),
 		"term":                  s.term.Load(),
@@ -563,14 +560,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 func hitRate(hits, misses uint64) float64 {
 	if total := hits + misses; total > 0 {
 		return float64(hits) / float64(total)
-	}
-	return 0
-}
-
-// loadFactor returns occupied/slots, or 0 for an empty table.
-func loadFactor(occupied, slots int) float64 {
-	if slots > 0 {
-		return float64(occupied) / float64(slots)
 	}
 	return 0
 }

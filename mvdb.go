@@ -9,10 +9,12 @@
 //
 //	P(Q) = (P0(Q ∨ W) - P0(W)) / (1 - P0(W))
 //
-// and computes the right-hand side with exact methods: brute-force
-// enumeration, lifted inference, DPLL model counting, OBDD compilation, or the
-// MV-index — an augmented OBDD of ¬W precompiled offline so that online
-// queries run in time proportional to the slice of the index they touch.
+// and computes the right-hand side with the MV-index — an augmented OBDD of ¬W
+// precompiled offline so that online queries run in time proportional to the
+// slice of the index they touch. The paper's baselines evaluate it globally
+// instead (an Evaluator: brute-force enumeration, OBDD compilation, lifted
+// inference, DPLL model counting), and GroundMLN, ProbExact and ProbMCSat
+// work on the Markov Logic Network semantics directly.
 //
 // # Quickstart
 //
@@ -33,14 +35,15 @@
 //
 // The subpackages under internal implement the substrates: the relational
 // engine, the UCQ language and analyses, OBDDs with the ConOBDD compiler,
-// lifted inference, Markov Logic Networks (exact, Gibbs, MC-SAT), the
-// MV-index, and the synthetic DBLP generator driving the paper's
-// experiments.
+// the MV-index, the baselines (lifted inference, DPLL, Markov Logic Networks
+// with exact, Gibbs and MC-SAT inference), and the synthetic DBLP generator
+// driving the paper's experiments.
 package mvdb
 
 import (
 	"io"
 
+	"mvdb/internal/baseline"
 	"mvdb/internal/core"
 	"mvdb/internal/dblp"
 	"mvdb/internal/engine"
@@ -75,8 +78,10 @@ type (
 	TranslateOptions = core.TranslateOptions
 	// Answer is one query answer with its marginal probability.
 	Answer = core.Answer
-	// Method selects the P0 evaluation strategy.
-	Method = core.Method
+	// Method selects a baseline's P0 evaluation strategy.
+	Method = baseline.Method
+	// Evaluator evaluates queries on a Translation by a baseline Method.
+	Evaluator = baseline.Evaluator
 	// Query is a named UCQ with head variables.
 	Query = ucq.Query
 	// UCQ is a union of conjunctive queries.
@@ -100,12 +105,12 @@ const (
 	MutReweight = core.MutReweight
 )
 
-// Evaluation methods for Translation.ProbBoolean and Translation.Query.
+// Evaluation methods for Evaluator.ProbBoolean and Evaluator.Query.
 const (
-	MethodBruteForce = core.MethodBruteForce
-	MethodOBDD       = core.MethodOBDD
-	MethodLifted     = core.MethodLifted
-	MethodDPLL       = core.MethodDPLL
+	MethodBruteForce = baseline.BruteForce
+	MethodOBDD       = baseline.OBDD
+	MethodLifted     = baseline.Lifted
+	MethodDPLL       = baseline.DPLL
 )
 
 // Deterministic is the weight of a deterministic tuple (+Inf odds).
@@ -141,6 +146,10 @@ func ConstWeight(w float64) WeightFn { return core.ConstWeight(w) }
 // BuildIndex compiles the MV-index for a translation.
 func BuildIndex(tr *Translation) (*Index, error) { return mvindex.Build(tr) }
 
+// NewEvaluator returns a baseline Evaluator over a translation; build a new
+// one after mutating the translation.
+func NewEvaluator(tr *Translation) *Evaluator { return baseline.New(tr) }
+
 // IsSafe reports whether a UCQ admits a safe (PTIME lifted) plan.
 func IsSafe(u UCQ) bool { return lift.IsSafe(u) }
 
@@ -168,9 +177,21 @@ func TopK(answers []Answer, k int) []Answer { return core.TopK(answers, k) }
 func Conjoin(a, b UCQ) UCQ { return ucq.Conjoin(a, b) }
 
 // MLN is a ground Markov Logic Network (the Definition 4 semantics of an
-// MVDB, as returned by MVDB.GroundMLN). It supports exact enumeration and
-// Gibbs and MC-SAT marginal inference.
+// MVDB, as returned by GroundMLN). It supports exact enumeration and Gibbs
+// and MC-SAT marginal inference.
 type MLN = mln.Network
+
+// GroundMLN builds the Markov Logic Network of Definition 4 for an MVDB.
+func GroundMLN(m *MVDB) (*MLN, error) { return baseline.GroundMLN(m) }
+
+// ProbExact computes P(Q) on an MVDB by enumerating all possible worlds of
+// its MLN — exact ground truth on small instances.
+func ProbExact(m *MVDB, q UCQ) (float64, error) { return baseline.ProbExact(m, q) }
+
+// ProbMCSat estimates P(Q) on an MVDB with the MC-SAT sampler over its MLN.
+func ProbMCSat(m *MVDB, q UCQ, opt MCSatOptions) (float64, error) {
+	return baseline.ProbMCSat(m, q, opt)
+}
 
 // MLNFeature is a weighted ground formula of an MLN.
 type MLNFeature = mln.Feature
@@ -199,5 +220,5 @@ func DefineProbTable(db *Database, q *Query, w WeightFn) (int, error) {
 }
 
 // Evidence fixes the truth value of probabilistic tuples (by Boolean
-// variable id) for conditional queries via Translation.ProbGivenTuples.
-type Evidence = core.Evidence
+// variable id) for conditional queries via Evaluator.ProbGivenTuples.
+type Evidence = baseline.Evidence

@@ -42,9 +42,10 @@ func TestFacadeQuickstart(t *testing.T) {
 	if math.Abs(p-3.0/9.0) > 1e-9 {
 		t.Errorf("P = %v want 1/3", p)
 	}
-	// Cross-check against the direct translation methods.
+	// Cross-check against the global baseline methods.
+	ev := NewEvaluator(tr)
 	for _, meth := range []Method{MethodBruteForce, MethodOBDD, MethodLifted} {
-		got, err := tr.ProbBoolean(q.UCQ, meth)
+		got, err := ev.ProbBoolean(q.UCQ, meth)
 		if err != nil {
 			t.Fatalf("%v: %v", meth, err)
 		}
@@ -140,7 +141,7 @@ func TestFacadeMLN(t *testing.T) {
 	if err := m.AddView(v); err != nil {
 		t.Fatal(err)
 	}
-	net, err := m.GroundMLN()
+	net, err := GroundMLN(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestFacadeMLN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.ProbMCSat(mustQ(t, "Q() :- R(1)").UCQ, MCSatOptions{Burn: 200, Samples: 5000, Seed: 1})
+	got, err := ProbMCSat(m, mustQ(t, "Q() :- R(1)").UCQ, MCSatOptions{Burn: 200, Samples: 5000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,17 +170,18 @@ func TestFacadeConditionalAndConjoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, _ := m.Translate(TranslateOptions{})
+	ev := NewEvaluator(tr)
 	qs := mustQ(t, "Q() :- S(x)")
 	qr := mustQ(t, "Q() :- R(x)")
-	cond, err := tr.ProbConditional(qs.UCQ, qr.UCQ, MethodOBDD)
+	cond, err := ev.ProbConditional(qs.UCQ, qr.UCQ, MethodOBDD)
 	if err != nil {
 		t.Fatal(err)
 	}
-	joint, err := tr.ProbBoolean(Conjoin(qs.UCQ, qr.UCQ), MethodOBDD)
+	joint, err := ev.ProbBoolean(Conjoin(qs.UCQ, qr.UCQ), MethodOBDD)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := tr.ProbBoolean(qr.UCQ, MethodOBDD)
+	pr, err := ev.ProbBoolean(qr.UCQ, MethodOBDD)
 	if err != nil {
 		t.Fatal(err)
 	}
