@@ -56,9 +56,12 @@ go test -race -run 'TestSingleflightHammer|TestConcurrentHammer|TestMidFlightInv
 # after its WAL append must fail the server closed until a restart — a reader
 # admitted before the failure and parked on the index lock included, and a
 # follower whose shipped frame failed, which must then neither snapshot nor
-# re-apply.
-go test -race -run 'TestUpdateQueryInterleave|TestCrashRecovery|TestApplyMutationsEpoch|TestIncrementalAugmentEqualsRebuild|TestApplyFailureFailsClosed|TestFollowerApplyFailureFailsClosed|TestParkedReaderFailsClosed|TestStoreMax' \
-    -count=2 -timeout 5m ./internal/server/ ./internal/mvindex/
+# re-apply. Underneath, the engine's key table and column indexes, patched in
+# place by every insert and delete, must answer like a naive scan after each
+# write (chain order included), and racing first probes of a column must all
+# see its full chains.
+go test -race -run 'TestUpdateQueryInterleave|TestCrashRecovery|TestApplyMutationsEpoch|TestIncrementalAugmentEqualsRebuild|TestApplyFailureFailsClosed|TestFollowerApplyFailureFailsClosed|TestParkedReaderFailsClosed|TestStoreMax|TestConcurrentIndexBuild|TestTablesAgainstModel' \
+    -count=2 -timeout 5m ./internal/server/ ./internal/mvindex/ ./internal/engine/
 
 # Pipelined commit, explicitly under the race detector (DESIGN.md §10): the
 # fsync runs beside the index apply and with the log unlocked, so the ack must
@@ -93,8 +96,10 @@ go test -run=NONE -bench=BenchmarkParallelCompile -benchtime=1x -timeout 5m .
 # DBLP domains 1000, 2000 and 4000 (work is O(dirty), not O(index)); the
 # translation must hold the source's base relations themselves, so a built
 # index keeps at most 0.8x the live heap of the cloning design at the same
-# domains, and a snapshot holds every tuple once; plus one iteration of the
-# batch under the bench harness at both ends.
+# domains, and the engine must find tuples by position through flat int32
+# tables, so it keeps at most 0.85x the live heap of the string-keyed engine
+# (6.4/12.8/25.7 MB); a snapshot holds every tuple once; plus one iteration of
+# the batch under the bench harness at both ends.
 go test -v -run 'TestUpdateWorkIsODirty|TestTranslationSharesBaseRelations' -timeout 5m ./internal/mvindex/
 go test -run=NONE -bench='BenchmarkApplyMutations/domain=(1000|4000)$' -benchtime=1x -timeout 5m ./internal/mvindex/
 

@@ -61,7 +61,8 @@ func main() {
 		fmt.Printf("  student %-8v P = %.4f\n", r.Head[0].Int, r.Prob)
 	}
 
-	// Find a student with two advisor candidates and show the V2 effect.
+	// Find the smallest student with two advisor candidates and show the V2
+	// effect.
 	adv := data.DB.Relation("Advisor")
 	counts := map[int64]int{}
 	for _, t := range adv.Tuples {
@@ -69,9 +70,8 @@ func main() {
 	}
 	var multi int64
 	for s, c := range counts {
-		if c >= 2 {
+		if c >= 2 && (multi == 0 || s < multi) {
 			multi = s
-			break
 		}
 	}
 	if multi == 0 {

@@ -16,9 +16,11 @@
 package dblp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
@@ -253,7 +255,8 @@ func Generate(cfg Config) (*Dataset, error) {
 
 	// Advisorp: pairs with more than 2 co-publications during the student
 	// years, weight exp(0.25 count).
-	for pair, c := range d.copubStudy {
+	for _, pair := range sortedPairs(d.copubStudy) {
+		c := d.copubStudy[pair]
 		if c <= 2 {
 			continue
 		}
@@ -263,7 +266,8 @@ func Generate(cfg Config) (*Dataset, error) {
 
 	// Affiliationp: inferred affiliations for authors without a
 	// DBLPAffiliation, weight exp(0.1 count).
-	for key, c := range affCount {
+	for _, key := range sortedPairs(affCount) {
+		c := affCount[key]
 		if c == 0 {
 			continue
 		}
@@ -273,8 +277,8 @@ func Generate(cfg Config) (*Dataset, error) {
 
 	// CoPubV3: the footnote-3 materialization of "count(pid) > T over recent
 	// co-publications" used in V3's body.
-	for pair, c := range recentCopub {
-		if c > cfg.V3CountThreshold {
+	for _, pair := range sortedPairs(recentCopub) {
+		if c := recentCopub[pair]; c > cfg.V3CountThreshold {
 			db.MustInsertDet("CoPubV3", engine.Int(pair[0]), engine.Int(pair[1]))
 			d.copubV3[pair] = c
 		}
@@ -337,6 +341,23 @@ func (d *Dataset) buildViews(affCount map[[2]int64]int) {
 }
 
 func instName(i int64) string { return fmt.Sprintf("u%d.edu", i) }
+
+// sortedPairs returns the keys of a pair-keyed count map in ascending
+// order, so tuples inserted from it get the same positions and variable ids
+// on every run.
+func sortedPairs(m map[[2]int64]int) [][2]int64 {
+	keys := make([][2]int64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b [2]int64) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a[1], b[1])
+	})
+	return keys
+}
 
 func pairKey(a, b int64) [2]int64 {
 	if a > b {

@@ -64,7 +64,12 @@ func TestIndexBuildRacesParallelCompile(t *testing.T) {
 								want = append(want, pos)
 							}
 						}
-						if got := r.MatchingIndexes(col, v); !slices.Equal(got, want) {
+						m := r.Match(col, v)
+						var got []int
+						for p := m.First(); p >= 0; p = m.Next(p) {
+							got = append(got, p)
+						}
+						if !slices.Equal(got, want) || m.Len() != len(want) {
 							t.Errorf("%s col %d value %v: got %v want %v", name, col, v, got, want)
 							return
 						}

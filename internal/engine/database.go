@@ -80,7 +80,7 @@ func (db *Database) CreateRelation(name string, deterministic bool, cols ...stri
 		}
 		seen[c] = true
 	}
-	r := newRelation(name, deterministic, cols, 0)
+	r := newRelation(name, deterministic, cols)
 	db.rels[name] = r
 	db.order = append(db.order, name)
 	return r, nil
@@ -259,9 +259,10 @@ func (db *Database) Stats() []Stats {
 
 // Clone deep-copies the database: its relations, their tuples and its
 // variables, which keep their ids (every other id of the store becomes a
-// tombstone in the copy). Indexes are rebuilt lazily on the copy. The clone
-// shares no mutable state with the original, so a mutation batch can be
-// tried on it without touching the live store.
+// tombstone in the copy). The copy's key table is a copy of the original's;
+// its column indexes are rebuilt lazily. The clone shares no mutable state
+// with the original, so a mutation batch can be tried on it without touching
+// the live store.
 func (db *Database) Clone() *Database {
 	out := &Database{
 		rels:  make(map[string]*Relation, len(db.rels)),
@@ -269,7 +270,7 @@ func (db *Database) Clone() *Database {
 		vars:  &varTable{slots: make([]varSlot, len(db.vars.slots))},
 	}
 	for name, r := range db.rels {
-		nr := newRelation(r.Name, r.Deterministic, r.Cols, len(r.byKey))
+		nr := newRelation(r.Name, r.Deterministic, r.Cols)
 		nr.Tuples = make([]Tuple, len(r.Tuples))
 		// One backing array for every tuple's values; each tuple's slice is
 		// capped at its own length so an append can never spill into the next.
@@ -279,9 +280,7 @@ func (db *Database) Clone() *Database {
 			vals = append(vals, t.Vals...)
 			nr.Tuples[i] = Tuple{Vals: vals[o:len(vals):len(vals)], Var: t.Var, Weight: t.Weight}
 		}
-		for k, v := range r.byKey {
-			nr.byKey[k] = v
-		}
+		nr.keys = posTable{col: -1, slots: slices.Clone(r.keys.slots), n: r.keys.n}
 		out.rels[name] = nr
 	}
 	for i, s := range db.vars.slots {

@@ -129,21 +129,21 @@ func TestMatchingIndexes(t *testing.T) {
 	db.MustInsert("R", 1, Int(2), Int(20))
 	db.MustInsert("R", 1, Int(1), Int(30))
 	r := db.Relation("R")
-	got := r.MatchingIndexes(0, Int(1))
+	got := positions(r.Match(0, Int(1)))
 	if len(got) != 2 {
-		t.Fatalf("MatchingIndexes = %v", got)
+		t.Fatalf("Match = %v", got)
 	}
 	// Index stays consistent after further inserts.
 	db.MustInsert("R", 1, Int(1), Int(40))
-	got = r.MatchingIndexes(0, Int(1))
+	got = positions(r.Match(0, Int(1)))
 	if len(got) != 3 {
-		t.Fatalf("MatchingIndexes after insert = %v", got)
+		t.Fatalf("Match after insert = %v", got)
 	}
-	if got = r.MatchingIndexes(1, Int(20)); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("MatchingIndexes col1 = %v", got)
+	if got = positions(r.Match(1, Int(20))); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("Match col1 = %v", got)
 	}
-	if got = r.MatchingIndexes(0, Int(99)); len(got) != 0 {
-		t.Fatalf("MatchingIndexes missing value = %v", got)
+	if got = positions(r.Match(0, Int(99))); len(got) != 0 {
+		t.Fatalf("Match missing value = %v", got)
 	}
 }
 

@@ -25,8 +25,8 @@ type RelationSnapshot struct {
 
 // Snapshot captures the database's state: its relations and the variable
 // registry, in which the variables of relations outside this handle are
-// tombstones. Indexes are not stored; they are rebuilt lazily after
-// restoring.
+// tombstones. Indexes are not stored: FromSnapshot rebuilds the key table,
+// and the column indexes are rebuilt lazily.
 func (db *Database) Snapshot() DatabaseSnapshot {
 	s := DatabaseSnapshot{Vars: make([]VarRef, len(db.vars.slots))}
 	for i, vs := range db.vars.slots {
@@ -44,8 +44,9 @@ func (db *Database) Snapshot() DatabaseSnapshot {
 	return s
 }
 
-// FromSnapshot rebuilds a database from a snapshot, validating the variable
-// registry against the relations.
+// FromSnapshot rebuilds a database from a snapshot, validating each
+// relation's tuples (arity, no repeats) and the variable registry against
+// the relations.
 func FromSnapshot(s DatabaseSnapshot) (*Database, error) {
 	db := NewDatabase()
 	for _, rs := range s.Relations {
@@ -53,9 +54,8 @@ func FromSnapshot(s DatabaseSnapshot) (*Database, error) {
 		if err != nil {
 			return nil, err
 		}
-		rel.Tuples = rs.Tuples
-		for i, t := range rs.Tuples {
-			rel.byKey[string(AppendTupleKey(nil, t.Vals))] = i
+		if err := rel.restore(rs.Tuples); err != nil {
+			return nil, err
 		}
 	}
 	db.vars.slots = make([]varSlot, len(s.Vars))

@@ -35,7 +35,7 @@ func TestDatabaseRoundTrip(t *testing.T) {
 	if r.Lookup([]Value{Int(1), Str("x")}) != 0 {
 		t.Error("lookup index broken after load")
 	}
-	if got := r.MatchingIndexes(0, Int(2)); len(got) != 1 {
+	if got := positions(r.Match(0, Int(2))); len(got) != 1 {
 		t.Error("column index broken after load")
 	}
 	if !back.Relation("D").Deterministic {
@@ -111,5 +111,54 @@ func TestImportCSVErrors(t *testing.T) {
 	}
 	if err := db.ExportCSV("Nope", &bytes.Buffer{}); err == nil {
 		t.Error("ExportCSV unknown relation accepted")
+	}
+}
+
+// TestFromSnapshotRejectsBadTuples: a snapshot whose relation holds a tuple
+// twice, or a tuple of the wrong arity, is refused with an error naming the
+// relation, instead of restoring a relation whose Lookup finds the second
+// copy or whose first column probe indexes past the tuple's values.
+func TestFromSnapshotRejectsBadTuples(t *testing.T) {
+	for name, tuples := range map[string][]Tuple{
+		"duplicate":   {{Vals: []Value{Int(1), Int(2)}, Var: 1, Weight: 1}, {Vals: []Value{Int(1), Int(2)}, Var: 2, Weight: 1}},
+		"short tuple": {{Vals: []Value{Int(1), Int(2)}, Var: 1, Weight: 1}, {Vals: []Value{Int(1)}, Var: 2, Weight: 1}},
+		"long tuple":  {{Vals: []Value{Int(1), Int(2), Int(3)}, Var: 1, Weight: 1}},
+	} {
+		s := DatabaseSnapshot{
+			Relations: []RelationSnapshot{{Name: "Rel", Cols: []string{"a", "b"}, Tuples: tuples}},
+		}
+		for i := range tuples {
+			s.Vars = append(s.Vars, VarRef{Rel: "Rel", Pos: i})
+		}
+		db, err := FromSnapshot(s)
+		if err == nil || !strings.Contains(err.Error(), "Rel") {
+			t.Errorf("%s: err = %v, want an error naming relation Rel", name, err)
+		}
+		if db != nil {
+			t.Errorf("%s: a database restored beside the error", name)
+		}
+	}
+}
+
+// TestRelationSizeBound: positions are int32, so a relation refuses the
+// tuple past its bound, on insert and on restore alike.
+func TestRelationSizeBound(t *testing.T) {
+	defer func(n int) { maxTuples = n }(maxTuples)
+	maxTuples = 3
+	db := NewDatabase()
+	db.MustCreateRelation("R", true, "a")
+	for k := 0; k < 3; k++ {
+		db.MustInsertDet("R", Int(int64(k)))
+	}
+	if err := db.InsertDet("R", Int(3)); err == nil || !strings.Contains(err.Error(), "R") {
+		t.Fatalf("insert past the bound: err = %v", err)
+	}
+	s := db.Snapshot()
+	if _, err := FromSnapshot(s); err != nil {
+		t.Fatalf("restore at the bound: %v", err)
+	}
+	s.Relations[0].Tuples = append(s.Relations[0].Tuples, Tuple{Vals: []Value{Int(3)}, Weight: Deterministic})
+	if _, err := FromSnapshot(s); err == nil {
+		t.Fatal("restore past the bound accepted")
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Mutations. The engine supports in-place deletion and reweighting of
@@ -29,10 +28,10 @@ func (db *Database) HasTuple(rel string, vals []Value) bool {
 
 // DeleteTuple removes the tuple with exactly the given values. The vacated
 // slot is filled by swapping in the relation's last tuple (the variable
-// registry is re-pointed at the new position), the hash indexes are patched
-// in place, the sorted indexes are invalidated, and a probabilistic tuple's
-// variable is tombstoned. It returns the freed variable id (0 for
-// deterministic tuples).
+// registry is re-pointed at the new position), the key table and column
+// indexes are patched in place, the sorted indexes are invalidated, and a
+// probabilistic tuple's variable is tombstoned. It returns the freed variable
+// id (0 for deterministic tuples).
 func (db *Database) DeleteTuple(rel string, vals []Value) (int, error) {
 	r := db.rels[rel]
 	if r == nil {
@@ -40,41 +39,42 @@ func (db *Database) DeleteTuple(rel string, vals []Value) (int, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	key := string(AppendTupleKey(nil, vals))
-	idx, ok := r.byKey[key]
-	if !ok {
+	slot, idx := r.keys.find(r.Tuples, vals)
+	if idx < 0 {
 		return 0, fmt.Errorf("engine: no tuple %s%s", rel, FormatTuple(vals))
 	}
 	t := r.Tuples[idx]
 	last := len(r.Tuples) - 1
 	moved := r.Tuples[last]
+	// Patch the key table and the column indexes in place while the tuples
+	// they hash still stand where they were: drop the deleted tuple, then
+	// relabel the swapped-in one from last to idx, keeping its place in its
+	// chains. Rebuilding them wholesale would make every delete O(relation),
+	// which the live-update path cannot afford.
+	r.keys.remove(r.Tuples, slot)
+	if idx != last {
+		movedSlot, _ := r.keys.find(r.Tuples, moved.Vals)
+		r.keys.slots[movedSlot] = int32(idx + 1)
+	}
+	for col := range r.indexes {
+		ix := r.indexes[col].Load()
+		if ix == nil {
+			continue
+		}
+		ix.drop(r.Tuples, idx)
+		if idx != last {
+			ix.move(r.Tuples, last, idx)
+		}
+		ix.next = ix.next[:last]
+	}
 	if idx != last {
 		r.Tuples[idx] = moved
-		r.byKey[string(AppendTupleKey(nil, moved.Vals))] = idx
 		if moved.Var != 0 {
 			db.vars.slots[moved.Var-1].pos = idx
 		}
 	}
 	r.Tuples[last] = Tuple{}
 	r.Tuples = r.Tuples[:last]
-	delete(r.byKey, key)
-	// Patch the hash indexes in place — drop the deleted tuple's entry, then
-	// re-point the swapped-in tuple's entry from last to idx. Rebuilding them
-	// wholesale would make every delete O(relation), which the live-update
-	// path cannot afford.
-	for col := range r.indexes {
-		ix := r.indexes[col].Load()
-		if ix == nil {
-			continue
-		}
-		ix.drop(t.Vals[col], idx)
-		if idx != last {
-			b := ix.bucket(moved.Vals[col])
-			if i := slices.Index(b, last); i >= 0 {
-				b[i] = idx
-			}
-		}
-	}
 	// Sorted indexes hold positions ordered by value; a swap-remove cannot be
 	// patched cheaply, so let the next range scan rebuild.
 	r.sorted = nil

@@ -41,10 +41,10 @@ func TestDeleteTupleTombstone(t *testing.T) {
 		t.Fatal("surviving weights changed")
 	}
 	// Hash index must have been invalidated: lookups see the new layout.
-	if got := db.Relation("R").MatchingIndexes(0, Int(1)); len(got) != 0 {
+	if got := positions(db.Relation("R").Match(0, Int(1))); len(got) != 0 {
 		t.Fatalf("stale index: %v", got)
 	}
-	if got := db.Relation("R").MatchingIndexes(0, Int(3)); len(got) != 1 {
+	if got := positions(db.Relation("R").Match(0, Int(3))); len(got) != 1 {
 		t.Fatalf("index after delete: %v", got)
 	}
 	// Deleting again fails; the key is gone.

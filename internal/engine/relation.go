@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,7 +47,7 @@ func ProbToWeight(p float64) float64 {
 // Relation is a named table. Probabilistic relations hold weighted tuples;
 // deterministic relations hold tuples with Weight = Deterministic and Var 0.
 //
-// Reads are safe for concurrent use: the hash and sorted indexes are built
+// Reads are safe for concurrent use: the column and sorted indexes are built
 // lazily under mu, so parallel compilation workers and concurrent query
 // evaluators may share a relation as long as no tuples are being inserted
 // at the same time.
@@ -59,70 +58,20 @@ type Relation struct {
 	Tuples        []Tuple
 
 	mu      sync.RWMutex               // serialises index builds and writers
-	byKey   map[string]int             // full tuple key -> index in Tuples
+	keys    posTable                   // full tuple -> position in Tuples
 	indexes []atomic.Pointer[colIndex] // per column; nil until first probed
 	sorted  map[int][]int              // column -> tuple indexes ordered by value
 }
 
 // newRelation returns an empty relation with room for one hash index per
 // column.
-func newRelation(name string, deterministic bool, cols []string, tuples int) *Relation {
+func newRelation(name string, deterministic bool, cols []string) *Relation {
 	return &Relation{
 		Name:          name,
 		Cols:          append([]string(nil), cols...),
 		Deterministic: deterministic,
-		byKey:         make(map[string]int, tuples),
+		keys:          posTable{col: -1},
 		indexes:       make([]atomic.Pointer[colIndex], len(cols)),
-	}
-}
-
-// colIndex maps one column's values to the positions of the tuples holding
-// them. Integers and strings get a map each, so a probe
-// hashes an int64 or a string rather than the whole Value struct.
-// MatchingIndexes sits on the compiler's and evaluator's innermost loops.
-type colIndex struct {
-	ints map[int64][]int
-	strs map[string][]int
-}
-
-func (ix *colIndex) bucket(v Value) []int {
-	if v.IsStr {
-		return ix.strs[v.Str]
-	}
-	return ix.ints[v.Int]
-}
-
-// add appends pos to v's bucket, making the column's int or string map on
-// its first value of that kind.
-func (ix *colIndex) add(v Value, pos int) {
-	switch {
-	case v.IsStr && ix.strs == nil:
-		ix.strs = map[string][]int{v.Str: {pos}}
-	case v.IsStr:
-		ix.strs[v.Str] = append(ix.strs[v.Str], pos)
-	case ix.ints == nil:
-		ix.ints = map[int64][]int{v.Int: {pos}}
-	default:
-		ix.ints[v.Int] = append(ix.ints[v.Int], pos)
-	}
-}
-
-// drop removes pos from v's bucket, keeping the order of the rest, and
-// drops the key once its bucket is empty.
-func (ix *colIndex) drop(v Value, pos int) {
-	b := ix.bucket(v)
-	if i := slices.Index(b, pos); i >= 0 {
-		b = slices.Delete(b, i, i+1)
-	}
-	switch {
-	case v.IsStr && len(b) == 0:
-		delete(ix.strs, v.Str)
-	case v.IsStr:
-		ix.strs[v.Str] = b
-	case len(b) == 0:
-		delete(ix.ints, v.Int)
-	default:
-		ix.ints[v.Int] = b
 	}
 }
 
@@ -133,15 +82,11 @@ func (r *Relation) Arity() int { return len(r.Cols) }
 func (r *Relation) Len() int { return len(r.Tuples) }
 
 // Lookup returns the index of the tuple with exactly the given values, or -1.
-// The key is built in a stack buffer, so a miss or hit costs no allocation
-// for tuples of ordinary size (the compiler probes once per ground atom per
-// chain block).
+// It allocates nothing (the compiler probes once per ground atom per chain
+// block).
 func (r *Relation) Lookup(vals []Value) int {
-	var buf [96]byte
-	if i, ok := r.byKey[string(AppendTupleKey(buf[:0], vals))]; ok {
-		return i
-	}
-	return -1
+	_, pos := r.keys.find(r.Tuples, vals)
+	return pos
 }
 
 // insert appends a tuple, rejecting duplicates (every relation has a key; we
@@ -152,16 +97,19 @@ func (r *Relation) insert(t Tuple) (int, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	key := string(AppendTupleKey(nil, t.Vals))
-	if _, dup := r.byKey[key]; dup {
+	idx := len(r.Tuples)
+	if idx >= maxTuples {
+		return 0, fmt.Errorf("engine: relation %s is full (%d tuples)", r.Name, idx)
+	}
+	slot, dup := r.keys.find(r.Tuples, t.Vals)
+	if dup >= 0 {
 		return 0, fmt.Errorf("engine: duplicate tuple %s%s", r.Name, FormatTuple(t.Vals))
 	}
-	idx := len(r.Tuples)
 	r.Tuples = append(r.Tuples, t)
-	r.byKey[key] = idx
+	r.keys.insert(r.Tuples, slot, idx)
 	for col := range r.indexes {
 		if ix := r.indexes[col].Load(); ix != nil {
-			ix.add(t.Vals[col], idx)
+			ix.add(r.Tuples, idx)
 		}
 	}
 	// Sorted indexes are rebuilt lazily; SortedIndex detects staleness by
@@ -169,20 +117,45 @@ func (r *Relation) insert(t Tuple) (int, error) {
 	return idx, nil
 }
 
-// MatchingIndexes returns the indexes of tuples whose value in column col
-// equals v, using (and building if needed) the hash index.
-// The caller must not modify the returned slice.
+// restore installs the tuples of a snapshot in an empty relation, building
+// the key table; a tuple of the wrong arity or a repeated tuple is an error.
+func (r *Relation) restore(tuples []Tuple) error {
+	if len(tuples) > maxTuples {
+		return fmt.Errorf("engine: relation %s has %d tuples, more than %d", r.Name, len(tuples), maxTuples)
+	}
+	r.keys.reserve(tuples, len(tuples))
+	for i, t := range tuples {
+		if len(t.Vals) != len(r.Cols) {
+			return fmt.Errorf("engine: relation %s has arity %d, its tuple %d has %d values", r.Name, len(r.Cols), i, len(t.Vals))
+		}
+		slot, dup := r.keys.find(tuples, t.Vals)
+		if dup >= 0 {
+			return fmt.Errorf("engine: relation %s holds %s twice, at %d and %d", r.Name, FormatTuple(t.Vals), dup, i)
+		}
+		r.keys.insert(tuples, slot, i)
+	}
+	r.Tuples = tuples
+	return nil
+}
+
+// Match returns the tuples whose value in column col equals v, using (and
+// building if needed) the column's hash index.
 //
 // A built index is read with one atomic load and no lock. The first probe of
 // a column builds its index under mu and publishes it (concurrent first
 // probes wait for that one build); writers patch it in place under the
 // exclusive-writer contract.
-func (r *Relation) MatchingIndexes(col int, v Value) []int {
+func (r *Relation) Match(col int, v Value) Matches {
 	ix := r.indexes[col].Load()
 	if ix == nil {
 		ix = r.buildIndex(col)
 	}
-	return ix.bucket(v)
+	key := [1]Value{v}
+	slot, last := ix.tab.find(r.Tuples, key[:])
+	if last < 0 {
+		return Matches{}
+	}
+	return Matches{next: ix.next, first: ix.next[last], last: int32(last), n: ix.tab.counts[slot]}
 }
 
 func (r *Relation) buildIndex(col int) *colIndex {
@@ -191,9 +164,9 @@ func (r *Relation) buildIndex(col int) *colIndex {
 	if ix := r.indexes[col].Load(); ix != nil {
 		return ix
 	}
-	ix := new(colIndex)
-	for i, t := range r.Tuples {
-		ix.add(t.Vals[col], i)
+	ix := &colIndex{tab: posTable{col: col}, next: make([]int32, 0, len(r.Tuples))}
+	for i := range r.Tuples {
+		ix.add(r.Tuples, i)
 	}
 	r.indexes[col].Store(ix)
 	return ix
@@ -201,7 +174,7 @@ func (r *Relation) buildIndex(col int) *colIndex {
 
 // SortedIndex returns (building and caching on first use) the tuple indexes
 // of the relation ordered by the value in the given column. Safe for
-// concurrent readers, like MatchingIndexes.
+// concurrent readers, like Match.
 func (r *Relation) SortedIndex(col int) []int {
 	r.mu.RLock()
 	ix, ok := r.sorted[col]

@@ -8,8 +8,14 @@
 // which is negative whenever the view weight w exceeds 1, and the engine
 // propagates the resulting negative probabilities untouched.
 //
+// Storage: a relation's Tuples are the only copy of its values. Beside them
+// it keeps flat int32 tables of tuple positions: a key table that finds a
+// tuple from all of its values (Lookup), and, per probed column, an index
+// whose Match returns the count of the tuples holding a value and a walk
+// over them in insertion order.
+//
 // Concurrency: any number of goroutines may read a Database at once —
-// evaluate queries, probe MatchingIndexes and RangeScan, look up tuples —
+// evaluate queries, probe Match and RangeScan, look up tuples —
 // including the first probe of a column, which builds its index lazily under
 // the relation's lock and publishes it for lock-free reads (parallel block
 // compilation relies on this). Writes (Insert, InsertDet, DeleteTuple,

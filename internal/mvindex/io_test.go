@@ -84,6 +84,37 @@ func TestIndexLoadCorrupt(t *testing.T) {
 	if _, _, err := ReadSeq(&bad); err == nil {
 		t.Error("index whose OBDD order repeats a variable accepted")
 	}
+	// A relation that holds a tuple twice, or a tuple of the wrong arity:
+	// an error naming the relation, not a duplicate Lookup finds or a panic
+	// on the first column probe.
+	for what, corrupt := range map[string]func(*engine.RelationSnapshot){
+		"a repeated tuple": func(r *engine.RelationSnapshot) { r.Tuples = append(r.Tuples, r.Tuples[0]) },
+		"a short tuple":    func(r *engine.RelationSnapshot) { r.Tuples[0].Vals = r.Tuples[0].Vals[:len(r.Tuples[0].Vals)-1] },
+	} {
+		var s indexSnapshot
+		if err := gob.NewDecoder(bytes.NewReader(reencoded(t, ix))).Decode(&s); err != nil {
+			t.Fatal(err)
+		}
+		rel := &s.DB.Relations[0]
+		corrupt(rel)
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(s); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadSeq(&b); err == nil || !strings.Contains(err.Error(), rel.Name) {
+			t.Errorf("index whose relation %s holds %s: err = %v, want an error naming it", rel.Name, what, err)
+		}
+	}
+}
+
+// reencoded returns the index's snapshot stream.
+func reencoded(t *testing.T, ix *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestSnapshotVersionRejected: only mvindex-v4 loads. The same stream under

@@ -18,6 +18,11 @@ import (
 // translation and index reachable; measured by liveHeapAfterBuild).
 var cloneHeapBytes = map[int]float64{1000: 12.0e6, 2000: 23.9e6, 4000: 47.7e6}
 
+// stringKeyHeapBytes is the live heap a built DBLP index held per domain
+// when each relation found its tuples through a map keyed by an encoded
+// string and kept a slice of positions per column value (same measurement).
+var stringKeyHeapBytes = map[int]float64{1000: 6.4e6, 2000: 12.8e6, 4000: 25.7e6}
+
 // liveHeapAfterBuild returns the bytes a DBLP index built at the given
 // domain keeps live — dataset, MVDB, translation and index together, as
 // mvdbd holds them after boot.
@@ -39,7 +44,8 @@ func liveHeapAfterBuild(t *testing.T, domain int) (*Index, float64) {
 // counts rather than clocks: the translation holds the source's base
 // relations themselves (pointer-equal) plus its NV relations; a built index
 // keeps at most 0.8x the live heap it did when the translation cloned the
-// base relations; a snapshot holds every tuple once and round-trips to the
+// base relations, and at most 0.85x the live heap it did when the engine
+// keyed tuples by string rather than by position; a snapshot holds every tuple once and round-trips to the
 // same answers; and after a batch that inserts a base tuple and creates an
 // NV tuple, Definition 4's exact semantics on the source — which sees no NV
 // variable — still equals the index.
@@ -59,10 +65,14 @@ func TestTranslationSharesBaseRelations(t *testing.T) {
 		if got, want := len(tr.DB.Relations()), len(base)+len(tr.NVRelations); got != want {
 			t.Fatalf("domain %d: translated database has %d relations, want the %d base plus %d NV", domain, got, len(base), len(tr.NVRelations))
 		}
-		t.Logf("domain %d: live heap after Build %.1f MB (cloning design %.1f MB, %.2fx)",
-			domain, heap/1e6, cloneHeapBytes[domain]/1e6, heap/cloneHeapBytes[domain])
+		t.Logf("domain %d: live heap after Build %.1f MB (cloning design %.1f MB, %.2fx; string keys %.1f MB, %.2fx)",
+			domain, heap/1e6, cloneHeapBytes[domain]/1e6, heap/cloneHeapBytes[domain],
+			stringKeyHeapBytes[domain]/1e6, heap/stringKeyHeapBytes[domain])
 		if heap > 0.8*cloneHeapBytes[domain] {
 			t.Errorf("domain %d: live heap %.1f MB, want at most 0.8 x the cloning design's %.1f MB", domain, heap/1e6, cloneHeapBytes[domain]/1e6)
+		}
+		if heap > 0.85*stringKeyHeapBytes[domain] {
+			t.Errorf("domain %d: live heap %.1f MB, want at most 0.85 x the string-keyed engine's %.1f MB", domain, heap/1e6, stringKeyHeapBytes[domain]/1e6)
 		}
 	}
 

@@ -269,8 +269,7 @@ func (c *compiler) openUCQ(u ucq.UCQ) (NodeID, error) {
 	// needs to cover the probabilistic atoms (DBLP's W has exactly this
 	// shape: aid1 occurs in NV/Advisor/Student but not in Wrote or Pub).
 	if sep, ok := u.FindSeparatorSkip(c.detSkip()); ok {
-		_, subs := c.sepExpand(u, sep)
-		return c.blockChain(subs, nil)
+		return c.blockChain(c.sepExpand(u, sep), nil)
 	}
 
 	// Fallback: the sub-query has an inversion; compile its lineage by
@@ -313,9 +312,47 @@ func (c *compiler) sepProbes(u ucq.UCQ, sep ucq.Separator) []sepProbe {
 	return probes
 }
 
+// expansion is the R3 expansion of a separator: one independent block per
+// value of its domain (Prop. 1), each instantiated only when it is compiled,
+// so no more than the blocks in flight hold their sub-queries.
+type expansion struct {
+	u      ucq.UCQ
+	sep    ucq.Separator
+	probes []sepProbe
+	domain []engine.Value
+}
+
+// live reports whether disjunct di can be true in block i: its probe has a
+// tuple at the block's value. A disjunct that cannot is left out.
+func (e *expansion) live(i, di int) bool {
+	p := e.probes[di]
+	return p.rel == nil || p.rel.Match(p.pos, e.domain[i]).Len() > 0
+}
+
+// block instantiates the sub-query of block i.
+func (e *expansion) block(i int) ucq.UCQ {
+	var sub ucq.UCQ
+	for di, d := range e.u.Disjuncts {
+		if e.live(i, di) {
+			sub.Disjuncts = append(sub.Disjuncts, d.Subst1(e.sep.PerDisjunct[di], e.domain[i]))
+		}
+	}
+	return sub
+}
+
+// empty reports whether block i has no disjunct.
+func (e *expansion) empty(i int) bool {
+	for di := range e.u.Disjuncts {
+		if e.live(i, di) {
+			return false
+		}
+	}
+	return true
+}
+
 // sepExpand prepares the R3 expansion of a separator: the sorted active
-// domain and the per-value sub-queries (one independent block each, Prop. 1).
-func (c *compiler) sepExpand(u ucq.UCQ, sep ucq.Separator) (domain []engine.Value, subs []ucq.UCQ) {
+// domain, whose per-value sub-queries are the blocks.
+func (c *compiler) sepExpand(u ucq.UCQ, sep ucq.Separator) *expansion {
 	// The separator domain of a disjunct is the set of values at its probe's
 	// separator column — narrowed by the probe's other constant-bound columns
 	// through the hash index when possible (crucial in nested projections:
@@ -340,7 +377,8 @@ func (c *compiler) sepExpand(u ucq.UCQ, sep ucq.Separator) (domain []engine.Valu
 			if i == p.pos || !t.IsConst {
 				continue
 			}
-			for _, ti := range p.rel.MatchingIndexes(i, t.Const) {
+			m := p.rel.Match(i, t.Const)
+			for ti := m.First(); ti >= 0; ti = m.Next(ti) {
 				domainSet[p.rel.Tuples[ti].Vals[p.pos]] = true
 			}
 			narrowed = true
@@ -352,29 +390,12 @@ func (c *compiler) sepExpand(u ucq.UCQ, sep ucq.Separator) (domain []engine.Valu
 			}
 		}
 	}
-	domain = make([]engine.Value, 0, len(domainSet))
+	domain := make([]engine.Value, 0, len(domainSet))
 	for v := range domainSet {
 		domain = append(domain, v)
 	}
 	sort.Slice(domain, func(i, j int) bool { return domain[i].Compare(domain[j]) < 0 })
-	return domain, c.sepSubs(u, sep, probes, domain)
-}
-
-// sepSubs instantiates the per-separator-value sub-queries for the given
-// values; each is an independent block of the chain (Prop. 1). A disjunct
-// whose probe has no tuple at a value is false there and is left out.
-func (c *compiler) sepSubs(u ucq.UCQ, sep ucq.Separator, probes []sepProbe, values []engine.Value) []ucq.UCQ {
-	subs := make([]ucq.UCQ, len(values))
-	for i, v := range values {
-		for di, d := range u.Disjuncts {
-			if p := probes[di]; p.rel != nil && len(p.rel.MatchingIndexes(p.pos, v)) == 0 {
-				continue
-			}
-			subs[i].Disjuncts = append(subs[i].Disjuncts,
-				d.Subst1(sep.PerDisjunct[di], v))
-		}
-	}
-	return subs
+	return &expansion{u: u, sep: sep, probes: probes, domain: domain}
 }
 
 // blockChain compiles the per-separator-value blocks and ORs them into the
@@ -386,15 +407,15 @@ func (c *compiler) sepSubs(u ucq.UCQ, sep ucq.Separator, probes []sepProbe, valu
 // stays False for empty blocks) — the per-value handle incremental
 // maintenance records; c.chainBroken reports whether some link was not a
 // plain concatenation.
-func (c *compiler) blockChain(subs []ucq.UCQ, chain []NodeID) (NodeID, error) {
+func (c *compiler) blockChain(e *expansion, chain []NodeID) (NodeID, error) {
 	var nonEmpty []int
-	for i := range subs {
-		if len(subs[i].Disjuncts) > 0 {
+	for i := range e.domain {
+		if !e.empty(i) {
 			nonEmpty = append(nonEmpty, i)
 		}
 	}
 	if workers := min(runtime.GOMAXPROCS(0), len(nonEmpty)); workers > 1 && !c.worker {
-		roots, err := c.parallelBlocks(subs, nonEmpty, workers)
+		roots, err := c.parallelBlocks(e, nonEmpty, workers)
 		if err != nil {
 			return False, err
 		}
@@ -414,7 +435,7 @@ func (c *compiler) blockChain(subs []ucq.UCQ, chain []NodeID) (NodeID, error) {
 		if err := c.blockCheck(i); err != nil {
 			return False, err
 		}
-		block, err := c.ucq(subs[i])
+		block, err := c.ucq(e.block(i))
 		if err != nil {
 			return False, err
 		}
@@ -449,14 +470,14 @@ type blockResult struct {
 	err  error
 }
 
-// parallelBlocks compiles the non-empty blocks subs[blocks[k]] concurrently
+// parallelBlocks compiles the non-empty blocks e.block(blocks[k]) concurrently
 // and returns their results in the order of blocks. Each worker owns a
 // scratch Manager (hash-consing tables are not shared across goroutines) and
 // a private compiler, and pulls one block at a time from a shared atomic
 // counter. The owner then imports the finished blocks into the main manager
 // in the same descending order as the sequential path, so the resulting
 // OBDD — and the compile statistics — are identical to the sequential loop.
-func (c *compiler) parallelBlocks(subs []ucq.UCQ, blocks []int, workers int) ([]blockResult, error) {
+func (c *compiler) parallelBlocks(e *expansion, blocks []int, workers int) ([]blockResult, error) {
 	results := make([]blockResult, len(blocks))
 	workerStats := make([]CompileStats, workers)
 	var next atomic.Int64
@@ -482,7 +503,7 @@ func (c *compiler) parallelBlocks(subs []ucq.UCQ, blocks []int, workers int) ([]
 					if cerr = wc.blockCheck(i); cerr != nil {
 						return
 					}
-					root, cerr = wc.ucq(subs[i])
+					root, cerr = wc.ucq(e.block(i))
 				})
 				if err == nil {
 					err = cerr

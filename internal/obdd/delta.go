@@ -146,18 +146,18 @@ func (c *compiler) dirtyBlocks(u ucq.UCQ, recSep ucq.Separator, own bool, change
 		dirty = append(dirty, v)
 	}
 	sort.Slice(dirty, func(i, j int) bool { return dirty[i].Compare(dirty[j]) < 0 })
-	subs := c.sepSubs(openU, sep, c.sepProbes(openU, sep), dirty)
-	blocks := make([]NodeID, len(subs))
-	for i := range subs {
+	e := &expansion{u: openU, sep: sep, probes: c.sepProbes(openU, sep), domain: dirty}
+	blocks := make([]NodeID, len(dirty))
+	for i := range dirty {
 		blocks[i] = True // no disjunct at this value: the block is gone
-		if len(subs[i].Disjuncts) == 0 {
+		if e.empty(i) {
 			continue
 		}
 		d.Recompiled++
 		if err := c.blockCheck(i); err != nil {
 			return err
 		}
-		f, err := c.ucq(subs[i])
+		f, err := c.ucq(e.block(i))
 		if err != nil {
 			return err
 		}
@@ -196,10 +196,10 @@ func (c *compiler) ucqRecorded(u ucq.UCQ) (NodeID, *BlockRecord, error) {
 		var err error
 		var ok bool
 		if sep, ok = openU.FindSeparatorSkip(c.detSkip()); ok {
-			var subs []ucq.UCQ
-			domain, subs = c.sepExpand(openU, sep)
-			chain = make([]NodeID, len(subs))
-			f, err = c.blockChain(subs, chain)
+			e := c.sepExpand(openU, sep)
+			domain = e.domain
+			chain = make([]NodeID, len(domain))
+			f, err = c.blockChain(e, chain)
 		} else {
 			f, err = c.openUCQ(openU)
 		}

@@ -284,6 +284,7 @@ type evalState struct {
 	checkedPreds []int
 	checkedNegs  []int
 	negVals      []engine.Value
+	keyVals      []engine.Value
 	headVals     []engine.Value
 	sortedTerm   []int
 }
@@ -376,88 +377,124 @@ func (st *evalState) step(processed int) error {
 	}
 
 	// Choose the next atom greedily by its actual candidate count under the
-	// current binding: the size of the index bucket on its first bound
-	// column, or the full relation size when nothing is bound yet. This is
-	// exact selectivity, not an estimate — one map lookup per atom — and it
-	// both prunes dead branches immediately (zero candidates) and avoids
-	// joining through a large intermediate (e.g. Pub by year instead of
-	// Wrote by author in the V1 materialization). The winner's bucket is
-	// the candidate list the join then walks.
-	best, bestCost := -1, 0
-	var bestCands []int
-	bestProbed := false
+	// current binding: at most one when every argument is bound (the key
+	// table finds the tuple), the count of its first bound column's matches,
+	// or the full relation size when nothing is bound yet. This is exact
+	// selectivity, not an estimate — one hash probe per atom — and it both
+	// prunes dead branches immediately (zero candidates) and avoids joining
+	// through a large intermediate (e.g. Pub by year instead of Wrote by
+	// author in the V1 materialization). The join then walks the winner's
+	// key hit or matches.
+	best, bestCost, bestKey := -1, 0, -1
+	var bestMatch engine.Matches
 	for i := range st.positive {
 		if st.done[i] {
 			continue
 		}
 		a := &st.positive[i]
-		cost, probed := a.rel.Len(), false
-		var cands []int
-		for pos, s := range a.args {
-			if st.bound[s] {
-				cands = a.rel.MatchingIndexes(pos, st.vals[s])
-				cost, probed = len(cands), true
-				break
+		cost, key := a.rel.Len(), -1
+		var m engine.Matches
+		if vals, ok := st.boundArgs(a); ok {
+			if key = a.rel.Lookup(vals); key >= 0 {
+				cost = 1
+			} else {
+				cost = 0
+			}
+		} else {
+			for pos, s := range a.args {
+				if st.bound[s] {
+					m = a.rel.Match(pos, st.vals[s])
+					cost = m.Len()
+					break
+				}
 			}
 		}
 		if best == -1 || cost < bestCost {
-			best, bestCost, bestCands, bestProbed = i, cost, cands, probed
+			best, bestCost, bestMatch, bestKey = i, cost, m, key
 		}
 	}
 	a := &st.positive[best]
 	st.done[best] = true
 
-	cands, all := bestCands, false
-	if !bestProbed {
-		cands, all = st.unboundCandidates(a)
-	}
-	n := len(cands)
-	if all {
-		n = a.rel.Len()
-	}
 	var err error
-	for k := 0; k < n; k++ {
-		ti := k
-		if !all {
-			ti = cands[k]
+	switch {
+	case bestCost == 0: // no candidate
+	case bestKey >= 0:
+		err = st.extend(a, bestKey, processed)
+	case bestMatch.Len() > 0:
+		for ti := bestMatch.First(); ti >= 0 && err == nil; ti = bestMatch.Next(ti) {
+			err = st.extend(a, ti, processed)
 		}
-		tup := &a.rel.Tuples[ti]
-		mark, ok := st.tryBind(a, tup.Vals)
-		if !ok {
-			continue
-		}
-		pushedVar := false
-		if tup.Var != 0 {
-			st.term = append(st.term, tup.Var)
-			pushedVar = true
-		}
-		err = st.run(processed + 1)
-		if pushedVar {
-			st.term = st.term[:len(st.term)-1]
-		}
-		st.unbind(mark)
-		if err != nil {
-			break
-		}
+	default:
+		err = st.scan(a, processed)
 	}
 	st.done[best] = false
 	return err
 }
 
-// unboundCandidates returns the tuples to try for an atom none of whose
-// arguments is bound: constant range predicates (year > 2004, y <= yp + 5
-// with yp bound) are pushed down to a sorted-index range scan, and
-// otherwise all is true and the caller scans the whole relation.
-func (st *evalState) unboundCandidates(a *slotAtom) (cands []int, all bool) {
-	for i, s := range a.args {
-		if eq, lo, loIncl, hi, hiIncl, ok := st.boundsFor(s); ok {
-			if eq != nil {
-				return a.rel.MatchingIndexes(i, *eq), false
-			}
-			return a.rel.RangeScan(i, lo, loIncl, hi, hiIncl), false
-		}
+// boundArgs returns the values of a's arguments when every one is bound.
+func (st *evalState) boundArgs(a *slotAtom) ([]engine.Value, bool) {
+	if cap(st.keyVals) < len(a.args) {
+		st.keyVals = make([]engine.Value, len(a.args))
 	}
-	return nil, true
+	vals := st.keyVals[:len(a.args)]
+	for j, s := range a.args {
+		if !st.bound[s] {
+			return nil, false
+		}
+		vals[j] = st.vals[s]
+	}
+	return vals, true
+}
+
+// extend joins tuple ti of atom a: it binds a's free arguments to the
+// tuple's values, pushes its variable onto the term and recurses.
+func (st *evalState) extend(a *slotAtom, ti, processed int) error {
+	tup := &a.rel.Tuples[ti]
+	mark, ok := st.tryBind(a, tup.Vals)
+	if !ok {
+		return nil
+	}
+	if tup.Var != 0 {
+		st.term = append(st.term, tup.Var)
+	}
+	err := st.run(processed + 1)
+	if tup.Var != 0 {
+		st.term = st.term[:len(st.term)-1]
+	}
+	st.unbind(mark)
+	return err
+}
+
+// scan joins the candidates of an atom none of whose arguments is bound:
+// constant range predicates (year > 2004, y <= yp + 5 with yp bound) are
+// pushed down to a column index probe or a sorted-index range scan, and
+// otherwise it tries the whole relation.
+func (st *evalState) scan(a *slotAtom, processed int) error {
+	var err error
+	for i, s := range a.args {
+		eq, lo, loIncl, hi, hiIncl, ok := st.boundsFor(s)
+		switch {
+		case !ok:
+			continue
+		case eq != nil:
+			m := a.rel.Match(i, *eq)
+			for ti := m.First(); ti >= 0 && err == nil; ti = m.Next(ti) {
+				err = st.extend(a, ti, processed)
+			}
+		default:
+			for _, ti := range a.rel.RangeScan(i, lo, loIncl, hi, hiIncl) {
+				if err = st.extend(a, ti, processed); err != nil {
+					break
+				}
+			}
+		}
+		return err
+	}
+	for ti, n := 0, a.rel.Len(); ti < n && err == nil; ti++ {
+		err = st.extend(a, ti, processed)
+	}
+	return err
 }
 
 // boundsFor derives constant bounds on the variable in slot v from the
