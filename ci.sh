@@ -84,6 +84,10 @@ go test -race -run 'TestReplicationFaultHammer|TestPromoteFailover|TestFencingDe
 go test -race -run 'TestReplayCorruptMidSegment|FuzzReplayCorrupt|TestFollowerGapForcesReconnect|TestFollowerStallWatchdog' \
     -count=2 -timeout 5m ./internal/wal/ ./internal/replica/
 
+# Fuzz the /query body through the handler: no panic, a status of the
+# degradation ladder, and every 200 body decodes to Index.Query's answers.
+go test -run XXX -fuzz=FuzzQueryBody -fuzztime=10s ./internal/server/
+
 # Benchmark smoke: one iteration of the parallel-compile benchmark catches
 # kernel or block-scheduler regressions that only manifest under the bench
 # harness. Every run first compiles W at GOMAXPROCS 1 (the sequential loop)
@@ -157,6 +161,20 @@ curl -fsS "http://$addr/stats" | tr -d ' \n\t' | grep -q '"cache":{"enabled":tru
     || { echo "cache smoke: cache not enabled in /stats"; kill "$mvdbd_pid"; exit 1; }
 curl -fsS "http://$addr/stats" | tr -d ' \n\t' | sed 's/.*"answers"://' | grep -q '"hits":[1-9]' \
     || { echo "cache smoke: no cache hit recorded"; kill "$mvdbd_pid"; exit 1; }
+# The cache keys on the query text: a renamed spelling is a miss of its own
+# and must give the same answers. A /query body is one line of compact JSON,
+# and a request body with data after its JSON value is refused.
+plain=$(curl -fsS -X POST "http://$addr/query" -H 'Content-Type: application/json' \
+    -d '{"query": "Q(s, a) :- Advisor(s, a)"}' | sed 's/.*"answers"://;s/,"millis.*//')
+renamed=$(curl -fsS -X POST "http://$addr/query" -H 'Content-Type: application/json' \
+    -d '{"query": "Other(x,y) :- Advisor(x,y)"}' | sed 's/.*"answers"://;s/,"millis.*//')
+case "$plain" in '[{'*) ;; *) echo "cache smoke: no advisors answered: $plain"; kill "$mvdbd_pid"; exit 1 ;; esac
+[ "$plain" = "$renamed" ] || { echo "cache smoke: renamed spelling diverged: $plain vs $renamed"; kill "$mvdbd_pid"; exit 1; }
+[ "$(printf '%s\n' "$second" | wc -l)" = 1 ] \
+    || { echo "cache smoke: /query body is not one line: $second"; kill "$mvdbd_pid"; exit 1; }
+jcode=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$addr/query" -H 'Content-Type: application/json' \
+    -d '{"query": "Q(a) :- Advisor(104,a)"} trailing junk')
+[ "$jcode" = 400 ] || { echo "cache smoke: trailing junk answered HTTP $jcode, want 400"; kill "$mvdbd_pid"; exit 1; }
 
 kill -TERM "$mvdbd_pid"
 wait "$mvdbd_pid"   # set -e fails the gate if the drain exits non-zero

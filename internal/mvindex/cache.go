@@ -1,15 +1,15 @@
 package mvindex
 
 import (
+	"hash/maphash"
 	"sync/atomic"
 
 	"mvdb/internal/core"
 	"mvdb/internal/qcache"
-	"mvdb/internal/ucq"
 )
 
 // indexCache is the cross-query memoization state of one Index: the answer
-// cache (canonical query fingerprint → answer set), the lineage cache below
+// cache (query text → answer set), the lineage cache below
 // it (canonical lineage hash → probability, shared across queries whose
 // per-answer lineages coincide), and the aggregated apply-cache counters of
 // the per-query scratch managers.
@@ -110,13 +110,22 @@ func answerBytes(as []core.Answer) int64 {
 	return n
 }
 
-// cacheKeyForQuery derives the answer-cache key of a named query under the
-// given options. The intersection algorithm bits are folded in so ablation
-// runs comparing algorithm variants never read each other's entries (the
-// variants agree semantically but may differ in final-ulp rounding).
-func cacheKeyForQuery(q *ucq.Query, opts IntersectOptions) qcache.Key {
-	fp := ucq.FingerprintQuery(q)
-	return qcache.Key{Hi: fp.Hi, Lo: fp.Lo ^ algBits(opts)}
+// textSeeds seed the two 64-bit halves of the answer-cache key. The keys
+// live only in this process's memory, so a per-process random seed is
+// enough, and it keeps a client from precomputing a collision.
+var textSeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
+
+// cacheKeyForText derives the answer-cache key of a query text under the
+// given options: a 128-bit hash of the text exactly as sent, with no
+// whitespace normalised (it is significant inside quoted constants). The
+// intersection algorithm bits are folded in so ablation runs comparing
+// algorithm variants never read each other's entries (the variants agree
+// semantically but may differ in final-ulp rounding).
+func cacheKeyForText(text string, opts IntersectOptions) qcache.Key {
+	return qcache.Key{
+		Hi: maphash.String(textSeeds[0], text),
+		Lo: maphash.String(textSeeds[1], text) ^ algBits(opts),
+	}
 }
 
 // cacheKeyForLineage derives the lineage-cache key of one answer lineage.

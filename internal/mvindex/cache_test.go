@@ -5,10 +5,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"mvdb/internal/budget"
+	"mvdb/internal/core"
+	"mvdb/internal/engine"
 	"mvdb/internal/qcache"
 	"mvdb/internal/ucq"
 )
@@ -72,31 +75,153 @@ func TestCachedMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestRenamedQueryHitsCache: an alpha-renamed, reordered spelling of a cached
-// query must be served from the cache (shared fingerprint).
-func TestRenamedQueryHitsCache(t *testing.T) {
+// TestRenamedQueryMissesCache: the answer cache keys on the query text, so
+// an alpha-renamed spelling of a cached query is a miss of its own, with the
+// same answers.
+func TestRenamedQueryMissesCache(t *testing.T) {
 	m := chainMVDB(10, 3)
 	_, ix := buildIndex(t, m)
 	ix.EnableCache(qcache.Options{})
-	q1 := ucq.MustParse("Q(a) :- Adv(s,a)")
-	q2 := ucq.MustParse("Answers(who) :- Adv(student,who)")
-	r1, err := ix.Query(q1, IntersectOptions{CacheConscious: true})
+	opts := IntersectOptions{CacheConscious: true}
+	r1, err := ix.QueryText("Q(a) :- Adv(s,a)", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h0 := ix.CacheStats().Answers.Hits
-	r2, err := ix.Query(q2, IntersectOptions{CacheConscious: true})
+	r2, err := ix.QueryText("Answers(who) :- Adv(student,who)", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.CacheStats().Answers.Hits != h0+1 {
-		t.Fatalf("renamed query missed the cache: %+v", ix.CacheStats().Answers)
+	if st := ix.CacheStats().Answers; st.Hits != 0 || st.Misses != 2 || st.Entries != 2 {
+		t.Fatalf("renamed spelling should miss into an entry of its own: %+v", st)
 	}
-	for i := range r1 {
-		if r1[i].Prob != r2[i].Prob {
-			t.Fatalf("renamed query answers differ: %v vs %v", r1[i], r2[i])
+	if !equalAnswers(r1, r2) {
+		t.Fatalf("renamed query answers differ:\n%v\n%v", r1, r2)
+	}
+}
+
+// TestQueryTextKeepsWhitespace: whitespace is significant inside a quoted
+// constant, so two texts that differ only there are two queries with two
+// entries (and here, different answers).
+func TestQueryTextKeepsWhitespace(t *testing.T) {
+	db := engine.NewDatabase()
+	db.MustCreateRelation("Author", false, "aid", "name")
+	db.MustInsert("Author", 2, engine.Int(1), engine.Str("x a  b"))
+	db.MustInsert("Author", 3, engine.Int(2), engine.Str("x a b"))
+	_, ix := buildIndex(t, core.New(db))
+	ix.EnableCache(qcache.Options{})
+	opts := IntersectOptions{CacheConscious: true}
+	two, err := ix.QueryText("Q(a) :- Author(a,n), n like '%a  b%'", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := ix.QueryText("Q(a) :- Author(a,n), n like '%a b%'", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := ix.CacheStats().Answers; st.Hits != 0 || st.Entries != 2 {
+		t.Fatalf("the two constants shared an entry: %+v", st)
+	}
+	if len(two) != 1 || two[0].Head[0].Int != 1 || len(one) != 1 || one[0].Head[0].Int != 2 {
+		t.Fatalf("answers: two spaces %v, one space %v", two, one)
+	}
+}
+
+// TestQueryAndQueryTextShareEntry: Query(q) keys on q.String(), so the text
+// of the same query hits the entry Query filled, and the other way round.
+func TestQueryAndQueryTextShareEntry(t *testing.T) {
+	m := chainMVDB(10, 3)
+	_, ix := buildIndex(t, m)
+	ix.EnableCache(qcache.Options{})
+	opts := IntersectOptions{CacheConscious: true}
+	q := ucq.MustParse("Q(a)   :-   Adv(s,a), s > 2")
+	r1, err := ix.Query(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := ix.QueryText(q.String(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := ix.CacheStats().Answers; st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("Query and QueryText of the same query did not share an entry: %+v", st)
+	}
+	if !equalAnswers(r1, r2) {
+		t.Fatalf("answers differ:\n%v\n%v", r1, r2)
+	}
+}
+
+// TestBadQueryNeverCached: a text that does not parse or does not fit the
+// schema fails with a *QueryError on every repeat, and leaves no entry.
+func TestBadQueryNeverCached(t *testing.T) {
+	m := chainMVDB(10, 3)
+	tr, ix := buildIndex(t, m)
+	ix.EnableCache(qcache.Options{})
+	bad := []string{
+		"Q(a) :- Adv(s,a",
+		"Q(a) :- Nope(s,a)",
+		"Q(a) :- Adv(a)",
+		"Q(a) :- " + tr.NVRelations[0] + "(a)",
+		"",
+	}
+	for _, text := range bad {
+		for rep := 0; rep < 3; rep++ {
+			_, err := ix.QueryText(text, IntersectOptions{CacheConscious: true})
+			var qerr *QueryError
+			if !errors.As(err, &qerr) {
+				t.Fatalf("%q (repeat %d): err = %v, want a *QueryError", text, rep, err)
+			}
 		}
 	}
+	if st := ix.CacheStats().Answers; st.Hits != 0 || st.Entries != 0 || st.Misses != uint64(3*len(bad)) {
+		t.Fatalf("a rejected query was cached: %+v", st)
+	}
+}
+
+// TestQueryTextHitAfterWriteReevaluates: a write bumps the cache epoch, so
+// the next request for a cached text evaluates again, against the new
+// weights.
+func TestQueryTextHitAfterWriteReevaluates(t *testing.T) {
+	m := chainMVDB(8, 4)
+	tr, ix := buildIndex(t, m)
+	ix.EnableCache(qcache.Options{})
+	const text = "Q(a) :- Adv(1,a)"
+	opts := IntersectOptions{CacheConscious: true}
+	before, err := ix.QueryText(text, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.QueryText(text, opts); err != nil {
+		t.Fatal(err)
+	}
+	for _, tup := range tr.DB.Relation("Adv").Tuples {
+		tr.DB.SetWeight(tup.Var, tup.Weight*3)
+	}
+	ix.Reweight()
+	after, err := ix.QueryText(text, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := ix.CacheStats().Answers; st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("the request after the write did not re-evaluate: %+v", st)
+	}
+	fresh, err := Build(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.QueryText(text, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalAnswers(after, want) || equalAnswers(after, before) {
+		t.Fatalf("after the write: %v; fresh index %v; before %v", after, want, before)
+	}
+}
+
+// equalAnswers reports whether two answer lists are bitwise equal.
+func equalAnswers(a, b []core.Answer) bool {
+	return slices.EqualFunc(a, b, func(x, y core.Answer) bool {
+		return x.Prob == y.Prob && slices.EqualFunc(x.Head, y.Head, engine.Value.Equal)
+	})
 }
 
 // TestReweightInvalidatesCache: after Reweight, queries must never return

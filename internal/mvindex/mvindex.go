@@ -586,36 +586,77 @@ func (ix *Index) ProbBoolean(q ucq.UCQ, opts IntersectOptions) (float64, error) 
 // cancellation is also checked between answers, so a canceled query stops
 // after the current answer.
 //
-// With the cross-query cache enabled (EnableCache), the answer set is served
-// from the cache when a canonically identical query (same up to variable
-// renaming, atom/disjunct order, and query name) was evaluated under the
-// current epoch; concurrent identical misses collapse into one evaluation
-// (singleflight). A canceled or budget-aborted evaluation is never cached,
-// and a caller whose own context expires while waiting on another caller's
-// evaluation returns its context error without disturbing the leader. The
-// returned slice is the caller's to sort or trim, but the Head tuples are
-// shared with the cache and must be treated as immutable.
+// With the cross-query cache enabled (EnableCache), the answer set is keyed
+// on q.String(), the text Parse reads back as q, so Query(q) and
+// QueryText(q.String()) share one entry; see QueryText for the cache
+// contract. The returned slice is the caller's to sort or trim, but the
+// Head tuples are shared with the cache and must be treated as immutable.
 func (ix *Index) Query(q *ucq.Query, opts IntersectOptions) ([]core.Answer, error) {
-	if err := budget.Check(opts.Ctx, opts.Budget.Deadline); err != nil {
-		return nil, err
-	}
-	cache := ix.cache
-	if cache == nil || opts.DisableCache {
-		return ix.queryEval(q, opts)
-	}
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	res, _, err := cache.answers.Do(ctx, cacheKeyForQuery(q, opts), func() ([]core.Answer, error) {
-		return ix.queryEval(q, opts)
-	})
+	res, err := ix.answers("", q, opts)
 	if err != nil {
 		return nil, err
 	}
 	// The same slice may live in the cache (leader and waiter alike); hand
 	// every caller a private outer slice.
 	return copyAnswers(res), nil
+}
+
+// QueryText evaluates the query whose source text is text. A query that
+// does not parse or does not fit the schema (core.Translation.ValidateQuery)
+// fails with a *QueryError.
+//
+// With the cross-query cache enabled (EnableCache), the answer set is
+// served from the cache when the same text, byte for byte, was evaluated
+// under the current epoch, so a hit neither parses nor validates: both run
+// only inside a miss. Concurrent misses on one text collapse into one
+// evaluation (singleflight). A failed, canceled or budget-aborted
+// evaluation is never cached, and a caller whose own context expires while
+// waiting on another caller's evaluation returns its context error without
+// disturbing the leader. The returned slice may be the cached one: the
+// caller must not modify it or its Head tuples.
+func (ix *Index) QueryText(text string, opts IntersectOptions) ([]core.Answer, error) {
+	return ix.answers(text, nil, opts)
+}
+
+// QueryError is a query rejected before evaluation: it does not parse, or
+// it names an unknown or internal relation or the wrong arity. It marks bad
+// input, as opposed to a failure during evaluation.
+type QueryError struct{ Err error }
+
+func (e *QueryError) Error() string { return e.Err.Error() }
+func (e *QueryError) Unwrap() error { return e.Err }
+
+// answers serves Query (q set) and QueryText (q nil, parsed from text on a
+// miss) through the answer cache.
+func (ix *Index) answers(text string, q *ucq.Query, opts IntersectOptions) ([]core.Answer, error) {
+	if err := budget.Check(opts.Ctx, opts.Budget.Deadline); err != nil {
+		return nil, err
+	}
+	eval := func() ([]core.Answer, error) {
+		if q == nil {
+			var err error
+			if q, err = ucq.Parse(text); err != nil {
+				return nil, &QueryError{err}
+			}
+		}
+		if err := ix.tr.ValidateQuery(q.UCQ); err != nil {
+			return nil, &QueryError{err}
+		}
+		return ix.queryEval(q, opts)
+	}
+	cache := ix.cache
+	if cache == nil || opts.DisableCache {
+		return eval()
+	}
+	if q != nil {
+		text = q.String()
+	}
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	res, _, err := cache.answers.Do(ctx, cacheKeyForText(text, opts), eval)
+	return res, err
 }
 
 // queryEval is the uncached evaluation behind Query.

@@ -3,13 +3,13 @@
 // singleflight collapsing of concurrent identical misses.
 //
 // The cache is generic over its value type so both the answer cache
-// (fingerprint → []Answer) and the lineage cache (lineage hash → probability)
+// (query-text hash → []Answer) and the lineage cache (lineage hash → probability)
 // share one implementation without import cycles: qcache knows nothing about
 // queries, indexes, or answers.
 //
 // # Keying and invalidation
 //
-// Keys are 128-bit canonical hashes (ucq.Fingerprint, lineage hashes).
+// Keys are 128-bit hashes (of a query's text, of a canonical lineage).
 // Every entry is stamped with the cache epoch current when its computation
 // started; Invalidate bumps the epoch, which logically empties the cache in
 // O(1) — stale entries are dropped lazily when touched or when LRU pressure
@@ -34,8 +34,7 @@ import (
 	"sync/atomic"
 )
 
-// Key is a 128-bit cache key (a canonical query fingerprint or lineage
-// hash).
+// Key is a 128-bit cache key (a query-text or canonical lineage hash).
 type Key struct {
 	Hi, Lo uint64
 }

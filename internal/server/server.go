@@ -37,10 +37,12 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"mime"
 	"net/http"
@@ -51,7 +53,6 @@ import (
 	"time"
 
 	"mvdb/internal/budget"
-	"mvdb/internal/core"
 	"mvdb/internal/mvindex"
 	"mvdb/internal/qcache"
 	"mvdb/internal/ucq"
@@ -317,8 +318,9 @@ func (s *Server) maxBody() int64 {
 	return DefaultMaxBodyBytes
 }
 
-// decodeJSON enforces the content type and body cap, then decodes into dst.
-// On failure it has already written the error response and returns false.
+// decodeJSON enforces the content type and body cap, then decodes the body,
+// which must be exactly one JSON value, into dst. On failure it has already
+// written the error response and returns false.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		mt, _, err := mime.ParseMediaType(ct)
@@ -329,7 +331,15 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) boo
 		}
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody())
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
+	dec := json.NewDecoder(r.Body)
+	err := dec.Decode(dst)
+	if err == nil {
+		// The body is one JSON value: only whitespace may follow it.
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = fmt.Errorf("data after the JSON value: %w", cmp.Or(terr, errors.New("a second value")))
+		}
+	}
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.httpError(w, http.StatusRequestEntityTooLarge, "body-too-large",
@@ -361,24 +371,12 @@ type queryRequest struct {
 	Query string `json:"query"`
 }
 
-type answerJSON struct {
-	Head []any   `json:"head"`
-	Prob float64 `json:"prob"`
-}
-
-type queryResponse struct {
-	Answers []answerJSON `json:"answers"`
-	Millis  float64      `json:"millis"`
-}
-
+// handleQuery answers a /query. It does no parsing of its own: the index
+// keys its answer cache on the query text and parses and validates it only
+// on a miss, so a hit costs a hash and a lookup.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if !s.decodeJSON(w, r, &req) {
-		return
-	}
-	q, err := ucq.Parse(req.Query)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "", "bad query: %v", err)
 		return
 	}
 	ctx, cancel := s.bounds(r)
@@ -392,33 +390,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.rlockIndex(w) {
 		return
 	}
-	verr := s.ix.Translation().ValidateQuery(q.UCQ)
-	var rows []core.Answer
-	if verr == nil {
-		rows, err = s.ix.Query(q, opts)
-	}
+	rows, err := s.ix.QueryText(req.Query, opts)
 	s.mu.RUnlock()
-	if verr != nil {
-		s.httpError(w, http.StatusBadRequest, "", "bad query: %v", verr)
+	var qerr *mvindex.QueryError
+	if errors.As(err, &qerr) {
+		s.httpError(w, http.StatusBadRequest, "", "bad query: %v", qerr)
 		return
 	}
 	if err != nil {
 		s.evalError(w, err)
 		return
 	}
-	resp := queryResponse{Millis: float64(time.Since(t0).Microseconds()) / 1000, Answers: []answerJSON{}}
-	for _, a := range rows {
-		head := make([]any, len(a.Head))
-		for i, v := range a.Head {
-			if v.IsStr {
-				head[i] = v.Str
-			} else {
-				head[i] = v.Int
-			}
-		}
-		resp.Answers = append(resp.Answers, answerJSON{Head: head, Prob: a.Prob})
-	}
-	s.writeJSON(w, resp)
+	s.writeAnswers(w, rows, float64(time.Since(t0).Microseconds())/1000)
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -582,16 +565,6 @@ func (s *Server) logf(format string, args ...any) {
 		l = log.Default()
 	}
 	l.Printf(format, args...)
-}
-
-func (s *Server) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		// The status line is already out; log so the failure is visible.
-		s.logf("server: writing response: %v", err)
-	}
 }
 
 // httpError writes the structured error body. reason is a stable

@@ -347,41 +347,50 @@ func TestConcurrentQueryHammer(t *testing.T) {
 }
 
 // TestCacheServesRepeatedQueries: the server installs the cross-query cache
-// by default — an identical (even alpha-renamed) second query must be a cache
-// hit with identical answers, and /stats must expose the counters.
+// by default — the same query text a second time must be a cache hit with
+// identical answers, and /stats must expose the counters. The cache keys on
+// the text, so an alpha-renamed spelling is a miss, with the same answers.
 func TestCacheServesRepeatedQueries(t *testing.T) {
 	s, _ := testServer(t)
-	rec1, out1 := do(t, s, "POST", "/query", `{"query": "Q(a) :- Adv(1,a)"}`)
-	if rec1.Code != http.StatusOK {
-		t.Fatalf("first query: %d %s", rec1.Code, rec1.Body)
+	answersOf := func(body string) string {
+		t.Helper()
+		rec, out := do(t, s, "POST", "/query", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", body, rec.Code, rec.Body)
+		}
+		a, _ := json.Marshal(out["answers"])
+		return string(a)
 	}
-	// Renamed spelling of the same query: must share the fingerprint.
-	rec2, out2 := do(t, s, "POST", "/query", `{"query": "Other(x) :- Adv(1,x)"}`)
-	if rec2.Code != http.StatusOK {
-		t.Fatalf("second query: %d %s", rec2.Code, rec2.Body)
+	cacheStats := func() map[string]any {
+		t.Helper()
+		rec, stats := do(t, s, "GET", "/stats", "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/stats: %d", rec.Code)
+		}
+		cache, ok := stats["cache"].(map[string]any)
+		if !ok {
+			t.Fatalf("no cache section in /stats: %v", stats)
+		}
+		if cache["enabled"] != true {
+			t.Fatalf("cache not enabled by default: %v", cache)
+		}
+		return cache["answers"].(map[string]any)
 	}
-	a1, _ := json.Marshal(out1["answers"])
-	a2, _ := json.Marshal(out2["answers"])
-	if string(a1) != string(a2) {
+	a1 := answersOf(`{"query": "Q(a) :- Adv(1,a)"}`)
+	a2 := answersOf(`{"query": "Q(a) :- Adv(1,a)"}`)
+	if a1 != a2 {
 		t.Fatalf("cached answers diverged:\n%s\n%s", a1, a2)
 	}
-	rec, stats := do(t, s, "GET", "/stats", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/stats: %d", rec.Code)
+	if st := cacheStats(); st["hits"].(float64) != 1 || st["misses"].(float64) != 1 {
+		t.Fatalf("want the first query to miss and the second to hit: %v", st)
 	}
-	cache, ok := stats["cache"].(map[string]any)
-	if !ok {
-		t.Fatalf("no cache section in /stats: %v", stats)
+	// A renamed spelling of the same query: a miss of its own.
+	a3 := answersOf(`{"query": "Other(x) :- Adv(1,x)"}`)
+	if a3 != a1 {
+		t.Fatalf("renamed spelling answered differently:\n%s\n%s", a1, a3)
 	}
-	if cache["enabled"] != true {
-		t.Fatalf("cache not enabled by default: %v", cache)
-	}
-	answers := cache["answers"].(map[string]any)
-	if answers["hits"].(float64) < 1 {
-		t.Fatalf("second query did not hit: %v", answers)
-	}
-	if answers["misses"].(float64) < 1 {
-		t.Fatalf("first query did not miss: %v", answers)
+	if st := cacheStats(); st["hits"].(float64) != 1 || st["misses"].(float64) != 2 {
+		t.Fatalf("want the renamed spelling to miss: %v", st)
 	}
 }
 
