@@ -11,6 +11,11 @@
 //	> Q(a) :- Advisor(104,a)
 //	> \tables
 //	> \quit
+//
+// Sifting (-reorder) is the offline step that learns a variable order for
+// ¬W; -save-index keeps it, and mvdbd -load-index serves it.
+//
+//	mvdb -authors 2000 -reorder converge -save-index dblp.mvx
 package main
 
 import (
@@ -75,14 +80,6 @@ func main() {
 			fatal(err)
 		}
 		tr = ix.Translation()
-		if reorderMode != obdd.ReorderOff && !ix.Reordered() {
-			if st, serr := ix.Sift(reorderOpts); serr != nil {
-				fatal(serr)
-			} else if st.NodesBefore > 0 {
-				fmt.Fprintf(os.Stderr, "reordered: %d -> %d nodes in %v\n",
-					st.NodesBefore, st.NodesAfter, st.Duration.Round(time.Millisecond))
-			}
-		}
 	} else {
 		fmt.Fprintf(os.Stderr, "generating synthetic DBLP (%d authors, views %s)...\n", *authors, *views)
 		data, err = dblp.Generate(dblp.Config{NumAuthors: *authors, Seed: *seed})
@@ -109,10 +106,21 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		tr.Reorder = reorderOpts
 		ix, err = mvindex.Build(tr)
 		if err != nil {
 			fatal(err)
+		}
+	}
+	// Sifting is offline, like the compile: a saved index keeps the learned
+	// order, and one loaded with it is not sifted again.
+	if reorderMode != obdd.ReorderOff && !ix.Reordered() {
+		st, err := ix.Sift(reorderOpts)
+		if err != nil {
+			fatal(err)
+		}
+		if st.NodesBefore > 0 {
+			fmt.Fprintf(os.Stderr, "reordered: %d -> %d nodes in %v\n",
+				st.NodesBefore, st.NodesAfter, st.Duration.Round(time.Millisecond))
 		}
 	}
 	if *saveIndex != "" {

@@ -5,6 +5,12 @@
 //	mvdbd -authors 2000 -addr :8080
 //	mvdbd -load-index dblp.mvx -addr :8080
 //
+// Sifting the variable order is an offline step, like compiling ¬W: learn
+// the order with mvdb and serve the saved index, which keeps it.
+//
+//	mvdb -authors 2000 -reorder converge -save-index dblp.mvx
+//	mvdbd -load-index dblp.mvx -addr :8080
+//
 //	curl -s localhost:8080/stats
 //	curl -s -X POST localhost:8080/query -H 'Content-Type: application/json' \
 //	     -d '{"query": "Q(a) :- Advisor(104,a)"}'
@@ -50,7 +56,6 @@ import (
 	"mvdb/internal/core"
 	"mvdb/internal/dblp"
 	"mvdb/internal/mvindex"
-	"mvdb/internal/obdd"
 	"mvdb/internal/qcache"
 	"mvdb/internal/server"
 )
@@ -61,10 +66,6 @@ func main() {
 		authors   = flag.Int("authors", 2000, "aid domain of the synthetic DBLP dataset")
 		seed      = flag.Int64("seed", 1, "generator seed")
 		loadIndex = flag.String("load-index", "", "serve a previously saved MV-index instead of generating data")
-
-		reorder          = flag.String("reorder", "off", "dynamic variable reordering after compile: off | once | converge")
-		reorderMaxGrowth = flag.Float64("reorder-max-growth", obdd.DefaultMaxGrowth, "sifting growth bound (times the pre-sift node count)")
-		reorderRounds    = flag.Int("reorder-rounds", obdd.DefaultMaxRounds, "max sifting rounds in converge mode")
 
 		queryTimeout = flag.Duration("query-timeout", 30*time.Second, "per-request evaluation timeout (0 = none); expiry returns 408")
 		maxInflight  = flag.Int("max-inflight", 64, "concurrently evaluating requests before shedding with 503 (0 = unlimited)")
@@ -87,34 +88,13 @@ func main() {
 	)
 	flag.Parse()
 
-	reorderMode, merr := obdd.ParseReorderMode(*reorder)
-	if merr != nil {
-		fmt.Fprintln(os.Stderr, "mvdbd:", merr)
-		os.Exit(1)
-	}
-	reorderOpts := obdd.ReorderOptions{Mode: reorderMode, MaxGrowth: *reorderMaxGrowth, MaxRounds: *reorderRounds}
-
 	// build produces the index when no usable snapshot exists. With a WAL it
 	// doubles as the recovery base, so it must be deterministic in the flags:
 	// either the saved index file or the seeded DBLP generator.
 	build := func() (*mvindex.Index, error) {
 		if *loadIndex != "" {
 			fmt.Fprintf(os.Stderr, "loading MV-index from %s...\n", *loadIndex)
-			ix, err := mvindex.LoadFile(*loadIndex)
-			if err != nil {
-				return nil, err
-			}
-			// A snapshot of a sifted index already carries its learned order;
-			// only sift indexes saved under the static Π.
-			if reorderMode != obdd.ReorderOff && !ix.Reordered() {
-				if st, err := ix.Sift(reorderOpts); err != nil {
-					return nil, err
-				} else if st.NodesBefore > 0 {
-					fmt.Fprintf(os.Stderr, "reordered: %d -> %d nodes in %v\n",
-						st.NodesBefore, st.NodesAfter, st.Duration.Round(time.Millisecond))
-				}
-			}
-			return ix, nil
+			return mvindex.LoadFile(*loadIndex)
 		}
 		fmt.Fprintf(os.Stderr, "generating synthetic DBLP (%d authors)...\n", *authors)
 		data, err := dblp.Generate(dblp.Config{NumAuthors: *authors, Seed: *seed})
@@ -129,7 +109,6 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
-		tr.Reorder = reorderOpts
 		return mvindex.Build(tr)
 	}
 

@@ -107,39 +107,3 @@ func ExampleIsSafe() {
 	fmt.Println(mvdb.IsSafe(safe.UCQ), mvdb.IsSafe(hard.UCQ))
 	// Output: true false
 }
-
-// ExampleDefineProbTable materializes a probabilistic table from a query
-// over deterministic tables — the middle layer of Figure 1.
-func ExampleDefineProbTable() {
-	db := mvdb.NewDatabase()
-	db.MustCreateRelation("FirstPub", true, "aid", "year")
-	db.MustCreateRelation("Calendar", true, "year")
-	db.MustInsertDet("FirstPub", mvdb.Int(7), mvdb.Int(2000))
-	for y := int64(1995); y <= 2010; y++ {
-		db.MustInsertDet("Calendar", mvdb.Int(y))
-	}
-	q, _ := mvdb.ParseQuery("Student(aid,year) :- FirstPub(aid,yp), Calendar(year), year >= yp - 1, year <= yp + 5")
-	n, err := mvdb.DefineProbTable(db, q, func(head []mvdb.Value) float64 {
-		return 1 // weight 1: probability 1/2 per candidate year
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%d possible Student tuples\n", n)
-	// Output: 7 possible Student tuples
-}
-
-// ExampleTopK ranks query answers.
-func ExampleTopK() {
-	answers := []mvdb.Answer{
-		{Head: []mvdb.Value{mvdb.Int(1)}, Prob: 0.2},
-		{Head: []mvdb.Value{mvdb.Int(2)}, Prob: 0.9},
-		{Head: []mvdb.Value{mvdb.Int(3)}, Prob: 0.5},
-	}
-	for _, a := range mvdb.TopK(answers, 2) {
-		fmt.Println(a.Head[0].Int, a.Prob)
-	}
-	// Output:
-	// 2 0.9
-	// 3 0.5
-}

@@ -7,7 +7,6 @@ package mvdb_test
 // enumerable for spot checks.
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -73,11 +72,11 @@ func TestIntegrationDBLPPipeline(t *testing.T) {
 	}
 
 	// 2. Persistence round trip preserves every answer.
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	path := t.TempDir() + "/dblp.mvx"
+	if err := ix.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	back, err := mvdb.ReadIndex(&buf)
+	back, err := mvdb.LoadIndex(path)
 	if err != nil {
 		t.Fatal(err)
 	}

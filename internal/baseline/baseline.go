@@ -252,26 +252,6 @@ func (e *Evaluator) Query(q *ucq.Query, method Method) ([]core.Answer, error) {
 	})
 }
 
-// ProbConditional computes P(Q | E) = P(Q ∧ E) / P(E) on the MVDB, both
-// probabilities through Theorem 1. It errors when P(E) = 0.
-func (e *Evaluator) ProbConditional(q, ev ucq.UCQ, method Method) (float64, error) {
-	if err := e.tr.ValidateQuery(q); err != nil {
-		return 0, err
-	}
-	pE, err := e.ProbBoolean(ev, method)
-	if err != nil {
-		return 0, err
-	}
-	if pE == 0 {
-		return 0, fmt.Errorf("baseline: conditioning on an impossible event")
-	}
-	pQE, err := e.ProbBoolean(ucq.Conjoin(q, ev), method)
-	if err != nil {
-		return 0, err
-	}
-	return pQE / pE, nil
-}
-
 // Evidence fixes the truth value of specific probabilistic tuples (by
 // Boolean variable id): true asserts presence, false absence.
 type Evidence map[int]bool
@@ -395,18 +375,4 @@ func ProbExact(m *core.MVDB, q ucq.UCQ) (float64, error) {
 		return 0, err
 	}
 	return net.MarginalExact(lineage.FromDNF(lin))
-}
-
-// ProbMCSat estimates P(Q) on m with the MC-SAT sampler over the
-// Definition 4 MLN — the Alchemy-style baseline of Section 5.1.
-func ProbMCSat(m *core.MVDB, q ucq.UCQ, opt mln.MCSatOptions) (float64, error) {
-	net, err := GroundMLN(m)
-	if err != nil {
-		return 0, err
-	}
-	lin, err := ucq.EvalBoolean(m.DB, q)
-	if err != nil {
-		return 0, err
-	}
-	return net.MarginalMCSat(lineage.FromDNF(lin), opt)
 }

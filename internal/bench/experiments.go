@@ -443,24 +443,6 @@ func advisorsWithStudents(d *dblp.Dataset, n int) []int64 {
 	return out
 }
 
-// All runs every experiment in paper order.
-func All(opts Options) ([]*Table, error) {
-	runners := []func(Options) (*Table, error){
-		Fig1Inventory, Fig4LineageSize, Fig5AdvisorOfStudent, Fig6StudentsOfAdvisor,
-		Fig7OBDDSize, Fig8Construction, Fig9Intersect,
-		Fig10StudentQueries, Fig11AffiliationQueries, Madden,
-	}
-	var out []*Table
-	for _, r := range runners {
-		t, err := r(opts)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
 // ByID returns the runner for an experiment id.
 func ByID(id string) (func(Options) (*Table, error), bool) {
 	m := map[string]func(Options) (*Table, error){

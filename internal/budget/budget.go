@@ -50,19 +50,6 @@ func (b Budget) IsZero() bool {
 	return b.MaxNodes == 0 && b.MaxPairs == 0 && b.Deadline.IsZero()
 }
 
-// WithTimeout returns a copy of b whose deadline is at most d from now. A
-// non-positive d leaves b unchanged; an existing earlier deadline wins.
-func (b Budget) WithTimeout(d time.Duration) Budget {
-	if d <= 0 {
-		return b
-	}
-	dl := time.Now().Add(d)
-	if b.Deadline.IsZero() || dl.Before(b.Deadline) {
-		b.Deadline = dl
-	}
-	return b
-}
-
 // Typed failure classes. Concrete errors wrap one of these, so callers use
 // errors.Is to classify.
 var (

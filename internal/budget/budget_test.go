@@ -22,21 +22,6 @@ func TestIsZero(t *testing.T) {
 	}
 }
 
-func TestWithTimeout(t *testing.T) {
-	b := Budget{}.WithTimeout(time.Hour)
-	if b.Deadline.IsZero() {
-		t.Fatal("WithTimeout did not set a deadline")
-	}
-	earlier := time.Now().Add(time.Minute)
-	b2 := Budget{Deadline: earlier}.WithTimeout(time.Hour)
-	if !b2.Deadline.Equal(earlier) {
-		t.Errorf("later timeout overrode earlier deadline: %v", b2.Deadline)
-	}
-	if !(Budget{}.WithTimeout(0)).Deadline.IsZero() {
-		t.Error("WithTimeout(0) set a deadline")
-	}
-}
-
 func TestErrorClasses(t *testing.T) {
 	if err := Exceeded("obdd node", 100); !errors.Is(err, ErrBudgetExceeded) {
 		t.Errorf("Exceeded not ErrBudgetExceeded: %v", err)

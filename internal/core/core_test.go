@@ -415,7 +415,15 @@ func TestMCSatOnMVDBConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := baseline.ProbMCSat(m, q.UCQ, mlnOptsForTest())
+	net, err := baseline.GroundMLN(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lin, err := ucq.EvalBoolean(m.DB, q.UCQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := net.MarginalMCSat(lineage.FromDNF(lin), mlnOptsForTest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,89 +434,6 @@ func TestMCSatOnMVDBConverges(t *testing.T) {
 
 func mlnOptsForTest() mln.MCSatOptions {
 	return mln.MCSatOptions{Burn: 500, Samples: 20000, Seed: 8}
-}
-
-func TestProbConditional(t *testing.T) {
-	// P(S(1) | R(1)) on Example 1 with correlation w.
-	w1, w2, w := 2.0, 3.0, 0.5
-	m := example1(w1, w2, w)
-	tr, err := m.Translate(TranslateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qS := ucq.MustParse("Q() :- S(x)")
-	qR := ucq.MustParse("Q() :- R(x)")
-	got, err := baseline.New(tr).ProbConditional(qS.UCQ, qR.UCQ, baseline.OBDD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Worlds: {}:1, {R}:w1, {S}:w2, {RS}:w w1 w2.
-	// P(S|R) = w w1 w2 / (w1 + w w1 w2).
-	want := (w * w1 * w2) / (w1 + w*w1*w2)
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("P(S|R) = %v want %v", got, want)
-	}
-	// Conditioning must be able to change the marginal (correlation).
-	pS, _ := baseline.New(tr).ProbBoolean(qS.UCQ, baseline.OBDD)
-	if math.Abs(got-pS) < 1e-6 {
-		t.Errorf("conditioning had no effect: %v vs %v", got, pS)
-	}
-	// Impossible evidence errors.
-	qNone := ucq.MustParse("Q() :- R(99)")
-	if _, err := baseline.New(tr).ProbConditional(qS.UCQ, qNone.UCQ, baseline.BruteForce); err == nil {
-		t.Error("conditioning on impossible event accepted")
-	}
-}
-
-func TestProbConditionalAgainstExact(t *testing.T) {
-	// Cross-check P(Q|E) against exact enumeration: P(Q ∧ E)/P(E) via MLN.
-	m := example1(1.5, 0.8, 3)
-	tr, err := m.Translate(TranslateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qS := ucq.MustParse("Q() :- S(x)")
-	qR := ucq.MustParse("Q() :- R(x)")
-	pQE, err := baseline.ProbExact(m, ucq.Conjoin(qS.UCQ, qR.UCQ))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pE, err := baseline.ProbExact(m, qR.UCQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := pQE / pE
-	got, err := baseline.New(tr).ProbConditional(qS.UCQ, qR.UCQ, baseline.BruteForce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("P(Q|E) = %v want %v", got, want)
-	}
-}
-
-func TestTopK(t *testing.T) {
-	answers := []Answer{
-		{Head: []engine.Value{engine.Int(1)}, Prob: 0.2},
-		{Head: []engine.Value{engine.Int(2)}, Prob: 0.9},
-		{Head: []engine.Value{engine.Int(3)}, Prob: 0.5},
-		{Head: []engine.Value{engine.Int(4)}, Prob: 0.9},
-	}
-	top := TopK(answers, 2)
-	if len(top) != 2 || top[0].Prob != 0.9 || top[1].Prob != 0.9 {
-		t.Errorf("TopK = %+v", top)
-	}
-	// Deterministic tie-break by head.
-	if top[0].Head[0].Int != 2 || top[1].Head[0].Int != 4 {
-		t.Errorf("tie break = %+v", top)
-	}
-	// Input unchanged.
-	if answers[0].Prob != 0.2 {
-		t.Error("TopK mutated input")
-	}
-	if got := TopK(answers, 10); len(got) != 4 {
-		t.Errorf("TopK over-length = %d", len(got))
-	}
 }
 
 func TestMethodDPLL(t *testing.T) {
@@ -643,76 +568,6 @@ func TestIsNVVar(t *testing.T) {
 	}
 	if tr.IsNVVar(99) {
 		t.Error("out-of-range var classified as NV")
-	}
-}
-
-func TestDefineProbTable(t *testing.T) {
-	// The Figure 1 Studentp definition, verbatim up to the weight closure:
-	// Studentp(aid,year)[exp(1-.15(year-year'))] :- FirstPub(aid,year'),
-	// year'-1 <= year <= year'+5 — with a Calendar table supplying years.
-	db := engine.NewDatabase()
-	db.MustCreateRelation("FirstPub", true, "aid", "year")
-	db.MustCreateRelation("Calendar", true, "year")
-	db.MustInsertDet("FirstPub", engine.Int(1), engine.Int(2000))
-	db.MustInsertDet("FirstPub", engine.Int(2), engine.Int(2008))
-	for y := int64(1995); y <= 2015; y++ {
-		db.MustInsertDet("Calendar", engine.Int(y))
-	}
-	first := map[int64]int64{1: 2000, 2: 2008}
-	q := ucq.MustParse("Student(aid,year) :- FirstPub(aid,yp), Calendar(year), year >= yp - 1, year <= yp + 5")
-	n, err := DefineProbTable(db, q, func(head []engine.Value) float64 {
-		dy := head[1].Int - first[head[0].Int]
-		return math.Exp(1 - 0.15*float64(dy))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 14 { // 7 years per author (yp-1 .. yp+5)
-		t.Fatalf("inserted %d tuples", n)
-	}
-	st := db.Relation("Student")
-	if st == nil || st.Deterministic {
-		t.Fatal("Student relation wrong")
-	}
-	// Spot-check a weight: author 1, year 2003 -> dy=3 -> e^{0.55}.
-	i := st.Lookup([]engine.Value{engine.Int(1), engine.Int(2003)})
-	if i < 0 {
-		t.Fatal("tuple missing")
-	}
-	if got, want := st.Tuples[i].Weight, math.Exp(1-0.45); math.Abs(got-want) > 1e-12 {
-		t.Errorf("weight = %v want %v", got, want)
-	}
-}
-
-func TestDefineProbTableErrors(t *testing.T) {
-	db := engine.NewDatabase()
-	db.MustCreateRelation("D", true, "a")
-	db.MustCreateRelation("P", false, "a")
-	db.MustInsertDet("D", engine.Int(1))
-	db.MustInsert("P", 1, engine.Int(1))
-	q := ucq.MustParse("T(a) :- D(a)")
-	if _, err := DefineProbTable(db, q, nil); err == nil {
-		t.Error("nil weight accepted")
-	}
-	qb := ucq.MustParse("T() :- D(a)")
-	if _, err := DefineProbTable(db, qb, ConstWeight(1)); err == nil {
-		t.Error("headless table accepted")
-	}
-	qp := ucq.MustParse("T(a) :- P(a)")
-	if _, err := DefineProbTable(db, qp, ConstWeight(1)); err == nil {
-		t.Error("prob-table source accepted")
-	}
-	qn := ucq.MustParse("T(a) :- Nope(a)")
-	if _, err := DefineProbTable(db, qn, ConstWeight(1)); err == nil {
-		t.Error("unknown relation accepted")
-	}
-	if _, err := DefineProbTable(db, q, ConstWeight(-1)); err == nil {
-		t.Error("negative weight accepted")
-	}
-	// Name clash with an existing relation.
-	qc := ucq.MustParse("D(a) :- D(a)")
-	if _, err := DefineProbTable(db, qc, ConstWeight(1)); err == nil {
-		t.Error("relation-name clash accepted")
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 	"time"
 
 	"mvdb/internal/budget"
@@ -55,20 +54,4 @@ func (t *Translation) WPerm() obdd.Perm { return t.perm }
 // caller gets its own manager; the translation keeps none.
 func (t *Translation) CompileW(opts obdd.CompileOptions) (*obdd.Manager, obdd.NodeID, obdd.CompileStats, error) {
 	return obdd.Compile(t.DB, t.W, t.WPerm(), opts)
-}
-
-// TopK returns the k highest-probability answers (ties broken by head
-// tuple), without mutating the input.
-func TopK(answers []Answer, k int) []Answer {
-	out := append([]Answer(nil), answers...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prob != out[j].Prob {
-			return out[i].Prob > out[j].Prob
-		}
-		return engine.TupleKey(out[i].Head) < engine.TupleKey(out[j].Head)
-	})
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
 }

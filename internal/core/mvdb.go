@@ -140,52 +140,3 @@ func (m *MVDB) Materialize() ([]ViewTuple, error) {
 	}
 	return out, nil
 }
-
-// DefineProbTable materializes a probabilistic table from a query over
-// deterministic tables — the middle layer of Figure 1, where each
-// probabilistic table "is defined by a query, which also associates a
-// weight to every output tuple" (e.g. Studentp(aid,year)[exp(1-.15(year-
-// year'))] :- FirstPub(aid,year'), year'-1 <= year <= year'+5). It creates
-// the relation named by the query head and inserts one weighted tuple per
-// distinct answer; the weight function sees the head values. It returns the
-// number of tuples inserted.
-func DefineProbTable(db *engine.Database, q *ucq.Query, weight WeightFn) (int, error) {
-	if weight == nil {
-		return 0, fmt.Errorf("core: prob table %s needs a weight function", q.Name)
-	}
-	if len(q.Head) == 0 {
-		return 0, fmt.Errorf("core: prob table %s needs head variables", q.Name)
-	}
-	for _, d := range q.Disjuncts {
-		for _, a := range d.Atoms {
-			rel := db.Relation(a.Rel)
-			if rel == nil {
-				return 0, fmt.Errorf("core: prob table %s uses unknown relation %s", q.Name, a.Rel)
-			}
-			if !rel.Deterministic {
-				return 0, fmt.Errorf("core: prob table %s must be defined over deterministic tables; %s is probabilistic", q.Name, a.Rel)
-			}
-		}
-	}
-	rows, err := ucq.Eval(db, q)
-	if err != nil {
-		return 0, err
-	}
-	cols := make([]string, len(q.Head))
-	copy(cols, q.Head)
-	if _, err := db.CreateRelation(q.Name, false, cols...); err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, r := range rows {
-		w := weight(r.Head)
-		if math.IsNaN(w) || w < 0 {
-			return n, fmt.Errorf("core: prob table %s assigns invalid weight %v to %s", q.Name, w, engine.FormatTuple(r.Head))
-		}
-		if _, err := db.Insert(q.Name, w, r.Head...); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}

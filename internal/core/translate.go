@@ -35,13 +35,6 @@ type Translation struct {
 	DB *engine.Database
 	W  ucq.UCQ // W = ∨ᵢ Wᵢ, Wᵢ = NVᵢ(x̄) ∧ Qᵢ(x̄)
 
-	// Reorder configures dynamic OBDD variable reordering of the MV-index:
-	// when Mode is not ReorderOff, mvindex.Build runs a per-block Rudell
-	// sifting pass after compiling W and the index keeps the learned order.
-	// It does not affect CompileW, which compiles under WPerm. Carried over
-	// by Retranslate and RetranslateFrom.
-	Reorder obdd.ReorderOptions
-
 	NVRelations       []string // one per non-empty view, in view order
 	PrunedIndependent int      // view tuples with w = 1 skipped
 	DenialViews       []string // views handled by the denial optimization
@@ -55,30 +48,8 @@ type Translation struct {
 // in), so a mutated source MVDB can be re-translated identically.
 func (t *Translation) Opts() TranslateOptions { return t.opts }
 
-// Retranslate re-runs the Definition 5 translation against the (possibly
-// mutated) source MVDB, see RetranslateFrom. It errors on restored
-// translations whose Source is gone.
-func (t *Translation) Retranslate() (*Translation, error) {
-	if t.Source == nil {
-		return nil, fmt.Errorf("core: translation has no source MVDB (restored from a snapshot of a closure-weighted source, which cannot be snapshotted)")
-	}
-	return t.RetranslateFrom(t.Source)
-}
-
-// RetranslateFrom translates src — the source MVDB or a mutated clone of it —
-// with the original options and carries over the settings that are not
-// TranslateOptions (Reorder).
-func (t *Translation) RetranslateFrom(src *MVDB) (*Translation, error) {
-	nt, err := src.Translate(t.opts)
-	if err != nil {
-		return nil, err
-	}
-	nt.Reorder = t.Reorder
-	return nt, nil
-}
-
 // RestoreSource reattaches the source MVDB to a restored translation,
-// re-enabling Retranslate (and with it live mutation) after a snapshot
+// re-enabling re-translation (and with it live mutation) after a snapshot
 // round-trip. The source is the translated database's base relations —
 // every relation but the NV ones, as a handle on the same store — under the
 // given views; the caller asserts that the translation was built from them

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // VarRef locates the tuple behind a Boolean variable.
@@ -196,14 +195,6 @@ func (db *Database) Weight(v int) float64 {
 	return s.rel.Tuples[s.pos].Weight
 }
 
-// SetWeight overrides the weight of variable v; a no-op for tombstoned
-// variables.
-func (db *Database) SetWeight(v int, w float64) {
-	if s := db.vars.slots[v-1]; s.rel != nil {
-		s.rel.Tuples[s.pos].Weight = w
-	}
-}
-
 // Prob returns the marginal probability of variable v: w/(1+w).
 func (db *Database) Prob(v int) float64 { return WeightToProb(db.Weight(v)) }
 
@@ -219,25 +210,6 @@ func (db *Database) Probs() []float64 {
 		}
 	}
 	return ps
-}
-
-// ActiveDomain returns the sorted set of all values appearing anywhere in the
-// database.
-func (db *Database) ActiveDomain() []Value {
-	seen := map[string]Value{}
-	for _, name := range db.order {
-		for _, t := range db.rels[name].Tuples {
-			for _, v := range t.Vals {
-				seen[v.Key()] = v
-			}
-		}
-	}
-	out := make([]Value, 0, len(seen))
-	for _, v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
 }
 
 // Stats summarizes the database: per-relation tuple counts.

@@ -90,38 +90,6 @@ func TestProbsVector(t *testing.T) {
 	}
 }
 
-func TestSetWeight(t *testing.T) {
-	db := NewDatabase()
-	db.MustCreateRelation("R", false, "a")
-	v := db.MustInsert("R", 1.0, Int(1))
-	db.SetWeight(v, 4.0)
-	if w := db.Weight(v); w != 4.0 {
-		t.Errorf("Weight=%v after SetWeight", w)
-	}
-	if p := db.Prob(v); math.Abs(p-0.8) > 1e-12 {
-		t.Errorf("Prob=%v want 0.8", p)
-	}
-}
-
-func TestActiveDomain(t *testing.T) {
-	db := NewDatabase()
-	db.MustCreateRelation("R", false, "a", "b")
-	db.MustCreateRelation("S", true, "a")
-	db.MustInsert("R", 1, Int(3), Str("z"))
-	db.MustInsert("R", 1, Int(1), Str("z"))
-	db.MustInsertDet("S", Int(2))
-	dom := db.ActiveDomain()
-	want := []Value{Int(1), Int(2), Int(3), Str("z")}
-	if len(dom) != len(want) {
-		t.Fatalf("domain = %v", dom)
-	}
-	for i := range want {
-		if !dom[i].Equal(want[i]) {
-			t.Fatalf("domain = %v want %v", dom, want)
-		}
-	}
-}
-
 func TestMatchingIndexes(t *testing.T) {
 	db := NewDatabase()
 	db.MustCreateRelation("R", false, "a", "b")
@@ -183,7 +151,7 @@ func TestClone(t *testing.T) {
 	// Mutating the clone must not affect the original.
 	c.MustCreateRelation("S", false, "b")
 	c.MustInsert("S", 2, Int(9))
-	c.SetWeight(v, 9)
+	c.Relation("R").Tuples[0].Weight = 9
 	if db.Relation("S") != nil {
 		t.Error("clone leaked relation into original")
 	}

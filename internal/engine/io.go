@@ -2,7 +2,6 @@ package engine
 
 import (
 	"encoding/csv"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"strconv"
@@ -73,96 +72,6 @@ func FromSnapshot(s DatabaseSnapshot) (*Database, error) {
 		db.vars.slots[i] = varSlot{rel: rel, pos: ref.Pos}
 	}
 	return db, nil
-}
-
-// Save serializes the database with encoding/gob.
-func (db *Database) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(db.Snapshot())
-}
-
-// ReadDatabase deserializes a database written by Save.
-func ReadDatabase(r io.Reader) (*Database, error) {
-	var s DatabaseSnapshot
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("engine: decoding database: %w", err)
-	}
-	return FromSnapshot(s)
-}
-
-// CSVColumn describes one column when importing CSV data.
-type CSVColumn int
-
-// Column kinds for ImportCSV.
-const (
-	CSVInt CSVColumn = iota
-	CSVString
-)
-
-// ImportCSV loads rows into an existing relation. For probabilistic
-// relations the last CSV field is the tuple weight (odds); deterministic
-// relations consume exactly one field per column. Header is the caller's
-// business (skip it before calling, or pass hasHeader).
-func (db *Database) ImportCSV(rel string, r io.Reader, cols []CSVColumn, hasHeader bool) (int, error) {
-	rl := db.Relation(rel)
-	if rl == nil {
-		return 0, fmt.Errorf("engine: unknown relation %s", rel)
-	}
-	if len(cols) != rl.Arity() {
-		return 0, fmt.Errorf("engine: relation %s has %d columns, got %d kinds", rel, rl.Arity(), len(cols))
-	}
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	n := 0
-	first := true
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return n, fmt.Errorf("engine: csv: %w", err)
-		}
-		if first && hasHeader {
-			first = false
-			continue
-		}
-		first = false
-		wantFields := len(cols)
-		if !rl.Deterministic {
-			wantFields++
-		}
-		if len(rec) != wantFields {
-			return n, fmt.Errorf("engine: csv row has %d fields, want %d", len(rec), wantFields)
-		}
-		vals := make([]Value, len(cols))
-		for i, kind := range cols {
-			switch kind {
-			case CSVInt:
-				x, err := strconv.ParseInt(rec[i], 10, 64)
-				if err != nil {
-					return n, fmt.Errorf("engine: csv column %d: %w", i, err)
-				}
-				vals[i] = Int(x)
-			default:
-				vals[i] = Str(rec[i])
-			}
-		}
-		if rl.Deterministic {
-			if err := db.InsertDet(rel, vals...); err != nil {
-				return n, err
-			}
-		} else {
-			w, err := strconv.ParseFloat(rec[len(rec)-1], 64)
-			if err != nil {
-				return n, fmt.Errorf("engine: csv weight: %w", err)
-			}
-			if _, err := db.Insert(rel, w, vals...); err != nil {
-				return n, err
-			}
-		}
-		n++
-	}
-	return n, nil
 }
 
 // ExportCSV writes a relation as CSV; probabilistic relations get a

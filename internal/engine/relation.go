@@ -36,14 +36,6 @@ func WeightToProb(w float64) float64 {
 	return w / (1 + w)
 }
 
-// ProbToWeight converts probability to odds: w = p/(1-p).
-func ProbToWeight(p float64) float64 {
-	if p == 1 {
-		return math.Inf(1)
-	}
-	return p / (1 - p)
-}
-
 // Relation is a named table. Probabilistic relations hold weighted tuples;
 // deterministic relations hold tuples with Weight = Deterministic and Var 0.
 //

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -66,10 +67,14 @@ func assertSameDatabase(t *testing.T, a, b *Database) {
 func roundTrip(t *testing.T, db *Database) *Database {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(db.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadDatabase(&buf)
+	var snap DatabaseSnapshot
+	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	back, err := FromSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}

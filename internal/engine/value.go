@@ -19,13 +19,12 @@
 // including the first probe of a column, which builds its index lazily under
 // the relation's lock and publishes it for lock-free reads (parallel block
 // compilation relies on this). Writes (Insert, InsertDet, DeleteTuple,
-// UpdateWeight, SetWeight) must be exclusive: no reader or other writer may
+// UpdateWeight) must be exclusive: no reader or other writer may
 // run alongside one — through any handle on the same store (Share).
 // internal/server orders the two with its index lock.
 package engine
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -159,18 +158,4 @@ func likeMatch(s, p string) bool {
 		pi++
 	}
 	return pi == len(p)
-}
-
-// ParseValue parses a literal: a quoted string ('...' or "...") or an
-// integer.
-func ParseValue(s string) (Value, error) {
-	s = strings.TrimSpace(s)
-	if len(s) >= 2 && (s[0] == '\'' || s[0] == '"') && s[len(s)-1] == s[0] {
-		return Str(s[1 : len(s)-1]), nil
-	}
-	i, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return Value{}, fmt.Errorf("engine: cannot parse value %q", s)
-	}
-	return Int(i), nil
 }

@@ -110,27 +110,6 @@ func TestLikeNoWildcardsEqualsEquality(t *testing.T) {
 	}
 }
 
-func TestParseValue(t *testing.T) {
-	v, err := ParseValue("42")
-	if err != nil || !v.Equal(Int(42)) {
-		t.Errorf("ParseValue(42) = %v, %v", v, err)
-	}
-	v, err = ParseValue("'hi'")
-	if err != nil || !v.Equal(Str("hi")) {
-		t.Errorf("ParseValue('hi') = %v, %v", v, err)
-	}
-	v, err = ParseValue(`"quoted"`)
-	if err != nil || !v.Equal(Str("quoted")) {
-		t.Errorf("ParseValue(quoted) = %v, %v", v, err)
-	}
-	if _, err = ParseValue("not a number"); err == nil {
-		t.Error("ParseValue accepted garbage")
-	}
-	if _, err = ParseValue("3.14"); err == nil {
-		t.Error("ParseValue accepted a float")
-	}
-}
-
 func TestWeightProbConversions(t *testing.T) {
 	cases := []struct{ w, p float64 }{
 		{0, 0},
@@ -144,13 +123,10 @@ func TestWeightProbConversions(t *testing.T) {
 			t.Errorf("WeightToProb(%v)=%v want %v", c.w, got, c.p)
 		}
 	}
-	// Round trip on ordinary values.
+	// WeightToProb inverts the odds w = p/(1-p) on ordinary values.
 	for _, p := range []float64{0, 0.1, 0.5, 0.9} {
-		if got := WeightToProb(ProbToWeight(p)); math.Abs(got-p) > 1e-12 {
+		if got := WeightToProb(p / (1 - p)); math.Abs(got-p) > 1e-12 {
 			t.Errorf("round trip p=%v got %v", p, got)
 		}
-	}
-	if ProbToWeight(1) != math.Inf(1) {
-		t.Error("ProbToWeight(1) should be +Inf")
 	}
 }

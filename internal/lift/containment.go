@@ -1,8 +1,11 @@
-package ucq
+package lift
 
-import "mvdb/internal/engine"
+import (
+	"mvdb/internal/engine"
+	"mvdb/internal/ucq"
+)
 
-// HomomorphismTo searches for a homomorphism from c to d: a mapping of c's
+// homomorphismTo searches for a homomorphism from c to d: a mapping of c's
 // variables to d's terms that is the identity on constants and maps every
 // atom of c onto some atom of d (same relation, same polarity). By the
 // Chandra-Merlin theorem, for Boolean CQs without predicates a homomorphism
@@ -13,15 +16,15 @@ import "mvdb/internal/engine"
 // predicate of d (or to a trivially true constant comparison). This keeps
 // the relation sound — a reported homomorphism always implies containment —
 // at the price of completeness.
-func (c CQ) HomomorphismTo(d CQ) (map[string]Term, bool) {
-	h := map[string]Term{}
-	if c.homSearch(d, 0, h) && c.predsPreserved(d, h) {
+func homomorphismTo(c, d ucq.CQ) (map[string]ucq.Term, bool) {
+	h := map[string]ucq.Term{}
+	if homSearch(c, d, 0, h) && predsPreserved(c, d, h) {
 		return h, true
 	}
 	return nil, false
 }
 
-func (c CQ) homSearch(d CQ, atom int, h map[string]Term) bool {
+func homSearch(c, d ucq.CQ, atom int, h map[string]ucq.Term) bool {
 	if atom == len(c.Atoms) {
 		return true
 	}
@@ -52,7 +55,7 @@ func (c CQ) homSearch(d CQ, atom int, h map[string]Term) bool {
 			h[ta.Var] = tb
 			bound = append(bound, ta.Var)
 		}
-		if ok && c.homSearch(d, atom+1, h) {
+		if ok && homSearch(c, d, atom+1, h) {
 			return true
 		}
 		for _, v := range bound {
@@ -62,7 +65,7 @@ func (c CQ) homSearch(d CQ, atom int, h map[string]Term) bool {
 	return false
 }
 
-func termEqual(a, b Term) bool {
+func termEqual(a, b ucq.Term) bool {
 	if a.IsConst != b.IsConst {
 		return false
 	}
@@ -74,8 +77,8 @@ func termEqual(a, b Term) bool {
 
 // predsPreserved checks that each predicate of c, after applying h, appears
 // verbatim in d or is a true constant comparison.
-func (c CQ) predsPreserved(d CQ, h map[string]Term) bool {
-	apply := func(t Term) Term {
+func predsPreserved(c, d ucq.CQ, h map[string]ucq.Term) bool {
+	apply := func(t ucq.Term) ucq.Term {
 		if t.IsConst {
 			return t
 		}
@@ -85,7 +88,7 @@ func (c CQ) predsPreserved(d CQ, h map[string]Term) bool {
 		return t
 	}
 	for _, p := range c.Preds {
-		mp := Pred{Op: p.Op, L: apply(p.L), R: apply(p.R), Offset: p.Offset}
+		mp := ucq.Pred{Op: p.Op, L: apply(p.L), R: apply(p.R), Offset: p.Offset}
 		if mp.L.IsConst && mp.R.IsConst && mp.EvalBound(mp.L.Const, mp.R.Const) {
 			continue
 		}
@@ -103,11 +106,11 @@ func (c CQ) predsPreserved(d CQ, h map[string]Term) bool {
 	return true
 }
 
-// Minimize computes a core of the Boolean CQ: it repeatedly drops an atom
+// minimize computes a core of the Boolean CQ: it repeatedly drops an atom
 // if the full conjunct still maps homomorphically into the reduced one
 // (which makes them equivalent). Head variables of a non-Boolean query must
 // be passed as protected so they are never collapsed.
-func (c CQ) Minimize(protected []string) CQ {
+func minimize(c ucq.CQ, protected []string) ucq.CQ {
 	cur := c
 	// Freeze protected variables by treating them as constants during the
 	// equivalence check: a marker constant per protected variable.
@@ -121,7 +124,7 @@ func (c CQ) Minimize(protected []string) CQ {
 			if len(cur.Atoms) == 1 {
 				break
 			}
-			reduced := CQ{Preds: cur.Preds}
+			reduced := ucq.CQ{Preds: cur.Preds}
 			reduced.Atoms = append(reduced.Atoms, cur.Atoms[:i]...)
 			reduced.Atoms = append(reduced.Atoms, cur.Atoms[i+1:]...)
 			if !bindsAllPredVars(reduced) {
@@ -132,7 +135,7 @@ func (c CQ) Minimize(protected []string) CQ {
 			// protected variables pinned.
 			fc := cur.Subst(freeze)
 			fr := reduced.Subst(freeze)
-			if _, ok := fc.HomomorphismTo(fr); ok {
+			if _, ok := homomorphismTo(fc, fr); ok {
 				cur = reduced
 				improved = true
 				break
@@ -146,7 +149,7 @@ func (c CQ) Minimize(protected []string) CQ {
 
 // bindsAllPredVars reports whether every predicate variable occurs in some
 // positive atom (a requirement for the conjunct to be evaluable).
-func bindsAllPredVars(c CQ) bool {
+func bindsAllPredVars(c ucq.CQ) bool {
 	pos := map[string]bool{}
 	for _, v := range c.PositiveVars() {
 		pos[v] = true
@@ -162,16 +165,16 @@ func bindsAllPredVars(c CQ) bool {
 	return true
 }
 
-// RemoveRedundantDisjuncts drops disjuncts subsumed by another disjunct: if
+// removeRedundantDisjuncts drops disjuncts subsumed by another disjunct: if
 // dᵢ ⊆ dⱼ (there is a homomorphism dⱼ → dᵢ), then dᵢ is redundant in the
 // union. Each surviving disjunct is also minimized. Protected variables
 // (head variables) are pinned.
-func (u UCQ) RemoveRedundantDisjuncts(protected []string) UCQ {
+func removeRedundantDisjuncts(u ucq.UCQ, protected []string) ucq.UCQ {
 	freeze := map[string]engine.Value{}
 	for i, v := range protected {
 		freeze[v] = engine.Str("\x00frozen" + string(rune('0'+i%10)) + v)
 	}
-	kept := make([]CQ, 0, len(u.Disjuncts))
+	kept := make([]ucq.CQ, 0, len(u.Disjuncts))
 	for i, d := range u.Disjuncts {
 		redundant := false
 		for j, e := range u.Disjuncts {
@@ -182,8 +185,8 @@ func (u UCQ) RemoveRedundantDisjuncts(protected []string) UCQ {
 			// equivalent disjuncts keep the earlier one.
 			fe := e.Subst(freeze)
 			fd := d.Subst(freeze)
-			if _, ok := fe.HomomorphismTo(fd); ok {
-				if _, back := fd.HomomorphismTo(fe); back && j > i {
+			if _, ok := homomorphismTo(fe, fd); ok {
+				if _, back := homomorphismTo(fd, fe); back && j > i {
 					continue // equivalent; the later one will be dropped
 				}
 				redundant = true
@@ -191,34 +194,72 @@ func (u UCQ) RemoveRedundantDisjuncts(protected []string) UCQ {
 			}
 		}
 		if !redundant {
-			kept = append(kept, d.Minimize(protected))
+			kept = append(kept, minimize(d, protected))
 		}
 	}
-	return UCQ{Disjuncts: kept}
+	return ucq.UCQ{Disjuncts: kept}
 }
 
-// ContainsUCQ reports whether the Boolean UCQ c contains d (d ⊆ c): every
-// disjunct of d must be contained in some disjunct of c (sound and complete
-// for predicate-free UCQs by Sagiv-Yannakakis; conservative with
-// predicates, like HomomorphismTo).
-func ContainsUCQ(c, d UCQ) bool {
-	for _, dd := range d.Disjuncts {
-		found := false
-		for _, cc := range c.Disjuncts {
-			if _, ok := cc.HomomorphismTo(dd); ok {
-				found = true
-				break
+// collapseEquivalentAtoms removes positive atoms that are duplicates of
+// another atom up to renaming of variables local to the atom (variables that
+// occur nowhere else in the conjunct and not in protected). For example,
+// ∃y1 S(a,y1) ∧ ∃y2 S(a,y2) collapses to ∃y S(a,y). This is a sound
+// logical simplification used before independence checks.
+func collapseEquivalentAtoms(c ucq.CQ, protected []string) ucq.CQ {
+	// Count variable occurrences across atoms, predicates and protected set.
+	occurs := map[string]int{}
+	for _, a := range c.Atoms {
+		seen := map[string]bool{}
+		for _, t := range a.Args {
+			if !t.IsConst && !seen[t.Var] {
+				seen[t.Var] = true
+				occurs[t.Var]++
 			}
 		}
-		if !found {
-			return false
+	}
+	for _, p := range c.Preds {
+		if !p.L.IsConst {
+			occurs[p.L.Var] += 2
+		}
+		if !p.R.IsConst {
+			occurs[p.R.Var] += 2
 		}
 	}
-	return true
-}
-
-// EquivalentBool reports whether two Boolean UCQs are logically equivalent
-// (mutual containment, same caveats as ContainsUCQ).
-func EquivalentBool(a, b UCQ) bool {
-	return ContainsUCQ(a, b) && ContainsUCQ(b, a)
+	for _, v := range protected {
+		occurs[v] += 2
+	}
+	keyOf := func(a ucq.Atom) string {
+		local := map[string]int{}
+		key := a.Rel
+		if a.Negated {
+			key = "!" + key
+		}
+		for _, t := range a.Args {
+			switch {
+			case t.IsConst:
+				key += "|c" + t.Const.Key()
+			case occurs[t.Var] > 1:
+				key += "|g" + t.Var
+			default:
+				id, ok := local[t.Var]
+				if !ok {
+					id = len(local)
+					local[t.Var] = id
+				}
+				key += "|l" + string(rune('0'+id))
+			}
+		}
+		return key
+	}
+	seen := map[string]bool{}
+	out := ucq.CQ{Preds: c.Preds}
+	for _, a := range c.Atoms {
+		k := keyOf(a)
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		out.Atoms = append(out.Atoms, a)
+	}
+	return out
 }

@@ -1,4 +1,4 @@
-package ucq
+package lift
 
 import (
 	"math/rand"
@@ -6,11 +6,12 @@ import (
 
 	"mvdb/internal/engine"
 	"mvdb/internal/lineage"
+	"mvdb/internal/ucq"
 )
 
-func cqOf(t *testing.T, src string) CQ {
+func cqOf(t *testing.T, src string) ucq.CQ {
 	t.Helper()
-	return MustParse(src).Disjuncts[0]
+	return ucq.MustParse(src).Disjuncts[0]
 }
 
 func TestHomomorphism(t *testing.T) {
@@ -38,7 +39,7 @@ func TestHomomorphism(t *testing.T) {
 	}
 	for _, c := range cases {
 		from, to := cqOf(t, c.from), cqOf(t, c.to)
-		if _, got := from.HomomorphismTo(to); got != c.want {
+		if _, got := homomorphismTo(from, to); got != c.want {
 			t.Errorf("hom %q -> %q = %v want %v", c.from, c.to, got, c.want)
 		}
 	}
@@ -48,21 +49,21 @@ func TestHomomorphismPredicates(t *testing.T) {
 	// Predicates must be preserved verbatim (conservative).
 	from := cqOf(t, "Q() :- S(x,y), x < y")
 	to := cqOf(t, "Q() :- S(a,b), a < b")
-	if _, ok := from.HomomorphismTo(to); !ok {
+	if _, ok := homomorphismTo(from, to); !ok {
 		t.Error("identical predicate shape rejected")
 	}
 	to2 := cqOf(t, "Q() :- S(a,b)")
-	if _, ok := from.HomomorphismTo(to2); ok {
+	if _, ok := homomorphismTo(from, to2); ok {
 		t.Error("dropped predicate accepted")
 	}
 	// Predicate satisfied by constants after mapping.
 	from3 := cqOf(t, "Q() :- S(x,y), x < 5")
 	to3 := cqOf(t, "Q() :- S(1,b)")
-	if _, ok := from3.HomomorphismTo(to3); !ok {
+	if _, ok := homomorphismTo(from3, to3); !ok {
 		t.Error("constant-true predicate rejected")
 	}
 	to4 := cqOf(t, "Q() :- S(9,b)")
-	if _, ok := from3.HomomorphismTo(to4); ok {
+	if _, ok := homomorphismTo(from3, to4); ok {
 		t.Error("constant-false predicate accepted")
 	}
 }
@@ -70,28 +71,28 @@ func TestHomomorphismPredicates(t *testing.T) {
 func TestMinimize(t *testing.T) {
 	// S(x,y) ∧ S(x,z): z-atom is redundant (collapse z -> y).
 	c := cqOf(t, "Q() :- S(x,y), S(x,z)")
-	m := c.Minimize(nil)
+	m := minimize(c, nil)
 	if len(m.Atoms) != 1 {
-		t.Errorf("Minimize = %v", m)
+		t.Errorf("minimize = %v", m)
 	}
 	// The triangle-free core: S(x,y),S(y,z),S(z,x) is already a core.
 	c = cqOf(t, "Q() :- S(x,y), S(y,z), S(z,x)")
-	if m = c.Minimize(nil); len(m.Atoms) != 3 {
+	if m = minimize(c, nil); len(m.Atoms) != 3 {
 		t.Errorf("core shrank: %v", m)
 	}
 	// Path of length 2 collapses onto a self-loop only when one exists.
 	c = cqOf(t, "Q() :- S(x,x), S(x,y)")
-	if m = c.Minimize(nil); len(m.Atoms) != 1 {
+	if m = minimize(c, nil); len(m.Atoms) != 1 {
 		t.Errorf("self-loop not a core: %v", m)
 	}
 	// Protected (head) variables must not be collapsed away.
 	c = cqOf(t, "Q(y) :- S(x,y), S(x,z)")
-	if m = c.Minimize([]string{"y"}); len(m.Atoms) != 1 {
+	if m = minimize(c, []string{"y"}); len(m.Atoms) != 1 {
 		// S(x,z) can still fold into S(x,y) since z is existential.
-		t.Errorf("Minimize with head = %v", m)
+		t.Errorf("minimize with head = %v", m)
 	}
 	c = cqOf(t, "Q(y,z) :- S(x,y), S(x,z)")
-	if m = c.Minimize([]string{"y", "z"}); len(m.Atoms) != 2 {
+	if m = minimize(c, []string{"y", "z"}); len(m.Atoms) != 2 {
 		t.Errorf("protected vars collapsed: %v", m)
 	}
 }
@@ -99,20 +100,20 @@ func TestMinimize(t *testing.T) {
 func TestRemoveRedundantDisjuncts(t *testing.T) {
 	// R(x),S(x,y) is subsumed by S(x,y) (any match of the longer one is a
 	// match of the shorter): the union equals S(x,y).
-	q := MustParse("Q() :- S(x,y)\nQ() :- R(x), S(x,y)")
-	r := q.RemoveRedundantDisjuncts(nil)
+	q := ucq.MustParse("Q() :- S(x,y)\nQ() :- R(x), S(x,y)")
+	r := removeRedundantDisjuncts(q.UCQ, nil)
 	if len(r.Disjuncts) != 1 || len(r.Disjuncts[0].Atoms) != 1 {
-		t.Errorf("RemoveRedundantDisjuncts = %v", r)
+		t.Errorf("removeRedundantDisjuncts = %v", r)
 	}
 	// Equivalent duplicates: keep exactly one.
-	q = MustParse("Q() :- R(x)\nQ() :- R(y)")
-	r = q.RemoveRedundantDisjuncts(nil)
+	q = ucq.MustParse("Q() :- R(x)\nQ() :- R(y)")
+	r = removeRedundantDisjuncts(q.UCQ, nil)
 	if len(r.Disjuncts) != 1 {
 		t.Errorf("duplicates kept: %v", r)
 	}
 	// Incomparable disjuncts survive.
-	q = MustParse("Q() :- R(x)\nQ() :- T(y)")
-	r = q.RemoveRedundantDisjuncts(nil)
+	q = ucq.MustParse("Q() :- R(x)\nQ() :- T(y)")
+	r = removeRedundantDisjuncts(q.UCQ, nil)
 	if len(r.Disjuncts) != 2 {
 		t.Errorf("incomparable dropped: %v", r)
 	}
@@ -146,13 +147,13 @@ func TestRedundancySemantics(t *testing.T) {
 			}
 		}
 		for _, src := range queries {
-			q := MustParse(src)
-			reduced := q.RemoveRedundantDisjuncts(nil)
-			a, err := EvalBoolean(db, q.UCQ)
+			q := ucq.MustParse(src)
+			reduced := removeRedundantDisjuncts(q.UCQ, nil)
+			a, err := ucq.EvalBoolean(db, q.UCQ)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := EvalBoolean(db, reduced)
+			b, err := ucq.EvalBoolean(db, reduced)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +165,7 @@ func TestRedundancySemantics(t *testing.T) {
 	}
 }
 
-// TestQuickHomomorphismSoundness: whenever HomomorphismTo(c, d) reports a
+// TestQuickHomomorphismSoundness: whenever homomorphismTo(c, d) reports a
 // homomorphism, containment d ⊆ c must hold on random databases — every
 // database where d has a match, c has one too.
 func TestQuickHomomorphismSoundness(t *testing.T) {
@@ -197,14 +198,14 @@ func TestQuickHomomorphismSoundness(t *testing.T) {
 		for _, cs := range shapes {
 			for _, ds := range shapes {
 				c, d := cqOf(t, cs), cqOf(t, ds)
-				if _, ok := c.HomomorphismTo(d); !ok {
+				if _, ok := homomorphismTo(c, d); !ok {
 					continue
 				}
-				lc, err := EvalBoolean(db, UCQ{Disjuncts: []CQ{c}})
+				lc, err := ucq.EvalBoolean(db, ucq.UCQ{Disjuncts: []ucq.CQ{c}})
 				if err != nil {
 					t.Fatal(err)
 				}
-				ld, err := EvalBoolean(db, UCQ{Disjuncts: []CQ{d}})
+				ld, err := ucq.EvalBoolean(db, ucq.UCQ{Disjuncts: []ucq.CQ{d}})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -216,52 +217,40 @@ func TestQuickHomomorphismSoundness(t *testing.T) {
 	}
 }
 
-func TestContainsUCQAndEquivalence(t *testing.T) {
-	parse := func(src string) UCQ { return MustParse(src).UCQ }
-	// Subsumption: S(x,y) contains R(x),S(x,y).
-	a := parse("Q() :- S(x,y)")
-	b := parse("Q() :- R(x), S(x,y)")
-	if !ContainsUCQ(a, b) {
-		t.Error("S(x,y) should contain R,S")
+func TestCollapseEquivalentAtoms(t *testing.T) {
+	q := ucq.MustParse("Q() :- S(1,y1), S(1,y2)")
+	c := collapseEquivalentAtoms(q.Disjuncts[0], nil)
+	if len(c.Atoms) != 1 {
+		t.Errorf("collapse: %v", c)
 	}
-	if ContainsUCQ(b, a) {
-		t.Error("R,S should not contain S alone")
+	// Shared variable blocks the collapse.
+	q = ucq.MustParse("Q() :- S(x,y1), S(x,y2), R(y1)")
+	c = collapseEquivalentAtoms(q.Disjuncts[0], nil)
+	if len(c.Atoms) != 3 {
+		t.Errorf("collapse should not fire: %v", c)
 	}
-	// Union equivalence up to disjunct order and duplicates.
-	u1 := parse("Q() :- R(x)\nQ() :- T(y)")
-	u2 := parse("Q() :- T(a)\nQ() :- R(b)\nQ() :- R(c)")
-	if !EquivalentBool(u1, u2) {
-		t.Error("reordered/duplicated unions should be equivalent")
+	// S(y,y) and S(a,b) with local vars are NOT equivalent.
+	q = ucq.MustParse("Q() :- S(y,y), S(a,b)")
+	c = collapseEquivalentAtoms(q.Disjuncts[0], nil)
+	if len(c.Atoms) != 2 {
+		t.Errorf("distinct patterns collapsed: %v", c)
 	}
-	// Minimization preserves equivalence.
-	c := parse("Q() :- S(x,y), S(x,z)")
-	min := UCQ{Disjuncts: []CQ{c.Disjuncts[0].Minimize(nil)}}
-	if !EquivalentBool(c, min) {
-		t.Error("minimized CQ not equivalent to original")
+	// But two diagonal atoms are.
+	q = ucq.MustParse("Q() :- S(y,y), S(z,z)")
+	c = collapseEquivalentAtoms(q.Disjuncts[0], nil)
+	if len(c.Atoms) != 1 {
+		t.Errorf("diagonal atoms not collapsed: %v", c)
 	}
-	// Different relations are not equivalent.
-	if EquivalentBool(parse("Q() :- R(x)"), parse("Q() :- T(x)")) {
-		t.Error("R and T equivalent?")
+	// Protected variables are global.
+	q2 := ucq.MustParse("Q(y1) :- S(1,y1), S(1,y2)")
+	c = collapseEquivalentAtoms(q2.Disjuncts[0], q2.Head)
+	if len(c.Atoms) != 2 {
+		t.Errorf("protected var collapsed: %v", c)
 	}
-	// Semantics spot check on random DBs: equivalence implies equal lineage.
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 20; trial++ {
-		db := engine.NewDatabase()
-		db.MustCreateRelation("R", false, "a")
-		db.MustCreateRelation("T", false, "a")
-		db.MustCreateRelation("S", false, "a", "b")
-		for i := int64(1); i <= 3; i++ {
-			if rng.Intn(2) == 0 {
-				db.MustInsert("R", 1, engine.Int(i))
-			}
-			if rng.Intn(2) == 0 {
-				db.MustInsert("T", 1, engine.Int(i))
-			}
-		}
-		l1, _ := EvalBoolean(db, u1)
-		l2, _ := EvalBoolean(db, u2)
-		if lineage.DNF(l1).Normalize().String() != lineage.DNF(l2).Normalize().String() {
-			t.Fatalf("equivalent unions disagree on lineage")
-		}
+	// Predicate variables are global.
+	q = ucq.MustParse("Q() :- S(1,y1), S(1,y2), y1 > 3")
+	c = collapseEquivalentAtoms(q.Disjuncts[0], nil)
+	if len(c.Atoms) != 2 {
+		t.Errorf("predicate var collapsed: %v", c)
 	}
 }

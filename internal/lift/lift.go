@@ -57,7 +57,7 @@ func (e *evaluator) ucq(u ucq.UCQ) (float64, error) {
 	// Logical simplification: drop subsumed disjuncts and minimize each
 	// conjunct (Chandra-Merlin cores). Semantics-preserving, and it turns
 	// several syntactically-unsafe shapes into safe ones.
-	u = u.RemoveRedundantDisjuncts(nil)
+	u = removeRedundantDisjuncts(u, nil)
 
 	// Independent union: relation-disjoint groups of disjuncts.
 	if groups := u.UnionGroups(); len(groups) > 1 {
@@ -110,7 +110,7 @@ func (e *evaluator) cq(d ucq.CQ) (float64, error) {
 	if !ok {
 		return 0, nil
 	}
-	d = d.CollapseEquivalentAtoms(nil).Minimize(nil)
+	d = minimize(collapseEquivalentAtoms(d, nil), nil)
 	if len(d.Vars()) == 0 {
 		return e.ground(d)
 	}
@@ -348,7 +348,7 @@ func structSafe(u ucq.UCQ, depth int) bool {
 		return true
 	}
 	if len(u.Disjuncts) == 1 {
-		d := u.Disjuncts[0].CollapseEquivalentAtoms(nil)
+		d := collapseEquivalentAtoms(u.Disjuncts[0], nil)
 		u = ucq.UCQ{Disjuncts: []ucq.CQ{d}}
 		if len(d.Vars()) == 0 {
 			return true
@@ -363,7 +363,7 @@ func structSafe(u ucq.UCQ, depth int) bool {
 			return true
 		}
 	}
-	if sep, ok := u.FindSeparatorStrict(); ok {
+	if sep, ok := u.FindSeparatorSkip(ucq.SkipNegated); ok {
 		marker := engine.Str("\x00safe")
 		sub := ucq.UCQ{}
 		for di, d := range u.Disjuncts {

@@ -30,22 +30,6 @@ func (x Var) CollectVars(set map[int]bool) { set[int(x)] = true }
 
 func (x Var) String() string { return "x" + strconv.Itoa(int(x)) }
 
-// Const is a constant leaf.
-type Const bool
-
-// Eval implements Formula.
-func (c Const) Eval(func(v int) bool) bool { return bool(c) }
-
-// CollectVars implements Formula.
-func (c Const) CollectVars(map[int]bool) {}
-
-func (c Const) String() string {
-	if c {
-		return "true"
-	}
-	return "false"
-}
-
 // Not negates a formula.
 type Not struct{ F Formula }
 

@@ -19,11 +19,9 @@ import (
 // false; a DNF containing an empty term is true.
 type DNF [][]int
 
-// False and True are the constant lineages.
+// False returns the constant false lineage, the empty DNF; DNF{{}}, one
+// empty term, is true.
 func False() DNF { return nil }
-
-// True returns the DNF containing one empty term.
-func True() DNF { return DNF{{}} }
 
 // IsFalse reports whether the DNF has no terms.
 func (d DNF) IsFalse() bool { return len(d) == 0 }

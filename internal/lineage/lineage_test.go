@@ -10,7 +10,7 @@ func TestDNFBasics(t *testing.T) {
 	if !False().IsFalse() {
 		t.Error("False not false")
 	}
-	if !True().IsTrue() {
+	if !(DNF{{}}).IsTrue() {
 		t.Error("True not true")
 	}
 	d := DNF{{1, 2}, {3}}
@@ -108,7 +108,7 @@ func TestBruteForceProb(t *testing.T) {
 	if got := bfProb(d, probs); math.Abs(got-0.18) > 1e-12 {
 		t.Errorf("P(and) = %v", got)
 	}
-	if got := bfProb(True(), probs); got != 1 {
+	if got := bfProb(DNF{{}}, probs); got != 1 {
 		t.Errorf("P(true) = %v", got)
 	}
 	if got := bfProb(False(), probs); got != 0 {
@@ -174,18 +174,6 @@ func TestFromDNFAgrees(t *testing.T) {
 	}
 }
 
-func TestConstFormula(t *testing.T) {
-	if !Const(true).Eval(nil) || Const(false).Eval(nil) {
-		t.Error("Const eval wrong")
-	}
-	if bfProbF(Const(true), []float64{0}) != 1 {
-		t.Error("P(true) != 1")
-	}
-	if got := (Not{Const(false)}).String(); got != "¬false" {
-		t.Errorf("String = %q", got)
-	}
-}
-
 func TestStrings(t *testing.T) {
 	if s := (DNF{{1, 2}, {3}}).String(); s != "(x1 ∧ x2) ∨ (x3)" {
 		t.Errorf("DNF string = %q", s)
@@ -193,7 +181,7 @@ func TestStrings(t *testing.T) {
 	if s := False().String(); s != "false" {
 		t.Errorf("false string = %q", s)
 	}
-	if s := True().String(); s != "true" {
+	if s := (DNF{{}}).String(); s != "true" {
 		t.Errorf("true string = %q", s)
 	}
 	f := Or_{And{Var(1), Var(2)}}

@@ -18,9 +18,6 @@ type MCSatOptions struct {
 	Noise    float64 // WalkSAT noise probability (0: default 0.5)
 }
 
-// DefaultMCSat is a reasonable default configuration.
-var DefaultMCSat = MCSatOptions{Burn: 100, Samples: 1000, Seed: 1}
-
 // MarginalMCSat estimates P(q) with MC-SAT: at every iteration each feature
 // currently satisfied is, with probability 1 - 1/w, added to the constraint
 // set M (after normalizing weights into the ≥ 1 range), and the next state is
@@ -224,4 +221,25 @@ func sampleSATNoise(constraints []Feature, state []bool, rng *rand.Rand, maxFlip
 		doFlip(pick)
 	}
 	return len(unsatList) == 0
+}
+
+// initialState finds an assignment satisfying all hard constraints.
+func (n *Network) initialState(rng *rand.Rand) ([]bool, error) {
+	var hard []Feature
+	for _, f := range n.normalized() {
+		if math.IsInf(f.Weight, 1) {
+			hard = append(hard, f)
+		}
+	}
+	state := make([]bool, n.top()+1)
+	for _, v := range n.Vars {
+		state[v] = rng.Intn(2) == 0
+	}
+	if len(hard) == 0 {
+		return state, nil
+	}
+	if ok := sampleSAT(hard, state, rng, 20*(len(n.Vars)+len(hard))+1000); !ok {
+		return nil, fmt.Errorf("mln: could not find a state satisfying the %d hard constraints", len(hard))
+	}
+	return state, nil
 }

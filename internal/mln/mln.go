@@ -4,10 +4,10 @@
 // features it satisfies; probabilities are weights normalized by the
 // partition function Z.
 //
-// Three inference methods are provided: exact enumeration (ground truth for
-// small networks), Gibbs sampling, and MC-SAT (slice sampling with a
-// SampleSAT inner loop) — the algorithm family used by Alchemy, the system
-// the paper compares against in Section 5.1.
+// Two inference methods are provided: exact enumeration (ground truth for
+// small networks) and MC-SAT (slice sampling with a SampleSAT inner loop) —
+// the algorithm family used by Alchemy, the system the paper compares against
+// in Section 5.1.
 //
 // Weight conventions (multiplicative, as in the paper):
 //   - w > 1: worlds satisfying the feature are favoured;
@@ -93,13 +93,6 @@ func (n *Network) WorldWeight(assign func(v int) bool) float64 {
 		}
 	}
 	return w
-}
-
-// Partition computes Z by enumerating all 2^len(Vars) worlds. Networks over
-// more than 30 variables are refused with an error rather than enumerated.
-func (n *Network) Partition() (float64, error) {
-	z, _, err := n.enumerate(nil)
-	return z, err
 }
 
 // MarginalExact computes P(q) = Φ(q)/Z by enumeration (ground truth).

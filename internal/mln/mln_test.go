@@ -27,7 +27,7 @@ func TestWorldWeightExample1(t *testing.T) {
 			t.Errorf("Φ(%b) = %v want %v", mask, got, want)
 		}
 	}
-	if z, err := n.Partition(); err != nil {
+	if z, _, err := n.enumerate(nil); err != nil {
 		t.Fatal(err)
 	} else if math.Abs(z-(1+w1+w2+w*w1*w2)) > 1e-12 {
 		t.Errorf("Z = %v", z)
@@ -55,7 +55,7 @@ func TestHardConstraints(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Worlds {}, {x1}, {x2} have weight 1; {x1,x2} has weight 0.
-	if z, err := n.Partition(); err != nil {
+	if z, _, err := n.enumerate(nil); err != nil {
 		t.Fatal(err)
 	} else if math.Abs(z-3) > 1e-12 {
 		t.Errorf("Z = %v", z)
@@ -124,26 +124,6 @@ func randomNetwork(rng *rand.Rand, nv int) *Network {
 	return n
 }
 
-func TestGibbsConvergesToExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 5; trial++ {
-		nv := 3 + rng.Intn(3)
-		n := randomNetwork(rng, nv)
-		q := lineage.Var(1 + rng.Intn(nv))
-		want, err := n.MarginalExact(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := n.MarginalGibbs(q, GibbsOptions{Burn: 500, Samples: 20000, Seed: int64(trial)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-want) > 0.05 {
-			t.Errorf("trial %d: Gibbs = %v exact = %v", trial, got, want)
-		}
-	}
-}
-
 func TestMCSatConvergesToExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 5; trial++ {
@@ -178,13 +158,6 @@ func TestMCSatWithHardConstraints(t *testing.T) {
 	}
 	if math.Abs(got-want) > 0.05 {
 		t.Errorf("MC-SAT = %v exact = %v", got, want)
-	}
-	gotG, err := n.MarginalGibbs(lineage.Var(1), GibbsOptions{Burn: 500, Samples: 20000, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(gotG-want) > 0.05 {
-		t.Errorf("Gibbs = %v exact = %v", gotG, want)
 	}
 }
 
@@ -246,18 +219,6 @@ func BenchmarkMCSat(b *testing.B) {
 	}
 }
 
-func BenchmarkGibbs(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n := randomNetwork(rng, 6)
-	q := lineage.Var(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := n.MarginalGibbs(q, GibbsOptions{Burn: 50, Samples: 500, Seed: int64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkExactEnumeration(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n := randomNetwork(rng, 12)
@@ -277,8 +238,8 @@ func TestEnumerationTooLargeRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Partition(); err == nil {
-		t.Error("Partition over 31 variables: want error, got nil")
+	if _, _, err := n.enumerate(nil); err == nil {
+		t.Error("enumerating 31 variables: want error, got nil")
 	}
 	if _, err := n.MarginalExact(lineage.Var(1)); err == nil {
 		t.Error("MarginalExact over 31 variables: want error, got nil")

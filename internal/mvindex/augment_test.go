@@ -177,7 +177,7 @@ func checkAugmentation(t *testing.T, ix *Index, when string) {
 // scratch over a re-translation of the mutated source, on both layouts.
 func checkAnswers(t *testing.T, ix *Index, when string) {
 	t.Helper()
-	tr, err := ix.Translation().Retranslate()
+	tr, err := ix.Translation().Source.Translate(ix.Translation().Opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,10 +281,10 @@ func TestIncrementalAugmentEqualsRebuild(t *testing.T) {
 		// in full, the later ones are incremental again.
 		{name: "after restore", setup: tableWeights, after: func(t *testing.T, ix *Index) *Index {
 			var buf bytes.Buffer
-			if err := ix.Save(&buf); err != nil {
+			if err := ix.SaveSeq(&buf, 0); err != nil {
 				t.Fatal(err)
 			}
-			back, err := Read(&buf)
+			back, err := readIndex(&buf)
 			if err != nil {
 				t.Fatal(err)
 			}

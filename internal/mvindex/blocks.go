@@ -331,7 +331,7 @@ func (p logProd) value() (float64, int) {
 }
 
 // negW is a chain's ¬W as a pointer OBDD — what the pointer MVIntersect of
-// Fig. 9, Sift and Save work on. at maps a node of m to its index in its
+// Fig. 9, Sift and SaveSeq work on. at maps a node of m to its index in its
 // block (-1 for nodes outside the chain); roots are the blocks' roots.
 type negW struct {
 	m     *obdd.Manager

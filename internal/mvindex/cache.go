@@ -32,9 +32,8 @@ type CacheStats struct {
 	// scratch managers used by query evaluation since the cache was enabled.
 	QueryApplyHits   uint64 `json:"query_apply_hits"`
 	QueryApplyMisses uint64 `json:"query_apply_misses"`
-	// SharedApplyHits/Misses are the counters of Manager(), on which
-	// IntersectOBDD callers build query OBDDs (it starts empty on every
-	// structural batch).
+	// SharedApplyHits/Misses are the counters of Manager() (it starts
+	// empty on every structural batch).
 	SharedApplyHits   uint64 `json:"shared_apply_hits"`
 	SharedApplyMisses uint64 `json:"shared_apply_misses"`
 }
@@ -62,9 +61,6 @@ func (ix *Index) EnableCache(opts qcache.Options) {
 		}, func(float64) int64 { return lineageEntryBytes }),
 	}
 }
-
-// CacheEnabled reports whether the cross-query cache is installed.
-func (ix *Index) CacheEnabled() bool { return ix.cache != nil }
 
 // CacheStats returns a snapshot of the memoization counters. The shared
 // apply counters are read from the frozen manager, which is safe under the

@@ -193,8 +193,8 @@ func TestQueryTextHitAfterWriteReevaluates(t *testing.T) {
 	if _, err := ix.QueryText(text, opts); err != nil {
 		t.Fatal(err)
 	}
-	for _, tup := range tr.DB.Relation("Adv").Tuples {
-		tr.DB.SetWeight(tup.Var, tup.Weight*3)
+	for i := range tr.DB.Relation("Adv").Tuples {
+		tr.DB.Relation("Adv").Tuples[i].Weight *= 3
 	}
 	ix.Reweight()
 	after, err := ix.QueryText(text, opts)
@@ -240,8 +240,8 @@ func TestReweightInvalidatesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	adv := tr.DB.Relation("Adv")
-	for _, tup := range adv.Tuples {
-		tr.DB.SetWeight(tup.Var, tup.Weight*3)
+	for i := range adv.Tuples {
+		adv.Tuples[i].Weight *= 3
 	}
 	ix.Reweight()
 	after, err := ix.Query(q, IntersectOptions{CacheConscious: true})
@@ -387,7 +387,7 @@ func TestDisableCacheOption(t *testing.T) {
 		t.Fatal("cached call did not register")
 	}
 	ix.EnableCache(qcache.Options{Disable: true})
-	if ix.CacheEnabled() {
+	if ix.cache != nil {
 		t.Fatal("Disable did not remove the cache")
 	}
 }

@@ -67,10 +67,6 @@ func (e *SnapshotVersionError) Error() string {
 	return fmt.Sprintf("mvindex: snapshot magic %q is not supported (this build reads only %q)", e.Found, e.Supported)
 }
 
-// Save serializes the index (including the translated database) as one gob
-// message, equivalent to SaveSeq with sequence number 0.
-func (ix *Index) Save(w io.Writer) error { return ix.SaveSeq(w, 0) }
-
 // SaveSeq serializes the index together with the WAL sequence number the
 // snapshot covers. When the index carries a snapshotable source MVDB
 // (WeightTable-backed views), it is included so the restored index supports
@@ -102,13 +98,7 @@ func (ix *Index) SaveSeq(w io.Writer, lastSeq uint64) error {
 	return bw.Flush()
 }
 
-// Read deserializes an index written by Save, discarding the sequence number.
-func Read(r io.Reader) (*Index, error) {
-	ix, _, err := ReadSeq(r)
-	return ix, err
-}
-
-// ReadSeq deserializes an index written by Save/SaveSeq and returns the WAL
+// ReadSeq deserializes an index written by SaveSeq and returns the WAL
 // sequence number the snapshot covers. The returned index is fully
 // functional: the inner translation is restored and the segments are
 // flattened from the saved ¬W, so no recompilation happens; with a

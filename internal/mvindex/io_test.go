@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -21,10 +22,10 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	tr, ix := buildIndex(t, m)
 
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := ix.SaveSeq(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
+	back, err := readIndex(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,17 +58,17 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestIndexLoadCorrupt(t *testing.T) {
-	if _, err := Read(strings.NewReader("garbage")); err == nil {
+	if _, err := readIndex(strings.NewReader("garbage")); err == nil {
 		t.Error("corrupt index accepted")
 	}
 	// Truncated stream.
 	m := chainMVDB(5, 1)
 	_, ix := buildIndex(t, m)
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := ix.SaveSeq(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
+	if _, err := readIndex(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Error("truncated index accepted")
 	}
 	// An OBDD order that repeats a variable: an error, not a panic, so
@@ -111,7 +112,7 @@ func TestIndexLoadCorrupt(t *testing.T) {
 func reencoded(t *testing.T, ix *Index) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := ix.SaveSeq(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -124,7 +125,7 @@ func reencoded(t *testing.T, ix *Index) []byte {
 func TestSnapshotVersionRejected(t *testing.T) {
 	_, ix := buildIndex(t, chainMVDB(5, 1))
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := ix.SaveSeq(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	var snap indexSnapshot
@@ -139,7 +140,7 @@ func TestSnapshotVersionRejected(t *testing.T) {
 		}
 		return &b
 	}
-	_, err := Read(reencode("mvindex-v3"))
+	_, err := readIndex(reencode("mvindex-v3"))
 	var ve *SnapshotVersionError
 	if !errors.As(err, &ve) || ve.Found != "mvindex-v3" || ve.Supported != "mvindex-v4" {
 		t.Fatalf("v3 magic: err = %v, want a SnapshotVersionError naming mvindex-v3 and mvindex-v4", err)
@@ -149,7 +150,7 @@ func TestSnapshotVersionRejected(t *testing.T) {
 			t.Errorf("error %q does not name %s", err, magic)
 		}
 	}
-	back, err := Read(reencode("mvindex-v4"))
+	back, err := readIndex(reencode("mvindex-v4"))
 	if err != nil {
 		t.Fatalf("v4 round-trip: %v", err)
 	}
@@ -217,8 +218,8 @@ func TestReweight(t *testing.T) {
 	}
 	// Double every Advisor tuple weight in the translated database.
 	adv := tr.DB.Relation("Adv")
-	for _, tup := range adv.Tuples {
-		tr.DB.SetWeight(tup.Var, tup.Weight*2)
+	for i := range adv.Tuples {
+		adv.Tuples[i].Weight *= 2
 	}
 	ix.Reweight()
 	after, err := ix.ProbBoolean(q.UCQ, IntersectOptions{CacheConscious: true})
@@ -320,10 +321,10 @@ func TestIndexSnapshotClosureDegrades(t *testing.T) {
 	m := chainMVDB(6, 23) // closure weights
 	_, ix := buildIndex(t, m)
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := ix.SaveSeq(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
+	back, err := readIndex(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,10 +353,10 @@ func TestSnapshotAfterManyBatches(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := ix.SaveSeq(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
+	back, err := readIndex(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,4 +386,10 @@ func TestSnapshotAfterManyBatches(t *testing.T) {
 	if math.Float64bits(gl) != math.Float64bits(wl) || gs != ws {
 		t.Fatalf("P0(¬W): restored (%v, %d), live (%v, %d)", gl, gs, wl, ws)
 	}
+}
+
+// readIndex is ReadSeq without the sequence number.
+func readIndex(r io.Reader) (*Index, error) {
+	ix, _, err := ReadSeq(r)
+	return ix, err
 }

@@ -130,7 +130,7 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 		if err := work.Apply(batch); err != nil {
 			return st, err
 		}
-		if newTr, err = ix.tr.RetranslateFrom(work); err != nil {
+		if newTr, err = work.Translate(ix.tr.Opts()); err != nil {
 			return st, err
 		}
 		// Variable ids are renumbered by re-translation, so the old order

@@ -46,7 +46,7 @@ import (
 
 // Index is a compiled MV-index over a Translation.
 //
-// The read path (IntersectOBDD, IntersectLineage, Query, ProbBoolean,
+// The read path (IntersectLineage, Query, ProbBoolean,
 // ExplainLineage, TupleMarginal, ...) never mutates the index and is safe for
 // any number of concurrent callers: query OBDDs are built in scratch
 // managers over the index's variable order, every traversal memo is
@@ -114,7 +114,8 @@ type ReorderInfo struct {
 // static order Π with the separator expansion recorded, so the first
 // structural batch already recompiles only its dirty blocks, and computes the
 // block-local augmentation. The index keeps no OBDD manager: ¬W lives in the
-// per-block segments.
+// per-block segments. Build never sifts: learning an order is the separate
+// offline step Sift.
 func Build(tr *core.Translation) (*Index, error) {
 	return BuildOrder(tr, obdd.TupleOrder(tr.DB, tr.WPerm()))
 }
@@ -130,11 +131,6 @@ func BuildOrder(tr *core.Translation, order []int) (*Index, error) {
 	}
 	ix := &Index{tr: tr, probs: tr.DB.Probs()}
 	ix.ch, ix.rec = newChain(d.M, d.Root, d.Rec, ix.probs)
-	if tr.Reorder.Mode != obdd.ReorderOff {
-		if _, err := ix.Sift(tr.Reorder); err != nil {
-			return nil, err
-		}
-	}
 	return ix, nil
 }
 
@@ -269,20 +265,8 @@ func (ix *Index) Width() int {
 // Blocks returns the number of chain blocks.
 func (ix *Index) Blocks() int { return len(ix.ch.segs) }
 
-// BlockOf returns the InterBddIndex entry of a variable: the chain block
-// whose nodes include ones labeled with it (-1 if the variable does not
-// occur in the index).
-func (ix *Index) BlockOf(v int) int {
-	k, run := ix.ch.levelRun(v)
-	if len(run) == 0 {
-		return -1
-	}
-	return k
-}
-
 // Manager returns a node-free manager over the index's variable order: query
-// OBDDs for IntersectOBDD are built on it, or — for concurrent callers — in
-// its NewScratch managers. The index itself holds no OBDD manager: ¬W lives
+// OBDDs for IntersectLineage are built in its NewScratch managers. The index itself holds no OBDD manager: ¬W lives
 // in the per-block segments.
 func (ix *Index) Manager() *obdd.Manager { return ix.ch.ord }
 
@@ -424,13 +408,6 @@ func (ix *Index) queryOBDD(linQ lineage.DNF, opts IntersectOptions) (*obdd.Manag
 
 // errInconsistent reports P0(¬W) = 0: no world satisfies the MarkoViews.
 var errInconsistent = errors.New("mvindex: P0(¬W) = 0 — inconsistent MarkoViews")
-
-// IntersectOBDD computes P(Q) = P0(ΦQ ∧ ¬W) / P0(¬W) for a query OBDD built
-// on Manager() (or a scratch manager of it — pass it through
-// IntersectLineage in that case). Read-only: safe for concurrent callers.
-func (ix *Index) IntersectOBDD(fQ obdd.NodeID, opts IntersectOptions) (float64, error) {
-	return ix.intersectOn(ix.ch.ord, fQ, opts)
-}
 
 // intersectOn runs the intersection with the query OBDD living in qm.
 func (ix *Index) intersectOn(qm *obdd.Manager, fQ obdd.NodeID, opts IntersectOptions) (float64, error) {

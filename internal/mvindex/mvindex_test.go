@@ -128,7 +128,7 @@ func TestChainStructure(t *testing.T) {
 	// Every indexed variable maps to a block whose window holds its level.
 	indexed := 0
 	for _, v := range ix.Manager().Order() {
-		b := ix.BlockOf(v)
+		b := blockOf(ix, v)
 		if b < 0 {
 			continue
 		}
@@ -151,11 +151,11 @@ func TestInterIntraIndexes(t *testing.T) {
 		if _, run := ix.ch.levelRun(tup.Var); len(run) == 0 {
 			t.Errorf("NV var %d has no IntraBddIndex nodes", tup.Var)
 		}
-		if ix.BlockOf(tup.Var) < 0 {
+		if blockOf(ix, tup.Var) < 0 {
 			t.Errorf("NV var %d has no InterBddIndex block", tup.Var)
 		}
 	}
-	if ix.BlockOf(999999) != -1 {
+	if blockOf(ix, 999999) != -1 {
 		t.Error("unknown var should map to block -1")
 	}
 }
@@ -409,7 +409,7 @@ func TestCompact(t *testing.T) {
 	}
 	noManager("Sift", ix)
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := ix.SaveSeq(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	var snap indexSnapshot
@@ -644,4 +644,15 @@ func TestInconsistentViewsErrorThroughIndex(t *testing.T) {
 	if _, err := ix.ExplainBoolean(q.UCQ, IntersectOptions{}); err == nil {
 		t.Error("explain on inconsistent views: expected error")
 	}
+}
+
+// blockOf returns the InterBddIndex entry of a variable: the chain block
+// whose nodes include ones labeled with it (-1 if the variable does not
+// occur in the index).
+func blockOf(ix *Index, v int) int {
+	k, run := ix.ch.levelRun(v)
+	if len(run) == 0 {
+		return -1
+	}
+	return k
 }

@@ -81,7 +81,7 @@ func TestTranslationSharesBaseRelations(t *testing.T) {
 	tableWeights(t, m)
 	_, ix := buildIndex(t, m)
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := ix.SaveSeq(&buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	var snap indexSnapshot
@@ -98,7 +98,7 @@ func TestTranslationSharesBaseRelations(t *testing.T) {
 	if !snap.HasSource || saved != live {
 		t.Fatalf("snapshot holds %d tuples (source %v), the database %d", saved, snap.HasSource, live)
 	}
-	back, err := Read(&buf)
+	back, err := readIndex(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

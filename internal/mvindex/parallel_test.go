@@ -78,7 +78,7 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 }
 
 // TestConcurrentIntersectHammer fires 32 goroutines at one shared index —
-// mixing IntersectOBDD, IntersectLineage, ProbBoolean, Query, Explain, and
+// mixing intersectOn, IntersectLineage, ProbBoolean, Query, Explain, and
 // marginals — and checks every call returns the same answer its sequential
 // twin did. Run under -race this is the shared-read-path safety proof.
 func TestConcurrentIntersectHammer(t *testing.T) {
@@ -88,14 +88,14 @@ func TestConcurrentIntersectHammer(t *testing.T) {
 	qn := ucq.MustParse("Q(s) :- Adv(s,a)")
 
 	// Pre-build a query OBDD inside the frozen shared manager, single
-	// threaded, so concurrent IntersectOBDD callers only read.
+	// threaded, so concurrent intersections only read it.
 	lin, err := ucq.EvalBoolean(tr.DB, qb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fQ := obdd.BuildDNF(ix.Manager(), lin)
 
-	wantP, err := ix.IntersectOBDD(fQ, IntersectOptions{})
+	wantP, err := ix.intersectOn(ix.Manager(), fQ, IntersectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +117,8 @@ func TestConcurrentIntersectHammer(t *testing.T) {
 			defer wg.Done()
 			cc := g%2 == 0
 			for rep := 0; rep < 4; rep++ {
-				if p, err := ix.IntersectOBDD(fQ, IntersectOptions{CacheConscious: cc}); err != nil || p != wantP {
-					errs <- errf("IntersectOBDD: p=%v err=%v want %v", p, err, wantP)
+				if p, err := ix.intersectOn(ix.Manager(), fQ, IntersectOptions{CacheConscious: cc}); err != nil || p != wantP {
+					errs <- errf("intersectOn: p=%v err=%v want %v", p, err, wantP)
 				}
 				if p, err := ix.IntersectLineage(lin, IntersectOptions{CacheConscious: !cc}); err != nil || math.Abs(p-wantP) > 1e-12 {
 					errs <- errf("IntersectLineage: p=%v err=%v want %v", p, err, wantP)

@@ -149,34 +149,6 @@ func TestIndexSiftPreservesAnswers(t *testing.T) {
 	}
 }
 
-// TestBuildWithReorderOption: setting Translation.Reorder makes Build sift
-// automatically.
-func TestBuildWithReorderOption(t *testing.T) {
-	m := multiAdvMVDB(20, 9)
-	tr, err := m.Translate(core.TranslateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Reorder = obdd.ReorderOptions{Mode: obdd.ReorderConverge}
-	ix, err := Build(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ix.Reordered() {
-		t.Fatal("Build ignored Translation.Reorder")
-	}
-
-	// Same MVDB without the option: answers must agree.
-	m2 := multiAdvMVDB(20, 9)
-	_, ix2 := buildIndex(t, m2)
-	want, got := answersOf(t, ix2), answersOf(t, ix)
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("answer %d diverged: %v vs %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestSiftSnapshotRoundTrip: a sifted index snapshot restores with the
 // learned order, provenance "snapshot", and identical answers — without
 // re-running the search.
@@ -324,7 +296,7 @@ func TestBlockWindows(t *testing.T) {
 			if !tup.Vals[0].Equal(first.Vals[0]) {
 				t.Fatalf("window %v spans separator values %v and %v", w, first.Vals[0], tup.Vals[0])
 			}
-			if b := ix.BlockOf(mgr.VarAtLevel(l)); b != k && b != -1 {
+			if b := blockOf(ix, mgr.VarAtLevel(l)); b != k && b != -1 {
 				t.Fatalf("level %d of window %d %v belongs to block %d", l, k, w, b)
 			}
 		}
@@ -422,7 +394,7 @@ func TestSiftWithRootsRecord(t *testing.T) {
 
 func mustRetranslate(t *testing.T, ix *Index) *core.Translation {
 	t.Helper()
-	tr, err := ix.Translation().Retranslate()
+	tr, err := ix.Translation().Source.Translate(ix.Translation().Opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,8 +402,8 @@ func mustRetranslate(t *testing.T, ix *Index) *core.Translation {
 }
 
 // TestReorderSurvivesFallback: a batch that forces the clone-and-retranslate
-// route installs a new Translation, and that one must still carry Reorder —
-// the same as Retranslate does.
+// route installs a new Translation, and the index must keep running under
+// its learned order: the order belongs to the index, not to the translation.
 func TestReorderSurvivesFallback(t *testing.T) {
 	m := multiAdvMVDB(8, 5)
 	addClosureDenial(t, m)
@@ -439,10 +411,11 @@ func TestReorderSurvivesFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := obdd.ReorderOptions{Mode: obdd.ReorderConverge}
-	tr.Reorder = want
 	ix, err := Build(tr)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.Sift(obdd.ReorderOptions{Mode: obdd.ReorderConverge}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ix.ApplyMutations([]core.Mutation{{
@@ -453,10 +426,18 @@ func TestReorderSurvivesFallback(t *testing.T) {
 	if ix.Translation() == tr {
 		t.Fatal("the batch did not take the re-translation route")
 	}
-	if got := ix.Translation().Reorder; got.Mode != want.Mode {
-		t.Fatalf("Reorder after a fallback batch = %+v, want %+v", got, want)
+	ri := ix.ReorderInfo()
+	if ri == nil || ri.Mode != obdd.ReorderConverge.String() {
+		t.Fatalf("reorder provenance after a fallback batch = %+v, want mode %s", ri, obdd.ReorderConverge)
 	}
-	if got := mustRetranslate(t, ix).Reorder; got.Mode != want.Mode {
-		t.Fatalf("Reorder after Retranslate = %+v, want %+v", got, want)
+	fresh, err := Build(mustRetranslate(t, ix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := answersOf(t, fresh), answersOf(t, ix)
+	for i := range want {
+		if math.Abs(got[i]-want[i]) > 1e-9 {
+			t.Fatalf("answer %d diverged from a fresh build: %v vs %v", i, got[i], want[i])
+		}
 	}
 }

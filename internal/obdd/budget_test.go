@@ -18,7 +18,7 @@ func TestCompileNodeBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	db := randSepDB(rng, 24)
 	q := ucq.MustParse("Q() :- R(x), S(x,y)").UCQ
-	sep, _ := q.FindSeparator()
+	sep, _ := q.FindSeparatorSkip(ucq.SkipGround)
 	pi := SeparatorFirstPerm(db, sep)
 
 	// Unlimited compile succeeds and tells us the real node count.
@@ -64,7 +64,7 @@ func TestCompileDeadline(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	db := randSepDB(rng, 16)
 	q := ucq.MustParse("Q() :- R(x), S(x,y)").UCQ
-	sep, _ := q.FindSeparator()
+	sep, _ := q.FindSeparatorSkip(ucq.SkipGround)
 	pi := SeparatorFirstPerm(db, sep)
 	_, _, _, err := Compile(db, q, pi, CompileOptions{
 		Budget: budget.Budget{Deadline: time.Now().Add(-time.Second)},
@@ -81,7 +81,7 @@ func TestCompileFaultInjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	db := randSepDB(rng, 12)
 	q := ucq.MustParse("Q() :- R(x), S(x,y)").UCQ
-	sep, _ := q.FindSeparator()
+	sep, _ := q.FindSeparatorSkip(ucq.SkipGround)
 	pi := SeparatorFirstPerm(db, sep)
 	boom := fmt.Errorf("injected fault")
 	for _, par := range []int{1, 4} {
@@ -109,7 +109,7 @@ func TestCompileCancelMidCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	db := randSepDB(rng, 12)
 	q := ucq.MustParse("Q() :- R(x), S(x,y)").UCQ
-	sep, _ := q.FindSeparator()
+	sep, _ := q.FindSeparatorSkip(ucq.SkipGround)
 	pi := SeparatorFirstPerm(db, sep)
 	for _, par := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -147,7 +147,7 @@ func TestParallelCancelNoLeak(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	db := randSepDB(rng, 20)
 	q := ucq.MustParse("Q() :- R(x), S(x,y)").UCQ
-	sep, _ := q.FindSeparator()
+	sep, _ := q.FindSeparatorSkip(ucq.SkipGround)
 	pi := SeparatorFirstPerm(db, sep)
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))

@@ -89,11 +89,6 @@ func (c *applyCache) maybeGrow(numNodes int) {
 	}
 }
 
-// reset drops every entry in place — a memclr, no reallocation.
-func (c *applyCache) reset() {
-	clear(c.keys)
-}
-
 func ceilPow2(n int) int {
 	if n < 1 {
 		n = 1
@@ -108,7 +103,7 @@ func ceilPow2(n int) int {
 // --- dense per-call memos ---
 //
 // The traversals that used to allocate a map[NodeID]X per call (Not, Prob,
-// OrDisjoint/AndDisjoint, Import, Cofactor, Reachable) instead
+// OrDisjoint/AndDisjoint, Import, Reachable) instead
 // borrow a dense, NodeID-indexed scratch memo from a sync.Pool. Reset is
 // O(1): each entry is valid only when its stamp equals the memo's current
 // epoch, so reuse just bumps the epoch. The arrays grow geometrically (see

@@ -315,7 +315,7 @@ func TestPermValidate(t *testing.T) {
 func TestSeparatorFirstPerm(t *testing.T) {
 	db := fig3DB()
 	q := ucq.MustParse("Q() :- R(x), S(x,y)")
-	sep, ok := q.FindSeparator()
+	sep, ok := q.FindSeparatorSkip(ucq.SkipGround)
 	if !ok {
 		t.Fatal("no separator")
 	}
@@ -327,7 +327,7 @@ func TestSeparatorFirstPerm(t *testing.T) {
 	q2 := ucq.MustParse("Q() :- R(x), S2(y,x)")
 	db.MustCreateRelation("S2", false, "b", "a")
 	db.MustInsert("S2", 1, engine.Int(11), engine.Int(1))
-	sep2, ok := q2.FindSeparator()
+	sep2, ok := q2.FindSeparatorSkip(ucq.SkipGround)
 	if !ok {
 		t.Fatal("no separator for q2")
 	}
@@ -425,7 +425,7 @@ func TestQuickTupleOrderGroupsBySeparator(t *testing.T) {
 			}
 		}
 		q := ucq.MustParse("Q() :- R(x), S(y,x)")
-		sep, ok := q.FindSeparator()
+		sep, ok := q.FindSeparatorSkip(ucq.SkipGround)
 		if !ok {
 			return true
 		}

@@ -280,7 +280,7 @@ func TestCompileDeltaProperty(t *testing.T) {
 // changes all behave correctly.
 func TestCompileDeltaFallbacks(t *testing.T) {
 	q := ucq.MustParse("Q() :- R(x), S(x,y)").UCQ
-	sep, _ := q.FindSeparator()
+	sep, _ := q.FindSeparatorSkip(ucq.SkipGround)
 	rng := rand.New(rand.NewSource(9))
 	db := randSepDB(rng, 8)
 	pi := SeparatorFirstPerm(db, sep)

@@ -207,10 +207,6 @@ func (m *Manager) SetApplyCacheMax(entries int) {
 	m.cache.max = max
 }
 
-// ApplyCacheSize returns the current number of apply-cache slots (a power of
-// two between its initial size and the configured maximum).
-func (m *Manager) ApplyCacheSize() int { return len(m.cache.keys) }
-
 // ApplyCacheStats returns the apply/computed-table hit and miss counts of
 // this manager since creation. Reading them follows the manager's
 // concurrency contract: safe on a frozen manager or from the goroutine that
@@ -637,37 +633,4 @@ func (m *Manager) Support(f NodeID) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Cofactor restricts f by fixing variable v to the given value.
-func (m *Manager) Cofactor(f NodeID, v int, value bool) NodeID {
-	l, ok := m.levelOf(v)
-	if !ok {
-		return f
-	}
-	memo := getNodeMemo(len(m.nodes), false)
-	defer putNodeMemo(memo)
-	var rec func(NodeID) NodeID
-	rec = func(g NodeID) NodeID {
-		if m.IsTerminal(g) || m.nodes[g].level > l {
-			return g
-		}
-		if r, hit := memo.get(g); hit {
-			return r
-		}
-		n := m.nodes[g]
-		var r NodeID
-		if n.level == l {
-			if value {
-				r = n.hi
-			} else {
-				r = n.lo
-			}
-		} else {
-			r = m.MkNode(n.level, rec(n.lo), rec(n.hi))
-		}
-		memo.put(g, r)
-		return r
-	}
-	return rec(f)
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"mvdb/internal/lineage"
 )
@@ -324,50 +323,6 @@ func TestRestoreRejectsDuplicateNode(t *testing.T) {
 	}}
 	if _, err := Restore(s); err == nil {
 		t.Error("duplicate node accepted")
-	}
-}
-
-func TestCofactor(t *testing.T) {
-	m := NewManager(seqOrder(3))
-	x, y, z := m.Var(1), m.Var(2), m.Var(3)
-	f := m.Or(m.And(x, y), m.And(m.Not(y), z))
-	// Cofactor on y.
-	f1 := m.Cofactor(f, 2, true)
-	if f1 != x {
-		t.Errorf("f|y=1 should be x")
-	}
-	f0 := m.Cofactor(f, 2, false)
-	if f0 != z {
-		t.Errorf("f|y=0 should be z")
-	}
-	// Shannon: f == ite(y, f1, f0).
-	rebuilt := m.Or(m.And(y, f1), m.And(m.Not(y), f0))
-	if rebuilt != f {
-		t.Error("Shannon decomposition mismatch")
-	}
-	// Cofactoring on an absent variable is the identity.
-	if m.Cofactor(f, 99, true) != f {
-		t.Error("unknown variable should be identity")
-	}
-}
-
-// TestQuickCofactorShannon: f == ite(v, f|v=1, f|v=0) for every variable.
-func TestQuickCofactorShannon(t *testing.T) {
-	f := func(c dnfCase) bool {
-		m := NewManager(seqOrder(c.NumVars))
-		g := buildFromDNF(m, c.DNF)
-		for v := 1; v <= c.NumVars; v++ {
-			hi := m.Cofactor(g, v, true)
-			lo := m.Cofactor(g, v, false)
-			x := m.Var(v)
-			if m.Or(m.And(x, hi), m.And(m.Not(x), lo)) != g {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

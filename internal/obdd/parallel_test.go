@@ -103,7 +103,7 @@ func assertSame(t *testing.T, db *engine.Database, ms *Manager, fs NodeID, ss Co
 // puts one oversized block among many tiny and empty ones.
 func TestParallelCompileStructEqual(t *testing.T) {
 	q := ucq.MustParse("Q() :- R(x), S(x,y)").UCQ
-	sep, ok := q.FindSeparator()
+	sep, ok := q.FindSeparatorSkip(ucq.SkipGround)
 	if !ok {
 		t.Fatal("query has no separator")
 	}
@@ -157,7 +157,7 @@ func TestParallelCompileSelfJoin(t *testing.T) {
 		}
 	}
 	q := ucq.MustParse("Q() :- Adv(x,a), Adv(x,b), a <> b").UCQ
-	sep, ok := q.FindSeparator()
+	sep, ok := q.FindSeparatorSkip(ucq.SkipGround)
 	if !ok {
 		t.Fatal("self-join has no separator")
 	}

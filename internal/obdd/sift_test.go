@@ -147,7 +147,7 @@ func TestReorderDeterministic(t *testing.T) {
 // remapped consistently with the primary root.
 func TestReorderMultiRoots(t *testing.T) {
 	m, f := randomDNFManager(t, 10, 8, 3, 5)
-	sub := m.Cofactor(f, 2, true)
+	sub := m.And(f, m.Var(2))
 	probs := randomProbs(10, 55)
 	wantF, wantSub := m.Prob(f, probs), m.Prob(sub, probs)
 	nm, roots, _, err := Reorder(m, []NodeID{f, sub, False, True}, ReorderOptions{Mode: ReorderOnce})

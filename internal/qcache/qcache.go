@@ -294,14 +294,6 @@ func (c *Cache[V]) Invalidate() {
 	c.epoch.Add(1)
 }
 
-// Epoch returns the current epoch.
-func (c *Cache[V]) Epoch() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.epoch.Load()
-}
-
 // Stats returns a counter snapshot. A nil cache reports zeros.
 func (c *Cache[V]) Stats() Stats {
 	if c == nil {

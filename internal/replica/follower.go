@@ -102,9 +102,6 @@ func (f *Follower) Stop() {
 	<-f.done
 }
 
-// Applied returns the last applied sequence number.
-func (f *Follower) Applied() uint64 { return f.applied.Load() }
-
 // PrimaryTerm returns the highest fencing term seen from the primary.
 func (f *Follower) PrimaryTerm() uint64 { return f.primaryTerm.Load() }
 

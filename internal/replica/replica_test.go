@@ -210,7 +210,7 @@ func TestFollowerAppliesAndResumes(t *testing.T) {
 		Apply:   rec.apply,
 	}))
 	defer f.Stop()
-	waitFor(t, "five frames", func() bool { return f.Applied() == 5 })
+	waitFor(t, "five frames", func() bool { return f.applied.Load() == 5 })
 	got := rec.applied()
 	for i, want := range []uint64{1, 2, 3, 4, 5} {
 		if got[i] != want {
@@ -240,7 +240,7 @@ func TestFollowerSkipsDuplicates(t *testing.T) {
 		Apply:   rec.apply,
 	}))
 	defer f.Stop()
-	waitFor(t, "two applies", func() bool { return f.Applied() == 2 })
+	waitFor(t, "two applies", func() bool { return f.applied.Load() == 2 })
 	if got := rec.applied(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("applied %v, want [1 2]", got)
 	}
@@ -268,7 +268,7 @@ func TestFollowerGapForcesReconnect(t *testing.T) {
 		Apply:   rec.apply,
 	}))
 	defer f.Stop()
-	waitFor(t, "three applies", func() bool { return f.Applied() == 3 })
+	waitFor(t, "three applies", func() bool { return f.applied.Load() == 3 })
 	if got := rec.applied(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("applied %v, want [1 2 3] — a gap must never be applied around", got)
 	}
@@ -320,7 +320,7 @@ func TestFollowerHeartbeatAdvancesStaleness(t *testing.T) {
 		Apply:   rec.apply,
 	}))
 	defer f.Stop()
-	waitFor(t, "frame 7", func() bool { return f.Applied() == 7 })
+	waitFor(t, "frame 7", func() bool { return f.applied.Load() == 7 })
 	time.Sleep(100 * time.Millisecond) // several heartbeats
 	if s := f.Staleness(); s > time.Second {
 		t.Fatalf("staleness %v despite heartbeats", s)
@@ -379,7 +379,7 @@ func TestFollowerBootstrapsOn410(t *testing.T) {
 	}))
 	defer f.Stop()
 	<-bootstrapped
-	waitFor(t, "post-bootstrap frame", func() bool { return f.Applied() == 101 })
+	waitFor(t, "post-bootstrap frame", func() bool { return f.applied.Load() == 101 })
 	if st := f.Stats(); st.Bootstraps != 1 {
 		t.Fatalf("stats %+v, want 1 bootstrap", st)
 	}

@@ -244,7 +244,7 @@ func TestBadQueryIs400EveryRepeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, tr := New(ix), ix.Translation()
+	s, tr := NewWith(ix, Config{}), ix.Translation()
 	for _, text := range []string{
 		"Q(a) :- Adv(1,a",
 		"Q(a) :- Nope(1,a)",

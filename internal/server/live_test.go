@@ -89,7 +89,7 @@ func liveServer(t *testing.T, cfg LiveConfig) (*Server, *Live) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(ix)
+	s := NewWith(ix, Config{})
 	s.EnableLive(l)
 	return s, l
 }

@@ -37,7 +37,7 @@ func replPrimaryServer(t *testing.T, dir string, rcfg ReplicationConfig) (*Serve
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(ix)
+	s := NewWith(ix, Config{})
 	if err := s.EnableReplication(l, rcfg); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func replFollowerServerWith(t *testing.T, dir string, cfg FollowerConfig, rcfg R
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(ix)
+	s := NewWith(ix, Config{})
 	if err := s.EnableReplication(l, rcfg); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestPromoteBootstrapOnlySeqLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := New(ix)
+	s2 := NewWith(ix, Config{})
 	s2.EnableLive(l2)
 	t.Cleanup(func() { l2.Close() })
 	if got := queryProb(t, s2, boolQ); math.Abs(got-exp) > 1e-12 {
@@ -799,7 +799,7 @@ func TestPromoteStopsFollowerSnapshotter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := New(ix)
+	s2 := NewWith(ix, Config{})
 	s2.EnableLive(l2)
 	t.Cleanup(func() { l2.Close() })
 	got := queryProb(t, s2, boolQ)

@@ -138,9 +138,6 @@ type Server struct {
 	slow func()
 }
 
-// New builds a server around a compiled index with a zero Config.
-func New(ix *mvindex.Index) *Server { return NewWith(ix, Config{}) }
-
 // NewWith builds a server around a compiled index with explicit bounds.
 func NewWith(ix *mvindex.Index, cfg Config) *Server {
 	s := &Server{ix: ix, mux: http.NewServeMux(), cfg: cfg, start: time.Now()}

@@ -43,7 +43,7 @@ func testServer(t *testing.T) (*Server, *core.Translation) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(ix), tr
+	return NewWith(ix, Config{}), tr
 }
 
 func do(t *testing.T, s *Server, method, path, body string) (*httptest.ResponseRecorder, map[string]any) {
@@ -128,7 +128,7 @@ func TestBadInputIs400(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(ix)
+	s := NewWith(ix, Config{})
 	if len(tr.NVRelations) == 0 {
 		t.Fatal("soft view produced no NV relation")
 	}
@@ -233,12 +233,14 @@ func TestStatsDerivedRatios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Reorder = obdd.ReorderOptions{Mode: obdd.ReorderConverge}
 	ix, err := mvindex.Build(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(ix)
+	if _, err := ix.Sift(obdd.ReorderOptions{Mode: obdd.ReorderConverge}); err != nil {
+		t.Fatal(err)
+	}
+	s := NewWith(ix, Config{})
 
 	// Run a query twice so the shared apply cache sees traffic.
 	for i := 0; i < 2; i++ {

@@ -1,25 +1,12 @@
 package ucq
 
-import (
-	"sort"
+import "sort"
 
-	"mvdb/internal/engine"
-)
-
-// RootVars returns the variables of a CQ that occur in every positive atom
-// (Section 4.2: "a root variable appears in all atoms of Q"). Negated atoms
-// and predicates are ignored: they never contribute Boolean variables to the
-// lineage.
-// Atoms without any variables (ground atoms) are also ignored: they denote a
-// single tuple, contribute one Boolean variable to the lineage, and never
-// break the constant-width property that root variables are used to
-// establish.
-func (c CQ) RootVars() []string { return c.rootVarsSkip(SkipGround) }
-
-// rootVarsSkip returns the variables occurring in every atom the filter
-// keeps; no roots if every atom is skipped. Candidates are seeded from the
-// first kept atom and filtered against the rest — atoms hold a handful of
-// terms, so linear scans over a small slice beat per-atom maps.
+// rootVarsSkip returns the root variables of a CQ (Section 4.2: "a root
+// variable appears in all atoms of Q"): the variables occurring in every atom
+// the filter keeps; no roots if every atom is skipped. Candidates are seeded
+// from the first kept atom and filtered against the rest — atoms hold a
+// handful of terms, so linear scans over a small slice beat per-atom maps.
 func (c CQ) rootVarsSkip(skip AtomSkip) []string {
 	var cand []string
 	seeded := false
@@ -103,14 +90,10 @@ func SkipDeterministic(isDet func(rel string) bool, base AtomSkip) AtomSkip {
 	return func(a Atom) bool { return base(a) || isDet(a.Rel) }
 }
 
-// FindSeparator searches for a separator of the UCQ. It enumerates
-// combinations of root variables across disjuncts (these sets are tiny in
-// practice) and checks position consistency per relation symbol.
-func (u UCQ) FindSeparator() (Separator, bool) {
-	return u.FindSeparatorSkip(SkipGround)
-}
-
-// FindSeparatorSkip is FindSeparator with a custom atom filter.
+// FindSeparatorSkip searches for a separator of the UCQ, skipping the atoms
+// the filter names. It enumerates combinations of root variables across
+// disjuncts (these sets are tiny in practice) and checks position
+// consistency per relation symbol.
 func (u UCQ) FindSeparatorSkip(skip AtomSkip) (Separator, bool) {
 	if len(u.Disjuncts) == 0 {
 		return Separator{}, false
@@ -368,118 +351,6 @@ func (u UCQ) unionGroups() []UCQ {
 // UnionGroups returns the relation-disjoint groups of disjuncts.
 func (u UCQ) UnionGroups() []UCQ { return u.unionGroups() }
 
-// IsInversionFree reports whether the UCQ is inversion-free in the
-// operational sense of Section 4.2: every existential variable can be
-// eliminated through a separator after decomposing independent unions and
-// independent conjuncts. Inversion-free queries compile to OBDDs of
-// constant width (Proposition 2).
-func (u UCQ) IsInversionFree() bool {
-	return inversionFree(u, 0)
-}
-
-func inversionFree(u UCQ, depth int) bool {
-	if depth > 64 {
-		return false
-	}
-	// Drop disjuncts that are already ground: they contribute a fixed
-	// conjunction of Boolean variables, which never breaks constant width.
-	var live UCQ
-	for _, d := range u.Disjuncts {
-		if len(d.Vars()) > 0 {
-			live.Disjuncts = append(live.Disjuncts, d)
-		}
-	}
-	if len(live.Disjuncts) == 0 {
-		return true
-	}
-	u = live
-	// Independent unions.
-	if groups := u.unionGroups(); len(groups) > 1 {
-		for _, g := range groups {
-			if !inversionFree(g, depth+1) {
-				return false
-			}
-		}
-		return true
-	}
-	// Single CQ: independent components.
-	if len(u.Disjuncts) == 1 {
-		comps := u.Disjuncts[0].connectedComponents()
-		if len(comps) > 1 {
-			for _, c := range comps {
-				if !inversionFree(UCQ{Disjuncts: []CQ{c}}, depth+1) {
-					return false
-				}
-			}
-			return true
-		}
-	}
-	// Separator required.
-	sep, ok := u.FindSeparator()
-	if !ok {
-		return false
-	}
-	// Substitute the separator by a fresh constant and recurse (data-free:
-	// one representative constant suffices for the structural check).
-	marker := engine.Str("\x00sep")
-	next := UCQ{}
-	for di, d := range u.Disjuncts {
-		next.Disjuncts = append(next.Disjuncts, d.Subst(map[string]engine.Value{sep.PerDisjunct[di]: marker}))
-	}
-	return inversionFree(next, depth+1)
-}
-
-// IsHierarchical reports whether a CQ (without self-joins this coincides
-// with safety) is hierarchical: for any two existential variables x, y, the
-// sets of atoms containing them are nested or disjoint.
-func (c CQ) IsHierarchical(head []string) bool {
-	headSet := map[string]bool{}
-	for _, h := range head {
-		headSet[h] = true
-	}
-	atomsOf := map[string]map[int]bool{}
-	for i, a := range c.Atoms {
-		if a.Negated {
-			continue
-		}
-		for _, t := range a.Args {
-			if t.IsConst || headSet[t.Var] {
-				continue
-			}
-			if atomsOf[t.Var] == nil {
-				atomsOf[t.Var] = map[int]bool{}
-			}
-			atomsOf[t.Var][i] = true
-		}
-	}
-	vars := make([]string, 0, len(atomsOf))
-	for v := range atomsOf {
-		vars = append(vars, v)
-	}
-	for i := 0; i < len(vars); i++ {
-		for j := i + 1; j < len(vars); j++ {
-			a, b := atomsOf[vars[i]], atomsOf[vars[j]]
-			inter, aOnly, bOnly := 0, 0, 0
-			for k := range a {
-				if b[k] {
-					inter++
-				} else {
-					aOnly++
-				}
-			}
-			for k := range b {
-				if !a[k] {
-					bOnly++
-				}
-			}
-			if inter > 0 && aOnly > 0 && bOnly > 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 func atomHasVars(a Atom) bool {
 	for _, t := range a.Args {
 		if !t.IsConst {
@@ -487,82 +358,4 @@ func atomHasVars(a Atom) bool {
 		}
 	}
 	return false
-}
-
-// RootVarsStrict returns the variables occurring in every positive atom,
-// ground atoms included (so a conjunct containing a ground positive atom has
-// no strict root variables). Lifted inference needs this strict notion: the
-// independent-project rule is only sound when the separator really occurs in
-// every atom that can contribute Boolean variables.
-func (c CQ) RootVarsStrict() []string { return c.rootVarsSkip(SkipNegated) }
-
-// FindSeparatorStrict is FindSeparator restricted to strict root variables
-// (see RootVarsStrict); the returned separator occurs in every positive atom
-// of every disjunct, which makes the independent-project rule sound.
-func (u UCQ) FindSeparatorStrict() (Separator, bool) {
-	return u.FindSeparatorSkip(SkipNegated)
-}
-
-// CollapseEquivalentAtoms removes positive atoms that are duplicates of
-// another atom up to renaming of variables local to the atom (variables that
-// occur nowhere else in the conjunct and not in protected). For example,
-// ∃y1 S(a,y1) ∧ ∃y2 S(a,y2) collapses to ∃y S(a,y). This is a sound
-// logical simplification used before independence checks.
-func (c CQ) CollapseEquivalentAtoms(protected []string) CQ {
-	// Count variable occurrences across atoms, predicates and protected set.
-	occurs := map[string]int{}
-	for _, a := range c.Atoms {
-		seen := map[string]bool{}
-		for _, t := range a.Args {
-			if !t.IsConst && !seen[t.Var] {
-				seen[t.Var] = true
-				occurs[t.Var]++
-			}
-		}
-	}
-	for _, p := range c.Preds {
-		if !p.L.IsConst {
-			occurs[p.L.Var] += 2
-		}
-		if !p.R.IsConst {
-			occurs[p.R.Var] += 2
-		}
-	}
-	for _, v := range protected {
-		occurs[v] += 2
-	}
-	keyOf := func(a Atom) string {
-		local := map[string]int{}
-		key := a.Rel
-		if a.Negated {
-			key = "!" + key
-		}
-		for _, t := range a.Args {
-			switch {
-			case t.IsConst:
-				key += "|c" + t.Const.Key()
-			case occurs[t.Var] > 1:
-				key += "|g" + t.Var
-			default:
-				id, ok := local[t.Var]
-				if !ok {
-					id = len(local)
-					local[t.Var] = id
-				}
-				key += "|l" + string(rune('0'+id))
-			}
-		}
-		return key
-	}
-	seen := map[string]bool{}
-	out := CQ{Preds: c.Preds}
-	for _, a := range c.Atoms {
-		k := keyOf(a)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out.Atoms = append(out.Atoms, a)
-	}
-	return out
 }

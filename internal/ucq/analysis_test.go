@@ -6,24 +6,24 @@ import (
 
 func TestRootVars(t *testing.T) {
 	q := MustParse("Q() :- R(x), S(x,y)")
-	roots := q.Disjuncts[0].RootVars()
+	roots := q.Disjuncts[0].rootVarsSkip(SkipGround)
 	if len(roots) != 1 || roots[0] != "x" {
 		t.Errorf("roots = %v", roots)
 	}
 	q = MustParse("Q() :- R(x), S(y,x), T(x,y)")
-	roots = q.Disjuncts[0].RootVars()
+	roots = q.Disjuncts[0].rootVarsSkip(SkipGround)
 	if len(roots) != 1 || roots[0] != "x" {
 		t.Errorf("roots = %v", roots)
 	}
 	q = MustParse("Q() :- R(x), S(y)")
-	if roots = q.Disjuncts[0].RootVars(); len(roots) != 0 {
+	if roots = q.Disjuncts[0].rootVarsSkip(SkipGround); len(roots) != 0 {
 		t.Errorf("roots = %v", roots)
 	}
 }
 
 func TestFindSeparatorSimple(t *testing.T) {
 	q := MustParse("Q() :- R(x), S(x,y)")
-	sep, ok := q.FindSeparator()
+	sep, ok := q.FindSeparatorSkip(SkipGround)
 	if !ok || sep.PerDisjunct[0] != "x" {
 		t.Fatalf("sep = %+v ok=%v", sep, ok)
 	}
@@ -35,7 +35,7 @@ func TestFindSeparatorSimple(t *testing.T) {
 func TestFindSeparatorUnion(t *testing.T) {
 	// Example from Section 4.2: R(x1),S(x1,y1) ∨ T(x2),S(x2,y2).
 	q := MustParse("Q() :- R(x1), S(x1,y1)\nQ() :- T(x2), S(x2,y2)")
-	sep, ok := q.FindSeparator()
+	sep, ok := q.FindSeparatorSkip(SkipGround)
 	if !ok {
 		t.Fatal("no separator found")
 	}
@@ -48,53 +48,13 @@ func TestFindSeparatorNone(t *testing.T) {
 	// R(x1),S(x1,y1) ∨ S(x2,y2),T(y2): S sees the root at position 0 in one
 	// disjunct and position 1 in the other — no separator (Section 4.2).
 	q := MustParse("Q() :- R(x1), S(x1,y1)\nQ() :- S(x2,y2), T(y2)")
-	if _, ok := q.FindSeparator(); ok {
+	if _, ok := q.FindSeparatorSkip(SkipGround); ok {
 		t.Error("separator found for inversion query")
 	}
 	// H0 = R(x),S(x,y),T(y): no root variable at all.
 	q = MustParse("Q() :- R(x), S(x,y), T(y)")
-	if _, ok := q.FindSeparator(); ok {
+	if _, ok := q.FindSeparatorSkip(SkipGround); ok {
 		t.Error("separator found for H0")
-	}
-}
-
-func TestIsInversionFree(t *testing.T) {
-	cases := []struct {
-		src  string
-		want bool
-	}{
-		{"Q() :- R(x), S(x,y)", true},
-		{"Q() :- R(x), S(x,y), T(x)", true},
-		{"Q() :- R(x1), S(x1,y1)\nQ() :- T(x2), S(x2,y2)", true},
-		{"Q() :- R(x), S(x,y), T(y)", false},                      // H0, #P-hard
-		{"Q() :- R(x1), S(x1,y1)\nQ() :- S(x2,y2), T(y2)", false}, // inversion
-		{"Q() :- R(x), S(y)", true},                               // independent components
-		{"Q() :- Adv(x,a), Adv(x,b)", true},                       // self-join with separator x
-		{"Q() :- R(x)\nQ() :- T(y)", true},                        // independent union
-	}
-	for _, c := range cases {
-		q := MustParse(c.src)
-		if got := q.IsInversionFree(); got != c.want {
-			t.Errorf("IsInversionFree(%q) = %v want %v", c.src, got, c.want)
-		}
-	}
-}
-
-func TestIsHierarchical(t *testing.T) {
-	cases := []struct {
-		src  string
-		head []string
-		want bool
-	}{
-		{"Q() :- R(x), S(x,y)", nil, true},
-		{"Q() :- R(x), S(x,y), T(y)", nil, false}, // H0
-		{"Q(x) :- R(x), S(x,y), T2(x,y,z)", []string{"x"}, true},
-	}
-	for _, c := range cases {
-		q := MustParse(c.src)
-		if got := q.Disjuncts[0].IsHierarchical(c.head); got != c.want {
-			t.Errorf("IsHierarchical(%q) = %v want %v", c.src, got, c.want)
-		}
 	}
 }
 
@@ -154,99 +114,42 @@ func TestSeparatorSelfJoinPosition(t *testing.T) {
 	// Adv(x,a),Adv(x,b): x is a separator only because it sits at position 0
 	// in both atoms.
 	q := MustParse("Q() :- Adv(x,a), Adv(x,b), a <> b")
-	sep, ok := q.FindSeparator()
+	sep, ok := q.FindSeparatorSkip(SkipGround)
 	if !ok || sep.PerDisjunct[0] != "x" || sep.RelPos["Adv"] != 0 {
 		t.Errorf("sep = %+v ok = %v", sep, ok)
 	}
 	// Adv(x,a),Adv(a,x): positions conflict — not a separator.
 	q = MustParse("Q() :- Adv(x,a), Adv(a,x)")
-	if _, ok = q.FindSeparator(); ok {
+	if _, ok = q.FindSeparatorSkip(SkipGround); ok {
 		t.Error("conflicting positions accepted as separator")
 	}
 }
 
 func TestRootVarsStrict(t *testing.T) {
 	q := MustParse("Q() :- R(x), S(x,y)")
-	if got := q.Disjuncts[0].RootVarsStrict(); len(got) != 1 || got[0] != "x" {
+	if got := q.Disjuncts[0].rootVarsSkip(SkipNegated); len(got) != 1 || got[0] != "x" {
 		t.Errorf("strict roots = %v", got)
 	}
 	// A ground atom kills strict roots but not lenient ones.
 	q = MustParse("Q() :- R(1), S(2,y)")
-	if got := q.Disjuncts[0].RootVarsStrict(); len(got) != 0 {
+	if got := q.Disjuncts[0].rootVarsSkip(SkipNegated); len(got) != 0 {
 		t.Errorf("strict roots with ground atom = %v", got)
 	}
-	if got := q.Disjuncts[0].RootVars(); len(got) != 1 || got[0] != "y" {
+	if got := q.Disjuncts[0].rootVarsSkip(SkipGround); len(got) != 1 || got[0] != "y" {
 		t.Errorf("lenient roots = %v", got)
 	}
 }
 
 func TestFindSeparatorStrict(t *testing.T) {
 	q := MustParse("Q() :- R(x), S(x,y)")
-	if _, ok := q.FindSeparatorStrict(); !ok {
+	if _, ok := q.FindSeparatorSkip(SkipNegated); !ok {
 		t.Error("strict separator missing for R(x),S(x,y)")
 	}
 	q = MustParse("Q() :- R(1), S(1,y)")
-	if _, ok := q.FindSeparatorStrict(); ok {
+	if _, ok := q.FindSeparatorSkip(SkipNegated); ok {
 		t.Error("strict separator found despite ground atom")
 	}
-	if _, ok := q.FindSeparator(); !ok {
+	if _, ok := q.FindSeparatorSkip(SkipGround); !ok {
 		t.Error("lenient separator should still exist")
-	}
-}
-
-func TestCollapseEquivalentAtoms(t *testing.T) {
-	q := MustParse("Q() :- S(1,y1), S(1,y2)")
-	c := q.Disjuncts[0].CollapseEquivalentAtoms(nil)
-	if len(c.Atoms) != 1 {
-		t.Errorf("collapse: %v", c)
-	}
-	// Shared variable blocks the collapse.
-	q = MustParse("Q() :- S(x,y1), S(x,y2), R(y1)")
-	c = q.Disjuncts[0].CollapseEquivalentAtoms(nil)
-	if len(c.Atoms) != 3 {
-		t.Errorf("collapse should not fire: %v", c)
-	}
-	// S(y,y) and S(a,b) with local vars are NOT equivalent.
-	q = MustParse("Q() :- S(y,y), S(a,b)")
-	c = q.Disjuncts[0].CollapseEquivalentAtoms(nil)
-	if len(c.Atoms) != 2 {
-		t.Errorf("distinct patterns collapsed: %v", c)
-	}
-	// But two diagonal atoms are.
-	q = MustParse("Q() :- S(y,y), S(z,z)")
-	c = q.Disjuncts[0].CollapseEquivalentAtoms(nil)
-	if len(c.Atoms) != 1 {
-		t.Errorf("diagonal atoms not collapsed: %v", c)
-	}
-	// Protected variables are global.
-	q2 := MustParse("Q(y1) :- S(1,y1), S(1,y2)")
-	c = q2.Disjuncts[0].CollapseEquivalentAtoms(q2.Head)
-	if len(c.Atoms) != 2 {
-		t.Errorf("protected var collapsed: %v", c)
-	}
-	// Predicate variables are global.
-	q = MustParse("Q() :- S(1,y1), S(1,y2), y1 > 3")
-	c = q.Disjuncts[0].CollapseEquivalentAtoms(nil)
-	if len(c.Atoms) != 2 {
-		t.Errorf("predicate var collapsed: %v", c)
-	}
-}
-
-func TestConjoin(t *testing.T) {
-	a := MustParse("Q() :- R(x)\nQ() :- T(x)").UCQ
-	b := MustParse("Q() :- S(x,y)").UCQ
-	c := Conjoin(a, b)
-	if len(c.Disjuncts) != 2 {
-		t.Fatalf("disjuncts = %d", len(c.Disjuncts))
-	}
-	for _, d := range c.Disjuncts {
-		if len(d.Atoms) != 2 {
-			t.Errorf("merged conjunct = %v", d)
-		}
-	}
-	// Variables renamed apart: x from both sides must not collide.
-	vars := c.Disjuncts[0].Vars()
-	if len(vars) != 3 {
-		t.Errorf("vars = %v (renaming failed?)", vars)
 	}
 }

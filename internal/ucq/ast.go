@@ -400,41 +400,3 @@ func (q *Query) Validate() error {
 	}
 	return nil
 }
-
-// Conjoin returns the conjunction of two UCQs as a UCQ: the cross product
-// of their disjuncts, with variables renamed apart so each merged conjunct
-// is a plain CQ. Used for conditional queries P(Q | E) = P(Q ∧ E)/P(E).
-func Conjoin(a, b UCQ) UCQ {
-	rename := func(d CQ, prefix string) CQ {
-		r := func(t Term) Term {
-			if t.IsConst {
-				return t
-			}
-			return V(prefix + t.Var)
-		}
-		out := CQ{Atoms: make([]Atom, len(d.Atoms)), Preds: make([]Pred, len(d.Preds))}
-		for i, at := range d.Atoms {
-			na := Atom{Rel: at.Rel, Negated: at.Negated, Args: make([]Term, len(at.Args))}
-			for j, t := range at.Args {
-				na.Args[j] = r(t)
-			}
-			out.Atoms[i] = na
-		}
-		for i, p := range d.Preds {
-			out.Preds[i] = Pred{Op: p.Op, L: r(p.L), R: r(p.R), Offset: p.Offset}
-		}
-		return out
-	}
-	var out UCQ
-	for i, da := range a.Disjuncts {
-		for j, db := range b.Disjuncts {
-			ra := rename(da, fmt.Sprintf("l%d·", i))
-			rb := rename(db, fmt.Sprintf("r%d·", j))
-			out.Disjuncts = append(out.Disjuncts, CQ{
-				Atoms: append(append([]Atom{}, ra.Atoms...), rb.Atoms...),
-				Preds: append(append([]Pred{}, ra.Preds...), rb.Preds...),
-			})
-		}
-	}
-	return out
-}

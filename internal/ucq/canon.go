@@ -37,10 +37,6 @@ type Fingerprint struct {
 // IsZero reports whether the fingerprint is the zero sentinel.
 func (f Fingerprint) IsZero() bool { return f.Hi == 0 && f.Lo == 0 }
 
-func (f Fingerprint) String() string {
-	return fmt.Sprintf("%016x%016x", f.Hi, f.Lo)
-}
-
 // canonSearchCap bounds the number of complete variable namings the
 // canonical search may explore per conjunct. 5040 = 7! keeps conjuncts with
 // up to seven mutually symmetric variables exactly canonical.
@@ -51,11 +47,6 @@ const canonSearchCap = 5040
 // (names never contain NUL).
 const headRel = "\x00head"
 
-// FingerprintUCQ returns the canonical fingerprint of a Boolean UCQ.
-func FingerprintUCQ(u UCQ) Fingerprint {
-	return fingerprintStrings(canonDisjunctStrings(u, nil))
-}
-
 // FingerprintQuery returns the canonical fingerprint of a named query. The
 // query's name never enters the hash; its head arity and the positions at
 // which head variables occur do.
@@ -63,33 +54,6 @@ func FingerprintQuery(q *Query) Fingerprint {
 	ss := canonDisjunctStrings(q.UCQ, q.Head)
 	ss = append(ss, fmt.Sprintf("\x00H%d", len(q.Head)))
 	return fingerprintStrings(ss)
-}
-
-// CanonicalUCQ returns a canonical copy of the UCQ: variables renamed to
-// v0, v1, ... per disjunct, atoms and predicates sorted, duplicate disjuncts
-// dropped, and disjuncts ordered by their canonical serialization. Two UCQs
-// equal up to renaming and reordering canonicalize to deeply equal values.
-func CanonicalUCQ(u UCQ) UCQ {
-	type cd struct {
-		s string
-		d CQ
-	}
-	cds := make([]cd, 0, len(u.Disjuncts))
-	for _, d := range u.Disjuncts {
-		nd, s := canonicalCQ(d, nil)
-		cds = append(cds, cd{s, nd})
-	}
-	sort.Slice(cds, func(i, j int) bool { return cds[i].s < cds[j].s })
-	out := UCQ{Disjuncts: make([]CQ, 0, len(cds))}
-	prev := ""
-	for i, c := range cds {
-		if i > 0 && c.s == prev {
-			continue
-		}
-		prev = c.s
-		out.Disjuncts = append(out.Disjuncts, c.d)
-	}
-	return out
 }
 
 // canonDisjunctStrings canonicalizes every disjunct (with the head variables

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -90,13 +91,13 @@ func TestFingerprintRenameInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 500; trial++ {
 		u := randomUCQ(rng)
-		fp := FingerprintUCQ(u)
+		fp := fingerprintUCQ(u)
 		if fp.IsZero() {
 			t.Fatalf("zero fingerprint for %v", u)
 		}
 		for rep := 0; rep < 4; rep++ {
 			s, _ := scramble(u, nil, rng)
-			if got := FingerprintUCQ(s); got != fp {
+			if got := fingerprintUCQ(s); got != fp {
 				t.Fatalf("trial %d: fingerprint changed under rename/shuffle\noriginal:  %v → %v\nscrambled: %v → %v",
 					trial, u, fp, s, got)
 			}
@@ -133,9 +134,9 @@ func TestFingerprintSeparates(t *testing.T) {
 	seen := map[Fingerprint]string{}
 	for trial := 0; trial < 400; trial++ {
 		u := randomUCQ(rng)
-		cu := CanonicalUCQ(u)
+		cu := canonicalUCQ(u)
 		key := cu.String() // canonical spelling identifies the isomorphism class
-		fp := FingerprintUCQ(u)
+		fp := fingerprintUCQ(u)
 		if prev, ok := seen[fp]; ok && prev != key {
 			t.Fatalf("fingerprint collision between %q and %q", prev, key)
 		}
@@ -146,7 +147,7 @@ func TestFingerprintSeparates(t *testing.T) {
 		{Rel: "R0", Args: []Term{V("x"), V("y")}},
 		{Rel: "R1", Args: []Term{V("y"), V("z")}},
 	}}}}
-	fp := FingerprintUCQ(base)
+	fp := fingerprintUCQ(base)
 	perturbations := []UCQ{
 		// different relation
 		{Disjuncts: []CQ{{Atoms: []Atom{
@@ -176,7 +177,7 @@ func TestFingerprintSeparates(t *testing.T) {
 		}}}},
 	}
 	for i, p := range perturbations {
-		if FingerprintUCQ(p) == fp {
+		if fingerprintUCQ(p) == fp {
 			t.Errorf("perturbation %d kept the fingerprint: %v", i, p)
 		}
 	}
@@ -198,7 +199,7 @@ func TestFingerprintHeadPositions(t *testing.T) {
 	if FingerprintQuery(qxy) == FingerprintQuery(qyx) {
 		t.Fatal("head order collided")
 	}
-	if FingerprintQuery(qx) == FingerprintUCQ(u) {
+	if FingerprintQuery(qx) == fingerprintUCQ(u) {
 		t.Fatal("named query collided with its Boolean body")
 	}
 }
@@ -209,13 +210,13 @@ func TestCanonicalUCQIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 200; trial++ {
 		u := randomUCQ(rng)
-		c1 := CanonicalUCQ(u)
-		c2 := CanonicalUCQ(c1)
+		c1 := canonicalUCQ(u)
+		c2 := canonicalUCQ(c1)
 		if !reflect.DeepEqual(c1, c2) {
 			t.Fatalf("not idempotent:\n%v\n%v", c1, c2)
 		}
 		s, _ := scramble(u, nil, rng)
-		if cs := CanonicalUCQ(s); !reflect.DeepEqual(c1, cs) {
+		if cs := canonicalUCQ(s); !reflect.DeepEqual(c1, cs) {
 			t.Fatalf("isomorphs canonicalized differently:\n%v\n%v", c1, cs)
 		}
 	}
@@ -233,9 +234,9 @@ func TestFingerprintSymmetricSelfJoin(t *testing.T) {
 			{Rel: "R", Args: []Term{V(c), V(a)}},
 		}}}}
 	}
-	fp := FingerprintUCQ(tri("x", "y", "z"))
+	fp := fingerprintUCQ(tri("x", "y", "z"))
 	for _, names := range [][3]string{{"u", "v", "w"}, {"c", "a", "b"}, {"z", "x", "y"}} {
-		if got := FingerprintUCQ(tri(names[0], names[1], names[2])); got != fp {
+		if got := fingerprintUCQ(tri(names[0], names[1], names[2])); got != fp {
 			t.Fatalf("triangle rename %v changed the fingerprint", names)
 		}
 	}
@@ -245,7 +246,7 @@ func TestFingerprintSymmetricSelfJoin(t *testing.T) {
 		{Rel: "R", Args: []Term{V("y"), V("z")}},
 		{Rel: "R", Args: []Term{V("z"), V("w")}},
 	}}}}
-	if FingerprintUCQ(path) == fp {
+	if fingerprintUCQ(path) == fp {
 		t.Fatal("path collided with triangle")
 	}
 }
@@ -257,7 +258,7 @@ func TestFingerprintDisjunctDedup(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		u := randomUCQ(rng)
 		dup := UCQ{Disjuncts: append(append([]CQ{}, u.Disjuncts...), u.Disjuncts[0])}
-		if FingerprintUCQ(dup) != FingerprintUCQ(u) {
+		if fingerprintUCQ(dup) != fingerprintUCQ(u) {
 			t.Fatalf("duplicate disjunct changed the fingerprint: %v", u)
 		}
 	}
@@ -272,15 +273,47 @@ func FuzzFingerprintRenameInvariance(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		u := randomUCQ(rng)
-		fp := FingerprintUCQ(u)
+		fp := fingerprintUCQ(u)
 		for i := 0; i < 3; i++ {
 			s, _ := scramble(u, nil, rng)
-			if FingerprintUCQ(s) != fp {
+			if fingerprintUCQ(s) != fp {
 				t.Fatalf("seed %d: fingerprint not rename-invariant for %v", seed, u)
 			}
 		}
-		if !reflect.DeepEqual(CanonicalUCQ(u), CanonicalUCQ(CanonicalUCQ(u))) {
-			t.Fatalf("seed %d: CanonicalUCQ not idempotent", seed)
+		if !reflect.DeepEqual(canonicalUCQ(u), canonicalUCQ(canonicalUCQ(u))) {
+			t.Fatalf("seed %d: canonicalUCQ not idempotent", seed)
 		}
 	})
+}
+
+// fingerprintUCQ returns the canonical fingerprint of a Boolean UCQ.
+func fingerprintUCQ(u UCQ) Fingerprint {
+	return fingerprintStrings(canonDisjunctStrings(u, nil))
+}
+
+// canonicalUCQ returns a canonical copy of the UCQ: variables renamed to
+// v0, v1, ... per disjunct, atoms and predicates sorted, duplicate disjuncts
+// dropped, and disjuncts ordered by their canonical serialization. Two UCQs
+// equal up to renaming and reordering canonicalize to deeply equal values.
+func canonicalUCQ(u UCQ) UCQ {
+	type cd struct {
+		s string
+		d CQ
+	}
+	cds := make([]cd, 0, len(u.Disjuncts))
+	for _, d := range u.Disjuncts {
+		nd, s := canonicalCQ(d, nil)
+		cds = append(cds, cd{s, nd})
+	}
+	sort.Slice(cds, func(i, j int) bool { return cds[i].s < cds[j].s })
+	out := UCQ{Disjuncts: make([]CQ, 0, len(cds))}
+	prev := ""
+	for i, c := range cds {
+		if i > 0 && c.s == prev {
+			continue
+		}
+		prev = c.s
+		out.Disjuncts = append(out.Disjuncts, c.d)
+	}
+	return out
 }

@@ -645,13 +645,6 @@ func (l *Log) RemoveBelow(gen uint64) error {
 	return nil
 }
 
-// Generation returns the current segment generation.
-func (l *Log) Generation() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.gen
-}
-
 // NextSeq returns the sequence number the next Append will be assigned.
 func (l *Log) NextSeq() uint64 {
 	l.mu.Lock()

@@ -43,9 +43,6 @@ func NewSolver(probs []float64) *Solver {
 // Prob computes P(d), sharing the cache across calls.
 func (s *Solver) Prob(d lineage.DNF) float64 { return s.inner.prob(normalize(d)) }
 
-// Stats returns cumulative statistics.
-func (s *Solver) Stats() Stats { return s.inner.stats }
-
 type solver struct {
 	probs []float64
 	cache map[string]float64

@@ -61,7 +61,7 @@ func TestProbTerminals(t *testing.T) {
 	if Prob(lineage.False(), probs) != 0 {
 		t.Error("P(false) != 0")
 	}
-	if Prob(lineage.True(), probs) != 1 {
+	if Prob(lineage.DNF{{}}, probs) != 1 {
 		t.Error("P(true) != 1")
 	}
 	if got := Prob(lineage.DNF{{1}}, probs); got != 0.5 {
@@ -77,13 +77,13 @@ func TestSolverStats(t *testing.T) {
 	if math.Abs(p-(1-0.75*0.75)) > 1e-12 {
 		t.Errorf("P = %v", p)
 	}
-	if s.Stats().ComponentSplits == 0 {
+	if s.inner.stats.ComponentSplits == 0 {
 		t.Error("component decomposition not used")
 	}
 	// Shared variables force Shannon expansion.
 	s2 := NewSolver(probs)
 	s2.Prob(lineage.DNF{{1, 2}, {1, 3}, {2, 3}})
-	if s2.Stats().ShannonSteps == 0 {
+	if s2.inner.stats.ShannonSteps == 0 {
 		t.Error("Shannon expansion not used")
 	}
 	// Cache reuse across calls.
@@ -91,7 +91,7 @@ func TestSolverStats(t *testing.T) {
 	d := lineage.DNF{{1, 2}, {2, 3}, {1, 3}}
 	s3.Prob(d)
 	s3.Prob(d)
-	if s3.Stats().CacheHits == 0 {
+	if s3.inner.stats.CacheHits == 0 {
 		t.Error("cache not reused")
 	}
 }

@@ -13,8 +13,8 @@
 // precompiled offline so that online queries run in time proportional to the
 // slice of the index they touch. The paper's baselines evaluate it globally
 // instead (an Evaluator: brute-force enumeration, OBDD compilation, lifted
-// inference, DPLL model counting), and GroundMLN, ProbExact and ProbMCSat
-// work on the Markov Logic Network semantics directly.
+// inference, DPLL model counting), and GroundMLN and ProbExact work on the
+// Markov Logic Network semantics directly.
 //
 // # Quickstart
 //
@@ -36,13 +36,11 @@
 // The subpackages under internal implement the substrates: the relational
 // engine, the UCQ language and analyses, OBDDs with the ConOBDD compiler,
 // the MV-index, the baselines (lifted inference, DPLL, Markov Logic Networks
-// with exact, Gibbs and MC-SAT inference), and the synthetic DBLP generator
+// with exact and MC-SAT inference), and the synthetic DBLP generator
 // driving the paper's experiments.
 package mvdb
 
 import (
-	"io"
-
 	"mvdb/internal/baseline"
 	"mvdb/internal/core"
 	"mvdb/internal/dblp"
@@ -170,15 +168,9 @@ func GenerateDBLP(cfg DBLPConfig) (*DBLPDataset, error) { return dblp.Generate(c
 // MCSatOptions configures the MC-SAT sampler baseline.
 type MCSatOptions = mln.MCSatOptions
 
-// TopK returns the k highest-probability answers.
-func TopK(answers []Answer, k int) []Answer { return core.TopK(answers, k) }
-
-// Conjoin returns the conjunction of two UCQs (for conditional queries).
-func Conjoin(a, b UCQ) UCQ { return ucq.Conjoin(a, b) }
-
 // MLN is a ground Markov Logic Network (the Definition 4 semantics of an
-// MVDB, as returned by GroundMLN). It supports exact enumeration and Gibbs
-// and MC-SAT marginal inference.
+// MVDB, as returned by GroundMLN). It supports exact enumeration and MC-SAT
+// marginal inference.
 type MLN = mln.Network
 
 // GroundMLN builds the Markov Logic Network of Definition 4 for an MVDB.
@@ -188,19 +180,11 @@ func GroundMLN(m *MVDB) (*MLN, error) { return baseline.GroundMLN(m) }
 // its MLN — exact ground truth on small instances.
 func ProbExact(m *MVDB, q UCQ) (float64, error) { return baseline.ProbExact(m, q) }
 
-// ProbMCSat estimates P(Q) on an MVDB with the MC-SAT sampler over its MLN.
-func ProbMCSat(m *MVDB, q UCQ, opt MCSatOptions) (float64, error) {
-	return baseline.ProbMCSat(m, q, opt)
-}
-
 // MLNFeature is a weighted ground formula of an MLN.
 type MLNFeature = mln.Feature
 
 // LoadIndex reads a saved MV-index from a file (see Index.SaveFile).
 func LoadIndex(path string) (*Index, error) { return mvindex.LoadFile(path) }
-
-// ReadIndex reads a saved MV-index from a stream (see Index.Save).
-func ReadIndex(r io.Reader) (*Index, error) { return mvindex.Read(r) }
 
 // MLNFormula is a ground Boolean formula over tuple variables (the feature
 // language of MLN).
@@ -209,15 +193,6 @@ type MLNFormula = lineage.Formula
 // VarFormula returns the formula that is true when tuple variable v is in
 // the world — the common single-variable marginal query for MLN inference.
 func VarFormula(v int) MLNFormula { return lineage.Var(v) }
-
-// DefineProbTable materializes a probabilistic table from a query over
-// deterministic tables with a per-tuple weight function — the middle layer
-// of Figure 1 (e.g. Studentp defined from FirstPub with weight
-// exp(1-0.15(year-year'))). Offset predicates like "year <= yp + 5" are
-// supported by the query language.
-func DefineProbTable(db *Database, q *Query, w WeightFn) (int, error) {
-	return core.DefineProbTable(db, q, w)
-}
 
 // Evidence fixes the truth value of probabilistic tuples (by Boolean
 // variable id) for conditional queries via Evaluator.ProbGivenTuples.
