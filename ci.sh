@@ -5,7 +5,7 @@
 # The -race run is load-bearing: the concurrency layer (a full compile's
 # blocks fan out over GOMAXPROCS workers, which the tests pin to 4 against a
 # GOMAXPROCS-1 reference so the pool runs on any host; concurrent MV-index
-# reads, the lazily materialised ¬W, RWMutex HTTP serving) and the
+# reads, RWMutex HTTP serving) and the
 # cancellation/budget layer (mid-compile aborts, shared budget counters) are
 # guarded by hammer tests that only bite with the detector on.
 set -eux
@@ -105,6 +105,21 @@ done
 go list -deps ./cmd/mvdb ./cmd/mvbench | grep -qx mvdb/internal/baseline \
     || { echo "serving boundary: neither cmd/mvdb nor mvbench reaches internal/baseline"; exit 1; }
 
+# All four binaries must build. The pointer MVIntersect is Fig. 9's baseline
+# and nothing else: the served binary links neither its walk nor its entry
+# point (mvbench must, or the check below looks for the wrong names).
+bindir=$(mktemp -d)
+trap 'rm -rf "$bindir"' EXIT
+for cmd in dblpgen mvbench mvdb mvdbd; do
+    go build -o "$bindir/$cmd" ./cmd/$cmd
+done
+fig9='mvindex\.(\(\*)?ptrWalk|mvindex\.\(\*Index\)\.MVIntersect'
+go tool nm "$bindir/mvbench" | grep -E "$fig9" >/dev/null \
+    || { echo "serving boundary: mvbench links no Fig. 9 baseline (symbol names changed?)"; exit 1; }
+if go tool nm "$bindir/mvdbd" | grep -E "$fig9"; then
+    echo "serving boundary: cmd/mvdbd links the Fig. 9 pointer MVIntersect"; exit 1
+fi
+
 go test -timeout 5m ./...
 go test -race -timeout 10m ./...
 
@@ -188,13 +203,6 @@ go test -v -run TestQueryWorkIsOSpan -timeout 5m ./internal/mvindex/
 # break of the internal API it compiles against shows up before the
 # pipeline's benchmark run fails to compile.
 (cd benchmark && go vet . && go test -timeout 5m .)
-
-# All four binaries must build.
-bindir=$(mktemp -d)
-trap 'rm -rf "$bindir"' EXIT
-for cmd in dblpgen mvbench mvdb mvdbd; do
-    go build -o "$bindir/$cmd" ./cmd/$cmd
-done
 
 # Smoke test: boot mvdbd on a small dataset, hit /readyz, then verify that
 # SIGTERM drains and exits 0 (the graceful-shutdown contract of DESIGN.md §7).

@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -48,7 +49,7 @@ func main() {
 		authors     = flag.Int("authors", 2000, "aid domain of the synthetic DBLP dataset")
 		seed        = flag.Int64("seed", 1, "generator seed")
 		views       = flag.String("views", "123", "MarkoViews to enable: any subset of 123")
-		method      = flag.String("method", "index", "evaluation method: index, index-cc, obdd, lifted, dpll")
+		method      = flag.String("method", "index", "evaluation method: index (CC-MVIntersect), obdd, lifted, dpll")
 		interactive = flag.Bool("i", false, "interactive mode (read queries from stdin)")
 		saveIndex   = flag.String("save-index", "", "write the compiled MV-index to this file and continue")
 		loadIndex   = flag.String("load-index", "", "load a previously saved MV-index instead of generating data")
@@ -205,8 +206,6 @@ func (s *session) runQuery(src string) error {
 	switch s.meth {
 	case "index":
 		rows, err = s.ix.Query(q, mvindex.IntersectOptions{})
-	case "index-cc":
-		rows, err = s.ix.Query(q, mvindex.IntersectOptions{CacheConscious: true})
 	case "obdd":
 		rows, err = s.ev.Query(q, baseline.OBDD)
 	case "lifted":
@@ -225,7 +224,8 @@ func (s *session) runQuery(src string) error {
 		for i, v := range r.Head {
 			parts[i] = v.String()
 		}
-		fmt.Printf("%-40s %.6f\n", strings.Join(parts, ", "), r.Prob)
+		// Every bit of the probability, spelled as /query's encoder does.
+		fmt.Printf("%-40s %s\n", strings.Join(parts, ", "), strconv.FormatFloat(r.Prob, 'g', -1, 64))
 	}
 	fmt.Printf("-- %d answers in %v (%s)\n", len(rows), el.Round(time.Microsecond), s.meth)
 	return nil
@@ -281,7 +281,7 @@ func (s *session) marginal(src string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("prior %.6f -> corrected marginal %.6f\n", tup.Prob(), p)
+	fmt.Printf("prior %s -> corrected marginal %s\n", strconv.FormatFloat(tup.Prob(), 'g', -1, 64), strconv.FormatFloat(p, 'g', -1, 64))
 	return nil
 }
 

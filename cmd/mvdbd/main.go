@@ -74,7 +74,7 @@ func main() {
 		maxBody      = flag.Int64("max-body", server.DefaultMaxBodyBytes, "request body size cap in bytes; larger bodies return 413")
 		drainWait    = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 
-		cache        = flag.Bool("cache", true, "cross-query answer/lineage cache on the serving path")
+		cache        = flag.Bool("cache", true, "cross-query answer cache on the serving path")
 		cacheEntries = flag.Int("cache-entries", 0, "answer-cache entry cap (0 = default, negative = unlimited)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "answer-cache byte cap (0 = default, negative = unlimited)")
 

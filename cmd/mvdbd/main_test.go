@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -244,15 +245,15 @@ func TestServesOfflineSiftedIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// mvdb prints each answer as its head values and the probability to six
-	// places; print the served answers the same way.
+	// mvdb prints each answer as its head values and every bit of the
+	// probability; print the served answers the same way.
 	var got []string
 	for _, a := range body.Answers {
 		parts := make([]string, len(a.Head))
 		for i, v := range a.Head {
 			parts[i] = v.String()
 		}
-		got = append(got, fmt.Sprintf("%-40s %.6f", strings.Join(parts, ", "), a.Prob))
+		got = append(got, fmt.Sprintf("%-40s %s", strings.Join(parts, ", "), strconv.FormatFloat(a.Prob, 'g', -1, 64)))
 	}
 	if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("served answers differ from mvdb -load-index:\n%s\nvs\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

@@ -60,7 +60,7 @@ func ExampleBuildIndex() {
 		log.Fatal(err)
 	}
 	q, _ := mvdb.ParseQuery("Q(a) :- Adv(1,a)")
-	rows, err := ix.Query(q, mvdb.IntersectOptions{CacheConscious: true})
+	rows, err := ix.Query(q, mvdb.IntersectOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

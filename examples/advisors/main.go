@@ -47,7 +47,7 @@ func main() {
 		log.Fatal(err)
 	}
 	t0 = time.Now()
-	rows, err := ix.Query(q, mvdb.IntersectOptions{CacheConscious: true})
+	rows, err := ix.Query(q, mvdb.IntersectOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	withViews, err := ix.Query(q2, mvdb.IntersectOptions{CacheConscious: true})
+	withViews, err := ix.Query(q2, mvdb.IntersectOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	noViews, err := ixBase.Query(q2, mvdb.IntersectOptions{CacheConscious: true})
+	noViews, err := ixBase.Query(q2, mvdb.IntersectOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -59,11 +59,11 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			a, err := with.Query(q, mvdb.IntersectOptions{CacheConscious: true})
+			a, err := with.Query(q, mvdb.IntersectOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}
-			b, err := without.Query(q, mvdb.IntersectOptions{CacheConscious: true})
+			b, err := without.Query(q, mvdb.IntersectOptions{})
 			if err != nil {
 				log.Fatal(err)
 			}

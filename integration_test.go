@@ -44,7 +44,7 @@ func TestIntegrationDBLPPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaIndex, err := ix.Query(q, mvdb.IntersectOptions{CacheConscious: true})
+		viaIndex, err := ix.Query(q, mvdb.IntersectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestIntegrationDBLPPipeline(t *testing.T) {
 	}
 
 	// 5. The restored index agrees on the cache-conscious layout too.
-	a3, err := back.Query(q, mvdb.IntersectOptions{CacheConscious: true})
+	a3, err := back.Query(q, mvdb.IntersectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestIntegrationExactAtMicroScale(t *testing.T) {
 	}
 	for _, s := range data.Students {
 		q, _ := mvdb.ParseQuery("Q(a) :- Advisor(" + mvdb.Int(s).String() + ",a)")
-		rows, err := ix.Query(q, mvdb.IntersectOptions{CacheConscious: true})
+		rows, err := ix.Query(q, mvdb.IntersectOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

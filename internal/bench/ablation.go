@@ -48,11 +48,11 @@ func AblationEntryShortcut(opts Options) (*Table, error) {
 			}
 			return time.Since(t0) / reps, nil
 		}
-		on, err := measure(mvindex.IntersectOptions{CacheConscious: true})
+		on, err := measure(mvindex.IntersectOptions{})
 		if err != nil {
 			return nil, err
 		}
-		off, err := measure(mvindex.IntersectOptions{CacheConscious: true, NoEntryShortcut: true})
+		off, err := measure(mvindex.IntersectOptions{NoEntryShortcut: true})
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +92,7 @@ func MethodsCompare(opts Options) (*Table, error) {
 		b := ucq.UCQ{Disjuncts: q.Disjuncts} // Boolean: head variable becomes existential
 
 		t0 := time.Now()
-		pIx, err := ix.ProbBoolean(b, mvindex.IntersectOptions{CacheConscious: true})
+		pIx, err := ix.ProbBoolean(b, mvindex.IntersectOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -240,7 +240,7 @@ func Exactness(opts Options) (*Table, error) {
 		maxErr, queries := 0.0, 0
 		for _, s := range d.Students {
 			q := dblp.QueryAdvisorOfStudent(s)
-			rows, err := ix.Query(q, mvindex.IntersectOptions{CacheConscious: true})
+			rows, err := ix.Query(q, mvindex.IntersectOptions{})
 			if err != nil {
 				return nil, err
 			}

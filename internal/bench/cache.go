@@ -101,7 +101,7 @@ func CacheServing(opts Options) (*Table, error) {
 		// fills the relation indexes and pools so the uncached leg is not
 		// charged for one-off costs the cached leg would then dodge.
 		for _, q := range w.Queries {
-			if _, err := ix.Query(q, mvindex.IntersectOptions{CacheConscious: true, DisableCache: true}); err != nil {
+			if _, err := ix.Query(q, mvindex.IntersectOptions{DisableCache: true}); err != nil {
 				return nil, err
 			}
 		}
@@ -112,7 +112,7 @@ func CacheServing(opts Options) (*Table, error) {
 			lat := make([]time.Duration, len(w.Requests))
 			for i, k := range w.Requests {
 				t0 := time.Now()
-				rows, err := ix.Query(w.Queries[k], mvindex.IntersectOptions{CacheConscious: true, DisableCache: disable})
+				rows, err := ix.Query(w.Queries[k], mvindex.IntersectOptions{DisableCache: disable})
 				el := time.Since(t0)
 				if err != nil {
 					return 0, nil, nil, err

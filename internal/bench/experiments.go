@@ -135,7 +135,7 @@ func fig56(opts Options, id, title string, pick func(*dblp.Dataset) *ucq.Query) 
 			return nil, err
 		}
 		t0 = time.Now()
-		if _, err := ix.Query(q, mvindex.IntersectOptions{CacheConscious: true}); err != nil {
+		if _, err := ix.Query(q, mvindex.IntersectOptions{}); err != nil {
 			return nil, err
 		}
 		tIx := time.Since(t0)
@@ -272,19 +272,20 @@ func Fig9Intersect(opts Options) (*Table, error) {
 			return nil, err
 		}
 		lin := spanningLineage(tr, 20)
-		// Warm both paths once (the pointer path materialises the index's
-		// ¬W on first use), then time repeated intersections.
+		// The baseline materialises its pointer ¬W up front; warm both
+		// paths once, then time repeated intersections.
 		const reps = 20
-		ix.IntersectLineage(lin, mvindex.IntersectOptions{})
+		ptr := ix.MVIntersect()
+		ptr(lin, mvindex.IntersectOptions{})
 		t0 := time.Now()
 		for i := 0; i < reps; i++ {
-			ix.IntersectLineage(lin, mvindex.IntersectOptions{})
+			ptr(lin, mvindex.IntersectOptions{})
 		}
 		tPlain := time.Since(t0) / reps
-		ix.IntersectLineage(lin, mvindex.IntersectOptions{CacheConscious: true})
+		ix.IntersectLineage(lin, mvindex.IntersectOptions{})
 		t0 = time.Now()
 		for i := 0; i < reps; i++ {
-			ix.IntersectLineage(lin, mvindex.IntersectOptions{CacheConscious: true})
+			ix.IntersectLineage(lin, mvindex.IntersectOptions{})
 		}
 		tCC := time.Since(t0) / reps
 		t.Rows = append(t.Rows, []string{fmt.Sprint(n), seconds(tPlain), seconds(tCC), fmt.Sprint(ix.Size())})
@@ -330,7 +331,7 @@ func perQuery(opts Options, id, title string, queries []*ucq.Query, ix *mvindex.
 	}
 	for i, q := range queries {
 		t0 := time.Now()
-		rows, err := ix.Query(q, mvindex.IntersectOptions{CacheConscious: true})
+		rows, err := ix.Query(q, mvindex.IntersectOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -408,7 +409,7 @@ func Madden(opts Options) (*Table, error) {
 	}
 	q := dblp.QueryStudentsOfAdvisor("%Madden%")
 	t0 := time.Now()
-	rows, err := ix.Query(q, mvindex.IntersectOptions{CacheConscious: true})
+	rows, err := ix.Query(q, mvindex.IntersectOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -185,7 +185,7 @@ func timeQueries(ix *mvindex.Index, qs []*ucq.Query) ([]coreAnswerList, float64,
 		t0 := time.Now()
 		var cur []coreAnswerList
 		for _, q := range qs {
-			a, err := ix.Query(q, mvindex.IntersectOptions{CacheConscious: true})
+			a, err := ix.Query(q, mvindex.IntersectOptions{})
 			if err != nil {
 				return nil, 0, err
 			}

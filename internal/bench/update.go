@@ -134,11 +134,11 @@ func UpdateMaintenance(opts Options) (*Table, error) {
 		same := true
 		for i := 0; i < updateRounds && same; i++ {
 			q := dblp.QueryAdvisorOfStudent(d.Students[i+1])
-			a, err := ix.Query(q, mvindex.IntersectOptions{CacheConscious: true})
+			a, err := ix.Query(q, mvindex.IntersectOptions{})
 			if err != nil {
 				return nil, err
 			}
-			b, err := ixFull.Query(q, mvindex.IntersectOptions{CacheConscious: true})
+			b, err := ixFull.Query(q, mvindex.IntersectOptions{})
 			if err != nil {
 				return nil, err
 			}

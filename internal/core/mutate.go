@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"sort"
 
 	"mvdb/internal/engine"
 	"mvdb/internal/ucq"
@@ -193,25 +194,23 @@ func (wt *WeightTable) Set(head []engine.Value, w float64) {
 	wt.ByHead[engine.TupleKey(head)] = w
 }
 
-// clone deep-copies the table.
-func (wt *WeightTable) clone() *WeightTable {
-	out := &WeightTable{Default: wt.Default}
-	if wt.ByHead != nil {
-		out.ByHead = make(map[string]float64, len(wt.ByHead))
-		for k, v := range wt.ByHead {
-			out.ByHead[k] = v
-		}
-	}
-	return out
-}
-
 // ViewSnapshot is the serializable form of one MarkoView. Only table-
-// weighted views can be snapshotted; closure weights do not survive gob.
+// weighted views can be snapshotted; closure weights do not survive gob. The
+// weight table is written as its default and its per-head overrides sorted
+// by key — not as the map, which gob writes in Go's random iteration order —
+// so two snapshots of one MVDB are byte-identical.
 type ViewSnapshot struct {
 	Name    string
 	Head    []string
 	Def     ucq.UCQ
-	Weights WeightTable
+	Default float64
+	Heads   []HeadWeight
+}
+
+// HeadWeight is one per-head override of a WeightTable.
+type HeadWeight struct {
+	Key    string
+	Weight float64
 }
 
 // ViewSnapshots captures the MVDB's view definitions with their weight
@@ -225,12 +224,12 @@ func (m *MVDB) ViewSnapshots() ([]ViewSnapshot, error) {
 		if v.Weights == nil {
 			return nil, fmt.Errorf("core: view %s has closure weights; only WeightTable-backed views can be snapshotted", v.Name)
 		}
-		out = append(out, ViewSnapshot{
-			Name:    v.Name,
-			Head:    append([]string(nil), v.Head...),
-			Def:     v.Def,
-			Weights: *v.Weights.clone(),
-		})
+		vs := ViewSnapshot{Name: v.Name, Head: append([]string(nil), v.Head...), Def: v.Def, Default: v.Weights.Default}
+		for k, w := range v.Weights.ByHead {
+			vs.Heads = append(vs.Heads, HeadWeight{k, w})
+		}
+		sort.Slice(vs.Heads, func(i, j int) bool { return vs.Heads[i].Key < vs.Heads[j].Key })
+		out = append(out, vs)
 	}
 	return out, nil
 }

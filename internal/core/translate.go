@@ -60,7 +60,11 @@ func (t *Translation) RestoreSource(views []ViewSnapshot, opts TranslateOptions)
 	}
 	src := New(t.DB.Share(t.NVRelations...))
 	for _, vs := range views {
-		v := &MarkoView{Name: vs.Name, Head: vs.Head, Def: vs.Def, Weights: vs.Weights.clone()}
+		wt := &WeightTable{Default: vs.Default, ByHead: make(map[string]float64, len(vs.Heads))}
+		for _, h := range vs.Heads {
+			wt.ByHead[h.Key] = h.Weight
+		}
+		v := &MarkoView{Name: vs.Name, Head: vs.Head, Def: vs.Def, Weights: wt}
 		if err := src.AddView(v); err != nil {
 			return err
 		}

@@ -151,29 +151,35 @@ func TestTranslationAndIndexPipeline(t *testing.T) {
 	}
 
 	// Cross-check MV-index against the baseline OBDD method on several
-	// queries, for both intersection algorithms.
+	// queries, and CC-MVIntersect against Fig. 9's pointer MVIntersect.
 	ev := baseline.New(tr)
+	ptr := ix.MVIntersect()
 	for _, s := range d.Students[:5] {
 		q := QueryAdvisorOfStudent(s)
 		want, err := ev.Query(q, baseline.OBDD)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cc := range []bool{false, true} {
-			got, err := ix.Query(q, mvindex.IntersectOptions{CacheConscious: cc})
-			if err != nil {
-				t.Fatal(err)
+		got, err := ix.Query(q, mvindex.IntersectOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := ucq.Eval(tr.DB, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || len(rows) != len(got) {
+			t.Fatalf("student %d: %d vs %d answers (%d lineages)", s, len(got), len(want), len(rows))
+		}
+		for i := range got {
+			if math.Abs(got[i].Prob-want[i].Prob) > 1e-9 {
+				t.Errorf("student %d: %v vs %v", s, got[i].Prob, want[i].Prob)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("student %d: %d vs %d answers", s, len(got), len(want))
+			if got[i].Prob < -1e-9 || got[i].Prob > 1+1e-9 {
+				t.Errorf("probability %v outside [0,1]", got[i].Prob)
 			}
-			for i := range got {
-				if math.Abs(got[i].Prob-want[i].Prob) > 1e-9 {
-					t.Errorf("student %d cc=%v: %v vs %v", s, cc, got[i].Prob, want[i].Prob)
-				}
-				if got[i].Prob < -1e-9 || got[i].Prob > 1+1e-9 {
-					t.Errorf("probability %v outside [0,1]", got[i].Prob)
-				}
+			if p, err := ptr(rows[i].Lineage, mvindex.IntersectOptions{}); err != nil || math.Abs(got[i].Prob-p) > 1e-12 {
+				t.Errorf("student %d: CC-MVIntersect %v, pointer MVIntersect %v (%v)", s, got[i].Prob, p, err)
 			}
 		}
 	}
@@ -200,7 +206,7 @@ func TestMaddenRunningExample(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := QueryStudentsOfAdvisor("%Madden%")
-	rows, err := ix.Query(q, mvindex.IntersectOptions{CacheConscious: true})
+	rows, err := ix.Query(q, mvindex.IntersectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +377,7 @@ func TestZipfAdvisors(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows, err := ix.Query(QueryStudentsOfAdvisorID(zipf.StudentAdvisor[zipf.Students[0]]),
-		mvindex.IntersectOptions{CacheConscious: true})
+		mvindex.IntersectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,7 +149,7 @@ func TestParallelCompileMatchesSequentialDBLP(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := par.Query(q, mvindex.IntersectOptions{CacheConscious: true})
+				got, err := par.Query(q, mvindex.IntersectOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

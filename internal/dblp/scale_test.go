@@ -34,7 +34,7 @@ func TestScaleTiming(t *testing.T) {
 		tIx := time.Since(t0)
 		t0 = time.Now()
 		q := QueryAdvisorOfStudent(d.Students[len(d.Students)/2])
-		if _, err := ix.Query(q, mvindex.IntersectOptions{CacheConscious: true}); err != nil {
+		if _, err := ix.Query(q, mvindex.IntersectOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		tQ := time.Since(t0)

@@ -184,67 +184,6 @@ func (d DNF) Size() int {
 	return n
 }
 
-// Hash returns a 128-bit canonical hash of the DNF: invariant under term
-// reordering, variable reordering within a term, and duplicate variables in
-// a term, and (up to hash collisions) distinct for semantically distinct
-// term sets. Duplicate terms do shift the hash — callers that may produce
-// duplicates should Normalize first; the evaluator's accumulator already
-// deduplicates, so query lineages hash canonically as produced.
-//
-// Per-term hashes are combined commutatively (sum and xor), so hashing is
-// O(size) with no sorting of the term list.
-func (d DNF) Hash() (hi, lo uint64) {
-	var sum, xor uint64
-	for _, t := range d {
-		th := uint64(1099511628211)
-		n := 0
-		if sortedInts(t) {
-			for _, v := range t {
-				th = hashMix(th, uint64(v))
-			}
-			n = len(t)
-		} else {
-			st := append([]int(nil), t...)
-			sort.Ints(st)
-			for i, v := range st {
-				if i > 0 && v == st[i-1] {
-					continue
-				}
-				th = hashMix(th, uint64(v))
-				n++
-			}
-		}
-		th = hashMix(th, uint64(n))
-		sum += th
-		xor ^= th
-	}
-	// Mix in the term count so the empty DNF (false) and DNF{{}} (true)
-	// differ and sum/xor cancellations cannot collide with small sets.
-	hi = hashMix(sum, uint64(len(d)))
-	lo = hashMix(xor, hi)
-	if hi == 0 && lo == 0 {
-		lo = 1
-	}
-	return hi, lo
-}
-
-func sortedInts(t []int) bool {
-	for i := 1; i < len(t); i++ {
-		if t[i] <= t[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-func hashMix(a, b uint64) uint64 {
-	x := a ^ (b + 0x9e3779b97f4a7c15 + (a << 6) + (a >> 2))
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return x
-}
-
 // BruteForceProb computes the exact probability of the DNF by enumerating
 // all assignments of its support variables. probs is indexed by variable id
 // and may contain negative entries (Section 3.3 of the paper); the sum of

@@ -165,7 +165,7 @@ func checkAugmentation(t *testing.T, ix *Index, when string) {
 		same("record kept", kept != nil, true)
 		same("separator values", ix.ch.vals, len(d.Rec.Values))
 	}
-	n := ix.ch.negOBDD()
+	n := ix.ch.materialize()
 	if !obdd.StructEqual(n.m, n.root, d.M, d.Root) {
 		t.Fatalf("%s: the materialised ¬W differs from a full compile", when)
 	}
@@ -174,7 +174,8 @@ func checkAugmentation(t *testing.T, ix *Index, when string) {
 }
 
 // checkAnswers compares the maintained index with an index built from
-// scratch over a re-translation of the mutated source, on both layouts.
+// scratch over a re-translation of the mutated source, and with the pointer
+// MVIntersect over its own ¬W.
 func checkAnswers(t *testing.T, ix *Index, when string) {
 	t.Helper()
 	tr, err := ix.Translation().Source.Translate(ix.Translation().Opts())
@@ -187,26 +188,24 @@ func checkAnswers(t *testing.T, ix *Index, when string) {
 	}
 	for _, src := range []string{"Q(s) :- Adv(s,a)", "Q() :- Adv(s,a)", "Q(a) :- Adv(2,a)", "Q() :- Adv(1,a)\nQ() :- Adv(1001,b)"} {
 		q := ucq.MustParse(src)
-		for _, cc := range []bool{false, true} {
-			opts := IntersectOptions{CacheConscious: cc}
-			got, err := ix.Query(q, opts)
-			if err != nil {
-				t.Fatalf("%s: %q: %v", when, src, err)
-			}
-			want, err := ref.Query(q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: %q: %d answers, scratch build has %d", when, src, len(got), len(want))
-			}
-			for i := range want {
-				if engine.TupleKey(got[i].Head) != engine.TupleKey(want[i].Head) || math.Abs(got[i].Prob-want[i].Prob) > 1e-12 {
-					t.Fatalf("%s: %q (cc=%v) answer %d: %v %v, scratch build %v %v",
-						when, src, cc, i, got[i].Head, got[i].Prob, want[i].Head, want[i].Prob)
-				}
+		got, err := ix.Query(q, IntersectOptions{})
+		if err != nil {
+			t.Fatalf("%s: %q: %v", when, src, err)
+		}
+		want, err := ref.Query(q, IntersectOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %q: %d answers, scratch build has %d", when, src, len(got), len(want))
+		}
+		for i := range want {
+			if engine.TupleKey(got[i].Head) != engine.TupleKey(want[i].Head) || math.Abs(got[i].Prob-want[i].Prob) > 1e-12 {
+				t.Fatalf("%s: %q answer %d: %v %v, scratch build %v %v",
+					when, src, i, got[i].Head, got[i].Prob, want[i].Head, want[i].Prob)
 			}
 		}
+		checkPointer(t, ix, q, got)
 	}
 	gm, err := ix.AllTupleMarginals()
 	if err != nil {

@@ -5,8 +5,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"mvdb/internal/engine"
 	"mvdb/internal/obdd"
@@ -37,8 +35,6 @@ type chain struct {
 	off   []int32
 	pNotW logProd
 	vals  int // separator values with a block, under a block record
-
-	neg *lazyNeg
 }
 
 // level returns the level of a variable of the chain.
@@ -248,7 +244,7 @@ func weigh(sh shape, probs, buf []float64) segment {
 // with its separator value, and the record is returned for the index to keep
 // (without the roots); nil when it does not line up with the chain.
 func newChain(m *obdd.Manager, root obdd.NodeID, rec *obdd.BlockRecord, probs []float64) (c *chain, kept *obdd.BlockRecord) {
-	c = &chain{ord: m.NewScratch(), neg: new(lazyNeg)}
+	c = &chain{ord: m.NewScratch()}
 	if root == obdd.False {
 		c.pNotW.zeros = 1 // ¬W is unsatisfiable: P0(¬W) = 0
 	}
@@ -331,27 +327,14 @@ func (p logProd) value() (float64, int) {
 }
 
 // negW is a chain's ¬W as a pointer OBDD — what the pointer MVIntersect of
-// Fig. 9, Sift and SaveSeq work on. at maps a node of m to its index in its
-// block (-1 for nodes outside the chain); roots are the blocks' roots.
+// Fig. 9, Sift and SaveSeq work on, each materialising its own; no chain
+// keeps one. at maps a node of m to its index in its block (-1 for nodes
+// outside the chain); roots are the blocks' roots.
 type negW struct {
 	m     *obdd.Manager
 	root  obdd.NodeID
 	roots []obdd.NodeID
 	at    []int32
-}
-
-// lazyNeg holds a chain's negW, built from the segments on first need;
-// chains that differ only in weights share it.
-type lazyNeg struct {
-	once sync.Once
-	p    atomic.Pointer[negW]
-}
-
-// negOBDD returns the chain's ¬W, materialising it from the segments on the
-// first call. Safe for concurrent callers.
-func (c *chain) negOBDD() *negW {
-	c.neg.once.Do(func() { c.neg.p.Store(c.materialize()) })
-	return c.neg.p.Load()
 }
 
 // materialize rebuilds ¬W from the segments in a fresh scratch manager of

@@ -13,8 +13,8 @@ import (
 )
 
 // TestIntersectPairBudget: a pair-visit budget far below the traversal's real
-// cost aborts with ErrBudgetExceeded, in both the map-memo and the
-// cache-conscious layout; a generous budget returns the exact answer.
+// cost aborts with ErrBudgetExceeded; a generous budget returns the exact
+// answer.
 func TestIntersectPairBudget(t *testing.T) {
 	m := chainMVDB(16, 21)
 	_, ix := buildIndex(t, m)
@@ -24,23 +24,15 @@ func TestIntersectPairBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cc := range []bool{false, true} {
-		_, err := ix.ProbBoolean(q.UCQ, IntersectOptions{
-			CacheConscious: cc,
-			Budget:         budget.Budget{MaxPairs: 2},
-		})
-		if !errors.Is(err, budget.ErrBudgetExceeded) {
-			t.Errorf("cc=%v MaxPairs=2: err = %v, want ErrBudgetExceeded", cc, err)
-		}
-		got, err := ix.ProbBoolean(q.UCQ, IntersectOptions{
-			CacheConscious: cc,
-			Budget:         budget.Budget{MaxPairs: 1 << 20},
-		})
-		if err != nil {
-			t.Errorf("cc=%v generous budget: %v", cc, err)
-		} else if math.Abs(got-want) > 1e-12 {
-			t.Errorf("cc=%v budgeted P = %v, want %v", cc, got, want)
-		}
+	_, err = ix.ProbBoolean(q.UCQ, IntersectOptions{Budget: budget.Budget{MaxPairs: 2}})
+	if !errors.Is(err, budget.ErrBudgetExceeded) {
+		t.Errorf("MaxPairs=2: err = %v, want ErrBudgetExceeded", err)
+	}
+	got, err := ix.ProbBoolean(q.UCQ, IntersectOptions{Budget: budget.Budget{MaxPairs: 1 << 20}})
+	if err != nil {
+		t.Errorf("generous budget: %v", err)
+	} else if math.Abs(got-want) > 1e-12 {
+		t.Errorf("budgeted P = %v, want %v", got, want)
 	}
 }
 
@@ -132,16 +124,13 @@ func TestBudgetIsolation(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 4; j++ {
 				if i%2 == 0 {
-					_, err := ix.ProbBoolean(q.UCQ, IntersectOptions{
-						CacheConscious: j%2 == 0,
-						Budget:         budget.Budget{MaxPairs: 2},
-					})
+					_, err := ix.ProbBoolean(q.UCQ, IntersectOptions{Budget: budget.Budget{MaxPairs: 2}})
 					if !errors.Is(err, budget.ErrBudgetExceeded) {
 						errs <- errf("starved query: err = %v, want ErrBudgetExceeded", err)
 					}
 					continue
 				}
-				got, err := ix.ProbBoolean(q.UCQ, IntersectOptions{CacheConscious: j%2 == 0})
+				got, err := ix.ProbBoolean(q.UCQ, IntersectOptions{})
 				if err != nil {
 					errs <- errf("unbudgeted query: %v", err)
 				} else if math.Abs(got-want) > 1e-12 {

@@ -9,17 +9,13 @@ import (
 )
 
 // indexCache is the cross-query memoization state of one Index: the answer
-// cache (query text → answer set), the lineage cache below
-// it (canonical lineage hash → probability, shared across queries whose
-// per-answer lineages coincide), and the aggregated apply-cache counters of
+// cache (query text → answer set) and the aggregated apply-cache counters of
 // the per-query scratch managers.
 type indexCache struct {
 	answers *qcache.Cache[[]core.Answer]
-	lineage *qcache.Cache[float64]
 
 	// applyHits/applyMisses accumulate the OBDD apply-cache counters of the
-	// scratch managers that per-query OBDD synthesis runs in (the shared
-	// manager is frozen and never applies on the read path).
+	// scratch managers that per-query OBDD synthesis runs in.
 	applyHits, applyMisses atomic.Uint64
 }
 
@@ -27,15 +23,10 @@ type indexCache struct {
 type CacheStats struct {
 	Enabled bool         `json:"enabled"`
 	Answers qcache.Stats `json:"answers"`
-	Lineage qcache.Stats `json:"lineage"`
 	// QueryApplyHits/Misses aggregate the OBDD apply-cache counters of the
 	// scratch managers used by query evaluation since the cache was enabled.
 	QueryApplyHits   uint64 `json:"query_apply_hits"`
 	QueryApplyMisses uint64 `json:"query_apply_misses"`
-	// SharedApplyHits/Misses are the counters of Manager() (it starts
-	// empty on every structural batch).
-	SharedApplyHits   uint64 `json:"shared_apply_hits"`
-	SharedApplyMisses uint64 `json:"shared_apply_misses"`
 }
 
 // EnableCache installs the cross-query cache with the given bounds (or
@@ -49,49 +40,21 @@ func (ix *Index) EnableCache(opts qcache.Options) {
 		ix.cache = nil
 		return
 	}
-	ix.cache = &indexCache{
-		answers: qcache.New(opts, answerBytes),
-		// The lineage cache stores one float64 per entry; entries are tiny
-		// and fixed-size, so the entry bound dominates. Give it 4x the
-		// answer cache's entry budget (several lineages per answer set) and
-		// keep it out of the byte budget.
-		lineage: qcache.New(qcache.Options{
-			MaxEntries: 4 * entriesOrDefault(opts.MaxEntries),
-			MaxBytes:   -1,
-		}, func(float64) int64 { return lineageEntryBytes }),
-	}
+	ix.cache = &indexCache{answers: qcache.New(opts, answerBytes)}
 }
 
-// CacheStats returns a snapshot of the memoization counters. The shared
-// apply counters are read from the frozen manager, which is safe under the
-// index's read contract.
+// CacheStats returns a snapshot of the memoization counters.
 func (ix *Index) CacheStats() CacheStats {
-	st := CacheStats{}
-	st.SharedApplyHits, st.SharedApplyMisses = ix.ch.ord.ApplyCacheStats()
 	if ix.cache == nil {
-		return st
+		return CacheStats{}
 	}
-	st.Enabled = true
-	st.Answers = ix.cache.answers.Stats()
-	st.Lineage = ix.cache.lineage.Stats()
-	st.QueryApplyHits = ix.cache.applyHits.Load()
-	st.QueryApplyMisses = ix.cache.applyMisses.Load()
-	return st
+	return CacheStats{
+		Enabled:          true,
+		Answers:          ix.cache.answers.Stats(),
+		QueryApplyHits:   ix.cache.applyHits.Load(),
+		QueryApplyMisses: ix.cache.applyMisses.Load(),
+	}
 }
-
-func entriesOrDefault(n int) int {
-	if n == 0 {
-		return qcache.DefaultMaxEntries
-	}
-	if n < 0 {
-		return qcache.DefaultMaxEntries // unlimited answers; keep lineage bounded
-	}
-	return n
-}
-
-// lineageEntryBytes is the approximate retained size of one lineage-cache
-// entry (map bucket + LRU element + entry struct).
-const lineageEntryBytes = 96
 
 // answerBytes estimates the retained bytes of a cached answer set: slice
 // headers, head values, and per-entry bookkeeping.
@@ -114,30 +77,15 @@ var textSeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
 // cacheKeyForText derives the answer-cache key of a query text under the
 // given options: a 128-bit hash of the text exactly as sent, with no
 // whitespace normalised (it is significant inside quoted constants). The
-// intersection algorithm bits are folded in so ablation runs comparing
-// algorithm variants never read each other's entries (the variants agree
-// semantically but may differ in final-ulp rounding).
+// entry-shortcut ablation bit is folded in so an ablation run never reads
+// the entries of a shortcut run (the two agree semantically but may differ
+// in final-ulp rounding).
 func cacheKeyForText(text string, opts IntersectOptions) qcache.Key {
-	return qcache.Key{
-		Hi: maphash.String(textSeeds[0], text),
-		Lo: maphash.String(textSeeds[1], text) ^ algBits(opts),
-	}
-}
-
-// cacheKeyForLineage derives the lineage-cache key of one answer lineage.
-func cacheKeyForLineage(hi, lo uint64, opts IntersectOptions) qcache.Key {
-	return qcache.Key{Hi: hi, Lo: lo ^ algBits(opts)}
-}
-
-func algBits(opts IntersectOptions) uint64 {
-	var b uint64
-	if opts.CacheConscious {
-		b |= 1
-	}
+	k := qcache.Key{Hi: maphash.String(textSeeds[0], text), Lo: maphash.String(textSeeds[1], text)}
 	if opts.NoEntryShortcut {
-		b |= 2
+		k.Lo ^= 2
 	}
-	return b
+	return k
 }
 
 // copyAnswers returns a shallow copy of a cached answer slice so a caller

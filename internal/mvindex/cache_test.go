@@ -41,12 +41,12 @@ func TestCachedMatchesUncached(t *testing.T) {
 				{Atoms: []ucq.Atom{{Rel: "Adv", Args: []ucq.Term{ucq.CInt(s2), ucq.V("a")}}}},
 			}}}
 		}
-		want, err := ix.Query(q, IntersectOptions{CacheConscious: true, DisableCache: true})
+		want, err := ix.Query(q, IntersectOptions{DisableCache: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for pass := 0; pass < 2; pass++ { // pass 0 fills (or hits), pass 1 must hit
-			got, err := ix.Query(q, IntersectOptions{CacheConscious: true})
+			got, err := ix.Query(q, IntersectOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +82,7 @@ func TestRenamedQueryMissesCache(t *testing.T) {
 	m := chainMVDB(10, 3)
 	_, ix := buildIndex(t, m)
 	ix.EnableCache(qcache.Options{})
-	opts := IntersectOptions{CacheConscious: true}
+	opts := IntersectOptions{}
 	r1, err := ix.QueryText("Q(a) :- Adv(s,a)", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestQueryTextKeepsWhitespace(t *testing.T) {
 	db.MustInsert("Author", 3, engine.Int(2), engine.Str("x a b"))
 	_, ix := buildIndex(t, core.New(db))
 	ix.EnableCache(qcache.Options{})
-	opts := IntersectOptions{CacheConscious: true}
+	opts := IntersectOptions{}
 	two, err := ix.QueryText("Q(a) :- Author(a,n), n like '%a  b%'", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestQueryAndQueryTextShareEntry(t *testing.T) {
 	m := chainMVDB(10, 3)
 	_, ix := buildIndex(t, m)
 	ix.EnableCache(qcache.Options{})
-	opts := IntersectOptions{CacheConscious: true}
+	opts := IntersectOptions{}
 	q := ucq.MustParse("Q(a)   :-   Adv(s,a), s > 2")
 	r1, err := ix.Query(q, opts)
 	if err != nil {
@@ -165,7 +165,7 @@ func TestBadQueryNeverCached(t *testing.T) {
 	}
 	for _, text := range bad {
 		for rep := 0; rep < 3; rep++ {
-			_, err := ix.QueryText(text, IntersectOptions{CacheConscious: true})
+			_, err := ix.QueryText(text, IntersectOptions{})
 			var qerr *QueryError
 			if !errors.As(err, &qerr) {
 				t.Fatalf("%q (repeat %d): err = %v, want a *QueryError", text, rep, err)
@@ -185,7 +185,7 @@ func TestQueryTextHitAfterWriteReevaluates(t *testing.T) {
 	tr, ix := buildIndex(t, m)
 	ix.EnableCache(qcache.Options{})
 	const text = "Q(a) :- Adv(1,a)"
-	opts := IntersectOptions{CacheConscious: true}
+	opts := IntersectOptions{}
 	before, err := ix.QueryText(text, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -231,12 +231,12 @@ func TestReweightInvalidatesCache(t *testing.T) {
 	tr, ix := buildIndex(t, m)
 	ix.EnableCache(qcache.Options{})
 	q := ucq.MustParse("Q(a) :- Adv(1,a)")
-	before, err := ix.Query(q, IntersectOptions{CacheConscious: true})
+	before, err := ix.Query(q, IntersectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Warm the cache, then mutate.
-	if _, err := ix.Query(q, IntersectOptions{CacheConscious: true}); err != nil {
+	if _, err := ix.Query(q, IntersectOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	adv := tr.DB.Relation("Adv")
@@ -244,7 +244,7 @@ func TestReweightInvalidatesCache(t *testing.T) {
 		adv.Tuples[i].Weight *= 3
 	}
 	ix.Reweight()
-	after, err := ix.Query(q, IntersectOptions{CacheConscious: true})
+	after, err := ix.Query(q, IntersectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestReweightInvalidatesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.Query(q, IntersectOptions{CacheConscious: true})
+	want, err := fresh.Query(q, IntersectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestSingleflightHammer(t *testing.T) {
 	_, ix := buildIndex(t, m)
 	ix.EnableCache(qcache.Options{})
 	q := ucq.MustParse("Q(a) :- Adv(s,a)")
-	want, err := ix.Query(q, IntersectOptions{CacheConscious: true, DisableCache: true})
+	want, err := ix.Query(q, IntersectOptions{DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestSingleflightHammer(t *testing.T) {
 				if g%3 == 0 && r%2 == 0 {
 					cancel() // canceled before (or while) waiting
 				}
-				rows, err := ix.Query(q, IntersectOptions{CacheConscious: true, Ctx: ctx})
+				rows, err := ix.Query(q, IntersectOptions{Ctx: ctx})
 				cancel()
 				if err != nil {
 					if errors.Is(err, budget.ErrCanceled) || errors.Is(err, context.Canceled) {
@@ -316,37 +316,6 @@ func TestSingleflightHammer(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLineageCacheSharesAcrossQueries: two distinct named queries whose
-// answers produce the same lineages must hit the lineage cache on the second
-// query even though the answer cache misses.
-func TestLineageCacheSharesAcrossQueries(t *testing.T) {
-	m := chainMVDB(12, 5)
-	_, ix := buildIndex(t, m)
-	ix.EnableCache(qcache.Options{})
-	// Two different spellings with different fingerprints but identical
-	// per-answer lineage: Q(a) :- Adv(1,a) vs the union with itself plus a
-	// distinct second disjunct evaluated first.
-	q1 := ucq.MustParse("Q(a) :- Adv(1,a)")
-	if _, err := ix.Query(q1, IntersectOptions{CacheConscious: true}); err != nil {
-		t.Fatal(err)
-	}
-	st1 := ix.CacheStats()
-	// A structurally different query (extra join variable constraint) whose
-	// bound answers re-derive the same lineages.
-	q2 := ucq.MustParse("R(x) :- Adv(1,x)\nR(x) :- Adv(2,x)")
-	if _, err := ix.Query(q2, IntersectOptions{CacheConscious: true}); err != nil {
-		t.Fatal(err)
-	}
-	st2 := ix.CacheStats()
-	if st2.Answers.Hits != st1.Answers.Hits {
-		t.Fatalf("distinct query hit the answer cache: %+v", st2.Answers)
-	}
-	if st2.Lineage.Hits <= st1.Lineage.Hits {
-		t.Fatalf("second query did not reuse cached lineage probabilities: %+v then %+v",
-			st1.Lineage, st2.Lineage)
-	}
-}
-
 // TestCacheStatsApplyCounters: the scratch-manager apply counters accumulate
 // on uncached evaluation.
 func TestCacheStatsApplyCounters(t *testing.T) {
@@ -354,7 +323,7 @@ func TestCacheStatsApplyCounters(t *testing.T) {
 	_, ix := buildIndex(t, m)
 	ix.EnableCache(qcache.Options{})
 	q := ucq.MustParse("Q() :- Adv(s,a)")
-	if _, err := ix.ProbBoolean(q.UCQ, IntersectOptions{CacheConscious: true}); err != nil {
+	if _, err := ix.ProbBoolean(q.UCQ, IntersectOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	st := ix.CacheStats()

@@ -28,8 +28,8 @@ func (e Explain) String() string {
 }
 
 // ExplainBoolean evaluates P(Q) like ProbBoolean and reports traversal
-// statistics (always with the entry shortcut, over the segments). Only the
-// cancellation and budget fields of opts apply; the layout knobs are fixed.
+// statistics (always with the entry shortcut). Only the cancellation and
+// budget fields of opts apply.
 func (ix *Index) ExplainBoolean(q ucq.UCQ, opts IntersectOptions) (Explain, error) {
 	linQ, err := ucq.EvalBoolean(ix.tr.DB, q)
 	if err != nil {
@@ -63,7 +63,7 @@ func (ix *Index) ExplainLineage(linQ lineage.DNF, opts IntersectOptions) (Explai
 		ex.SpanLevels = span
 	}
 	var s span
-	ex.Prob, s, ex.PairsVisited, err = ix.walk(qm, fQ, IntersectOptions{CacheConscious: true, Ctx: opts.Ctx, Budget: opts.Budget})
+	ex.Prob, s, ex.PairsVisited, err = ix.walk(qm, fQ, IntersectOptions{Ctx: opts.Ctx, Budget: opts.Budget}, (*Index).intersectCC)
 	if err != nil {
 		return Explain{}, err
 	}
@@ -76,13 +76,10 @@ func (ix *Index) ExplainLineage(linQ lineage.DNF, opts IntersectOptions) (Explai
 // the paper's motivating use case — reading off the corrected likelihood of
 // an inferred fact (an advisor edge, an affiliation) after the MarkoViews
 // reweight it.
-// Only the cancellation and budget fields of opts apply; the traversal is
-// always cache-conscious.
 func (ix *Index) TupleMarginal(v int, opts IntersectOptions) (float64, error) {
 	if ix.ch.ord.Level(v) < 0 {
 		return 0, fmt.Errorf("mvindex: variable %d not in the index order", v)
 	}
-	opts.CacheConscious = true
 	qm := ix.ch.ord.NewScratch()
 	return ix.intersectOn(qm, qm.Var(v), opts)
 }

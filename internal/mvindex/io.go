@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
@@ -16,10 +17,10 @@ import (
 // indexSnapshot is the serialized MV-index: the translated database, the
 // translation metadata, an OBDD manager, and the ¬W root. The index holds ¬W
 // as per-block segments; Save writes the pointer ¬W rebuilt from them — a
-// manager of exactly ¬W's nodes, which the version keeps for the next Save —
-// and the segments are recomputed on load — one pass of the per-block
-// primitive over every block; they depend on the tuple weights, which keeps
-// saved indexes valid under Reweight-style workflows.
+// manager of exactly ¬W's nodes, dropped once written — and the segments
+// are recomputed on load — one pass of the per-block primitive over every
+// block; they depend on the tuple weights, which keeps saved indexes valid
+// under Reweight-style workflows.
 //
 // The database is written once: the translated database holds the source
 // MVDB's base relations themselves plus the NV relations, and a restore
@@ -36,6 +37,9 @@ import (
 // (obdd.Snapshot stores the order); the Reorder fields let recovery and
 // replica bootstrap know the order is learned — they skip the sifting search
 // and delta recompiles keep inheriting the order.
+// Gob writes a map in random order, so the view weight tables and the block
+// provenance (Provenance; Reorder.BlockProvenance stays empty) are slices
+// sorted by key: two saves of one index are byte-identical.
 type indexSnapshot struct {
 	Magic       string
 	DB          engine.DatabaseSnapshot
@@ -49,12 +53,21 @@ type indexSnapshot struct {
 	Opts      core.TranslateOptions
 	LastSeq   uint64
 
-	Reordered bool
-	Reorder   ReorderInfo
+	Reordered  bool
+	Reorder    ReorderInfo
+	Provenance []blockCount
 }
 
-// snapshotMagic names the one snapshot format written and read.
-const snapshotMagic = "mvindex-v4"
+// blockCount is one entry of ReorderInfo.BlockProvenance in a snapshot.
+type blockCount struct {
+	Kind   string
+	Blocks int
+}
+
+// snapshotMagic names the one snapshot format written and read. v5 writes
+// v4's two maps as sorted slices under new field names, so a v4 stream
+// decodes and is refused by its magic, not by a gob type error.
+const snapshotMagic = "mvindex-v5"
 
 // SnapshotVersionError reports a snapshot whose magic is not the supported
 // one — a stream written by another version of the format, or not an index
@@ -73,7 +86,7 @@ func (e *SnapshotVersionError) Error() string {
 // mutations; closure-weighted sources degrade to a query-only snapshot.
 func (ix *Index) SaveSeq(w io.Writer, lastSeq uint64) error {
 	bw := bufio.NewWriter(w)
-	n := ix.ch.negOBDD()
+	n := ix.ch.materialize()
 	s := indexSnapshot{
 		Magic:       snapshotMagic,
 		DB:          ix.tr.DB.Snapshot(),
@@ -89,8 +102,12 @@ func (ix *Index) SaveSeq(w io.Writer, lastSeq uint64) error {
 		}
 	}
 	if ix.reorder != nil {
-		s.Reordered = true
-		s.Reorder = *ix.ReorderInfo()
+		s.Reordered, s.Reorder = true, *ix.reorder
+		s.Reorder.BlockProvenance = nil
+		for k, n := range ix.reorder.BlockProvenance {
+			s.Provenance = append(s.Provenance, blockCount{k, n})
+		}
+		sort.Slice(s.Provenance, func(i, j int) bool { return s.Provenance[i].Kind < s.Provenance[j].Kind })
 	}
 	if err := gob.NewEncoder(bw).Encode(s); err != nil {
 		return fmt.Errorf("mvindex: encoding index: %w", err)
@@ -139,8 +156,9 @@ func ReadSeq(r io.Reader) (*Index, uint64, error) {
 		// no sifting search re-runs and delta recompiles keep inheriting it.
 		ri := s.Reorder
 		ri.Provenance = "snapshot"
-		if ri.BlockProvenance == nil {
-			ri.BlockProvenance = map[string]int{}
+		ri.BlockProvenance = make(map[string]int, len(s.Provenance))
+		for _, c := range s.Provenance {
+			ri.BlockProvenance[c.Kind] = c.Blocks
 		}
 		ix.reorder = &ri
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"mvdb/internal/baseline"
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
+	"mvdb/internal/obdd"
 	"mvdb/internal/ucq"
 )
 
@@ -41,20 +43,19 @@ func TestIndexSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cc := range []bool{false, true} {
-		got, err := back.Query(q, IntersectOptions{CacheConscious: cc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("rows: %d vs %d", len(got), len(want))
-		}
-		for i := range got {
-			if math.Abs(got[i].Prob-want[i].Prob) > 1e-9 {
-				t.Errorf("cc=%v row %v: %v vs %v", cc, got[i].Head, got[i].Prob, want[i].Prob)
-			}
+	got, err := back.Query(q, IntersectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("rows: %d vs %d", len(got), len(want))
+	}
+	for i := range got {
+		if math.Abs(got[i].Prob-want[i].Prob) > 1e-9 {
+			t.Errorf("row %v: %v vs %v", got[i].Head, got[i].Prob, want[i].Prob)
 		}
 	}
+	checkPointer(t, back, q, got)
 }
 
 func TestIndexLoadCorrupt(t *testing.T) {
@@ -118,9 +119,11 @@ func reencoded(t *testing.T, ix *Index) []byte {
 	return buf.Bytes()
 }
 
-// TestSnapshotVersionRejected: only mvindex-v4 loads. The same stream under
-// the retired v3 magic (whose layout held the base relations twice) is
-// refused with an error naming both magics; put back under v4 it
+// TestSnapshotVersionRejected: only mvindex-v5 loads. The same stream under
+// the retired v3 magic is refused with an error naming both magics, and so
+// is a stream in v4's layout, whose view weight tables and block provenance
+// were gob maps: it decodes (the map fields are skipped) and is refused by
+// its magic, not by a gob type error. Put back under v5 the stream
 // round-trips.
 func TestSnapshotVersionRejected(t *testing.T) {
 	_, ix := buildIndex(t, chainMVDB(5, 1))
@@ -132,30 +135,108 @@ func TestSnapshotVersionRejected(t *testing.T) {
 	if err := gob.NewDecoder(&buf).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	reencode := func(magic string) *bytes.Buffer {
-		snap.Magic = magic
+	encode := func(v any) *bytes.Buffer {
 		var b bytes.Buffer
-		if err := gob.NewEncoder(&b).Encode(snap); err != nil {
+		if err := gob.NewEncoder(&b).Encode(v); err != nil {
 			t.Fatal(err)
 		}
 		return &b
 	}
+	reencode := func(magic string) *bytes.Buffer {
+		snap.Magic = magic
+		return encode(snap)
+	}
 	_, err := readIndex(reencode("mvindex-v3"))
 	var ve *SnapshotVersionError
-	if !errors.As(err, &ve) || ve.Found != "mvindex-v3" || ve.Supported != "mvindex-v4" {
-		t.Fatalf("v3 magic: err = %v, want a SnapshotVersionError naming mvindex-v3 and mvindex-v4", err)
+	if !errors.As(err, &ve) || ve.Found != "mvindex-v3" || ve.Supported != "mvindex-v5" {
+		t.Fatalf("v3 magic: err = %v, want a SnapshotVersionError naming mvindex-v3 and mvindex-v5", err)
 	}
 	for _, magic := range []string{ve.Found, ve.Supported} {
 		if !strings.Contains(err.Error(), magic) {
 			t.Errorf("error %q does not name %s", err, magic)
 		}
 	}
-	back, err := readIndex(reencode("mvindex-v4"))
+	// v4's layout: the same fields, with the weight table and the block
+	// provenance as maps.
+	type v4View struct {
+		Name    string
+		Head    []string
+		Def     ucq.UCQ
+		Weights core.WeightTable
+	}
+	v4 := struct {
+		Magic       string
+		DB          engine.DatabaseSnapshot
+		Translation core.TranslationSnapshot
+		Manager     obdd.Snapshot
+		Root        int32
+		HasSource   bool
+		Views       []v4View
+		Opts        core.TranslateOptions
+		LastSeq     uint64
+		Reordered   bool
+		Reorder     ReorderInfo
+	}{Magic: "mvindex-v4", DB: snap.DB, Translation: snap.Translation, Manager: snap.Manager, Root: snap.Root,
+		HasSource: true, Views: []v4View{{Name: "V", Weights: core.WeightTable{Default: 2.5, ByHead: map[string]float64{"1": 3, "2": 4}}}},
+		Reordered: true, Reorder: ReorderInfo{Mode: "once", BlockProvenance: map[string]int{"sifted": 3, "inherited-reused": 2}}}
+	if _, err := readIndex(encode(v4)); !errors.As(err, &ve) || ve.Found != "mvindex-v4" {
+		t.Fatalf("v4 stream: err = %v, want a SnapshotVersionError naming mvindex-v4", err)
+	}
+	back, err := readIndex(reencode("mvindex-v5"))
 	if err != nil {
-		t.Fatalf("v4 round-trip: %v", err)
+		t.Fatalf("v5 round-trip: %v", err)
 	}
 	if back.Size() != ix.Size() || back.Blocks() != ix.Blocks() {
-		t.Errorf("v4 round-trip: size/blocks %d/%d vs %d/%d", back.Size(), back.Blocks(), ix.Size(), ix.Blocks())
+		t.Errorf("v5 round-trip: size/blocks %d/%d vs %d/%d", back.Size(), back.Blocks(), ix.Size(), ix.Blocks())
+	}
+}
+
+// TestSnapshotBytesReproducible: saving one index again gives the same
+// bytes — for a plain index whose view weight table has per-head
+// overrides, and for a sifted index after a structural batch, whose block
+// provenance has two kinds — and the overrides and the provenance survive
+// the round trip.
+func TestSnapshotBytesReproducible(t *testing.T) {
+	m := chainMVDB(20, 4)
+	tableWeights(t, m)
+	for s := int64(1); s <= 20; s += 2 {
+		m.Views[0].Weights.Set([]engine.Value{engine.Int(s)}, 1+float64(s)/4)
+	}
+	_, ix := buildIndex(t, m)
+	same := func(what string) []byte {
+		t.Helper()
+		first := reencoded(t, ix)
+		for i := 0; i < 8; i++ {
+			if !bytes.Equal(reencoded(t, ix), first) {
+				t.Fatalf("%s: save %d differs from the first", what, i+2)
+			}
+		}
+		return first
+	}
+	back, err := readIndex(bytes.NewReader(same("plain index")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := back.Source().Views[0].Weights.ByHead, m.Views[0].Weights.ByHead; len(got) != 10 || !maps.Equal(got, want) {
+		t.Fatalf("restored overrides %v, want %v", got, want)
+	}
+	if _, err := ix.Sift(obdd.ReorderOptions{Mode: obdd.ReorderOnce}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.ApplyMutations([]core.Mutation{
+		{Op: core.MutInsert, Rel: "Adv", Vals: []engine.Value{engine.Int(3), engine.Int(903)}, Weight: 1.5},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ix.reorder.BlockProvenance); n != 2 {
+		t.Fatalf("block provenance %v, want two kinds", ix.reorder.BlockProvenance)
+	}
+	back, err = readIndex(bytes.NewReader(same("sifted index after a structural batch")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back.ReorderInfo().BlockProvenance; !maps.Equal(got, ix.reorder.BlockProvenance) {
+		t.Fatalf("restored block provenance %v, want %v", got, ix.reorder.BlockProvenance)
 	}
 }
 
@@ -222,7 +303,7 @@ func TestReweight(t *testing.T) {
 		adv.Tuples[i].Weight *= 2
 	}
 	ix.Reweight()
-	after, err := ix.ProbBoolean(q.UCQ, IntersectOptions{CacheConscious: true})
+	after, err := ix.ProbBoolean(q.UCQ, IntersectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +422,8 @@ func TestIndexSnapshotClosureDegrades(t *testing.T) {
 
 // TestSnapshotAfterManyBatches: an index maintained through 200 random
 // structural and reweight batches, saved and loaded back, answers bitwise
-// the same on both layouts — the restored segments are the maintained ones.
+// the same, and within 1e-12 of the pointer MVIntersect — the restored
+// segments are the maintained ones.
 func TestSnapshotAfterManyBatches(t *testing.T) {
 	m := multiAdvMVDB(12, 3)
 	tableWeights(t, m)
@@ -362,24 +444,23 @@ func TestSnapshotAfterManyBatches(t *testing.T) {
 	}
 	for _, src := range []string{"Q(s) :- Adv(s,a)", "Q() :- Adv(s,a)", "Q(a) :- Adv(2,a)", "Q(s, a) :- Adv(s,a)"} {
 		q := ucq.MustParse(src)
-		for _, cc := range []bool{false, true} {
-			got, err := back.Query(q, IntersectOptions{CacheConscious: cc})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ix.Query(q, IntersectOptions{CacheConscious: cc})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%q: %d answers restored, %d live", src, len(got), len(want))
-			}
-			for i := range want {
-				if engine.TupleKey(got[i].Head) != engine.TupleKey(want[i].Head) || math.Float64bits(got[i].Prob) != math.Float64bits(want[i].Prob) {
-					t.Fatalf("%q (cc=%v) answer %d: restored %v %v, live %v %v", src, cc, i, got[i].Head, got[i].Prob, want[i].Head, want[i].Prob)
-				}
+		got, err := back.Query(q, IntersectOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ix.Query(q, IntersectOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%q: %d answers restored, %d live", src, len(got), len(want))
+		}
+		for i := range want {
+			if engine.TupleKey(got[i].Head) != engine.TupleKey(want[i].Head) || math.Float64bits(got[i].Prob) != math.Float64bits(want[i].Prob) {
+				t.Fatalf("%q answer %d: restored %v %v, live %v %v", src, i, got[i].Head, got[i].Prob, want[i].Head, want[i].Prob)
 			}
 		}
+		checkPointer(t, back, q, got)
 	}
 	gl, gs := back.LogProbNotW()
 	wl, ws := ix.LogProbNotW()

@@ -212,7 +212,7 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 // between its neighbours' level windows in the patched order.
 func (ix *Index) splice(d *obdd.Delta, ord *obdd.Manager, varMap func(int) (int, bool), touched []int, st *MaintStats) *chain {
 	old := ix.ch
-	c := &chain{ord: ord, pNotW: old.pNotW, vals: old.vals, neg: new(lazyNeg),
+	c := &chain{ord: ord, pNotW: old.pNotW, vals: old.vals,
 		segs: make([]*segment, 0, len(old.segs)+len(d.Values)),
 		off:  make([]int32, 1, len(old.segs)+len(d.Values)+1)}
 	keep := func(a, b int) bool {

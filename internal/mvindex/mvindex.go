@@ -9,10 +9,10 @@
 //   - IntraBddIndex: tuple variable → OBDD nodes labeled with it (one run of
 //     its block's level-sorted node list).
 //
-// Two intersection algorithms compute P(Q) = P0(ΦQ ∧ ¬W)/P0(¬W):
-// MVIntersect, a top-down memoized pairwise traversal, and CC-MVIntersect,
-// the cache-conscious variant that walks the OBDD laid out as flat per-block
-// segments in DFS order (Sect. 4.3), the form the index stores ¬W in.
+// Every read computes P(Q) = P0(ΦQ ∧ ¬W)/P0(¬W) with CC-MVIntersect, the
+// top-down memoized pairwise traversal over ¬W laid out as flat per-block
+// segments in DFS order (Sect. 4.3), the form the index stores ¬W in. The
+// pointer MVIntersect survives only as Fig. 9's baseline (Index.MVIntersect).
 //
 // # Numerical stability at scale
 //
@@ -40,7 +40,6 @@ import (
 	"mvdb/internal/core"
 	"mvdb/internal/lineage"
 	"mvdb/internal/obdd"
-	"mvdb/internal/qcache"
 	"mvdb/internal/ucq"
 )
 
@@ -49,9 +48,8 @@ import (
 // The read path (IntersectLineage, Query, ProbBoolean,
 // ExplainLineage, TupleMarginal, ...) never mutates the index and is safe for
 // any number of concurrent callers: query OBDDs are built in scratch
-// managers over the index's variable order, every traversal memo is
-// per-call, and the one lazily built structure (the pointer OBDD of ¬W) is
-// built once under a lock. The mutating operations — ApplyMutations,
+// managers over the index's variable order and every traversal memo is
+// per-call. The mutating operations — ApplyMutations,
 // Reweight, Sift, EnableCache — require exclusive access (no concurrent
 // readers).
 type Index struct {
@@ -64,7 +62,7 @@ type Index struct {
 	ch *chain
 
 	// cache, when non-nil, is the cross-query memoization layer (see
-	// EnableCache): answer cache, lineage cache, and singleflight. The read
+	// EnableCache): the answer cache and its singleflight. The read
 	// path consults it concurrently; installing or removing it is a mutating
 	// operation like Reweight.
 	cache *indexCache
@@ -146,7 +144,7 @@ func (ix *Index) Sift(opts obdd.ReorderOptions) (obdd.ReorderStats, error) {
 		return st, nil
 	}
 	opts.Windows = ix.BlockWindows()
-	n := ix.ch.negOBDD()
+	n := ix.ch.materialize()
 	roots := []obdd.NodeID{n.root}
 	var rec *obdd.BlockRecord
 	if ix.rec != nil {
@@ -168,9 +166,8 @@ func (ix *Index) Sift(opts obdd.ReorderOptions) (obdd.ReorderStats, error) {
 	}
 	ix.ch, ix.rec = newChain(nm, nroots[0], rec, ix.probs)
 	ix.noteReorder(opts.Mode, st, "sifted")
-	// Cached answers and lineage probabilities stay valid: the represented
-	// functions and weights are unchanged, and the caches never store
-	// NodeIDs.
+	// Cached answers stay valid: the represented functions and weights are
+	// unchanged, and the cache never stores NodeIDs.
 	return st, nil
 }
 
@@ -274,10 +271,10 @@ func (ix *Index) Manager() *obdd.Manager { return ix.ch.ord }
 // loading a saved index).
 func (ix *Index) Translation() *core.Translation { return ix.tr }
 
-// IntersectOptions selects the online intersection algorithm and its
-// shortcuts.
+// IntersectOptions bounds one read and selects its ablations.
 type IntersectOptions struct {
-	// CacheConscious selects CC-MVIntersect (flattened DFS-order layout).
+	// Deprecated: ignored; every intersection is CC-MVIntersect. Kept only
+	// because benchmark/ sets it; C2 deletes it.
 	CacheConscious bool
 	// NoEntryShortcut disables the InterBddIndex entry into the first block
 	// the query touches — an ablation that forces the traversal to start at
@@ -295,10 +292,10 @@ type IntersectOptions struct {
 	// (each answer runs its own intersection); Deadline bounds the whole
 	// call.
 	Budget budget.Budget
-	// DisableCache bypasses the index's cross-query cache (EnableCache) for
-	// this call: nothing is read from or written to the answer and lineage
-	// caches, and the call does not join singleflight groups. Benchmarks use
-	// it to measure the cold path on a cache-enabled index.
+	// DisableCache bypasses the index's answer cache (EnableCache) for this
+	// call: nothing is read from or written to it, and the call does not
+	// join singleflight groups. Benchmarks use it to measure the cold path
+	// on a cache-enabled index.
 	DisableCache bool
 }
 
@@ -361,33 +358,22 @@ func (ix *Index) spanFor(qm *obdd.Manager, fQ obdd.NodeID, opts IntersectOptions
 // lineage. The prefix and suffix blocks outside the query's span cancel in
 // the ratio, so only the touched blocks' probabilities enter the
 // computation. The query OBDD is built in a private scratch manager, so the
-// shared manager stays frozen and concurrent callers never contend.
+// shared manager stays frozen and concurrent callers never contend. No
+// probability is cached here: the answer cache above it (Query, QueryText)
+// is the index's one cache.
 func (ix *Index) IntersectLineage(linQ lineage.DNF, opts IntersectOptions) (float64, error) {
 	if linQ.IsFalse() {
 		return 0, nil
-	}
-	cache := ix.cache
-	useCache := cache != nil && !opts.DisableCache
-	var lkey qcache.Key
-	if useCache {
-		hi, lo := linQ.Hash()
-		lkey = cacheKeyForLineage(hi, lo, opts)
-		if p, ok := cache.lineage.Get(lkey); ok {
-			return p, nil
-		}
 	}
 	qm, fQ, err := ix.queryOBDD(linQ, opts)
 	if err != nil {
 		return 0, err
 	}
 	p, err := ix.intersectOn(qm, fQ, opts)
-	if cache != nil {
+	if c := ix.cache; c != nil {
 		h, ms := qm.ApplyCacheStats()
-		cache.applyHits.Add(h)
-		cache.applyMisses.Add(ms)
-	}
-	if useCache && err == nil {
-		cache.lineage.Put(lkey, p)
+		c.applyHits.Add(h)
+		c.applyMisses.Add(ms)
 	}
 	return p, err
 }
@@ -409,15 +395,19 @@ func (ix *Index) queryOBDD(linQ lineage.DNF, opts IntersectOptions) (*obdd.Manag
 // errInconsistent reports P0(¬W) = 0: no world satisfies the MarkoViews.
 var errInconsistent = errors.New("mvindex: P0(¬W) = 0 — inconsistent MarkoViews")
 
-// intersectOn runs the intersection with the query OBDD living in qm.
+// intersectOn runs CC-MVIntersect with the query OBDD living in qm.
 func (ix *Index) intersectOn(qm *obdd.Manager, fQ obdd.NodeID, opts IntersectOptions) (float64, error) {
-	p, _, _, err := ix.walk(qm, fQ, opts)
+	p, _, _, err := ix.walk(qm, fQ, opts, (*Index).intersectCC)
 	return p, err
 }
 
-// walk is intersectOn reporting the span it walked and the pairs it
-// visited.
-func (ix *Index) walk(qm *obdd.Manager, fQ obdd.NodeID, opts IntersectOptions) (p float64, s span, pairs int, err error) {
+// traversal is an intersection algorithm over the blocks of span s:
+// (*Index).intersectCC, or the pointer walk behind MVIntersect.
+type traversal func(ix *Index, qm *obdd.Manager, fQ obdd.NodeID, s span, memo, qprob *pairMemo, g *guard) float64
+
+// walk runs traversal t for the query OBDD fQ in qm, reporting the span it
+// walked and the pairs it visited.
+func (ix *Index) walk(qm *obdd.Manager, fQ obdd.NodeID, opts IntersectOptions, t traversal) (p float64, s span, pairs int, err error) {
 	if err := budget.Check(opts.Ctx, opts.Budget.Deadline); err != nil {
 		return 0, s, 0, err
 	}
@@ -437,97 +427,8 @@ func (ix *Index) walk(qm *obdd.Manager, fQ obdd.NodeID, opts IntersectOptions) (
 	s = ix.spanFor(qm, fQ, opts)
 	memo := getPairMemo()
 	defer putPairMemo(memo)
-	err = budget.Catch(func() {
-		if opts.CacheConscious {
-			p = ix.intersectCC(qm, fQ, s, memo, qprob, g)
-			return
-		}
-		t := ptrWalk{ix: ix, n: ix.ch.negOBDD(), qm: qm, stop: obdd.False, memo: memo, qprob: qprob, g: g}
-		if s.last+1 < len(t.n.roots) {
-			t.stop = t.n.roots[s.last+1]
-		}
-		p = t.rec(fQ, t.n.roots[s.first])
-	})
+	err = budget.Catch(func() { p = t(ix, qm, fQ, s, memo, qprob, g) })
 	return p, s, memo.n, err
-}
-
-// ptrWalk is one MVIntersect traversal over the pointer OBDD of ¬W; stop is
-// the root of the first block past the query's span (False: none).
-type ptrWalk struct {
-	ix          *Index
-	n           *negW
-	qm          *obdd.Manager
-	stop        obdd.NodeID
-	memo, qprob *pairMemo
-	g           *guard
-}
-
-// block returns the chain block of a node of ¬W and its index there.
-func (t *ptrWalk) block(w obdd.NodeID) (int, int32) {
-	return t.ix.ch.blockForLevel(t.n.m.NodeLevel(w)), t.n.at[w]
-}
-
-// rec is MVIntersect in conditioned units: it returns
-// P0(ΦQ ∧ C_{block(w)..last} | paths reaching w) / Π_{j=block(w)..last} b_j,
-// so the final call at the entry chain root directly yields Theorem 1's
-// ratio — every block division happens as its boundary is crossed, and no
-// unrepresentable global product is ever formed.
-func (t *ptrWalk) rec(q, w obdd.NodeID) float64 {
-	if q == obdd.False || w == obdd.False {
-		return 0
-	}
-	if w == t.stop || w == obdd.True {
-		// Constraints beyond the span factor out of the ratio.
-		return t.ix.qProb(t.qm, q, t.qprob)
-	}
-	wBlock, wi := t.block(w)
-	if q == obdd.True {
-		// Remaining constraint mass of this block (conditioned), the
-		// suffix blocks cancel.
-		seg := t.ix.ch.segs[wBlock]
-		return seg.probUnder[wi] / seg.b
-	}
-	// Both q and w are internal (≥ 2), so the packed key is never zero.
-	key := int64(q)<<32 | int64(uint32(w))
-	if r, ok := t.memo.get(key); ok {
-		return r
-	}
-	t.g.visit()
-	qm, m, probs := t.qm, t.n.m, t.ix.probs
-	lq, lw := qm.NodeLevel(q), m.NodeLevel(w)
-	var r float64
-	switch {
-	case lq < lw:
-		p := probs[qm.VarAtLevel(int(lq))]
-		r = (1-p)*t.rec(qm.Lo(q), w) + p*t.rec(qm.Hi(q), w)
-	case lw < lq:
-		p := probs[m.VarAtLevel(int(lw))]
-		r = (1-p)*t.wchild(q, m.Lo(w), wBlock) + p*t.wchild(q, m.Hi(w), wBlock)
-	default:
-		p := probs[qm.VarAtLevel(int(lq))]
-		r = (1-p)*t.wchild(qm.Lo(q), m.Lo(w), wBlock) + p*t.wchild(qm.Hi(q), m.Hi(w), wBlock)
-	}
-	t.memo.put(key, r)
-	return r
-}
-
-// wchild evaluates a w-side child edge in conditioned units: leaving block
-// wBlock (into the next chain root or the True terminal) divides by that
-// block's probability; reaching the span's stop root contributes the bare
-// query probability.
-func (t *ptrWalk) wchild(q, c obdd.NodeID, wBlock int) float64 {
-	if q == obdd.False || c == obdd.False {
-		return 0
-	}
-	b := t.ix.ch.segs[wBlock].b
-	if c == t.stop || c == obdd.True {
-		return t.ix.qProb(t.qm, q, t.qprob) / b
-	}
-	val := t.rec(q, c)
-	if k, _ := t.block(c); k > wBlock {
-		val /= b
-	}
-	return val
 }
 
 // qProb computes P0 of a query sub-OBDD; the memo is a pairMemo keyed by the
@@ -684,14 +585,12 @@ func (c *chain) replace(k int, s *segment) {
 	c.segs[k] = s
 }
 
-// weightsChanged finishes any step that re-weighed blocks: the cache epochs
-// are bumped — an O(1) invalidation that makes every answer and lineage
-// probability computed against the old weights stale (entries are dropped
-// lazily). Mutating steps require exclusive access, so no reader can observe
+// weightsChanged finishes any step that re-weighed blocks: the answer
+// cache's epoch is bumped — an O(1) invalidation that makes every answer
+// computed against the old weights stale (entries are dropped lazily). Mutating steps require exclusive access, so no reader can observe
 // the half-updated state.
 func (ix *Index) weightsChanged() {
 	if ix.cache != nil {
 		ix.cache.answers.Invalidate()
-		ix.cache.lineage.Invalidate()
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"mvdb/internal/baseline"
 	"mvdb/internal/core"
@@ -38,6 +39,54 @@ func chainMVDB(n int64, seed int64) *core.MVDB {
 	return m
 }
 
+// pointerBoolean evaluates a Boolean query with the Fig. 9 pointer
+// MVIntersect: the oracle CC-MVIntersect is compared against.
+func pointerBoolean(t *testing.T, ix *Index, q ucq.UCQ, opts IntersectOptions) float64 {
+	t.Helper()
+	lin, err := ucq.EvalBoolean(ix.tr.DB, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ix.MVIntersect()(lin, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// pointerQuery is pointerBoolean for a named query: one pointer
+// intersection per answer, in Query's answer order.
+func pointerQuery(t *testing.T, ix *Index, q *ucq.Query) []core.Answer {
+	t.Helper()
+	rows, err := ucq.Eval(ix.tr.DB, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ptr := ix.MVIntersect()
+	as, err := core.AnswerRows(nil, time.Time{}, rows, func(r ucq.AnswerRow) (float64, error) {
+		return ptr(r.Lineage, IntersectOptions{})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return as
+}
+
+// checkPointer fails unless CC-MVIntersect's answers got match the pointer
+// MVIntersect's for the same query to 1e-12.
+func checkPointer(t *testing.T, ix *Index, q *ucq.Query, got []core.Answer) {
+	t.Helper()
+	want := pointerQuery(t, ix, q)
+	if len(got) != len(want) {
+		t.Fatalf("%v: %d answers, pointer MVIntersect has %d", q, len(got), len(want))
+	}
+	for i := range want {
+		if engine.TupleKey(got[i].Head) != engine.TupleKey(want[i].Head) || math.Abs(got[i].Prob-want[i].Prob) > 1e-12 {
+			t.Fatalf("%v answer %d: CC-MVIntersect %v %v, pointer MVIntersect %v %v", q, i, got[i].Head, got[i].Prob, want[i].Head, want[i].Prob)
+		}
+	}
+}
+
 func buildIndex(t *testing.T, m *core.MVDB) (*core.Translation, *Index) {
 	t.Helper()
 	tr, err := m.Translate(core.TranslateOptions{})
@@ -66,18 +115,16 @@ func TestIndexAgreesWithExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range []IntersectOptions{
-			{},
-			{CacheConscious: true},
-			{NoEntryShortcut: true},
-			{CacheConscious: true, NoEntryShortcut: true},
-		} {
+		for _, opts := range []IntersectOptions{{}, {NoEntryShortcut: true}} {
 			got, err := ix.ProbBoolean(q.UCQ, opts)
 			if err != nil {
 				t.Fatalf("%q %+v: %v", src, opts, err)
 			}
 			if math.Abs(got-want) > 1e-9 {
 				t.Errorf("%q %+v: P = %v want %v", src, opts, got, want)
+			}
+			if ptr := pointerBoolean(t, ix, q.UCQ, opts); math.Abs(got-ptr) > 1e-12 {
+				t.Errorf("%q %+v: CC-MVIntersect %v, pointer MVIntersect %v", src, opts, got, ptr)
 			}
 		}
 	}
@@ -102,12 +149,8 @@ func TestIndexAgainstCoreOBDD(t *testing.T) {
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("s=%d: index = %v obdd = %v", s, got, want)
 		}
-		gotCC, err := ix.ProbBoolean(b, IntersectOptions{CacheConscious: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(gotCC-want) > 1e-12+1e-9 {
-			t.Errorf("s=%d: cc index = %v obdd = %v", s, gotCC, want)
+		if ptr := pointerBoolean(t, ix, b, IntersectOptions{}); math.Abs(got-ptr) > 1e-12 {
+			t.Errorf("s=%d: CC-MVIntersect %v, pointer MVIntersect %v", s, got, ptr)
 		}
 	}
 }
@@ -164,7 +207,7 @@ func TestQueryAnswers(t *testing.T) {
 	m := chainMVDB(5, 13)
 	tr, ix := buildIndex(t, m)
 	q := ucq.MustParse("Q(s) :- Adv(s,a)")
-	got, err := ix.Query(q, IntersectOptions{CacheConscious: true})
+	got, err := ix.Query(q, IntersectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,14 +312,15 @@ func TestIndexRandomizedAgainstExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, cc := range []bool{false, true} {
-				got, err := ix.ProbBoolean(q.UCQ, IntersectOptions{CacheConscious: cc})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Abs(got-want) > 1e-9 {
-					t.Fatalf("trial %d %q cc=%v: %v want %v", trial, src, cc, got, want)
-				}
+			got, err := ix.ProbBoolean(q.UCQ, IntersectOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got-want) > 1e-9 {
+				t.Fatalf("trial %d %q: %v want %v", trial, src, got, want)
+			}
+			if ptr := pointerBoolean(t, ix, q.UCQ, IntersectOptions{}); math.Abs(got-ptr) > 1e-12 {
+				t.Fatalf("trial %d %q: CC-MVIntersect %v, pointer MVIntersect %v", trial, src, got, ptr)
 			}
 		}
 	}
@@ -388,26 +432,17 @@ func TestTupleMarginal(t *testing.T) {
 	}
 }
 
-// TestCompact: a built index keeps no OBDD manager — after Build, Sift,
-// ReadSeq and a full-recompile batch its version holds no pointer ¬W, so the
-// compile's manager, which also holds W and the compile's intermediates, is
-// garbage — yet Save writes ¬W's nodes alone, and the restored index answers
-// the same.
+// TestCompact: a built index keeps no OBDD manager — a chain has no field
+// for a pointer ¬W, so the compile's manager, which also holds W and the
+// compile's intermediates, is garbage — yet Save writes ¬W's nodes alone,
+// and the restored index answers the same.
 func TestCompact(t *testing.T) {
 	m := chainMVDB(30, 33)
 	tableWeights(t, m)
 	_, ix := buildIndex(t, m)
-	noManager := func(step string, ix *Index) {
-		t.Helper()
-		if ix.ch.neg.p.Load() != nil {
-			t.Fatalf("after %s the index keeps a pointer ¬W", step)
-		}
-	}
-	noManager("Build", ix)
 	if _, err := ix.Sift(obdd.ReorderOptions{Mode: obdd.ReorderOnce}); err != nil {
 		t.Fatal(err)
 	}
-	noManager("Sift", ix)
 	var buf bytes.Buffer
 	if err := ix.SaveSeq(&buf, 0); err != nil {
 		t.Fatal(err)
@@ -423,13 +458,12 @@ func TestCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noManager("ReadSeq", back)
 	q := ucq.MustParse("Q() :- Adv(7,a)")
 	want, err := ix.ProbBoolean(q.UCQ, IntersectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := back.ProbBoolean(q.UCQ, IntersectOptions{CacheConscious: true})
+	got, err := back.ProbBoolean(q.UCQ, IntersectOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +481,6 @@ func TestCompact(t *testing.T) {
 	if !st.Full {
 		t.Fatalf("first structural batch after a restore: %+v, want a full recompile", st)
 	}
-	noManager("a full-recompile batch", back)
 
 	for _, domain := range []int{1000, 2000, 4000} {
 		if testing.Short() {
@@ -541,12 +574,8 @@ func TestDeepChainNumericalStability(t *testing.T) {
 		if math.IsNaN(got) || got < 0 || got > 1 {
 			t.Fatalf("student %d: P = %v", s, got)
 		}
-		gotCC, err := ix.ProbBoolean(q.UCQ, IntersectOptions{CacheConscious: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-gotCC) > 1e-12 {
-			t.Errorf("student %d: layouts disagree %v vs %v", s, got, gotCC)
+		if ptr := pointerBoolean(t, ix, q.UCQ, IntersectOptions{}); math.Abs(got-ptr) > 1e-12 {
+			t.Errorf("student %d: CC-MVIntersect %v, pointer MVIntersect %v", s, got, ptr)
 		}
 	}
 	// All marginals finite and in range for real tuples.

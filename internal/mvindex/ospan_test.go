@@ -55,7 +55,7 @@ func TestQueryWorkIsOSpan(t *testing.T) {
 		c.blocks /= float64(answers)
 		c.allocs = testing.AllocsPerRun(5, func() {
 			for _, q := range qs {
-				if _, err := ix.Query(q, IntersectOptions{CacheConscious: true}); err != nil {
+				if _, err := ix.Query(q, IntersectOptions{}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -58,29 +58,29 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []IntersectOptions{{}, {CacheConscious: true}} {
-		got, err := par.Query(q, opts)
-		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
+	got, err := par.Query(q, IntersectOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d vs %d answers", len(got), len(want))
+	}
+	for i := range got {
+		if engine.TupleKey(got[i].Head) != engine.TupleKey(want[i].Head) {
+			t.Errorf("answer %d head mismatch", i)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%+v: %d vs %d answers", opts, len(got), len(want))
-		}
-		for i := range got {
-			if engine.TupleKey(got[i].Head) != engine.TupleKey(want[i].Head) {
-				t.Errorf("%+v: answer %d head mismatch", opts, i)
-			}
-			if math.Abs(got[i].Prob-want[i].Prob) > 1e-12 {
-				t.Errorf("%+v: answer %d prob %v vs %v", opts, i, got[i].Prob, want[i].Prob)
-			}
+		if math.Abs(got[i].Prob-want[i].Prob) > 1e-12 {
+			t.Errorf("answer %d prob %v vs %v", i, got[i].Prob, want[i].Prob)
 		}
 	}
+	checkPointer(t, par, q, got)
 }
 
 // TestConcurrentIntersectHammer fires 32 goroutines at one shared index —
-// mixing intersectOn, IntersectLineage, ProbBoolean, Query, Explain, and
-// marginals — and checks every call returns the same answer its sequential
-// twin did. Run under -race this is the shared-read-path safety proof.
+// mixing intersectOn, IntersectLineage, ProbBoolean, Query, Explain,
+// marginals, and one shared pointer MVIntersect — and checks every call
+// returns the same answer its sequential twin did. Run under -race this is
+// the shared-read-path safety proof.
 func TestConcurrentIntersectHammer(t *testing.T) {
 	m := chainMVDB(10, 7)
 	tr, ix := buildIndex(t, m)
@@ -99,6 +99,11 @@ func TestConcurrentIntersectHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ptr := ix.MVIntersect()
+	wantPtr, err := ptr(lin, IntersectOptions{})
+	if err != nil || math.Abs(wantPtr-wantP) > 1e-12 {
+		t.Fatalf("pointer MVIntersect: %v, %v; CC-MVIntersect %v", wantPtr, err, wantP)
+	}
 	wantRows, err := ix.Query(qn, IntersectOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -115,15 +120,17 @@ func TestConcurrentIntersectHammer(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			cc := g%2 == 0
 			for rep := 0; rep < 4; rep++ {
-				if p, err := ix.intersectOn(ix.Manager(), fQ, IntersectOptions{CacheConscious: cc}); err != nil || p != wantP {
+				if p, err := ix.intersectOn(ix.Manager(), fQ, IntersectOptions{}); err != nil || p != wantP {
 					errs <- errf("intersectOn: p=%v err=%v want %v", p, err, wantP)
 				}
-				if p, err := ix.IntersectLineage(lin, IntersectOptions{CacheConscious: !cc}); err != nil || math.Abs(p-wantP) > 1e-12 {
+				if p, err := ix.IntersectLineage(lin, IntersectOptions{}); err != nil || math.Abs(p-wantP) > 1e-12 {
 					errs <- errf("IntersectLineage: p=%v err=%v want %v", p, err, wantP)
 				}
-				rows, err := ix.Query(qn, IntersectOptions{CacheConscious: cc})
+				if p, err := ptr(lin, IntersectOptions{}); err != nil || p != wantPtr {
+					errs <- errf("pointer MVIntersect: p=%v err=%v want %v", p, err, wantPtr)
+				}
+				rows, err := ix.Query(qn, IntersectOptions{})
 				if err != nil || len(rows) != len(wantRows) {
 					errs <- errf("Query: %d rows err=%v want %d", len(rows), err, len(wantRows))
 					continue

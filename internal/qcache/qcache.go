@@ -2,14 +2,13 @@
 // power-of-two-sharded LRU cache with O(1) epoch invalidation and
 // singleflight collapsing of concurrent identical misses.
 //
-// The cache is generic over its value type so both the answer cache
-// (query-text hash → []Answer) and the lineage cache (lineage hash → probability)
-// share one implementation without import cycles: qcache knows nothing about
-// queries, indexes, or answers.
+// The cache is generic over its value type: the index's answer cache
+// (query-text hash → []Answer) instantiates it, and qcache knows nothing
+// about queries, indexes, or answers.
 //
 // # Keying and invalidation
 //
-// Keys are 128-bit hashes (of a query's text, of a canonical lineage).
+// Keys are 128-bit hashes (of a query's text).
 // Every entry is stamped with the cache epoch current when its computation
 // started; Invalidate bumps the epoch, which logically empties the cache in
 // O(1) — stale entries are dropped lazily when touched or when LRU pressure
@@ -146,41 +145,6 @@ func (c *Cache[V]) shardFor(k Key) *shard[V] {
 	// The keys are already high-quality hashes; fold both words so either
 	// half alone cannot bias the shard choice.
 	return &c.shards[(k.Hi^k.Lo)&(numShards-1)]
-}
-
-// Get returns the cached value for k in the current epoch.
-func (c *Cache[V]) Get(k Key) (V, bool) {
-	var zero V
-	if c == nil || c.disabled {
-		return zero, false
-	}
-	epoch := c.epoch.Load()
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[k]
-	if !ok {
-		c.misses.Add(1)
-		return zero, false
-	}
-	e := el.Value.(*entry[V])
-	if e.epoch != epoch {
-		s.removeLocked(el, e)
-		c.misses.Add(1)
-		return zero, false
-	}
-	s.lru.MoveToFront(el)
-	c.hits.Add(1)
-	return e.val, true
-}
-
-// Put inserts a value under the current epoch, evicting LRU entries past the
-// capacity bounds.
-func (c *Cache[V]) Put(k Key, v V) {
-	if c == nil || c.disabled {
-		return
-	}
-	c.putEpoch(k, v, c.epoch.Load())
 }
 
 func (c *Cache[V]) putEpoch(k Key, v V, epoch uint64) {

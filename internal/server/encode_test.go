@@ -364,7 +364,7 @@ func FuzzQueryBody(f *testing.F) {
 		if err != nil {
 			t.Fatalf("query %q answered 200 but does not parse: %v", in.Query, err)
 		}
-		want, err := ix.Query(q, mvindex.IntersectOptions{CacheConscious: true, DisableCache: true})
+		want, err := ix.Query(q, mvindex.IntersectOptions{DisableCache: true})
 		if err != nil {
 			t.Fatalf("query %q answered 200 but Index.Query fails: %v", in.Query, err)
 		}

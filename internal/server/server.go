@@ -75,7 +75,7 @@ type Config struct {
 	// Budget bounds each evaluation's resources (OBDD nodes, intersection
 	// pairs); a violation returns 503 with reason "budget".
 	Budget budget.Budget
-	// Cache bounds the cross-query answer/lineage cache installed on the
+	// Cache bounds the cross-query answer cache installed on the
 	// index at construction. The zero value enables it with defaults; set
 	// Cache.Disable to serve uncached.
 	Cache qcache.Options
@@ -378,11 +378,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.bounds(r)
 	defer cancel()
-	opts := mvindex.IntersectOptions{
-		CacheConscious: true,
-		Ctx:            ctx,
-		Budget:         s.cfg.Budget,
-	}
+	opts := mvindex.IntersectOptions{Ctx: ctx, Budget: s.cfg.Budget}
 	t0 := time.Now()
 	if !s.rlockIndex(w) {
 		return
@@ -511,10 +507,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"has_constraint": tr.HasConstraints(),
 		"cache":          cs,
 		// Derived ratios, so dashboards don't have to divide raw counters:
-		// apply-cache hit rates (the index's order manager's and the
-		// per-query scratch managers') and the cross-query answer cache's hit
-		// rate.
-		"apply_cache_hit_rate":  hitRate(cs.SharedApplyHits, cs.SharedApplyMisses),
+		// the per-query scratch managers' apply-cache hit rate and the
+		// answer cache's hit rate.
 		"query_apply_hit_rate":  hitRate(cs.QueryApplyHits, cs.QueryApplyMisses),
 		"answer_cache_hit_rate": hitRate(cs.Answers.Hits, cs.Answers.Misses),
 		"uptime_sec":            time.Since(s.start).Seconds(),

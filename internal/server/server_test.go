@@ -242,7 +242,8 @@ func TestStatsDerivedRatios(t *testing.T) {
 	}
 	s := NewWith(ix, Config{})
 
-	// Run a query twice so the shared apply cache sees traffic.
+	// Run a query twice so the answer cache and the query managers' apply
+	// caches see traffic.
 	for i := 0; i < 2; i++ {
 		if rec, _ := do(t, s, "POST", "/query", `{"query": "Q(a) :- Adv(1,a)"}`); rec.Code != http.StatusOK {
 			t.Fatalf("query %d: code = %d", i, rec.Code)
@@ -252,7 +253,13 @@ func TestStatsDerivedRatios(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/stats: %d", rec.Code)
 	}
-	for _, field := range []string{"apply_cache_hit_rate", "query_apply_hit_rate", "answer_cache_hit_rate"} {
+	cache, _ := out["cache"].(map[string]any)
+	for _, gone := range []string{"lineage", "shared_apply_hits", "shared_apply_misses"} {
+		if _, ok := cache[gone]; ok || cache == nil {
+			t.Fatalf("/stats cache = %v, want an answers block and no %s", out["cache"], gone)
+		}
+	}
+	for _, field := range []string{"query_apply_hit_rate", "answer_cache_hit_rate"} {
 		v, ok := out[field].(float64)
 		if !ok {
 			t.Fatalf("/stats missing %s: %v", field, out)
