@@ -169,6 +169,11 @@ go test -race -run 'TestReplayCorruptMidSegment|FuzzReplayCorrupt|TestFollowerGa
 # degradation ladder, and every 200 body decodes to Index.Query's answers.
 go test -run XXX -fuzz=FuzzQueryBody -fuzztime=10s ./internal/server/
 
+# Fuzz the snapshot decoder: whatever the bytes, ReadSeq refuses them or
+# returns an index that answers a query; it never panics, and no corrupt id
+# sizes an allocation.
+go test -run XXX -fuzz=FuzzReadSeq -fuzztime=10s ./internal/mvindex/
+
 # Benchmark smoke: one iteration of the parallel-compile benchmark catches
 # kernel or block-scheduler regressions that only manifest under the bench
 # harness. Every run first compiles W at GOMAXPROCS 1 (the sequential loop)
@@ -317,6 +322,38 @@ recovered=$(curl -fsS -X POST "http://$addr/query" -H 'Content-Type: application
 [ "$mutated" = "$recovered" ] || { echo "crash smoke: recovery diverged: $mutated vs $recovered"; kill "$mvdbd_pid"; exit 1; }
 curl -fsS "http://$addr/stats" | tr -d ' \n\t' | grep -q '"frames":20,' \
     || { echo "crash smoke: recovered WAL does not hold the 20 replayed frames"; kill "$mvdbd_pid"; exit 1; }
+kill -TERM "$mvdbd_pid"
+wait "$mvdbd_pid"
+
+# Restart from the snapshot the drain just wrote: the server must boot from
+# it (no synthetic DBLP is generated), and the restored index must keep the
+# block record, so one structural insert is applied incrementally
+# ("full":false). Advisor 8888 joins student 1 at advisor 9999's weight (20,
+# after the reweights above), so it must answer with 9999's probability, bit
+# for bit, one answer more than before.
+[ -s "$waldir/index.snap" ] || { echo "restart smoke: the drain wrote no snapshot"; exit 1; }
+"$bindir/mvdbd" -addr "$addr" -authors 120 -wal-dir "$waldir" -query-timeout 10s 2>"$waldir/boot.log" &
+mvdbd_pid=$!
+ready=0
+for _ in $(seq 1 100); do
+    if curl -fsS "http://$addr/readyz" >/dev/null 2>&1; then ready=1; break; fi
+    sleep 0.1
+done
+[ "$ready" = 1 ] || { kill "$mvdbd_pid" 2>/dev/null; echo "mvdbd never restarted from its snapshot"; exit 1; }
+if grep -q generating "$waldir/boot.log"; then
+    echo "restart smoke: mvdbd rebuilt instead of loading its snapshot"; kill "$mvdbd_pid"; exit 1
+fi
+upd=$(curl -fsS -X POST "http://$addr/update" -H 'Content-Type: application/json' \
+    -d '{"mutations": [{"op": "insert", "rel": "Advisor", "vals": [1, 8888], "weight": 20}]}')
+printf '%s' "$upd" | grep -q '"full":false' \
+    || { echo "restart smoke: the first structural batch after the restore recompiled in full: $upd"; kill "$mvdbd_pid"; exit 1; }
+inserted=$(curl -fsS -X POST "http://$addr/query" -H 'Content-Type: application/json' \
+    -d '{"query": "Q(a) :- Advisor(1,a)"}' | tr -d ' \n\t' | sed 's/.*"answers"://;s/,"millis.*//')
+prob() { printf '%s' "$1" | tr '}' '\n' | sed -n "s/.*\"head\":\[$2\],\"prob\":\([^,]*\).*/\1/p"; }
+rows() { printf '%s' "$1" | grep -o '"head"' | wc -l; }
+[ -n "$(prob "$inserted" 8888)" ] && [ "$(prob "$inserted" 8888)" = "$(prob "$inserted" 9999)" ] \
+    && [ "$(rows "$inserted")" = $(( $(rows "$recovered") + 1 )) ] \
+    || { echo "restart smoke: the insert did not answer as predicted: $recovered -> $inserted"; kill "$mvdbd_pid"; exit 1; }
 kill -TERM "$mvdbd_pid"
 wait "$mvdbd_pid"
 

@@ -14,10 +14,11 @@ import (
 // block at a time: flatten lays the block's nodes out as a segment shape (DFS
 // order, child links, level-sorted list), and weigh turns a shape into a
 // segment by computing everything that depends on tuple weights (prob,
-// probUnder, reach, the block probability b_k). Build, Sift, snapshot
-// restore and a full recompile run both halves over every block of an OBDD
-// of ¬W (newChain); Reweight runs weigh over every block; a mutation batch
-// runs them over the blocks it dirtied and points at every other segment.
+// probUnder, reach, the block probability b_k). Build, Sift and a full
+// recompile run both halves over every block of an OBDD of ¬W (newChain); a
+// snapshot holds the shapes, so its restore (restoreChain) and Reweight run
+// weigh over every block; a mutation batch runs them over the blocks it
+// dirtied and points at every other segment.
 
 // chain is one published version of the index's ¬W: the variable order, the
 // directory of segments in chain (level) order — the InterBddIndex: a
@@ -176,19 +177,25 @@ func (f *flattener) flatten(root, next obdd.NodeID, sep engine.Value) shape {
 	}
 	dfs(root)
 	end := int32(len(f.vars))
-	for i := range end - base {
-		f.byLevel = append(f.byLevel, i)
-	}
+	f.byLevel = slices.Grow(f.byLevel, int(end-base))[:end]
 	sh := shape{sep: sep, vars: f.vars[base:end:end], lo: f.lo[base:end:end], hi: f.hi[base:end:end], byLevel: f.byLevel[base:end:end]}
-	// Level order: parents before children (edges strictly increase levels).
-	levels := f.levels
-	slices.SortFunc(sh.byLevel, func(a, b int32) int {
+	levelSort(sh.byLevel, f.levels)
+	return sh
+}
+
+// levelSort fills byLevel with a block's node indices in level order —
+// parents before children (edges strictly increase levels), preorder among
+// equals; levels[i] is node i's level.
+func levelSort(byLevel, levels []int32) {
+	for i := range byLevel {
+		byLevel[i] = int32(i)
+	}
+	slices.SortFunc(byLevel, func(a, b int32) int {
 		if la, lb := levels[a], levels[b]; la != lb {
 			return int(la - lb)
 		}
 		return int(a - b)
 	})
-	return sh
 }
 
 // weigh computes the weight-dependent half of a block's augmentation from
@@ -327,7 +334,7 @@ func (p logProd) value() (float64, int) {
 }
 
 // negW is a chain's ¬W as a pointer OBDD — what the pointer MVIntersect of
-// Fig. 9, Sift and SaveSeq work on, each materialising its own; no chain
+// Fig. 9 and Sift work on, each materialising its own; no chain
 // keeps one. at maps a node of m to its index in its block (-1 for nodes
 // outside the chain); roots are the blocks' roots.
 type negW struct {

@@ -12,40 +12,48 @@ import (
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
 	"mvdb/internal/obdd"
+	"mvdb/internal/ucq"
 )
 
 // indexSnapshot is the serialized MV-index: the translated database, the
-// translation metadata, an OBDD manager, and the ¬W root. The index holds ¬W
-// as per-block segments; Save writes the pointer ¬W rebuilt from them — a
-// manager of exactly ¬W's nodes, dropped once written — and the segments
-// are recomputed on load — one pass of the per-block primitive over every
-// block; they depend on the tuple weights, which keeps saved indexes valid
-// under Reweight-style workflows.
+// translation metadata, and ¬W the way the index holds it — the variable
+// order, level by level, and the block shapes in chain order (a block's
+// level-sorted list is not written: the order gives it back). The
+// weight-dependent half of the segments is recomputed on load — one weigh
+// per block; it depends on the tuple weights, which keeps saved indexes
+// valid under Reweight-style workflows.
 //
 // The database is written once: the translated database holds the source
 // MVDB's base relations themselves plus the NV relations, and a restore
 // makes the source a handle on the same store (every relation but the NV
 // ones). The rest of the live-update state travels with it: the source's
 // WeightTable-backed view definitions and the translate options, so a
-// restored index supports ApplyMutations, and LastSeq, the WAL sequence
-// number the snapshot covers, so recovery replays only the log tail. The
-// block record of the incremental compiler is NOT serialized — the first
-// structural batch after a restore recompiles in full and re-records.
+// restored index supports ApplyMutations; LastSeq, the WAL sequence number
+// the snapshot covers, so recovery replays only the log tail; and the block
+// record of the incremental compiler (Recorded, with the separator and each
+// block's separator value), so a restored index's first structural batch
+// recompiles only its dirty blocks, like a built index's.
 //
-// The reordering provenance of a sifted index travels with it too. The
-// learned variable order itself is inside the manager snapshot
-// (obdd.Snapshot stores the order); the Reorder fields let recovery and
-// replica bootstrap know the order is learned — they skip the sifting search
-// and delta recompiles keep inheriting the order.
-// Gob writes a map in random order, so the view weight tables and the block
-// provenance (Provenance; Reorder.BlockProvenance stays empty) are slices
-// sorted by key: two saves of one index are byte-identical.
+// The reordering provenance of a sifted index travels with it too; the
+// learned order itself is Order. The Reorder fields let recovery and replica
+// bootstrap know the order is learned — delta recompiles keep inheriting it.
+// The sift's wall time (SiftMillis) is not written, so two sifts of one
+// index save the same bytes; a restored index reports 0.
+// Gob writes a map in random order, so the view weight tables, the
+// separator's relation positions and the block provenance (Provenance;
+// Reorder.BlockProvenance stays empty) are slices sorted by key: two saves
+// of one index are byte-identical.
 type indexSnapshot struct {
 	Magic       string
 	DB          engine.DatabaseSnapshot
 	Translation core.TranslationSnapshot
-	Manager     obdd.Snapshot
-	Root        int32
+	Order       []int
+	Blocks      []blockSnapshot
+	NotWFalse   bool // ¬W is unsatisfiable (no block)
+
+	Recorded       bool
+	SepPerDisjunct []string
+	SepRelPos      []keyCount
 
 	// HasSource is false when the source's weights are Go closures.
 	HasSource bool
@@ -55,19 +63,45 @@ type indexSnapshot struct {
 
 	Reordered  bool
 	Reorder    ReorderInfo
-	Provenance []blockCount
+	Provenance []keyCount
 }
 
-// blockCount is one entry of ReorderInfo.BlockProvenance in a snapshot.
-type blockCount struct {
-	Kind   string
-	Blocks int
+// blockSnapshot is one chain block's shape in a snapshot.
+type blockSnapshot struct {
+	Sep          engine.Value
+	Vars, Lo, Hi []int32
 }
 
-// snapshotMagic names the one snapshot format written and read. v5 writes
-// v4's two maps as sorted slices under new field names, so a v4 stream
-// decodes and is refused by its magic, not by a gob type error.
-const snapshotMagic = "mvindex-v5"
+// keyCount is one entry of a map[string]int in a snapshot: of the
+// separator's RelPos or of ReorderInfo.BlockProvenance.
+type keyCount struct {
+	Key string
+	N   int
+}
+
+// sortedCounts returns m's entries sorted by key.
+func sortedCounts(m map[string]int) []keyCount {
+	out := make([]keyCount, 0, len(m))
+	for k, n := range m {
+		out = append(out, keyCount{k, n})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
+}
+
+// countMap is the inverse of sortedCounts.
+func countMap(kc []keyCount) map[string]int {
+	m := make(map[string]int, len(kc))
+	for _, c := range kc {
+		m[c.Key] = c.N
+	}
+	return m
+}
+
+// snapshotMagic names the one snapshot format written and read. Gob skips
+// the fields of an older layout that this one does not have, so an older
+// stream decodes and is refused by its magic, not by a gob type error.
+const snapshotMagic = "mvindex-v6"
 
 // SnapshotVersionError reports a snapshot whose magic is not the supported
 // one — a stream written by another version of the format, or not an index
@@ -86,15 +120,22 @@ func (e *SnapshotVersionError) Error() string {
 // mutations; closure-weighted sources degrade to a query-only snapshot.
 func (ix *Index) SaveSeq(w io.Writer, lastSeq uint64) error {
 	bw := bufio.NewWriter(w)
-	n := ix.ch.materialize()
+	c := ix.ch
 	s := indexSnapshot{
 		Magic:       snapshotMagic,
 		DB:          ix.tr.DB.Snapshot(),
 		Translation: ix.tr.Snapshot(),
-		Manager:     n.m.Snapshot(),
-		Root:        int32(n.root),
+		Order:       c.ord.Order(),
+		Blocks:      make([]blockSnapshot, len(c.segs)),
+		NotWFalse:   c.pNotW.zeros > 0 && len(c.segs) == 0,
 		Opts:        ix.tr.Opts(),
 		LastSeq:     lastSeq,
+	}
+	for k, sg := range c.segs {
+		s.Blocks[k] = blockSnapshot{Sep: sg.sep, Vars: sg.vars, Lo: sg.lo, Hi: sg.hi}
+	}
+	if ix.rec != nil {
+		s.Recorded, s.SepPerDisjunct, s.SepRelPos = true, ix.rec.Sep.PerDisjunct, sortedCounts(ix.rec.Sep.RelPos)
 	}
 	if src := ix.tr.Source; src != nil {
 		if vs, err := src.ViewSnapshots(); err == nil {
@@ -103,11 +144,8 @@ func (ix *Index) SaveSeq(w io.Writer, lastSeq uint64) error {
 	}
 	if ix.reorder != nil {
 		s.Reordered, s.Reorder = true, *ix.reorder
-		s.Reorder.BlockProvenance = nil
-		for k, n := range ix.reorder.BlockProvenance {
-			s.Provenance = append(s.Provenance, blockCount{k, n})
-		}
-		sort.Slice(s.Provenance, func(i, j int) bool { return s.Provenance[i].Kind < s.Provenance[j].Kind })
+		s.Reorder.SiftMillis, s.Reorder.BlockProvenance = 0, nil
+		s.Provenance = sortedCounts(ix.reorder.BlockProvenance)
 	}
 	if err := gob.NewEncoder(bw).Encode(s); err != nil {
 		return fmt.Errorf("mvindex: encoding index: %w", err)
@@ -117,9 +155,9 @@ func (ix *Index) SaveSeq(w io.Writer, lastSeq uint64) error {
 
 // ReadSeq deserializes an index written by SaveSeq and returns the WAL
 // sequence number the snapshot covers. The returned index is fully
-// functional: the inner translation is restored and the segments are
-// flattened from the saved ¬W, so no recompilation happens; with a
-// snapshotted source the index also accepts ApplyMutations.
+// functional: the inner translation is restored and the saved block shapes
+// are weighed, so no recompilation happens; with a snapshotted source the
+// index also accepts ApplyMutations, as incrementally as a built one.
 func ReadSeq(r io.Reader) (*Index, uint64, error) {
 	var s indexSnapshot
 	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&s); err != nil {
@@ -141,28 +179,91 @@ func ReadSeq(r io.Reader) (*Index, uint64, error) {
 			return nil, 0, fmt.Errorf("mvindex: restoring source MVDB: %w", err)
 		}
 	}
-	m, err := obdd.Restore(s.Manager)
-	if err != nil {
+	ix := &Index{tr: tr, probs: tr.DB.Probs()}
+	if ix.ch, err = restoreChain(&s, db, ix.probs); err != nil {
 		return nil, 0, err
 	}
-	root := obdd.NodeID(s.Root)
-	if root < 0 || int(root) >= m.NumNodes() {
-		return nil, 0, fmt.Errorf("mvindex: snapshot root %d out of range", root)
+	if s.Recorded {
+		// U is the restored W itself, so the next compile knows the record
+		// as its own.
+		sep := ucq.Separator{PerDisjunct: s.SepPerDisjunct, RelPos: countMap(s.SepRelPos)}
+		ix.rec = &obdd.BlockRecord{U: tr.W, HasSep: true, Sep: sep}
 	}
-	ix := &Index{tr: tr, probs: tr.DB.Probs()}
-	ix.ch, _ = newChain(m, root, nil, ix.probs)
 	if s.Reordered {
-		// The learned order was restored with the manager; mark the index so
-		// no sifting search re-runs and delta recompiles keep inheriting it.
+		// The learned order was restored with the chain; mark the index so
+		// delta recompiles keep inheriting it.
 		ri := s.Reorder
 		ri.Provenance = "snapshot"
-		ri.BlockProvenance = make(map[string]int, len(s.Provenance))
-		for _, c := range s.Provenance {
-			ri.BlockProvenance[c.Kind] = c.Blocks
-		}
+		ri.BlockProvenance = countMap(s.Provenance)
 		ix.reorder = &ri
 	}
 	return ix, s.LastSeq, nil
+}
+
+// restoreChain rebuilds the chain a snapshot holds by weighing its block
+// shapes. It refuses, naming the block, any shape no compile produces: a
+// traversal, a splice or the level search would misread it or panic. The
+// order must be a permutation of db's variables, checked before anything
+// sized by it is allocated.
+func restoreChain(s *indexSnapshot, db *engine.Database, probs []float64) (*chain, error) {
+	seen := make([]bool, db.NumVars()+1)
+	for _, v := range s.Order {
+		if !db.Alive(v) || seen[v] {
+			return nil, fmt.Errorf("mvindex: snapshot order holds variable %d, repeated or not in the database", v)
+		}
+		seen[v] = true
+	}
+	for v := 1; v < len(seen); v++ {
+		if db.Alive(v) != seen[v] {
+			return nil, fmt.Errorf("mvindex: snapshot order misses the database's variable %d", v)
+		}
+	}
+	c := &chain{ord: obdd.NewManager(s.Order), off: make([]int32, 1, len(s.Blocks)+1)}
+	if s.NotWFalse && len(s.Blocks) == 0 {
+		c.pNotW.zeros = 1 // ¬W is unsatisfiable: P0(¬W) = 0
+	}
+	var levels []int32
+	last := int32(-1) // the previous block's deepest level
+	for k, b := range s.Blocks {
+		n := int32(len(b.Vars))
+		if n == 0 || len(b.Lo) != int(n) || len(b.Hi) != int(n) {
+			return nil, fmt.Errorf("mvindex: snapshot block %d is empty or ragged (%d vars, %d lo, %d hi)", k, n, len(b.Lo), len(b.Hi))
+		}
+		levels = levels[:0]
+		for i, v := range b.Vars {
+			l := c.level(v)
+			if l < 0 {
+				return nil, fmt.Errorf("mvindex: snapshot block %d tests variable %d, which is not in the order", k, v)
+			}
+			if levels = append(levels, l); i > 0 && l <= levels[0] {
+				return nil, fmt.Errorf("mvindex: snapshot block %d has node %d at or above its root's level", k, i)
+			}
+		}
+		for i, l := range levels {
+			for _, ch := range [2]int32{b.Lo[i], b.Hi[i]} {
+				if ch != ccFalse && ch != ccExit && (ch < 0 || ch >= n || levels[ch] <= l) {
+					return nil, fmt.Errorf("mvindex: snapshot block %d has node %d with child %d, not a deeper node of the block or an exit", k, i, ch)
+				}
+			}
+		}
+		if levels[0] <= last {
+			return nil, fmt.Errorf("mvindex: snapshot block %d starts at level %d, inside the previous block (down to level %d)", k, levels[0], last)
+		}
+		if s.Recorded && k > 0 && b.Sep.Compare(s.Blocks[k-1].Sep) < 0 {
+			return nil, fmt.Errorf("mvindex: snapshot block %d has separator value %v, below the previous block's", k, b.Sep)
+		}
+		if s.Recorded && (k == 0 || !b.Sep.Equal(s.Blocks[k-1].Sep)) {
+			c.vals++
+		}
+		sh := shape{sep: b.Sep, vars: b.Vars, lo: b.Lo, hi: b.Hi, byLevel: make([]int32, n)}
+		levelSort(sh.byLevel, levels)
+		last = levels[sh.byLevel[n-1]]
+		seg := weigh(sh, probs, nil)
+		c.segs = append(c.segs, &seg)
+		c.off = append(c.off, c.off[k]+n)
+		c.pNotW.add(seg.b, 1)
+	}
+	return c, nil
 }
 
 // SaveFile writes the index to a file.

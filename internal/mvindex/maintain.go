@@ -120,8 +120,7 @@ func (ix *Index) ApplyMutations(batch []core.Mutation) (MaintStats, error) {
 	// index must stay intact until the new one is built), run the full
 	// Definition 5 translation and diff the two translated databases. Either
 	// way the recompile inherits the current order — static Π or learned —
-	// and recompiles only the dirty blocks when the record allows (not on the
-	// first structural batch after a snapshot restore).
+	// and recompiles only the dirty blocks when the record allows.
 	newTr := ix.tr
 	var varMap func(int) (int, bool) // nil: patched in place, ids unchanged
 	changed, err := ix.tr.ApplyDelta(batch)

@@ -69,9 +69,8 @@ type Index struct {
 
 	// rec, when non-nil, says that the chain is W's recorded separator
 	// expansion — its blocks are tagged with their separator values — so
-	// ApplyMutations can recompile only the dirty values' blocks. Nil after
-	// a snapshot restore until the first structural batch, and when W has no
-	// chain to record.
+	// ApplyMutations can recompile only the dirty values' blocks. Nil when W
+	// has no chain to record.
 	rec *obdd.BlockRecord
 
 	// reorder, when non-nil, records that the index runs under a learned
@@ -97,7 +96,7 @@ type ReorderInfo struct {
 	Rounds      int     `json:"rounds"`
 	SiftedVars  int     `json:"sifted_vars"`
 	Swaps       int     `json:"swaps"`
-	SiftMillis  float64 `json:"sift_ms"`
+	SiftMillis  float64 `json:"sift_ms"` // not persisted: 0 after a restore
 	// DeltaReuses counts delta recompiles that inherited the learned order
 	// through maintain.go instead of regressing to static Π.
 	DeltaReuses int `json:"delta_reuses"`

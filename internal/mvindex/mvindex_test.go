@@ -87,7 +87,7 @@ func checkPointer(t *testing.T, ix *Index, q *ucq.Query, got []core.Answer) {
 	}
 }
 
-func buildIndex(t *testing.T, m *core.MVDB) (*core.Translation, *Index) {
+func buildIndex(t testing.TB, m *core.MVDB) (*core.Translation, *Index) {
 	t.Helper()
 	tr, err := m.Translate(core.TranslateOptions{})
 	if err != nil {
@@ -434,8 +434,9 @@ func TestTupleMarginal(t *testing.T) {
 
 // TestCompact: a built index keeps no OBDD manager — a chain has no field
 // for a pointer ¬W, so the compile's manager, which also holds W and the
-// compile's intermediates, is garbage — yet Save writes ¬W's nodes alone,
-// and the restored index answers the same.
+// compile's intermediates, is garbage — and Save writes ¬W's block shapes
+// alone; the restored index answers the same, and its first structural
+// batch recompiles the one dirty block.
 func TestCompact(t *testing.T) {
 	m := chainMVDB(30, 33)
 	tableWeights(t, m)
@@ -451,8 +452,12 @@ func TestCompact(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(snap.Manager.Nodes); got != ix.Size()+2 {
-		t.Fatalf("snapshot holds %d nodes for a %d-node ¬W", got, ix.Size())
+	nodes := 0
+	for _, b := range snap.Blocks {
+		nodes += len(b.Vars)
+	}
+	if nodes != ix.Size() || len(snap.Blocks) != ix.Blocks() {
+		t.Fatalf("snapshot holds %d nodes in %d blocks for a %d-node ¬W of %d blocks", nodes, len(snap.Blocks), ix.Size(), ix.Blocks())
 	}
 	back, _, err := ReadSeq(&buf)
 	if err != nil {
@@ -470,16 +475,16 @@ func TestCompact(t *testing.T) {
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("probability changed through the snapshot: %v vs %v", got, want)
 	}
-	// A restored index has no block record: its first structural batch
-	// recompiles in full.
+	// A restored index keeps the block record: its first structural batch
+	// recompiles the one dirty block.
 	st, err := back.ApplyMutations([]core.Mutation{
 		{Op: core.MutInsert, Rel: "Adv", Vals: []engine.Value{engine.Int(7), engine.Int(307)}, Weight: 1.5},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Full {
-		t.Fatalf("first structural batch after a restore: %+v, want a full recompile", st)
+	if st.Full || st.Recompiled != 1 {
+		t.Fatalf("first structural batch after a restore: %+v, want one dirty block", st)
 	}
 
 	for _, domain := range []int{1000, 2000, 4000} {

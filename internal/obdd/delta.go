@@ -126,8 +126,8 @@ func CompileDelta(db *engine.Database, u ucq.UCQ, ord *Manager, opts CompileOpti
 // goroutine start-up than it could save.
 func (c *compiler) dirtyBlocks(u ucq.UCQ, recSep ucq.Separator, own bool, changed []ChangedTuple, d *Delta) error {
 	ground, open := c.splitLive(u)
-	if len(ground) > 0 || len(open) == 0 {
-		return nil // not a plain chain
+	if len(ground) > 0 || len(open) == 0 || len(recSep.PerDisjunct) != len(open) {
+		return nil // not a plain chain, or a separator that does not fit it
 	}
 	openU := ucq.UCQ{Disjuncts: open}
 	sep := recSep

@@ -142,19 +142,10 @@ func (m *Manager) Budgeted() bool { return m.lim != nil }
 // DefaultApplyCacheSize; tune it with SetApplyCacheMax. A negative or
 // repeated variable id panics.
 func NewManager(order []int) *Manager {
-	m, err := newManager(order)
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
-}
-
-// newManager is NewManager reporting a malformed order as an error.
-func newManager(order []int) (*Manager, error) {
 	maxVar := -1
 	for _, v := range order {
 		if v < 0 {
-			return nil, fmt.Errorf("obdd: negative variable id %d in order", v)
+			panic(fmt.Sprintf("obdd: negative variable id %d in order", v))
 		}
 		if v > maxVar {
 			maxVar = v
@@ -174,11 +165,11 @@ func newManager(order []int) (*Manager, error) {
 	for i, v := range order {
 		m.levelVar[i] = int32(v)
 		if m.varLevel[v] >= 0 {
-			return nil, fmt.Errorf("obdd: variable %d appears twice in order", v)
+			panic(fmt.Sprintf("obdd: variable %d appears twice in order", v))
 		}
 		m.varLevel[v] = int32(i)
 	}
-	return m, nil
+	return m
 }
 
 // levelOf returns the level of an external variable id; ok is false when the

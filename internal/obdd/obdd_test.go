@@ -272,60 +272,6 @@ func TestMaxLevelTracking(t *testing.T) {
 	}
 }
 
-func TestManagerSnapshotRoundTrip(t *testing.T) {
-	m := NewManager(seqOrder(6))
-	f := m.Or(m.And(m.Var(1), m.Var(2)), m.And(m.Var(4), m.Var(6)))
-	back, err := Restore(m.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumNodes() != m.NumNodes() || back.NumVars() != m.NumVars() {
-		t.Fatalf("restored manager differs: %d/%d nodes, %d/%d vars",
-			back.NumNodes(), m.NumNodes(), back.NumVars(), m.NumVars())
-	}
-	// NodeIDs are preserved: the same id evaluates the same function.
-	probs := []float64{0, .1, .2, .3, .4, .5, .6}
-	if math.Abs(back.Prob(f, probs)-m.Prob(f, probs)) > 1e-12 {
-		t.Error("probability differs after round trip")
-	}
-	// Hash-consing works on the restored manager: rebuilding the same
-	// function yields the same id.
-	g := back.Or(back.And(back.Var(1), back.Var(2)), back.And(back.Var(4), back.Var(6)))
-	if g != f {
-		t.Errorf("restored unique table broken: %d vs %d", g, f)
-	}
-}
-
-func TestRestoreRejectsCorrupt(t *testing.T) {
-	cases := []Snapshot{
-		{}, // no terminals
-		{Order: []int{1}, Nodes: []SnapNode{{}, {}, {Level: 0, Lo: 5, Hi: 1}}}, // forward child
-		{Order: []int{1}, Nodes: []SnapNode{{}, {}, {Level: 3, Lo: 0, Hi: 1}}}, // bad level
-		{Order: []int{1}, Nodes: []SnapNode{{}, {}, {Level: 0, Lo: 1, Hi: 1}}}, // unreduced
-		{Order: []int{-1}, Nodes: []SnapNode{{}, {}}},                          // negative variable
-		{Order: []int{3, 3}, Nodes: []SnapNode{{}, {}}},                        // repeated variable
-		{Order: []int{1, 2}, Nodes: []SnapNode{{}, {}, // child above its node
-			{Level: 0, Lo: 0, Hi: 1},
-			{Level: 1, Lo: 2, Hi: 1}}},
-	}
-	for i, s := range cases {
-		if _, err := Restore(s); err == nil {
-			t.Errorf("case %d: corrupt snapshot accepted", i)
-		}
-	}
-}
-
-func TestRestoreRejectsDuplicateNode(t *testing.T) {
-	s := Snapshot{Order: []int{1, 2}, Nodes: []SnapNode{
-		{}, {},
-		{Level: 1, Lo: 0, Hi: 1},
-		{Level: 1, Lo: 0, Hi: 1},
-	}}
-	if _, err := Restore(s); err == nil {
-		t.Error("duplicate node accepted")
-	}
-}
-
 // bfProb wraps the error-returning brute-force evaluator for test fixtures
 // known to stay within the 30-variable limit.
 func bfProb(d lineage.DNF, probs []float64) float64 {

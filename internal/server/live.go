@@ -495,6 +495,24 @@ func (l *Live) applyBatch(w http.ResponseWriter, batch []core.Mutation) {
 		return
 	}
 
+	l.count(batch, st)
+	s.writeJSON(w, map[string]any{
+		"seq":              seq,
+		"applied":          st.Applied,
+		"weight_only":      st.WeightOnly,
+		"full":             st.Full,
+		"blocks":           st.Blocks,
+		"reused":           st.Reused,
+		"recompiled":       st.Recompiled,
+		"augmented_blocks": st.AugmentedBlocks,
+		"augmented_nodes":  st.AugmentedNodes,
+		"millis":           float64(time.Since(t0).Microseconds()) / 1000,
+	})
+}
+
+// count adds one applied batch to the /stats counters: an /update or
+// /reweight on a primary, a shipped frame on a follower.
+func (l *Live) count(batch []core.Mutation, st mvindex.MaintStats) {
 	l.batches.Add(1)
 	l.mutations.Add(uint64(len(batch)))
 	for _, mu := range batch {
@@ -517,19 +535,6 @@ func (l *Live) applyBatch(w http.ResponseWriter, batch []core.Mutation) {
 	d := uint64(st.Duration)
 	l.applyNs.Add(d)
 	storeMax(&l.applyMaxNs, d)
-
-	s.writeJSON(w, map[string]any{
-		"seq":              seq,
-		"applied":          st.Applied,
-		"weight_only":      st.WeightOnly,
-		"full":             st.Full,
-		"blocks":           st.Blocks,
-		"reused":           st.Reused,
-		"recompiled":       st.Recompiled,
-		"augmented_blocks": st.AugmentedBlocks,
-		"augmented_nodes":  st.AugmentedNodes,
-		"millis":           float64(time.Since(t0).Microseconds()) / 1000,
-	})
 }
 
 // liveStats contributes the write-path section of GET /stats.

@@ -241,7 +241,10 @@ func (l *Live) applyFrame(seq uint64, rec []byte) error {
 		}
 		return seq, l.log.Sync()
 	}, func() error {
-		_, err := l.srv.ix.ApplyMutations(batch)
+		st, err := l.srv.ix.ApplyMutations(batch)
+		if err == nil {
+			l.count(batch, st)
+		}
 		return err
 	})
 }

@@ -175,6 +175,32 @@ func TestReplicationConverges(t *testing.T) {
 	})
 }
 
+// TestFollowerBootstrapAppliesIncrementally: a follower bootstrapped from
+// the primary's snapshot applies the first structural frame as the primary
+// applied the batch — the snapshot carries the block record, so /stats
+// blocks_recompiled is the primary's on both sides.
+func TestFollowerBootstrapAppliesIncrementally(t *testing.T) {
+	dir := t.TempDir()
+	ps, _, pts := replPrimaryServer(t, filepath.Join(dir, "primary"), ReplicationConfig{
+		HeartbeatInterval: 50 * time.Millisecond,
+	})
+	fs, _, _ := replFollowerServer(t, filepath.Join(dir, "replica"), FollowerConfig{
+		PrimaryURL: pts.URL,
+	})
+	rec, out := do(t, ps, "POST", "/update", replSteps[0].body)
+	if rec.Code != http.StatusOK || out["full"] != false {
+		t.Fatalf("primary update: code %d body %s", rec.Code, rec.Body)
+	}
+	waitReplication(t, "follower applies the frame", func() bool { return followerApplied(fs) == 1 })
+	recompiled := func(s *Server) any {
+		_, out := do(t, s, "GET", "/stats", "")
+		return out["live"].(map[string]any)["applied"].(map[string]any)["blocks_recompiled"]
+	}
+	if p, f := recompiled(ps), recompiled(fs); p != float64(1) || f != p {
+		t.Fatalf("blocks_recompiled: primary %v, follower %v; want 1 on both", p, f)
+	}
+}
+
 // TestFollowerRefusesWrites: writes on a follower answer 503 not-primary.
 func TestFollowerRefusesWrites(t *testing.T) {
 	dir := t.TempDir()
