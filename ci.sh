@@ -44,31 +44,41 @@ mvdb/internal/obdd.(*Manager).Budgeted test seam: the mvindex budget test checks
 mvdb/internal/mvindex.(*Index).FailCompile test seam: fault injection for the fail-closed write path (server live and replication tests)'
 reach_gate() (
     set +x
-    export LC_ALL=C   # sort and comm must agree on the order
+    export LC_ALL=C   # sort, comm and join must agree on the order
     t0=$(date +%s)
     dir=$(mktemp -d)
     trap 'rm -rf "$dir"' EXIT
     reached() {
-        sed -n 's/^.* -> //p' "$1" | grep '^mvdb/internal/' \
+        sed -n 's/^.* -> //p' | grep '^mvdb/internal/' \
             | sed -e ':a' -e 's/\[[^][]*\]//g' -e 'ta' | sort -u
     }
+    # roots RE: what the binaries whose package path matches RE reach (the
+    # linker heads each binary's -dumpdep output with "# <package>").
+    roots() { awk -v re="$1" '/^# /{on = ($2 ~ re); next} on' "$dir/deps" | reached; }
     go build -o "$dir/" -gcflags='mvdb/...=-l' -ldflags=-dumpdep ./cmd/... ./examples/... 2>"$dir/deps"
     (cd benchmark && go build -o "$dir/harness" -gcflags='mvdb/...=-l' -ldflags=-dumpdep .) 2>"$dir/hdeps"
-    reached "$dir/deps" >"$dir/bins"
-    reached "$dir/hdeps" | sort -u - "$dir/bins" >"$dir/reached"
-    # Each declaration spelled as the linker spells it: pkg.F, pkg.T.M or
-    # pkg.(*T).M, with type parameters dropped.
+    reached <"$dir/deps" >"$dir/bins"
+    reached <"$dir/hdeps" | sort -u - "$dir/bins" >"$dir/reached"
+    # Each declaration spelled as the linker spells it — pkg.F, pkg.T.M or
+    # pkg.(*T).M, with type parameters dropped — and its lines, from the func
+    # line to the closing brace.
     for f in $(find internal -name '*.go' ! -name '*_test.go'); do
-        grep '^func ' "$f" | sed 's/\[[^]]*\]//g' | awk -v pkg="mvdb/$(dirname "$f")" '{
+        sed 's/\[[^]]*\]//g' "$f" | awk -v pkg="mvdb/$(dirname "$f")" '
+        /^func / {
             s = $0; sub(/^func /, "", s)
             if (s ~ /^\(/) {
                 r = s; sub(/\).*/, "", r); n = split(substr(r, 2), a, " ")
                 m = s; sub(/^\([^)]*\) */, "", m); sub(/\(.*/, "", m)
                 t = a[n]; if (t ~ /^\*/) t = "(" t ")"
-                print pkg "." t "." m
-            } else { sub(/\(.*/, "", s); if (s != "init") print pkg "." s }
-        }'
-    done | sort -u >"$dir/declared"
+                name = pkg "." t "." m
+            } else { sub(/\(.*/, "", s); name = (s == "init") ? "" : pkg "." s }
+            start = NR
+            if (name != "" && $0 ~ /}$/) { print name, 1; name = "" }
+            next
+        }
+        /^}/ && name != "" { print name, NR - start + 1; name = "" }'
+    done | sort -u >"$dir/lines"
+    cut -d' ' -f1 "$dir/lines" >"$dir/declared"
     printf '%s\n' "$reach_allow" | cut -d' ' -f1 | sort -u >"$dir/allowed"
     fail=0
     for sym in $(comm -23 "$dir/declared" "$dir/reached" | comm -23 - "$dir/allowed"); do
@@ -81,8 +91,26 @@ reach_gate() (
     done
     echo "keep rule: allowlist applied:"
     printf '%s\n' "$reach_allow" | sed 's/^/    /'
+    # The serving core and the rest, in tiers: each function counts in the
+    # first tier whose roots reach it. tier NAME reads the tier's functions.
+    : >"$dir/seen"
+    tier() {
+        comm -23 - "$dir/seen" | join - "$dir/lines" >"$dir/tier"
+        awk -v t="$1" '{ n++; l += $2 } END { printf "keep rule: %d functions (%d lines) reached first by %s\n", n, l, t }' "$dir/tier"
+        cut -d' ' -f1 "$dir/tier" | sort -u - "$dir/seen" >"$dir/seen.new" && mv "$dir/seen.new" "$dir/seen"
+    }
+    roots 'cmd/mvdbd$' | tier mvdbd
+    roots 'cmd/(mvdb|dblpgen)$' | tier 'mvdb or dblpgen'
+    roots 'cmd/mvbench$' | tier mvbench
+    { roots 'examples/'; reached <"$dir/hdeps"; } | sort -u | tier 'examples or benchmark/'
+    # What benchmark/ alone keeps alive must be exactly these two, until the
+    # harness stops tracing a fingerprint stage and re-weighing the whole
+    # index (ROADMAP C2): a new harness-only function fails the gate.
     pinned=$(comm -13 "$dir/bins" "$dir/reached" | comm -12 - "$dir/declared" | sed 's/^mvdb\/internal\///' | tr '\n' ' ')
-    echo "keep rule: pinned by benchmark/ until C2 (with the IntersectOptions.CacheConscious field): $pinned"
+    if [ "$pinned" != 'mvindex.(*Index).Reweight ucq.FingerprintQuery ' ]; then
+        echo "keep rule: benchmark/ alone reaches \"$pinned\", want exactly mvindex.(*Index).Reweight ucq.FingerprintQuery"
+        fail=1
+    fi
     echo "keep rule: $(wc -l <"$dir/declared") functions, $(wc -l <"$dir/allowed") allowlisted, gate took $(( $(date +%s) - t0 ))s"
     exit $fail
 )
@@ -192,6 +220,12 @@ go test -run=NONE -bench=BenchmarkParallelCompile -benchtime=1x -timeout 5m .
 # the batch under the bench harness at both ends.
 go test -v -run 'TestUpdateWorkIsODirty|TestTranslationSharesBaseRelations' -timeout 5m ./internal/mvindex/
 go test -run=NONE -bench='BenchmarkApplyMutations/domain=(1000|4000)$' -benchtime=1x -timeout 5m ./internal/mvindex/
+
+# Served-path smoke: one iteration of each in-process benchmark through
+# Server.ServeHTTP at DBLP 4000 — a cached point query, an uncached one and a
+# 3-mutation /update through Live and its WAL (EXPERIMENTS.md records their
+# allocs/op, which repeat exactly at a fixed -benchtime).
+go test -run=NONE -bench='BenchmarkServe(Hit|Miss|Update)$' -benchtime=1x -timeout 5m ./internal/server/
 
 # Boot smoke: one iteration of mvdbd's offline phase at the served domain
 # 4000 (generate, translate, compile ¬W), reporting each stage's time.

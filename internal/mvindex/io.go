@@ -7,12 +7,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"mvdb/internal/core"
 	"mvdb/internal/engine"
 	"mvdb/internal/obdd"
-	"mvdb/internal/ucq"
 )
 
 // indexSnapshot is the serialized MV-index: the translated database, the
@@ -180,14 +180,22 @@ func ReadSeq(r io.Reader) (*Index, uint64, error) {
 		}
 	}
 	ix := &Index{tr: tr, probs: tr.DB.Probs()}
-	if ix.ch, err = restoreChain(&s, db, ix.probs); err != nil {
-		return nil, 0, err
-	}
 	if s.Recorded {
-		// U is the restored W itself, so the next compile knows the record
-		// as its own.
-		sep := ucq.Separator{PerDisjunct: s.SepPerDisjunct, RelPos: countMap(s.SepRelPos)}
+		// The record is checked, not trusted: the next compile takes it as
+		// its own (U is the restored W itself) and never re-derives it, so a
+		// wrong separator would recompile the wrong blocks.
+		sep, ok := obdd.ChainSeparator(tr.DB, tr.W)
+		if !ok {
+			return nil, 0, fmt.Errorf("mvindex: snapshot records a block chain, but W compiles to none")
+		}
+		if !slices.Equal(sep.PerDisjunct, s.SepPerDisjunct) || !slices.Equal(sortedCounts(sep.RelPos), s.SepRelPos) {
+			return nil, 0, fmt.Errorf("mvindex: snapshot records separator %v at relation positions %v, but W's is %v at %v",
+				s.SepPerDisjunct, s.SepRelPos, sep.PerDisjunct, sortedCounts(sep.RelPos))
+		}
 		ix.rec = &obdd.BlockRecord{U: tr.W, HasSep: true, Sep: sep}
+	}
+	if ix.ch, err = restoreChain(&s, db, ix.probs, ix.rec); err != nil {
+		return nil, 0, err
 	}
 	if s.Reordered {
 		// The learned order was restored with the chain; mark the index so
@@ -204,8 +212,10 @@ func ReadSeq(r io.Reader) (*Index, uint64, error) {
 // shapes. It refuses, naming the block, any shape no compile produces: a
 // traversal, a splice or the level search would misread it or panic. The
 // order must be a permutation of db's variables, checked before anything
-// sized by it is allocated.
-func restoreChain(s *indexSnapshot, db *engine.Database, probs []float64) (*chain, error) {
+// sized by it is allocated. With a record, every variable of a block whose
+// relation the separator localizes must carry the block's separator value
+// there: a batch dirties a block by that value alone.
+func restoreChain(s *indexSnapshot, db *engine.Database, probs []float64, rec *obdd.BlockRecord) (*chain, error) {
 	seen := make([]bool, db.NumVars()+1)
 	for _, v := range s.Order {
 		if !db.Alive(v) || seen[v] {
@@ -255,6 +265,9 @@ func restoreChain(s *indexSnapshot, db *engine.Database, probs []float64) (*chai
 		if s.Recorded && (k == 0 || !b.Sep.Equal(s.Blocks[k-1].Sep)) {
 			c.vals++
 		}
+		if err := checkBlockSep(k, b, db, rec); err != nil {
+			return nil, err
+		}
 		sh := shape{sep: b.Sep, vars: b.Vars, lo: b.Lo, hi: b.Hi, byLevel: make([]int32, n)}
 		levelSort(sh.byLevel, levels)
 		last = levels[sh.byLevel[n-1]]
@@ -264,6 +277,24 @@ func restoreChain(s *indexSnapshot, db *engine.Database, probs []float64) (*chai
 		c.pNotW.add(seg.b, 1)
 	}
 	return c, nil
+}
+
+// checkBlockSep refuses recorded block k when one of its variables belongs
+// to a tuple whose separator attribute is not the block's separator value.
+func checkBlockSep(k int, b blockSnapshot, db *engine.Database, rec *obdd.BlockRecord) error {
+	if rec == nil {
+		return nil
+	}
+	for _, v := range b.Vars {
+		rel, t, err := db.VarTuple(int(v))
+		if err != nil {
+			return err
+		}
+		if pos, ok := rec.Sep.RelPos[rel]; ok && (pos >= len(t.Vals) || !t.Vals[pos].Equal(b.Sep)) {
+			return fmt.Errorf("mvindex: snapshot block %d holds variable %d of %s%v, outside its separator value %v", k, v, rel, t.Vals, b.Sep)
+		}
+	}
+	return nil
 }
 
 // SaveFile writes the index to a file.

@@ -95,12 +95,14 @@ func TestIndexLoadCorrupt(t *testing.T) {
 		{"a child above its node", "block 1 has node 1 with child 0", func(s *indexSnapshot) { s.Blocks[1].Lo[1] = 0 }},
 		{"blocks out of level order", "block 2 starts at level", func(s *indexSnapshot) { s.Blocks[1], s.Blocks[2] = s.Blocks[2], s.Blocks[1] }},
 		{"a separator value below the previous block's", "block 3 has separator value", func(s *indexSnapshot) { s.Blocks[3].Sep = s.Blocks[0].Sep }},
+		{"a wrong separator position", "snapshot records separator", func(s *indexSnapshot) { s.SepRelPos[0].N++ }},
+		{"a block's separator value that keeps the order but not its tuples", "block 1 holds variable", func(s *indexSnapshot) { s.Blocks[1].Sep = s.Blocks[0].Sep }},
 	} {
 		var s indexSnapshot
 		if err := gob.NewDecoder(bytes.NewReader(reencoded(t, multi))).Decode(&s); err != nil {
 			t.Fatal(err)
 		}
-		if !s.Recorded || len(s.Blocks) < 4 || len(s.Blocks[1].Vars) < 3 || s.Blocks[3].Sep.Equal(s.Blocks[0].Sep) {
+		if !s.Recorded || len(s.Blocks) < 4 || len(s.Blocks[1].Vars) < 3 || s.Blocks[1].Sep.Equal(s.Blocks[0].Sep) || s.Blocks[3].Sep.Equal(s.Blocks[0].Sep) {
 			t.Fatalf("fixture has no record or too few blocks: recorded %v, %d blocks", s.Recorded, len(s.Blocks))
 		}
 		c.corrupt(&s)
@@ -136,8 +138,8 @@ func TestIndexLoadCorrupt(t *testing.T) {
 }
 
 // TestRestoredRecordThatDoesNotFit: a snapshot whose recorded separator
-// names fewer disjuncts than W has restores, and its first structural batch
-// recompiles in full instead of indexing past the separator.
+// names fewer disjuncts than W has is refused, with an error naming the
+// separator, instead of restoring a record the next batch would trust.
 func TestRestoredRecordThatDoesNotFit(t *testing.T) {
 	_, ix := buildIndex(t, tableMVDB(8, 5))
 	var s indexSnapshot
@@ -149,17 +151,9 @@ func TestRestoredRecordThatDoesNotFit(t *testing.T) {
 	if err := gob.NewEncoder(&b).Encode(s); err != nil {
 		t.Fatal(err)
 	}
-	back, err := readIndex(&b)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := readIndex(&b); err == nil || !strings.Contains(err.Error(), "snapshot records separator [] ") {
+		t.Fatalf("snapshot with a separator of no disjunct: err = %v, want it refused", err)
 	}
-	st, err := back.ApplyMutations([]core.Mutation{
-		{Op: core.MutInsert, Rel: "Adv", Vals: []engine.Value{engine.Int(3), engine.Int(903)}, Weight: 1.5},
-	})
-	if err != nil || !st.Full {
-		t.Fatalf("first batch: %+v, %v; want a full recompile", st, err)
-	}
-	checkAugmentation(t, back, "after the full recompile")
 }
 
 // reencoded returns the index's snapshot stream.

@@ -133,7 +133,7 @@ func (c *compiler) dirtyBlocks(u ucq.UCQ, recSep ucq.Separator, own bool, change
 	sep := recSep
 	if !own {
 		var ok bool
-		if sep, ok = openU.FindSeparatorSkip(c.detSkip()); !ok || !reflect.DeepEqual(sep, recSep) {
+		if sep, ok = c.chainSep(ground, open); !ok || !reflect.DeepEqual(sep, recSep) {
 			return nil
 		}
 	}
@@ -171,14 +171,16 @@ func (c *compiler) dirtyBlocks(u ucq.UCQ, recSep ucq.Separator, own bool, change
 }
 
 // ucqRecorded compiles ¬u, mirroring ucq()'s top level (simplify, R4 ground
-// split) but trying the separator expansion on the whole open union first —
-// above the R1 union-group split the plain compiler prefers — which yields
+// split) but, when ChainSeparator finds a separator, expanding the whole open
+// union by it first — above the R1 union-group split the plain compiler
+// prefers — which yields
 // the same canonical OBDD (possibly via a different construction order)
 // while making every block individually addressable. The record captures
 // the per-value chain roots when the result is a plain chain.
 func (c *compiler) ucqRecorded(u ucq.UCQ) (NodeID, *BlockRecord, error) {
 	rec := &BlockRecord{U: u}
 	ground, open := c.splitLive(u)
+	sep, chained := c.chainSep(ground, open)
 	results := make([]NodeID, 0, len(ground)+1)
 	for _, d := range ground {
 		f, err := c.groundCQ(d)
@@ -187,15 +189,13 @@ func (c *compiler) ucqRecorded(u ucq.UCQ) (NodeID, *BlockRecord, error) {
 		}
 		results = append(results, f)
 	}
-	var sep ucq.Separator
 	var domain []engine.Value
 	var chain []NodeID
 	if len(open) > 0 {
 		openU := ucq.UCQ{Disjuncts: open}
 		var f NodeID
 		var err error
-		var ok bool
-		if sep, ok = openU.FindSeparatorSkip(c.detSkip()); ok {
+		if chained {
 			e := c.sepExpand(openU, sep)
 			domain = e.domain
 			chain = make([]NodeID, len(domain))
@@ -214,7 +214,7 @@ func (c *compiler) ucqRecorded(u ucq.UCQ) (NodeID, *BlockRecord, error) {
 	memo := getNodeMemo(len(c.m.nodes), true)
 	defer putNodeMemo(memo)
 	root := c.m.not(fU, memo)
-	if chain != nil && len(ground) == 0 && !c.chainBroken {
+	if chained && !c.chainBroken {
 		rec.HasSep, rec.Sep = true, sep
 		for i, r := range chain {
 			if r != False {
@@ -224,6 +224,23 @@ func (c *compiler) ucqRecorded(u ucq.UCQ) (NodeID, *BlockRecord, error) {
 		}
 	}
 	return root, rec, nil
+}
+
+// ChainSeparator derives the separator a recorded compile of ¬u over db
+// expands its chain by, the one its BlockRecord holds: u's live disjuncts
+// must all be open (none ground) and share a separator found with db's
+// deterministic relations skipped. ok is false when ¬u compiles to no chain.
+func ChainSeparator(db *engine.Database, u ucq.UCQ) (sep ucq.Separator, ok bool) {
+	c := &compiler{db: db}
+	return c.chainSep(c.splitLive(u))
+}
+
+// chainSep is ChainSeparator over u's live disjuncts, split.
+func (c *compiler) chainSep(ground, open []ucq.CQ) (ucq.Separator, bool) {
+	if len(ground) > 0 || len(open) == 0 {
+		return ucq.Separator{}, false
+	}
+	return ucq.UCQ{Disjuncts: open}.FindSeparatorSkip(c.detSkip())
 }
 
 // splitLive simplifies the disjuncts and splits them into ground and open,

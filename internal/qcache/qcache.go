@@ -33,7 +33,7 @@ import (
 	"sync/atomic"
 )
 
-// Key is a 128-bit cache key (a query-text or canonical lineage hash).
+// Key is a 128-bit cache key; the answer cache uses a hash of the query text.
 type Key struct {
 	Hi, Lo uint64
 }

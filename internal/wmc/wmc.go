@@ -23,14 +23,7 @@ func Prob(d lineage.DNF, probs []float64) float64 {
 	return s.prob(normalize(d))
 }
 
-// Stats reports the work done by the last Prob call when using a Solver.
-type Stats struct {
-	ShannonSteps    int
-	ComponentSplits int
-	CacheHits       int
-}
-
-// Solver is a reusable exact solver that exposes statistics.
+// Solver is a reusable exact solver: its cache lives across Prob calls.
 type Solver struct {
 	inner *solver
 }
@@ -46,7 +39,6 @@ func (s *Solver) Prob(d lineage.DNF) float64 { return s.inner.prob(normalize(d))
 type solver struct {
 	probs []float64
 	cache map[string]float64
-	stats Stats
 }
 
 // dnf is the internal normalized representation: sorted terms of sorted
@@ -86,14 +78,12 @@ func (s *solver) prob(d dnf) float64 {
 	}
 	key := d.key()
 	if p, ok := s.cache[key]; ok {
-		s.stats.CacheHits++
 		return p
 	}
 
 	var p float64
 	if comps := components(d); len(comps) > 1 {
 		// Independent union: P(∨ᵢ cᵢ) = 1 - Πᵢ (1 - P(cᵢ)).
-		s.stats.ComponentSplits++
 		prod := 1.0
 		for _, c := range comps {
 			prod *= 1 - s.prob(c)
@@ -101,7 +91,6 @@ func (s *solver) prob(d dnf) float64 {
 		p = 1 - prod
 	} else {
 		// Shannon expansion on the most frequent variable.
-		s.stats.ShannonSteps++
 		x := mostFrequent(d)
 		px := s.probs[x]
 		p = px*s.prob(restrict(d, x, true)) + (1-px)*s.prob(restrict(d, x, false))

@@ -69,33 +69,6 @@ func TestProbTerminals(t *testing.T) {
 	}
 }
 
-func TestSolverStats(t *testing.T) {
-	// Independent components: (x1∧x2) ∨ (x3∧x4) must use the component rule.
-	probs := []float64{0, 0.5, 0.5, 0.5, 0.5}
-	s := NewSolver(probs)
-	p := s.Prob(lineage.DNF{{1, 2}, {3, 4}})
-	if math.Abs(p-(1-0.75*0.75)) > 1e-12 {
-		t.Errorf("P = %v", p)
-	}
-	if s.inner.stats.ComponentSplits == 0 {
-		t.Error("component decomposition not used")
-	}
-	// Shared variables force Shannon expansion.
-	s2 := NewSolver(probs)
-	s2.Prob(lineage.DNF{{1, 2}, {1, 3}, {2, 3}})
-	if s2.inner.stats.ShannonSteps == 0 {
-		t.Error("Shannon expansion not used")
-	}
-	// Cache reuse across calls.
-	s3 := NewSolver(probs)
-	d := lineage.DNF{{1, 2}, {2, 3}, {1, 3}}
-	s3.Prob(d)
-	s3.Prob(d)
-	if s3.inner.stats.CacheHits == 0 {
-		t.Error("cache not reused")
-	}
-}
-
 func TestProbLargeSafeChain(t *testing.T) {
 	// A long independent chain must be handled by decomposition, not 2^n
 	// enumeration: 60 disjoint conjuncts.
