@@ -39,8 +39,6 @@ func main() {
 		cacheJSON   = flag.String("cache-json", "BENCH_cache.json", "file for the cache experiment's JSON report (empty to skip)")
 		updateJSON  = flag.String("update-json", "BENCH_update.json", "file for the update experiment's JSON report (empty to skip)")
 		reorderJSON = flag.String("reorder-json", "BENCH_reorder.json", "file for the reorder experiment's JSON report (empty to skip)")
-		maxGrowth   = flag.Float64("reorder-max-growth", 0, "sifting growth bound for the reorder experiment (0 = obdd default)")
-		maxRounds   = flag.Int("reorder-rounds", 0, "max sifting rounds for the reorder experiment (0 = obdd default)")
 		timeout     = flag.Duration("timeout", 0, "watchdog per experiment (0 = none); a stuck experiment aborts the run with exit 1")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 		memprofile  = flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -82,8 +80,6 @@ func main() {
 	}
 	opts.Seed = *seed
 	opts.Cache = *useCache
-	opts.ReorderMaxGrowth = *maxGrowth
-	opts.ReorderRounds = *maxRounds
 	if *domains != "" {
 		opts.Domains = nil
 		for _, s := range strings.Split(*domains, ",") {

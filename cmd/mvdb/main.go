@@ -1,5 +1,9 @@
 // Command mvdb loads the synthetic DBLP MVDB (Figure 1 of the paper),
 // compiles the MV-index, and evaluates datalog-style queries against it.
+// It is the index's offline tool: every answer, \explain, \marginal and
+// \dot goes through the mvindex.Index it builds or loads, the one mvdbd
+// serves. The paper's baselines (global OBDD, lifted, DPLL) are not here;
+// mvbench -exp methods compares them with the index.
 //
 // One-shot:
 //
@@ -27,7 +31,6 @@ import (
 	"strings"
 	"time"
 
-	"mvdb/internal/baseline"
 	"mvdb/internal/core"
 	"mvdb/internal/dblp"
 	"mvdb/internal/engine"
@@ -37,11 +40,8 @@ import (
 )
 
 type session struct {
-	data *dblp.Dataset
-	tr   *core.Translation
-	ix   *mvindex.Index
-	ev   *baseline.Evaluator // the obdd, lifted and dpll methods
-	meth string
+	tr *core.Translation
+	ix *mvindex.Index
 }
 
 func main() {
@@ -49,14 +49,10 @@ func main() {
 		authors     = flag.Int("authors", 2000, "aid domain of the synthetic DBLP dataset")
 		seed        = flag.Int64("seed", 1, "generator seed")
 		views       = flag.String("views", "123", "MarkoViews to enable: any subset of 123")
-		method      = flag.String("method", "index", "evaluation method: index (CC-MVIntersect), obdd, lifted, dpll")
 		interactive = flag.Bool("i", false, "interactive mode (read queries from stdin)")
 		saveIndex   = flag.String("save-index", "", "write the compiled MV-index to this file and continue")
 		loadIndex   = flag.String("load-index", "", "load a previously saved MV-index instead of generating data")
-
-		reorder          = flag.String("reorder", "off", "dynamic variable reordering after compile: off | once | converge")
-		reorderMaxGrowth = flag.Float64("reorder-max-growth", obdd.DefaultMaxGrowth, "sifting growth bound (times the pre-sift node count)")
-		reorderRounds    = flag.Int("reorder-rounds", obdd.DefaultMaxRounds, "max sifting rounds in converge mode")
+		reorder     = flag.String("reorder", "off", "dynamic variable reordering after compile: off | once | converge")
 	)
 	flag.Parse()
 
@@ -64,15 +60,13 @@ func main() {
 	if merr != nil {
 		fatal(merr)
 	}
-	reorderOpts := obdd.ReorderOptions{Mode: reorderMode, MaxGrowth: *reorderMaxGrowth, MaxRounds: *reorderRounds}
 
 	t0 := time.Now()
 	var (
-		data *dblp.Dataset
-		sel  []*core.MarkoView
-		tr   *core.Translation
-		ix   *mvindex.Index
-		err  error
+		sel []*core.MarkoView
+		tr  *core.Translation
+		ix  *mvindex.Index
+		err error
 	)
 	if *loadIndex != "" {
 		fmt.Fprintf(os.Stderr, "loading MV-index from %s...\n", *loadIndex)
@@ -83,7 +77,7 @@ func main() {
 		tr = ix.Translation()
 	} else {
 		fmt.Fprintf(os.Stderr, "generating synthetic DBLP (%d authors, views %s)...\n", *authors, *views)
-		data, err = dblp.Generate(dblp.Config{NumAuthors: *authors, Seed: *seed})
+		data, err := dblp.Generate(dblp.Config{NumAuthors: *authors, Seed: *seed})
 		if err != nil {
 			fatal(err)
 		}
@@ -115,7 +109,7 @@ func main() {
 	// Sifting is offline, like the compile: a saved index keeps the learned
 	// order, and one loaded with it is not sifted again.
 	if reorderMode != obdd.ReorderOff && !ix.Reordered() {
-		st, err := ix.Sift(reorderOpts)
+		st, err := ix.Sift(obdd.ReorderOptions{Mode: reorderMode})
 		if err != nil {
 			fatal(err)
 		}
@@ -133,7 +127,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "ready in %v: %d tuple variables, MV-index %d nodes in %d blocks\n",
 		time.Since(t0).Round(time.Millisecond), tr.DB.NumVars(), ix.Size(), ix.Blocks())
 
-	s := &session{data: data, tr: tr, ix: ix, ev: baseline.New(tr), meth: *method}
+	s := &session{tr: tr, ix: ix}
 	if args := flag.Args(); len(args) > 0 {
 		for _, src := range args {
 			if err := s.runQuery(src); err != nil {
@@ -202,19 +196,7 @@ func (s *session) runQuery(src string) error {
 		return err
 	}
 	t0 := time.Now()
-	var rows []core.Answer
-	switch s.meth {
-	case "index":
-		rows, err = s.ix.Query(q, mvindex.IntersectOptions{})
-	case "obdd":
-		rows, err = s.ev.Query(q, baseline.OBDD)
-	case "lifted":
-		rows, err = s.ev.Query(q, baseline.Lifted)
-	case "dpll":
-		rows, err = s.ev.Query(q, baseline.DPLL)
-	default:
-		return fmt.Errorf("unknown method %q", s.meth)
-	}
+	rows, err := s.ix.Query(q, mvindex.IntersectOptions{})
 	if err != nil {
 		return err
 	}
@@ -227,7 +209,7 @@ func (s *session) runQuery(src string) error {
 		// Every bit of the probability, spelled as /query's encoder does.
 		fmt.Printf("%-40s %s\n", strings.Join(parts, ", "), strconv.FormatFloat(r.Prob, 'g', -1, 64))
 	}
-	fmt.Printf("-- %d answers in %v (%s)\n", len(rows), el.Round(time.Microsecond), s.meth)
+	fmt.Printf("-- %d answers in %v (index)\n", len(rows), el.Round(time.Microsecond))
 	return nil
 }
 
@@ -285,23 +267,21 @@ func (s *session) marginal(src string) error {
 	return nil
 }
 
-// dot writes the ¬W OBDD in Graphviz format, compiled under the index's
+// dot writes the index's ¬W OBDD in Graphviz format, under the index's
 // variable order (the learned one after a sift).
 func (s *session) dot(path string) error {
-	m, fW, _, err := s.tr.CompileW(obdd.CompileOptions{Order: s.ix.Manager().Order()})
+	if path == "" {
+		return s.ix.WriteDot(os.Stdout)
+	}
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	out := os.Stdout
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
+	if err := s.ix.WriteDot(f); err != nil {
+		f.Close()
+		return err
 	}
-	return m.WriteDot(out, m.Not(fW), "notW", nil)
+	return f.Close()
 }
 
 func (s *session) printTables() {

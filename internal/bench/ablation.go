@@ -15,14 +15,16 @@ import (
 
 // AblationEntryShortcut quantifies the contribution of the MV-index's
 // reachability entry shortcut and probUnder cutoff (Section 4.3): the same
-// single-block query is answered with the shortcut on and off, for both
-// intersection layouts.
+// single-block query is answered with the shortcut on and off. Each leg
+// reports its time and the (query node, index node) pairs its Boolean form
+// visits, with the block the shortcut enters at; the pair counts are exact,
+// the times only output.
 func AblationEntryShortcut(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	t := &Table{
 		ID:      "ablate-entry",
 		Title:   "ablation: reachability entry shortcut on vs off (single-block query)",
-		Columns: []string{"aid domain", "with-shortcut(s)", "no-shortcut(s)", "speedup"},
+		Columns: []string{"aid domain", "with-shortcut(s)", "no-shortcut(s)", "speedup", "pairs with", "pairs without", "entry block"},
 	}
 	for _, n := range opts.Domains {
 		d, _, tr, err := pipeline(n, opts.Seed, "123")
@@ -35,33 +37,42 @@ func AblationEntryShortcut(opts Options) (*Table, error) {
 		}
 		s := d.Students[len(d.Students)/2]
 		q := dblp.QueryAdvisorOfStudent(s)
+		b := ucq.UCQ{Disjuncts: q.Disjuncts}
 		const reps = 10
-		measure := func(o mvindex.IntersectOptions) (time.Duration, error) {
+		measure := func(o mvindex.IntersectOptions) (time.Duration, mvindex.Explain, error) {
+			ex, err := ix.ExplainBoolean(b, o)
+			if err != nil {
+				return 0, ex, err
+			}
 			if _, err := ix.Query(q, o); err != nil {
-				return 0, err
+				return 0, ex, err
 			}
 			t0 := time.Now()
 			for i := 0; i < reps; i++ {
 				if _, err := ix.Query(q, o); err != nil {
-					return 0, err
+					return 0, ex, err
 				}
 			}
-			return time.Since(t0) / reps, nil
+			return time.Since(t0) / reps, ex, nil
 		}
-		on, err := measure(mvindex.IntersectOptions{})
+		on, exOn, err := measure(mvindex.IntersectOptions{})
 		if err != nil {
 			return nil, err
 		}
-		off, err := measure(mvindex.IntersectOptions{NoEntryShortcut: true})
+		off, exOff, err := measure(mvindex.IntersectOptions{NoEntryShortcut: true})
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), seconds(on), seconds(off), fmt.Sprintf("%.1fx", off.Seconds()/on.Seconds()),
+			fmt.Sprint(exOn.PairsVisited), fmt.Sprint(exOff.PairsVisited), fmt.Sprint(exOn.EntryBlock),
 		})
 		t.addSeries("domain", float64(n))
 		t.addSeries("with", on.Seconds())
 		t.addSeries("without", off.Seconds())
+		t.addSeries("pairs-with", float64(exOn.PairsVisited))
+		t.addSeries("pairs-without", float64(exOff.PairsVisited))
+		t.addSeries("entry-block", float64(exOn.EntryBlock))
 	}
 	return t, nil
 }

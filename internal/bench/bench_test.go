@@ -334,13 +334,22 @@ func TestAblationEntryShortcut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	with := tab.Series["with"]
-	without := tab.Series["without"]
-	// The shortcut must win at the largest domain (the whole point of the
-	// reachability precomputation).
-	last := len(with) - 1
-	if with[last] >= without[last] {
-		t.Errorf("entry shortcut not faster: %v vs %v", with[last], without[last])
+	// The shortcut must save work at every domain — the whole point of the
+	// reachability precomputation: it enters past the root block, and the
+	// run without it visits more pairs. Counts, not wall-clock times, so
+	// the check does not depend on the machine's load.
+	with, without := tab.Series["pairs-with"], tab.Series["pairs-without"]
+	entry := tab.Series["entry-block"]
+	if len(with) != len(small().Domains) {
+		t.Fatalf("%d rows of pair counts, want one per domain %v", len(with), small().Domains)
+	}
+	for i, d := range tab.Series["domain"] {
+		if entry[i] <= 0 {
+			t.Errorf("domain %v: shortcut entered at block %v, want a block > 0", d, entry[i])
+		}
+		if without[i] <= with[i] {
+			t.Errorf("domain %v: %v pairs without the shortcut, %v with it; want more without", d, without[i], with[i])
+		}
 	}
 }
 

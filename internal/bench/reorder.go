@@ -81,11 +81,7 @@ func ReorderSifting(opts Options) (*Table, error) {
 			}
 
 			// Leg 3: sift the naive index to convergence.
-			st, err := ix.Sift(obdd.ReorderOptions{
-				Mode:      obdd.ReorderConverge,
-				MaxGrowth: opts.ReorderMaxGrowth,
-				MaxRounds: opts.ReorderRounds,
-			})
+			st, err := ix.Sift(obdd.ReorderOptions{Mode: obdd.ReorderConverge})
 			if err != nil {
 				return nil, err
 			}
@@ -132,9 +128,9 @@ func ReorderSifting(opts Options) (*Table, error) {
 // each chain-block window's variables are shuffled with a deterministic
 // RNG. Variables never cross window boundaries, so the chain factorization
 // (and with it compile tractability) is preserved; within a block the order
-// carries none of Π's tuning. Note the result is only meaningful as
-// CompileOptions.Order for the translation that produced `order` — variable
-// ids are not stable across fresh translations.
+// carries none of Π's tuning. Note the result is only meaningful as an
+// order for the translation that produced `order` — variable ids are not
+// stable across fresh translations.
 func naiveOrder(order []int, wins [][2]int, seed int64) []int {
 	naive := append([]int(nil), order...)
 	rng := rand.New(rand.NewSource(seed))

@@ -89,7 +89,7 @@ func (t *Translation) ApplyDelta(batch []Mutation) ([]obdd.ChangedTuple, error) 
 			// one; deciding that needs the weights of heads we have not
 			// computed yet.
 			return nil, ErrDeltaFallback
-		case !t.nvSet[t.opts.NVPrefix+v.Name]:
+		case !t.nvSet[nvPrefix+v.Name]:
 			// The view contributed nothing at translate time, so its
 			// disjuncts are absent from W; any new head changes W's shape.
 			return nil, ErrDeltaFallback
@@ -137,7 +137,7 @@ func (t *Translation) ApplyDelta(batch []Mutation) ([]obdd.ChangedTuple, error) 
 				heads[k] = h
 			}
 		}
-		nvName := t.opts.NVPrefix + v.Name
+		nvName := nvPrefix + v.Name
 		for _, h := range heads {
 			w := v.WeightOf(h)
 			if math.IsNaN(w) || w < 0 {

@@ -9,10 +9,11 @@ import (
 	"mvdb/internal/ucq"
 )
 
+// nvPrefix prefixes the fresh NV relation names.
+const nvPrefix = "NV_"
+
 // TranslateOptions tunes the MVDB → INDB translation.
 type TranslateOptions struct {
-	// NVPrefix prefixes the fresh NV relation names (default "NV_").
-	NVPrefix string
 	// KeepIndependent keeps view tuples with weight exactly 1. They are
 	// pruned by default: their translated weight is 0, probability 0, so the
 	// NV tuple can never appear and W_i can never fire through it.
@@ -44,8 +45,8 @@ type Translation struct {
 	perm  obdd.Perm        // W's compile permutation Π, see WPerm
 }
 
-// Opts returns the options the translation was built with (defaults filled
-// in), so a mutated source MVDB can be re-translated identically.
+// Opts returns the options the translation was built with, so a mutated
+// source MVDB can be re-translated identically.
 func (t *Translation) Opts() TranslateOptions { return t.opts }
 
 // RestoreSource reattaches the source MVDB to a restored translation,
@@ -55,9 +56,6 @@ func (t *Translation) Opts() TranslateOptions { return t.opts }
 // given views; the caller asserts that the translation was built from them
 // with these options.
 func (t *Translation) RestoreSource(views []ViewSnapshot, opts TranslateOptions) error {
-	if opts.NVPrefix == "" {
-		opts.NVPrefix = "NV_"
-	}
 	src := New(t.DB.Share(t.NVRelations...))
 	for _, vs := range views {
 		wt := &WeightTable{Default: vs.Default, ByHead: make(map[string]float64, len(vs.Heads))}
@@ -79,9 +77,6 @@ func (t *Translation) RestoreSource(views []ViewSnapshot, opts TranslateOptions)
 // weight (1-w)/w, negative whenever w > 1. A view whose every tuple is
 // pruned contributes no relation.
 func (m *MVDB) Translate(opts TranslateOptions) (*Translation, error) {
-	if opts.NVPrefix == "" {
-		opts.NVPrefix = "NV_"
-	}
 	tuples, err := m.Materialize()
 	if err != nil {
 		return nil, err
@@ -102,7 +97,7 @@ func (m *MVDB) Translate(opts TranslateOptions) (*Translation, error) {
 		if len(vts) == 0 {
 			continue // empty view: Wᵢ is identically false
 		}
-		nvName := opts.NVPrefix + v.Name
+		nvName := nvPrefix + v.Name
 		if t.DB.Relation(nvName) != nil {
 			return nil, fmt.Errorf("core: NV relation name %s clashes with an existing relation", nvName)
 		}

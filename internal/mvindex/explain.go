@@ -28,8 +28,8 @@ func (e Explain) String() string {
 }
 
 // ExplainBoolean evaluates P(Q) like ProbBoolean and reports traversal
-// statistics (always with the entry shortcut). Only the cancellation and
-// budget fields of opts apply.
+// statistics. The cancellation, budget and NoEntryShortcut fields of opts
+// apply; the answer cache is not consulted.
 func (ix *Index) ExplainBoolean(q ucq.UCQ, opts IntersectOptions) (Explain, error) {
 	linQ, err := ucq.EvalBoolean(ix.tr.DB, q)
 	if err != nil {
@@ -63,7 +63,7 @@ func (ix *Index) ExplainLineage(linQ lineage.DNF, opts IntersectOptions) (Explai
 		ex.SpanLevels = span
 	}
 	var s span
-	ex.Prob, s, ex.PairsVisited, err = ix.walk(qm, fQ, IntersectOptions{Ctx: opts.Ctx, Budget: opts.Budget}, (*Index).intersectCC)
+	ex.Prob, s, ex.PairsVisited, err = ix.walk(qm, fQ, opts, (*Index).intersectCC)
 	if err != nil {
 		return Explain{}, err
 	}

@@ -32,6 +32,7 @@ package mvindex
 import (
 	"context"
 	"errors"
+	"io"
 	"math"
 	"slices"
 	"time"
@@ -170,12 +171,20 @@ func (ix *Index) Sift(opts obdd.ReorderOptions) (obdd.ReorderStats, error) {
 	return st, nil
 }
 
+// WriteDot writes ¬W in Graphviz DOT format as the index holds it: the
+// segments' nodes, under the index's variable order (the learned one after
+// a sift).
+func (ix *Index) WriteDot(w io.Writer) error {
+	n := ix.ch.materialize()
+	return n.m.WriteDot(w, n.root, "notW", nil)
+}
+
 // BlockWindows returns the per-block sifting windows (half-open level
 // ranges) Sift uses: one window per chain block, in chain order and
 // disjoint, from the block's root down to its deepest node. Keeping each
 // variable inside its window preserves the convergence points appendChain
 // finds, so callers may also use them to construct alternative block-local
-// variable orders, safe as CompileOptions.Order. Levels between two blocks'
+// variable orders, safe for BuildOrder. Levels between two blocks'
 // windows hold variables with no node in the index — tuples of separator
 // values W does not constrain — and sifting leaves them where they are: a
 // window never spans two separator values, so every value's variables stay

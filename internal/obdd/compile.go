@@ -32,12 +32,6 @@ type CompileOptions struct {
 	// with an error wrapping budget.ErrBudgetExceeded (nodes) or
 	// budget.ErrCanceled (deadline). MaxPairs does not apply to compilation.
 	Budget budget.Budget
-	// Order, when non-nil, overrides the static Π order with a learned
-	// variable order (e.g. one persisted from an earlier sifting pass). It
-	// must be a permutation of exactly the database's tuple variables;
-	// Compile fails otherwise. CompileDelta ignores it: it compiles under
-	// the order of the manager it is given (see PatchOrder), learned or not.
-	Order []int
 
 	// blockHook, when set, runs before each per-separator-value block is
 	// compiled (sequentially or on a worker), receiving the block index; a
@@ -70,45 +64,18 @@ func (s *CompileStats) Add(o CompileStats) {
 // order Π induced by pi, creating a fresh Manager. It implements ConOBDD
 // (Section 4.2): concatenate wherever sub-OBDDs are independent and ordered,
 // synthesize otherwise, and fall back to compiling the raw lineage for
-// sub-queries with inversions.
+// sub-queries with inversions. To compile under another order — a learned
+// one — pass CompileWith a NewManager of that order.
 func Compile(db *engine.Database, u ucq.UCQ, pi Perm, opts CompileOptions) (*Manager, NodeID, CompileStats, error) {
 	if err := pi.Validate(db); err != nil {
 		return nil, False, CompileStats{}, err
 	}
-	order, err := compileOrder(db, pi, opts)
-	if err != nil {
-		return nil, False, CompileStats{}, err
-	}
-	m := NewManager(order)
+	m := NewManager(TupleOrder(db, pi))
 	f, stats, err := CompileWith(m, db, u, opts)
 	if err != nil {
 		return nil, False, stats, err
 	}
 	return m, f, stats, nil
-}
-
-// compileOrder resolves the variable order for a fresh compile: the static Π
-// order, unless opts.Order overrides it with a learned order over exactly
-// the same variable set.
-func compileOrder(db *engine.Database, pi Perm, opts CompileOptions) ([]int, error) {
-	static := TupleOrder(db, pi)
-	if opts.Order == nil {
-		return static, nil
-	}
-	if len(opts.Order) != len(static) {
-		return nil, fmt.Errorf("obdd: CompileOptions.Order has %d variables, want %d", len(opts.Order), len(static))
-	}
-	set := make(map[int]struct{}, len(static))
-	for _, v := range static {
-		set[v] = struct{}{}
-	}
-	for _, v := range opts.Order {
-		if _, ok := set[v]; !ok {
-			return nil, fmt.Errorf("obdd: CompileOptions.Order names variable %d, which is not a tuple variable of the database", v)
-		}
-		delete(set, v)
-	}
-	return append([]int(nil), opts.Order...), nil
 }
 
 // CompileWith compiles into an existing manager, so a query OBDD can share

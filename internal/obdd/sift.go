@@ -29,7 +29,7 @@ const (
 	// ReorderOnce runs a single sifting round over every variable.
 	ReorderOnce
 	// ReorderConverge repeats sifting rounds until the node count stops
-	// improving or MaxRounds is reached.
+	// improving or DefaultMaxRounds is reached.
 	ReorderConverge
 )
 
@@ -59,7 +59,11 @@ func ParseReorderMode(s string) (ReorderMode, error) {
 	return ReorderOff, fmt.Errorf("obdd: unknown reorder mode %q (want off, once, or converge)", s)
 }
 
-// Defaults for ReorderOptions zero fields.
+// The sifting bounds, the same for every pass. DefaultMaxGrowth bounds how
+// far a variable may be sifted past its best-known position: a directional
+// scan stops once the live node count exceeds DefaultMaxGrowth times the
+// count at the start of that variable's sift. DefaultMaxRounds caps
+// converge-mode rounds; once mode always runs exactly one round.
 const (
 	DefaultMaxGrowth = 1.2
 	DefaultMaxRounds = 4
@@ -70,14 +74,6 @@ type ReorderOptions struct {
 	// Mode selects off/once/converge; Reorder with ReorderOff is a no-op
 	// that returns the manager unchanged.
 	Mode ReorderMode
-	// MaxGrowth bounds how far a variable may be sifted past its best-known
-	// position: a directional scan stops once the live node count exceeds
-	// MaxGrowth times the count at the start of that variable's sift.
-	// Values below 1 (including 0) mean DefaultMaxGrowth.
-	MaxGrowth float64
-	// MaxRounds caps converge-mode rounds (0 = DefaultMaxRounds). Once mode
-	// always runs exactly one round.
-	MaxRounds int
 	// Windows restricts sifting to half-open level ranges [a, b): a variable
 	// never leaves the window containing its starting level, and variables
 	// outside every window are not moved. The MV-index uses one window per
@@ -110,7 +106,7 @@ type ReorderStats struct {
 
 // Order returns a copy of the manager's variable order (level to external
 // variable id). A manager produced by Reorder reports the learned order,
-// which callers persist and feed back through CompileOptions.Order.
+// which callers persist and compile under again with NewManager(order).
 func (m *Manager) Order() []int {
 	out := make([]int, len(m.levelVar))
 	for l, v := range m.levelVar {
@@ -137,13 +133,7 @@ func Reorder(m *Manager, roots []NodeID, opts ReorderOptions) (*Manager, []NodeI
 	if opts.Mode == ReorderOff {
 		return m, append([]NodeID(nil), roots...), st, nil
 	}
-	if opts.MaxGrowth < 1 {
-		opts.MaxGrowth = DefaultMaxGrowth
-	}
-	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultMaxRounds
-	}
+	maxRounds := DefaultMaxRounds
 	if opts.Mode == ReorderOnce {
 		maxRounds = 1
 	}
@@ -227,12 +217,11 @@ type sifter struct {
 	order []int         // level -> external variable id
 	pos   map[int]int32 // external variable id -> current level
 
-	maxGrowth float64
-	ctx       context.Context
-	deadline  time.Time
-	maxNodes  int
-	tick      int
-	swaps     int
+	ctx      context.Context
+	deadline time.Time
+	maxNodes int
+	tick     int
+	swaps    int
 }
 
 // entry packs a (generation, id) pair for a level list; unpack with entryID
@@ -251,19 +240,18 @@ func (s *sifter) liveAt(e int64, l int32) (int32, bool) {
 func newSifter(m *Manager, roots []NodeID, opts ReorderOptions) (*sifter, []int32) {
 	nv := len(m.levelVar)
 	s := &sifter{
-		lvl:       []int32{terminalLevel, terminalLevel},
-		lo:        []int32{0, 0},
-		hi:        []int32{0, 0},
-		ref:       []int32{0, 0},
-		gen:       []int32{0, 0},
-		tabs:      make([]*levelTable, nv),
-		lists:     make([][]int64, nv),
-		order:     m.Order(),
-		pos:       make(map[int]int32, nv),
-		maxGrowth: opts.MaxGrowth,
-		ctx:       opts.Ctx,
-		deadline:  opts.Budget.Deadline,
-		maxNodes:  opts.Budget.MaxNodes,
+		lvl:      []int32{terminalLevel, terminalLevel},
+		lo:       []int32{0, 0},
+		hi:       []int32{0, 0},
+		ref:      []int32{0, 0},
+		gen:      []int32{0, 0},
+		tabs:     make([]*levelTable, nv),
+		lists:    make([][]int64, nv),
+		order:    m.Order(),
+		pos:      make(map[int]int32, nv),
+		ctx:      opts.Ctx,
+		deadline: opts.Budget.Deadline,
+		maxNodes: opts.Budget.MaxNodes,
 	}
 	for l := range s.tabs {
 		s.tabs[l] = newLevelTable(8)
@@ -509,12 +497,12 @@ func windowOf(wins [][2]int32, l int32) ([2]int32, bool) {
 // siftOne moves the variable currently at level l through every position of
 // its window — nearer end first, then the far end — tracking the best total
 // node count, and finally parks it at the best position. A directional scan
-// stops early once the count exceeds maxGrowth times the starting count.
+// stops early once the count exceeds DefaultMaxGrowth times the starting count.
 func (s *sifter) siftOne(l int32, w [2]int32) error {
 	cur := l
 	best := s.count
 	bestPos := l
-	limit := int(s.maxGrowth * float64(s.count))
+	limit := int(DefaultMaxGrowth * float64(s.count))
 	if limit < s.count+2 {
 		limit = s.count + 2 // let tiny graphs explore at all
 	}

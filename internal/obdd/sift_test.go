@@ -117,7 +117,7 @@ func TestReorderCanonical(t *testing.T) {
 // the same NodeIDs — the guarantee that keeps seq-vs-par NodeID equivalence
 // intact after a post-compile sift.
 func TestReorderDeterministic(t *testing.T) {
-	opts := ReorderOptions{Mode: ReorderConverge, MaxGrowth: 1.5}
+	opts := ReorderOptions{Mode: ReorderConverge}
 	m1, f1 := randomDNFManager(t, 13, 11, 4, 3)
 	m2, f2 := randomDNFManager(t, 13, 11, 4, 3)
 	nm1, r1, st1, err := Reorder(m1, []NodeID{f1}, opts)
@@ -268,7 +268,7 @@ func TestReorderFindsInterleaving(t *testing.T) {
 		f = m.Or(f, m.And(m.Var(i), m.Var(k+i)))
 	}
 	before := m.Size(f)
-	nm, roots, st, err := Reorder(m, []NodeID{f}, ReorderOptions{Mode: ReorderConverge, MaxRounds: 8})
+	nm, roots, st, err := Reorder(m, []NodeID{f}, ReorderOptions{Mode: ReorderConverge})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +313,8 @@ func TestParseReorderMode(t *testing.T) {
 }
 
 // TestCompileWithReorder: sifting a real compiled query must produce an
-// equivalent OBDD, and CompileOptions.Order must round-trip the learned order
-// through a fresh compile.
+// equivalent OBDD, and CompileWith into a fresh manager of the learned order
+// must round-trip it.
 func TestCompileWithReorder(t *testing.T) {
 	db := engine.NewDatabase()
 	db.MustCreateRelation("R", false, "a", "b")
@@ -342,22 +342,13 @@ func TestCompileWithReorder(t *testing.T) {
 
 	// Learned-order round trip: compiling under m1's order must reproduce
 	// the sifted structure exactly.
-	m2, f2, _, err := Compile(db, q, pi, CompileOptions{Order: m1.Order()})
+	m2 := NewManager(m1.Order())
+	f2, _, err := CompileWith(m2, db, q, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !StructEqual(m1, f1, m2, f2) {
 		t.Fatal("compile under learned order did not reproduce the sifted OBDD")
-	}
-
-	// Invalid learned orders must be rejected.
-	if _, _, _, err := Compile(db, q, pi, CompileOptions{Order: []int{1, 2, 3}}); err == nil {
-		t.Fatal("short Order: expected error")
-	}
-	bad := m1.Order()
-	bad[0] = 1 << 30
-	if _, _, _, err := Compile(db, q, pi, CompileOptions{Order: bad}); err == nil {
-		t.Fatal("alien variable in Order: expected error")
 	}
 }
 
